@@ -15,9 +15,10 @@ Three cooperating pieces:
 * :class:`TieredMappingTable` — the ppmt facade the driver mutates.  It
   is two tiers: a *dirty overlay* dict holding every entry touched since
   the last snapshot (authoritative, bounded by the snapshot interval)
-  and a *clean cache* of decoded snapshot mapping pages, demand-paged
-  from the flash region through the store and evicted by a bufferpool
-  eviction policy (the registry of
+  and a *clean cache* of snapshot mapping pages kept in wire form
+  (:class:`MappingPage`: the packed rows as read, looked up by bisect),
+  demand-paged from the flash region through the store and evicted by
+  a bufferpool eviction policy (the registry of
   :mod:`repro.storage.bufferpool.policy` — one LRU/clock implementation
   in the tree, not three).  Every mutation both updates the overlay and
   appends a journal record through the store, which is what makes crash
@@ -34,9 +35,9 @@ reader; its wire format is documented in ``docs/recovery.md``.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..flash.spec import FlashSpec
 from ..flash.stats import FlashStats
@@ -75,6 +76,10 @@ REC_OPEN_BLOCK = 9  #: a = block id (journal-flushed before first program)
 #: One journal record: kind, two u32 operands, one u64 timestamp.
 RECORD = struct.Struct("<BIIQ")
 
+#: Journal page header: magic, snapshot epoch, page index, record count,
+#: CRC32 of the packed records.
+JOURNAL_HEADER = struct.Struct("<IIIHI")
+
 #: Snapshot mapping-page header: magic, snapshot seq, page index, n_entries.
 PAGE_HEADER = struct.Struct("<IIIH")
 
@@ -82,6 +87,9 @@ PAGE_HEADER = struct.Struct("<IIIH")
 #: (+1 shifts keep 0 as "absent", which is also what erased 0xFF regions
 #: can never decode to a valid header around).
 ENTRY = struct.Struct("<IIQIQ")
+
+#: The leading pid of a packed entry — all the bisect needs to read.
+_PID = struct.Struct("<I")
 
 #: Magic stamped into every snapshot mapping page ("PMAP").
 DATA_MAGIC = 0x504D4150
@@ -102,38 +110,85 @@ def entries_per_page(page_data_size: int) -> int:
     return count
 
 
-def encode_mapping_page(
-    seq: int, index: int, items: List[Tuple[int, MappingEntry]], page_data_size: int
-) -> bytes:
-    """Pack sorted ``(pid, entry)`` rows into one snapshot page image."""
-    parts = [PAGE_HEADER.pack(DATA_MAGIC, seq, index, len(items))]
-    for pid, entry in items:
-        if entry.base_addr < 0:
-            raise MappingFormatError(
-                f"pid {pid} has a placeholder base (addr {entry.base_addr}); "
-                "placeholders are scan-transient and must never be persisted"
-            )
-        parts.append(
-            ENTRY.pack(
-                pid,
-                entry.base_addr,
-                entry.base_ts,
-                0 if entry.diff_addr is None else entry.diff_addr + 1,
-                0 if entry.diff_ts is None else entry.diff_ts + 1,
-            )
-        )
-    payload = b"".join(parts)
-    if len(payload) > page_data_size:
+def records_per_page(page_data_size: int) -> int:
+    """Journal records one journal page holds."""
+    return (page_data_size - JOURNAL_HEADER.size) // RECORD.size
+
+
+def pack_entry(pid: int, entry: MappingEntry) -> bytes:
+    """One ``(pid, entry)`` row in wire form."""
+    if entry.base_addr < 0:
         raise MappingFormatError(
-            f"{len(items)} entries overflow a {page_data_size}-byte page"
+            f"pid {pid} has a placeholder base (addr {entry.base_addr}); "
+            "placeholders are scan-transient and must never be persisted"
         )
-    return payload
+    return ENTRY.pack(
+        pid,
+        entry.base_addr,
+        entry.base_ts,
+        0 if entry.diff_addr is None else entry.diff_addr + 1,
+        0 if entry.diff_ts is None else entry.diff_ts + 1,
+    )
+
+
+def _unpack_entry(rows: bytes, offset: int) -> Tuple[int, MappingEntry]:
+    """The ``(pid, entry)`` packed at ``offset`` (inverse of :func:`pack_entry`)."""
+    pid, base, base_ts, diff1, diff_ts1 = ENTRY.unpack_from(rows, offset)
+    return pid, MappingEntry(
+        base, base_ts, diff1 - 1 if diff1 else None, diff_ts1 - 1 if diff_ts1 else None
+    )
+
+
+def _find_row(rows: bytes, pid: int) -> int:
+    """Byte offset into ``rows`` of ``pid``'s packed row, or -1.
+
+    ``rows`` is a run of pid-sorted packed entries; the bisect reads only
+    the 4-byte pid of each probed row."""
+    size = ENTRY.size
+    unpack_pid = _PID.unpack_from
+    count = len(rows) // size
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if unpack_pid(rows, mid * size)[0] < pid:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < count and unpack_pid(rows, lo * size)[0] == pid:
+        return lo * size
+    return -1
+
+
+class MappingPage:
+    """One snapshot mapping page, kept in the wire form the chip returned.
+
+    Nothing is unpacked up front: a lookup bisects the pid-sorted packed
+    rows and builds one fresh :class:`MappingEntry`, so callers own what
+    they get and the resident page stays immutable."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: bytes) -> None:
+        #: The packed rows alone (header and page padding stripped).
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows) // ENTRY.size
+
+    def get(self, pid: int) -> Optional[MappingEntry]:
+        offset = _find_row(self.rows, pid)
+        return _unpack_entry(self.rows, offset)[1] if offset >= 0 else None
+
+    def items(self) -> Iterator[Tuple[int, MappingEntry]]:
+        rows = self.rows
+        return (_unpack_entry(rows, offset) for offset in range(0, len(rows), ENTRY.size))
 
 
 def decode_mapping_page(
     data: bytes, expect_seq: Optional[int] = None, expect_index: Optional[int] = None
-) -> Dict[int, MappingEntry]:
-    """Decode a snapshot page; raises :class:`MappingFormatError` on damage."""
+) -> MappingPage:
+    """Validate a snapshot page's header and wrap its packed rows; raises
+    :class:`MappingFormatError` on damage."""
     if len(data) < PAGE_HEADER.size:
         raise MappingFormatError("mapping page shorter than its header")
     magic, seq, index, count = PAGE_HEADER.unpack_from(data)
@@ -143,20 +198,82 @@ def decode_mapping_page(
         raise MappingFormatError(f"mapping page of snapshot {seq}, expected {expect_seq}")
     if expect_index is not None and index != expect_index:
         raise MappingFormatError(f"mapping page index {index}, expected {expect_index}")
-    if PAGE_HEADER.size + count * ENTRY.size > len(data):
+    end = PAGE_HEADER.size + count * ENTRY.size
+    if end > len(data):
         raise MappingFormatError(f"mapping page claims {count} entries beyond its size")
-    entries: Dict[int, MappingEntry] = {}
-    offset = PAGE_HEADER.size
-    for _ in range(count):
-        pid, base, base_ts, diff1, diff_ts1 = ENTRY.unpack_from(data, offset)
-        offset += ENTRY.size
-        entries[pid] = MappingEntry(
-            base_addr=base,
-            base_ts=base_ts,
-            diff_addr=diff1 - 1 if diff1 else None,
-            diff_ts=diff_ts1 - 1 if diff_ts1 else None,
-        )
-    return entries
+    return MappingPage(data[PAGE_HEADER.size : end])
+
+
+def merge_page_rows(
+    rows: bytes, dirty: Sequence[Tuple[int, Optional[MappingEntry]]]
+) -> bytes:
+    """One page's packed rows with its slice of the dirty overlay applied.
+
+    ``dirty`` is pid-sorted; ``None`` is a tombstone.  When every dirty
+    row updates a pid the page already holds, the rows are patched in
+    place.  An insert or a tombstone changes the row count, so that page
+    alone is re-merged by pid."""
+    if not dirty:
+        return rows
+    size = ENTRY.size
+    patched = bytearray(rows)
+    for pid, entry in dirty:
+        offset = _find_row(rows, pid)
+        if entry is None or offset < 0:
+            break
+        patched[offset : offset + size] = pack_entry(pid, entry)
+    else:
+        return bytes(patched)
+    by_pid = {
+        _PID.unpack_from(rows, offset)[0]: rows[offset : offset + size]
+        for offset in range(0, len(rows), size)
+    }
+    for pid, entry in dirty:
+        if entry is None:
+            by_pid.pop(pid, None)
+        else:
+            by_pid[pid] = pack_entry(pid, entry)
+    return b"".join(by_pid[pid] for pid in sorted(by_pid))
+
+
+def merge_snapshot_rows(
+    pages: Iterable[MappingPage],
+    directory: Sequence[int],
+    overlay: Sequence[Tuple[int, Optional[MappingEntry]]],
+) -> bytes:
+    """The next snapshot's rows, packed and pid-sorted: the old snapshot's
+    ``pages`` (in order; ``directory`` holds their first pids) merged with
+    the pid-sorted dirty ``overlay``.
+
+    Bisecting the overlay against the directory hands each old page the
+    dirty rows of its pid range — the first page also takes everything
+    below its first pid, the last everything above — so a page no dirty
+    row falls into passes through as the bytes it was read as."""
+    pids = [pid for pid, _entry in overlay]
+    cuts = [bisect_left(pids, first) for first in directory[1:]]
+    parts = [
+        merge_page_rows(page.rows, overlay[start:end])
+        for page, start, end in zip(pages, [0] + cuts, cuts + [len(overlay)])
+    ]
+    if not parts:  # no snapshot yet: the overlay is the whole table
+        parts = [merge_page_rows(b"", overlay)]
+    return b"".join(parts)
+
+
+def stride_pages(
+    rows: bytes, seq: int, page_data_size: int
+) -> Tuple[List[bytes], List[int]]:
+    """Cut pid-sorted packed rows into full snapshot page images; returns
+    them with the directory (first pid of each page)."""
+    step = entries_per_page(page_data_size) * ENTRY.size
+    payloads: List[bytes] = []
+    directory: List[int] = []
+    for index, start in enumerate(range(0, len(rows), step)):
+        chunk = rows[start : start + step]
+        header = PAGE_HEADER.pack(DATA_MAGIC, seq, index, len(chunk) // ENTRY.size)
+        payloads.append(header + chunk)
+        directory.append(_PID.unpack_from(chunk)[0])
+    return payloads, directory
 
 
 # ----------------------------------------------------------------------
@@ -230,12 +347,12 @@ class MappingConfig:
         )
         meta_pages = -(-meta_bytes // max(1, spec.page_data_size - PAGE_HEADER.size))
         half_blocks = -(-(data_pages + meta_pages + 1) // spec.pages_per_block)
-        records_per_page = (spec.page_data_size - 18) // RECORD.size
         if snapshot_interval is None:
             snapshot_interval = max(64, spec.n_pages // 4)
         # Half-full journal pages (group commit rarely fills a page), one
         # reserved overflow page, rounded up to whole blocks.
-        journal_pages = 1 + -(-2 * snapshot_interval // max(1, records_per_page))
+        per_journal_page = max(1, records_per_page(spec.page_data_size))
+        journal_pages = 1 + -(-2 * snapshot_interval // per_journal_page)
         journal_blocks = max(1, -(-journal_pages // spec.pages_per_block))
         return cls(
             region_blocks=journal_blocks + 2 * half_blocks,
@@ -263,8 +380,8 @@ class MappingBackend(Protocol):
     def page_index_of(self, pid: int) -> Optional[int]:
         """Snapshot data page whose pid range covers ``pid`` (None: none)."""
 
-    def load_data_page(self, index: int) -> Dict[int, MappingEntry]:
-        """Demand-read and decode one snapshot mapping page (one Tread)."""
+    def load_data_page(self, index: int) -> MappingPage:
+        """Demand-read and validate one snapshot mapping page (one Tread)."""
 
     def record(self, kind: int, a: int, b: int = 0, ts: int = 0) -> None:
         """Append one delta record to the journal (buffered, group-committed)."""
@@ -280,7 +397,8 @@ class TieredMappingTable:
     every mutator additionally appends a journal record through the
     store, and lookups that miss both RAM tiers demand-page the covering
     snapshot page in.  Entries returned by :meth:`get` / :meth:`require`
-    are *copies* when they come from the clean tier; callers must mutate
+    are *fresh objects* when they come from the clean tier (unpacked from
+    the resident wire-form page on each lookup); callers must mutate
     through the table's methods (the in-place idiom would silently skip
     the journal), which every driver path now does.
     """
@@ -295,8 +413,8 @@ class TieredMappingTable:
         #: pid -> entry dirtied since the last snapshot; ``None`` is a
         #: tombstone shadowing a snapshot-resident row.
         self._overlay: Dict[int, Optional[MappingEntry]] = {}
-        #: snapshot page index -> decoded page (clean tier).
-        self._cache: Dict[int, Dict[int, MappingEntry]] = {}
+        #: snapshot page index -> wire-form page (clean tier).
+        self._cache: Dict[int, MappingPage] = {}
         self._cache_entries = cache_entries
         self._policy_name = cache_policy
         if cache_entries > 0:
@@ -366,10 +484,9 @@ class TieredMappingTable:
             self._store.stats.record_mapping_hit()
             if self._policy is not None:
                 self._policy.touch(index)
-        entry = page.get(pid)
-        return entry.copy() if entry is not None else None
+        return page.get(pid)
 
-    def _admit(self, index: int, page: Dict[int, MappingEntry]) -> None:
+    def _admit(self, index: int, page: MappingPage) -> None:
         self._cache[index] = page
         if self._policy is None:
             return
@@ -391,7 +508,7 @@ class TieredMappingTable:
         clean = self._clean_entry(pid)
         if clean is None:
             raise KeyError(f"logical page {pid} has no mapping entry")
-        self._overlay[pid] = clean  # already a private copy
+        self._overlay[pid] = clean  # unpacked for this call: nobody else holds it
         return clean
 
     # -- mutators (journal-emitting) ------------------------------------
@@ -440,7 +557,7 @@ class TieredMappingTable:
                 page = self._store.load_data_page(index)  # records the miss
             for pid, entry in page.items():
                 if pid not in self._overlay:
-                    yield pid, entry.copy()
+                    yield pid, entry
         for pid, entry in self._overlay.items():
             if entry is not None:
                 yield pid, entry
@@ -455,7 +572,7 @@ class TieredMappingTable:
 
     def on_snapshot(self) -> None:
         """The store sealed a new snapshot: the overlay is now flash-resident
-        and the clean cache's decoded pages belong to the superseded one."""
+        and the clean cache's pages belong to the superseded one."""
         self._overlay.clear()
         self._cache.clear()
         if self._capacity_pages is not None:

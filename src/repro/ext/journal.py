@@ -43,11 +43,15 @@ from __future__ import annotations
 import struct
 import zlib
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..core.differential import DifferentialError, decode_differential_page
 from ..core.mapping import (
     ENTRY,
+    JOURNAL_HEADER,
     MAPPING_PHASE,
     PAGE_HEADER,
     REC_CLEAR_DIFF,
@@ -62,10 +66,14 @@ from ..core.mapping import (
     RECORD,
     MappingConfig,
     MappingFormatError,
+    MappingPage,
     TieredMappingTable,
     decode_mapping_page,
     directory_index,
-    encode_mapping_page,
+    entries_per_page,
+    merge_snapshot_rows,
+    records_per_page,
+    stride_pages,
 )
 from ..core.pdl import PdlDriver
 from ..core.recovery import (
@@ -73,21 +81,13 @@ from ..core.recovery import (
     RecoveryReport,
     recover_tables,
 )
-from ..core.tables import (
-    MappingEntry,
-    PhysicalPageMappingTable,
-    ValidDifferentialCountTable,
-)
+from ..core.tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 from ..flash.chip import FlashChip
 from ..flash.errors import ChecksumError, ProgramError, SpareProgramError
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import FlashStats
 from ..ftl.errors import ConfigurationError
 from ..ftl.gc import VictimPolicy
-
-#: Journal page header: magic, snapshot epoch, page index, record count,
-#: CRC32 of the packed records.
-_JHDR = struct.Struct("<IIIHI")
 
 #: Seal page: magic, seq, data pages, meta pages, live entries, CRC32 of
 #: the concatenated meta payload, max driver timestamp, max pid + 1.
@@ -161,11 +161,11 @@ class MappingStore:
 
     @property
     def entries_per_page(self) -> int:
-        return (self.spec.page_data_size - PAGE_HEADER.size) // ENTRY.size
+        return entries_per_page(self.spec.page_data_size)
 
     @property
     def records_per_page(self) -> int:
-        return (self.spec.page_data_size - _JHDR.size) // RECORD.size
+        return records_per_page(self.spec.page_data_size)
 
     @property
     def data_page_count(self) -> int:
@@ -204,7 +204,7 @@ class MappingStore:
     def page_index_of(self, pid: int) -> Optional[int]:
         return directory_index(self.directory, pid)
 
-    def load_data_page(self, index: int) -> Dict[int, MappingEntry]:
+    def load_data_page(self, index: int) -> MappingPage:
         # Every load is a miss by definition — a mapping page read from
         # flash because it was not resident — so the counter is recorded
         # here, keeping ``mapping_misses`` equal to the mapping region's
@@ -276,7 +276,7 @@ class MappingStore:
                 chunk = self._pending[:per_page]
                 del self._pending[:per_page]
                 body = b"".join(chunk)
-                header = _JHDR.pack(
+                header = JOURNAL_HEADER.pack(
                     JOURNAL_MAGIC, self.seq, self._cursor, len(chunk),
                     zlib.crc32(body),
                 )
@@ -295,7 +295,9 @@ class MappingStore:
     def _write_overflow(self) -> None:
         if self._overflowed:
             return
-        header = _JHDR.pack(OVERFLOW_MAGIC, self.seq, self.usable_journal_pages, 0, 0)
+        header = JOURNAL_HEADER.pack(
+            OVERFLOW_MAGIC, self.seq, self.usable_journal_pages, 0, 0
+        )
         self.chip.program_page(
             self.journal_page_addr(self.usable_journal_pages),
             header,
@@ -338,12 +340,14 @@ class MappingStore:
         """Write a full snapshot to the inactive half; seal it; reset the
         journal.  Returns the new sequence number.
 
-        The write is a streaming merge: old snapshot pages are read in
-        pid order and merged with the table's dirty overlay (tombstones
-        drop rows), so cost is one pass over the table, not over the
-        device.  Crash safety is ordering: data, meta, seal *last*, then
-        the journal erase — until the seal lands, restart still sees the
-        previous snapshot with its epoch-matched journal intact.
+        The merge is at the byte level: old snapshot pages are read in
+        pid order and patched with the table's dirty overlay in wire form
+        (:func:`~repro.core.mapping.merge_snapshot_rows`), so cost is one
+        pass over the table, not over the device, and no row the overlay
+        leaves alone is ever unpacked.  Crash safety is ordering: data,
+        meta, seal *last*, then the journal erase — until the seal lands,
+        restart still sees the previous snapshot with its epoch-matched
+        journal intact.
         """
         driver = self.driver
         if driver is None:
@@ -352,33 +356,15 @@ class MappingStore:
         if not isinstance(table, TieredMappingTable):  # pragma: no cover - guard
             raise ConfigurationError("snapshot requires a TieredMappingTable")
         new_seq = self.seq + 1
-        per_page = self.entries_per_page
 
-        payloads: List[bytes] = []
-        directory: List[int] = []
-        rows: List[Tuple[int, MappingEntry]] = []
-        count = 0
-        max_pid = -1
-
-        def flush_rows() -> None:
-            nonlocal rows
-            if rows:
-                directory.append(rows[0][0])
-                payloads.append(
-                    encode_mapping_page(
-                        new_seq, len(payloads), rows, self.spec.page_data_size
-                    )
-                )
-                rows = []
-
-        for pid, entry in self._merged_rows(table):
-            rows.append((pid, entry))
-            count += 1
-            if pid > max_pid:
-                max_pid = pid
-            if len(rows) == per_page:
-                flush_rows()
-        flush_rows()
+        rows = merge_snapshot_rows(
+            (self.load_data_page(index) for index in range(self._n_data)),
+            self.directory,
+            table.overlay_items(),
+        )
+        payloads, directory = stride_pages(rows, new_seq, self.spec.page_data_size)
+        count = len(rows) // ENTRY.size
+        max_pid = ENTRY.unpack_from(rows, len(rows) - ENTRY.size)[0] if rows else -1
 
         meta_chunks = self._encode_meta(directory)
         n_data = len(payloads)
@@ -455,44 +441,19 @@ class MappingStore:
         self.snapshots_taken += 1
         return new_seq
 
-    def _merged_rows(
-        self, table: TieredMappingTable
-    ) -> Iterator[Tuple[int, MappingEntry]]:
-        """Old snapshot pages merged with the overlay, in pid order."""
-        overlay = iter(table.overlay_items())
-        cursor = next(overlay, None)
-        for index in range(self._n_data):
-            for pid, entry in self.load_data_page(index).items():
-                while cursor is not None and cursor[0] < pid:
-                    if cursor[1] is not None:
-                        yield cursor
-                    cursor = next(overlay, None)
-                if cursor is not None and cursor[0] == pid:
-                    if cursor[1] is not None:
-                        yield cursor
-                    cursor = next(overlay, None)
-                else:
-                    yield pid, entry
-        while cursor is not None:
-            if cursor[1] is not None:
-                yield cursor
-            cursor = next(overlay, None)
-
     def _encode_meta(self, directory: List[int]) -> List[bytes]:
         driver = self.driver
         assert driver is not None
         active = sorted(driver.blocks.active_blocks())
         vdct_rows = sorted(driver.vdct.items())
-        bitmap = bytearray((self.spec.n_pages + 7) // 8)
-        for addr in driver.blocks.valid_addresses():
-            bitmap[addr >> 3] |= 1 << (addr & 7)
+        bitmap = driver.blocks.valid_bitmap()
         blob = b"".join(
             (
                 _META_HDR.pack(len(directory), len(active), len(vdct_rows), len(bitmap)),
-                b"".join(struct.pack("<I", pid) for pid in directory),
-                b"".join(struct.pack("<I", block) for block in active),
-                b"".join(_VDCT_ROW.pack(addr, n) for addr, n in vdct_rows),
-                bytes(bitmap),
+                struct.pack(f"<{len(directory)}I", *directory),
+                struct.pack(f"<{len(active)}I", *active),
+                struct.pack(f"<{2 * len(vdct_rows)}I", *chain.from_iterable(vdct_rows)),
+                bitmap,
             )
         )
         room = self.spec.page_data_size - PAGE_HEADER.size
@@ -509,10 +470,9 @@ def _decode_meta(blob: bytes) -> Tuple[List[int], List[int], List[Tuple[int, int
     offset += 4 * directory_len
     active = list(struct.unpack_from(f"<{n_active}I", blob, offset))
     offset += 4 * n_active
-    vdct_rows = [
-        _VDCT_ROW.unpack_from(blob, offset + i * _VDCT_ROW.size) for i in range(n_vdct)
-    ]
-    offset += _VDCT_ROW.size * n_vdct
+    vdct_end = offset + _VDCT_ROW.size * n_vdct
+    vdct_rows = list(_VDCT_ROW.iter_unpack(blob[offset:vdct_end]))
+    offset = vdct_end
     bitmap = blob[offset : offset + n_bitmap]
     return directory, active, vdct_rows, bitmap
 
@@ -643,10 +603,8 @@ def _load_snapshot(
     assert isinstance(table, TieredMappingTable)
     table.seed_counts(count, max_pid1 - 1)
     driver.vdct.seed(vdct_rows)
-    valid: Set[int] = set()
-    for addr in range(store.spec.n_pages):
-        if bitmap[addr >> 3] & (1 << (addr & 7)):
-            valid.add(addr)
+    bits = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8), bitorder="little")
+    valid: Set[int] = set(np.flatnonzero(bits[: store.spec.n_pages]).tolist())
     report.snapshot_seq = seq
     return valid, max_ts
 
@@ -674,7 +632,7 @@ def _classify_journal(
         with chip.stats.phase(MAPPING_PHASE):
             try:
                 data, _ = chip.read_page(addrs[-1])
-                magic, epoch, _i, _n, _c = _JHDR.unpack_from(data, 0)
+                magic, epoch, _i, _n, _c = JOURNAL_HEADER.unpack_from(data, 0)
             except (ChecksumError, struct.error):
                 magic, epoch = 0, -1
         report.pages_scanned += 1
@@ -697,16 +655,16 @@ def _classify_journal(
         page_records = None
         if data is not None:
             try:
-                magic, epoch, page_index, n_records, crc = _JHDR.unpack_from(data, 0)
+                magic, epoch, page_index, n_records, crc = (
+                    JOURNAL_HEADER.unpack_from(data, 0)
+                )
             except struct.error:
                 magic = 0
             if magic == JOURNAL_MAGIC and epoch == store.seq and page_index == index:
-                body = data[_JHDR.size : _JHDR.size + n_records * RECORD.size]
-                if len(body) == n_records * RECORD.size and zlib.crc32(body) == crc:
-                    page_records = [
-                        RECORD.unpack_from(body, i * RECORD.size)
-                        for i in range(n_records)
-                    ]
+                size = n_records * RECORD.size
+                body = data[JOURNAL_HEADER.size : JOURNAL_HEADER.size + size]
+                if len(body) == size and zlib.crc32(body) == crc:
+                    page_records = list(RECORD.iter_unpack(body))
         if page_records is None:
             # Torn or stale page.  A pure power loss can only tear the
             # append point, so anything valid *after* this is rot — the

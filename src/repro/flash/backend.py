@@ -251,9 +251,9 @@ class MemoryBackend(DeviceBackend):
     def is_block_erased(self, block: int) -> bool:
         self._check_block(block)
         start = block * self.spec.pages_per_block
-        return all(
-            self._data_programs[a] == 0 and self._spare_programs[a] == 0
-            for a in range(start, start + self.spec.pages_per_block)
+        end = start + self.spec.pages_per_block
+        return not any(self._data_programs[start:end]) and not any(
+            self._spare_programs[start:end]
         )
 
     def iter_programmed(self) -> Iterator[int]:

@@ -31,6 +31,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set
 
+import numpy as np
+
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
 from .errors import OutOfSpaceError
@@ -70,7 +72,9 @@ class BlockManager:
         #: stream name -> its open active block (absent until first use).
         self._active: Dict[str, int] = {}
         self._next_page: Dict[str, int] = {}
-        self._valid: List[bool] = [False] * self.spec.n_pages
+        #: One byte per physical page (0/1), so the snapshot's validity
+        #: bitmap is a single ``packbits`` over the buffer.
+        self._valid = bytearray(self.spec.n_pages)
         self._valid_per_block: List[int] = [0] * self.spec.n_blocks
         #: Chip-clock reading of each block's most recent page program —
         #: the "age" input of cost-benefit victim selection.
@@ -152,14 +156,16 @@ class BlockManager:
             self._valid_per_block[addr // self.spec.pages_per_block] -= 1
 
     def is_valid(self, addr: int) -> bool:
-        return self._valid[addr]
+        return self._valid[addr] != 0
 
     def valid_count(self, block: int) -> int:
         return self._valid_per_block[block]
 
-    def valid_addresses(self) -> List[int]:
-        """Every physical page currently marked valid (snapshot input)."""
-        return [addr for addr, valid in enumerate(self._valid) if valid]
+    def valid_bitmap(self) -> bytes:
+        """One bit per physical page, set when valid; bit ``addr & 7`` of
+        byte ``addr >> 3`` (snapshot input)."""
+        flags = np.frombuffer(self._valid, dtype=np.uint8)
+        return np.packbits(flags, bitorder="little").tobytes()
 
     def valid_pages_in(self, block: int) -> List[int]:
         start = block * self.spec.pages_per_block
@@ -253,7 +259,7 @@ class BlockManager:
         self._free.clear()
         self._active.clear()
         self._next_page.clear()
-        self._valid = [False] * self.spec.n_pages
+        self._valid = bytearray(self.spec.n_pages)
         self._valid_per_block = [0] * self.spec.n_blocks
         # Pre-crash write times are unknowable; restart every block's age
         # clock at "now" so cost-benefit scores stay well-defined.

@@ -90,6 +90,17 @@ class TestValidity:
         blocks.note_invalid(a)
         assert blocks.valid_pages_in(0) == [b]
 
+    def test_valid_bitmap_matches_the_per_address_loop(self, blocks, tiny_spec, rng):
+        live = rng.sample(range(tiny_spec.n_pages), tiny_spec.n_pages // 3)
+        for addr in live:
+            blocks.note_valid(addr)
+        blocks.note_invalid(live[0])
+        # The snapshot meta format: bit ``addr & 7`` of byte ``addr >> 3``.
+        expected = bytearray((tiny_spec.n_pages + 7) // 8)
+        for addr in live[1:]:
+            expected[addr >> 3] |= 1 << (addr & 7)
+        assert blocks.valid_bitmap() == bytes(expected)
+
     def test_utilization(self, blocks, tiny_spec):
         for _ in range(tiny_spec.pages_per_block):
             blocks.note_valid(blocks.allocate())
