@@ -1,20 +1,16 @@
 """Parallel-shard benchmark: measured wall-clock vs the simulated model.
 
 PR 1 made shard parallelism a *model*: the array's parallel time is the
-busiest chip's share of the simulated clock.  Two executors make it
-real, and this benchmark measures how real, by running the same batched
-update workload through identically configured shard drivers three
-times:
+busiest chip's share of the simulated clock.  The thread executor makes
+it real, and this benchmark measures how real, by running the same
+batched update workload through identically configured shard drivers
+twice:
 
 * **serial** — the plain ``ShardedDriver``, shards visited one after
   another on the caller's thread;
-* **mode=thread** — the ``par`` driver
+* **parallel** — the ``par`` driver
   (:class:`~repro.sharding.executor.ParallelShardedDriver`), one
-  single-writer worker thread per shard;
-* **mode=process** — the ``proc`` driver
-  (:class:`~repro.sharding.executor_proc.ProcessShardedDriver`), one
-  spawned worker process per shard with page payloads carried in
-  shared-memory frames.
+  single-writer worker thread per shard.
 
 Each row reports measured wall seconds for serial and parallel runs,
 their ratio (``wall_speedup``) and the simulated model's prediction
@@ -24,20 +20,16 @@ Two wait regimes separate the GIL question from the device question
 (see ``docs/concurrency.md``):
 
 * ``waits=none`` — the chips never block; all that remains is pure
-  Python.  The GIL serializes the thread executor here (~x1, the honest
-  baseline), while the process executor can use real cores — *when the
-  host has them*.  The ``cpu_count`` note records how many this host
-  offered, since a 1-CPU runner caps every no-wait mode at ~x1.
+  Python, which the GIL serializes (≤ x1, the honest baseline).  The
+  ``cpu_count`` note records how many cores this host offered.
 * ``waits=emulated`` — chips sleep ``realtime_scale ×`` their Table-1
   latencies (``FlashChip(realtime_scale=...)``), so workers *wait* the
-  way they would on real hardware — and waits overlap across shards in
-  both modes, approaching the simulated prediction even on one core.
+  way they would on real hardware — and waits overlap across shards,
+  approaching the simulated prediction even on one core.
 
 The ``recovery`` stage times the Figure-11 scan over the file images:
-``recover_all(parallel=False)`` vs ``"thread"`` vs ``"process"``, the
-measured version of the paper's "1/N of ~60 s/GB" claim.  The process
-row includes worker spawn (~0.5 s/pool on this class of host): that is
-the price a real deployment would pay too.
+``recover_all(parallel=False)`` vs ``parallel=True``, the measured
+version of the paper's "1/N of ~60 s/GB" claim.
 
 Results land in ``bench_results/parallel.json``.  Runs standalone for
 CI smoke checks::
@@ -91,13 +83,8 @@ TINY_SCALE = 0.1
 FULL_SHARDS = (1, 2, 4, 8)
 TINY_SHARDS = (1, 4)
 
-#: Parallel execution modes measured against the serial baseline; the
-#: label tokens are what ``make_method`` / ``recover_all`` accept.
-MODES = {"thread": " par", "process": " proc"}
 
-
-def _build_driver(n_shards, backend, mode, scale, tmpdir):
-    """``mode`` is None (serial), "thread" or "process"."""
+def _build_driver(n_shards, backend, parallel, scale, tmpdir):
     chips = []
     for i in range(n_shards):
         file_backend = None
@@ -106,7 +93,7 @@ def _build_driver(n_shards, backend, mode, scale, tmpdir):
                 os.path.join(tmpdir, f"shard-{i:04d}.flash"), SPEC
             )
         chips.append(FlashChip(SPEC, backend=file_backend, realtime_scale=scale))
-    label = f"PDL (256B) x{n_shards}" + (MODES[mode] if mode else "")
+    label = f"PDL (256B) x{n_shards}" + (" par" if parallel else "")
     return make_method(label, chips)
 
 
@@ -117,9 +104,7 @@ def _run_updates(driver, n_updates):
     from ``write_pages``/``group_flush`` fanning out across workers,
     i.e. the shape a DBMS buffer pool above the array produces.  The
     shard drivers verify nothing — correctness under threading is the
-    stress test's job (``tests/integration/test_parallel_stress.py``;
-    thread-vs-process equivalence is
-    ``tests/sharding/test_process_executor.py``).
+    stress test's job (``tests/integration/test_parallel_stress.py``).
     """
     rng = random.Random(SEED)
     page = SPEC.page_data_size
@@ -155,48 +140,40 @@ def _run_updates(driver, n_updates):
     return wall_s, sim_speedup
 
 
-def _measure_updates(backend, n_shards, scale, n_updates, tmpdir):
-    """Same workload serial, threaded and process-parallel.
+def _row(serial_s, parallel_s, sim_speedup):
+    return {
+        "serial_s": serial_s,
+        "parallel_s": parallel_s,
+        "wall_speedup": serial_s / parallel_s if parallel_s else 1.0,
+        "sim_speedup": sim_speedup,
+    }
 
-    Returns ``{mode: metrics row}`` with the serial baseline repeated in
-    every row, so each row is self-contained in the JSON.
-    """
+
+def _measure_updates(backend, n_shards, scale, n_updates, tmpdir):
+    """Same workload serial then threaded; returns one metrics row."""
     timings = {}
-    sim_speedup = 1.0
-    for mode in (None, *MODES):
+    for parallel in (False, True):
         run_dir = os.path.join(
-            tmpdir, f"{backend}-{n_shards}-{scale}-{mode or 'serial'}"
+            tmpdir, f"{backend}-{n_shards}-{scale}-{'par' if parallel else 'serial'}"
         )
         os.makedirs(run_dir, exist_ok=True)
-        driver = _build_driver(n_shards, backend, mode, scale, run_dir)
-        wall_s, run_sim = _run_updates(driver, n_updates)
+        driver = _build_driver(n_shards, backend, parallel, scale, run_dir)
+        timings[parallel] = _run_updates(driver, n_updates)
         driver.close()
-        timings[mode] = wall_s
-        if mode is None:
-            sim_speedup = run_sim
-    serial_s = timings[None]
-    return {
-        mode: {
-            "serial_s": serial_s,
-            "parallel_s": timings[mode],
-            "wall_speedup": serial_s / timings[mode] if timings[mode] else 1.0,
-            "sim_speedup": sim_speedup,
-        }
-        for mode in MODES
-    }
+    (serial_s, sim_speedup), (parallel_s, _) = timings[False], timings[True]
+    return _row(serial_s, parallel_s, sim_speedup)
 
 
 def _measure_recovery(n_shards, scale, n_updates, tmpdir):
     """Figure-11 scan over file images: serial vs parallel recover_all."""
     run_dir = os.path.join(tmpdir, f"recovery-{n_shards}")
     os.makedirs(run_dir, exist_ok=True)
-    driver = _build_driver(n_shards, "file", None, scale, run_dir)
+    driver = _build_driver(n_shards, "file", False, scale, run_dir)
     _run_updates(driver, n_updates)
     driver.close()
 
     timings = {}
-    sim_speedup = 1.0
-    for parallel in (False, "thread", "process"):
+    for parallel in (False, True):
         chips = [
             FlashChip(
                 SPEC,
@@ -210,32 +187,10 @@ def _measure_recovery(n_shards, scale, n_updates, tmpdir):
         start = time.perf_counter()
         recovered, _reports = recover_all(chips, parallel=parallel)
         timings[parallel] = time.perf_counter() - start
-        if parallel == "thread":
-            # The process workers' clocks live out of process; the
-            # thread run's chips give the same simulated prediction.
-            deltas = [chip.clock_us for chip in chips]
-            sim_speedup = sum(deltas) / max(deltas) if max(deltas) else 1.0
+        deltas = [chip.clock_us for chip in chips]
         recovered.close()
-    serial_s = timings[False]
-    return {
-        mode: {
-            "serial_s": serial_s,
-            "parallel_s": timings[mode],
-            "wall_speedup": serial_s / timings[mode] if timings[mode] else 1.0,
-            "sim_speedup": sim_speedup,
-        }
-        for mode in MODES
-    }
-
-
-def _add_mode_rows(table, results, stage, backend, waits, n, rows):
-    for mode, row in rows.items():
-        results[(stage, backend, waits, mode, n)] = row
-        table.add_row(
-            stage, backend, waits, mode, n,
-            row["serial_s"], row["parallel_s"],
-            row["wall_speedup"], row["sim_speedup"],
-        )
+    sim_speedup = sum(deltas) / max(deltas) if max(deltas) else 1.0
+    return _row(timings[False], timings[True], sim_speedup)
 
 
 def run_parallel_bench(shard_counts, n_updates, scale):
@@ -246,7 +201,6 @@ def run_parallel_bench(shard_counts, n_updates, scale):
             "stage",
             "backend",
             "waits",
-            "mode",
             "shards",
             "serial_s",
             "parallel_s",
@@ -255,43 +209,43 @@ def run_parallel_bench(shard_counts, n_updates, scale):
         ),
     )
     results = {}
+
+    def add(stage, backend, waits, n, row):
+        results[(stage, backend, waits, n)] = row
+        table.add_row(
+            stage, backend, waits, n,
+            row["serial_s"], row["parallel_s"],
+            row["wall_speedup"], row["sim_speedup"],
+        )
+
     tmpdir = tempfile.mkdtemp(prefix="bench-parallel-")
     try:
         for backend in ("memory", "file"):
             for n in shard_counts:
-                rows = _measure_updates(backend, n, scale, n_updates, tmpdir)
-                _add_mode_rows(
-                    table, results, "updates", backend, "emulated", n, rows
-                )
-        # The GIL rows: no device waits, pure Python.  Threads cannot
-        # help; processes can — if the host has cores to offer.
-        gil_shards = max(shard_counts)
+                row = _measure_updates(backend, n, scale, n_updates, tmpdir)
+                add("updates", backend, "emulated", n, row)
+        # The GIL rows: no device waits, pure Python; threads cannot help.
+        best = max(shard_counts)
         for backend in ("memory", "file"):
-            rows = _measure_updates(backend, gil_shards, 0.0, n_updates, tmpdir)
-            _add_mode_rows(
-                table, results, "updates", backend, "none", gil_shards, rows
-            )
+            row = _measure_updates(backend, best, 0.0, n_updates, tmpdir)
+            add("updates", backend, "none", best, row)
         for n in shard_counts:
             if n == 1:
                 continue
-            rows = _measure_recovery(n, scale, n_updates, tmpdir)
-            _add_mode_rows(table, results, "recovery", "file", "emulated", n, rows)
+            row = _measure_recovery(n, scale, n_updates, tmpdir)
+            add("recovery", "file", "emulated", n, row)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
-    best = max(shard_counts)
-    file_row = results[("updates", "file", "emulated", "thread", best)]
-    gil_thread = results[("updates", "memory", "none", "thread", best)]
-    gil_proc = results[("updates", "memory", "none", "process", best)]
+    file_row = results[("updates", "file", "emulated", best)]
+    gil_row = results[("updates", "memory", "none", best)]
     table.note(f"host cpu_count={os.cpu_count()}")
     table.note(
-        f"file backend @ {best} shards (thread): measured "
+        f"file backend @ {best} shards: measured "
         f"x{file_row['wall_speedup']:.2f} (simulated model predicts "
         f"x{file_row['sim_speedup']:.2f})"
     )
     table.note(
-        f"no-wait @ {best} shards: thread x{gil_thread['wall_speedup']:.2f} "
-        f"(GIL-bound), process x{gil_proc['wall_speedup']:.2f} "
-        f"(core-bound: capped by cpu_count above)"
+        f"no-wait @ {best} shards: x{gil_row['wall_speedup']:.2f} (GIL-bound)"
     )
     return table, results
 
@@ -301,36 +255,22 @@ def check_parallel_wins(results, shard_counts):
 
     Timing asserts compare two measured runs on the same host, so they
     are stable; still, they are only enforced at full scale (CI's
-    ``--tiny`` run records without judging).  No-wait *process* speedup
-    is additionally gated on the host actually having cores: a 1-CPU
-    runner physically cannot run shard workers concurrently, and
-    pretending otherwise would just pin the benchmark to lucky
-    scheduling.
+    ``--tiny`` run records without judging).
     """
     four = 4 if 4 in shard_counts else max(shard_counts)
-    for mode in MODES:
-        row = results[("updates", "file", "emulated", mode, four)]
-        assert row["wall_speedup"] > 1.5, (
-            f"file backend @ {four} shards ({mode}): measured speedup "
-            f"x{row['wall_speedup']:.2f} is below x1.5"
-        )
-        # The simulated model must remain an upper bound on what workers
-        # can deliver (it has no Python, scheduling or IPC overhead).
-        assert row["wall_speedup"] <= row["sim_speedup"] * 1.15
-    recovery = results[("recovery", "file", "emulated", "thread", four)]
+    row = results[("updates", "file", "emulated", four)]
+    assert row["wall_speedup"] > 1.5, (
+        f"file backend @ {four} shards: measured speedup "
+        f"x{row['wall_speedup']:.2f} is below x1.5"
+    )
+    # The simulated model must remain an upper bound on what workers
+    # can deliver (it has no Python or scheduling overhead).
+    assert row["wall_speedup"] <= row["sim_speedup"] * 1.15
+    recovery = results[("recovery", "file", "emulated", four)]
     assert recovery["wall_speedup"] > 1.3, (
         f"parallel recovery @ {four} shards: x{recovery['wall_speedup']:.2f} "
         "is below x1.3"
     )
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        best = max(shard_counts)
-        n_procs = min(best, cores)
-        row = results[("updates", "memory", "none", "process", best)]
-        assert row["wall_speedup"] > n_procs / 2, (
-            f"no-wait process run @ {best} shards on {cores} cores: "
-            f"x{row['wall_speedup']:.2f} is below x{n_procs / 2:.1f}"
-        )
 
 
 def test_parallel_scaling(benchmark):

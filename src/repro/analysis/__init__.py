@@ -2,9 +2,9 @@
 
 The concurrent engine's correctness rests on contracts the docs state in
 prose — single-writer shard ownership, phase/timer pairing under
-``try/finally``, spawn-safe process recipes, shm/worker cleanup on every
-exit path, pin discipline, a cycle-free lock order, no swallowed worker
-errors, no checksum bypasses outside recovery.  PR 6/7 review fixes
+``try/finally``, shm/worker cleanup on every exit path, pin discipline,
+a cycle-free lock order, no swallowed worker errors, no checksum
+bypasses outside recovery.  PR 6/7 review fixes
 showed these break silently; this package makes them machine-checked.
 
 Architecture (mirrors the GC victim-policy registry idiom):

@@ -25,7 +25,6 @@ from . import (  # noqa: E402, F401  (import-for-side-effect registration)
     pin_discipline,
     resource_lifecycle,
     single_writer,
-    spawn_safety,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "pin_discipline",
     "resource_lifecycle",
     "single_writer",
-    "spawn_safety",
 ]

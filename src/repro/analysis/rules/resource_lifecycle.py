@@ -5,8 +5,8 @@ Three leak shapes this engine has actually hit in review:
 * ``SharedMemory(create=True)`` — a POSIX shm segment outlives the
   process unless ``unlink()`` runs; creating one outside a ``try``
   whose cleanup path can reach it leaks the segment on any later
-  constructor failure (the PR 7 executor wraps its whole spawn loop in
-  ``try/except BaseException: reap``).  Flagged when the creating
+  constructor failure (the accepted shape wraps the whole creation
+  loop in ``try/except BaseException: reap``).  Flagged when the creating
   module never calls ``.unlink()``, or the creation site is not inside
   a protected ``try``.
 * ``FlashChip``/backend constructed, used and dropped without

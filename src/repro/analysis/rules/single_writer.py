@@ -40,7 +40,6 @@ MUTATORS = {
 ALLOWED_PATHS = (
     "repro/sharding/driver.py",
     "repro/sharding/executor.py",
-    "repro/sharding/executor_proc.py",
     "repro/sharding/recovery.py",
 )
 

@@ -9,9 +9,8 @@ device far larger than its mapping RAM — the 10x target benchmarked in
 
 Three cooperating pieces:
 
-* :class:`MappingConfig` — geometry and policy knobs, frozen and
-  picklable so it crosses the process-executor spawn boundary inside
-  ``ShardFactory.driver_kwargs``.
+* :class:`MappingConfig` — geometry and policy knobs, frozen plain
+  data that rides to every shard inside ``driver_kwargs``.
 * :class:`TieredMappingTable` — the ppmt facade the driver mutates.  It
   is two tiers: a *dirty overlay* dict holding every entry touched since
   the last snapshot (authoritative, bounded by the snapshot interval)

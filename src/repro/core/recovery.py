@@ -327,7 +327,7 @@ def recover_driver(
     :func:`repro.ext.journal.restart_driver`: snapshot load plus journal
     tail replay, with the scan below as its verifier/fallback.  The
     return contract is identical, so recovery-driven callers
-    (``ShardFactory``, ``Database.recover_all``) need no changes.
+    (``recover_all``, ``Database.open``) need no changes.
     """
     if driver_kwargs.get("mapping") is not None:
         from ..ext.journal import restart_driver  # ext layers above core

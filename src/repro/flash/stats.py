@@ -199,12 +199,12 @@ class FlashStats:
         self.mapping_writebacks: int = 0
 
     # ------------------------------------------------------------------
-    # Pickling (process executor: worker-side stats travel over a pipe)
+    # Copying (``copy.deepcopy(chip)`` snapshots a device with its stats)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict:
         """Counters only — the thread-local phase stack and the bucket
-        lock are per-process runtime state and are rebuilt fresh on
-        unpickle (an unpickled collector starts with no pushed phases)."""
+        lock cannot be copied or pickled and are rebuilt fresh (a copied
+        collector starts with no pushed phases)."""
         state = self.__dict__.copy()
         state.pop("_local", None)
         state.pop("_lock", None)

@@ -138,6 +138,23 @@ class PageUpdateMethod(ABC):
             self.write_page(pid, data, update_logs=logs)
 
     # ------------------------------------------------------------------
+    # Devices and their lifecycle (multi-chip drivers override all three)
+    # ------------------------------------------------------------------
+    @property
+    def chips(self) -> List[FlashChip]:
+        """The chip(s) behind this driver, in shard order."""
+        return [self.chip]
+
+    def sync(self) -> None:
+        """Push the device backend to durable media (no-op in memory)."""
+        self.chip.sync()
+
+    def close(self) -> None:
+        """Sync and release the device backend; the driver must not be
+        used afterwards."""
+        self.chip.close()
+
+    # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
     @property

@@ -33,15 +33,6 @@ buffer-pool flushes execute concurrently in wall-clock time (see
     make_method("PDL (256B) x4 par", chips)      # thread-parallel array
     make_method("PDL (256B) x4 par gc=cb", chips)
 
-A ``proc`` token instead builds a
-:class:`~repro.sharding.executor_proc.ProcessShardedDriver`: one worker
-*process* per shard, so shard work runs on separate cores past the GIL.
-The chips must be pristine (the workers rebuild the drivers from
-spawn-safe recipes; use ``recover_all(..., parallel="process")`` for
-existing images) and memory- or file-backed::
-
-    make_method("PDL (256B) x8 proc", chips)     # process-parallel array
-
 Each chip gets its own per-shard driver (any base method works); the
 result is a :class:`~repro.sharding.driver.ShardedDriver`.  ``x1`` is
 accepted and still builds the sharded façade, which benchmarks use to
@@ -62,6 +53,7 @@ from .ftl.ipl import IplDriver
 from .ftl.ipu import IpuDriver
 from .ftl.opu import OpuDriver
 from .sharding.driver import ShardedDriver
+from .sharding.executor import ParallelShardedDriver
 from .sharding.router import ShardRouter
 
 #: The six configurations of the paper's evaluation (Figure 12's legend).
@@ -87,8 +79,6 @@ _SHARDED_RE = re.compile(r"^(?P<base>.*\S)\s*[xX]\s*(?P<n>\d+)\s*$")
 _GC_RE = re.compile(r"\bgc\s*=\s*(?P<policy>[A-Za-z_][\w\-]*)", re.IGNORECASE)
 
 _PAR_RE = re.compile(r"\bpar\b", re.IGNORECASE)
-
-_PROC_RE = re.compile(r"\bproc\b", re.IGNORECASE)
 
 
 def parse_size(size: str, unit: Optional[str]) -> int:
@@ -116,41 +106,22 @@ def parse_gc_label(label: str) -> Tuple[str, Optional[str]]:
     return rest, match.group("policy").lower()
 
 
-def parse_parallel_label(label: str) -> Tuple[str, Union[bool, str]]:
-    """Split a ``par`` or ``proc`` token off a label.
+def parse_parallel_label(label: str) -> Tuple[str, bool]:
+    """Split a ``par`` token off a label.
 
-    ``"PDL (256B) x4 par"`` → ``("PDL (256B) x4", "thread")`` and
-    ``"PDL (256B) x8 proc"`` → ``("PDL (256B) x8", "process")``; labels
-    without either token return ``(label, False)``.  The returned mode
-    is truthy exactly when the label requests parallel execution, so
-    callers that only care whether the driver is parallel can keep
-    treating it as a boolean.  Like ``gc=``, the tokens may sit
-    anywhere after the base label, so driver names built as
-    ``"PDL (256B) x4 par"`` / ``"... x8 proc"`` round-trip through the
-    parser.  A label may carry at most one of the two tokens.
+    ``"PDL (256B) x4 par"`` → ``("PDL (256B) x4", True)``; labels
+    without the token return ``(label, False)``.  Like ``gc=``, the
+    token may sit anywhere after the base label, so driver names built
+    as ``"PDL (256B) x4 par"`` round-trip through the parser.
     """
-    parallel: Union[bool, str] = False
-    rest = label
-    match = _PAR_RE.search(rest)
-    if match is not None:
-        rest = (rest[: match.start()] + rest[match.end() :]).strip()
-        rest = re.sub(r"\s{2,}", " ", rest)
-        if _PAR_RE.search(rest) is not None:
-            raise ValueError(f"label {label!r} has more than one par token")
-        parallel = "thread"
-    match = _PROC_RE.search(rest)
-    if match is not None:
-        if parallel:
-            raise ValueError(
-                f"label {label!r} asks for both thread (par) and process "
-                "(proc) execution; pick one"
-            )
-        rest = (rest[: match.start()] + rest[match.end() :]).strip()
-        rest = re.sub(r"\s{2,}", " ", rest)
-        if _PROC_RE.search(rest) is not None:
-            raise ValueError(f"label {label!r} has more than one proc token")
-        parallel = "process"
-    return rest, parallel
+    match = _PAR_RE.search(label)
+    if match is None:
+        return label, False
+    rest = (label[: match.start()] + label[match.end() :]).strip()
+    rest = re.sub(r"\s{2,}", " ", rest)
+    if _PAR_RE.search(rest) is not None:
+        raise ValueError(f"label {label!r} has more than one par token")
+    return rest, True
 
 
 def parse_sharded_label(label: str) -> Tuple[str, Optional[int]]:
@@ -241,20 +212,8 @@ def make_method(
                 f"sharded label {label!r} needs {n_shards} chips, "
                 f"got {len(chips)}"
             )
-        if parallel == "process":
-            # No local shard drivers: the chips only donate configuration
-            # and the workers rebuild everything from spawn-safe recipes.
-            from .sharding.executor_proc import (
-                ProcessShardedDriver,
-                factories_from_chips,
-            )
-
-            factories = factories_from_chips(chips, base_label, kwargs)
-            return ProcessShardedDriver(factories, router=router)
         shards = [_make_single(base_label, shard_chip, **kwargs) for shard_chip in chips]
         if parallel:
-            from .sharding.executor import ParallelShardedDriver
-
             return ParallelShardedDriver(shards, router=router)
         return ShardedDriver(shards, router=router)
     if router is not None:

@@ -8,8 +8,7 @@ engine three ways:
 1. **logical state** — every page is read back, verified against the
    stream's shadow model, and folded into a SHA-256 state hash (what the
    oracle compares across configurations);
-2. **self-consistency** — ``check_driver`` over every local PDL shard,
-   or the fsck fan-out for process-backed arrays;
+2. **self-consistency** — ``check_driver`` over every PDL shard;
 3. **accounting** — the device-counter window of the replay, with a
    phase/per-block audit (erase totals must agree between the phase
    buckets and the per-block wear counters, checksum verification must
@@ -34,6 +33,7 @@ from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
 from ..ftl.base import apply_runs
 from ..methods import make_method, parse_gc_label, parse_parallel_label, parse_sharded_label
+from ..sharding.driver import ShardedDriver
 from ..storage.bufferpool import WritebackConfig
 from ..storage.db import Database
 from ..workloads.patterns import READ, UPDATE
@@ -50,7 +50,7 @@ class EngineConfig:
     """One engine configuration of the grid.
 
     ``label`` is any :func:`repro.methods.make_method` label — method,
-    ``xN`` shard count, ``par``/``proc`` executor and ``gc=`` policy
+    ``xN`` shard count, ``par`` executor and ``gc=`` policy
     tokens included.  ``buffer_pages`` > 0 routes the replay through a
     :class:`~repro.storage.db.Database` buffer pool with the given
     eviction policy (``writeback="background"`` adds the write-back
@@ -261,11 +261,7 @@ def replay_cell(
     finally:
         if db is not None:
             db.pool.close()
-        close = getattr(driver, "close", None)
-        if close is not None:
-            close()
-        else:
-            driver.chip.close()
+        driver.close()
 
 
 def _read(driver, db: Optional[Database], pid: int, page_size: int) -> bytes:
@@ -286,38 +282,21 @@ def _update(driver, db: Optional[Database], op, page_size: int, image: bytes) ->
 
 
 def _consistency(driver) -> tuple:
-    """Self-consistency of the replayed engine, strongest check first.
+    """Self-consistency of the replayed engine.
 
-    Local PDL shards run :func:`check_driver` directly (free: it uses
-    the chip's peek interface).  Process-backed arrays have no local
-    shards, so the fsck fan-out runs worker-side with its attached
-    post-repair check.  Drivers with neither (OPU/IPU/IPL) return
-    ``None`` — "no checker", which the oracle treats as vacuously clean.
+    PDL shards run :func:`check_driver` (free: it uses the chip's peek
+    interface).  Drivers without a checker (OPU/IPU/IPL) return ``None``
+    — "no checker", which the oracle treats as vacuously clean.
     """
-    shards = getattr(driver, "shards", None)
-    local = shards if shards is not None else [driver]
-    pdl_shards = [s for s in local if isinstance(s, PdlDriver)]
-    if pdl_shards:
-        violations: List[str] = []
-        for index, shard in enumerate(pdl_shards):
-            report = check_driver(shard)
-            violations.extend(
-                f"shard {index}: {v}" for v in report.violations
-            )
-        return not violations, violations
-    if hasattr(driver, "fsck") and shards is None:
-        # Process-backed array: shards live worker-side.
-        report = driver.fsck(repair=True)
-        violations = []
-        if not report.clean:
-            violations.append(f"fsck found {report.detected} faults")
-        for index, shard_report in enumerate(report.per_shard or []):
-            if shard_report.check is not None and not shard_report.check.consistent:
-                violations.extend(
-                    f"shard {index}: {v}" for v in shard_report.check.violations
-                )
-        return not violations, violations
-    return None, []
+    shards = driver.shards if isinstance(driver, ShardedDriver) else [driver]
+    pdl_shards = [s for s in shards if isinstance(s, PdlDriver)]
+    if not pdl_shards:
+        return None, []
+    violations: List[str] = []
+    for index, shard in enumerate(pdl_shards):
+        report = check_driver(shard)
+        violations.extend(f"shard {index}: {v}" for v in report.violations)
+    return not violations, violations
 
 
 def _audit(delta, n_reads: int, n_updates: int, driver) -> tuple:
@@ -338,7 +317,7 @@ def _audit(delta, n_reads: int, n_updates: int, driver) -> tuple:
         notes.append(f"read-only stream produced {totals.writes} device writes")
     if (n_reads + n_updates) > 0 and totals.reads == 0:
         notes.append("replay touched pages but read nothing from the device")
-    failures = getattr(driver.stats, "checksum_failures", 0)
+    failures = driver.stats.checksum_failures
     if failures:
         notes.append(f"{failures} checksum verification failures")
     return not notes, notes

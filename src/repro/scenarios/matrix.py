@@ -7,7 +7,7 @@ oracle, and emits one cross-scenario report table
 :class:`~repro.bench.reporting.ResultTable` machinery).
 
 The default grid covers every axis the engine has grown: the four
-page-update methods, shard counts, the serial/thread/process executors,
+page-update methods, shard counts, the serial and thread executors,
 GC victim policies, both device backends, and buffered configurations
 with each eviction policy and write-back mode.  ``TINY_CONFIGS`` /
 :func:`tiny_patterns` are the reduced CI smoke grid — same axes, fewer
@@ -42,7 +42,6 @@ DEFAULT_CONFIGS: Tuple[EngineConfig, ...] = (
     EngineConfig("pdl-x4", "PDL (256B) x4"),
     EngineConfig("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
     EngineConfig("pdl-x4-thread", "PDL (256B) x4 par"),
-    EngineConfig("pdl-x2-proc", "PDL (256B) x2 proc"),
     EngineConfig("opu-x2-file", "OPU x2", backend="file"),
     EngineConfig("pdl-buf-lru", "PDL (256B)", buffer_pages=12),
     EngineConfig(
@@ -54,11 +53,10 @@ DEFAULT_CONFIGS: Tuple[EngineConfig, ...] = (
     ),
     # Demand-paged mapping tier: the oracle holds these to the identical
     # logical state hash as the in-RAM table (tight cache, resident
-    # cache, sharded, and process-executor variants).
+    # cache and sharded variants).
     EngineConfig("pdl-map-16", "PDL (256B)", mapping_cache=16, mapping_interval=48),
     EngineConfig("pdl-map-res", "PDL (256B)", mapping_cache=0),
     EngineConfig("pdl-map-x2", "PDL (256B) x2", mapping_cache=16),
-    EngineConfig("pdl-map-proc", "PDL (256B) x2 proc", mapping_cache=16),
 )
 
 #: The CI smoke grid: one representative per axis, eight configs.

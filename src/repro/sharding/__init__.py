@@ -9,16 +9,13 @@ partitions the logical page space; :func:`recover_all` rebuilds every
 shard's mapping tables after a crash.
 
 * :mod:`repro.sharding.router` — hash and range partitioning, pluggable.
-* :mod:`repro.sharding.driver` — the façade, batched group flush,
-  aggregated wear reporting.
+* :mod:`repro.sharding.driver` — the façade: every array operation
+  (routing, batched group flush, fsck, aggregated wear reporting)
+  stated once over two execution primitives, run inline.
 * :mod:`repro.sharding.executor` — real thread parallelism: a
   single-writer worker thread per shard (:class:`ShardExecutor`) and
-  the :class:`ParallelShardedDriver` built on it (see
-  ``docs/concurrency.md``).
-* :mod:`repro.sharding.executor_proc` — process-per-shard execution
-  past the GIL: spawn-safe :class:`ShardFactory` recipes, a
-  :class:`ProcessShardExecutor` with shared-memory page frames, and
-  the :class:`ProcessShardedDriver` façade (``"... x8 proc"`` labels).
+  the :class:`ParallelShardedDriver`, which swaps the primitives for
+  the workers' mailboxes (see ``docs/concurrency.md``).
 * :mod:`repro.sharding.stats` — merged :class:`FlashStats` view plus
   per-chip clocks for serial-vs-parallel time accounting.
 * :mod:`repro.sharding.recovery` — per-shard Figure-11 scans composed
@@ -35,12 +32,7 @@ Build sharded configurations from paper-style labels::
 """
 
 from .driver import ShardedDriver
-from .executor import ParallelShardedDriver, ShardExecutor, make_executor
-from .executor_proc import (
-    ProcessShardedDriver,
-    ProcessShardExecutor,
-    ShardFactory,
-)
+from .executor import ParallelShardedDriver, ShardExecutor
 from .recovery import recover_all
 from .router import HashRouter, RangeRouter, ShardRouter, make_router
 from .stats import AggregateStats
@@ -49,14 +41,10 @@ __all__ = [
     "AggregateStats",
     "HashRouter",
     "ParallelShardedDriver",
-    "ProcessShardExecutor",
-    "ProcessShardedDriver",
     "RangeRouter",
     "ShardExecutor",
-    "ShardFactory",
     "ShardRouter",
     "ShardedDriver",
-    "make_executor",
     "make_router",
     "recover_all",
 ]

@@ -35,7 +35,9 @@ by :func:`repro.methods.make_method` works, although homogeneous fleets
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from contextlib import nullcontext
+from functools import partial
+from typing import Callable, ContextManager, Dict, List, Optional, Sequence
 
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
@@ -45,8 +47,30 @@ from .router import HashRouter, ShardRouter
 from .stats import AggregateStats
 
 
+def _write_then_flush(shard: PageUpdateMethod, entry: Optional[tuple]) -> None:
+    """One shard's share of a buffer-pool flush: its slice, then a drain."""
+    if entry is not None:
+        group, logs = entry
+        shard.write_pages(group, update_logs=logs)
+    shard.flush()
+
+
+def _fsck_shard(shard: PageUpdateMethod, repair: bool):
+    from ..core.fsck import FsckReport
+
+    if hasattr(shard, "fsck"):
+        return shard.fsck(repair=repair)
+    return FsckReport()
+
+
 class ShardedDriver(PageUpdateMethod):
-    """A :class:`PageUpdateMethod` routing pages across shard drivers."""
+    """A :class:`PageUpdateMethod` routing pages across shard drivers.
+
+    Every array-level operation is stated once, here, over two
+    primitives: :meth:`_run_on` (one call on one shard) and
+    :meth:`_fan_out` (one thunk per shard, joined).  This class runs
+    both inline; the parallel subclass only swaps the primitives.
+    """
 
     def __init__(
         self,
@@ -73,9 +97,12 @@ class ShardedDriver(PageUpdateMethod):
         self.tightly_coupled = any(s.tightly_coupled for s in self.shards)
         self._stats = AggregateStats([s.stats for s in self.shards])
         self.group_flushes = 0
+        #: Guards ``group_flushes``.  Nothing to guard on one thread; the
+        #: parallel subclass, whose clients may race, installs a lock.
+        self._counter_lock: ContextManager = nullcontext()
 
     # ------------------------------------------------------------------
-    # Routing
+    # Routing and execution primitives
     # ------------------------------------------------------------------
     def shard_index(self, pid: int) -> int:
         """The shard index owning ``pid`` (validated against the fleet)."""
@@ -89,60 +116,13 @@ class ShardedDriver(PageUpdateMethod):
     def shard_for(self, pid: int) -> PageUpdateMethod:
         return self.shards[self.shard_index(pid)]
 
-    # ------------------------------------------------------------------
-    # PageUpdateMethod contract
-    # ------------------------------------------------------------------
-    def load_page(self, pid: int, data: bytes) -> None:
-        self.shard_for(pid).load_page(pid, data)
-
-    def end_of_load(self) -> None:
-        for shard in self.shards:
-            shard.end_of_load()
-
-    def read_page(self, pid: int) -> bytes:
-        return self.shard_for(pid).read_page(pid)
-
-    def write_page(
-        self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
-    ) -> None:
-        self.shard_for(pid).write_page(pid, data, update_logs=update_logs)
-
-    def load_pages(self, pages) -> None:
-        """Bulk-load a batch by fanning it out shard-by-shard.
-
-        Each shard receives its members of the batch in order and loads
-        them through its own batched path (PDL shards program a whole
-        allocation block per chip call).
-        """
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        for index, group in per_shard.items():
-            self.shards[index].load_pages(group)
-
-    def write_pages(self, pages, update_logs=None) -> None:
-        """Reflect a batch shard-by-shard (the sharded buffer-pool flush).
+    def _split_by_shard(self, pages, update_logs=None) -> Dict[int, tuple]:
+        """Group ``(pid, data)`` pairs (and their logs) by owning shard.
 
         Pages owned by the same shard keep their relative order;
         cross-shard order is immaterial because shards are independent
-        devices.  Each shard sees one batched call, so per-shard batching
-        (PDL's prefetched base reads) still applies.
+        devices.
         """
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        for index, group in per_shard.items():
-            logs = None
-            if update_logs is not None:
-                logs = {pid: update_logs[pid] for pid, _ in group if pid in update_logs}
-            self.shards[index].write_pages(group, update_logs=logs)
-
-    def flush(self) -> None:
-        """Write-through over the whole array (see :meth:`group_flush`)."""
-        self.group_flush()
-
-    def _split_by_shard(self, pages, update_logs=None) -> Dict[int, tuple]:
-        """Group ``(pid, data)`` pairs (and their logs) by owning shard."""
         per_shard: Dict[int, List] = {}
         for pid, data in pages:
             per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
@@ -154,38 +134,91 @@ class ShardedDriver(PageUpdateMethod):
             out[index] = (group, logs)
         return out
 
+    def _run_on(self, index: int, fn: Callable, *args):
+        """Execute ``fn(*args)`` as shard ``index``'s owner."""
+        return fn(*args)
+
+    def _fan_out(self, tasks: Dict[int, Callable[[], object]]) -> List[object]:
+        """Run one thunk per shard index; results in shard order."""
+        return [tasks[index]() for index in sorted(tasks)]
+
+    # ------------------------------------------------------------------
+    # PageUpdateMethod contract
+    # ------------------------------------------------------------------
+    def load_page(self, pid: int, data: bytes) -> None:
+        index = self.shard_index(pid)
+        self._run_on(index, self.shards[index].load_page, pid, data)
+
+    def read_page(self, pid: int) -> bytes:
+        index = self.shard_index(pid)
+        return self._run_on(index, self.shards[index].read_page, pid)
+
+    def write_page(
+        self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
+    ) -> None:
+        index = self.shard_index(pid)
+        self._run_on(index, self.shards[index].write_page, pid, data, update_logs)
+
+    def end_of_load(self) -> None:
+        self._fan_out({i: shard.end_of_load for i, shard in enumerate(self.shards)})
+
+    def load_pages(self, pages) -> None:
+        """Bulk-load a batch: each shard loads its members, in order,
+        through its own batched path (PDL shards program a whole
+        allocation block per chip call)."""
+        self._fan_out(
+            {
+                index: partial(self.shards[index].load_pages, group)
+                for index, (group, _logs) in self._split_by_shard(pages).items()
+            }
+        )
+
+    def write_pages(self, pages, update_logs=None) -> None:
+        """Reflect a batch (the sharded buffer-pool flush): each shard
+        sees one batched call, so per-shard batching (PDL's prefetched
+        base reads) still applies."""
+        split = self._split_by_shard(pages, update_logs)
+        self._fan_out(
+            {
+                index: partial(self.shards[index].write_pages, group, update_logs=logs)
+                for index, (group, logs) in split.items()
+            }
+        )
+
+    def flush(self) -> None:
+        """Write-through over the whole array (see :meth:`group_flush`)."""
+        self.group_flush()
+
     def group_flush(self, pages=None, update_logs=None) -> None:
         """Batched flush: drain every shard's buffers in one call.
 
         All shards flush before control returns, so a caller observing
         the return has a single durability horizon across the array —
         the sharded generalization of Section 4.5's write-through.  The
-        flushes are independent per-chip programs; this serial façade
-        runs them one after another (simulated parallel time is still
-        the slowest shard's share), while
-        :class:`~repro.sharding.executor.ParallelShardedDriver`
-        overrides this method to fan them out across its worker threads
-        for real wall-clock overlap — see ``docs/concurrency.md``.
+        flushes are independent per-chip programs: inline they run one
+        after another (simulated parallel time is still the slowest
+        shard's share), on worker threads they overlap in wall-clock
+        time too — see ``docs/concurrency.md``.
 
         ``pages`` (with optional ``update_logs``) is the buffer-pool
-        flush entry point: the batch is reflected shard-by-shard and
-        each shard's buffers are drained in the same pass, so a pool's
-        ``flush_all`` is one driver call instead of a ``write_pages``
-        followed by a separate flush sweep.  Per-shard operation order
-        is identical to the two-call sequence (writes, then flush).
+        flush entry point: each shard's slice of the batch is written
+        *and* its buffers drained in one task, so a pool's ``flush_all``
+        is one fan-out/join instead of a ``write_pages`` followed by a
+        separate flush sweep.  Per-shard operation order is identical to
+        the two-call sequence (writes, then flush).
         """
         if pages is None:
-            for shard in self.shards:
-                shard.flush()
+            self._fan_out({i: shard.flush for i, shard in enumerate(self.shards)})
         else:
             split = self._split_by_shard(pages, update_logs)
-            for index, shard in enumerate(self.shards):
-                entry = split.get(index)
-                if entry is not None:
-                    group, logs = entry
-                    shard.write_pages(group, update_logs=logs)
-                shard.flush()
-        self.group_flushes += 1
+            self._fan_out(
+                {
+                    i: partial(_write_then_flush, shard, split.get(i))
+                    for i, shard in enumerate(self.shards)
+                }
+            )
+        with self._counter_lock:
+            self.group_flushes += 1
 
     # ------------------------------------------------------------------
     # Aggregated introspection
@@ -222,13 +255,11 @@ class ShardedDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Push every shard chip's backend to durable media."""
-        for chip in self.chips:
-            chip.sync()
+        self._fan_out({i: chip.sync for i, chip in enumerate(self.chips)})
 
     def close(self) -> None:
         """Sync and close every shard chip's backend."""
-        for chip in self.chips:
-            chip.close()
+        self._fan_out({i: chip.close for i, chip in enumerate(self.chips)})
 
     def chip_clocks(self) -> List[float]:
         """Each shard chip's monotonic clock; ``max`` of window deltas is
@@ -292,19 +323,20 @@ class ShardedDriver(PageUpdateMethod):
         Returns one merged :class:`~repro.core.fsck.FsckReport` whose
         ``per_shard`` list holds the individual shard reports (in shard
         order; shards without an fsck-capable driver contribute an empty
-        report).  This serial façade scans shards one after another;
-        :class:`~repro.sharding.executor.ParallelShardedDriver` overrides
-        it to fan the scans out across its workers.
+        report).  Each scan runs as its shard's owner (the single-writer
+        invariant covers fsck's repair writes too), so on worker threads
+        an array fscks in the wall-clock time of its slowest shard.
         """
         from ..core.fsck import FsckReport
 
-        reports = []
-        for shard in self.shards:
-            if hasattr(shard, "fsck"):
-                reports.append(shard.fsck(repair=repair))
-            else:
-                reports.append(FsckReport())
-        return FsckReport.merge(reports)
+        return FsckReport.merge(
+            self._fan_out(
+                {
+                    i: partial(_fsck_shard, shard, repair)
+                    for i, shard in enumerate(self.shards)
+                }
+            )
+        )
 
     def differential_page_count(self) -> int:
         """Referenced differential pages, summed over PDL shards."""

@@ -14,11 +14,12 @@ independence real in wall-clock time:
   execution its crash/GC invariants assume — no fine-grained locks
   anywhere in the drivers.
 * :class:`ParallelShardedDriver` — a drop-in
-  :class:`~repro.sharding.driver.ShardedDriver` whose batched entry
-  points (``load_pages``/``write_pages``/``group_flush``/``sync``) fan
-  out across the workers and join, and whose single-page operations are
-  marshalled through the owning shard's mailbox — which also makes the
-  driver safe to hammer from many client threads at once.
+  :class:`~repro.sharding.driver.ShardedDriver` that swaps the parent's
+  two execution primitives for the mailbox: batched entry points
+  (``load_pages``/``write_pages``/``group_flush``/``sync``) fan out
+  across the workers and join, and single-page operations are marshalled
+  through the owning shard's mailbox — which also makes the driver safe
+  to hammer from many client threads at once.
 
 Per-shard :class:`~repro.flash.stats.FlashStats` collectors double as
 the per-worker accumulators: each is only ever mutated by its shard's
@@ -35,16 +36,29 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from queue import SimpleQueue
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, Union
 
 from ..flash.stats import DEFAULT_PHASE
-from ..ftl.base import ChangeRun, PageUpdateMethod
-from ..ftl.errors import ConcurrencyError
+from ..ftl.base import PageUpdateMethod
+from ..ftl.errors import ConcurrencyError, ConfigurationError
 from .driver import ShardedDriver
 from .router import ShardRouter
 
 #: Sentinel dropped into a mailbox to stop its worker thread.
 _STOP = None
+
+#: What a ``parallel=`` argument may hold; ``True`` means ``"thread"``.
+Parallel = Union[bool, Literal["thread"]]
+
+
+def check_parallel(parallel: object) -> bool:
+    """Validate a ``parallel=`` argument; True when it asks for threads."""
+    if isinstance(parallel, bool) or parallel == "thread":
+        return bool(parallel)
+    raise ConfigurationError(
+        f"parallel={parallel!r} is not an execution mode; expected False, "
+        "True or 'thread'"
+    )
 
 
 class ShardExecutor:
@@ -160,13 +174,6 @@ class ShardExecutor:
         futures = [self.submit(index, fn) for index, fn in tasks]
         return gather(futures)
 
-    def broadcast(self, fn_of_index: Callable[[int], object]) -> List[object]:
-        """Run ``fn_of_index(i)`` on every worker ``i`` concurrently."""
-        futures = [
-            self.submit(i, fn_of_index, i) for i in range(len(self._mailboxes))
-        ]
-        return gather(futures)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -189,58 +196,6 @@ class ShardExecutor:
         self.shutdown()
 
 
-def make_executor(
-    kind: str = "thread",
-    *,
-    n_workers: Optional[int] = None,
-    factories=None,
-    name: str = "shard",
-    frames_per_worker: int = 64,
-):
-    """Build a shard executor of the requested kind.
-
-    ``kind="thread"`` returns a :class:`ShardExecutor` over
-    ``n_workers`` worker threads (defaulting to ``len(factories)`` when
-    recipes are supplied).  ``kind="process"`` returns a
-    :class:`~repro.sharding.executor_proc.ProcessShardExecutor`, which
-    needs one spawn-safe
-    :class:`~repro.sharding.executor_proc.ShardFactory` per shard —
-    the workers rebuild their drivers from the recipes, so there is
-    nothing else a process pool could be built from.  See
-    ``docs/concurrency.md`` for the thread-vs-process decision table.
-    """
-    from ..ftl.errors import ConfigurationError
-
-    if kind == "thread":
-        if n_workers is None:
-            if factories is None:
-                raise ConfigurationError(
-                    "make_executor(kind='thread') needs n_workers (or "
-                    "factories to count)"
-                )
-            n_workers = len(list(factories))
-        return ShardExecutor(n_workers, name=name)
-    if kind == "process":
-        from .executor_proc import ProcessShardExecutor
-
-        if factories is None:
-            raise ConfigurationError(
-                "make_executor(kind='process') needs per-shard ShardFactory "
-                "recipes (see repro.sharding.executor_proc)"
-            )
-        if n_workers is not None and n_workers != len(list(factories)):
-            raise ConfigurationError(
-                f"n_workers={n_workers} disagrees with "
-                f"{len(list(factories))} shard factories"
-            )
-        return ProcessShardExecutor(
-            factories, name=name, frames_per_worker=frames_per_worker
-        )
-    raise ConfigurationError(
-        f"unknown executor kind {kind!r}; expected 'thread' or 'process'"
-    )
-
-
 def gather(futures: Sequence[Future]) -> List[object]:
     """Wait for every future; re-raise the first failure (in order)."""
     results: List[object] = []
@@ -260,20 +215,24 @@ def gather(futures: Sequence[Future]) -> List[object]:
 class ParallelShardedDriver(ShardedDriver):
     """A :class:`ShardedDriver` whose shards execute on worker threads.
 
-    Construction pins each shard's GC engine to its worker thread
+    Every operation is the parent's; only the two execution primitives
+    differ — each goes through the owning shard's mailbox, so *all*
+    shard and chip work (I/O, GC, fsck, sync, close) runs on that
+    shard's one worker.  Construction pins each shard's GC engine to its
+    worker thread
     (:meth:`~repro.ftl.gc.GarbageCollector.bind_owner_thread`), so any
     code path that would run ``on_write_begin``/``on_write_end`` hooks
     off the owning worker fails loudly instead of corrupting shard
     state.  ``close()`` shuts the pool down; the driver (like its
     serial parent) must not be used afterwards.
 
-    Single-page operations marshal through the owning shard's mailbox —
-    one client thread gains nothing, but *many* client threads are
-    serialized per shard and overlap across shards, which is the
-    stress-test configuration.  The fan-out entry points
-    (``load_pages``/``write_pages``/``flush``/``group_flush``/
-    ``sync``/``end_of_load``) are where a single caller sees wall-clock
-    parallelism: all shards work at once and the call joins them.
+    Single-page operations gain nothing from one client thread, but
+    *many* client threads are serialized per shard and overlap across
+    shards, which is the stress-test configuration.  The fan-out entry
+    points (``load_pages``/``write_pages``/``flush``/``group_flush``/
+    ``fsck``/``sync``/``end_of_load``) are where a single caller sees
+    wall-clock parallelism: all shards work at once and the call joins
+    them.
     """
 
     def __init__(
@@ -296,14 +255,12 @@ class ParallelShardedDriver(ShardedDriver):
             gc = getattr(shard, "gc", None)
             if gc is not None:
                 gc.bind_owner_thread(self.executor.worker_ident(index))
-        #: Guards the cross-shard counters the fan-out paths update
-        #: (``group_flushes``) against racing client threads.
-        self._counter_lock = threading.Lock()
+        self._counter_lock = threading.Lock()  # client threads race here
 
     # ------------------------------------------------------------------
-    # Task marshalling
+    # Execution primitives: the mailbox instead of the calling thread
     # ------------------------------------------------------------------
-    def _task(self, index: int, fn: Callable, *args, **kwargs) -> Callable[[], object]:
+    def _task(self, index: int, fn: Callable, *args) -> Callable[[], object]:
         """Bind a shard task, propagating the caller's stats phase.
 
         Phase stacks are thread-local (see
@@ -317,142 +274,33 @@ class ParallelShardedDriver(ShardedDriver):
 
         def run() -> object:
             if phase == DEFAULT_PHASE:
-                return fn(*args, **kwargs)
+                return fn(*args)
             with self.shards[index].stats.phase(phase):
-                return fn(*args, **kwargs)
+                return fn(*args)
 
         return run
 
-    def _run_on(self, index: int, fn: Callable, *args, **kwargs):
-        return self.executor.run(index, self._task(index, fn, *args, **kwargs))
+    def _run_on(self, index: int, fn: Callable, *args):
+        return self.executor.run(index, self._task(index, fn, *args))
 
-    def _fan_out(self, tasks: Dict[int, Callable]) -> List[object]:
-        ordered = sorted(tasks.items())
+    def _fan_out(self, tasks: Dict[int, Callable[[], object]]) -> List[object]:
         return self.executor.map(
-            [(index, self._task(index, fn)) for index, fn in ordered]
+            [(index, self._task(index, fn)) for index, fn in sorted(tasks.items())]
         )
 
-    # ------------------------------------------------------------------
-    # PageUpdateMethod contract — single-page paths (mailbox-serialized)
-    # ------------------------------------------------------------------
-    def load_page(self, pid: int, data: bytes) -> None:
-        index = self.shard_index(pid)
-        self._run_on(index, self.shards[index].load_page, pid, data)
-
-    def read_page(self, pid: int) -> bytes:
-        index = self.shard_index(pid)
-        return self._run_on(index, self.shards[index].read_page, pid)
-
-    def write_page(
-        self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
-    ) -> None:
-        index = self.shard_index(pid)
-        self._run_on(
-            index, self.shards[index].write_page, pid, data, update_logs
-        )
-
-    # ------------------------------------------------------------------
-    # Fan-out paths (parallel across shards, joined before returning)
-    # ------------------------------------------------------------------
-    def end_of_load(self) -> None:
-        self._fan_out(
-            {i: shard.end_of_load for i, shard in enumerate(self.shards)}
-        )
-
-    def load_pages(self, pages) -> None:
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        self._fan_out(
-            {
-                index: (lambda s=self.shards[index], g=group: s.load_pages(g))
-                for index, group in per_shard.items()
-            }
-        )
-
-    def write_pages(self, pages, update_logs=None) -> None:
-        per_shard: Dict[int, List] = {}
-        for pid, data in pages:
-            per_shard.setdefault(self.shard_index(pid), []).append((pid, data))
-        tasks: Dict[int, Callable] = {}
-        for index, group in per_shard.items():
-            logs = None
-            if update_logs is not None:
-                logs = {pid: update_logs[pid] for pid, _ in group if pid in update_logs}
-            tasks[index] = (
-                lambda s=self.shards[index], g=group, l=logs: s.write_pages(
-                    g, update_logs=l
-                )
-            )
-        self._fan_out(tasks)
-
-    def group_flush(self, pages=None, update_logs=None) -> None:
-        """Drain every shard's buffers *concurrently* and join.
-
-        Same durability horizon as the serial
-        :meth:`~repro.sharding.driver.ShardedDriver.group_flush` —
-        nothing returns until every shard has flushed — but the shard
-        flushes overlap in wall-clock time, not only on the simulated
-        clock.
-
-        With ``pages``, each shard's slice of the batch is written *and*
-        its buffers drained inside one worker task, so a buffer pool's
-        ``flush_all`` costs a single fan-out/join across the array
-        instead of two.
-        """
-        if pages is None:
-            self._fan_out(
-                {i: shard.flush for i, shard in enumerate(self.shards)}
-            )
-        else:
-            split = self._split_by_shard(pages, update_logs)
-
-            def write_then_flush(shard, entry):
-                if entry is not None:
-                    group, logs = entry
-                    shard.write_pages(group, update_logs=logs)
-                shard.flush()
-
-            self._fan_out(
-                {
-                    i: (
-                        lambda s=shard, e=split.get(i): write_then_flush(s, e)
-                    )
-                    for i, shard in enumerate(self.shards)
-                }
-            )
-        with self._counter_lock:
-            self.group_flushes += 1
-
-    def fsck(self, repair: bool = True):
-        """Scan and repair every shard concurrently; join, then merge.
-
-        Each shard's scan runs on its own worker (the single-writer
-        invariant covers fsck's repair writes too), so an array fscks in
-        the wall-clock time of its slowest shard.
-        """
-        from ..core.fsck import FsckReport
-
-        def shard_task(shard):
-            if hasattr(shard, "fsck"):
-                return shard.fsck(repair=repair)
-            return FsckReport()
-
-        reports = self._fan_out(
-            {
-                i: (lambda s=shard: shard_task(s))
-                for i, shard in enumerate(self.shards)
-            }
-        )
-        return FsckReport.merge(list(reports))
-
-    def sync(self) -> None:
-        self._fan_out({i: chip.sync for i, chip in enumerate(self.chips)})
+    # The same functions, bound here as well: benchmarks/e2e/trace.py
+    # patches these names in *this* class's namespace, and an inherited
+    # attribute (or a super() stub, which would open two spans per call)
+    # is not there to patch.
+    read_page = ShardedDriver.read_page
+    write_page = ShardedDriver.write_page
+    write_pages = ShardedDriver.write_pages
+    group_flush = ShardedDriver.group_flush
 
     def close(self) -> None:
-        """Close every shard chip in parallel, then stop the workers."""
+        """Close every shard chip on its worker, then stop the workers."""
         try:
-            self._fan_out({i: chip.close for i, chip in enumerate(self.chips)})
+            super().close()
         finally:
             self.executor.shutdown()
 

@@ -28,12 +28,14 @@ the serial-vs-threaded scan times; see ``docs/concurrency.md``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.recovery import RecoveryReport, recover_driver
 from ..flash.chip import FlashChip
 from ..ftl.errors import ConfigurationError
 from .driver import ShardedDriver
+from .executor import Parallel, ParallelShardedDriver, ShardExecutor, check_parallel
 from .router import HashRouter, ShardRouter
 
 
@@ -41,7 +43,7 @@ def recover_all(
     chips: Sequence[FlashChip],
     router: Optional[ShardRouter] = None,
     max_differential_size: int = 256,
-    parallel: Union[bool, str] = False,
+    parallel: Parallel = False,
     **driver_kwargs,
 ) -> Tuple[ShardedDriver, List[RecoveryReport]]:
     """Rebuild a sharded PDL array from post-crash flash contents.
@@ -60,17 +62,10 @@ def recover_all(
     share nothing), and the worker pool is kept to drive the returned
     :class:`~repro.sharding.executor.ParallelShardedDriver`.
 
-    With ``parallel="process"`` each scan runs inside its own spawned
-    worker process over a *reopened* file image (the parent's chip
-    handles are closed here and must not be used again), and the
-    returned driver is a
-    :class:`~repro.sharding.executor_proc.ProcessShardedDriver` — the
-    GIL-free variant; memory-backed chips are rejected because a worker
-    cannot see parent memory.
-
     Returns the operational driver plus one :class:`RecoveryReport` per
     shard, in shard order.
     """
+    threaded = check_parallel(parallel)
     chips = list(chips)
     if not chips:
         raise ConfigurationError("recover_all needs at least one chip")
@@ -79,53 +74,26 @@ def recover_all(
             f"router partitions {router.n_shards} shards but {len(chips)} "
             "chips were supplied"
         )
-    if parallel == "process":
-        from .executor_proc import (
-            ProcessShardedDriver,
-            recovery_factories_from_chips,
+    router = router or HashRouter(len(chips))
+    scans = [
+        partial(
+            recover_driver,
+            chip,
+            max_differential_size=max_differential_size,
+            **driver_kwargs,
         )
-
-        factories = recovery_factories_from_chips(
-            chips, max_differential_size, driver_kwargs
-        )
-        driver = ProcessShardedDriver(
-            factories, router=router or HashRouter(len(chips))
-        )
-        return driver, list(driver.recovery_reports)
-    if parallel:
-        from .executor import ParallelShardedDriver, ShardExecutor
-
+        for chip in chips
+    ]
+    if threaded:
         executor = ShardExecutor(len(chips))
         try:
-            recovered = executor.map(
-                [
-                    (
-                        i,
-                        lambda c=chip: recover_driver(
-                            c,
-                            max_differential_size=max_differential_size,
-                            **driver_kwargs,
-                        ),
-                    )
-                    for i, chip in enumerate(chips)
-                ]
-            )
+            recovered = executor.map(list(enumerate(scans)))
         except BaseException:
             executor.shutdown()
             raise
-        shards = [driver for driver, _report in recovered]
-        reports = [report for _driver, report in recovered]
-        sharded: ShardedDriver = ParallelShardedDriver(
-            shards, router or HashRouter(len(chips)), executor=executor
-        )
-        return sharded, reports
-    shards = []
-    reports = []
-    for chip in chips:
-        driver, report = recover_driver(
-            chip, max_differential_size=max_differential_size, **driver_kwargs
-        )
-        shards.append(driver)
-        reports.append(report)
-    sharded = ShardedDriver(shards, router or HashRouter(len(chips)))
-    return sharded, reports
+        build = partial(ParallelShardedDriver, executor=executor)
+    else:
+        recovered = [scan() for scan in scans]
+        build = ShardedDriver
+    shards, reports = zip(*recovered)
+    return build(shards, router), list(reports)

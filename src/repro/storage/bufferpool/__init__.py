@@ -1,7 +1,7 @@
 """The buffer-pool subsystem: pluggable eviction, pinning, write-back.
 
-Grown out of the original single-file LRU pool (``storage/buffer.py``,
-which now re-exports from here): an eviction-policy registry mirroring
+Grown out of the original single-file LRU pool: an eviction-policy
+registry mirroring
 the GC victim-policy registry (``lru``, ``clock``, scan-resistant
 ``2q``), thread-safe frame pinning for many client threads over one
 :class:`~repro.sharding.executor.ParallelShardedDriver`, and a

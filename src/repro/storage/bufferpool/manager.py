@@ -41,6 +41,8 @@ import time
 from typing import Dict, Iterator, List, Optional, Union
 
 from ...ftl.base import PageUpdateMethod
+from ...sharding.driver import ShardedDriver
+from ...sharding.executor import ParallelShardedDriver
 from ..page import Page
 from .policy import EvictionPolicy, make_eviction_policy
 from .stats import BufferStats
@@ -97,7 +99,7 @@ class BufferManager:
         #: Serial drivers are not thread-safe; with a write-back daemon
         #: (a second thread) every driver call goes through this lock.
         #: Parallel sharded drivers serialize in their shard mailboxes.
-        parallel = getattr(driver, "executor", None) is not None
+        parallel = isinstance(driver, ParallelShardedDriver)
         self._driver_lock: Optional[threading.Lock] = None
 
         config = normalize_writeback(writeback)
@@ -300,14 +302,13 @@ class BufferManager:
                     page.pid: snap[1] for page, snap in zip(dirty, snapshots)
                 }
             batch = [(page.pid, snap[0]) for page, snap in zip(dirty, snapshots)]
-            group_flush = getattr(self.driver, "group_flush", None)
-            if group_flush is not None:
+            if isinstance(self.driver, ShardedDriver):
                 # One fan-out: per-shard page writes + buffer flush.
                 if self._driver_lock is not None:
                     with self._driver_lock:
-                        group_flush(pages=batch, update_logs=logs)
+                        self.driver.group_flush(pages=batch, update_logs=logs)
                 else:
-                    group_flush(pages=batch, update_logs=logs)
+                    self.driver.group_flush(pages=batch, update_logs=logs)
             else:
                 self._driver_write_pages(batch, update_logs=logs)
                 self._driver_flush()

@@ -36,11 +36,16 @@ from typing import List, Optional
 
 from ..core.mapping import MappingConfig
 from ..core.pdl import PdlDriver
+from ..core.recovery import recover_driver
 from ..flash.backend import BackendError, FileBackend
 from ..flash.chip import FlashChip
 from ..flash.spec import BENCH_SPEC, FlashSpec
 from ..ftl.base import PageUpdateMethod
 from ..ftl.errors import ConfigurationError, UnallocatedPageError
+from ..sharding.driver import ShardedDriver
+from ..sharding.executor import Parallel, ParallelShardedDriver, check_parallel
+from ..sharding.recovery import recover_all
+from ..sharding.stats import AggregateStats
 from .bufferpool import BufferManager, BufferStats
 from .page import Page
 
@@ -53,13 +58,6 @@ MANIFEST_VERSION = 1
 
 def _shard_image(path: str, index: int) -> str:
     return os.path.join(path, f"shard-{index:04d}.flash")
-
-
-def _chips_of(driver: PageUpdateMethod) -> List[FlashChip]:
-    chips = getattr(driver, "chips", None)
-    if chips is not None:
-        return list(chips)
-    return [driver.chip]
 
 
 class Database:
@@ -127,7 +125,7 @@ class Database:
         n_shards: Optional[int] = None,
         max_differential_size: Optional[int] = None,
         read_cache_pages: int = 0,
-        parallel: "bool | str" = False,
+        parallel: Parallel = False,
         buffer_policy: str = "lru",
         writeback=None,
         mapping_cache: Optional[int] = None,
@@ -156,15 +154,10 @@ class Database:
         reopen-time Figure-11 scans, every buffer-pool flush and
         ``Database.flush()``'s group flush fan out across the array, and
         the engine becomes safe to drive from concurrent client threads
-        (see ``docs/concurrency.md``).  ``parallel="process"`` goes one
-        step further and runs each shard in its own worker *process*
-        (a :class:`~repro.sharding.executor_proc.ProcessShardedDriver`)
-        with page payloads in shared memory, so shard work executes on
-        separate cores past the GIL; the per-shard images are reopened
-        inside the workers, which is why the configuration must be
-        spawn-safe (it is — the manifest holds only plain data).  Like
-        GC tuning, parallelism is runtime — not manifest — state: pass
-        it again on reopen.
+        (see ``docs/concurrency.md``).  Any other value raises
+        :class:`~repro.ftl.errors.ConfigurationError`.  Like GC tuning,
+        parallelism is runtime — not manifest — state: pass it again on
+        reopen.
 
         ``buffer_policy`` selects the buffer pool's eviction policy from
         the registry (``"lru"`` — the default and the paper-faithful
@@ -203,6 +196,7 @@ class Database:
         state: pass it again on reopen.
         """
         path = os.fspath(path)
+        parallel = check_parallel(parallel)
         pool_kwargs = {"buffer_policy": buffer_policy, "writeback": writeback}
         manifest_path = os.path.join(path, MANIFEST_NAME)
         if os.path.exists(manifest_path):
@@ -394,14 +388,10 @@ class Database:
         # the one-worker array is what makes the driver safe for
         # concurrent client threads.
         if stored_shards == 1 and not parallel:
-            from ..core.recovery import recover_driver
-
             driver, _report = recover_driver(
                 chips[0], max_differential_size=stored_max_diff, **driver_kwargs
             )
         else:
-            from ..sharding.recovery import recover_all
-
             driver, _reports = recover_all(
                 chips,
                 max_differential_size=stored_max_diff,
@@ -419,22 +409,9 @@ class Database:
         chips: List[FlashChip],
         n_shards: int,
         max_differential_size: int,
-        parallel: "bool | str",
+        parallel: bool,
         driver_kwargs: dict,
     ) -> PageUpdateMethod:
-        if parallel == "process":
-            # The freshly created images are handed to the workers,
-            # which rebuild the per-shard PDL drivers from spawn-safe
-            # recipes; the parent keeps no chip handles.
-            from ..sharding.executor_proc import (
-                ProcessShardedDriver,
-                factories_from_chips,
-            )
-
-            factories = factories_from_chips(
-                chips, f"PDL ({max_differential_size}B)", driver_kwargs
-            )
-            return ProcessShardedDriver(factories)
         shards = [
             PdlDriver(chip, max_differential_size=max_differential_size, **driver_kwargs)
             for chip in chips
@@ -443,13 +420,9 @@ class Database:
             # Even one shard gains the executor's mailbox: all client
             # threads serialize through the worker, making the engine
             # safe for concurrent use.
-            from ..sharding.executor import ParallelShardedDriver
-
             return ParallelShardedDriver(shards)
         if n_shards == 1:
             return shards[0]
-        from ..sharding.driver import ShardedDriver
-
         return ShardedDriver(shards)
 
     def close(self) -> None:
@@ -467,14 +440,9 @@ class Database:
             # the daemon and the device backends must still be released
             # (the synchronous flush itself completed first).
             self.pool.close()  # stop the write-back daemon before the driver
-            driver_close = getattr(self.driver, "close", None)
-            if driver_close is not None:
-                # Sharded drivers close their own chips; the parallel
-                # driver additionally stops its worker pool.
-                driver_close()
-            else:
-                for chip in _chips_of(self.driver):
-                    chip.close()
+            # Drivers close their own chips; the parallel driver
+            # additionally stops its worker pool.
+            self.driver.close()
             self._closed = True
 
     def __enter__(self) -> "Database":
@@ -549,9 +517,7 @@ class Database:
         :class:`BufferStats` embedded under ``"buffer"``.
         """
         stats = self.driver.stats
-        if not hasattr(stats, "report"):
-            from ..sharding.stats import AggregateStats
-
+        if not isinstance(stats, AggregateStats):
             stats = AggregateStats([stats])
         return stats.report(buffer_stats=self.pool.stats)
 
@@ -564,12 +530,7 @@ class Database:
 
 def _allocation_horizon(driver: PageUpdateMethod) -> int:
     """Highest recovered pid + 1: the durable logical allocation horizon."""
-    horizon = getattr(driver, "allocation_horizon", None)
-    if horizon is not None:
-        # Process-backed drivers hold no local mapping tables; the
-        # horizon is fetched from the workers.
-        return horizon()
-    shards = getattr(driver, "shards", None) or [driver]
+    shards = driver.shards if isinstance(driver, ShardedDriver) else [driver]
     top = -1
     for shard in shards:
         table_top = getattr(shard.ppmt, "max_pid", None)

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.pdl import PdlDriver
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec, spec_for_database
 from ..flash.stats import GC, READ_STEP, WRITE_STEP
@@ -34,6 +35,7 @@ from ..ftl.base import PageUpdateMethod
 from ..ftl.errors import ConfigurationError
 from ..methods import make_method, parse_gc_label, parse_parallel_label, parse_sharded_label
 from ..sharding.driver import ShardedDriver
+from ..sharding.executor import ParallelShardedDriver
 from ..storage.db import Database
 from .synthetic import SyntheticConfig, SyntheticWorkload
 
@@ -133,12 +135,9 @@ def aging_horizon(driver: PageUpdateMethod, change_size: int) -> int:
     if isinstance(driver, ShardedDriver):
         # Shards age independently but identically; use a representative.
         driver = driver.shards[0]
-    # Duck-typed on the PDL Case-3 horizon rather than the class: a
-    # process-backed array has no local shard drivers, only the
-    # representative effective_max its workers reported.
-    effective_max = getattr(driver, "effective_max", None)
-    if effective_max is None:
+    if not isinstance(driver, PdlDriver):
         return 1
+    effective_max = driver.effective_max
     page = driver.page_size
     s = min(change_size / page, 0.98)
     frac = min(effective_max / page, 0.98)
@@ -361,25 +360,21 @@ def measure_sharded_updates(
     threads on disjoint pid partitions of one pre-drawn plan — the same
     seeded operation stream a serial window executes, so the measured
     work (and final database state) is thread-count-invariant.  Only
-    valid for ``par``/``proc`` labels, whose sharded executors serialize
-    each shard's operations on its own worker.
+    valid for ``par`` labels, whose executor serializes each shard's
+    operations on its own worker.
     """
     workload = build_workload(
         label, runner, pct_changed, n_updates_till_write, method_kwargs
     )
     driver = workload.driver
-    # Parallel drivers (thread or process) expose their worker pool as
-    # .executor; duck-typing covers ProcessShardedDriver, which shares
-    # no base class with the thread-backed driver.
-    is_parallel = getattr(driver, "executor", None) is not None
+    is_parallel = isinstance(driver, ParallelShardedDriver)
     if client_threads > 1 and not is_parallel:
         raise ConfigurationError(
             f"label {label!r} builds a serial driver; concurrent client "
-            "threads need a parallel one (append ' par' or ' proc' to the "
-            "label)"
+            "threads need a parallel one (append ' par' to the label)"
         )
     warm_to_steady_state(workload, runner)
-    chips = getattr(driver, "chips", None) or [driver.chip]
+    chips = driver.chips
     stats = driver.stats
     clocks_before = [chip.clock_us for chip in chips]
     erases_before = [chip.stats.total_erases for chip in chips]
@@ -395,10 +390,8 @@ def measure_sharded_updates(
     finally:
         if is_parallel:
             # The workload is done with the driver; stop the worker
-            # pool so repeated measurements do not leak threads (or
-            # processes).  The chips stay open for the counter reads
-            # below — a process pool snapshots its workers' clocks and
-            # stats before stopping, so the reads still resolve.
+            # pool so repeated measurements do not leak threads.  The
+            # chips stay open for the counter reads below.
             driver.executor.shutdown()
     delta = stats.delta_since(snap)
     clock_deltas = [
@@ -419,7 +412,7 @@ def measure_sharded_updates(
         erases=delta.total_erases,
         per_shard_erases=per_shard_erases,
         lifetime_shard_erases=[chip.stats.total_erases for chip in chips],
-        group_flushes=getattr(driver, "group_flushes", 0),
+        group_flushes=driver.group_flushes if isinstance(driver, ShardedDriver) else 0,
         wall_s=wall_s,
         client_threads=client_threads,
         measured_parallel=is_parallel,
@@ -584,9 +577,7 @@ def measure_buffered_updates(
         return _pool_measurement(db, label, "skewed-update", runner.measure_ops)
     finally:
         db.pool.close()
-        close = getattr(db.driver, "close", None)
-        if close is not None:
-            close()
+        db.driver.close()
 
 
 def measure_scan_mix(
@@ -691,9 +682,7 @@ def measure_scan_mix(
         )
     finally:
         db.pool.close()
-        close = getattr(db.driver, "close", None)
-        if close is not None:
-            close()
+        db.driver.close()
 
 
 def _measurement(label: str, n_ops: int, delta) -> MethodMeasurement:

@@ -67,7 +67,6 @@ def test_list_rules():
     assert {
         "single-writer",
         "phase-discipline",
-        "spawn-safety",
         "resource-lifecycle",
         "pin-discipline",
         "lock-order",

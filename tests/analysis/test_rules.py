@@ -18,7 +18,6 @@ CASES = [
     ("pin_discipline", "pin-discipline", 2),
     ("resource_lifecycle", "resource-lifecycle", 3),
     ("single_writer", "single-writer", 4),
-    ("spawn_safety", "spawn-safety", 4),
 ]
 
 

@@ -44,6 +44,4 @@ def test_known_suppressions_are_deliberate():
     """The live tree's inline allows stay enumerated: additions are reviewed."""
     result = analyze([REPO_ROOT / "src"], root=REPO_ROOT)
     suppressed = sorted({(f.rule, f.path) for f in result.suppressed})
-    assert suppressed == [
-        ("bare-except", "src/repro/sharding/executor_proc.py"),
-    ], suppressed
+    assert suppressed == [], suppressed

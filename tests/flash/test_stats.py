@@ -1,5 +1,7 @@
 """Unit tests for phase accounting and snapshots."""
 
+import pickle
+
 import pytest
 
 from repro.flash.stats import GC, READ_STEP, WRITE_STEP, FlashStats, OpCounts
@@ -216,3 +218,15 @@ class TestPhasePartition:
         assert chip.stats.of_phase(GC).erases == totals.erases
         by_phase = sum(counts.total_ops for counts in chip.stats.phases.values())
         assert by_phase == totals.total_ops
+
+
+def test_flash_stats_round_trip_preserves_counters():
+    # copy.deepcopy(chip) goes through __getstate__/__setstate__ too.
+    stats = FlashStats(n_blocks=8, t_read_us=25.0, t_write_us=200.0, t_erase_us=1500.0)
+    stats.record_read()
+    stats.record_write()
+    stats.record_erase(0)
+    clone = pickle.loads(pickle.dumps(stats))
+    assert clone.totals() == stats.totals()
+    assert clone.phases == stats.phases
+    assert clone.block_erases == stats.block_erases

@@ -17,7 +17,7 @@ from repro.flash.errors import CrashError
 from repro.flash.spec import FlashSpec
 from repro.methods import make_method
 from repro.storage.btree import BTree
-from repro.storage.buffer import BufferManager
+from repro.storage.bufferpool import BufferManager
 from repro.storage.db import Database
 from repro.storage.heap import HeapFile
 

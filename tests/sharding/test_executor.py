@@ -103,9 +103,6 @@ class TestLifecycle:
             pool.worker_ident(i) for i in range(4)
         ]
 
-    def test_broadcast_touches_every_worker(self, pool):
-        assert sorted(pool.broadcast(lambda i: i)) == [0, 1, 2, 3]
-
     def test_shutdown_drains_queued_tasks(self):
         executor = ShardExecutor(1)
         counter = []

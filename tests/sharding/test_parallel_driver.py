@@ -94,6 +94,56 @@ class TestLabelPlumbing:
                 ParallelShardedDriver(shards, executor=executor)
 
 
+def _assert_same_flash(serial_chips, parallel_chips):
+    for s_chip, p_chip in zip(serial_chips, parallel_chips):
+        assert s_chip.stats.totals() == p_chip.stats.totals()
+        assert s_chip.clock_us == p_chip.clock_us
+        for addr in range(SPEC.n_pages):
+            assert s_chip.peek_data(addr) == p_chip.peek_data(addr)
+
+
+def _load_singly(driver):
+    rng = random.Random(5)
+    for pid in range(N_PAGES):
+        driver.load_page(pid, rng.randbytes(PAGE))
+
+
+def _load_then_end(driver):
+    rng = random.Random(5)
+    driver.load_pages([(pid, rng.randbytes(PAGE)) for pid in range(N_PAGES)])
+    driver.end_of_load()
+
+
+def _after_workload(entry_point):
+    def run(driver):
+        model = _workload(driver, n_updates=120)
+        return entry_point(driver, model)
+
+    return run
+
+
+def _flush_pool_batch(driver, model):
+    rng = random.Random(9)
+    pages = [(pid, rng.randbytes(PAGE)) for pid in sorted(model)[::3]]
+    before = driver.group_flushes
+    driver.group_flush(pages=pages)
+    assert [driver.read_page(pid) for pid, _ in pages] == [d for _, d in pages]
+    return driver.group_flushes - before
+
+
+#: Entry points the update loop of ``_workload`` does not reach, each as
+#: ``driver -> comparable result``.
+ENTRY_POINTS = {
+    "load_page": _load_singly,
+    "end_of_load": _load_then_end,
+    "fsck": _after_workload(lambda d, _m: d.fsck(repair=True)),
+    "sync": _after_workload(lambda d, _m: d.sync()),
+    "gc_report": _after_workload(lambda d, _m: d.gc_report()),
+    "wear_report": _after_workload(lambda d, _m: d.wear_report()),
+    "group_flush_pages": _after_workload(_flush_pool_batch),
+}
+
+
 class TestEquivalenceWithSerial:
     """Shards are independent devices driven in identical per-shard
     order, so the parallel driver must leave byte-identical flash."""
@@ -108,15 +158,22 @@ class TestEquivalenceWithSerial:
         try:
             parallel_model = _workload(parallel)
             assert parallel_model == model
-            for s_chip, p_chip in zip(serial_chips, parallel_chips):
-                assert s_chip.stats.totals() == p_chip.stats.totals()
-                assert s_chip.clock_us == p_chip.clock_us
-                for addr in range(SPEC.n_pages):
-                    assert s_chip.peek_data(addr) == p_chip.peek_data(addr)
+            _assert_same_flash(serial_chips, parallel_chips)
             for pid, data in model.items():
                 assert parallel.read_page(pid) == data
             for shard in parallel.shards:
                 check_driver(shard).raise_if_inconsistent()
+        finally:
+            parallel.close()
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_entry_point_matches_serial(self, name):
+        serial_chips, parallel_chips = _chips(3), _chips(3)
+        serial = make_method("PDL (64B) x3", serial_chips)
+        parallel = make_method("PDL (64B) x3 par", parallel_chips)
+        try:
+            assert ENTRY_POINTS[name](parallel) == ENTRY_POINTS[name](serial)
+            _assert_same_flash(serial_chips, parallel_chips)
         finally:
             parallel.close()
 
@@ -137,6 +194,88 @@ class TestEquivalenceWithSerial:
             assert counts.total_ops + driver.stats.of_phase("load").total_ops > 0
         finally:
             driver.close()
+
+
+#: What the façade may call on a shard driver / on its chip.
+SHARD_CALLS = (
+    "load_page", "load_pages", "read_page", "write_page", "write_pages",
+    "flush", "end_of_load", "fsck",
+)
+CHIP_CALLS = ("sync", "close")
+
+
+def _from_two_clients(fn):
+    """Run ``fn(t)`` for t in (0, 1) on two client threads; re-raise."""
+    errors = []
+
+    def client(t):
+        try:
+            fn(t)
+        except BaseException as exc:  # surfaced after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=client, args=(t,)) for t in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "client thread hung"
+    if errors:
+        raise errors[0]
+
+
+class TestWorkerOwnership:
+    """Every shard and chip call of every public entry point runs on the
+    shard's own worker — not only the GC hooks the owner guard covers."""
+
+    def test_every_entry_point_executes_on_the_owning_worker(self):
+        driver = make_method("PDL (64B) x2 par", _chips(2))
+        calls = []  # (shard index, method name, thread ident)
+
+        def spy(target, name, index):
+            original = getattr(target, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((index, name, threading.get_ident()))
+                return original(*args, **kwargs)
+
+            setattr(target, name, recorded)
+
+        for index, shard in enumerate(driver.shards):
+            for name in SHARD_CALLS:
+                spy(shard, name, index)
+            for name in CHIP_CALLS:
+                spy(shard.chip, name, index)
+        owners = [driver.executor.worker_ident(i) for i in range(2)]
+        page = bytes(PAGE)
+
+        def load(t):
+            mine = range(t, N_PAGES, 2)
+            driver.load_page(mine[0], page)
+            driver.load_pages([(pid, page) for pid in mine[1:]])
+            driver.end_of_load()
+
+        def operate(t):
+            mine = range(t, N_PAGES, 2)
+            driver.write_page(mine[0], page)
+            driver.write_pages([(pid, page) for pid in mine[1:5]])
+            assert driver.read_page(mine[0]) == page
+            driver.flush()
+            driver.group_flush()
+            driver.group_flush(pages=[(pid, page) for pid in mine[5:9]])
+            assert driver.fsck(repair=False).clean
+            driver.sync()
+
+        try:
+            _from_two_clients(load)
+            _from_two_clients(operate)
+        finally:
+            driver.close()  # once: the pool stops with it
+
+        assert {name for _, name, _ in calls} == set(SHARD_CALLS + CHIP_CALLS)
+        assert {index for index, _, _ in calls} == {0, 1}
+        strays = [(i, name) for i, name, ident in calls if ident != owners[i]]
+        assert not strays, strays
 
 
 class TestOwnershipGuard:
@@ -189,6 +328,18 @@ class TestParallelRecovery:
                 assert parallel.read_page(pid) == data
         finally:
             parallel.executor.shutdown()
+
+    @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None])
+    def test_unknown_parallel_value_rejected(self, bogus):
+        with pytest.raises(ConfigurationError, match=repr(bogus)):
+            recover_all(_chips(2), parallel=bogus)
+
+    def test_thread_spelling_accepted(self):
+        recovered, _ = recover_all(_chips(2), parallel="thread")
+        try:
+            assert isinstance(recovered, ParallelShardedDriver)
+        finally:
+            recovered.close()
 
     def test_recovered_driver_usable_from_many_threads(self):
         chips = _chips(2)

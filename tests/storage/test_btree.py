@@ -131,7 +131,7 @@ class TestDurability:
             tree.insert(i, i * 7)
         db.flush()
         # cold pool re-read
-        from repro.storage.buffer import BufferManager
+        from repro.storage.bufferpool import BufferManager
 
         db.pool = BufferManager(db.driver, 8)
         for probe in (0, 150, 299):

@@ -5,7 +5,7 @@ import pytest
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
 from repro.ftl.ipl import IplDriver
-from repro.storage.buffer import BufferError, BufferManager
+from repro.storage.bufferpool import BufferError, BufferManager
 
 
 @pytest.fixture

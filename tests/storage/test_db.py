@@ -5,7 +5,12 @@ import pytest
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
 from repro.flash.spec import TINY_SPEC, FlashSpec
-from repro.ftl.errors import FtlError, UnallocatedPageError, UnknownPageError
+from repro.ftl.errors import (
+    ConfigurationError,
+    FtlError,
+    UnallocatedPageError,
+    UnknownPageError,
+)
 from repro.methods import make_method
 from repro.storage.db import Database
 
@@ -237,6 +242,23 @@ class TestParallelOpen:
             assert isinstance(db2.driver, ParallelShardedDriver)
             for pid, data in images.items():
                 assert db2.page(pid).data == data
+
+    @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None])
+    def test_unknown_parallel_value_rejected(self, tmp_path, bogus):
+        """Truthiness used to decide: "fiber" silently built threads."""
+        with pytest.raises(ConfigurationError, match=repr(bogus)):
+            Database.open(tmp_path / "new", spec=self.SPEC, parallel=bogus)
+        assert not (tmp_path / "new").exists()  # rejected before any I/O
+        with Database.open(tmp_path / "old", spec=self.SPEC, n_shards=2):
+            pass
+        with pytest.raises(ConfigurationError, match=repr(bogus)):
+            Database.open(tmp_path / "old", parallel=bogus)
+
+    def test_thread_spelling_accepted(self, tmp_path):
+        from repro.sharding.executor import ParallelShardedDriver
+
+        with Database.open(tmp_path, spec=self.SPEC, parallel="thread") as db:
+            assert isinstance(db.driver, ParallelShardedDriver)
 
 
 class TestGcConfigPassthrough:

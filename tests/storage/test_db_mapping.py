@@ -4,9 +4,7 @@
 tiered mapping table on every shard.  The region *geometry* is durable
 manifest state (a reopen must find the journal and snapshot halves where
 they were written); the cache budget and snapshot cadence are runtime
-tuning a caller may re-supply per open.  The process-executor cases are
-the spawn-safety contract: a :class:`MappingConfig` must pickle through
-``ShardFactory`` into worker processes, on create and on reopen.
+tuning a caller may re-supply per open.
 """
 
 from __future__ import annotations
@@ -127,39 +125,3 @@ class TestMappingOpen:
                 buffer_capacity=4,
                 mapping=MappingConfig.auto(SPEC),
             )
-
-
-class TestMappingSpawnSafety:
-    """MappingConfig must survive the ShardFactory pickle into workers."""
-
-    def test_process_create_and_reopen(self, tmp_path):
-        with Database.open(
-            tmp_path,
-            spec=SPEC,
-            n_shards=2,
-            max_differential_size=64,
-            buffer_capacity=4,
-            parallel="process",
-            mapping_cache=16,
-        ) as db:
-            images = _populate(db, n=10)
-        with Database.open(tmp_path, parallel="process", mapping_cache=16) as db2:
-            for pid, data in images.items():
-                assert db2.page(pid).data == data
-            report = db2.driver.fsck(repair=False)
-            assert report.clean
-
-    def test_thread_create_process_reopen(self, tmp_path):
-        with Database.open(
-            tmp_path,
-            spec=SPEC,
-            n_shards=2,
-            max_differential_size=64,
-            buffer_capacity=4,
-            parallel=True,
-            mapping_cache=16,
-        ) as db:
-            images = _populate(db, n=10)
-        with Database.open(tmp_path, parallel="process") as db2:
-            for pid, data in images.items():
-                assert db2.page(pid).data == data

@@ -80,7 +80,7 @@ class TestDurability:
         # re-read through a brand-new pool over the same driver
         cold = Database.__new__(Database)
         cold.driver = db.driver
-        from repro.storage.buffer import BufferManager
+        from repro.storage.bufferpool import BufferManager
 
         cold.pool = BufferManager(db.driver, 4)
         cold.page_size = db.page_size

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
+from repro.ftl.errors import ConfigurationError
 from repro.ftl.ipl import IplDriver
 from repro.ftl.ipu import IpuDriver
 from repro.ftl.opu import OpuDriver
@@ -17,52 +18,35 @@ from repro.methods import (
 
 
 class TestParallelToken:
-    """The ``par`` / ``proc`` tokens: pure parsing (driver behaviour is
-    covered by tests/sharding/test_parallel_driver.py and
-    tests/sharding/test_process_executor.py)."""
+    """The ``par`` token: pure parsing (driver behaviour is covered by
+    tests/sharding/test_parallel_driver.py)."""
 
     def test_token_stripped_from_anywhere(self):
-        assert parse_parallel_label("PDL (256B) x4 par") == (
-            "PDL (256B) x4",
-            "thread",
-        )
-        assert parse_parallel_label("PDL (256B) par x4") == (
-            "PDL (256B) x4",
-            "thread",
-        )
+        assert parse_parallel_label("PDL (256B) x4 par") == ("PDL (256B) x4", True)
+        assert parse_parallel_label("PDL (256B) par x4") == ("PDL (256B) x4", True)
         assert parse_parallel_label("OPU x2") == ("OPU x2", False)
 
-    def test_proc_token(self):
-        assert parse_parallel_label("PDL (256B) x8 proc") == (
-            "PDL (256B) x8",
-            "process",
-        )
-        assert parse_parallel_label("PDL (256B) proc x8") == (
-            "PDL (256B) x8",
-            "process",
-        )
-
-    def test_modes_are_truthy(self):
-        # Callers that treat the mode as a boolean must keep working.
-        assert parse_parallel_label("PDL (256B) x4 par")[1]
-        assert parse_parallel_label("PDL (256B) x4 proc")[1]
-        assert not parse_parallel_label("PDL (256B) x4")[1]
-
     def test_token_is_word_bounded(self):
-        # 'par' / 'proc' inside another word must not trigger.
+        # 'par' inside another word must not trigger.
         assert parse_parallel_label("parquet x2") == ("parquet x2", False)
-        assert parse_parallel_label("proctor x2") == ("proctor x2", False)
         assert parse_parallel_label("OPU")[1] is False
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(ValueError):
             parse_parallel_label("OPU x2 par par")
-        with pytest.raises(ValueError):
-            parse_parallel_label("OPU x2 proc proc")
 
-    def test_both_tokens_rejected(self):
-        with pytest.raises(ValueError):
-            parse_parallel_label("PDL (256B) x4 par proc")
+    def test_removed_process_token_is_an_unknown_label(self, chip):
+        # No special case for the token the process transport used: it
+        # is just text the label grammar does not know.
+        assert parse_parallel_label("PDL (256B) x2 proc") == (
+            "PDL (256B) x2 proc",
+            False,
+        )
+        with pytest.raises(ValueError, match="unknown method label"):
+            make_method("PDL (256B) proc", chip)
+        chips = [FlashChip(chip.spec) for _ in range(2)]
+        with pytest.raises((ValueError, ConfigurationError)):
+            make_method("PDL (256B) x2 proc", chips)
 
 
 class TestLabelParsing:
