@@ -2,9 +2,10 @@
 
 The integrity layer's acceptance bar, measured: inject every fault kind
 (bit rot, misdirected write, torn spare program) at every page role
-(live base, live differential, checkpoint snapshot), run the online
-``fsck``, and record per cell whether the damage was *detected* and how
-it was *dispositioned*.  Two engineered cells with surviving redundancy
+(live base, live differential, and — role ``checkpoint`` — the seal,
+first snapshot page, first meta page and first journal page of the
+mapping region), run the online ``fsck``, and record per cell whether
+every injected page was *detected* and how it was *dispositioned*.  Two engineered cells with surviving redundancy
 (a byte-identical base copy; an obsolete predecessor differential page)
 check that fsck *repairs* when repair is possible instead of declaring
 loss.  A final clean sweep over a larger chip prices the scan itself —
@@ -12,8 +13,8 @@ reads per page and simulated seconds per GB.
 
 Hard gates (``check_fsck``): detection rate 1.0 across the matrix,
 repair rate 1.0 over the repairable cells, a clean post-repair re-scan
-in every cell, and checkpoint damage left untouched for the snapshot
-protocol to self-heal.
+in every cell, and mapping-region damage left untouched for the
+snapshot protocol to self-heal.
 
 Runs standalone for CI smoke checks::
 
@@ -33,8 +34,9 @@ if str(_SRC) not in sys.path:
 
 from repro.bench.reporting import ResultTable  # noqa: E402
 from repro.core.fsck import FSCK_PHASE, fsck_driver  # noqa: E402
+from repro.core.mapping import MappingConfig  # noqa: E402
 from repro.core.pdl import PdlDriver  # noqa: E402
-from repro.ext.checkpoint import CheckpointManager  # noqa: E402
+from repro.ext.journal import restart_driver  # noqa: E402
 from repro.flash.backend import FaultInjector, MemoryBackend  # noqa: E402
 from repro.flash.chip import FlashChip  # noqa: E402
 from repro.flash.spare import PageType, SpareArea  # noqa: E402
@@ -46,12 +48,15 @@ MATRIX_SPEC = FlashSpec(
     n_blocks=16, pages_per_block=8, page_data_size=256, page_spare_size=32
 )
 #: Scan-cost chip: big enough that the per-GB extrapolation is not
-#: dominated by the checkpoint region and the erased tail.
+#: dominated by the mapping region and the erased tail.
 SCAN_SPEC_FULL = FlashSpec(n_blocks=192, pages_per_block=64)
 SCAN_SPEC_TINY = FlashSpec(n_blocks=48, pages_per_block=32)
 
 FAULTS = ("bit_rot", "misdirected_write", "torn_spare")
 ROLES = ("base", "differential", "checkpoint")
+#: The ``checkpoint`` role's targets: one page of each kind in the mapping
+#: region — the same four as tests/integration/test_fault_matrix.py.
+REGION_KINDS = ("seal", "snapshot", "meta", "journal")
 SEED = 3
 VICTIM_PID = 6
 N_PIDS = 10
@@ -64,11 +69,13 @@ def _patched(data, offset, patch):
 
 
 def _build(spec, n_pids=N_PIDS, seed=SEED):
-    """A loaded, flushed, checkpointed device behind a fault injector."""
+    """A loaded, flushed, snapshotted device (plus a three-write journal
+    tail) behind a fault injector."""
     injector = FaultInjector(MemoryBackend(spec), seed=seed)
     chip = FlashChip(spec, backend=injector)
-    driver = PdlDriver(chip, max_differential_size=64, checkpoint_region_blocks=2)
-    manager = CheckpointManager(driver, 2)
+    driver = PdlDriver(
+        chip, max_differential_size=64, mapping=MappingConfig.auto(spec)
+    )
     for pid in range(n_pids):
         driver.load_page(pid, bytes([pid % 255 + 1]) * spec.page_data_size)
     driver.end_of_load()
@@ -77,42 +84,57 @@ def _build(spec, n_pids=N_PIDS, seed=SEED):
             pid, _patched(bytes([pid % 255 + 1]) * spec.page_data_size, 5, b"\xbb")
         )
     driver.flush()
-    manager.checkpoint()
-    return injector, chip, driver, manager
+    driver.mapping.snapshot()  # the clean checkpoint
+    for pid in range(3):
+        driver.write_page(pid, bytes([pid % 255 + 1]) * spec.page_data_size)
+    driver.flush()
+    return injector, chip, driver
 
 
-def _target_addr(driver, manager, role, pid=VICTIM_PID):
-    if role == "base":
+def _target_addr(driver, kind, pid=VICTIM_PID):
+    if kind == "base":
         return driver.ppmt.require(pid).base_addr
-    if role == "differential":
+    if kind == "differential":
         return driver.ppmt.require(pid).diff_addr
-    return manager._half_pages(manager._seq)[0]
+    store = driver.mapping
+    half = store.seq % 2
+    return {
+        "seal": store.seal_addr(half),
+        "snapshot": store.half_start_page(half),
+        "meta": store.half_start_page(half) + store.data_page_count,
+        "journal": store.journal_page_addr(0),
+    }[kind]
 
 
 def _run_cell(spec, fault, role):
-    """One matrix cell: build, injure, fsck, re-scan."""
-    injector, _chip, driver, manager = _build(spec)
-    addr = _target_addr(driver, manager, role)
-    injector.inject(fault, addr)
-    report = fsck_driver(driver)
-    detected = any(f.addr == addr for f in report.faults)
-    actions = sorted({f.action for f in report.faults})
-    if role == "checkpoint":
-        # fsck never touches the checkpoint region; the ping-pong
-        # protocol self-heals once both halves have been recycled.
-        manager.checkpoint()
-        manager.checkpoint()
-    rescan_clean = fsck_driver(driver).clean
-    return {
-        "fault": fault,
-        "role": role,
-        "detected": detected,
-        "actions": actions,
-        "repaired": report.repaired,
-        "lost": len(report.lost_pids),
-        "consistent": report.check is not None and report.check.consistent,
-        "rescan_clean": rescan_clean,
+    """One matrix cell: build, injure, fsck, re-scan — once per target
+    page of the role, each on a fresh device (single-page faults)."""
+    cell = {
+        "fault": fault, "role": role, "detected": True, "actions": set(),
+        "repaired": 0, "lost": 0, "consistent": True, "rescan_clean": True,
     }
+    for kind in REGION_KINDS if role == "checkpoint" else (role,):
+        injector, chip, driver = _build(spec)
+        addr = _target_addr(driver, kind)
+        injector.inject(fault, addr)
+        report = fsck_driver(driver)
+        if role == "checkpoint":
+            # fsck never touches the mapping region; the snapshot protocol
+            # self-heals: restart notices what it cannot read and repairs,
+            # and two more snapshots recycle both halves and the journal.
+            driver, _restart = restart_driver(
+                chip, max_differential_size=64, mapping=driver.mapping.config
+            )
+            driver.mapping.snapshot()
+            driver.mapping.snapshot()
+        cell["detected"] &= any(f.addr == addr for f in report.faults)
+        cell["actions"] |= {f.action for f in report.faults}
+        cell["repaired"] += report.repaired
+        cell["lost"] += len(report.lost_pids)
+        cell["consistent"] &= report.check is not None and report.check.consistent
+        cell["rescan_clean"] &= fsck_driver(driver).clean
+    cell["actions"] = sorted(cell["actions"])
+    return cell
 
 
 def _run_repairable_cells(spec):
@@ -120,7 +142,7 @@ def _run_repairable_cells(spec):
     cells = []
 
     # A byte-identical obsolete copy of the base (GC-crash residue).
-    injector, chip, driver, _manager = _build(spec)
+    injector, chip, driver = _build(spec)
     entry = driver.ppmt.require(VICTIM_PID)
     copy_addr = driver.blocks.allocate(stream=driver._base_stream)
     data, _ = chip.read_page(entry.base_addr)
@@ -146,7 +168,7 @@ def _run_repairable_cells(spec):
     )
 
     # A surviving obsolete predecessor differential page.
-    injector, _chip, driver, _manager = _build(spec)
+    injector, _chip, driver = _build(spec)
     v1 = _patched(bytes([VICTIM_PID + 1]) * spec.page_data_size, 5, b"\xbb")
     driver.write_page(VICTIM_PID, _patched(v1, 9, b"\xcc"))
     driver.flush()  # the previous differential page goes obsolete, not erased
@@ -164,9 +186,7 @@ def _run_repairable_cells(spec):
 
 def _run_scan_cost(scan_spec):
     """Price a clean full-device sweep on a half-full larger chip."""
-    _injector, chip, driver, _manager = _build(
-        scan_spec, n_pids=scan_spec.n_pages // 4
-    )
+    _injector, chip, driver = _build(scan_spec, n_pids=scan_spec.n_pages // 4)
     snap = chip.stats.snapshot()
     report = fsck_driver(driver, repair=False)
     delta = chip.stats.delta_since(snap).of_phase(FSCK_PHASE)
@@ -223,7 +243,7 @@ def run_fsck_bench(scan_spec):
 
 def check_fsck(cells, repairable, scan):
     """Acceptance: 100% detection, repair wherever redundancy survives,
-    a clean re-scan everywhere, and an untouched checkpoint region."""
+    a clean re-scan everywhere, and an untouched mapping region."""
     undetected = [c for c in cells if not c["detected"]]
     assert not undetected, f"undetected cells: {undetected}"
     for cell in cells:

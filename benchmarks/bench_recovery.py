@@ -1,11 +1,11 @@
-"""Recovery-cost benchmark: scan vs snapshot+journal vs clean checkpoint.
+"""Recovery-cost benchmark: scan vs snapshot+journal (dirty and clean).
 
 The paper estimates the full Figure-11 recovery scan at ~60 s per GB
 (one spare read per physical page), which is why restart cost grows
 with *device size*.  The demand-paged mapping tier replaces that with a
 periodic snapshot plus an incremental journal, so restart cost grows
 with the *dirty volume* since the last snapshot instead.  This
-benchmark quantifies all three restart paths and emits
+benchmark quantifies both restart paths and emits
 ``bench_results/recovery.json``:
 
 1. **device-size sweep** — a fixed post-snapshot dirty tail on devices
@@ -16,8 +16,10 @@ benchmark quantifies all three restart paths and emits
 3. **10x-RAM evidence** — the largest device runs with a mapping cache
    budgeted at under a tenth of its page count, and the cache occupancy
    stays bounded for the whole workload;
-4. the legacy **clean-checkpoint** comparison (``recovery_cost.json``)
-   is kept for non-mapping drivers.
+4. **clean checkpoint** — ``driver.flush(); driver.mapping.snapshot()``
+   leaves a snapshot with an empty journal; restarting from it must be
+   at least 10x cheaper than the scan, whose cost must extrapolate to the
+   paper's ~60 s per GB.
 
 Run standalone for CI (``python benchmarks/bench_recovery.py --tiny``)
 or under pytest-benchmark like every other benchmark in this directory.
@@ -36,37 +38,16 @@ if __name__ == "__main__":  # standalone CI mode: pytest uses conftest's shim
 from repro.bench.reporting import ResultTable
 from repro.core.mapping import MappingConfig
 from repro.core.pdl import PdlDriver
-from repro.core.recovery import RECOVERY_PHASE, recover_driver
-from repro.ext.checkpoint import CHECKPOINT_PHASE, CheckpointManager
+from repro.core.recovery import recover_driver
 from repro.ext.journal import restart_driver
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
-
-REGION = 2
 
 #: Snapshot cadence (journal records) used by every mapping cell here —
 #: comfortably above the largest dirty tail the sweeps apply (an update
 #: journals ~2 records), so the tail under measurement never triggers a
 #: mid-sweep snapshot that would reset the journal.
 SNAPSHOT_INTERVAL = 384
-
-
-def _build(scale):
-    spec = spec_for_database(scale.database_pages, utilization=0.25)
-    chip = FlashChip(spec)
-    driver = PdlDriver(
-        chip, max_differential_size=256, checkpoint_region_blocks=REGION
-    )
-    rng = random.Random(9)
-    for pid in range(scale.database_pages):
-        driver.load_page(pid, rng.randbytes(driver.page_size))
-    for _ in range(scale.database_pages // 2):
-        pid = rng.randrange(scale.database_pages)
-        image = bytearray(driver.read_page(pid))
-        image[0:8] = rng.randbytes(8)
-        driver.write_page(pid, bytes(image))
-    driver.flush()
-    return chip, driver
 
 
 def _build_mapping(n_pages, cache_entries, dirty_writes, seed=9):
@@ -235,52 +216,29 @@ def recovery_experiment(tiny=False, database_pages=None):
     assert ram_ratio >= 10.0
     assert occupancy <= driver.ppmt.cache_capacity_pages
     assert chip.stats.mapping_misses > 0, "cache never faulted: not demand-paged"
+
+    # Clean checkpoint = a snapshot with an empty journal.  Restarting
+    # from it reads two seals, the meta pages and the journal spares —
+    # at least an order of magnitude cheaper than the Figure-11 scan.
+    driver.flush()
+    driver.mapping.snapshot()
+    _scan, scan_us, scan_reads = _measure_scan(chip, dict(max_differential_size=256))
+    _drv, report, clean_us, clean_reads = _measure_restart(
+        chip, dict(max_differential_size=256, mapping=driver.mapping.config)
+    )
+    assert report.fast_path and report.journal_records == 0
+    table.add_row("clean", sizes[-1], 0, "full_scan", scan_us, scan_reads, 0, 0)
+    table.add_row("clean", sizes[-1], 0, "snapshot_journal", clean_us,
+                  clean_reads, 0, report.tail_pages_scanned)
+    assert clean_us * 10 < scan_us, (clean_us, scan_us)
+    # The scan is one Tread per page plus differential-page data reads,
+    # so its extrapolation lands in the paper's ballpark.
+    per_gb = scan_us / chip.spec.data_capacity * (1 << 30) / 1e6
+    table.note(f"full scan extrapolates to {per_gb:.1f} s per GB "
+               "(paper estimates ~60 s per GB)")
+    assert 40.0 <= per_gb <= 120.0, per_gb
     chip.close()
     return table
-
-
-def test_recovery_scan_vs_checkpoint(benchmark, scale):
-    chip, driver = _build(scale)
-    manager = CheckpointManager(driver, REGION)
-    manager.checkpoint()
-
-    def run():
-        table = ResultTable(
-            experiment="recovery_cost",
-            title="Recovery: full Figure-11 scan vs checkpointed restart",
-            columns=("path", "simulated_us", "flash_reads"),
-        )
-        # full scan (ignore the checkpoint deliberately)
-        snap = chip.stats.snapshot()
-        recover_driver(chip, max_differential_size=256)
-        scan = chip.stats.delta_since(snap)
-        scan_us = scan.of_phase(RECOVERY_PHASE).time_us
-        table.add_row("full_scan", scan_us, scan.of_phase(RECOVERY_PHASE).reads)
-        # fast restart from the checkpoint
-        snap = chip.stats.snapshot()
-        _drv, _mgr, report = CheckpointManager.restart(
-            chip, REGION, max_differential_size=256
-        )
-        fast = chip.stats.delta_since(snap)
-        fast_us = fast.of_phase(CHECKPOINT_PHASE).time_us
-        table.add_row("checkpoint", fast_us, report.pages_read)
-        assert report.fast_path
-        per_gb = scan_us / chip.spec.data_capacity * (1 << 30) / 1e6
-        table.note(f"full scan extrapolates to {per_gb:.1f} s per GB "
-                   "(paper estimates ~60 s per GB)")
-        return table, scan_us, fast_us, per_gb
-
-    table, scan_us, fast_us, per_gb = benchmark.pedantic(
-        run, rounds=1, iterations=1, warmup_rounds=0
-    )
-    print()
-    print(table.render())
-    table.save()
-    # the checkpoint path must be at least an order of magnitude cheaper
-    assert fast_us * 10 < scan_us
-    # the scan cost extrapolation lands in the paper's ballpark (the scan
-    # is one Tread per page plus differential-page data reads)
-    assert 40.0 <= per_gb <= 120.0
 
 
 def test_recovery_snapshot_journal(run_experiment, scale):

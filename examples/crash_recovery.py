@@ -6,30 +6,37 @@ Demonstrates Section 4.5 end to end:
 1. run an update workload with periodic write-through;
 2. pull the plug at a random moment (the emulator's crash injection);
 3. rebuild the mapping tables with the full Figure-11 scan;
-4. compare against the checkpointed fast-restart extension
-   (the paper's "further study" item, implemented in repro.ext).
+4. compare against the snapshot+journal restart (the paper's "further
+   study" item, implemented in repro.ext.journal) — after the crash, and
+   after a clean checkpoint, which is just a snapshot with an empty
+   journal.
 
 Run:  python examples/crash_recovery.py
 """
 
+import copy
 import random
 
 from repro import CrashError, FlashChip, FlashSpec, PdlDriver, recover_driver
+from repro.core.mapping import MappingConfig
 from repro.core.recovery import RECOVERY_PHASE
-from repro.ext.checkpoint import CHECKPOINT_PHASE, CheckpointManager
 
 SPEC = FlashSpec(n_blocks=128)
 PAGES = 512
-REGION = 2
+MAPPING = MappingConfig.auto(SPEC)
+
+
+def timed_restart(chip):
+    """Snapshot+journal restart of ``chip``: (driver, report, simulated ms)."""
+    snap = chip.stats.snapshot()
+    driver, report = recover_driver(chip, max_differential_size=256, mapping=MAPPING)
+    return driver, report, chip.stats.delta_since(snap).totals().time_us / 1000
 
 
 def main():
     rng = random.Random(2026)
     chip = FlashChip(SPEC)
-    driver = PdlDriver(
-        chip, max_differential_size=256, checkpoint_region_blocks=REGION
-    )
-    manager = CheckpointManager(driver, REGION)
+    driver = PdlDriver(chip, max_differential_size=256, mapping=MAPPING)
 
     print(f"loading {PAGES} pages…")
     images = {}
@@ -54,12 +61,11 @@ def main():
     except CrashError:
         print("…power failure! volatile tables lost.\n")
 
-    # ---- full scan recovery (Figure 11) ------------------------------------
-    snap = chip.stats.snapshot()
-    recovered, report = recover_driver(
-        chip, max_differential_size=256, checkpoint_region_blocks=REGION
-    )
-    delta = chip.stats.delta_since(snap)
+    # ---- full scan recovery (Figure 11), on a copy of the crashed chip ------
+    scanned = copy.deepcopy(chip)
+    snap = scanned.stats.snapshot()
+    recovered, report = recover_driver(scanned, max_differential_size=256)
+    delta = scanned.stats.delta_since(snap)
     scan_ms = delta.of_phase(RECOVERY_PHASE).time_us / 1000
     print("full-scan recovery (PDL_RecoveringfromCrash):")
     print(f"  pages scanned            : {report.pages_scanned}")
@@ -69,7 +75,7 @@ def main():
     print(f"  simulated scan time      : {scan_ms:.1f} ms")
     per_gb = (
         delta.of_phase(RECOVERY_PHASE).time_us
-        / chip.spec.data_capacity
+        / SPEC.data_capacity
         * (1 << 30)
         / 1e6
     )
@@ -85,20 +91,28 @@ def main():
     print(f"  pages readable           : {verified}/{PAGES} "
           f"({stale} rolled back to their last durable version)\n")
 
-    # ---- checkpointed fast restart ------------------------------------------
-    manager = CheckpointManager(recovered, REGION)
-    manager.checkpoint()
-    snap = chip.stats.snapshot()
-    _driver2, _mgr, restart = CheckpointManager.restart(
-        chip, REGION, max_differential_size=256
+    # ---- snapshot + journal restart ------------------------------------------
+    restarted, restart, fast_ms = timed_restart(chip)
+    agree = all(
+        restarted.read_page(pid) == recovered.read_page(pid) for pid in range(PAGES)
     )
-    delta = chip.stats.delta_since(snap)
-    fast_ms = delta.of_phase(CHECKPOINT_PHASE).time_us / 1000
-    print("checkpointed restart (the paper's future-work extension):")
+    print("snapshot+journal restart (the paper's future-work extension):")
     print(f"  fast path taken          : {restart.fast_path}")
-    print(f"  flash pages read         : {restart.pages_read}")
+    print(f"  journal records replayed : {restart.journal_records}")
+    print(f"  tail pages scanned       : {restart.tail_pages_scanned}")
+    print(f"  agrees with the scan     : {agree}")
     print(f"  simulated restart time   : {fast_ms:.2f} ms "
-          f"({scan_ms / max(fast_ms, 1e-9):.0f}x faster than the scan)")
+          f"({scan_ms / max(fast_ms, 1e-9):.0f}x faster than the scan)\n")
+
+    # ---- clean checkpoint = a snapshot with an empty journal ----------------
+    restarted.flush()
+    restarted.mapping.snapshot()
+    _driver, restart, clean_ms = timed_restart(chip)
+    print("restart from a clean checkpoint (flush + snapshot):")
+    print(f"  fast path taken          : {restart.fast_path}")
+    print(f"  journal records replayed : {restart.journal_records}")
+    print(f"  simulated restart time   : {clean_ms:.2f} ms "
+          f"({scan_ms / max(clean_ms, 1e-9):.0f}x faster than the scan)")
 
 
 if __name__ == "__main__":

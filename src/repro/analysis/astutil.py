@@ -79,17 +79,6 @@ def in_finally(node: ast.AST) -> bool:
     return False
 
 
-def in_try_protected(node: ast.AST) -> bool:
-    """True when ``node`` is in a try *body* that has handlers or a finally."""
-    child = node
-    for anc in ancestors(node):
-        if isinstance(anc, ast.Try) and _contains(anc.body, child):
-            if anc.handlers or anc.finalbody:
-                return True
-        child = anc
-    return False
-
-
 def _contains(block: List[ast.stmt], node: ast.AST) -> bool:
     return any(stmt is node for stmt in block)
 

@@ -1,14 +1,7 @@
-"""resource-lifecycle: shm segments, chips and fault hooks must be released.
+"""resource-lifecycle: chips and fault hooks must be released.
 
-Three leak shapes this engine has actually hit in review:
+Two leak shapes this engine has actually hit in review:
 
-* ``SharedMemory(create=True)`` — a POSIX shm segment outlives the
-  process unless ``unlink()`` runs; creating one outside a ``try``
-  whose cleanup path can reach it leaks the segment on any later
-  constructor failure (the accepted shape wraps the whole creation
-  loop in ``try/except BaseException: reap``).  Flagged when the creating
-  module never calls ``.unlink()``, or the creation site is not inside
-  a protected ``try``.
 * ``FlashChip``/backend constructed, used and dropped without
   ``close()`` — a ``FileBackend`` holds an OS file handle and buffered
   metadata; dropping it relies on GC finalizers that may never run.
@@ -18,8 +11,8 @@ Three leak shapes this engine has actually hit in review:
 * crash/fault hooks (``set_crash_point``, ``crash_after``,
   ``on_operation``) armed without a matching disarm (same method with
   ``None``) in the same class or module — a leaked hook fires during
-  a later, unrelated operation (the checkpoint manager disarms in a
-  paired method; that pattern is accepted).
+  a later, unrelated operation (arming in one method and disarming in
+  a paired method of the same class is accepted).
 """
 
 from __future__ import annotations
@@ -52,49 +45,17 @@ def _is_ctor_call(value: ast.AST) -> bool:
 @register_rule
 class ResourceLifecycleRule(Rule):
     id = "resource-lifecycle"
-    summary = "shm/chip/hook resources acquired without a release on every path"
+    summary = "chip/hook resources acquired without a release on every path"
     hint = (
-        "wrap acquisition in try/finally (or a context manager), unlink shm "
-        "segments, close chips/backends, disarm hooks with `...(None)`"
+        "wrap acquisition in try/finally (or a context manager), close "
+        "chips/backends, disarm hooks with `...(None)`"
     )
 
     def run(self, project) -> Iterator[Finding]:
         for mod in project.modules:
-            yield from self._check_shared_memory(mod)
             yield from self._check_hooks(mod)
             for func in astutil.walk_functions(mod.tree):
                 yield from self._check_locals(mod, func)
-
-    # -- SharedMemory(create=True) --------------------------------------
-    def _check_shared_memory(self, mod) -> Iterator[Finding]:
-        has_unlink = any(
-            isinstance(node, ast.Call) and astutil.call_attr(node) == "unlink"
-            for node in ast.walk(mod.tree)
-        )
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if astutil.call_func_name(node) != "SharedMemory":
-                continue
-            create = astutil.keyword_arg(node, "create")
-            if create is None or not (
-                isinstance(create, ast.Constant) and create.value is True
-            ):
-                continue
-            if not has_unlink:
-                yield self.finding(
-                    mod,
-                    node,
-                    "SharedMemory(create=True) but this module never calls "
-                    ".unlink(); the segment outlives the process",
-                )
-            elif not astutil.in_try_protected(node):
-                yield self.finding(
-                    mod,
-                    node,
-                    "SharedMemory(create=True) outside a try block; a failure "
-                    "before cleanup registration leaks the segment",
-                )
 
     # -- chip/backend locals --------------------------------------------
     def _check_locals(self, mod, func) -> Iterator[Finding]:

@@ -29,9 +29,11 @@ The decision tree per damaged page (see ``docs/integrity.md``):
    with ``ts > base_ts``? re-flush it to a fresh page
    (`repaired_chain`); none? revert the pid to its base image
    (`reverted`).
-3. checkpoint-region damage is *reported* only — the ping-pong snapshot
-   protocol self-heals on the next restart (CRC-sealed snapshots fall
-   back to the full Figure-11 scan).
+3. mapping-region damage (role ``"checkpoint"``: seal, snapshot, meta
+   and journal pages) is *reported* only — the ping-pong snapshot
+   protocol self-heals on the next restart (an unreadable seal or
+   snapshot page falls back to the full Figure-11 scan, whose repair
+   snapshot replaces the damaged half).
 4. unreferenced damaged pages are quarantined (marked obsolete) so the
    allocator and future scans never trust them.
 
@@ -258,13 +260,13 @@ def _mark_obsolete_quietly(chip: FlashChip, addr: int) -> None:
 
 
 def _checkpoint_region_pages(driver: PdlDriver) -> int:
-    """Pages reserved for restart metadata (checkpoint + mapping regions).
+    """Pages reserved for restart metadata (the mapping region).
 
-    The allocator's ``exclude_blocks`` is the single source of truth: it
-    covers the clean-shutdown checkpoint region and, for demand-paged
-    drivers, the mapping journal/snapshot region right after it.  Both
-    hold only CRC-sealed CHECKPOINT-type pages, so fsck applies the same
-    report-but-never-touch policy to the whole prefix.
+    The allocator's ``exclude_blocks`` is the single source of truth: for
+    demand-paged drivers it covers the mapping journal/snapshot region
+    at the head of the device, which holds only CRC-sealed
+    CHECKPOINT-type pages; fsck reports damage there and never touches
+    it.
     """
     return driver.blocks.exclude_blocks * driver.spec.pages_per_block
 
@@ -594,12 +596,12 @@ def _reflush_salvaged(
 def _quarantine_unreferenced(
     driver: PdlDriver, state: _SweepState, report: FsckReport, repair: bool
 ) -> None:
-    """Decision-tree steps 3–4: checkpoint region and unreferenced damage."""
+    """Decision-tree steps 3–4: mapping region and unreferenced damage."""
     chip = driver.chip
     region_end = _checkpoint_region_pages(driver)
     expect_checksum = state.expect_checksum
 
-    # Checkpoint-region pages only ever hold CHECKPOINT pages written by
+    # Mapping-region pages only ever hold CHECKPOINT pages written by
     # program_page; anything else there — wrong type (a misdirected
     # write), failed or missing checksum (rot / a torn program), corrupt
     # spare — is reported but never touched: snapshots are CRC-sealed

@@ -9,19 +9,19 @@ device far larger than its mapping RAM — the 10x target benchmarked in
 
 Three cooperating pieces:
 
-* :class:`MappingConfig` — geometry and policy knobs, frozen plain
-  data that rides to every shard inside ``driver_kwargs``.
+* :class:`MappingConfig` — region geometry, cache budget and snapshot
+  cadence, frozen plain data that rides to every shard inside
+  ``driver_kwargs``.
 * :class:`TieredMappingTable` — the ppmt facade the driver mutates.  It
   is two tiers: a *dirty overlay* dict holding every entry touched since
   the last snapshot (authoritative, bounded by the snapshot interval)
   and a *clean cache* of snapshot mapping pages kept in wire form
   (:class:`MappingPage`: the packed rows as read, looked up by bisect),
-  demand-paged from the flash region through the store and evicted by
-  a bufferpool eviction policy (the registry of
-  :mod:`repro.storage.bufferpool.policy` — one LRU/clock implementation
-  in the tree, not three).  Every mutation both updates the overlay and
-  appends a journal record through the store, which is what makes crash
-  restart O(dirty tail) instead of O(device)
+  demand-paged from the flash region through the store and evicted LRU
+  (the bufferpool's :class:`~repro.storage.bufferpool.policy.LruPolicy`
+  — one LRU implementation in the tree).  Every mutation both updates
+  the overlay and appends a journal record through the store, which is
+  what makes crash restart O(dirty tail) instead of O(device)
   (:mod:`repro.ext.journal`).
 * :class:`JournaledVdct` — the vdct with the same journal emission, so
   tail replay restores differential counts without re-reading any
@@ -36,22 +36,17 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Protocol
+from typing import Sequence, Tuple
 
 from ..flash.spec import FlashSpec
 from ..flash.stats import FlashStats
 from ..ftl.errors import ConfigurationError
 from .tables import MappingEntry, ValidDifferentialCountTable
 
+if TYPE_CHECKING:
+    from ..storage.bufferpool.policy import LruPolicy
 
-def _make_eviction_policy(name: str, capacity: int):
-    """Deferred import: ``repro.storage`` imports ``repro.core.pdl`` at
-    module level, so pulling the bufferpool policy registry in eagerly
-    would be circular.  The registry is only needed once a bounded cache
-    is actually constructed."""
-    from ..storage.bufferpool.policy import make_eviction_policy
-
-    return make_eviction_policy(name, capacity)
 
 #: Accounting phase for all mapping-tier flash traffic: demand page-in
 #: reads, journal flushes, snapshot writes and restart replay.  Pushed
@@ -278,14 +273,19 @@ def stride_pages(
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
+def default_snapshot_interval(spec: FlashSpec) -> int:
+    """Journal records between snapshots when the caller names no cadence."""
+    return max(64, spec.n_pages // 4)
+
+
 @dataclass(frozen=True)
 class MappingConfig:
-    """Geometry and policy of the tiered mapping subsystem.
+    """Geometry and pacing of the tiered mapping subsystem.
 
-    The flash region is ``region_blocks`` blocks immediately after the
-    checkpoint region: first ``journal_blocks`` for the append-only
-    delta journal, then two equal snapshot halves (ping-pong — the half
-    being rewritten never overwrites the one being relied on).
+    The flash region is the device's first ``region_blocks`` blocks:
+    ``journal_blocks`` for the append-only delta journal, then two equal
+    snapshot halves (ping-pong — the half being rewritten never
+    overwrites the one being relied on).
 
     ``cache_entries`` is the RAM budget of the clean translation cache
     in *entries* (converted to whole mapping pages); ``0`` keeps every
@@ -298,7 +298,6 @@ class MappingConfig:
     region_blocks: int
     journal_blocks: int = 1
     cache_entries: int = 0
-    cache_policy: str = "lru"
     snapshot_interval: int = 1024
 
     def __post_init__(self) -> None:
@@ -326,7 +325,6 @@ class MappingConfig:
         spec: FlashSpec,
         cache_entries: int = 0,
         snapshot_interval: Optional[int] = None,
-        cache_policy: str = "lru",
     ) -> "MappingConfig":
         """Size the region for the worst case of ``spec``'s geometry.
 
@@ -347,7 +345,7 @@ class MappingConfig:
         meta_pages = -(-meta_bytes // max(1, spec.page_data_size - PAGE_HEADER.size))
         half_blocks = -(-(data_pages + meta_pages + 1) // spec.pages_per_block)
         if snapshot_interval is None:
-            snapshot_interval = max(64, spec.n_pages // 4)
+            snapshot_interval = default_snapshot_interval(spec)
         # Half-full journal pages (group commit rarely fills a page), one
         # reserved overflow page, rounded up to whole blocks.
         per_journal_page = max(1, records_per_page(spec.page_data_size))
@@ -357,7 +355,6 @@ class MappingConfig:
             region_blocks=journal_blocks + 2 * half_blocks,
             journal_blocks=journal_blocks,
             cache_entries=cache_entries,
-            cache_policy=cache_policy,
             snapshot_interval=snapshot_interval,
         )
 
@@ -402,28 +399,22 @@ class TieredMappingTable:
     the journal), which every driver path now does.
     """
 
-    def __init__(
-        self,
-        store: MappingBackend,
-        cache_entries: int = 0,
-        cache_policy: str = "lru",
-    ) -> None:
+    def __init__(self, store: MappingBackend, cache_entries: int = 0) -> None:
         self._store = store
         #: pid -> entry dirtied since the last snapshot; ``None`` is a
         #: tombstone shadowing a snapshot-resident row.
         self._overlay: Dict[int, Optional[MappingEntry]] = {}
         #: snapshot page index -> wire-form page (clean tier).
         self._cache: Dict[int, MappingPage] = {}
-        self._cache_entries = cache_entries
-        self._policy_name = cache_policy
+        self._capacity_pages: Optional[int] = None
+        self._policy: "Optional[LruPolicy]" = None
         if cache_entries > 0:
-            self._capacity_pages: Optional[int] = max(
-                1, cache_entries // store.entries_per_page
-            )
-            self._policy = _make_eviction_policy(cache_policy, self._capacity_pages)
-        else:
-            self._capacity_pages = None
-            self._policy = None
+            # Deferred import: ``repro.storage`` imports ``repro.core.pdl``
+            # at module level, so an eager one would be circular.
+            from ..storage.bufferpool.policy import LruPolicy
+
+            self._capacity_pages = max(1, cache_entries // store.entries_per_page)
+            self._policy = LruPolicy(self._capacity_pages)
         self._count = 0
         self._max_pid = -1
 
@@ -544,7 +535,7 @@ class TieredMappingTable:
         self._store.record(REC_REMOVE, pid)
         return entry
 
-    # -- iteration (full table walk: fsck, checkpoint, verification) ----
+    # -- iteration (full table walk: fsck, verification) ----------------
     def items(self) -> Iterator[Tuple[int, MappingEntry]]:
         """Every live row.  Streams snapshot pages without admitting them
         to the clean cache (a full walk would otherwise evict the whole
@@ -573,11 +564,10 @@ class TieredMappingTable:
         """The store sealed a new snapshot: the overlay is now flash-resident
         and the clean cache's pages belong to the superseded one."""
         self._overlay.clear()
+        if self._policy is not None:
+            for index in self._cache:
+                self._policy.remove(index)
         self._cache.clear()
-        if self._capacity_pages is not None:
-            self._policy = _make_eviction_policy(
-                self._policy_name, self._capacity_pages
-            )
 
     def seed_counts(self, count: int, max_pid: int) -> None:
         """Adopt persisted table statistics at restart."""

@@ -72,7 +72,6 @@ class PdlDriver(PageUpdateMethod):
         coalesce_gap: int = DEFAULT_COALESCE_GAP,
         reserve_blocks: int = 2,
         victim_policy: Optional[VictimPolicy] = None,
-        checkpoint_region_blocks: int = 0,
         gc_config: Optional[GcConfig] = None,
         mapping: Optional[MappingConfig] = None,
     ) -> None:
@@ -83,26 +82,23 @@ class PdlDriver(PageUpdateMethod):
         self.max_differential_size = max_differential_size
         self.diff_unit = diff_unit
         self.coalesce_gap = coalesce_gap
-        self.checkpoint_region_blocks = checkpoint_region_blocks
         self.gc_config = gc_config if gc_config is not None else GcConfig()
         if victim_policy is None and self.gc_config.policy != "greedy":
             self.name += f" gc={self.gc_config.policy}"
         #: Journal/snapshot store of the tiered mapping table, or None
         #: when the classic all-RAM tables are in use.
         self.mapping: "Optional[MappingStore]" = None
-        mapping_region = 0
         if mapping is not None:
             # Local import: the ext layer imports this module at top level.
             from ..ext.journal import MappingStore
 
-            self.mapping = MappingStore(
-                chip, mapping, base_block=checkpoint_region_blocks
-            )
-            mapping_region = mapping.region_blocks
+            self.mapping = MappingStore(chip, mapping)
+        # The mapping region is the device's first blocks; the allocator
+        # and GC never see them.
         self.blocks = BlockManager(
             chip,
             reserve_blocks=reserve_blocks,
-            exclude_blocks=checkpoint_region_blocks + mapping_region,
+            exclude_blocks=mapping.region_blocks if mapping is not None else 0,
         )
         self.gc = GarbageCollector(
             chip, self.blocks, handler=self, policy=victim_policy,
@@ -118,9 +114,7 @@ class PdlDriver(PageUpdateMethod):
         if self.mapping is not None:
             assert mapping is not None
             self.ppmt = TieredMappingTable(
-                self.mapping,
-                cache_entries=mapping.cache_entries,
-                cache_policy=mapping.cache_policy,
+                self.mapping, cache_entries=mapping.cache_entries
             )
             self.vdct = JournaledVdct(self.mapping)
             self.mapping.bind(self)

@@ -29,8 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from ..flash.chip import FlashChip
 from ..flash.errors import ProgramError
 from ..flash.spare import PageType, data_checksum
-from ..ftl.gc import VictimPolicy
-from .differential import DEFAULT_COALESCE_GAP, DifferentialError, decode_differential_page
+from .differential import DifferentialError, decode_differential_page
 from .pdl import PdlDriver
 from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 
@@ -100,8 +99,13 @@ def recover_tables(
     ppmt: PhysicalPageMappingTable,
     vdct: ValidDifferentialCountTable,
     driver: "Optional[PdlDriver]" = None,
+    first_page: int = 0,
 ) -> RecoveryReport:
     """Rebuild ppmt and vdct by scanning flash (Figure 11).
+
+    The scan covers pages ``first_page`` onward: a mapping-enabled driver
+    starts it past its mapping region, where a misdirected write can
+    leave a base-typed page the next snapshot will erase.
 
     The caller provides empty tables; the report carries scan statistics
     and the largest timestamp seen.  ``report.max_timestamp`` covers
@@ -127,7 +131,7 @@ def recover_tables(
         ppmt.set_diff(pid, None)
 
     with chip.stats.phase(RECOVERY_PHASE):
-        for start in range(0, chip.spec.n_pages, SCAN_CHUNK_PAGES):
+        for start in range(first_page, chip.spec.n_pages, SCAN_CHUNK_PAGES):
             addrs = range(start, min(start + SCAN_CHUNK_PAGES, chip.spec.n_pages))
             survivors: List[tuple] = []  # (addr, spare) surviving triage
             diff_addrs: List[int] = []
@@ -154,7 +158,7 @@ def recover_tables(
                 elif spare.type is PageType.DIFFERENTIAL:
                     survivors.append((addr, spare))
                     diff_addrs.append(addr)
-                # Pages of other types (checkpoint/mapping regions) are
+                # Pages of other types (the mapping region's) are
                 # left untouched: recovery never destroys data it does not
                 # own.
             images = _prefetch_diff_pages(chip, diff_addrs, report)
@@ -306,21 +310,17 @@ def _scan_diff_page(
 
 
 def recover_driver(
-    chip: FlashChip,
-    max_differential_size: int = 256,
-    coalesce_gap: int = DEFAULT_COALESCE_GAP,
-    reserve_blocks: int = 2,
-    victim_policy: "Optional[VictimPolicy]" = None,
-    **driver_kwargs: Any,
+    chip: FlashChip, **driver_kwargs: Any
 ) -> "tuple[PdlDriver, RecoveryReport]":
     """Build a fully operational :class:`PdlDriver` from post-crash flash.
 
     Reconstructs the tables (Figure 11), the allocator's validity bitmap
     and free-block pool, and resumes the timestamp counter.  Fully-erased
     blocks return to the free pool; partially-written blocks are sealed
-    until GC reclaims them.  GC tuning (``victim_policy`` or a
-    ``gc_config`` keyword) is runtime state, not flash state — callers
-    re-supply it on every restart.
+    until GC reclaims them.  ``driver_kwargs`` are :class:`PdlDriver`'s
+    own keywords, forwarded as given: the differential size and GC tuning
+    are runtime state, not flash state — callers re-supply them on every
+    restart.
 
     When a ``mapping`` configuration is passed (the tiered, journaled
     mapping table), restart is delegated to
@@ -332,27 +332,9 @@ def recover_driver(
     if driver_kwargs.get("mapping") is not None:
         from ..ext.journal import restart_driver  # ext layers above core
 
-        return restart_driver(
-            chip,
-            max_differential_size=max_differential_size,
-            coalesce_gap=coalesce_gap,
-            reserve_blocks=reserve_blocks,
-            victim_policy=victim_policy,
-            **driver_kwargs,
-        )
-    driver = PdlDriver.__new__(PdlDriver)
-    PdlDriver.__init__(
-        driver,
-        chip,
-        max_differential_size=max_differential_size,
-        coalesce_gap=coalesce_gap,
-        reserve_blocks=reserve_blocks,
-        victim_policy=victim_policy,
-        **driver_kwargs,
-    )
-    # The fresh __init__ assumed an empty chip; rebuild its state.
-    driver.ppmt = PhysicalPageMappingTable()
-    driver.vdct = ValidDifferentialCountTable()
+        return restart_driver(chip, **driver_kwargs)
+    # The fresh driver assumes an empty chip; the scan fills its tables.
+    driver = PdlDriver(chip, **driver_kwargs)
     # recover_tables resumes the timestamp counter itself (from the
     # global maximum over all programmed stamps, stale copies included).
     report = recover_tables(chip, driver.ppmt, driver.vdct, driver=driver)

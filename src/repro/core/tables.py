@@ -9,7 +9,9 @@
   reaches zero the page is garbage and is marked obsolete.
 
 Both tables are volatile; :mod:`repro.core.recovery` reconstructs them
-from flash after a crash.
+from flash after a crash.  Their demand-paged, journaled twins
+(:mod:`repro.core.mapping`, persisted by :mod:`repro.ext.journal`) are
+the one way a table survives a restart without that scan.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ class MappingEntry:
     """One ppmt row: where a logical page currently lives.
 
     ``base_ts`` mirrors the creation time stamp stored in the base page's
-    spare area; keeping it in memory lets runtime code and the checkpoint
-    extension reason about recency without extra flash reads.
+    spare area; keeping it in memory lets runtime code and the mapping
+    snapshot reason about recency without extra flash reads.
     ``diff_ts`` mirrors the adopted differential's entry stamp the same
     way — recovery's seeded tail scan and the mapping journal both need
     it to apply the strictly-newer adoption rule without re-reading the
@@ -86,6 +88,11 @@ class PhysicalPageMappingTable:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    @property
+    def max_pid(self) -> int:
+        """Largest mapped pid, -1 when empty (allocation-horizon input)."""
+        return max(self._entries, default=-1)
 
     def items(self) -> Iterator[Tuple[int, MappingEntry]]:
         return iter(self._entries.items())

@@ -2,12 +2,14 @@
 
 Section 4.5 of the paper sketches the missing piece of mapping-table
 persistence: "we have to log the changes in the mapping table into flash
-memory".  :mod:`repro.ext.checkpoint` implements the clean-shutdown half;
-this module implements the logging half, which together with the
-demand-paged table of :mod:`repro.core.mapping` turns crash restart from
-the O(device) Figure-11 scan into snapshot-load + journal-tail replay.
+memory".  This module is the one implementation of it: together with the
+demand-paged table of :mod:`repro.core.mapping` it turns crash restart
+from the O(device) Figure-11 scan into snapshot-load + journal-tail
+replay.  A clean-shutdown checkpoint is not a separate mechanism — it is
+``driver.flush(); driver.mapping.snapshot()``, a snapshot with an empty
+journal, and ``recover_driver(chip, mapping=cfg)`` restarts from it.
 
-Layout — ``region_blocks`` blocks right after the checkpoint region::
+Layout — the device's first ``region_blocks`` blocks::
 
     [ journal blocks | snapshot half 0 | snapshot half 1 ]
 
@@ -33,7 +35,8 @@ and the journal — O(dirty-since-snapshot), never O(device) — then
 replays the records and runs a *seeded* Figure-11 scan over only the
 snapshot-active and journaled-open blocks to recover mutations whose
 records were still pending at the crash.  Any structural damage beyond
-a torn tail demotes to the full scan, which is always sound, and ends
+a torn tail — including a seal or snapshot page that is programmed but
+unreadable — demotes to the full scan, which is always sound, and ends
 with a fresh repair snapshot.  ``docs/recovery.md`` walks the decision
 tree and every crash window.
 """
@@ -44,7 +47,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from itertools import chain
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -87,7 +90,6 @@ from ..flash.errors import ChecksumError, ProgramError, SpareProgramError
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import FlashStats
 from ..ftl.errors import ConfigurationError
-from ..ftl.gc import VictimPolicy
 
 #: Seal page: magic, seq, data pages, meta pages, live entries, CRC32 of
 #: the concatenated meta payload, max driver timestamp, max pid + 1.
@@ -114,20 +116,16 @@ class MappingStore:
     ``FlashStats.mapping_misses`` / ``mapping_writebacks``.
     """
 
-    def __init__(
-        self, chip: FlashChip, config: MappingConfig, base_block: int = 0
-    ) -> None:
+    def __init__(self, chip: FlashChip, config: MappingConfig) -> None:
         spec = chip.spec
-        if base_block + config.region_blocks >= spec.n_blocks:
+        if config.region_blocks >= spec.n_blocks:
             raise ConfigurationError(
-                f"mapping region of {config.region_blocks} blocks at "
-                f"{base_block} leaves no data blocks on a chip of "
-                f"{spec.n_blocks}"
+                f"mapping region of {config.region_blocks} blocks leaves no "
+                f"data blocks on a chip of {spec.n_blocks}"
             )
         self.chip = chip
         self.spec = spec
         self.config = config
-        self.base_block = base_block
         self.driver: Optional[PdlDriver] = None
         #: Current snapshot sequence number (0 = the implicit empty
         #: snapshot a fresh device starts from).
@@ -185,11 +183,10 @@ class MappingStore:
         return self.config.half_blocks * self.spec.pages_per_block
 
     def journal_page_addr(self, index: int) -> int:
-        return self.base_block * self.spec.pages_per_block + index
+        return index  # the journal opens the region, at block 0
 
     def half_blocks_of(self, half: int) -> range:
-        start = self.base_block + self.config.journal_blocks
-        start += half * self.config.half_blocks
+        start = self.config.journal_blocks + half * self.config.half_blocks
         return range(start, start + self.config.half_blocks)
 
     def half_start_page(self, half: int) -> int:
@@ -420,9 +417,7 @@ class MappingStore:
                     timestamp=new_seq,
                 ),
             )
-            for block in range(
-                self.base_block, self.base_block + self.config.journal_blocks
-            ):
+            for block in range(self.config.journal_blocks):
                 if not self.chip.is_block_erased(block):
                     self.chip.erase_block(block)
             self.stats.record_mapping_writeback(n_data + n_meta + 1)
@@ -481,34 +476,25 @@ def _decode_meta(blob: bytes) -> Tuple[List[int], List[int], List[Tuple[int, int
 # Restart
 # ----------------------------------------------------------------------
 def restart_driver(
-    chip: FlashChip,
-    max_differential_size: int = 256,
-    victim_policy: Optional[VictimPolicy] = None,
-    mapping: Optional[MappingConfig] = None,
-    **driver_kwargs,
+    chip: FlashChip, *, mapping: MappingConfig, **driver_kwargs: Any
 ) -> Tuple[PdlDriver, RecoveryReport]:
     """Restart a mapping-enabled PDL driver after a crash or shutdown.
 
     Fast path: newest valid seal → meta load → journal-tail replay →
     seeded Figure-11 scan over only snapshot-active and journaled-open
-    blocks.  Structural journal damage (mid-journal rot, an overflow
-    marker, a stale-epoch journal) demotes to the full-device scan.
+    blocks.  Structural damage (a seal, meta or snapshot page that is
+    programmed but unreadable, mid-journal rot, an overflow marker, a
+    journal newer than the adopted seal) demotes to the full-device scan.
     Either way the driver comes back fully operational and, when the
     journal could not simply continue, a fresh repair snapshot is
     written so the *next* restart is fast again.
 
-    The return contract matches :func:`repro.core.recovery.recover_driver`
-    (which delegates here when ``mapping`` is set).
+    ``driver_kwargs`` are :class:`PdlDriver`'s own keywords, forwarded as
+    given.  The return contract matches
+    :func:`repro.core.recovery.recover_driver` (which delegates here when
+    ``mapping`` is set).
     """
-    if mapping is None:
-        raise ConfigurationError("restart_driver requires a mapping configuration")
-    driver = PdlDriver(
-        chip,
-        max_differential_size=max_differential_size,
-        victim_policy=victim_policy,
-        mapping=mapping,
-        **driver_kwargs,
-    )
+    driver = PdlDriver(chip, mapping=mapping, **driver_kwargs)
     store = driver.mapping
     assert store is not None
     report = RecoveryReport()
@@ -527,73 +513,63 @@ def restart_driver(
 def _read_seal(
     store: MappingStore, half: int, report: RecoveryReport
 ) -> Optional[Tuple[int, int, int, int, int, int, int]]:
-    """Parse one half's seal page; None when absent/invalid."""
-    chip = store.chip
+    """Parse one half's seal page.
+
+    ``None`` means the page is erased: no snapshot was sealed there (a
+    fresh device, or a crash mid-snapshot).  A page that is programmed
+    but not a valid seal raises (:class:`ChecksumError` from the read, or
+    :class:`MappingFormatError`): the snapshot it certified may be the
+    newest one, so skipping it like an erased page would silently restart
+    from an older table.
+    """
     report.pages_scanned += 1
-    try:
-        data, spare = chip.read_page(store.seal_addr(half))
-    except ChecksumError:
+    data, spare = store.chip.read_page(store.seal_addr(half))
+    if spare.is_erased:
         return None
-    if spare.is_erased or spare.type is not PageType.CHECKPOINT:
-        return None
-    try:
-        magic, seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1 = (
-            _SEAL.unpack_from(data, 0)
-        )
-    except struct.error:
-        return None
-    if magic != SEAL_MAGIC or seq % 2 != half:
-        return None
-    if n_data + n_meta + 1 > store.half_pages:
-        return None
+    magic, seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1 = (
+        _SEAL.unpack_from(data, 0)
+    )
+    if (
+        spare.type is not PageType.CHECKPOINT
+        or magic != SEAL_MAGIC
+        or seq % 2 != half
+        or n_data + n_meta + 1 > store.half_pages
+    ):
+        raise MappingFormatError(f"seal page of half {half} holds no valid seal")
     return seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1
 
 
 def _load_snapshot(
     driver: PdlDriver, store: MappingStore, report: RecoveryReport
-) -> Optional[Tuple[Set[int], int]]:
-    """Adopt the newest sealed snapshot.  Returns (valid set, max_ts), or
-    None when no usable snapshot exists (the implicit empty snapshot of
-    sequence 0 is then in effect, or the caller falls back to a scan)."""
+) -> Tuple[Set[int], int]:
+    """Adopt the newest sealed snapshot; returns (valid set, max_ts).
+
+    With both seal pages erased the implicit empty snapshot of sequence 0
+    is in effect.  A seal or meta page that is programmed but unreadable
+    raises, and the caller falls back to the scan."""
     chip = store.chip
     with chip.stats.phase(MAPPING_PHASE):
-        seals = [(half, _read_seal(store, half, report)) for half in (0, 1)]
-    best = None
-    for half, seal in seals:
-        if seal is not None and (best is None or seal[0] > best[1][0]):
-            best = (half, seal)
-    if best is None:
-        # Fresh device (or both halves rotted — the stale-epoch journal
-        # check demotes that case to the full scan).
+        seals = [(_read_seal(store, half, report), half) for half in (0, 1)]
+    sealed = [pair for pair in seals if pair[0] is not None]
+    if not sealed:
         return set(), 0
-    half, (seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1) = best
-    start = store.half_start_page(half)
-    meta_addrs = [start + n_data + i for i in range(n_meta)]
-    chunks: List[bytes] = []
+    (seq, n_data, n_meta, count, meta_crc, max_ts, max_pid1), half = max(sealed)
+    start = store.half_start_page(half) + n_data
+    report.pages_scanned += n_meta
     with chip.stats.phase(MAPPING_PHASE):
-        try:
-            pages = chip.read_pages(meta_addrs)
-        except ChecksumError:
-            report.pages_scanned += len(meta_addrs)
-            return None
-    report.pages_scanned += len(meta_addrs)
-    for offset, (data, _spare) in enumerate(pages):
-        try:
-            magic, page_seq, index, size = PAGE_HEADER.unpack_from(data, 0)
-        except struct.error:
-            return None
-        if magic != META_MAGIC or page_seq != seq or index != n_data + offset:
-            return None
+        pages = chip.read_pages(list(range(start, start + n_meta)))
+    chunks: List[bytes] = []
+    for index, (data, _spare) in enumerate(pages, n_data):
+        magic, page_seq, page_index, size = PAGE_HEADER.unpack_from(data, 0)
+        if (magic, page_seq, page_index) != (META_MAGIC, seq, index):
+            raise MappingFormatError(f"page {index} of snapshot {seq} is not its meta")
         chunks.append(data[PAGE_HEADER.size : PAGE_HEADER.size + size])
     blob = b"".join(chunks)
     if zlib.crc32(blob) != meta_crc:
-        return None
-    try:
-        directory, active, vdct_rows, bitmap = _decode_meta(blob)
-    except (MappingFormatError, struct.error):
-        return None
+        raise MappingFormatError(f"snapshot {seq} meta fails the seal's CRC")
+    directory, active, vdct_rows, bitmap = _decode_meta(blob)
     if len(directory) != n_data:
-        return None
+        raise MappingFormatError(f"snapshot {seq} directory disagrees with its seal")
     store.seq = seq
     store.directory = directory
     store._n_data = n_data
@@ -609,63 +585,70 @@ def _load_snapshot(
     return valid, max_ts
 
 
+_Record = Tuple[int, int, int, int]
+
+
+def _read_journal_page(
+    store: MappingStore, index: int, report: RecoveryReport
+) -> Tuple[int, int, Optional[List[_Record]]]:
+    """Journal page ``index`` as (magic, epoch, records).  Magic is 0 when
+    the page fails its checksum; records are ``None`` unless the page is a
+    CRC-valid record page written for this slot."""
+    report.pages_scanned += 1
+    try:
+        with store.stats.phase(MAPPING_PHASE):
+            data, _spare = store.chip.read_page(store.journal_page_addr(index))
+    except ChecksumError:
+        return 0, -1, None
+    magic, epoch, page_index, n_records, crc = JOURNAL_HEADER.unpack_from(data, 0)
+    records = None
+    if magic == JOURNAL_MAGIC and page_index == index:
+        size = n_records * RECORD.size
+        body = data[JOURNAL_HEADER.size : JOURNAL_HEADER.size + size]
+        if len(body) == size and zlib.crc32(body) == crc:
+            records = list(RECORD.iter_unpack(body))
+    return magic, epoch, records
+
+
 def _classify_journal(
     store: MappingStore, report: RecoveryReport
-) -> Optional[Tuple[List[Tuple[int, int, int, int]], int]]:
+) -> Tuple[List[_Record], int]:
     """Read and validate the journal; returns (records, valid prefix pages).
 
-    ``None`` means the journal is structurally unusable (overflow marker,
-    a valid page after damage, or a stale-epoch journal while a newer
-    seal exists) and the caller must take the full-scan fallback.
-    A torn tail after a valid prefix is fine — the prefix replays and
-    ``report.repaired`` arms the repair snapshot.
+    Raises :class:`MappingFormatError` when the journal is structurally
+    unusable (overflow marker, a valid page after damage, or a page of a
+    *newer* epoch than the adopted seal — the snapshot that epoch belongs
+    to is unreadable): the caller must take the full-scan fallback.  A
+    torn tail after a valid prefix, or a stale older-epoch journal behind
+    a fresh seal, is fine — the prefix replays and ``report.repaired``
+    arms the repair snapshot.
     """
-    chip = store.chip
     addrs = [store.journal_page_addr(i) for i in range(store.journal_pages)]
-    with chip.stats.phase(MAPPING_PHASE):
-        spares = chip.read_spares(addrs)
+    with store.stats.phase(MAPPING_PHASE):
+        spares = store.chip.read_spares(addrs)
     report.pages_scanned += len(addrs)
-    # Reserved overflow page first: if armed for the current epoch, the
-    # journal's tail was dropped at runtime and only a scan is sound.
-    overflow_spare = spares[-1]
-    if not overflow_spare.is_erased:
-        with chip.stats.phase(MAPPING_PHASE):
-            try:
-                data, _ = chip.read_page(addrs[-1])
-                magic, epoch, _i, _n, _c = JOURNAL_HEADER.unpack_from(data, 0)
-            except (ChecksumError, struct.error):
-                magic, epoch = 0, -1
-        report.pages_scanned += 1
-        if magic == OVERFLOW_MAGIC and epoch == store.seq:
-            return None
+    # Reserved overflow page first: if armed for the current epoch (or a
+    # newer one, whose seal is unreadable), the journal's tail was dropped
+    # at runtime and only a scan is sound.
+    if not spares[-1].is_erased:
+        magic, epoch, _ = _read_journal_page(store, len(addrs) - 1, report)
+        if magic == OVERFLOW_MAGIC and epoch >= store.seq:
+            raise MappingFormatError(f"journal of epoch {epoch} overflowed")
         report.repaired = True  # stale/damaged marker: reclaim via snapshot
-    records: List[Tuple[int, int, int, int]] = []
+    records: List[_Record] = []
     prefix = 0
     in_prefix = True
     for index in range(store.usable_journal_pages):
         if spares[index].is_erased:
             in_prefix = False
             continue
-        with chip.stats.phase(MAPPING_PHASE):
-            try:
-                data, _spare = chip.read_page(addrs[index])
-            except ChecksumError:
-                data = None
-        report.pages_scanned += 1
-        page_records = None
-        if data is not None:
-            try:
-                magic, epoch, page_index, n_records, crc = (
-                    JOURNAL_HEADER.unpack_from(data, 0)
-                )
-            except struct.error:
-                magic = 0
-            if magic == JOURNAL_MAGIC and epoch == store.seq and page_index == index:
-                size = n_records * RECORD.size
-                body = data[JOURNAL_HEADER.size : JOURNAL_HEADER.size + size]
-                if len(body) == size and zlib.crc32(body) == crc:
-                    page_records = list(RECORD.iter_unpack(body))
-        if page_records is None:
+        _magic, epoch, page_records = _read_journal_page(store, index, report)
+        if page_records is not None and epoch > store.seq:
+            raise MappingFormatError(
+                f"journal page {index} is of epoch {epoch}, newer than the "
+                f"adopted seal's {store.seq}: that snapshot's seal is unreadable"
+            )
+        if page_records is None or epoch != store.seq:
             # Torn or stale page.  A pure power loss can only tear the
             # append point, so anything valid *after* this is rot — the
             # full scan handles that; either way the journal region gets
@@ -674,7 +657,7 @@ def _classify_journal(
             in_prefix = False
             continue
         if not in_prefix:
-            return None  # valid page after damage: structural rot
+            raise MappingFormatError(f"valid journal page {index} follows damage")
         records.extend(page_records)
         prefix = index + 1
     return records, prefix
@@ -684,23 +667,16 @@ def _try_fast_restart(
     driver: PdlDriver, store: MappingStore, report: RecoveryReport
 ) -> bool:
     """Snapshot + journal replay + seeded tail scan.  False → fallback."""
-    loaded = _load_snapshot(driver, store, report)
-    if loaded is None:
-        return False
-    valid, seal_max_ts = loaded
-    classified = _classify_journal(store, report)
-    if classified is None:
-        return False
-    records, prefix = classified
-    report.journal_pages = prefix
-    report.journal_records = len(records)
     table = driver.ppmt
     assert isinstance(table, TieredMappingTable)
     vdct = driver.vdct
     retire: Set[int] = set()
-    scan_blocks: Set[int] = set(store.snapshot_active_blocks)
-    max_ts = seal_max_ts
     try:
+        valid, max_ts = _load_snapshot(driver, store, report)
+        records, prefix = _classify_journal(store, report)
+        report.journal_pages = prefix
+        report.journal_records = len(records)
+        scan_blocks: Set[int] = set(store.snapshot_active_blocks)
         for kind, a, b, ts in records:
             max_ts = max(max_ts, ts)
             if kind == REC_SET_BASE:
@@ -744,14 +720,16 @@ def _try_fast_restart(
                 scan_blocks.add(a)
             else:
                 raise MappingFormatError(f"unknown journal record kind {kind}")
-    except (KeyError, MappingFormatError):
-        # A record stream the tables reject is corrupt in a way the CRCs
-        # could not see; the scan remains sound.
+        max_ts = max(
+            max_ts, _tail_scan(driver, store, valid, retire, scan_blocks, report)
+        )
+    except (KeyError, struct.error, ChecksumError, MappingFormatError):
+        # A seal, meta or snapshot page that is programmed but unreadable
+        # (replay and the tail scan demand-page the snapshot), a journal
+        # that cannot be continued, or a record stream the tables reject
+        # — corrupt in a way the CRCs could not see.  The scan stays sound.
         return False
     report.fast_path = True
-    max_ts = max(
-        max_ts, _tail_scan(driver, store, valid, retire, scan_blocks, report)
-    )
     _retire_sweep(driver, retire, valid, report)
     driver.blocks.rebuild(valid)
     driver.resume_ts(max_ts)
@@ -941,15 +919,24 @@ def _full_scan_restart(
     The scan runs against plain RAM tables — its adoption logic is the
     verified reference implementation — and the result is transferred
     into the tiered table as one big dirty overlay, which the repair
-    snapshot then persists.  Sequence numbers continue above anything
-    either half holds, so the repair seal outranks every stale one.
+    snapshot then persists.
     """
     report.fallback = True
     report.repaired = True
     chip = store.chip
+    table = driver.ppmt
+    assert isinstance(table, TieredMappingTable)
+    # Whatever a failed fast path adopted or replayed is void.
+    store.directory = []
+    store._n_data = 0
+    store._n_meta = 0
+    table.on_snapshot()
+    table.seed_counts(0, -1)
     plain_ppmt = PhysicalPageMappingTable()
     plain_vdct = ValidDifferentialCountTable()
-    scan = recover_tables(chip, plain_ppmt, plain_vdct, driver=None)
+    # The region is the store's own: nothing in it can be a data page.
+    region_pages = store.config.region_blocks * store.spec.pages_per_block
+    scan = recover_tables(chip, plain_ppmt, plain_vdct, first_page=region_pages)
     for name in (
         "pages_scanned",
         "base_pages_adopted",
@@ -964,18 +951,28 @@ def _full_scan_restart(
         setattr(report, name, getattr(report, name) + getattr(scan, name))
     report.orphan_pids.extend(scan.orphan_pids)
     report.max_timestamp = max(report.max_timestamp, scan.max_timestamp)
-    # Newest epoch visible anywhere, so the repair snapshot outranks it.
-    best_seq = store.seq
+    # The repair snapshot must outrank every epoch readable anywhere, a
+    # journal page's as much as a seal's: a journal whose own seal is
+    # unreadable would otherwise share the repair's epoch and be replayed
+    # over it after a power loss between the repair seal and the journal
+    # erase.  It also lands on the half holding a damaged seal, so one
+    # repair leaves both halves sound.
+    best_seq, damaged = store.seq, None
     for half in (0, 1):
-        seal = _read_seal(store, half, report)
+        try:
+            seal = _read_seal(store, half, report)
+        except (ChecksumError, MappingFormatError):
+            damaged = half
+            continue
         if seal is not None:
             best_seq = max(best_seq, seal[0])
+    for index in range(store.journal_pages):
+        magic, epoch, records = _read_journal_page(store, index, report)
+        if records is not None or magic == OVERFLOW_MAGIC:
+            best_seq = max(best_seq, epoch)
+    if damaged is not None and (best_seq + 1) % 2 != damaged:
+        best_seq += 1
     store.seq = best_seq
-    store.directory = []
-    store._n_data = 0
-    store._n_meta = 0
-    table = driver.ppmt
-    assert isinstance(table, TieredMappingTable)
     valid: Set[int] = set()
     for pid, entry in plain_ppmt.items():
         table.set_base(pid, entry.base_addr, entry.base_ts)

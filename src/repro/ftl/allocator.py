@@ -63,7 +63,7 @@ class BlockManager:
         self.spec: FlashSpec = chip.spec
         self.reserve_blocks = reserve_blocks
         #: The first ``exclude_blocks`` blocks are owned by someone else
-        #: (e.g. the checkpoint region) and never allocated or collected.
+        #: (the mapping region) and never allocated or collected.
         self.exclude_blocks = exclude_blocks
         self._free: Deque[int] = deque(range(exclude_blocks, self.spec.n_blocks))
         self._is_free: List[bool] = [

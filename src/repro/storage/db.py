@@ -34,7 +34,7 @@ import threading
 from dataclasses import asdict
 from typing import List, Optional
 
-from ..core.mapping import MappingConfig
+from ..core.mapping import MappingConfig, default_snapshot_interval
 from ..core.pdl import PdlDriver
 from ..core.recovery import recover_driver
 from ..flash.backend import BackendError, FileBackend
@@ -366,7 +366,7 @@ class Database:
                 snapshot_interval=(
                     snapshot_interval
                     if snapshot_interval is not None
-                    else max(64, stored_spec.n_pages // 4)
+                    else default_snapshot_interval(stored_spec)
                 ),
             )
             driver_kwargs = {**driver_kwargs, "mapping": mapping_cfg}
@@ -531,14 +531,4 @@ class Database:
 def _allocation_horizon(driver: PageUpdateMethod) -> int:
     """Highest recovered pid + 1: the durable logical allocation horizon."""
     shards = driver.shards if isinstance(driver, ShardedDriver) else [driver]
-    top = -1
-    for shard in shards:
-        table_top = getattr(shard.ppmt, "max_pid", None)
-        if table_top is not None:
-            # Tiered tables track the horizon explicitly — walking them
-            # would demand-page the entire snapshot just to find a max.
-            top = max(top, table_top)
-            continue
-        for pid, _entry in shard.ppmt.items():
-            top = max(top, pid)
-    return top + 1
+    return max(shard.ppmt.max_pid for shard in shards) + 1

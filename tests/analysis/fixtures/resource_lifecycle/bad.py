@@ -1,10 +1,9 @@
-"""Fixture: leaked shm, unclosed chip, armed hook (3+ findings)."""
-from multiprocessing import shared_memory
+"""Fixture: unclosed chip, unclosed backend, armed hook (3 findings)."""
 
 
-def leaky_shm(name, size):
-    shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-    return shm.buf
+def dropped_backend(path):
+    backend = FileBackend.open(path)  # noqa: F821
+    backend.sync()
 
 
 def dropped_chip(spec, pid):

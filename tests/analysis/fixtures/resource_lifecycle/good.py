@@ -1,16 +1,12 @@
-"""Fixture: shm under try+unlink, closed chip, paired hooks (0 findings)."""
-from multiprocessing import shared_memory
+"""Fixture: closed chip, closed backend, paired hooks (0 findings)."""
 
 
-def careful_shm(name, size):
-    shm = None
+def closed_backend(path):
+    backend = FileBackend.open(path)  # noqa: F821
     try:
-        shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        return bytes(shm.buf)
+        backend.sync()
     finally:
-        if shm is not None:
-            shm.close()
-            shm.unlink()
+        backend.close()
 
 
 def closed_chip(spec, pid):

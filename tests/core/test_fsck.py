@@ -211,18 +211,18 @@ class TestQuarantine:
         assert report.check.consistent
 
     def test_checkpoint_damage_reported_not_touched(self, tiny_spec):
-        from repro.ext.checkpoint import CheckpointManager
+        from repro.core.mapping import MappingConfig
 
         injector = FaultInjector(MemoryBackend(tiny_spec), seed=7)
         chip = FlashChip(tiny_spec, backend=injector)
         driver = PdlDriver(
-            chip, max_differential_size=64, checkpoint_region_blocks=2
+            chip, max_differential_size=64, mapping=MappingConfig.auto(tiny_spec)
         )
-        manager = CheckpointManager(driver, 2)
         driver.load_page(0, _page(driver))
-        manager.checkpoint()
-        # Rot the snapshot header page (the ping-pong half seq 1 used).
-        snapshot_addr = manager._half_pages(1)[0]
+        driver.flush()
+        driver.mapping.snapshot()  # the clean checkpoint
+        # Rot the snapshot's seal (the ping-pong half seq 1 used).
+        snapshot_addr = driver.mapping.seal_addr(1)
         injector.inject("bit_rot", snapshot_addr)
         before = injector.inner.read_data(snapshot_addr)
         report = fsck_driver(driver)

@@ -15,7 +15,10 @@ ppmt/vdct state.  The boundaries under attack:
   the new seal exists but the old journal was not yet erased;
 * a journal tail strictly newer than the snapshot (the fast path's
   bread and butter);
-* journal overflow: the marker page must force the scan fallback.
+* journal overflow: the marker page must force the scan fallback;
+* single-page damage inside the mapping region (a rotted or misdirected
+  newest seal, a rotted snapshot page replay demand-pages): the restart
+  must notice and take the scan fallback, never serve an older table.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_tables
 from repro.core.tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 from repro.ext.journal import restart_driver
+from repro.flash.backend import FaultInjector, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.errors import SimulatedPowerLoss
 from repro.flash.spec import FlashSpec
@@ -46,12 +50,12 @@ INTERVAL = 40  # journal records between snapshots: several per window
 
 
 def _build(
-    interval: int = INTERVAL, cache_entries: int = 8
+    interval: int = INTERVAL, cache_entries: int = 8, backend=None
 ) -> Tuple[FlashChip, PdlDriver, MappingConfig]:
     cfg = MappingConfig.auto(
         SPEC, cache_entries=cache_entries, snapshot_interval=interval
     )
-    chip = FlashChip(SPEC)
+    chip = FlashChip(SPEC, backend=backend)
     driver = PdlDriver(chip, max_differential_size=MAX_DIFF, mapping=cfg)
     return chip, driver, cfg
 
@@ -84,13 +88,13 @@ def _state_of(ppmt, vdct) -> State:
     return rows, dict(vdct.items())
 
 
-def _scan_oracle(chip: FlashChip) -> State:
+def _scan_oracle(chip: FlashChip, first_page: int = 0) -> State:
     """Figure-11 full scan on a private copy (mark_obsolete side effects
     must not leak into the restart's input)."""
     replica = copy.deepcopy(chip)
     ppmt = PhysicalPageMappingTable()
     vdct = ValidDifferentialCountTable()
-    recover_tables(replica, ppmt, vdct)
+    recover_tables(replica, ppmt, vdct, first_page=first_page)
     return _state_of(ppmt, vdct)
 
 
@@ -306,3 +310,83 @@ def test_journal_overflow_marker_forces_fallback():
     recovered, report = _restart(chip, cfg)
     assert report.fallback and not report.fast_path
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
+
+
+def _snapshotted_with_tail(snapshots: int = 1):
+    """A flushed device behind a fault injector: ``snapshots`` snapshots,
+    then a three-write journal tail that touches the first snapshot page."""
+    injector = FaultInjector(MemoryBackend(SPEC), seed=3)
+    chip, driver, cfg = _build(interval=100, backend=injector)
+    _workload(driver, n_writes=N_PIDS)
+    for _ in range(snapshots):
+        driver.mapping.snapshot()
+    for pid in range(3):
+        image = bytearray(driver.read_page(pid))
+        image[0:4] = b"tail"
+        driver.write_page(pid, bytes(image))
+    driver.flush()
+    return injector, chip, driver, cfg
+
+
+@pytest.mark.parametrize("snapshots", [1, 2])
+@pytest.mark.parametrize("fault", ["bit_rot", "misdirected_write"])
+def test_damaged_newest_seal_forces_fallback(fault, snapshots):
+    """Regression: an unreadable newest seal was skipped like an erased
+    one, so restart "succeeded" on the fast path over an empty (or
+    one-snapshot-old) table and every acked page went unreadable."""
+    injector, chip, driver, cfg = _snapshotted_with_tail(snapshots)
+    store = driver.mapping
+    injector.inject(fault, store.seal_addr(store.seq % 2))
+    # The donor of a misdirected write may be a live base page: the copy
+    # now inside the mapping region must never be adopted.
+    expected = _scan_oracle(chip, cfg.region_blocks * SPEC.pages_per_block)
+    recovered, report = _restart(chip, cfg)
+    assert report.fallback and report.repaired and not report.fast_path
+    assert _state_of(recovered.ppmt, recovered.vdct) == expected
+    assert len(recovered.ppmt) == N_PIDS
+    # The repair snapshot replaced the damaged half: the next restart is
+    # fast again and still agrees with the oracle.
+    again, report = _restart(recovered.chip, cfg)
+    assert report.fast_path and not report.fallback
+    assert _state_of(again.ppmt, again.vdct) == expected
+
+
+@pytest.mark.parametrize("snapshots", [1, 2])
+def test_power_loss_during_seal_repair(snapshots):
+    """Power loss at every op of the restart that repairs a rotted newest
+    seal — including between the repair seal and the journal erase, where
+    the unreadable snapshot's journal is still on flash and must not be
+    replayed over the repair snapshot."""
+    injector, chip, driver, cfg = _snapshotted_with_tail(snapshots)
+    store = driver.mapping
+    injector.inject("bit_rot", store.seal_addr(store.seq % 2))
+    expected = _scan_oracle(chip)
+    for k in range(64):
+        replica = copy.deepcopy(chip)
+        guard = _Countdown(replica, k)
+        try:
+            restart_driver(replica, max_differential_size=MAX_DIFF, mapping=cfg)
+            break  # the repair ran to completion: every crash point swept
+        except SimulatedPowerLoss:
+            pass
+        finally:
+            guard.disarm()
+        recovered, _report = _restart(replica, cfg)
+        assert _state_of(recovered.ppmt, recovered.vdct) == expected, (
+            f"crash@{k} of the repair: restart diverged from the scan oracle"
+        )
+    assert 3 < k < 63, "sweep did not cover the repair snapshot"
+
+
+def test_rotted_snapshot_page_forces_fallback():
+    """Regression: journal replay demand-pages the rotted snapshot page
+    and the ChecksumError escaped ``restart_driver`` instead of demoting
+    to the scan."""
+    injector, chip, driver, cfg = _snapshotted_with_tail()
+    store = driver.mapping
+    injector.inject("bit_rot", store.half_start_page(store.seq % 2))
+    expected = _scan_oracle(chip)
+    recovered, report = _restart(chip, cfg)
+    assert report.fallback and not report.fast_path
+    assert _state_of(recovered.ppmt, recovered.vdct) == expected
+    assert len(recovered.ppmt) == N_PIDS

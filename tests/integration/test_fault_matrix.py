@@ -2,12 +2,15 @@
 
 The acceptance bar for the integrity layer: for each injected
 single-page fault — bit rot, misdirected write, torn spare program — at
-each page role — live base, live differential, checkpoint snapshot —
-fsck must *detect* the damage (100% of cells), then either *repair* the
-page online (when a surviving copy, chain entry, or self-healing
-snapshot protocol exists) or *declare the precise loss*; and a
-subsequent Figure-11 recovery scan of the repaired chip must round-trip
-cleanly.  The matrix runs on the memory backend and the file backend,
+each page role — live base, live differential, and (role ``checkpoint``)
+the four page kinds of the mapping region: seal, snapshot data page,
+meta page, first journal page — fsck must *detect* the damage (100% of
+cells), then either *repair* the page online (when a surviving copy,
+chain entry, or self-healing snapshot protocol exists) or *declare the
+precise loss*; and a subsequent restart of the repaired chip (the
+Figure-11 scan, then the snapshot+journal path — fast or fallback,
+whichever the damage forces) must round-trip cleanly.  The matrix runs
+on the memory backend and the file backend,
 plus array-level smoke over ``ShardedDriver`` / ``ParallelShardedDriver``
 / ``Database`` and a pre-checksum image compatibility check.
 """
@@ -17,9 +20,10 @@ import os
 import pytest
 
 from repro.core import check_driver, fsck_driver
+from repro.core.mapping import MappingConfig
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
-from repro.ext.checkpoint import CheckpointManager
+from repro.ext.journal import restart_driver
 from repro.flash.backend import FaultInjector, FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spare import (
@@ -37,6 +41,22 @@ PAGE = SPEC.page_data_size
 FAULTS = ["bit_rot", "misdirected_write", "torn_spare"]
 ROLES = ["base", "differential", "checkpoint"]
 BACKENDS = ["memory", "file"]
+MAPPING = MappingConfig.auto(SPEC)
+#: The ``checkpoint`` role's targets, one per page kind of the mapping region.
+REGION_KINDS = ("seal", "snapshot", "meta", "journal")
+
+
+def region_targets(store):
+    """One address per page kind of the mapping region: the newest
+    snapshot's seal, first data page and first meta page, and the first
+    journal page (``benchmarks/bench_fsck.py`` injects at the same four)."""
+    half = store.seq % 2
+    return {
+        "seal": store.seal_addr(half),
+        "snapshot": store.half_start_page(half),
+        "meta": store.half_start_page(half) + store.data_page_count,
+        "journal": store.journal_page_addr(0),
+    }
 
 
 def _patched(data, offset, patch):
@@ -52,8 +72,7 @@ def _build(backend_kind, tmp_path, seed=0):
         inner = FileBackend(tmp_path / "chip.flash", SPEC)
     injector = FaultInjector(inner, seed=seed)
     chip = FlashChip(SPEC, backend=injector)
-    driver = PdlDriver(chip, max_differential_size=64, checkpoint_region_blocks=2)
-    manager = CheckpointManager(driver, 2)
+    driver = PdlDriver(chip, max_differential_size=64, mapping=MAPPING)
     images = {}
     for pid in range(10):
         images[pid] = bytes([pid + 1]) * PAGE
@@ -63,71 +82,91 @@ def _build(backend_kind, tmp_path, seed=0):
         images[pid] = _patched(images[pid], 5, b"\xbb")
         driver.write_page(pid, images[pid])
     driver.flush()
-    manager.checkpoint()
-    return injector, chip, driver, manager, images
+    driver.mapping.snapshot()  # the clean checkpoint ...
+    # ... and a journal tail behind it, whose lookups leave the first
+    # snapshot page cache-resident: the live driver (and so fsck's table
+    # walk) never re-reads it, the restart does.
+    for pid in range(3):
+        images[pid] = _patched(images[pid], 9, b"\xcc")
+        driver.write_page(pid, images[pid])
+    driver.flush()
+    return injector, chip, driver, images
 
 
-def _target_addr(driver, manager, role, pid):
-    if role == "base":
+def _target_addr(driver, kind, pid):
+    if kind == "base":
         return driver.ppmt.require(pid).base_addr
-    if role == "differential":
+    if kind == "differential":
         addr = driver.ppmt.require(pid).diff_addr
         assert addr is not None, "workload must leave a flash differential"
         return addr
-    # checkpoint: the active snapshot's header page
-    return manager._half_pages(manager._seq)[0]
+    return region_targets(driver.mapping)[kind]
 
 
 @pytest.mark.parametrize("backend_kind", BACKENDS)
 @pytest.mark.parametrize("role", ROLES)
 @pytest.mark.parametrize("fault", FAULTS)
 def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
-    injector, chip, driver, manager, images = _build(backend_kind, tmp_path, seed=3)
     pid = 6
-    addr = _target_addr(driver, manager, role, pid)
-    injector.inject(fault, addr)
+    for kind in REGION_KINDS if role == "checkpoint" else (role,):
+        (tmp_path / kind).mkdir()
+        injector, chip, driver, images = _build(backend_kind, tmp_path / kind, seed=3)
+        addr = _target_addr(driver, kind, pid)
+        injector.inject(fault, addr)
+        damaged = injector.inner.read_data(addr)
 
-    report = fsck_driver(driver)
+        report = fsck_driver(driver)
 
-    # 1. Detection: every cell of the matrix must surface at least one
-    #    fault anchored at the damaged page.
-    assert report.detected >= 1, f"{fault} at {role} went undetected"
-    assert any(f.addr == addr for f in report.faults)
+        # 1. Detection: every cell of the matrix must surface at least one
+        #    fault anchored at the damaged page.
+        assert report.detected >= 1, f"{fault} at {kind} went undetected"
+        assert any(f.addr == addr for f in report.faults)
 
-    # 2. Disposition: repaired pages serve their exact pre-fault bytes;
-    #    lost/rolled-back pages are precisely reported.
-    if role == "checkpoint":
-        # Never touched: the snapshot protocol self-heals on restart.
-        assert all(
-            f.action == "reported" for f in report.faults if f.role == "checkpoint"
+        # 2. Disposition: repaired pages serve their exact pre-fault bytes;
+        #    lost/rolled-back pages are precisely reported.
+        if role == "checkpoint":
+            # Never touched: restart notices the damage and self-heals.
+            assert [(f.role, f.action) for f in report.faults] == [
+                ("checkpoint", "reported")
+            ]
+            assert injector.inner.read_data(addr) == damaged
+        assert report.check is not None and report.check.consistent
+
+        survivors = set(images) - set(report.lost_pids)
+        rollbacks = set(report.stale_pids) | set(report.reverted_pids)
+        for spid in sorted(survivors):
+            got = driver.read_page(spid)
+            if spid in rollbacks:
+                assert got != b"", "rolled-back page must still serve"
+            else:
+                assert got == images[spid], f"pid {spid} serves wrong bytes"
+
+        # 3. Round-trip: the Figure-11 scan over the repaired chip must
+        #    yield a consistent driver serving the same survivors.  (Not
+        #    with a damaged mapping region: only a mapping-aware restart
+        #    knows to keep the scan out of it.)
+        driver.flush()
+        if role != "checkpoint":
+            recovered, _ = recover_driver(chip, max_differential_size=64)
+            assert check_driver(recovered).consistent
+            for spid in sorted(survivors - rollbacks):
+                assert recovered.read_page(spid) == images[spid]
+
+        # 4. The snapshot+journal restart works: fast path, or the scan
+        #    fallback (plus repair snapshot) when the damage demands it.
+        restarted, restart = restart_driver(
+            chip, max_differential_size=64, mapping=MAPPING
         )
-    assert report.check is not None and report.check.consistent
-
-    survivors = set(images) - set(report.lost_pids)
-    rollbacks = set(report.stale_pids) | set(report.reverted_pids)
-    for spid in sorted(survivors):
-        got = driver.read_page(spid)
-        if spid in rollbacks:
-            assert got != b"", "rolled-back page must still serve"
-        else:
-            assert got == images[spid], f"pid {spid} serves wrong bytes"
-
-    # 3. Round-trip: recovery over the repaired chip must succeed and
-    #    yield a consistent driver serving the same survivors.
-    driver.flush()
-    recovered, _ = recover_driver(chip, max_differential_size=64,
-                                  checkpoint_region_blocks=2)
-    assert check_driver(recovered).consistent
-    for spid in sorted(survivors - rollbacks):
-        assert recovered.read_page(spid) == images[spid]
-
-    # 4. Checkpoint restart still works (fast path or Figure-11 fallback).
-    if role == "checkpoint":
-        driver2, _mgr, restart = CheckpointManager.restart(
-            chip, region_blocks=2, max_differential_size=64
-        )
+        if role == "checkpoint":
+            # Damage the restart cannot read past — the newest seal, its
+            # meta, the snapshot page replay demand-pages — must demote
+            # to the scan; a torn spare leaves the data readable, and a
+            # damaged journal tail is re-derived by the seeded tail scan.
+            unreadable = fault != "torn_spare" and kind != "journal"
+            assert (restart.fallback, restart.fast_path) == (unreadable, not unreadable)
+        assert check_driver(restarted).consistent
         for spid in sorted(survivors - rollbacks):
-            assert driver2.read_page(spid) == images[spid]
+            assert restarted.read_page(spid) == images[spid], (fault, kind, spid)
 
 
 class TestRepairableCells:
@@ -135,7 +174,7 @@ class TestRepairableCells:
 
     @pytest.mark.parametrize("backend_kind", BACKENDS)
     def test_base_with_surviving_copy_repairs(self, tmp_path, backend_kind):
-        injector, chip, driver, _manager, images = _build(backend_kind, tmp_path)
+        injector, chip, driver, images = _build(backend_kind, tmp_path)
         pid = 2
         entry = driver.ppmt.require(pid)
         copy_addr = driver.blocks.allocate(stream=driver._base_stream)
@@ -154,7 +193,7 @@ class TestRepairableCells:
 
     @pytest.mark.parametrize("backend_kind", BACKENDS)
     def test_differential_with_surviving_chain_repairs(self, tmp_path, backend_kind):
-        injector, chip, driver, _manager, images = _build(backend_kind, tmp_path)
+        injector, chip, driver, images = _build(backend_kind, tmp_path)
         pid = 3
         v2 = _patched(images[pid], 9, b"\xcc")
         driver.write_page(pid, v2)
