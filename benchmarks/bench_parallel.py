@@ -10,7 +10,7 @@ twice:
   another on the caller's thread;
 * **parallel** — the ``par`` driver
   (:class:`~repro.sharding.executor.ParallelShardedDriver`), one
-  single-writer worker thread per shard.
+  owner at a time and one worker thread per shard.
 
 Each row reports measured wall seconds for serial and parallel runs,
 their ratio (``wall_speedup``) and the simulated model's prediction

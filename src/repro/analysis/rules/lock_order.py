@@ -2,19 +2,23 @@
 
 The engine's deadlock-freedom argument (docs/bufferpool.md) is a total
 order: pool ``_lock`` → page ``latch`` → ``_dirty_lock`` → serial
-``_driver_lock``, with ``_flush_serial`` above them all.  Nothing
-enforces it at runtime — two threads acquiring two locks in opposite
-orders deadlock only under the right interleaving, which is exactly the
-kind of bug that survives every test run until production.
+``_driver_lock`` or, on a parallel array, a shard gate
+(docs/concurrency.md: a leaf, nothing is acquired under it), with
+``_flush_serial`` above them all.  Nothing enforces it at runtime — two
+threads acquiring two locks in opposite orders deadlock only under the
+right interleaving, which is exactly the kind of bug that survives
+every test run until production.
 
 This rule rebuilds the order statically, project-wide:
 
 1. **Lock discovery** — ``self.X = threading.Lock()/RLock()`` in any
-   class registers lock ``Class.X``; ``Condition(self.Y)`` aliases to
-   ``Y``'s lock; assigning another object's known lock attribute
-   (``self._cond = pool._dirty_cond``) aliases across classes.
-2. **Acquisition graph** — every ``with self.X:`` / ``with obj.Y:``
-   adds edges from all locks held at that point; calls are resolved
+   class registers lock ``Class.X``, and so does a list of them
+   (``self.X = [threading.Lock() for ...]``: one node for the whole
+   family, acquired as ``with self.X[i]:``); ``Condition(self.Y)``
+   aliases to ``Y``'s lock; assigning another object's known lock
+   attribute (``self._cond = pool._dirty_cond``) aliases across classes.
+2. **Acquisition graph** — every ``with self.X:`` / ``with obj.Y:`` /
+   ``with self.X[i]:`` adds edges from all locks held at that point; calls are resolved
    (``self.m()`` to the same class, other receivers only when the
    method name is unique project-wide) and the callee's transitive
    lock footprint is added under the locks held at the call site.
@@ -139,7 +143,8 @@ class LockOrderRule(Rule):
     summary = "cycles in the static lock-acquisition graph"
     hint = (
         "acquire locks in the documented order (pool lock -> page latch -> "
-        "dirty lock -> driver lock); restructure one side of the cycle"
+        "dirty lock -> driver lock or shard gate); restructure one side of "
+        "the cycle"
     )
 
     def run(self, project) -> Iterator[Finding]:
@@ -192,6 +197,8 @@ class LockOrderRule(Rule):
         self, info: _FuncInfo, func, index: _LockIndex
     ) -> None:
         def lock_of(expr: ast.AST) -> Optional[str]:
+            if isinstance(expr, ast.Subscript):
+                expr = expr.value  # one of a family: self._gates[index]
             if not isinstance(expr, ast.Attribute):
                 return None
             if isinstance(expr.value, ast.Name) and expr.value.id == "self":

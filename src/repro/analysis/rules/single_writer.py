@@ -1,12 +1,12 @@
 """single-writer: shard mutators belong to the executor layer.
 
 Each shard driver is single-threaded state; the concurrency design
-(docs/concurrency.md) gives every shard exactly one writer — the
-executor worker that owns its mailbox.  Application code reaches a
-shard *through* the sharded driver's router, never by plucking
-``driver.shards[i]`` out and mutating it directly: a direct call races
-with the owning worker and corrupts the shard's mapping tables with no
-error raised.
+(docs/concurrency.md) gives every shard one writer at a time — the
+thread holding its gate, which only the sharded driver takes.
+Application code reaches a shard *through* the sharded driver's router,
+never by plucking ``driver.shards[i]`` out and mutating it directly: a
+direct call holds no gate, so it races with whoever does and corrupts
+the shard's mapping tables (the GC hooks raise; nothing else notices).
 
 The rule flags calls to shard mutators (``write_page``, ``flush``,
 ``load_page``...) on receivers derived from a ``.shards`` sequence —
@@ -61,7 +61,7 @@ class SingleWriterRule(Rule):
     summary = "shard-owned driver mutators called outside the executor layer"
     hint = (
         "route the operation through the sharded driver (it owns the "
-        "routing and the per-shard mailboxes) instead of mutating "
+        "routing and takes the shard's gate) instead of mutating "
         "driver.shards[i] directly"
     )
 

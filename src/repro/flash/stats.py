@@ -24,7 +24,7 @@ Threading model (see ``docs/concurrency.md``): the phase stack is
 a client thread pushing an outer phase never corrupt each other's
 nesting.  Counter mutation stays lock-free on the hot path because the
 parallel execution layer guarantees a **single writer per collector**
-(one worker thread per shard); the only lock taken guards creation of a
+(the thread holding the shard's gate); the only lock taken guards creation of a
 new phase bucket against a concurrent aggregate read, so ``totals()`` /
 ``snapshot()`` from a monitoring thread never observe the phases dict
 mid-resize.
@@ -166,7 +166,7 @@ class FlashStats:
         self._local = threading.local()
         #: Guards phase-bucket creation against concurrent aggregate
         #: reads (totals/snapshot); per-op accounting itself is
-        #: single-writer by the executor's one-worker-per-shard design.
+        #: single-writer by the executor's one-owner-per-shard gates.
         self._lock = threading.Lock()
         #: Read-cache accounting (see :mod:`repro.flash.cache`): hits are
         #: reads served from RAM — no flash operation, no Tread charge —

@@ -39,9 +39,9 @@ class ConfigurationError(FtlError):
 class ConcurrencyError(FtlError):
     """The thread-execution contract of the parallel layer was violated.
 
-    Raised when shard state is touched from the wrong thread — e.g. a GC
-    engine bound to a shard worker sees its write hooks run elsewhere —
-    or when tasks are submitted to a shut-down
+    Raised when shard state is touched by a thread that does not own
+    the shard — e.g. a GC engine guarded by a shard's gate sees its write
+    hooks run without it — or when work is handed to a shut-down
     :class:`~repro.sharding.executor.ShardExecutor`.  Single-writer-per-
     shard is what lets the drivers stay lock-free; see
     ``docs/concurrency.md``.

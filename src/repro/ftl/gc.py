@@ -41,7 +41,6 @@ tail-latency metric ``benchmarks/bench_gc.py`` compares across modes.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Protocol
@@ -282,31 +281,30 @@ class GarbageCollector:
         self._victim: Optional[int] = None
         self._pending: Deque[int] = deque()
         self._write_mark = 0.0
-        self._owner_ident: Optional[int] = None
+        self._owner_holds: Optional[Callable[[], bool]] = None
         blocks.set_gc(self.collect)
 
     # ------------------------------------------------------------------
     # Write-path hooks (stall metering + incremental pacing)
     # ------------------------------------------------------------------
-    def bind_owner_thread(self, ident: Optional[int]) -> None:
-        """Pin this engine's write hooks to one thread (``None`` unpins).
+    def bind_owner(self, holds: Optional[Callable[[], bool]]) -> None:
+        """Guard this engine's write hooks with an ownership test
+        (``None`` removes the guard).
 
-        The parallel shard executor binds each shard's engine to that
-        shard's single worker thread; the hooks then refuse to run
-        anywhere else, so incremental pacing, stall metering and the
-        in-flight victim can never be mutated concurrently — the guard
-        that keeps GC state shard-local under real threading.
+        The parallel sharded driver binds each shard's engine to "the
+        calling thread holds this shard's gate"; the hooks then refuse
+        to run for anyone else, so incremental pacing, stall metering
+        and the in-flight victim can never be mutated concurrently — the
+        guard that keeps GC state shard-local under real threading.
         """
-        self._owner_ident = ident
+        self._owner_holds = holds
 
     def _check_owner(self) -> None:
-        if (
-            self._owner_ident is not None
-            and threading.get_ident() != self._owner_ident
-        ):
+        if self._owner_holds is not None and not self._owner_holds():
             raise ConcurrencyError(
-                "GC write hook invoked off the owning shard worker thread; "
-                "route all shard operations through its executor mailbox"
+                "GC write hook invoked by a thread that does not hold the "
+                "shard's gate; route all shard operations through the "
+                "sharded driver, which takes it"
             )
 
     def on_write_begin(self) -> None:

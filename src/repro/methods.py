@@ -26,8 +26,9 @@ per shard, on sharded labels::
 
 A ``par`` token on a sharded label builds a
 :class:`~repro.sharding.executor.ParallelShardedDriver`: the same array,
-but with one worker thread per shard so group flush, bulk loads and
-buffer-pool flushes execute concurrently in wall-clock time (see
+safe for concurrent clients (one owner per shard at a time) and with one
+worker thread per shard so group flush, bulk loads and buffer-pool
+flushes execute concurrently in wall-clock time (see
 ``docs/concurrency.md``)::
 
     make_method("PDL (256B) x4 par", chips)      # thread-parallel array

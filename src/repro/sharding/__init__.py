@@ -12,10 +12,10 @@ shard's mapping tables after a crash.
 * :mod:`repro.sharding.driver` — the façade: every array operation
   (routing, batched group flush, fsck, aggregated wear reporting)
   stated once over two execution primitives, run inline.
-* :mod:`repro.sharding.executor` — real thread parallelism: a
-  single-writer worker thread per shard (:class:`ShardExecutor`) and
-  the :class:`ParallelShardedDriver`, which swaps the primitives for
-  the workers' mailboxes (see ``docs/concurrency.md``).
+* :mod:`repro.sharding.executor` — real thread parallelism: an
+  ownership gate and a worker thread per shard (:class:`ShardExecutor`)
+  and the :class:`ParallelShardedDriver`, which swaps the primitives for
+  "take the gate" and "fan out" (see ``docs/concurrency.md``).
 * :mod:`repro.sharding.stats` — merged :class:`FlashStats` view plus
   per-chip clocks for serial-vs-parallel time accounting.
 * :mod:`repro.sharding.recovery` — per-shard Figure-11 scans composed

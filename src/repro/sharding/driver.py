@@ -24,9 +24,10 @@ pool, sharding multiplies the paper's mechanisms for free:
 This base class executes everything on the calling thread, one shard
 after another; parallelism appears only in the simulated clock model
 (the busiest chip's share of a window).  Its subclass
-:class:`~repro.sharding.executor.ParallelShardedDriver` executes shards
-on real worker threads — see ``docs/concurrency.md`` for the execution
-model and how the two time metrics relate.
+:class:`~repro.sharding.executor.ParallelShardedDriver` puts each shard
+behind an ownership gate and fans batches out to real worker threads —
+see ``docs/concurrency.md`` for the execution model and how the two
+time metrics relate.
 
 The driver is method-agnostic: any mix of PDL/OPU/IPU/IPL shards built
 by :func:`repro.methods.make_method` works, although homogeneous fleets
@@ -348,6 +349,6 @@ class ShardedDriver(PageUpdateMethod):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<ShardedDriver {self.name!r} router={type(self.router).__name__} "
-            f"shards={len(self.shards)}>"
+            f"<{type(self).__name__} {self.name!r} "
+            f"router={type(self.router).__name__} shards={len(self.shards)}>"
         )

@@ -1,4 +1,4 @@
-"""Real thread-parallel shard execution: worker pool + parallel driver.
+"""Real thread-parallel shard execution: gates, worker pool, parallel driver.
 
 :class:`~repro.sharding.driver.ShardedDriver` routes operations to
 independent per-shard drivers, but executes them one after another on
@@ -6,25 +6,24 @@ the calling thread — parallelism existed only in the *simulated* clock
 model (the busiest chip's share of a window).  This module makes shard
 independence real in wall-clock time:
 
-* :class:`ShardExecutor` — one persistent **single-writer worker
-  thread per shard**, fed through a thread-safe mailbox of
-  :class:`~concurrent.futures.Future` tasks.  Everything that touches a
-  shard's driver, allocator, GC engine or write buffer runs on that
-  shard's one worker, so each chip keeps exactly the sequential
-  execution its crash/GC invariants assume — no fine-grained locks
-  anywhere in the drivers.
+* :class:`ShardExecutor` — one **gate** (a lock) and one persistent
+  worker thread per shard.  Whoever holds shard *i*'s gate is its
+  single writer: :meth:`~ShardExecutor.run` takes it and executes on
+  the *calling* thread, a worker takes it around every task handed to
+  it.  Each chip keeps exactly the sequential execution its crash/GC
+  invariants assume — no fine-grained locks anywhere in the drivers.
 * :class:`ParallelShardedDriver` — a drop-in
   :class:`~repro.sharding.driver.ShardedDriver` that swaps the parent's
-  two execution primitives for the mailbox: batched entry points
-  (``load_pages``/``write_pages``/``group_flush``/``sync``) fan out
-  across the workers and join, and single-page operations are marshalled
-  through the owning shard's mailbox — which also makes the driver safe
-  to hammer from many client threads at once.
+  two execution primitives: single-page operations run on the caller
+  under the owning shard's gate (safe to hammer from many client
+  threads at once), and batched entry points (``load_pages``/
+  ``write_pages``/``group_flush``/``sync``) fan out across the workers
+  and join, so their per-shard waits overlap.
 
-Per-shard :class:`~repro.flash.stats.FlashStats` collectors double as
-the per-worker accumulators: each is only ever mutated by its shard's
-worker, and :class:`~repro.sharding.stats.AggregateStats` merges them
-(stall histograms included) when the caller reads after a join.
+Per-shard :class:`~repro.flash.stats.FlashStats` collectors are only
+ever mutated under their shard's gate;
+:class:`~repro.sharding.stats.AggregateStats` merges them (stall
+histograms included) when the caller reads after a join.
 
 See ``docs/concurrency.md`` for the full execution model, including how
 measured wall-clock time relates to the simulated parallel clock and
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
+from functools import partial
 from queue import SimpleQueue
 from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, Union
 
@@ -62,13 +62,15 @@ def check_parallel(parallel: object) -> bool:
 
 
 class ShardExecutor:
-    """A pool of persistent single-writer worker threads, one per shard.
+    """One ownership gate and one persistent worker thread per shard.
 
-    Tasks are submitted to a specific worker's mailbox and return
-    :class:`~concurrent.futures.Future` objects; a worker drains its
-    mailbox in FIFO order, so all tasks for one shard execute
-    sequentially on one thread (the single-writer invariant), while
-    tasks on *different* workers run genuinely concurrently.
+    Holding gate ``i`` *is* owning shard ``i``.  :meth:`run` takes the
+    gate and executes on the calling thread; a task handed to worker
+    ``i`` (:meth:`submit`, :meth:`map`) runs there with the gate held,
+    in FIFO order.  Either way all work on one shard is sequential (the
+    single-writer invariant) while *different* shards overlap.  The gate
+    is a leaf lock: no thread takes a second gate, or waits on a worker,
+    while holding one (:meth:`map` refuses rather than hangs).
 
     The executor is intentionally dumb: it knows nothing about drivers
     or routing.  :class:`ParallelShardedDriver` supplies the policy.
@@ -77,41 +79,49 @@ class ShardExecutor:
     def __init__(self, n_workers: int, name: str = "shard"):
         if n_workers < 1:
             raise ValueError("ShardExecutor needs at least one worker")
+        self._gates = [threading.Lock() for _ in range(n_workers)]
+        #: Ident of the thread holding each gate, ``None`` while free.
+        self._holders: List[Optional[int]] = [None] * n_workers
         self._mailboxes: List[SimpleQueue] = [SimpleQueue() for _ in range(n_workers)]
-        self._idents: List[Optional[int]] = [None] * n_workers
-        self._started = threading.Event()
         self._shutdown = False
-        #: Serializes submit() against shutdown(): without it a task
-        #: could be enqueued behind the stop sentinel and its future
-        #: would never complete (the caller would block forever).
+        #: Serializes submit() against shutdown(): a task enqueued behind
+        #: the stop sentinel would never complete, and its caller never wake.
         self._submit_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        remaining = [n_workers]
-        lock = threading.Lock()
-
-        def _note_started(index: int) -> None:
-            self._idents[index] = threading.get_ident()
-            with lock:
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    self._started.set()
-
-        for i in range(n_workers):
-            thread = threading.Thread(
-                target=self._worker,
-                args=(i, _note_started),
-                name=f"{name}-worker-{i}",
-                daemon=True,  # a forgotten shutdown must not hang exit
+        self._threads = [  # daemons: a forgotten shutdown must not hang exit
+            threading.Thread(
+                target=self._worker, args=(i,), name=f"{name}-worker-{i}", daemon=True
             )
+            for i in range(n_workers)
+        ]
+        for thread in self._threads:
             thread.start()
-            self._threads.append(thread)
-        self._started.wait()
 
     # ------------------------------------------------------------------
-    # Worker loop
+    # Ownership and execution
     # ------------------------------------------------------------------
-    def _worker(self, index: int, note_started: Callable[[int], None]) -> None:
-        note_started(index)
+    @property
+    def n_workers(self) -> int:
+        return len(self._mailboxes)
+
+    def holds(self, index: int) -> bool:
+        """Whether the calling thread holds shard ``index``'s gate."""
+        return self._holders[index] == threading.get_ident()
+
+    def _own(self, index: int, fn: Callable, args: tuple, kwargs: dict, live: bool = False):
+        """``fn(*args, **kwargs)`` on this thread, as shard ``index``'s owner.
+        ``live`` (a client's call, not a task a worker accepted earlier)
+        refuses after shutdown — checked *under* the gate, so a client that
+        waited for it cannot run behind :meth:`shutdown`'s last tasks."""
+        with self._gates[index]:
+            if live and self._shutdown:
+                raise ConcurrencyError("executor is shut down")
+            self._holders[index] = threading.get_ident()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._holders[index] = None
+
+    def _worker(self, index: int) -> None:
         mailbox = self._mailboxes[index]
         while True:
             item = mailbox.get()
@@ -121,48 +131,37 @@ class ShardExecutor:
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                result = fn(*args, **kwargs)
+                result = self._own(index, fn, args, kwargs)
             except BaseException as exc:  # delivered via future.result()
                 future.set_exception(exc)
             else:
                 future.set_result(result)
 
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    @property
-    def n_workers(self) -> int:
-        return len(self._mailboxes)
-
-    def worker_ident(self, index: int) -> int:
-        """Thread identity of worker ``index`` (for ownership guards)."""
-        ident = self._idents[index]
-        assert ident is not None, "workers are started in __init__"
-        return ident
+    def run(self, index: int, fn: Callable, *args, **kwargs):
+        """Take shard ``index``'s gate and call ``fn`` on this thread.  A
+        thread that already holds it (shard code re-entering the executor,
+        on a worker or a client) just calls through."""
+        self._check(index)
+        if self.holds(index):
+            return fn(*args, **kwargs)
+        return self._own(index, fn, args, kwargs, live=True)
 
     def submit(self, index: int, fn: Callable, *args, **kwargs) -> Future:
         """Enqueue ``fn(*args, **kwargs)`` on worker ``index``'s mailbox."""
-        if not 0 <= index < len(self._mailboxes):
-            raise ValueError(
-                f"worker index {index} outside pool of {len(self._mailboxes)}"
-            )
-        future: Future = Future()
+        self._check(index)
         with self._submit_lock:
             if self._shutdown:
                 raise ConcurrencyError("executor is shut down")
-            self._mailboxes[index].put((future, fn, args, kwargs))
+            return self._enqueue(index, fn, args, kwargs)
+
+    def _check(self, index: int) -> None:
+        if not 0 <= index < len(self._gates):
+            raise ValueError(f"worker index {index} outside pool of {len(self._gates)}")
+
+    def _enqueue(self, index: int, fn: Callable, args: tuple, kwargs: dict) -> Future:
+        future: Future = Future()
+        self._mailboxes[index].put((future, fn, args, kwargs))
         return future
-
-    def run(self, index: int, fn: Callable, *args, **kwargs):
-        """Submit to worker ``index`` and wait for the result.
-
-        Calls from the worker's own thread execute inline instead —
-        waiting on the mailbox from inside it would deadlock (the task
-        behind you in the queue can never run while you block).
-        """
-        if threading.get_ident() == self._idents[index]:
-            return fn(*args, **kwargs)
-        return self.submit(index, fn, *args, **kwargs).result()
 
     def map(self, tasks: Sequence[Tuple[int, Callable]]) -> List[object]:
         """Run ``(worker index, thunk)`` tasks concurrently; join all.
@@ -170,24 +169,33 @@ class ShardExecutor:
         Every task is awaited even when an earlier one fails — a fan-out
         must not leave half the fleet still mutating state when control
         returns — then the first exception (in task order) is re-raised.
+        A single task has nothing to overlap with and runs on the caller.
         """
-        futures = [self.submit(index, fn) for index, fn in tasks]
-        return gather(futures)
+        if len(tasks) == 1:
+            return [self.run(*tasks[0])]
+        if any(self.holds(index) for index, _fn in tasks):
+            raise ConcurrencyError("fan-out while holding a target shard's gate: deadlock")
+        return gather([self.submit(index, fn) for index, fn in tasks])
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop every worker after its queued tasks drain.  Idempotent."""
+    def shutdown(self, wait: bool = True, last: Sequence[Tuple[int, Callable]] = ()) -> None:
+        """Stop every worker after its queued tasks drain.  Idempotent.
+        ``last`` ``(worker index, thunk)`` tasks (closing a shard's chip)
+        run behind those, once all else is refused, so nothing follows
+        them on a shard; they are joined and the first failure re-raised."""
         with self._submit_lock:
             if self._shutdown:
                 return
             self._shutdown = True
+            futures = [self._enqueue(index, fn, (), {}) for index, fn in last]
             for mailbox in self._mailboxes:
                 mailbox.put(_STOP)
         if wait:
             for thread in self._threads:
                 thread.join()
+        gather(futures)
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -213,26 +221,27 @@ def gather(futures: Sequence[Future]) -> List[object]:
 
 
 class ParallelShardedDriver(ShardedDriver):
-    """A :class:`ShardedDriver` whose shards execute on worker threads.
+    """A :class:`ShardedDriver` whose shards are owned through gates.
 
     Every operation is the parent's; only the two execution primitives
-    differ — each goes through the owning shard's mailbox, so *all*
-    shard and chip work (I/O, GC, fsck, sync, close) runs on that
-    shard's one worker.  Construction pins each shard's GC engine to its
-    worker thread
-    (:meth:`~repro.ftl.gc.GarbageCollector.bind_owner_thread`), so any
-    code path that would run ``on_write_begin``/``on_write_end`` hooks
-    off the owning worker fails loudly instead of corrupting shard
-    state.  ``close()`` shuts the pool down; the driver (like its
-    serial parent) must not be used afterwards.
+    differ.  A single-shard call takes that shard's gate and runs on the
+    calling thread; a fan-out hands each shard's piece to its worker
+    (which takes the gate) and joins.  So *all* shard and chip work
+    (I/O, GC, fsck, sync, close) runs under the shard's gate, one owner
+    at a time.  Construction guards each shard's GC engine with its gate
+    (:meth:`~repro.ftl.gc.GarbageCollector.bind_owner`), so any code
+    path that would run ``on_write_begin``/``on_write_end`` hooks
+    without holding the gate fails loudly instead of corrupting shard
+    state.  ``close()`` shuts the pool down; every entry point raises
+    :class:`ConcurrencyError` afterwards.
 
-    Single-page operations gain nothing from one client thread, but
-    *many* client threads are serialized per shard and overlap across
-    shards, which is the stress-test configuration.  The fan-out entry
-    points (``load_pages``/``write_pages``/``flush``/``group_flush``/
-    ``fsck``/``sync``/``end_of_load``) are where a single caller sees
-    wall-clock parallelism: all shards work at once and the call joins
-    them.
+    One client thread pays a lock and no hand-off per single-page
+    operation; *many* client threads are serialized per shard and
+    overlap across shards (a client waiting on its device holds only its
+    own shard's gate).  The fan-out entry points (``load_pages``/
+    ``write_pages``/``flush``/``group_flush``/``fsck``/``sync``/
+    ``end_of_load``) are where a single caller sees wall-clock
+    parallelism: all shards work at once and the call joins them.
     """
 
     def __init__(
@@ -244,49 +253,46 @@ class ParallelShardedDriver(ShardedDriver):
         super().__init__(shards, router)
         if executor is not None and executor.n_workers != len(self.shards):
             raise ConcurrencyError(
-                f"executor has {executor.n_workers} workers for "
-                f"{len(self.shards)} shards"
+                f"executor has {executor.n_workers} workers for {len(self.shards)} shards"
             )
-        self.executor = executor if executor is not None else ShardExecutor(
-            len(self.shards)
-        )
+        self.executor = executor if executor is not None else ShardExecutor(len(self.shards))
         self.name += " par"
         for index, shard in enumerate(self.shards):
             gc = getattr(shard, "gc", None)
             if gc is not None:
-                gc.bind_owner_thread(self.executor.worker_ident(index))
+                gc.bind_owner(partial(self.executor.holds, index))
         self._counter_lock = threading.Lock()  # client threads race here
 
     # ------------------------------------------------------------------
-    # Execution primitives: the mailbox instead of the calling thread
+    # Execution primitives: the gate, on this thread or on a worker
     # ------------------------------------------------------------------
-    def _task(self, index: int, fn: Callable, *args) -> Callable[[], object]:
-        """Bind a shard task, propagating the caller's stats phase.
-
-        Phase stacks are thread-local (see
-        :class:`~repro.flash.stats.FlashStats`), so a phase the *client*
-        thread pushed — e.g. ``AggregateStats.phase("load")`` around a
-        bulk load — would not attribute work executed on a worker.  The
-        innermost phase is captured here, on the submitting thread, and
-        re-pushed around the task on the worker.
-        """
-        phase = self.shards[index].stats.current_phase
-
-        def run() -> object:
-            if phase == DEFAULT_PHASE:
-                return fn(*args)
-            with self.shards[index].stats.phase(phase):
-                return fn(*args)
-
-        return run
-
     def _run_on(self, index: int, fn: Callable, *args):
-        return self.executor.run(index, self._task(index, fn, *args))
+        return self.executor.run(index, fn, *args)
 
     def _fan_out(self, tasks: Dict[int, Callable[[], object]]) -> List[object]:
         return self.executor.map(
-            [(index, self._task(index, fn)) for index, fn in sorted(tasks.items())]
+            [(index, self._in_caller_phase(index, fn)) for index, fn in sorted(tasks.items())]
         )
+
+    def _in_caller_phase(self, index: int, fn: Callable[[], object]) -> Callable[[], object]:
+        """``fn``, attributed on a worker as it would be on this thread.
+
+        Phase stacks are thread-local (see
+        :class:`~repro.flash.stats.FlashStats`), so a phase the *client*
+        pushed — e.g. ``AggregateStats.phase("load")`` around a bulk
+        load — is captured here and re-pushed around the task on the
+        worker.  Work that runs on the caller needs none of this.
+        """
+        stats = self.shards[index].stats
+        phase = stats.current_phase
+        if phase == DEFAULT_PHASE:
+            return fn
+
+        def run() -> object:
+            with stats.phase(phase):
+                return fn()
+
+        return run
 
     # The same functions, bound here as well: benchmarks/e2e/trace.py
     # patches these names in *this* class's namespace, and an inherited
@@ -298,14 +304,7 @@ class ParallelShardedDriver(ShardedDriver):
     group_flush = ShardedDriver.group_flush
 
     def close(self) -> None:
-        """Close every shard chip on its worker, then stop the workers."""
-        try:
-            super().close()
-        finally:
-            self.executor.shutdown()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<ParallelShardedDriver {self.name!r} "
-            f"router={type(self.router).__name__} shards={len(self.shards)}>"
-        )
+        """Close every shard chip under its gate as its worker's last
+        task, and stop the workers.  Idempotent, like the executor's
+        shutdown (whose flag is the only closed state there is)."""
+        self.executor.shutdown(last=[(i, chip.close) for i, chip in enumerate(self.chips)])

@@ -23,9 +23,9 @@ model is no longer only simulated: a
 shards concurrently, and ``measure_sharded_updates`` reports measured
 wall-clock time next to these simulated metrics so the model can be
 validated (``benchmarks/bench_parallel.py``; see
-``docs/concurrency.md``).  The per-shard collectors merged here double
-as the per-worker accumulators — each :class:`FlashStats` is mutated
-only by its shard's single worker thread, and every aggregate property
+``docs/concurrency.md``).  The per-shard collectors merged here need no
+lock — each :class:`FlashStats` is mutated only by the thread holding
+its shard's gate, and every aggregate property
 below (op totals, stall histograms, GC step counters) merges them on
 read, which is safe once the fan-out has joined.
 

@@ -29,7 +29,7 @@ A serial driver (plain :class:`~repro.core.pdl.PdlDriver` or
 when one is used with the daemon (two threads!) all driver calls are
 additionally serialized through an internal driver lock.  A
 :class:`~repro.sharding.executor.ParallelShardedDriver` needs no such
-lock — its per-shard mailboxes are the serialization — which is the
+lock — its per-shard gates are the serialization — which is the
 configuration where background write-back actually overlaps with client
 work.
 """
@@ -98,7 +98,7 @@ class BufferManager:
 
         #: Serial drivers are not thread-safe; with a write-back daemon
         #: (a second thread) every driver call goes through this lock.
-        #: Parallel sharded drivers serialize in their shard mailboxes.
+        #: Parallel sharded drivers serialize at their shard gates.
         parallel = isinstance(driver, ParallelShardedDriver)
         self._driver_lock: Optional[threading.Lock] = None
 

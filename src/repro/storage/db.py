@@ -385,7 +385,7 @@ class Database:
         ]
         # Figure-11 recovery per shard; recover_* resumes timestamps.
         # A parallel open routes even a single shard through recover_all:
-        # the one-worker array is what makes the driver safe for
+        # the one-shard array's gate is what makes the driver safe for
         # concurrent client threads.
         if stored_shards == 1 and not parallel:
             driver, _report = recover_driver(
@@ -417,9 +417,9 @@ class Database:
             for chip in chips
         ]
         if parallel:
-            # Even one shard gains the executor's mailbox: all client
-            # threads serialize through the worker, making the engine
-            # safe for concurrent use.
+            # Even one shard gains the executor's gate: all client
+            # threads serialize on it, making the engine safe for
+            # concurrent use.
             return ParallelShardedDriver(shards)
         if n_shards == 1:
             return shards[0]

@@ -361,7 +361,7 @@ def measure_sharded_updates(
     seeded operation stream a serial window executes, so the measured
     work (and final database state) is thread-count-invariant.  Only
     valid for ``par`` labels, whose executor serializes each shard's
-    operations on its own worker.
+    operations at its gate.
     """
     workload = build_workload(
         label, runner, pct_changed, n_updates_till_write, method_kwargs

@@ -1,4 +1,5 @@
-"""Fixture: consistent order, plus an alias via Condition (0 findings)."""
+"""Fixture: consistent order, an alias via Condition, and a family of
+per-shard locks that is only ever a leaf (0 findings)."""
 import threading
 
 
@@ -30,3 +31,22 @@ class Daemon:
     def wait(self):
         with self.cond:
             return 4
+
+
+class Executor:
+    def __init__(self, n_shards):
+        self._gates = [threading.Lock() for _ in range(n_shards)]
+
+    def run_gated(self, index, fn):
+        with self._gates[index]:  # a leaf: nothing is taken under it
+            return fn()
+
+
+class Client:
+    def __init__(self, pool, executor):
+        self.pool = pool
+        self.executor = executor
+
+    def fetch(self, pid):
+        with self.pool.alloc_lock:
+            return self.executor.run_gated(pid % 2, lambda: pid)

@@ -42,6 +42,17 @@ def test_good_fixture_quiet(fixture, rule_id, expected):
     assert result.new == [], [f.render() for f in result.new]
 
 
+def test_pool_lock_under_a_shard_gate_fires():
+    """A list of per-shard locks is one node of the graph, acquired as
+    ``with self._gates[i]:``; taking the pool lock under it is a cycle."""
+    path = FIXTURES / "lock_order" / "bad_gate.py"
+    result = analyze([path], root=FIXTURES / "lock_order")
+    assert [f.rule for f in result.new] == ["lock-order"], [f.render() for f in result.new]
+    message = result.new[0].message
+    assert "Executor._gates held while acquiring Pool._lock" in message
+    assert "Pool._lock held while acquiring Executor._gates" in message
+
+
 def test_every_registered_rule_has_fixtures():
     from repro.analysis import rule_ids
 

@@ -45,3 +45,30 @@ def test_known_suppressions_are_deliberate():
     result = analyze([REPO_ROOT / "src"], root=REPO_ROOT)
     suppressed = sorted({(f.rule, f.path) for f in result.suppressed})
     assert suppressed == [], suppressed
+
+
+def test_shard_gates_are_in_the_lock_order_graph(tmp_path):
+    """The clean scan above covers the gate: beside the live executor, a
+    probe that takes a gate on both sides of its own lock is reported as
+    a cycle, and the edge *into* the gate is the live ``_own``'s."""
+    executor = REPO_ROOT / "src" / "repro" / "sharding" / "executor.py"
+    (tmp_path / "executor.py").write_text(executor.read_text())
+    (tmp_path / "probe.py").write_text(
+        "import threading\n"
+        "class Probe:\n"
+        "    def __init__(self, executor):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.executor = executor\n"
+        "    def lock_then_gate(self):\n"
+        "        with self._lock:\n"
+        "            self.executor._own(0, int, (), {})\n"
+        "    def gate_then_lock(self):\n"
+        "        with self.executor._gates[0]:\n"
+        "            with self._lock:\n"
+        "                pass\n"
+    )
+    result = analyze([tmp_path], root=tmp_path)
+    assert [f.rule for f in result.new] == ["lock-order"], [f.render() for f in result.new]
+    message = result.new[0].message
+    assert "Probe._lock held while acquiring ShardExecutor._gates" in message
+    assert "ShardExecutor._gates held while acquiring Probe._lock" in message

@@ -1,4 +1,4 @@
-"""Unit tests for the shard worker pool (ShardExecutor)."""
+"""Unit tests for the shard gates and worker pool (ShardExecutor)."""
 
 import threading
 import time
@@ -14,6 +14,10 @@ def pool():
     executor = ShardExecutor(4)
     yield executor
     executor.shutdown()
+
+
+def _worker_ident(pool, index):
+    return pool.submit(index, threading.get_ident).result()
 
 
 class TestSubmission:
@@ -48,10 +52,10 @@ class TestSingleWriterInvariant:
         futures = [pool.submit(0, task, i) for i in range(50)]
         gather(futures)
         assert [i for i, _ in seen] == list(range(50))  # FIFO per mailbox
-        assert {ident for _, ident in seen} == {pool.worker_ident(0)}
+        assert {ident for _, ident in seen} == {_worker_ident(pool, 0)}
 
     def test_workers_are_distinct_threads(self, pool):
-        idents = {pool.worker_ident(i) for i in range(4)}
+        idents = {_worker_ident(pool, i) for i in range(4)}
         assert len(idents) == 4
         assert threading.get_ident() not in idents
 
@@ -62,13 +66,127 @@ class TestSingleWriterInvariant:
         gather(futures)  # would raise BrokenBarrierError if serialized
 
     def test_run_executes_inline_on_own_worker(self, pool):
-        """A task running on worker 0 may re-enter run() for worker 0
-        without deadlocking on its own mailbox."""
+        """A task running on worker 0 already holds gate 0, so it may
+        re-enter run() for shard 0 without deadlocking on it."""
 
         def outer():
             return pool.run(0, lambda: threading.get_ident())
 
-        assert pool.submit(0, outer).result() == pool.worker_ident(0)
+        assert pool.submit(0, outer).result() == _worker_ident(pool, 0)
+
+
+class TestGate:
+    def test_run_executes_on_the_calling_thread_holding_the_gate(self, pool):
+        assert not pool.holds(0)
+        ident, held, other = pool.run(
+            0, lambda: (threading.get_ident(), pool.holds(0), pool.holds(1))
+        )
+        assert (ident, held, other) == (threading.get_ident(), True, False)
+        assert not pool.holds(0)
+
+    def test_worker_tasks_hold_their_gate(self, pool):
+        assert pool.map([(i, lambda i=i: pool.holds(i)) for i in range(4)]) == [True] * 4
+
+    def test_gate_released_when_the_call_raises(self, pool):
+        with pytest.raises(ZeroDivisionError):
+            pool.run(0, lambda: 1 / 0)
+        assert pool.run(0, lambda: "free") == "free"
+
+    def test_a_held_gate_excludes_callers_and_the_worker(self, pool):
+        inside, release = threading.Event(), threading.Event()
+
+        def hold():
+            inside.set()
+            assert release.wait(timeout=5)
+
+        holder = threading.Thread(target=pool.run, args=(0, hold))
+        holder.start()
+        assert inside.wait(timeout=5)
+        queued = pool.submit(0, lambda: "worker")
+        assert pool.run(1, lambda: "other shard") == "other shard"
+        assert not queued.done()
+        release.set()
+        holder.join(timeout=5)
+        assert queued.result(timeout=5) == "worker"
+
+    def test_run_reenters_from_a_client_holding_the_gate(self, pool):
+        assert pool.run(0, lambda: pool.run(0, lambda: pool.holds(0)))
+
+    def test_map_of_one_task_runs_on_the_caller(self, pool):
+        assert pool.map([(2, lambda: (threading.get_ident(), pool.holds(2)))]) == [
+            (threading.get_ident(), True)
+        ]
+
+    def test_fan_out_while_holding_a_target_gate_rejected(self, pool):
+        """It would wait on a worker that is waiting on the caller."""
+        with pytest.raises(ConcurrencyError, match="deadlock"):
+            pool.run(1, lambda: pool.map([(0, int), (1, int)]))
+
+    def test_run_after_shutdown_rejected(self):
+        executor = ShardExecutor(1)
+        executor.shutdown()
+        with pytest.raises(ConcurrencyError, match="shut down"):
+            executor.run(0, lambda: None)
+
+    def test_run_checks_its_index_like_submit(self, pool):
+        for index in (-1, 4):
+            with pytest.raises(ValueError, match="outside pool"):
+                pool.run(index, lambda: None)
+            with pytest.raises(ValueError, match="outside pool"):
+                pool.submit(index, lambda: None)
+
+    def test_a_client_waiting_on_a_gate_never_runs_behind_shutdowns_last_task(self):
+        """close() racing a client: the chip is closed by the worker's
+        last task, and a caller that was queued on the gate meanwhile
+        is refused under it rather than let through afterwards."""
+        executor = ShardExecutor(1)
+        inside, release = threading.Event(), threading.Event()
+        order, refused = [], []
+
+        def hold():
+            inside.set()
+            assert release.wait(timeout=5)
+
+        def client():
+            try:
+                executor.run(0, order.append, "client")
+            except ConcurrencyError as exc:
+                refused.append(exc)
+
+        def refuses_new_work():
+            try:
+                executor.submit(0, int)
+            except ConcurrencyError:
+                return True
+            return False
+
+        executor.submit(0, hold)
+        assert inside.wait(timeout=5)  # the worker holds gate 0
+        waiting = threading.Thread(target=client)
+        waiting.start()
+        time.sleep(0.05)  # long enough to reach the gate; right either way
+        closing = threading.Thread(
+            target=executor.shutdown, kwargs={"last": [(0, lambda: order.append("close"))]}
+        )
+        closing.start()
+        deadline = time.monotonic() + 5
+        while not refuses_new_work():
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        release.set()
+        waiting.join(timeout=5)
+        closing.join(timeout=5)
+        assert order == ["close"]
+        assert len(refused) == 1
+
+    def test_shutdown_joins_its_last_tasks_and_raises_their_first_failure(self):
+        executor = ShardExecutor(2)
+        closed = []
+        with pytest.raises(ZeroDivisionError):
+            executor.shutdown(last=[(0, lambda: 1 / 0), (1, lambda: closed.append(1))])
+        assert closed == [1]
+        executor.shutdown(last=[(0, lambda: closed.append("again"))])  # a no-op now
+        assert closed == [1]
 
 
 class TestGather:
@@ -100,7 +218,7 @@ class TestLifecycle:
         )
         assert [i for i, _ in results] == [0, 1, 2, 3]
         assert [ident for _, ident in results] == [
-            pool.worker_ident(i) for i in range(4)
+            _worker_ident(pool, i) for i in range(4)
         ]
 
     def test_shutdown_drains_queued_tasks(self):

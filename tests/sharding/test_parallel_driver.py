@@ -1,11 +1,14 @@
 """ParallelShardedDriver: equivalence with the serial façade + plumbing."""
 
 import random
+import sys
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.check import check_driver
+from repro.flash.backend import FileBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spec import FlashSpec
 from repro.ftl.errors import ConcurrencyError, ConfigurationError
@@ -204,8 +207,8 @@ SHARD_CALLS = (
 CHIP_CALLS = ("sync", "close")
 
 
-def _from_two_clients(fn):
-    """Run ``fn(t)`` for t in (0, 1) on two client threads; re-raise."""
+def _from_clients(n, fn):
+    """Run ``fn(t)`` for t in range(n) on n client threads; re-raise."""
     errors = []
 
     def client(t):
@@ -214,7 +217,7 @@ def _from_two_clients(fn):
         except BaseException as exc:  # surfaced after join
             errors.append(exc)
 
-    threads = [threading.Thread(target=client, args=(t,)) for t in range(2)]
+    threads = [threading.Thread(target=client, args=(t,)) for t in range(n)]
     for thread in threads:
         thread.start()
     for thread in threads:
@@ -224,58 +227,208 @@ def _from_two_clients(fn):
         raise errors[0]
 
 
-class TestWorkerOwnership:
-    """Every shard and chip call of every public entry point runs on the
-    shard's own worker — not only the GC hooks the owner guard covers."""
+def _spy(driver, record):
+    """Wrap every shard and chip method the facade may call so that
+    ``record(shard index, method name)`` brackets the original."""
 
-    def test_every_entry_point_executes_on_the_owning_worker(self):
-        driver = make_method("PDL (64B) x2 par", _chips(2))
-        calls = []  # (shard index, method name, thread ident)
+    def wrap(target, name, index):
+        original = getattr(target, name)
 
-        def spy(target, name, index):
-            original = getattr(target, name)
-
-            def recorded(*args, **kwargs):
-                calls.append((index, name, threading.get_ident()))
+        def spied(*args, **kwargs):
+            with record(index, name):
                 return original(*args, **kwargs)
 
-            setattr(target, name, recorded)
+        setattr(target, name, spied)
 
-        for index, shard in enumerate(driver.shards):
-            for name in SHARD_CALLS:
-                spy(shard, name, index)
-            for name in CHIP_CALLS:
-                spy(shard.chip, name, index)
-        owners = [driver.executor.worker_ident(i) for i in range(2)]
-        page = bytes(PAGE)
+    for index, shard in enumerate(driver.shards):
+        for name in SHARD_CALLS:
+            wrap(shard, name, index)
+        for name in CHIP_CALLS:
+            wrap(shard.chip, name, index)
 
-        def load(t):
-            mine = range(t, N_PAGES, 2)
-            driver.load_page(mine[0], page)
-            driver.load_pages([(pid, page) for pid in mine[1:]])
-            driver.end_of_load()
 
-        def operate(t):
-            mine = range(t, N_PAGES, 2)
-            driver.write_page(mine[0], page)
-            driver.write_pages([(pid, page) for pid in mine[1:5]])
-            assert driver.read_page(mine[0]) == page
-            driver.flush()
-            driver.group_flush()
-            driver.group_flush(pages=[(pid, page) for pid in mine[5:9]])
-            assert driver.fsck(repair=False).clean
-            driver.sync()
+def _every_entry_point(driver, n_clients):
+    """All public entry points, from ``n_clients`` threads on disjoint pids."""
+    page = bytes(PAGE)
 
-        try:
-            _from_two_clients(load)
-            _from_two_clients(operate)
-        finally:
-            driver.close()  # once: the pool stops with it
+    def load(t):
+        mine = range(t, N_PAGES, n_clients)
+        driver.load_page(mine[0], page)
+        driver.load_pages([(pid, page) for pid in mine[1:]])
+        driver.end_of_load()
 
-        assert {name for _, name, _ in calls} == set(SHARD_CALLS + CHIP_CALLS)
-        assert {index for index, _, _ in calls} == {0, 1}
-        strays = [(i, name) for i, name, ident in calls if ident != owners[i]]
+    def operate(t):
+        mine = range(t, N_PAGES, n_clients)
+        driver.write_page(mine[0], page)
+        driver.write_pages([(pid, page) for pid in mine[1:3]])
+        driver.write_pages([(mine[3], page)])  # one shard: runs on the caller
+        assert driver.read_page(mine[0]) == page
+        driver.flush()
+        driver.group_flush()
+        driver.group_flush(pages=[(pid, page) for pid in mine[3:5]])
+        assert driver.fsck(repair=False).clean
+        driver.sync()
+
+    try:
+        _from_clients(n_clients, load)
+        _from_clients(n_clients, operate)
+    finally:
+        driver.close()  # once: the pool stops with it
+
+
+class TestGateOwnership:
+    """Every shard and chip call of every public entry point happens
+    while the calling thread holds that shard's gate — not only the GC
+    hooks the owner guard covers — and never two threads at once."""
+
+    def test_every_shard_and_chip_call_holds_its_gate(self):
+        driver = make_method("PDL (64B) x2 par", _chips(2))
+        calls = []  # (shard index, method name, gate held?, thread ident)
+
+        @contextmanager
+        def record(index, name):
+            calls.append(
+                (index, name, driver.executor.holds(index), threading.get_ident())
+            )
+            yield
+
+        _spy(driver, record)
+        _every_entry_point(driver, n_clients=2)
+
+        assert {name for _, name, _, _ in calls} == set(SHARD_CALLS + CHIP_CALLS)
+        assert {index for index, _, _, _ in calls} == {0, 1}
+        strays = [(i, name) for i, name, held, _ in calls if not held]
         assert not strays, strays
+        # Single-page operations are never handed off: they ran on
+        # client threads, which are gone; the workers saw only fan-outs.
+        workers = {t.ident for t in driver.executor._threads}
+        single = {"load_page", "read_page", "write_page"}
+        assert not [c for c in calls if c[1] in single and c[3] in workers]
+        assert [c for c in calls if c[1] == "flush" and c[3] in workers]
+
+    def test_never_two_threads_inside_one_shard(self):
+        driver = make_method("PDL (64B) x4 par", _chips(4))
+        inside = [0] * 4
+        peak = [0] * 4
+
+        @contextmanager
+        def record(index, _name):
+            inside[index] += 1
+            peak[index] = max(peak[index], inside[index])
+            try:
+                yield
+            finally:
+                inside[index] -= 1
+
+        _spy(driver, record)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # preempt inside the shard calls
+        try:
+            _every_entry_point(driver, n_clients=8)
+        finally:
+            sys.setswitchinterval(interval)
+        # 1, not 0 or 2: every shard was entered, by one thread at a
+        # time (a batched shard call entering its own write_page would
+        # nest, and no shard driver does).
+        assert peak == [1] * 4
+        assert inside == [0] * 4
+
+    def test_a_blocked_shard_blocks_only_its_own_clients(self):
+        """Shard 0 stuck inside a chip read holds gate 0 and nothing
+        else: shard 1 serves its client, shard 0's next client waits."""
+        driver = make_method("PDL (64B) x2 par", _chips(2))
+        try:
+            _load_then_end(driver)
+            on_shard = {0: [], 1: []}
+            for pid in range(N_PAGES):
+                on_shard[driver.shard_index(pid)].append(pid)
+            entered, release = threading.Event(), threading.Event()
+            chip = driver.shards[0].chip
+            original = chip.read_page
+
+            def stuck_read(addr):
+                entered.set()
+                assert release.wait(timeout=30)
+                return original(addr)
+
+            chip.read_page = stuck_read
+            done = {name: threading.Event() for name in "abc"}
+
+            def client(name, pid):
+                driver.read_page(pid)
+                done[name].set()
+
+            threads = [threading.Thread(target=client, args=("a", on_shard[0][0]))]
+            threads[0].start()
+            assert entered.wait(timeout=30)  # a is inside shard 0's chip
+            chip.read_page = original  # later readers do not block there
+            threads.append(threading.Thread(target=client, args=("b", on_shard[1][0])))
+            threads.append(threading.Thread(target=client, args=("c", on_shard[0][1])))
+            for thread in threads[1:]:
+                thread.start()
+            assert done["b"].wait(timeout=30)
+            assert not done["c"].wait(timeout=0.2)
+            assert not done["a"].is_set()
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert all(event.is_set() for event in done.values())
+        finally:
+            release.set()
+            driver.close()
+
+
+class TestUseAfterClose:
+    def test_parallel_driver_refuses_every_entry_point(self):
+        driver = make_method("PDL (64B) x2 par", _chips(2))
+        _load_then_end(driver)
+        driver.close()
+        page = bytes(PAGE)
+        some = [(pid, page) for pid in range(4)]
+        for use in (
+            lambda: driver.read_page(0),
+            lambda: driver.write_page(0, page),
+            lambda: driver.load_page(N_PAGES, page),
+            lambda: driver.write_pages(some[:1]),  # one shard: the gate path
+            lambda: driver.write_pages(some),  # fan-out: the worker path
+            lambda: driver.load_pages(some),
+            lambda: driver.group_flush(pages=some),
+            driver.flush,
+            driver.end_of_load,
+            driver.fsck,
+            driver.sync,
+        ):
+            with pytest.raises(ConcurrencyError, match="shut down"):
+                use()
+
+    def test_parallel_close_is_idempotent(self):
+        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver.close()
+        driver.close()
+
+    def test_serial_driver_has_no_closed_state_of_its_own(self, tmp_path):
+        """Documented, not endorsed: the serial facade forwards to its
+        chips, so use after close() is whatever the backend does — a
+        memory chip keeps answering, a file chip raises ValueError."""
+        page = bytes(PAGE)
+        memory = make_method("PDL (64B) x2", _chips(2))
+        memory.load_page(0, page)
+        memory.close()
+        memory.close()
+        assert memory.read_page(0) == page
+
+        files = make_method(
+            "PDL (64B) x2",
+            [
+                FlashChip(SPEC, backend=FileBackend.create(tmp_path / f"s{i}.img", SPEC))
+                for i in range(2)
+            ],
+        )
+        files.load_page(0, page)
+        files.close()
+        files.close()
+        with pytest.raises(ValueError, match="closed file"):
+            files.read_page(0)
 
 
 class TestOwnershipGuard:
@@ -284,14 +437,17 @@ class TestOwnershipGuard:
             "PDL (64B) x2 par", _chips(2), gc_config=GcConfig(incremental_steps=1)
         )
         try:
-            with pytest.raises(ConcurrencyError):
+            with pytest.raises(ConcurrencyError, match="gate"):
                 driver.shards[0].gc.on_write_begin()
-            # Routed through the mailbox, the same hook is legal.
+            # Routed through the facade, which takes the gate, the same
+            # hook is legal.
             driver.write_page(0, b"\x00" * PAGE)
         finally:
             driver.close()
 
     def test_direct_shard_write_bypassing_mailbox_rejected(self):
+        """(Named before ownership became a gate: "the mailbox" is the
+        facade, the only code that takes one.)"""
         driver = make_method("PDL (64B) x2 par", _chips(2))
         try:
             with pytest.raises(ConcurrencyError):
@@ -303,7 +459,7 @@ class TestOwnershipGuard:
         driver = make_method("PDL (64B) x2 par", _chips(2))
         try:
             for shard in driver.shards:
-                shard.gc.bind_owner_thread(None)
+                shard.gc.bind_owner(None)
             driver.shards[0].write_page(0, b"\x00" * PAGE)
         finally:
             driver.close()
