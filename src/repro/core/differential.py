@@ -23,13 +23,16 @@ updated page can exceed one page and trigger the paper's Case 3.
 Diffing is numpy-accelerated; changed regions separated by fewer
 unchanged bytes than a run header costs are coalesced (configurable
 ``coalesce_gap``), trading a few unchanged bytes for less metadata.
+
+The encoded entry is the one representation of a differential:
+:meth:`Differential.from_pages` goes from two page images to entry bytes
+in one pass, :meth:`Differential.apply` patches a page straight from them,
+and everything between moves those bytes (docs/architecture.md).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,6 +108,41 @@ def compute_runs(
     )
 
 
+_WORD = np.dtype("<u8")
+_BYTE = np.dtype(np.uint8)
+#: Integer types as wide as one unit's comparison verdicts.
+_VERDICTS_AS_INT = {k: np.dtype(f"<u{k}") for k in (1, 2, 4, 8)}
+
+
+def _changed_offsets(base: bytes, new: bytes, unit: int) -> List[int]:
+    """Offsets of the ``unit``-byte chunks (short tail included) that differ."""
+    if len(base) != len(new):
+        raise ValueError(f"page images differ in size: {len(base)} vs {len(new)} bytes")
+    if unit <= 0:
+        raise ValueError("unit must be positive")
+    if base == new:
+        return []
+    n_full = len(base) // unit
+    offsets: List[int] = []
+    if n_full:
+        # Compare 8 bytes per element where the unit allows: same answer,
+        # an eighth of the elements numpy has to touch on every page diff.
+        dtype, per_unit = (_WORD, unit // 8) if unit % 8 == 0 else (_BYTE, unit)
+        count = n_full * per_unit
+        differs = np.frombuffer(base, dtype, count) != np.frombuffer(new, dtype, count)
+        as_int = _VERDICTS_AS_INT.get(per_unit)
+        if as_int is not None:
+            # One unit's verdicts read as one integer: non-zero iff changed.
+            differs = differs.view(as_int)
+        else:
+            differs = differs.reshape(n_full, per_unit).any(axis=1)
+        offsets = (differs.nonzero()[0] * unit).tolist()
+    tail_start = n_full * unit
+    if tail_start < len(base) and base[tail_start:] != new[tail_start:]:
+        offsets.append(tail_start)
+    return offsets
+
+
 def compute_unit_runs(base: bytes, new: bytes, unit: int = DEFAULT_DIFF_UNIT) -> Tuple[ChangeRun, ...]:
     """Unit-granular difference: one run per changed ``unit``-byte chunk.
 
@@ -116,54 +154,52 @@ def compute_unit_runs(base: bytes, new: bytes, unit: int = DEFAULT_DIFF_UNIT) ->
     differential exceed one page and trigger PDL_Writing's Case 3 (the
     sawtooth of the paper's footnote 16).
     """
-    if len(base) != len(new):
-        raise ValueError(
-            f"page images differ in size: {len(base)} vs {len(new)} bytes"
-        )
-    if unit <= 0:
-        raise ValueError("unit must be positive")
-    if base == new:
-        return ()
-    n_full = len(base) // unit
-    changed_units: List[int] = []
-    if n_full:
-        if unit % 8 == 0:
-            # Compare 8 bytes per element: same answer, an eighth of the
-            # elements numpy has to touch on every page diff.
-            words = unit // 8
-            full_a = np.frombuffer(base, dtype="<u8", count=n_full * words)
-            full_b = np.frombuffer(new, dtype="<u8", count=n_full * words)
-        else:
-            words = unit
-            full_a = np.frombuffer(base, dtype=np.uint8, count=n_full * unit)
-            full_b = np.frombuffer(new, dtype=np.uint8, count=n_full * unit)
-        full_a = full_a.reshape(n_full, words)
-        full_b = full_b.reshape(n_full, words)
-        changed_units = np.flatnonzero((full_a != full_b).any(axis=1)).tolist()
-    runs = [
-        ChangeRun(i * unit, new[i * unit : (i + 1) * unit]) for i in changed_units
-    ]
-    tail_start = n_full * unit
-    if tail_start < len(base) and base[tail_start:] != new[tail_start:]:
-        runs.append(ChangeRun(tail_start, new[tail_start:]))
-    return tuple(runs)
+    return tuple(
+        ChangeRun(offset, new[offset : offset + unit])
+        for offset in _changed_offsets(base, new, unit)
+    )
 
 
-@dataclass(frozen=True)
+def _pack_entry(
+    pid: int, timestamp: int, offsets: Sequence[int], chunks: Sequence[bytes]
+) -> bytes:
+    """One wire entry from run offsets and their data, in three C calls."""
+    n_runs = len(offsets)
+    lengths = list(map(len, chunks))
+    flat = [0] * (2 * n_runs)
+    flat[::2] = offsets
+    flat[1::2] = lengths
+    header = _ENTRY_HEADER.pack(pid, timestamp, n_runs, sum(lengths))
+    return b"".join([header, _run_header_struct(n_runs).pack(*flat), *chunks])
+
+
 class Differential:
     """The differential of one logical page (Section 4.2).
 
     ``timestamp`` is the creation time stamp recovery uses to identify the
-    most recent differential among surviving copies.
+    most recent differential among surviving copies.  ``wire`` is the
+    encoded entry and ``size`` its length — the quantity compared against
+    Max_Differential_Size in PDL_Writing's three cases; ``runs`` and
+    ``data_len`` are views decoded from it on demand.
     """
 
-    pid: int
-    timestamp: int
-    runs: Tuple[ChangeRun, ...]
+    __slots__ = ("pid", "timestamp", "wire", "size")
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def __init__(self, pid: int, timestamp: int, runs: Iterable[ChangeRun]) -> None:
+        runs = tuple(runs)
+        offsets, chunks = zip(*runs) if runs else ((), ())  # ChangeRun is (offset, data)
+        self._set(pid, timestamp, _pack_entry(pid, timestamp, offsets, chunks))
+
+    def _set(self, pid: int, timestamp: int, wire: bytes) -> "Differential":
+        self.pid = pid
+        self.timestamp = timestamp
+        self.wire = wire
+        self.size = len(wire)
+        return self
+
     @classmethod
     def from_pages(
         cls,
@@ -180,92 +216,98 @@ class Differential:
         ``unit=None`` selects byte-wise maximal runs with gap coalescing
         (the ablation configuration).
         """
-        if unit is not None:
-            runs = compute_unit_runs(base, new, unit)
-        else:
-            runs = compute_runs(base, new, coalesce_gap)
-        return cls(pid=pid, timestamp=timestamp, runs=runs)
+        if unit is None:
+            return cls(pid, timestamp, compute_runs(base, new, coalesce_gap))
+        offsets = _changed_offsets(base, new, unit)
+        chunks = [new[offset : offset + unit] for offset in offsets]
+        return cls.__new__(cls)._set(
+            pid, timestamp, _pack_entry(pid, timestamp, offsets, chunks)
+        )
 
     # ------------------------------------------------------------------
-    # Properties
+    # Views of the wire form
     # ------------------------------------------------------------------
-    # ``runs`` is immutable, so both derived sizes are computed once and
-    # cached — PDL_Writing's case analysis and the write buffer's space
-    # accounting consult ``size`` several times per differential.
-    @cached_property
-    def size(self) -> int:
-        """Encoded size in bytes, metadata included — the quantity compared
-        against Max_Differential_Size in PDL_Writing's three cases."""
-        return ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * len(self.runs) + self.data_len
+    def _run_headers(self) -> Tuple[Tuple[int, ...], int]:
+        """Flat ``(offset, length, …)`` run headers and where the run data starts."""
+        n_runs = _ENTRY_HEADER.unpack_from(self.wire)[2]
+        data_at = ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * n_runs
+        return _run_header_struct(n_runs).unpack_from(self.wire, ENTRY_HEADER_SIZE), data_at
 
-    @cached_property
+    @property
+    def runs(self) -> Tuple[ChangeRun, ...]:
+        flat, pos = self._run_headers()
+        runs = []
+        for offset, length in zip(flat[::2], flat[1::2]):
+            runs.append(ChangeRun(offset, self.wire[pos : pos + length]))
+            pos += length
+        return tuple(runs)
+
+    @property
     def data_len(self) -> int:
-        return sum(len(run.data) for run in self.runs)
+        return _ENTRY_HEADER.unpack_from(self.wire)[3]
 
     @property
     def is_empty(self) -> bool:
-        return not self.runs
+        return self.size == ENTRY_HEADER_SIZE
+
+    def __eq__(self, other: object) -> bool:
+        # The entry carries pid and timestamp, so the bytes say it all.
+        return isinstance(other, Differential) and self.wire == other.wire
+
+    def __hash__(self) -> int:
+        return hash(self.wire)
+
+    def __repr__(self) -> str:
+        return f"Differential(pid={self.pid}, timestamp={self.timestamp}, runs={self.runs})"
 
     # ------------------------------------------------------------------
     # Application
     # ------------------------------------------------------------------
     def apply(self, base: bytes) -> bytes:
         """Merge this differential with its base page (PDL_Reading Step 3)."""
-        if not self.runs:
+        if self.size == ENTRY_HEADER_SIZE:
             return base
+        flat, pos = self._run_headers()
+        wire = self.wire
         image = bytearray(base)
-        for run in self.runs:
-            if run.end > len(image):
+        size = len(image)
+        for offset, length in zip(flat[::2], flat[1::2]):
+            end = offset + length
+            if end > size:
                 raise DifferentialError(
-                    f"run [{run.offset}, {run.end}) outside page of {len(image)} bytes"
+                    f"run [{offset}, {end}) outside page of {size} bytes"
                 )
-            image[run.offset : run.end] = run.data
+            image[offset:end] = wire[pos : pos + length]
+            pos += length
         return bytes(image)
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
-        runs = self.runs
-        header = _ENTRY_HEADER.pack(self.pid, self.timestamp, len(runs), self.data_len)
-        if not runs:
-            return header
-        flat: List[int] = []
-        for run in runs:
-            flat.append(run.offset)
-            flat.append(len(run.data))
-        # All run headers in one struct call instead of one pack per run.
-        run_headers = _run_header_struct(len(runs)).pack(*flat)
-        return b"".join([header, run_headers, *(run.data for run in runs)])
+        return self.wire
 
     @classmethod
     def decode_from(cls, buf: bytes, pos: int) -> Tuple["Differential", int]:
         """Decode one entry starting at ``pos``; returns it and the new pos."""
-        if pos + ENTRY_HEADER_SIZE > len(buf):
+        runs_at = pos + ENTRY_HEADER_SIZE
+        if runs_at > len(buf):
             raise DifferentialError("truncated differential entry header")
         pid, timestamp, n_runs, data_len = _ENTRY_HEADER.unpack_from(buf, pos)
-        pos += ENTRY_HEADER_SIZE
-        if pos + RUN_HEADER_SIZE * n_runs > len(buf):
+        data_at = runs_at + RUN_HEADER_SIZE * n_runs
+        if data_at > len(buf):
             raise DifferentialError("truncated differential run header")
-        # All run headers in one struct call (mirrors encode()).
-        flat = _run_header_struct(n_runs).unpack_from(buf, pos)
-        pos += RUN_HEADER_SIZE * n_runs
-        runs: List[ChangeRun] = []
-        carried = 0
-        for i in range(n_runs):
-            offset = flat[2 * i]
-            length = flat[2 * i + 1]
-            if pos + length > len(buf):
-                raise DifferentialError("truncated differential run data")
-            runs.append(ChangeRun(offset, bytes(buf[pos : pos + length])))
-            carried += length
-            pos += length
+        # All run headers in one struct call; every second field is a length.
+        carried = sum(_run_header_struct(n_runs).unpack_from(buf, runs_at)[1::2])
+        end = data_at + carried
+        if end > len(buf):
+            raise DifferentialError("truncated differential run data")
         if carried != data_len:
             raise DifferentialError(
                 f"differential for pid {pid} declares {data_len} data bytes "
                 f"but carries {carried}"
             )
-        return cls(pid=pid, timestamp=timestamp, runs=tuple(runs)), pos
+        return cls.__new__(cls)._set(pid, timestamp, bytes(buf[pos:end])), end
 
 
 # ----------------------------------------------------------------------
@@ -277,11 +319,8 @@ def encode_differential_page(
 ) -> bytes:
     """Pack differentials into one differential-page data area."""
     parts = [_PAGE_HEADER.pack(DIFF_PAGE_MAGIC, len(diffs))]
-    total = PAGE_HEADER_SIZE
-    for diff in diffs:
-        encoded = diff.encode()
-        total += len(encoded)
-        parts.append(encoded)
+    parts += [diff.encode() for diff in diffs]
+    total = sum(map(len, parts))
     if total > page_data_size:
         raise DifferentialError(
             f"{len(diffs)} differentials need {total} bytes; page holds "
@@ -290,18 +329,21 @@ def encode_differential_page(
     return b"".join(parts)
 
 
-def decode_differential_page(data: bytes) -> List[Differential]:
-    """Parse a differential page's data area into its entries."""
+def _entry_count(data: bytes) -> int:
+    """Validate a differential page's header; returns its entry count."""
     if len(data) < PAGE_HEADER_SIZE:
         raise DifferentialError("differential page smaller than its header")
     magic, count = _PAGE_HEADER.unpack_from(data, 0)
     if magic != DIFF_PAGE_MAGIC:
-        raise DifferentialError(
-            f"not a differential page (magic 0x{magic:04X})"
-        )
+        raise DifferentialError(f"not a differential page (magic 0x{magic:04X})")
+    return count
+
+
+def decode_differential_page(data: bytes) -> List[Differential]:
+    """Parse a differential page's data area into its entries."""
     diffs: List[Differential] = []
     pos = PAGE_HEADER_SIZE
-    for _ in range(count):
+    for _ in range(_entry_count(data)):
         diff, pos = Differential.decode_from(data, pos)
         diffs.append(diff)
     return diffs
@@ -312,27 +354,19 @@ def find_differential(data: bytes, pid: int) -> Optional[Differential]:
 
     The read path's hot lookup: entry headers carry ``n_runs`` and
     ``data_len``, so every non-matching entry is skipped in O(1) without
-    materializing its runs — only the matching entry (if any) is decoded
-    in full.  Structural damage along the skip path (truncated headers,
-    entries running off the page) still raises
+    looking at its runs — only the matching entry (if any) is validated
+    and sliced out.  Structural damage along the skip path (truncated
+    headers, entries running off the page) still raises
     :class:`DifferentialError` exactly as a full decode would.
     """
-    if len(data) < PAGE_HEADER_SIZE:
-        raise DifferentialError("differential page smaller than its header")
-    magic, count = _PAGE_HEADER.unpack_from(data, 0)
-    if magic != DIFF_PAGE_MAGIC:
-        raise DifferentialError(
-            f"not a differential page (magic 0x{magic:04X})"
-        )
     size = len(data)
     pos = PAGE_HEADER_SIZE
-    for _ in range(count):
+    for _ in range(_entry_count(data)):
         if pos + ENTRY_HEADER_SIZE > size:
             raise DifferentialError("truncated differential entry header")
         entry_pid, _ts, n_runs, data_len = _ENTRY_HEADER.unpack_from(data, pos)
         if entry_pid == pid:
-            diff, _pos = Differential.decode_from(data, pos)
-            return diff
+            return Differential.decode_from(data, pos)[0]
         pos += ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * n_runs + data_len
         if pos > size:
             raise DifferentialError("truncated differential run data")

@@ -39,6 +39,7 @@ from .differential import (
     DEFAULT_DIFF_UNIT,
     PAGE_HEADER_SIZE,
     Differential,
+    DifferentialError,
     decode_differential_page,
     encode_differential_page,
     find_differential,
@@ -193,15 +194,20 @@ class PdlDriver(PageUpdateMethod):
             base, _spare = self.chip.read_page(entry.base_addr)
             # Step 2: the write buffer is consulted before flash.
             diff = self.buffer.get(pid)
-            if diff is None and entry.diff_addr is not None:
-                diff_page, _ = self.chip.read_page(entry.diff_addr)
-                diff = find_differential(diff_page, pid)
-                if diff is None:
-                    raise UnknownPageError(
-                        f"differential page {entry.diff_addr} lacks an entry "
-                        f"for pid {pid}: ppmt/vdct corruption"
-                    )
-            return diff.apply(base) if diff is not None else base
+            try:
+                if diff is None and entry.diff_addr is not None:
+                    diff_page, _ = self.chip.read_page(entry.diff_addr)
+                    diff = find_differential(diff_page, pid)
+                    if diff is None:
+                        raise UnknownPageError(
+                            f"differential page {entry.diff_addr} lacks an entry "
+                            f"for pid {pid}: ppmt/vdct corruption"
+                        )
+                return diff.apply(base) if diff is not None else base
+            except DifferentialError as exc:
+                raise DifferentialError(
+                    f"read of pid {pid}: differential page {entry.diff_addr}: {exc}"
+                ) from exc
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
@@ -464,6 +470,12 @@ class PdlDriver(PageUpdateMethod):
             self.blocks.note_valid(new)
             self.ppmt.move_base(pid, new)
         elif spare.type is PageType.DIFFERENTIAL:
+            try:
+                diffs = decode_differential_page(data)
+            except DifferentialError as exc:
+                raise DifferentialError(
+                    f"gc-compaction: differential page {addr}: {exc}"
+                ) from exc
             # Compaction: keep only still-valid differentials.  The vdct
             # row is dropped through the plain base class on purpose:
             # the journal must not learn of the drop until every entry
@@ -473,7 +485,7 @@ class PdlDriver(PageUpdateMethod):
             # retire a differential page the table still references.
             ValidDifferentialCountTable.remove(self.vdct, addr)
             self._gc_victim_diffs.add(addr)
-            for diff in decode_differential_page(data):
+            for diff in diffs:
                 entry = self.ppmt.get(diff.pid)
                 if entry is None or entry.diff_addr != addr:
                     continue  # superseded entry: garbage

@@ -74,6 +74,8 @@ class DeviceBackend(ABC):
     """
 
     spec: FlashSpec
+    #: ``spec.n_pages`` (a computed property), held once: every call checks it.
+    _n_pages: int
 
     # ------------------------------------------------------------------
     # Single-page operations
@@ -157,9 +159,9 @@ class DeviceBackend(ABC):
     # Shared validation
     # ------------------------------------------------------------------
     def _check_addr(self, addr: int) -> None:
-        if not 0 <= addr < self.spec.n_pages:
+        if not 0 <= addr < self._n_pages:
             raise AddressError(
-                f"page address {addr} outside chip of {self.spec.n_pages} pages"
+                f"page address {addr} outside chip of {self._n_pages} pages"
             )
 
     def _check_block(self, block: int) -> None:
@@ -174,6 +176,7 @@ class MemoryBackend(DeviceBackend):
 
     def __init__(self, spec: FlashSpec) -> None:
         self.spec = spec
+        self._n_pages = spec.n_pages
         self._data: List[Optional[bytes]] = [None] * spec.n_pages
         self._spare: List[Optional[bytes]] = [None] * spec.n_pages
         self._data_programs: List[int] = [0] * spec.n_pages
@@ -318,6 +321,7 @@ class FileBackend(DeviceBackend):
     # ------------------------------------------------------------------
     def _layout(self, spec: FlashSpec) -> None:
         self.spec = spec
+        self._n_pages = spec.n_pages
         self._erase_off = HEADER_SIZE
         self._meta_off = self._erase_off + 4 * spec.n_blocks
         self._data_off = self._meta_off + _META_SIZE * spec.n_pages
@@ -612,6 +616,7 @@ class FaultInjector(DeviceBackend):
     def __init__(self, inner: DeviceBackend, seed: int = 0) -> None:
         self.inner = inner
         self.spec = inner.spec
+        self._n_pages = inner.spec.n_pages
         self._rng = random.Random(seed)
         self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         #: (kind, addr) in injection order, for test assertions.

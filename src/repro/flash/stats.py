@@ -242,7 +242,12 @@ class FlashStats:
         return stack[-1] if stack else DEFAULT_PHASE
 
     def _bucket(self) -> OpCounts:
-        name = self.current_phase
+        # ``current_phase``, inlined: this runs for every recorded flash op.
+        try:
+            stack = self._local.stack
+        except AttributeError:
+            stack = self._phase_stack  # this thread's first use: creates it
+        name = stack[-1] if stack else DEFAULT_PHASE
         bucket = self.phases.get(name)
         if bucket is None:
             with self._lock:

@@ -2,12 +2,15 @@
 GC compaction, and bookkeeping invariants."""
 
 import random
+import struct
+import zlib
 
 import pytest
 
+from repro.core.differential import DifferentialError
 from repro.core.pdl import PdlDriver, format_size
 from repro.flash.chip import FlashChip
-from repro.flash.spare import PageType
+from repro.flash.spare import PageType, data_checksum
 from repro.flash.stats import GC, READ_STEP, WRITE_STEP
 
 
@@ -247,3 +250,62 @@ class TestGarbageCollection:
             entry = pdl.ppmt.require(pid)
             assert entry.base_ts == ts_before[pid]
             assert chip.peek_spare(entry.base_addr).timestamp == ts_before[pid]
+
+
+def _flushed_diff_page(chip, pdl, n_pids=3):
+    """Load ``n_pids`` pages, reflect one small change into each, flush;
+    returns the address of the differential page that holds them."""
+    rng = random.Random(20100121)
+    for pid in range(n_pids):
+        image = rng.randbytes(pdl.page_size)
+        pdl.load_page(pid, image)
+        pdl.write_page(pid, _patched(image, rng.randrange(200), rng.randbytes(8)))
+    pdl.flush()
+    return pdl.ppmt.require(0).diff_addr
+
+
+class TestOnFlashFormat:
+    def test_flushed_differential_page_is_byte_stable(self, pdl, chip):
+        """Golden: the constant was recorded before differentials were
+        kept in wire form (PR 16's commit), so images written by older
+        code keep opening — any change to it is a format break."""
+        addr = _flushed_diff_page(chip, pdl)
+        assert zlib.crc32(chip.peek_data(addr)) == 0xD69EC7C6
+
+
+class TestCodecErrorsNameThePage:
+    """A differential page whose spare CRC is valid but whose entries are
+    structurally bad is reported with the pid, its address and the step."""
+
+    @staticmethod
+    def _plant_damage(chip, addr):
+        backend = chip.backend
+        data = bytearray(chip.peek_data(addr))
+        # First entry's n_runs (page header 4 + pid 4 + timestamp 8):
+        # its run headers now run off the page.
+        struct.pack_into("<H", data, 16, 0xFFFF)
+        spare = chip.peek_spare(addr).with_checksum(data_checksum(bytes(data)))
+        backend.write_data(addr, bytes(data), backend.data_programs(addr))
+        backend.write_spare(
+            addr, spare.encode(chip.spec.page_spare_size), backend.spare_programs(addr)
+        )
+        chip.read_page(addr)  # the CRC vouches for the damaged bytes
+
+    def test_read_path(self, pdl, chip):
+        addr = _flushed_diff_page(chip, pdl)
+        self._plant_damage(chip, addr)
+        with pytest.raises(DifferentialError) as err:
+            pdl.read_page(0)
+        assert f"read of pid 0: differential page {addr}: truncated" in str(err.value)
+        assert isinstance(err.value.__cause__, DifferentialError)
+
+    def test_gc_compaction_path(self, pdl, chip):
+        addr = _flushed_diff_page(chip, pdl)
+        self._plant_damage(chip, addr)
+        data, spare = chip.read_page(addr)
+        with pytest.raises(DifferentialError) as err:
+            pdl.relocate_page(addr, data, spare)
+        assert f"gc-compaction: differential page {addr}: truncated" in str(err.value)
+        assert isinstance(err.value.__cause__, DifferentialError)
+        # Nothing was dropped on the way to the error.
+        assert pdl.vdct.count(addr) == 3

@@ -52,3 +52,26 @@ def test_paper_map_names_only_real_files():
     assert cited
     for path in cited:
         assert (ROOT / path).exists(), f"paper-map cites missing {path}"
+
+
+def test_ci_states_each_dependency_once():
+    """``src/repro`` imports numpy unconditionally, so every CI job that
+    runs project code installs ``requirements-dev.txt`` — and none names
+    one of its packages on a ``pip install`` line of its own."""
+    packages = [
+        line.strip()
+        for line in (ROOT / "requirements-dev.txt").read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    assert "numpy" in packages
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    body = workflow.split("\njobs:\n", 1)[1]
+    jobs = [job for job in re.split(r"(?m)^  (?=[\w-]+:\n)", body) if job]
+    assert len(jobs) > 5
+    for job in jobs:
+        name = job.split(":", 1)[0]
+        if name != "lint":  # ruff only; never imports the package
+            assert "pip install -r requirements-dev.txt" in job, name
+        for line in job.splitlines():
+            if "pip install" in line and "-r " not in line:
+                assert not set(line.split()) & set(packages), f"{name}: {line.strip()}"
