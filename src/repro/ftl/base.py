@@ -74,8 +74,8 @@ class PageUpdateMethod(ABC):
     name: str = "abstract"
 
     #: True when the driver consumes DBMS update logs (Table 2's coupling
-    #: row); used by reports and by the storage layer to decide whether
-    #: change-log recording is needed.
+    #: row); used by reports, and by the buffer pool to decide whether
+    #: its pages record change logs at all.
     tightly_coupled: bool = False
 
     def __init__(self, chip: FlashChip):

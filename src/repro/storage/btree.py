@@ -2,9 +2,13 @@
 
 Every node is one logical page accessed through the buffer pool, so index
 traffic participates in the paper's I/O measurements exactly like heap
-traffic.  Serialization writes only changed bytes (via
-:meth:`Page.write_delta`), keeping update logs honest for the
-tightly-coupled driver.
+traffic.  Nodes are read and edited in wire form: a descent decodes the
+header, the key array and the one child or value it needs straight from
+the page image; an insert or delete splices the node's bytes and hands
+the new image to one :meth:`Page.write_delta`, which over a
+tightly-coupled driver logs its changed runs lowest offset first (IPL's
+flash traffic depends on that order) and over the others is a compare
+and an assignment.  See ``docs/architecture.md``, "Storage layer".
 
 Node layout (little-endian)::
 
@@ -17,19 +21,23 @@ Semantics: upsert on duplicate key; deletion removes the key from its
 leaf without rebalancing (underflowed leaves are served normally and
 reclaimed only on page reuse), which matches the workloads here — TPC-C
 deletes only NEW-ORDER entries, never enough to matter structurally.
+Bytes past a node's last entry are stale, not zeroed.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from .db import Database
 from .page import Page
 
 _HEADER = struct.Struct("<HBBHHI")
+_U64 = struct.Struct("<Q")
+_U32 = struct.Struct("<I")
+_ROOT_BODY = struct.Struct("<QII")  # one key between two children
 HEADER_SIZE = _HEADER.size  # 12
 MAGIC = 0xB7EE
 KEY_SIZE = 8
@@ -41,16 +49,23 @@ class BTreeError(RuntimeError):
     """Raised on malformed nodes or capacity misconfiguration."""
 
 
-@dataclass
-class _Node:
-    """Deserialized node contents."""
+@lru_cache(maxsize=None)
+def _array(n: int, code: str) -> struct.Struct:
+    """Layout of ``n`` keys/values (``"Q"``) or child pids (``"I"``)."""
+    return struct.Struct(f"<{n}{code}")
 
-    pid: int
-    is_leaf: bool
-    keys: List[int] = field(default_factory=list)
-    values: List[int] = field(default_factory=list)  # leaf only
-    children: List[int] = field(default_factory=list)  # branch only
-    next_leaf: Optional[int] = None  # leaf only
+
+def _header(is_leaf: int, n_keys: int, next_raw: int = 0) -> bytes:
+    return _HEADER.pack(MAGIC, is_leaf, 0, n_keys, 0, next_raw)
+
+
+def _with_entry(
+    body: bytes, n_keys: int, idx: int, key: int, slot_at: int, slot: bytes
+) -> bytes:
+    """``body`` with ``key`` inserted as key ``idx`` and ``slot`` at byte
+    ``slot_at`` of the value/child array behind the keys."""
+    at, cut = idx * KEY_SIZE, n_keys * KEY_SIZE + slot_at
+    return b"".join((body[:at], _U64.pack(key), body[at:cut], slot, body[cut:]))
 
 
 class BTree:
@@ -69,7 +84,7 @@ class BTree:
                 f"page size {page_size} too small for a B+tree node"
             )
         root = self.db.allocate_page()
-        self._write_node(_Node(pid=root.pid, is_leaf=True))
+        root.write_delta(0, _header(1, 0))
         self.root_pid = root.pid
         self.key_count = 0
         self.height = 1
@@ -79,10 +94,10 @@ class BTree:
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[int]:
         """Value stored under ``key``, or None."""
-        node = self._read_node(self._descend_to_leaf(key))
-        idx = bisect_left(node.keys, key)
-        if idx < len(node.keys) and node.keys[idx] == key:
-            return node.values[idx]
+        page, n, _next, keys = self._find_leaf(key)
+        idx = bisect_left(keys, key)
+        if idx < n and keys[idx] == key:
+            return page.unpack_at(_U64, HEADER_SIZE + (n + idx) * KEY_SIZE)[0]
         return None
 
     def insert(self, key: int, value: int) -> None:
@@ -92,26 +107,28 @@ class BTree:
         split = self._insert(self.root_pid, key, value)
         if split is not None:
             sep_key, right_pid = split
-            new_root_page = self.db.allocate_page()
-            new_root = _Node(
-                pid=new_root_page.pid,
-                is_leaf=False,
-                keys=[sep_key],
-                children=[self.root_pid, right_pid],
+            root = self.db.allocate_page()
+            root.write_delta(
+                0, _header(0, 1) + _ROOT_BODY.pack(sep_key, self.root_pid, right_pid)
             )
-            self._write_node(new_root)
-            self.root_pid = new_root_page.pid
+            self.root_pid = root.pid
             self.height += 1
 
     def delete(self, key: int) -> bool:
         """Remove a key; returns True when it existed."""
-        node = self._read_node(self._descend_to_leaf(key))
-        idx = bisect_left(node.keys, key)
-        if idx >= len(node.keys) or node.keys[idx] != key:
+        page, n, next_raw, keys = self._find_leaf(key)
+        idx = bisect_left(keys, key)
+        if idx >= n or keys[idx] != key:
             return False
-        node.keys.pop(idx)
-        node.values.pop(idx)
-        self._write_node(node)
+        body = page.read(HEADER_SIZE, n * (KEY_SIZE + VALUE_SIZE))
+        key_at, value_at = idx * KEY_SIZE, (n + idx) * KEY_SIZE
+        page.write_delta(
+            0,
+            _header(1, n - 1, next_raw)
+            + body[:key_at]
+            + body[key_at + KEY_SIZE : value_at]
+            + body[value_at + VALUE_SIZE :],
+        )
         self.key_count -= 1
         return True
 
@@ -119,26 +136,26 @@ class BTree:
         self, lo: Optional[int] = None, hi: Optional[int] = None
     ) -> Iterator[Tuple[int, int]]:
         """Yield ``(key, value)`` pairs with lo <= key < hi, in order."""
-        start = lo if lo is not None else 0
-        pid: Optional[int] = self._descend_to_leaf(start)
-        while pid is not None:
-            node = self._read_node(pid)
-            begin = bisect_left(node.keys, start) if lo is not None else 0
-            for idx in range(begin, len(node.keys)):
-                key = node.keys[idx]
-                if hi is not None and key >= hi:
-                    return
-                yield key, node.values[idx]
-            lo = None  # only trim inside the first leaf
-            pid = node.next_leaf
+        page, n, next_raw, keys = self._find_leaf(lo if lo is not None else 0)
+        begin = bisect_left(keys, lo) if lo is not None else 0
+        while True:
+            # Both arrays are copied out before the first yield: the
+            # consumer may fetch pages in between and evict this leaf.
+            values = page.unpack_at(_array(n, "Q"), HEADER_SIZE + n * KEY_SIZE)
+            end = bisect_left(keys, hi) if hi is not None else n
+            yield from zip(keys[begin:end], values[begin:end])
+            if end < n or not next_raw:
+                return
+            page, is_leaf, n, next_raw, keys = self._node(next_raw - 1)
+            if not is_leaf:
+                raise BTreeError(f"leaf chain reaches branch node {page.pid}")
+            begin = 0  # only trim inside the first leaf
 
     def min_item(
         self, lo: Optional[int] = None, hi: Optional[int] = None
     ) -> Optional[Tuple[int, int]]:
         """Smallest entry in [lo, hi), or None."""
-        for item in self.items(lo, hi):
-            return item
-        return None
+        return next(self.items(lo, hi), None)
 
     def __len__(self) -> int:
         return self.key_count
@@ -151,130 +168,88 @@ class BTree:
     # ------------------------------------------------------------------
     def _insert(self, pid: int, key: int, value: int) -> Optional[Tuple[int, int]]:
         """Recursive insert; returns (separator, new right pid) on split."""
-        node = self._read_node(pid)
-        if node.is_leaf:
-            return self._insert_into_leaf(node, key, value)
-        idx = bisect_right(node.keys, key)
-        split = self._insert(node.children[idx], key, value)
+        page, is_leaf, n, next_raw, keys = self._node(pid)
+        if is_leaf:
+            idx = bisect_left(keys, key)
+            if idx < n and keys[idx] == key:  # upsert
+                page.write_delta(
+                    HEADER_SIZE + (n + idx) * KEY_SIZE, _U64.pack(value)
+                )
+                return None
+            self.key_count += 1
+            body = page.read(HEADER_SIZE, n * (KEY_SIZE + VALUE_SIZE))
+            body = _with_entry(body, n, idx, key, idx * VALUE_SIZE, _U64.pack(value))
+            if n < self.leaf_capacity:
+                page.write_delta(0, _header(1, n + 1, next_raw) + body)
+                return None
+            return self._split(pid, 1, n + 1, next_raw, body)
+        idx = bisect_right(keys, key)
+        # Copied out now: by the time a child split comes back the page
+        # may have been evicted, and a branch split must not re-fetch it
+        # before allocating its sibling.
+        body = page.read(HEADER_SIZE, n * KEY_SIZE + (n + 1) * CHILD_SIZE)
+        (child,) = _U32.unpack_from(body, n * KEY_SIZE + idx * CHILD_SIZE)
+        split = self._insert(child, key, value)
         if split is None:
             return None
         sep_key, right_pid = split
-        node.keys.insert(idx, sep_key)
-        node.children.insert(idx + 1, right_pid)
-        if len(node.keys) <= self.branch_capacity:
-            self._write_node(node)
-            return None
-        return self._split_branch(node)
-
-    def _insert_into_leaf(
-        self, node: _Node, key: int, value: int
-    ) -> Optional[Tuple[int, int]]:
-        idx = bisect_left(node.keys, key)
-        if idx < len(node.keys) and node.keys[idx] == key:
-            node.values[idx] = value  # upsert
-            self._write_node(node)
-            return None
-        node.keys.insert(idx, key)
-        node.values.insert(idx, value)
-        self.key_count += 1
-        if len(node.keys) <= self.leaf_capacity:
-            self._write_node(node)
-            return None
-        return self._split_leaf(node)
-
-    def _split_leaf(self, node: _Node) -> Tuple[int, int]:
-        mid = len(node.keys) // 2
-        right_page = self.db.allocate_page()
-        right = _Node(
-            pid=right_page.pid,
-            is_leaf=True,
-            keys=node.keys[mid:],
-            values=node.values[mid:],
-            next_leaf=node.next_leaf,
+        body = _with_entry(
+            body, n, idx, sep_key, (idx + 1) * CHILD_SIZE, _U32.pack(right_pid)
         )
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        node.next_leaf = right.pid
-        self._write_node(right)
-        self._write_node(node)
-        return right.keys[0], right.pid
+        if n < self.branch_capacity:
+            self.db.page(pid).write_delta(0, _header(0, n + 1) + body)
+            return None
+        return self._split(pid, 0, n + 1, 0, body)
 
-    def _split_branch(self, node: _Node) -> Tuple[int, int]:
-        mid = len(node.keys) // 2
-        sep_key = node.keys[mid]
-        right_page = self.db.allocate_page()
-        right = _Node(
-            pid=right_page.pid,
-            is_leaf=False,
-            keys=node.keys[mid + 1 :],
-            children=node.children[mid + 1 :],
+    def _split(
+        self, pid: int, is_leaf: int, n: int, next_raw: int, body: bytes
+    ) -> Tuple[int, int]:
+        """Halve the over-full node ``pid`` whose ``n`` entries are
+        ``body``; returns (separator, new right pid)."""
+        mid = n // 2
+        (sep_key,) = _U64.unpack_from(body, mid * KEY_SIZE)
+        keys, slots = body[: n * KEY_SIZE], body[n * KEY_SIZE :]
+        # A leaf's separator stays as the right half's first key; a
+        # branch's moves up, and the child after it leads the right half.
+        up, width = (0, VALUE_SIZE) if is_leaf else (1, CHILD_SIZE)
+        right = self.db.allocate_page()
+        right.write_delta(
+            0,
+            _header(is_leaf, n - mid - up, next_raw)
+            + keys[(mid + up) * KEY_SIZE :]
+            + slots[(mid + up) * width :],
         )
-        node.keys = node.keys[:mid]
-        node.children = node.children[: mid + 1]
-        self._write_node(right)
-        self._write_node(node)
+        left = (
+            _header(is_leaf, mid, right.pid + 1 if is_leaf else 0)
+            + keys[: mid * KEY_SIZE]
+            + slots[: (mid + up) * width]
+        )
+        # Re-fetched: admitting the sibling may have evicted the node.
+        self.db.page(pid).write_delta(0, left)
         return sep_key, right.pid
 
     # ------------------------------------------------------------------
-    # Traversal / serialization
+    # Traversal
     # ------------------------------------------------------------------
-    def _descend_to_leaf(self, key: int) -> int:
-        pid = self.root_pid
-        while True:
-            node = self._read_node(pid)
-            if node.is_leaf:
-                return pid
-            pid = node.children[bisect_right(node.keys, key)]
-
-    def _read_node(self, pid: int) -> _Node:
+    def _node(self, pid: int) -> Tuple[Page, int, int, int, Tuple[int, ...]]:
+        """Fetch node ``pid``: (page, is_leaf, n_keys, next_leaf + 1, keys)."""
         page = self.db.page(pid)
-        magic, is_leaf, _r1, n_keys, _r2, next_raw = _HEADER.unpack_from(
-            page.read(0, HEADER_SIZE), 0
-        )
+        magic, is_leaf, _r1, n, _r2, next_raw = page.unpack_at(_HEADER, 0)
         if magic != MAGIC:
             raise BTreeError(f"page {pid} is not a B+tree node (magic 0x{magic:04X})")
-        pos = HEADER_SIZE
-        keys = list(struct.unpack_from(f"<{n_keys}Q", page.read(pos, n_keys * 8), 0))
-        pos += n_keys * KEY_SIZE
-        if is_leaf:
-            values = list(
-                struct.unpack_from(f"<{n_keys}Q", page.read(pos, n_keys * 8), 0)
-            )
-            return _Node(
-                pid=pid,
-                is_leaf=True,
-                keys=keys,
-                values=values,
-                next_leaf=(next_raw - 1) if next_raw else None,
-            )
-        n_children = n_keys + 1
-        children = list(
-            struct.unpack_from(
-                f"<{n_children}I", page.read(pos, n_children * 4), 0
-            )
-        )
-        return _Node(pid=pid, is_leaf=False, keys=keys, children=children)
+        return page, is_leaf, n, next_raw, page.unpack_at(_array(n, "Q"), HEADER_SIZE)
 
-    def _write_node(self, node: _Node) -> None:
-        n_keys = len(node.keys)
-        parts = [
-            _HEADER.pack(
-                MAGIC,
-                1 if node.is_leaf else 0,
-                0,
-                n_keys,
-                0,
-                (node.next_leaf + 1) if node.next_leaf is not None else 0,
-            ),
-            struct.pack(f"<{n_keys}Q", *node.keys),
-        ]
-        if node.is_leaf:
-            parts.append(struct.pack(f"<{n_keys}Q", *node.values))
-        else:
-            parts.append(struct.pack(f"<{len(node.children)}I", *node.children))
-        encoded = b"".join(parts)
-        page = self.db.page(node.pid)
-        page.write_delta(0, encoded)
+    def _find_leaf(self, key: int) -> Tuple[Page, int, int, Tuple[int, ...]]:
+        """Descend to the leaf covering ``key``: (page, n_keys, next_leaf + 1, keys)."""
+        pid = self.root_pid
+        while True:
+            page, is_leaf, n, next_raw, keys = self._node(pid)
+            if is_leaf:
+                return page, n, next_raw, keys
+            (pid,) = page.unpack_at(
+                _U32,
+                HEADER_SIZE + n * KEY_SIZE + bisect_right(keys, key) * CHILD_SIZE,
+            )
 
     # ------------------------------------------------------------------
     # Validation (used by tests)
@@ -284,10 +259,10 @@ class BTree:
         leaves: List[int] = []
         self._check_node(self.root_pid, None, None, leaves, is_root=True)
         chained = []
-        pid: Optional[int] = leaves[0] if leaves else None
-        while pid is not None:
-            chained.append(pid)
-            pid = self._read_node(pid).next_leaf
+        next_raw = leaves[0] + 1
+        while next_raw:
+            chained.append(next_raw - 1)
+            next_raw = self._node(next_raw - 1)[3]
         if leaves != chained:
             raise BTreeError("leaf chain does not match tree order")
 
@@ -299,25 +274,24 @@ class BTree:
         leaves: List[int],
         is_root: bool = False,
     ) -> None:
-        node = self._read_node(pid)
-        if node.keys != sorted(node.keys):
+        page, is_leaf, n, _next, keys = self._node(pid)
+        if list(keys) != sorted(keys):
             raise BTreeError(f"node {pid} keys unsorted")
-        for key in node.keys:
+        for key in keys:
             if (lo is not None and key < lo) or (hi is not None and key >= hi):
                 raise BTreeError(f"node {pid} key {key} outside ({lo}, {hi})")
-        if node.is_leaf:
-            if len(node.keys) > self.leaf_capacity:
+        if is_leaf:
+            if n > self.leaf_capacity:
                 raise BTreeError(f"leaf {pid} overflows")
             leaves.append(pid)
             return
-        if len(node.keys) > self.branch_capacity:
+        if n > self.branch_capacity:
             raise BTreeError(f"branch {pid} overflows")
-        if not is_root and len(node.keys) < 1:
+        if not is_root and n < 1:
             raise BTreeError(f"branch {pid} is empty")
-        bounds = [lo] + node.keys + [hi]
-        for child, (clo, chi) in zip(
-            node.children, zip(bounds[:-1], bounds[1:])
-        ):
+        children = page.unpack_at(_array(n + 1, "I"), HEADER_SIZE + n * KEY_SIZE)
+        bounds = [lo, *keys, hi]
+        for child, clo, chi in zip(children, bounds, bounds[1:]):
             self._check_node(child, clo, chi, leaves)
 
 

@@ -43,14 +43,10 @@ from typing import Dict, Iterator, List, Optional, Union
 from ...ftl.base import PageUpdateMethod
 from ...sharding.driver import ShardedDriver
 from ...sharding.executor import ParallelShardedDriver
-from ..page import Page
+from ..page import BufferError, Page
 from .policy import EvictionPolicy, make_eviction_policy
 from .stats import BufferStats
 from .writeback import WritebackConfig, WritebackDaemon, normalize_writeback
-
-
-class BufferError(RuntimeError):
-    """Raised on pool misuse (e.g. all frames pinned)."""
 
 
 #: Candidates examined by the bounded clean-frame scan before the
@@ -171,7 +167,7 @@ class BufferManager:
                     self.stats.read_races += 1
                     continue
                 self.stats.misses += 1
-                page = Page(pid, data)
+                page = Page(pid, data, self.driver.tightly_coupled)
                 self._admit_locked(page)
                 if pin:
                     page.pin()
@@ -195,7 +191,7 @@ class BufferManager:
         with self._lock:
             if pid in self._frames:
                 raise BufferError(f"page {pid} already buffered")
-            page = Page(pid, data)
+            page = Page(pid, data, self.driver.tightly_coupled)
             page.dirty = True
             self._admit_locked(page)
             return page
@@ -234,6 +230,7 @@ class BufferManager:
                 del self._frames[pid]
                 self.policy.remove(pid)
                 self._evict_gen[pid] = self._evict_gen.get(pid, 0) + 1
+                page.detach()
                 dropped += 1
             return dropped
 

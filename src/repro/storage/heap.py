@@ -85,8 +85,9 @@ class HeapFile:
     def scan(self) -> Iterator[Tuple[RID, bytes]]:
         """Yield every live record in page order."""
         for pid in self.pages:
-            spage = SlottedPage(self.db.page(pid))
-            for slot, record in spage.records():
+            # A page's records are copied out before the first is yielded:
+            # the consumer may fetch pages in between and evict this one.
+            for slot, record in list(SlottedPage(self.db.page(pid)).records()):
                 yield RID(pid, slot), record
 
     def __len__(self) -> int:

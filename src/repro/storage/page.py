@@ -1,20 +1,20 @@
-"""Buffered logical pages with change-log recording.
+"""Buffered logical pages, with update-log recording where a driver wants it.
 
 :class:`Page` is the in-memory image of one logical page held by the
-buffer pool.  All mutations go through :meth:`Page.write`, which both
-applies the change and records it as a :class:`ChangeRun` — the *update
-log* that the storage manager of a DBMS maintains internally.  This is
-precisely the coupling seam of the paper's Figure 10: the tightly-coupled
-log-based method (IPL) consumes these logs at eviction time, while
-loosely-coupled methods (PDL, OPU, IPU) never look at them.
-
-To keep logs minimal (and the comparison fair), :meth:`write_delta`
-diffs the new content against the current content and records only the
-genuinely changed byte runs.
+buffer pool.  All mutations go through :meth:`Page.write` or
+:meth:`Page.write_delta`; a *logged* page also records each one as a
+:class:`ChangeRun` — the *update log* that the storage manager of a DBMS
+maintains internally.  This is precisely the coupling seam of the paper's
+Figure 10: the tightly-coupled log-based method (IPL) consumes these logs
+at eviction time, while loosely-coupled methods (PDL, OPU, IPU) never
+look at them — so the pool logs its frames only over a tightly-coupled
+driver.  To keep logs minimal (and the comparison fair),
+:meth:`write_delta` records only the genuinely changed byte runs; on an
+unlogged page it is one compare and one assignment.
 
 Concurrency: many client threads share one pool over a
 :class:`~repro.sharding.executor.ParallelShardedDriver`, so each page
-carries a small re-entrant latch serializing content mutation, log
+carries a small re-entrant latch serializing content access, log
 clearing and pin-count changes.  The latch is a *leaf* lock in the
 ordering ``pool lock → page latch → notification lock`` (see
 ``docs/bufferpool.md``); the pool-observer callbacks invoked under it
@@ -26,17 +26,26 @@ the :meth:`pinned` context manager (or
 :meth:`~repro.storage.bufferpool.manager.BufferManager.pinned`, which
 also makes the lookup-and-pin atomic) over bare :meth:`pin`/
 :meth:`unpin` pairs: an exception between the two leaks the pin and
-silently shrinks the pool until it hits :class:`BufferError`.
+silently shrinks the pool until it hits :class:`BufferError`.  An
+*unpinned* handle is good only until the next call that can admit a page
+(``Database.page`` / ``allocate_page``) and so evict this one: re-fetch
+by pid afterwards.  Writing through the handle of an evicted frame
+raises :class:`BufferError` rather than lose the update.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from ..core.differential import compute_runs
 from ..ftl.base import ChangeRun
+
+
+class BufferError(RuntimeError):
+    """Raised on pool misuse (all frames pinned, a write to an evicted frame)."""
 
 
 class Page:
@@ -46,28 +55,36 @@ class Page:
         "pid",
         "_data",
         "dirty",
+        "logged",
         "change_log",
         "pin_count",
         "latch",
         "version",
         "_observer",
+        "_evicted",
     )
 
-    def __init__(self, pid: int, data: bytes):
+    def __init__(self, pid: int, data: bytes, logged: bool = True):
         self.pid = pid
         self._data = bytearray(data)
         self.dirty = False
-        #: Update logs accumulated since the page was last clean.
+        #: Whether writes are recorded in :attr:`change_log`.
+        self.logged = logged
+        #: Update logs since the page was last clean (none if unlogged).
         self.change_log: List[ChangeRun] = []
         self.pin_count = 0
-        #: Serializes content mutation, log clearing and pinning.
-        #: Re-entrant so :meth:`write_delta` can call :meth:`write`.
+        #: Serializes content access, log clearing and pinning.
+        #: Re-entrant: :meth:`write_delta` and the pool's write-back call
+        #: other latched methods while holding it.
         self.latch = threading.RLock()
-        #: Bumped on every logged write; background write-back compares
+        #: Bumped on every effective write; background write-back compares
         #: versions to decide whether its flushed snapshot is current.
         self.version = 0
         #: The owning pool (dirty/clean/unpin notifications), if any.
         self._observer = None
+        #: The owning pool dropped this frame (never true of a page that
+        #: was never attached, as unit tests build them).
+        self._evicted = False
 
     # ------------------------------------------------------------------
     # Access
@@ -91,39 +108,64 @@ class Page:
                 )
             return bytes(self._data[offset : offset + length])
 
+    def unpack_at(self, layout: struct.Struct, offset: int) -> Tuple:
+        """Decode ``layout`` straight from the live image (no copy)."""
+        with self.latch:
+            if offset < 0 or offset + layout.size > len(self._data):
+                raise ValueError(
+                    f"read [{offset}, {offset + layout.size}) outside page of "
+                    f"{len(self._data)} bytes"
+                )
+            return layout.unpack_from(self._data, offset)
+
     # ------------------------------------------------------------------
-    # Mutation (always logged)
+    # Mutation (logged when the page is)
     # ------------------------------------------------------------------
     def write(self, offset: int, data: bytes) -> None:
-        """Overwrite bytes at ``offset``, recording the update log."""
+        """Overwrite bytes at ``offset``."""
         with self.latch:
             if offset < 0 or offset + len(data) > len(self._data):
                 raise ValueError(
                     f"write [{offset}, {offset + len(data)}) outside page of "
                     f"{len(self._data)} bytes"
                 )
-            if not data:
-                return
-            self._data[offset : offset + len(data)] = data
-            self.change_log.append(ChangeRun(offset, bytes(data)))
-            self.version += 1
-            if not self.dirty:
-                self.dirty = True
-                if self._observer is not None:
-                    self._observer._page_dirtied(self.pid)
+            if data:
+                self._store(offset, data)
+                if self.logged:
+                    self.change_log.append(ChangeRun(offset, bytes(data)))
 
     def write_delta(self, offset: int, data: bytes) -> None:
-        """Like :meth:`write` but records only the bytes that differ.
+        """Like :meth:`write`, but a no-op when nothing differs, and a
+        logged page records only the byte runs that do.
 
         Node-level writers (the B+tree) re-serialize whole regions; this
         keeps the resulting update logs proportional to the real change.
-        The latch is held across the diff *and* the writes, so the runs
-        are consistent even under concurrent writers.
+        The latch is held across the comparison *and* the assignment, so
+        the runs are consistent even under concurrent writers.
         """
         with self.latch:
             current = self.read(offset, len(data))
-            for run in compute_runs(current, data):
-                self.write(offset + run.offset, run.data)
+            if current != data:
+                self._store(offset, data)
+                if self.logged:
+                    self.change_log.extend(
+                        ChangeRun(offset + run.offset, run.data)
+                        for run in compute_runs(current, bytes(data))
+                    )
+
+    def _store(self, offset: int, data: bytes) -> None:
+        """Assign bounds-checked, non-empty ``data`` (latch held)."""
+        if self._evicted:
+            raise BufferError(
+                f"write to page {self.pid} through the handle of an evicted "
+                "frame: re-fetch (or pin) after any call that can admit a page"
+            )
+        self._data[offset : offset + len(data)] = data
+        self.version += 1
+        if not self.dirty:
+            self.dirty = True
+            if self._observer is not None:
+                self._observer._page_dirtied(self.pid)
 
     def clear_log(self) -> None:
         """Called by the buffer pool after a successful write-back."""
@@ -147,7 +189,8 @@ class Page:
 
         Returns True when the page is now clean.  When writers raced the
         flush, the runs covered by the snapshot are trimmed and the page
-        stays dirty with only the residual log.
+        stays dirty with only the residual log (none on an unlogged page:
+        the driver diffs the next image itself).
         """
         with self.latch:
             if self.version == snapshot_version:
@@ -167,8 +210,10 @@ class Page:
                 observer._page_dirtied(self.pid)
 
     def detach(self) -> None:
+        """The owning pool dropped this frame: later writes must fail."""
         with self.latch:
             self._observer = None
+            self._evicted = True
 
     # ------------------------------------------------------------------
     # Pinning

@@ -3,8 +3,8 @@
 The classic DBMS heap-page organization: a header, record data growing
 forward from the header, and a slot directory growing backward from the
 page end.  Every slot holds the record's offset and length; deleting a
-record tombstones its slot.  All mutations go through :class:`Page` so
-update logs are recorded for the tightly-coupled driver.
+record tombstones its slot.  All mutations go through :class:`Page`, so
+update logs are recorded when the page's driver is tightly coupled.
 
 Layout (little-endian)::
 
@@ -19,7 +19,7 @@ the gap between it and the lowest slot-directory entry.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .page import Page
 
@@ -37,62 +37,60 @@ class SlottedPageError(RuntimeError):
 
 
 class SlottedPage:
-    """A slotted-record view over a buffered :class:`Page`."""
+    """A slotted-record view over a buffered :class:`Page`.
+
+    The view decodes the header once, when it is made, and keeps its copy
+    current as it writes — so it is good exactly as long as its page
+    handle is (see :mod:`repro.storage.page`).  Make one per operation,
+    as :class:`~repro.storage.heap.HeapFile` does.
+    """
 
     def __init__(self, page: Page):
         self.page = page
+        magic, self.slot_count, self._free_start, self.live_records = page.unpack_at(
+            _HEADER, 0
+        )
+        if magic != MAGIC:
+            raise SlottedPageError(
+                f"page {page.pid} is not a slotted page (magic 0x{magic:04X})"
+            )
 
-    # ------------------------------------------------------------------
-    # Formatting / validation
-    # ------------------------------------------------------------------
     @classmethod
     def format(cls, page: Page) -> "SlottedPage":
         """Initialize an empty slotted page in-place."""
         page.write(0, _HEADER.pack(MAGIC, 0, HEADER_SIZE, 0))
         return cls(page)
 
-    def _header(self) -> Tuple[int, int, int, int]:
-        magic, slot_count, free_start, live = _HEADER.unpack_from(
-            self.page.read(0, HEADER_SIZE), 0
-        )
-        if magic != MAGIC:
-            raise SlottedPageError(
-                f"page {self.page.pid} is not a slotted page (magic 0x{magic:04X})"
-            )
-        return magic, slot_count, free_start, live
-
-    @property
-    def slot_count(self) -> int:
-        return self._header()[1]
-
-    @property
-    def live_records(self) -> int:
-        return self._header()[3]
+    def _set_header(self, slot_count: int, free_start: int, live: int) -> None:
+        self.page.write(0, _HEADER.pack(MAGIC, slot_count, free_start, live))
+        self.slot_count, self._free_start, self.live_records = slot_count, free_start, live
 
     @property
     def free_space(self) -> int:
         """Bytes available for a new record (excluding its slot entry)."""
-        _, slot_count, free_start, _ = self._header()
-        directory_start = self.page.size - slot_count * SLOT_SIZE
-        gap = directory_start - free_start
-        return max(0, gap - SLOT_SIZE)
+        directory_start = self.page.size - self.slot_count * SLOT_SIZE
+        return max(0, directory_start - self._free_start - SLOT_SIZE)
 
     # ------------------------------------------------------------------
     # Slot directory access
     # ------------------------------------------------------------------
-    def _slot_pos(self, slot: int) -> int:
-        return self.page.size - SLOT_SIZE * (slot + 1)
-
     def _read_slot(self, slot: int) -> Tuple[int, int]:
-        _, slot_count, _, _ = self._header()
-        if not 0 <= slot < slot_count:
+        if not 0 <= slot < self.slot_count:
             raise SlottedPageError(
-                f"slot {slot} out of range (page {self.page.pid} has {slot_count})"
+                f"slot {slot} out of range (page {self.page.pid} has {self.slot_count})"
             )
-        return _SLOT.unpack_from(self.page.read(self._slot_pos(slot), SLOT_SIZE), 0)
+        return self.page.unpack_at(_SLOT, self.page.size - SLOT_SIZE * (slot + 1))
+
+    def _live_slot(self, slot: int) -> Tuple[int, int]:
+        offset, length = self._read_slot(slot)
+        if offset == TOMBSTONE:
+            raise SlottedPageError(f"slot {slot} of page {self.page.pid} is deleted")
+        return offset, length
 
     def _write_slot(self, slot: int, offset: int, length: int) -> None:
-        self.page.write(self._slot_pos(slot), _SLOT.pack(offset, length))
+        self.page.write(
+            self.page.size - SLOT_SIZE * (slot + 1), _SLOT.pack(offset, length)
+        )
 
     # ------------------------------------------------------------------
     # Record operations
@@ -105,34 +103,25 @@ class SlottedPage:
         """
         if not record:
             raise ValueError("empty records are not supported")
-        _, slot_count, free_start, live = self._header()
-        directory_start = self.page.size - slot_count * SLOT_SIZE
-        reuse = None
-        for slot in range(slot_count):
-            offset, _length = self._read_slot(slot)
-            if offset == TOMBSTONE:
-                reuse = slot
-                break
-        needed = len(record) + (0 if reuse is not None else SLOT_SIZE)
-        if directory_start - free_start < needed:
+        slot_count, free_start = self.slot_count, self._free_start
+        slot = slot_count
+        if self.live_records < slot_count:  # a tombstone exists: take the first
+            tombstones = (
+                s for s in range(slot_count) if self._read_slot(s)[0] == TOMBSTONE
+            )
+            slot = next(tombstones, slot_count)
+        needed = len(record) + (SLOT_SIZE if slot == slot_count else 0)
+        if self.page.size - slot_count * SLOT_SIZE - free_start < needed:
             return None
         self.page.write(free_start, record)
-        if reuse is None:
-            slot = slot_count
-            slot_count += 1
-        else:
-            slot = reuse
         self._write_slot(slot, free_start, len(record))
-        self.page.write(
-            0, _HEADER.pack(MAGIC, slot_count, free_start + len(record), live + 1)
+        self._set_header(
+            max(slot_count, slot + 1), free_start + len(record), self.live_records + 1
         )
         return slot
 
     def read(self, slot: int) -> bytes:
-        offset, length = self._read_slot(slot)
-        if offset == TOMBSTONE:
-            raise SlottedPageError(f"slot {slot} of page {self.page.pid} is deleted")
-        return self.page.read(offset, length)
+        return self.page.read(*self._live_slot(slot))
 
     def update(self, slot: int, record: bytes) -> bool:
         """Overwrite a record in place.
@@ -142,30 +131,24 @@ class SlottedPage:
         record within the page if space allows, else returns False so the
         caller can delete + reinsert elsewhere.
         """
-        offset, length = self._read_slot(slot)
-        if offset == TOMBSTONE:
-            raise SlottedPageError(f"slot {slot} of page {self.page.pid} is deleted")
+        offset, length = self._live_slot(slot)
         if len(record) <= length:
             self.page.write_delta(offset, record)
             if len(record) != length:
                 self._write_slot(slot, offset, len(record))
             return True
-        magic, slot_count, free_start, live = self._header()
-        directory_start = self.page.size - slot_count * SLOT_SIZE
-        if directory_start - free_start < len(record):
+        free_start = self._free_start
+        if self.page.size - self.slot_count * SLOT_SIZE - free_start < len(record):
             return False
         self.page.write(free_start, record)
         self._write_slot(slot, free_start, len(record))
-        self.page.write(0, _HEADER.pack(magic, slot_count, free_start + len(record), live))
+        self._set_header(self.slot_count, free_start + len(record), self.live_records)
         return True
 
     def delete(self, slot: int) -> None:
-        offset, _length = self._read_slot(slot)
-        if offset == TOMBSTONE:
-            raise SlottedPageError(f"slot {slot} of page {self.page.pid} already deleted")
-        magic, slot_count, free_start, live = self._header()
+        self._live_slot(slot)
         self._write_slot(slot, TOMBSTONE, 0)
-        self.page.write(0, _HEADER.pack(magic, slot_count, free_start, live - 1))
+        self._set_header(self.slot_count, self._free_start, self.live_records - 1)
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(slot, record)`` for every live record."""

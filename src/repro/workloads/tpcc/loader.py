@@ -15,7 +15,7 @@ from typing import Dict
 
 from ...storage.btree import BTree
 from ...storage.db import Database
-from ...storage.heap import HeapFile
+from ...storage.heap import RID, HeapFile
 from . import schema
 from .schema import TpccScale
 
@@ -36,8 +36,6 @@ class Table:
         if packed is None:
             raise KeyError(f"key {key} not found in {self.heap.name}")
         pid, slot = _unpack_rid(packed)
-        from ...storage.heap import RID
-
         return self.heap.read(RID(pid, slot))
 
     def update(self, key: int, record: bytes) -> None:
@@ -45,8 +43,6 @@ class Table:
         if packed is None:
             raise KeyError(f"key {key} not found in {self.heap.name}")
         pid, slot = _unpack_rid(packed)
-        from ...storage.heap import RID
-
         new_rid = self.heap.update(RID(pid, slot), record)
         if (new_rid.pid, new_rid.slot) != (pid, slot):
             self.index.insert(key, _pack_rid(new_rid.pid, new_rid.slot))
@@ -56,8 +52,6 @@ class Table:
         if packed is None:
             raise KeyError(f"key {key} not found in {self.heap.name}")
         pid, slot = _unpack_rid(packed)
-        from ...storage.heap import RID
-
         self.heap.delete(RID(pid, slot))
         self.index.delete(key)
 

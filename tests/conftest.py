@@ -50,3 +50,28 @@ def mutate(rng: random.Random, data: bytes, n_bytes: int) -> bytes:
     image = bytearray(data)
     image[offset : offset + size] = rng.randbytes(size)
     return bytes(image)
+
+
+@pytest.fixture
+def count_python_calls():
+    """``count(fn)`` runs ``fn()`` and returns how many Python-level calls
+    it made (``sys.setprofile`` "call" events, ``fn`` itself included) —
+    the deterministic stand-in for a stopwatch the call-budget tests use."""
+
+    def count(fn) -> int:
+        calls = 0
+
+        def on_event(_frame, event, _arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            fn()
+        finally:
+            sys.setprofile(previous)
+        return calls
+
+    return count

@@ -10,7 +10,6 @@ per-run object churn fails tier-1 without a timing assertion.
 """
 
 import random
-import sys
 
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
@@ -22,7 +21,7 @@ CHANGE = 41  # 2 % of a 2 KB page, the paper's default update
 CALLS_PER_CYCLE_BUDGET = 125
 
 
-def test_update_cycle_stays_within_its_call_budget():
+def test_update_cycle_stays_within_its_call_budget(count_python_calls):
     rng = random.Random(20260917)
     chip = FlashChip(spec_for_database(PAGES, 0.25))
     driver = PdlDriver(chip, max_differential_size=256)
@@ -42,20 +41,11 @@ def test_update_cycle_stays_within_its_call_budget():
         cycle()
     erases_before = chip.stats.total_erases
 
-    calls = 0
-
-    def count(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
+    def window():
         for _ in range(CYCLES):
             cycle()
-    finally:
-        sys.setprofile(previous)
+
+    calls = count_python_calls(window) - 1  # less the call of window() itself
 
     assert chip.stats.total_erases > erases_before, "GC never ran in the window"
     per_cycle = (calls - CYCLES) / CYCLES  # less the call of cycle() itself

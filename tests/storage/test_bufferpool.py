@@ -14,7 +14,9 @@ import pytest
 
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
+from repro.flash.spec import spec_for_database
 from repro.ftl.errors import ConfigurationError
+from repro.methods import make_method
 from repro.storage.bufferpool import (
     BufferError,
     BufferManager,
@@ -255,6 +257,32 @@ class TestManager:
         assert pool.stats.eviction_stalls.count == pool.stats.evictions
         assert pool.stats.eviction_stall_percentile(99) > 0.0
 
+    def test_write_through_an_evicted_handle_is_loud(self, driver):
+        """A stale handle must not swallow an update nothing will flush."""
+        pool = BufferManager(driver, 2)
+        _load(driver, 4)
+        stale = pool.get_page(0)
+        stale.write(0, b"\x11")  # dirty: the eviction writes it back
+        pool.get_page(1)
+        pool.get_page(2)  # evicts 0
+        assert 0 not in pool
+        for attempt in (stale.write, stale.write_delta):
+            with pytest.raises(BufferError, match="page 0"):
+                attempt(1, b"\x22")
+        stale.write_delta(0, b"\x11")  # nothing to lose: not an error
+        fresh = pool.get_page(0)
+        assert fresh is not stale and fresh.data[:2] == b"\x11\x00"
+
+    def test_clear_retires_the_handles_it_drops(self, driver):
+        pool = BufferManager(driver, 4)
+        _load(driver, 4)
+        dropped, kept = pool.get_page(0), pool.get_page(1)
+        kept.write(0, b"\x33")  # dirty frames survive clear()
+        assert pool.clear() == 1
+        with pytest.raises(BufferError, match="page 0"):
+            dropped.write(0, b"\x44")
+        kept.write(1, b"\x55")
+
 
 # ----------------------------------------------------------------------
 # Write-back daemon
@@ -330,18 +358,38 @@ class TestWriteback:
         finally:
             pool.close()
 
-    def test_concurrent_writer_keeps_residual_log(self, driver):
-        """A page dirtied mid-flush stays dirty with only the new runs."""
-        pool = BufferManager(driver, 4)
-        _load(driver, 4)
+    def test_concurrent_writer_keeps_residual_log(self):
+        """Over a tightly-coupled driver, a page dirtied mid-flush stays
+        dirty with only the new runs."""
+        ipl = make_method("IPL (18KB)", FlashChip(spec_for_database(16, 0.25)))
+        pool = BufferManager(ipl, 4)
+        ipl.load_page(0, bytes(ipl.page_size))
         page = pool.get_page(0)
         page.write(0, b"\x01")
         data, logs, version = page.writeback_snapshot()
+        assert [run.offset for run in logs] == [0]
         page.write(1, b"\x02")  # races the in-flight snapshot
         assert not page.finish_writeback(version, len(logs))
         assert page.dirty
         assert len(page.change_log) == 1
         assert page.change_log[0].offset == 1
+
+    def test_concurrent_writer_on_loose_driver_stays_dirty_without_a_log(self, driver):
+        """The twin over PDL: the race is caught by the version alone —
+        the pool never asked the page for update logs."""
+        pool = BufferManager(driver, 4)
+        _load(driver, 4)
+        page = pool.get_page(0)
+        page.write(0, b"\x01")
+        data, logs, version = page.writeback_snapshot()
+        assert logs == []
+        page.write(1, b"\x02")  # races the in-flight snapshot
+        assert not page.finish_writeback(version, len(logs))
+        assert page.dirty
+        assert page.change_log == []
+        pool.flush_all()
+        assert not page.dirty
+        assert driver.read_page(0)[:2] == b"\x01\x02"
 
     def test_close_is_idempotent(self, driver):
         pool = BufferManager(driver, 4, writeback=True)

@@ -1,7 +1,11 @@
 """Unit tests for buffered pages and change-log recording."""
 
+import struct
+
 import pytest
 
+from repro.core.differential import compute_runs
+from repro.ftl.base import ChangeRun
 from repro.storage.page import Page
 
 
@@ -68,6 +72,98 @@ class TestWriteDelta:
         page.write_delta(0, b"AAAA")
         assert page.change_log == []
         assert not page.dirty
+
+    def test_logs_the_runs_of_the_region_diff_in_order(self, page):
+        """One assignment, but the log a run-by-run writer would leave."""
+        old = bytes(range(40, 64))
+        new = bytes([0, 41, 42, 0, 0, 45]) + old[6:20] + b"zz" + old[22:]
+        page.write(8, old)
+        page.clear_log()
+        version = page.version
+        page.write_delta(8, new)
+        assert page.read(8, len(new)) == new
+        assert page.change_log == [
+            ChangeRun(8 + run.offset, run.data) for run in compute_runs(old, new)
+        ]
+        assert len(page.change_log) == 2 and page.version > version
+
+
+class _Observer:
+    def __init__(self):
+        self.events = []
+
+    def _page_dirtied(self, pid):
+        self.events.append(("dirtied", pid))
+
+    def _page_cleaned(self, pid):
+        self.events.append(("cleaned", pid))
+
+    def _page_unpinned(self, pid):
+        self.events.append(("unpinned", pid))
+
+
+class TestUnlogged:
+    """What a pool over a loosely-coupled driver hands out: the same page
+    in every respect but the log."""
+
+    @pytest.fixture(params=[True, False], ids=["logged", "unlogged"])
+    def watched(self, request):
+        page = Page(3, bytes(64), logged=request.param)
+        observer = _Observer()
+        page.attach(observer)
+        return page, observer
+
+    def test_dirty_version_and_notifications_do_not_depend_on_logging(self, watched):
+        page, observer = watched
+        page.write(4, b"abc")
+        page.write_delta(4, b"abd")
+        assert page.data[4:7] == b"abd"
+        assert page.dirty and page.version == 2
+        assert observer.events == [("dirtied", 3)]
+        snapshot = page.writeback_snapshot()
+        assert snapshot[0] == page.data and snapshot[2] == 2
+        assert page.finish_writeback(snapshot[2], len(snapshot[1]))
+        assert not page.dirty and page.change_log == []
+        assert observer.events == [("dirtied", 3), ("cleaned", 3)]
+
+    def test_noop_write_delta_stays_clean(self, watched):
+        page, observer = watched
+        page.write_delta(0, bytes(16))
+        page.write(0, b"")
+        assert not page.dirty and page.version == 0
+        assert observer.events == []
+
+    def test_bounds_checked(self, watched):
+        page, _observer = watched
+        for attempt in (page.write, page.write_delta):
+            with pytest.raises(ValueError):
+                attempt(62, b"abc")
+            with pytest.raises(ValueError):
+                attempt(-1, b"a")
+        assert not page.dirty
+
+    def test_unlogged_page_records_nothing(self):
+        page = Page(0, bytes(64), logged=False)
+        page.write(0, b"abc")
+        page.write_delta(0, b"xbz")
+        assert page.data[:3] == b"xbz" and page.dirty
+        assert page.change_log == []
+        assert page.writeback_snapshot()[1] == []
+
+
+class TestUnpackAt:
+    def test_decodes_in_place(self, page):
+        layout = struct.Struct("<HI")
+        page.write(10, layout.pack(0xBEEF, 123456))
+        assert page.unpack_at(layout, 10) == (0xBEEF, 123456)
+
+    def test_bounds_checked(self, page):
+        layout = struct.Struct("<Q")
+        assert page.unpack_at(layout, 56) == (0,)
+        with pytest.raises(ValueError):
+            page.unpack_at(layout, 57)
+        with pytest.raises(ValueError):
+            page.unpack_at(layout, -8)  # struct would count from the end
 
 
 class TestPinning:

@@ -167,3 +167,21 @@ class TestHarness:
                          n_transactions=80, warmup_transactions=30)
         assert large.io_us_per_txn < small.io_us_per_txn
         assert large.hit_ratio > small.hit_ratio
+
+    @pytest.mark.parametrize(
+        "label, flash_ops",
+        [
+            ("IPL (18KB)", (11_583, 5_558, 31)),
+            ("PDL (256B)", (7_827, 1_719, 12)),
+            ("OPU", (4_752, 3_967, 33)),
+        ],
+        ids=["ipl", "pdl", "opu"],
+    )
+    def test_simulated_flash_traffic_is_pinned(self, label, flash_ops):
+        """(reads, writes, erases) of one seeded run, recorded before the
+        storage layer went to wire-form nodes and optional update logs.
+        They move only if the storage layer asks the pool for different
+        pages or in a different order, writes different bytes, or — IPL —
+        logs different runs or the same runs in a different order."""
+        m = run_tpcc(label, TEST_SCALE, 0.05, n_transactions=100, seed=11)
+        assert (m.flash_reads, m.flash_writes, m.erases) == flash_ops
