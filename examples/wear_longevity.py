@@ -12,21 +12,19 @@ Run:  python examples/wear_longevity.py
 
 import random
 
-from repro.ext.wear_leveling import round_robin_policy, wear_aware_policy
+import repro.ext.wear_leveling  # noqa: F401  (registers the "rr" policy)
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
-from repro.ftl.gc import greedy_policy
 from repro.methods import make_method
 
 DB_PAGES = 512
 OPS = 6000
 
 
-def run(label, policy=None, utilization=0.25):
+def run(label, utilization=0.25):
     spec = spec_for_database(DB_PAGES, utilization=utilization)
     chip = FlashChip(spec)
-    kwargs = {"victim_policy": policy} if policy is not None else {}
-    driver = make_method(label, chip, **kwargs)
+    driver = make_method(label, chip)
     rng = random.Random(7)
     images = {}
     for pid in range(DB_PAGES):
@@ -61,15 +59,13 @@ def main():
               f"(~{lifetime} updates per block-erase)")
 
     print("\n— GC victim policy ablation on PDL (256B) —")
-    for name, policy in (
-        ("greedy (paper)", greedy_policy),
-        ("round-robin", round_robin_policy()),
-        ("wear-aware", wear_aware_policy()),
+    for name, label in (
+        ("greedy (paper)", "PDL (256B)"),
+        ("round-robin", "PDL (256B) gc=rr"),
+        ("wear-aware", "PDL (256B) gc=wear"),
     ):
         # higher space utilization so GC pressure appears within the run
-        erases_per_op, max_wear, touched, blocks = run(
-            "PDL (256B)", policy, utilization=0.5
-        )
+        erases_per_op, max_wear, touched, blocks = run(label, utilization=0.5)
         print(f"  {name:15s} erases/op={erases_per_op:.4f}  "
               f"max wear on one block={max_wear}  "
               f"blocks touched={touched}/{blocks}")

@@ -116,6 +116,9 @@ def main(argv=None) -> int:
     n_pages = args.pages if args.pages is not None else (48 if args.tiny else 96)
     n_ops = args.ops if args.ops is not None else (220 if args.tiny else 600)
 
+    # Which engines this artifact compares, once, in full.
+    for cell in configs:
+        print(f"config {cell.name} [{cell.backend}]: {cell.config.to_json()}")
     started = time.perf_counter()
     result = run_matrix(
         patterns, configs, n_pages=n_pages, n_ops=n_ops, seed=args.seed

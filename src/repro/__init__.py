@@ -13,6 +13,9 @@ NAND flash that stores each logical page as a base page plus at most one
 * :mod:`repro.sharding` — a sharded multi-chip driver: pluggable hash /
   range routing, batched group flush, aggregated stats and wear, and
   per-shard crash recovery (:func:`recover_all`);
+* :mod:`repro.config` — :class:`EngineConfig`, the one value that says
+  *which engine*: labels, entry-point keywords, the manifest and the
+  scenario grid all spell it, one function assembles it;
 * :mod:`repro.storage` — a mini storage engine (buffer pool, slotted
   pages, heap files, B+tree) standing in for the Odysseus ORDBMS;
 * :mod:`repro.workloads` — the paper's synthetic update operations and a
@@ -77,14 +80,12 @@ from .ftl import (
     victim_policy_names,
 )
 from .ftl.errors import ConcurrencyError, UnallocatedPageError
+from .config import EngineConfig
 from .methods import (
     PAPER_METHODS,
     PAPER_METHODS_NO_IPU,
     make_method,
     method_labels,
-    parse_gc_label,
-    parse_parallel_label,
-    parse_sharded_label,
     sharded_labels,
 )
 from .sharding import (
@@ -110,6 +111,7 @@ __all__ = [
     "DeviceBackend",
     "Differential",
     "DifferentialWriteBuffer",
+    "EngineConfig",
     "FileBackend",
     "FlashChip",
     "FlashSpec",
@@ -147,9 +149,6 @@ __all__ = [
     "make_router",
     "make_victim_policy",
     "method_labels",
-    "parse_gc_label",
-    "parse_parallel_label",
-    "parse_sharded_label",
     "recover_all",
     "recover_driver",
     "register_victim_policy",

@@ -374,8 +374,8 @@ def ablation_diff_granularity(
 
 def ablation_victim_policy(scale: Optional[BenchScale] = None) -> ResultTable:
     """GC victim-selection policy comparison (greedy / round-robin / wear)."""
-    from ..ext.wear_leveling import round_robin_policy, wear_aware_policy
-    from ..ftl.gc import greedy_policy
+    from ..ext import wear_leveling  # noqa: F401  (registers "rr")
+    from ..ftl.gc import GcConfig
 
     scale = scale or current_scale()
     runner = scale.sweep_runner()
@@ -384,16 +384,12 @@ def ablation_victim_policy(scale: Optional[BenchScale] = None) -> ResultTable:
         title="Ablation: GC victim selection for PDL (256B)",
         columns=("policy", "overall_us", "gc_us", "erases_per_op", "max_block_wear"),
     )
-    policies = {
-        "greedy": greedy_policy,
-        "round_robin": round_robin_policy(),
-        "wear_aware": wear_aware_policy(),
-    }
+    policies = {"greedy": "greedy", "round_robin": "rr", "wear_aware": "wear"}
     for name, policy in policies.items():
         from ..workloads.runner import build_workload, warm_to_steady_state
 
         workload = build_workload(
-            "PDL (256B)", runner, 2.0, 1, method_kwargs={"victim_policy": policy}
+            "PDL (256B)", runner, 2.0, 1, method_kwargs={"gc": GcConfig(policy=policy)}
         )
         warm_to_steady_state(workload, runner)
         stats = workload.driver.stats

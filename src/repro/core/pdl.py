@@ -33,7 +33,7 @@ from ..flash.stats import READ_STEP, WRITE_STEP
 from ..ftl.allocator import COLD_STREAM, HOT_STREAM, BlockManager
 from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import UnknownPageError
-from ..ftl.gc import GarbageCollector, GcConfig, VictimPolicy
+from ..ftl.gc import GarbageCollector, GcConfig
 from .differential import (
     DEFAULT_COALESCE_GAP,
     DEFAULT_DIFF_UNIT,
@@ -72,7 +72,6 @@ class PdlDriver(PageUpdateMethod):
         diff_unit: "int | None" = DEFAULT_DIFF_UNIT,
         coalesce_gap: int = DEFAULT_COALESCE_GAP,
         reserve_blocks: int = 2,
-        victim_policy: Optional[VictimPolicy] = None,
         gc_config: Optional[GcConfig] = None,
         mapping: Optional[MappingConfig] = None,
     ) -> None:
@@ -84,7 +83,7 @@ class PdlDriver(PageUpdateMethod):
         self.diff_unit = diff_unit
         self.coalesce_gap = coalesce_gap
         self.gc_config = gc_config if gc_config is not None else GcConfig()
-        if victim_policy is None and self.gc_config.policy != "greedy":
+        if self.gc_config.policy != "greedy":
             self.name += f" gc={self.gc_config.policy}"
         #: Journal/snapshot store of the tiered mapping table, or None
         #: when the classic all-RAM tables are in use.
@@ -101,10 +100,7 @@ class PdlDriver(PageUpdateMethod):
             reserve_blocks=reserve_blocks,
             exclude_blocks=mapping.region_blocks if mapping is not None else 0,
         )
-        self.gc = GarbageCollector(
-            chip, self.blocks, handler=self, policy=victim_policy,
-            config=self.gc_config,
-        )
+        self.gc = GarbageCollector(chip, self.blocks, handler=self, config=self.gc_config)
         # Hot/cold separation: differential pages churn (hot) while base
         # pages persist (cold); giving each its own active block keeps
         # victims garbage-dense and cuts compaction's relocation volume.

@@ -291,7 +291,12 @@ class FileBackend(DeviceBackend):
     ) -> None:
         self.path = os.fspath(path)
         if os.path.exists(self.path):
-            self._open_existing(spec)
+            self._file = open(self.path, "r+b", buffering=0)
+            try:
+                self._open_existing(spec)
+            except BaseException:
+                self._file.close()  # a rejected image must not leak its handle
+                raise
         else:
             if spec is None:
                 raise BackendError(
@@ -350,7 +355,6 @@ class FileBackend(DeviceBackend):
         self._erase_mirror = [0] * spec.n_blocks
 
     def _open_existing(self, spec: Optional[FlashSpec]) -> None:
-        self._file = open(self.path, "r+b", buffering=0)
         raw = self._file.read(HEADER_SIZE)
         if len(raw) < _HEADER.size:
             raise BackendError(f"image {self.path!r} too short for a header")

@@ -78,9 +78,9 @@ def register_victim_policy(
 ) -> None:
     """Register a victim-policy factory under ``name`` (case-insensitive).
 
-    Registered names are selectable through :class:`GcConfig`, method
-    labels (``"PDL (256B) x4 gc=cb"``) and :meth:`Database.open`'s
-    driver keyword arguments.
+    A registered name is the one way to select a policy: through
+    :class:`GcConfig` (``Database.open(..., gc=GcConfig(policy="cb"))``)
+    or a method label (``"PDL (256B) x4 gc=cb"``).
     """
     _POLICY_FACTORIES[name.lower()] = factory
 
@@ -247,25 +247,14 @@ class GarbageCollector:
         chip: FlashChip,
         blocks: BlockManager,
         handler: RelocationHandler,
-        policy: Optional[VictimPolicy] = None,
         config: Optional[GcConfig] = None,
     ):
         self.chip = chip
         self.blocks = blocks
         self.handler = handler
         self.config = config if config is not None else GcConfig()
-        # An explicit policy callable (the legacy ``victim_policy``
-        # ablation hook) wins over the config's registered name.
-        self.policy: VictimPolicy = (
-            policy if policy is not None else make_victim_policy(self.config.policy)
-        )
-        #: What actually selects victims, for reports: the registered
-        #: name, or the explicit callable's name when one overrides it.
-        self.policy_label: str = (
-            self.config.policy
-            if policy is None
-            else getattr(policy, "__name__", repr(policy))
-        )
+        #: A fresh instance of the registered policy ``config.policy`` names.
+        self.policy: VictimPolicy = make_victim_policy(self.config.policy)
         if self.config.trigger_blocks is not None:
             trigger = self.config.trigger_blocks
         else:

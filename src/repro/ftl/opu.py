@@ -18,7 +18,7 @@ from ..flash.stats import READ_STEP, WRITE_STEP
 from .allocator import COLD_STREAM, HOT_STREAM, BlockManager
 from .base import ChangeRun, PageUpdateMethod
 from .errors import UnknownPageError
-from .gc import GarbageCollector, GcConfig, VictimPolicy
+from .gc import GarbageCollector, GcConfig
 
 
 class OpuDriver(PageUpdateMethod):
@@ -30,19 +30,15 @@ class OpuDriver(PageUpdateMethod):
         self,
         chip: FlashChip,
         reserve_blocks: int = 2,
-        victim_policy: Optional[VictimPolicy] = None,
         gc_config: Optional[GcConfig] = None,
     ):
         super().__init__(chip)
         self.name = "OPU"
         self.gc_config = gc_config if gc_config is not None else GcConfig()
-        if victim_policy is None and self.gc_config.policy != "greedy":
+        if self.gc_config.policy != "greedy":
             self.name += f" gc={self.gc_config.policy}"
         self.blocks = BlockManager(chip, reserve_blocks=reserve_blocks)
-        self.gc = GarbageCollector(
-            chip, self.blocks, handler=self, policy=victim_policy,
-            config=self.gc_config,
-        )
+        self.gc = GarbageCollector(chip, self.blocks, handler=self, config=self.gc_config)
         # Hot/cold separation for a page-mapping FTL: fresh updates are
         # hot, pages that survived a collection are cold — the classic
         # generational split that keeps victims garbage-dense.

@@ -17,7 +17,7 @@ Entry points:
 * ``scripts/run_scenarios.py`` — the CLI (see ``docs/workloads.md``).
 """
 
-from .cells import CellResult, EngineConfig, replay_cell
+from .cells import Cell, CellResult, replay_cell
 from .matrix import (
     DEFAULT_CONFIGS,
     TINY_CONFIGS,
@@ -30,9 +30,9 @@ from .oracle import OracleDivergence, OracleVerdict, compare_cells
 from .stream import ResolvedOp, ScenarioStream, build_stream
 
 __all__ = [
+    "Cell",
     "CellResult",
     "DEFAULT_CONFIGS",
-    "EngineConfig",
     "MatrixResult",
     "OracleDivergence",
     "OracleVerdict",

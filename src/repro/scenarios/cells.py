@@ -1,6 +1,6 @@
 """One matrix cell: replay a resolved stream against one engine config.
 
-A cell is (scenario stream × :class:`EngineConfig`).  The replay builds
+A cell is (scenario stream × :class:`Cell`).  The replay builds
 the configured engine from scratch, loads the stream's initial images,
 executes every operation in order, flushes, and then interrogates the
 engine three ways:
@@ -26,15 +26,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..config import EngineConfig
 from ..core.check import check_driver
 from ..core.pdl import PdlDriver
 from ..flash.backend import FileBackend
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
 from ..ftl.base import apply_runs
-from ..methods import make_method, parse_gc_label, parse_parallel_label, parse_sharded_label
+from ..ftl.errors import ConfigurationError
 from ..sharding.driver import ShardedDriver
-from ..storage.bufferpool import WritebackConfig
 from ..storage.db import Database
 from ..workloads.patterns import READ, UPDATE
 from ..workloads.runner import RunnerConfig
@@ -46,60 +46,40 @@ class CellReplayError(AssertionError):
 
 
 @dataclass(frozen=True)
-class EngineConfig:
-    """One engine configuration of the grid.
+class Cell:
+    """One engine configuration of the grid: a name, an
+    :class:`~repro.config.EngineConfig` and the device backend under it.
 
-    ``label`` is any :func:`repro.methods.make_method` label — method,
-    ``xN`` shard count, ``par`` executor and ``gc=`` policy
-    tokens included.  ``buffer_pages`` > 0 routes the replay through a
-    :class:`~repro.storage.db.Database` buffer pool with the given
-    eviction policy (``writeback="background"`` adds the write-back
-    daemon); 0 drives the method directly, the paper's "exclude the
-    buffering effect" setup.
-
-    ``mapping_cache`` (PDL labels only) enables the demand-paged
-    mapping tier on every shard with that many table entries of RAM
-    (``0`` = resident but still journaled/snapshotted);
-    ``mapping_interval`` overrides the snapshot cadence in journal
-    records.  The differential-equivalence oracle holds these cells to
-    the same logical state hash as the plain in-RAM table, which is
-    exactly the tier's correctness contract.
+    A config with ``buffer_capacity`` set routes the replay through a
+    :class:`~repro.storage.db.Database` buffer pool; without one the
+    method is driven directly, the paper's "exclude the buffering
+    effect" setup.  Chips are sized from the stream (``spec`` stays
+    unset).  The differential-equivalence oracle holds every cell to the
+    same logical state hash — for mapping-tier cells that is exactly
+    the tier's correctness contract.
     """
 
     name: str
-    label: str
+    config: EngineConfig
     backend: str = "memory"
-    buffer_pages: int = 0
-    buffer_policy: str = "lru"
-    writeback: Optional[str] = None
-    mapping_cache: Optional[int] = None
-    mapping_interval: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.backend not in ("memory", "file"):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.buffer_pages < 0:
-            raise ValueError("buffer_pages must be non-negative")
-        if self.writeback not in (None, "background"):
-            raise ValueError(f"unknown writeback mode {self.writeback!r}")
-        if self.writeback is not None and self.buffer_pages == 0:
-            raise ValueError("writeback needs a buffer pool (buffer_pages > 0)")
-        if self.mapping_cache is not None and self.mapping_cache < 0:
-            raise ValueError("mapping_cache must be non-negative")
-        if self.mapping_interval is not None and self.mapping_cache is None:
-            raise ValueError("mapping_interval requires mapping_cache")
+            raise ConfigurationError(f"unknown backend {self.backend!r}")
 
-    @property
-    def buffered(self) -> bool:
-        return self.buffer_pages > 0
+    @classmethod
+    def of(cls, name: str, label: str, backend: str = "memory", **fields) -> "Cell":
+        """The cell for a method label plus ``EngineConfig`` fields."""
+        return cls(name, EngineConfig.parse(label, **fields), backend)
 
     def describe(self) -> str:
-        parts = [self.label, self.backend]
-        if self.buffered:
-            mode = self.writeback or "sync"
-            parts.append(f"buffer={self.buffer_pages}/{self.buffer_policy}/{mode}")
-        if self.mapping_cache is not None:
-            parts.append(f"mapping={self.mapping_cache}")
+        config = self.config
+        parts = [config.label, self.backend]
+        if config.buffer_capacity is not None:
+            mode = config.writeback or "sync"
+            parts.append(f"buffer={config.buffer_capacity}/{config.buffer_policy}/{mode}")
+        if config.mapping_cache is not None:
+            parts.append(f"mapping={config.mapping_cache}")
         return " ".join(parts)
 
 
@@ -130,35 +110,27 @@ def _base_spec(page_size: int) -> FlashSpec:
 
 
 def _build_chips(
-    config: EngineConfig, stream: ScenarioStream, utilization: float, workdir: Path
-) -> Union[FlashChip, List[FlashChip]]:
+    cell: Cell, stream: ScenarioStream, utilization: float, workdir: Path
+) -> List[FlashChip]:
     runner = RunnerConfig(
         database_pages=stream.n_pages,
         utilization=utilization,
         base_spec=_base_spec(stream.page_size),
     )
-    plain, _gc = parse_gc_label(config.label)
-    plain, _par = parse_parallel_label(plain)
-    _base, n_shards = parse_sharded_label(plain)
+    n_shards = cell.config.n_shards
+    spec = runner.spec() if n_shards is None else runner.shard_spec(n_shards)
 
-    def chip(spec: FlashSpec, index: int) -> FlashChip:
-        if config.backend == "memory":
-            return FlashChip(spec)
-        path = workdir / f"{_slug(config.name)}-shard{index:02d}.flash"
-        return FlashChip(spec, backend=FileBackend(path, spec))
+    def backend(index: int) -> Optional[FileBackend]:
+        if cell.backend == "memory":
+            return None
+        slug = "".join(c if c.isalnum() else "-" for c in cell.name.lower())
+        return FileBackend(workdir / f"{slug}-shard{index:02d}.flash", spec)
 
-    if n_shards is None:
-        return chip(runner.spec(), 0)
-    spec = runner.shard_spec(n_shards)
-    return [chip(spec, i) for i in range(n_shards)]
-
-
-def _slug(name: str) -> str:
-    return "".join(c if c.isalnum() else "-" for c in name.lower())
+    return [FlashChip(spec, backend=backend(i)) for i in range(cell.config.n_chips)]
 
 
 def replay_cell(
-    config: EngineConfig,
+    cell: Cell,
     stream: ScenarioStream,
     *,
     utilization: float = 0.25,
@@ -173,38 +145,23 @@ def replay_cell(
 
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="repro-scenario-") as tmp:
-            return replay_cell(
-                config, stream, utilization=utilization, workdir=tmp
-            )
+            return replay_cell(cell, stream, utilization=utilization, workdir=tmp)
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
 
-    chips = _build_chips(config, stream, utilization, workdir)
-    method_kwargs: Dict[str, object] = {}
-    if config.mapping_cache is not None:
-        from ..core.mapping import MappingConfig
-
-        spec = chips.spec if isinstance(chips, FlashChip) else chips[0].spec
-        method_kwargs["mapping"] = MappingConfig.auto(
-            spec,
-            cache_entries=config.mapping_cache,
-            snapshot_interval=config.mapping_interval,
-        )
-    driver = make_method(config.label, chips, **method_kwargs)
+    config = cell.config
+    driver = config.build(_build_chips(cell, stream, utilization, workdir))
     db: Optional[Database] = None
     try:
         driver.load_pages(stream.initial_images())
         driver.end_of_load()
-        if config.buffered:
-            writeback = (
-                WritebackConfig() if config.writeback == "background" else None
-            )
+        if config.buffer_capacity is not None:
             db = Database.resume(
                 driver,
-                config.buffer_pages,
+                config.buffer_capacity,
                 stream.n_pages,
                 buffer_policy=config.buffer_policy,
-                writeback=writeback,
+                writeback=config.writeback,
             )
         shadow: Dict[int, bytes] = dict(stream.initial_images())
         snap = driver.stats.snapshot()
@@ -214,7 +171,7 @@ def replay_cell(
                 data = _read(driver, db, op.pid, stream.page_size)
                 if data != shadow[op.pid]:
                     raise CellReplayError(
-                        f"{config.name} / {stream.scenario}: op {index} read "
+                        f"{cell.name} / {stream.scenario}: op {index} read "
                         f"wrong contents for pid {op.pid}"
                     )
                 n_reads += 1
@@ -236,7 +193,7 @@ def replay_cell(
             data = driver.read_page(pid)
             if data != shadow[pid]:
                 raise CellReplayError(
-                    f"{config.name} / {stream.scenario}: final state of pid "
+                    f"{cell.name} / {stream.scenario}: final state of pid "
                     f"{pid} diverges from the shadow model"
                 )
             digest.update(data)
@@ -245,7 +202,7 @@ def replay_cell(
         audit_ok, notes = _audit(delta, n_reads, n_updates, driver)
         return CellResult(
             scenario=stream.scenario,
-            config=config.name,
+            config=cell.name,
             state_hash=digest.hexdigest(),
             n_reads=n_reads,
             n_updates=n_updates,

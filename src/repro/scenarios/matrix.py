@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..bench.reporting import ResultTable
 from ..workloads.patterns import AccessPattern, TracePattern, make_pattern
-from .cells import CellResult, EngineConfig, replay_cell
+from .cells import Cell, CellResult, replay_cell
 from .oracle import OracleVerdict, compare_cells
 from .stream import build_stream
 
@@ -32,45 +32,45 @@ DEFAULT_SEED = 20100121
 
 #: The full configuration grid: methods × shards × executor × GC policy
 #: × backend × buffer policy/write-back × mapping tier.
-DEFAULT_CONFIGS: Tuple[EngineConfig, ...] = (
-    EngineConfig("pdl-256", "PDL (256B)"),
-    EngineConfig("pdl-2k", "PDL (2KB)"),
-    EngineConfig("opu", "OPU"),
-    EngineConfig("ipu", "IPU"),
-    EngineConfig("ipl-512", "IPL (512B)"),
-    EngineConfig("pdl-256-file", "PDL (256B)", backend="file"),
-    EngineConfig("pdl-x4", "PDL (256B) x4"),
-    EngineConfig("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
-    EngineConfig("pdl-x4-thread", "PDL (256B) x4 par"),
-    EngineConfig("opu-x2-file", "OPU x2", backend="file"),
-    EngineConfig("pdl-buf-lru", "PDL (256B)", buffer_pages=12),
-    EngineConfig(
+DEFAULT_CONFIGS: Tuple[Cell, ...] = (
+    Cell.of("pdl-256", "PDL (256B)"),
+    Cell.of("pdl-2k", "PDL (2KB)"),
+    Cell.of("opu", "OPU"),
+    Cell.of("ipu", "IPU"),
+    Cell.of("ipl-512", "IPL (512B)"),
+    Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
+    Cell.of("pdl-x4", "PDL (256B) x4"),
+    Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
+    Cell.of("pdl-x4-thread", "PDL (256B) x4 par"),
+    Cell.of("opu-x2-file", "OPU x2", backend="file"),
+    Cell.of("pdl-buf-lru", "PDL (256B)", buffer_capacity=12),
+    Cell.of(
         "pdl-buf-2q-bg",
         "PDL (256B)",
-        buffer_pages=12,
+        buffer_capacity=12,
         buffer_policy="2q",
         writeback="background",
     ),
     # Demand-paged mapping tier: the oracle holds these to the identical
     # logical state hash as the in-RAM table (tight cache, resident
     # cache and sharded variants).
-    EngineConfig("pdl-map-16", "PDL (256B)", mapping_cache=16, mapping_interval=48),
-    EngineConfig("pdl-map-res", "PDL (256B)", mapping_cache=0),
-    EngineConfig("pdl-map-x2", "PDL (256B) x2", mapping_cache=16),
+    Cell.of("pdl-map-16", "PDL (256B)", mapping_cache=16, snapshot_interval=48),
+    Cell.of("pdl-map-res", "PDL (256B)", mapping_cache=0),
+    Cell.of("pdl-map-x2", "PDL (256B) x2", mapping_cache=16),
 )
 
 #: The CI smoke grid: one representative per axis, eight configs.
-TINY_CONFIGS: Tuple[EngineConfig, ...] = (
-    EngineConfig("pdl-256", "PDL (256B)"),
-    EngineConfig("opu", "OPU"),
-    EngineConfig("ipu", "IPU"),
-    EngineConfig("ipl-512", "IPL (512B)"),
-    EngineConfig("pdl-256-file", "PDL (256B)", backend="file"),
-    EngineConfig("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
-    EngineConfig("pdl-x2-thread", "PDL (256B) x2 par"),
-    EngineConfig("pdl-buf-2q-bg", "PDL (256B)", buffer_pages=10,
-                 buffer_policy="2q", writeback="background"),
-    EngineConfig("pdl-map-16", "PDL (256B)", mapping_cache=16, mapping_interval=48),
+TINY_CONFIGS: Tuple[Cell, ...] = (
+    Cell.of("pdl-256", "PDL (256B)"),
+    Cell.of("opu", "OPU"),
+    Cell.of("ipu", "IPU"),
+    Cell.of("ipl-512", "IPL (512B)"),
+    Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
+    Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
+    Cell.of("pdl-x2-thread", "PDL (256B) x2 par"),
+    Cell.of("pdl-buf-2q-bg", "PDL (256B)", buffer_capacity=10,
+            buffer_policy="2q", writeback="background"),
+    Cell.of("pdl-map-16", "PDL (256B)", mapping_cache=16, snapshot_interval=48),
 )
 
 _DEFAULT_PATTERN_NAMES = (
@@ -134,7 +134,7 @@ class MatrixResult:
 
 def run_matrix(
     patterns: Sequence[AccessPattern],
-    configs: Sequence[EngineConfig],
+    configs: Sequence[Cell],
     *,
     n_pages: int = 96,
     n_ops: int = 600,

@@ -286,7 +286,7 @@ class ShardedDriver(PageUpdateMethod):
                 continue
             per_shard.append(
                 {
-                    "policy": gc.policy_label,
+                    "policy": gc.config.policy,
                     "collections": gc.collections,
                     "pages_relocated": gc.pages_relocated,
                     "incremental_steps": gc.steps,

@@ -36,29 +36,16 @@ import threading
 from concurrent.futures import Future
 from functools import partial
 from queue import SimpleQueue
-from typing import Callable, Dict, List, Literal, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flash.stats import DEFAULT_PHASE
 from ..ftl.base import PageUpdateMethod
-from ..ftl.errors import ConcurrencyError, ConfigurationError
+from ..ftl.errors import ConcurrencyError
 from .driver import ShardedDriver
 from .router import ShardRouter
 
 #: Sentinel dropped into a mailbox to stop its worker thread.
 _STOP = None
-
-#: What a ``parallel=`` argument may hold; ``True`` means ``"thread"``.
-Parallel = Union[bool, Literal["thread"]]
-
-
-def check_parallel(parallel: object) -> bool:
-    """Validate a ``parallel=`` argument; True when it asks for threads."""
-    if isinstance(parallel, bool) or parallel == "thread":
-        return bool(parallel)
-    raise ConfigurationError(
-        f"parallel={parallel!r} is not an execution mode; expected False, "
-        "True or 'thread'"
-    )
 
 
 class ShardExecutor:

@@ -28,72 +28,31 @@ the serial-vs-threaded scan times; see ``docs/concurrency.md``).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.recovery import RecoveryReport, recover_driver
 from ..flash.chip import FlashChip
-from ..ftl.errors import ConfigurationError
 from .driver import ShardedDriver
-from .executor import Parallel, ParallelShardedDriver, ShardExecutor, check_parallel
-from .router import HashRouter, ShardRouter
+from .router import ShardRouter
+
+__all__ = ["RecoveryReport", "recover_all", "recover_driver"]
 
 
 def recover_all(
-    chips: Sequence[FlashChip],
-    router: Optional[ShardRouter] = None,
-    max_differential_size: int = 256,
-    parallel: Parallel = False,
-    **driver_kwargs,
+    chips: Sequence[FlashChip], router: Optional[ShardRouter] = None, **fields: Any
 ) -> Tuple[ShardedDriver, List[RecoveryReport]]:
     """Rebuild a sharded PDL array from post-crash flash contents.
 
     ``chips`` are the shard chips in shard order; ``router`` must match
     the pre-crash partition (defaults to :class:`HashRouter` over
     ``len(chips)`` shards, the :func:`repro.methods.make_method`
-    default).  Remaining keyword arguments are forwarded to each
-    shard's :func:`recover_driver` (e.g. ``coalesce_gap``,
-    ``victim_policy``).
-
-    With ``parallel=True`` (or ``parallel="thread"``) the per-shard
-    scans run concurrently on a
-    :class:`~repro.sharding.executor.ShardExecutor` (one worker per
-    chip — each scan reads and heals only its own device, so the scans
-    share nothing), and the worker pool is kept to drive the returned
-    :class:`~repro.sharding.executor.ParallelShardedDriver`.
-
-    Returns the operational driver plus one :class:`RecoveryReport` per
-    shard, in shard order.
+    default).  ``fields`` are :class:`~repro.config.EngineConfig`
+    fields (``max_differential_size``, ``gc``, ``parallel=True`` for
+    concurrent scans, …); :meth:`~repro.config.EngineConfig.recover`
+    does the work.  Returns the operational driver plus one
+    :class:`RecoveryReport` per shard, in shard order.
     """
-    threaded = check_parallel(parallel)
+    from ..config import EngineConfig  # config.py builds on this package's drivers
+
     chips = list(chips)
-    if not chips:
-        raise ConfigurationError("recover_all needs at least one chip")
-    if router is not None and router.n_shards != len(chips):
-        raise ConfigurationError(
-            f"router partitions {router.n_shards} shards but {len(chips)} "
-            "chips were supplied"
-        )
-    router = router or HashRouter(len(chips))
-    scans = [
-        partial(
-            recover_driver,
-            chip,
-            max_differential_size=max_differential_size,
-            **driver_kwargs,
-        )
-        for chip in chips
-    ]
-    if threaded:
-        executor = ShardExecutor(len(chips))
-        try:
-            recovered = executor.map(list(enumerate(scans)))
-        except BaseException:
-            executor.shutdown()
-            raise
-        build = partial(ParallelShardedDriver, executor=executor)
-    else:
-        recovered = [scan() for scan in scans]
-        build = ShardedDriver
-    shards, reports = zip(*recovered)
-    return build(shards, router), list(reports)
+    return EngineConfig.of(**{"n_shards": len(chips), **fields}).recover(chips, router)

@@ -27,13 +27,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..config import EngineConfig
 from ..core.pdl import PdlDriver
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec, spec_for_database
 from ..flash.stats import GC, READ_STEP, WRITE_STEP
 from ..ftl.base import PageUpdateMethod
 from ..ftl.errors import ConfigurationError
-from ..methods import make_method, parse_gc_label, parse_parallel_label, parse_sharded_label
+from ..ftl.ipu import IpuDriver
 from ..sharding.driver import ShardedDriver
 from ..sharding.executor import ParallelShardedDriver
 from ..storage.db import Database
@@ -174,10 +175,8 @@ def warm_to_steady_state(workload: SyntheticWorkload, runner: RunnerConfig) -> i
     for pid in pids:
         workload.update_cycle(pid, n_updates=rng.randint(1, k_max))
         ops += 1
-    plain, _gc = parse_gc_label(driver.name)
-    plain, _par = parse_parallel_label(plain)
-    base_name, _ = parse_sharded_label(plain)
-    if base_name.strip().upper() == "IPU":
+    shard = driver.shards[0] if isinstance(driver, ShardedDriver) else driver
+    if isinstance(shard, IpuDriver):
         return ops  # in-place update has no free-space state to churn
     # total_blocks covers the whole array for sharded drivers.
     target_erases = driver.total_blocks
@@ -189,6 +188,15 @@ def warm_to_steady_state(workload: SyntheticWorkload, runner: RunnerConfig) -> i
     return ops
 
 
+def _build_driver(
+    label: str, runner: RunnerConfig, method_kwargs: Optional[Dict]
+) -> PageUpdateMethod:
+    """The engine ``label`` (+ fields) names, over chips sized by ``runner``."""
+    engine = EngineConfig.parse(label, **(method_kwargs or {}))
+    spec = runner.spec() if engine.n_shards is None else runner.shard_spec(engine.n_shards)
+    return engine.build([FlashChip(spec) for _ in range(engine.n_chips)])
+
+
 def build_workload(
     label: str,
     runner: RunnerConfig,
@@ -198,20 +206,11 @@ def build_workload(
 ) -> SyntheticWorkload:
     """Chip + driver + loaded synthetic database for one method.
 
-    ``method_kwargs`` are forwarded to the driver constructor (ablations:
-    ``diff_unit``, ``victim_policy``, …).  Sharded labels build one chip
-    per shard via :meth:`RunnerConfig.shard_spec`; a ``router`` entry in
-    ``method_kwargs`` overrides the default hash partition.
+    ``method_kwargs`` are further :class:`~repro.config.EngineConfig`
+    fields (ablations: ``diff_unit``, ``gc``, …).  Sharded labels build
+    one chip per shard via :meth:`RunnerConfig.shard_spec`.
     """
-    plain, _gc = parse_gc_label(label)
-    plain, _par = parse_parallel_label(plain)
-    _base, n_shards = parse_sharded_label(plain)
-    if n_shards is None:
-        chip = FlashChip(runner.spec())
-    else:
-        shard_spec = runner.shard_spec(n_shards)
-        chip = [FlashChip(shard_spec) for _ in range(n_shards)]
-    driver = make_method(label, chip, **(method_kwargs or {}))
+    driver = _build_driver(label, runner, method_kwargs)
     config = SyntheticConfig(
         database_pages=runner.database_pages,
         pct_changed=pct_changed,
@@ -485,15 +484,7 @@ def build_buffered_db(
     top with the requested eviction policy and write-back mode, and the
     stats are reset so measurements see only buffered traffic.
     """
-    plain, _gc = parse_gc_label(label)
-    plain, _par = parse_parallel_label(plain)
-    _base, n_shards = parse_sharded_label(plain)
-    if n_shards is None:
-        chip = FlashChip(runner.spec())
-    else:
-        shard_spec = runner.shard_spec(n_shards)
-        chip = [FlashChip(shard_spec) for _ in range(n_shards)]
-    driver = make_method(label, chip, **(method_kwargs or {}))
+    driver = _build_driver(label, runner, method_kwargs)
     rng = random.Random(runner.seed)
     driver.load_pages(
         [(pid, rng.randbytes(driver.page_size)) for pid in range(runner.database_pages)]

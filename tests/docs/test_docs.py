@@ -75,3 +75,17 @@ def test_ci_states_each_dependency_once():
         for line in job.splitlines():
             if "pip install" in line and "-r " not in line:
                 assert not set(line.split()) & set(packages), f"{name}: {line.strip()}"
+
+
+def test_configuration_table_lists_exactly_the_config_fields():
+    """docs/architecture.md, "Configuration": one row per ``EngineConfig``
+    field, in order, with the durable ones marked durable."""
+    import dataclasses
+
+    from repro.config import DURABLE, EngineConfig
+
+    text = (ROOT / "docs" / "architecture.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"(?m)^\| `(\w+)` \|[^|]*\| ([^|]+?) \|", section)
+    assert [name for name, _kind in rows] == [f.name for f in dataclasses.fields(EngineConfig)]
+    assert tuple(name for name, kind in rows if "durable" in kind) == DURABLE

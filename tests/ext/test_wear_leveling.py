@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+import repro.ext.wear_leveling  # noqa: F401  (registers "rr")
 from repro.core.pdl import PdlDriver
-from repro.ext.wear_leveling import round_robin_policy, wear_aware_policy
 from repro.flash.chip import FlashChip
-from repro.ftl.gc import greedy_policy
+from repro.ftl.gc import GcConfig, register_victim_policy, wear_aware_policy
 from repro.ftl.opu import OpuDriver
 
 
@@ -27,23 +27,21 @@ def _soak(driver, rng, n_pages=16, steps=500):
 
 
 @pytest.mark.parametrize(
-    "policy_factory",
-    [lambda: greedy_policy, round_robin_policy, wear_aware_policy],
-    ids=["greedy", "round_robin", "wear_aware"],
+    "policy", ["greedy", "rr", "wear"], ids=["greedy", "round_robin", "wear_aware"]
 )
 class TestPoliciesPreserveData:
-    def test_opu_soak(self, tiny_spec, policy_factory):
+    def test_opu_soak(self, tiny_spec, policy):
         chip = FlashChip(tiny_spec)
-        driver = OpuDriver(chip, victim_policy=policy_factory())
+        driver = OpuDriver(chip, gc_config=GcConfig(policy=policy))
         images = _soak(driver, random.Random(1))
         for pid, expected in images.items():
             assert driver.read_page(pid) == expected
         assert chip.stats.total_erases > 0
 
-    def test_pdl_soak(self, tiny_spec, policy_factory):
+    def test_pdl_soak(self, tiny_spec, policy):
         chip = FlashChip(tiny_spec)
         driver = PdlDriver(
-            chip, max_differential_size=64, victim_policy=policy_factory()
+            chip, max_differential_size=64, gc_config=GcConfig(policy=policy)
         )
         images = _soak(driver, random.Random(2))
         for pid, expected in images.items():
@@ -56,18 +54,19 @@ class TestWearBehaviour:
 
         def max_wear(policy):
             chip = FlashChip(tiny_spec)
-            driver = OpuDriver(chip, victim_policy=policy)
+            driver = OpuDriver(chip, gc_config=GcConfig(policy=policy))
             _soak(driver, random.Random(3), steps=800)
             counts = [chip.erase_count(b) for b in range(tiny_spec.n_blocks)]
             return max(counts), sum(counts)
 
-        greedy_max, greedy_total = max_wear(greedy_policy)
-        rr_max, rr_total = max_wear(round_robin_policy())
+        greedy_max, greedy_total = max_wear("greedy")
+        rr_max, rr_total = max_wear("rr")
         assert rr_max <= greedy_max + 2
 
     def test_wear_aware_avoids_hot_blocks(self, tiny_spec):
+        register_victim_policy("test-wear-5", lambda: wear_aware_policy(wear_weight=5.0))
         chip = FlashChip(tiny_spec)
-        driver = OpuDriver(chip, victim_policy=wear_aware_policy(wear_weight=5.0))
+        driver = OpuDriver(chip, gc_config=GcConfig(policy="test-wear-5"))
         _soak(driver, random.Random(4), steps=800)
         counts = [chip.erase_count(b) for b in range(tiny_spec.n_blocks)]
         # no block should be erased wildly more than the mean

@@ -13,6 +13,7 @@ from repro.ftl.gc import (
     cost_benefit_policy,
     greedy_policy,
     make_victim_policy,
+    register_victim_policy,
     victim_policy_names,
     wear_aware_policy,
 )
@@ -170,15 +171,6 @@ class TestVictimPolicyRegistry:
             chip, blocks, handler, config=GcConfig(policy="cb")
         )
         assert gc.policy is cost_benefit_policy
-
-    def test_explicit_policy_wins_over_config(self, chip):
-        blocks = BlockManager(chip, reserve_blocks=2)
-        handler = RecordingHandler(chip, blocks)
-        gc = GarbageCollector(
-            chip, blocks, handler, policy=greedy_policy,
-            config=GcConfig(policy="cb"),
-        )
-        assert gc.policy is greedy_policy
 
 
 class TestCostBenefitPolicy:
@@ -370,7 +362,10 @@ class TestBackendDeterminism:
             victims.append(victim)
             return victim
 
-        driver = PdlDriver(chip, max_differential_size=64, victim_policy=recording_policy)
+        register_victim_policy("test-recording", lambda: recording_policy)
+        driver = PdlDriver(
+            chip, max_differential_size=64, gc_config=GcConfig(policy="test-recording")
+        )
         rng = random.Random(99)
         images = {pid: rng.randbytes(256) for pid in range(10)}
         for pid, data in images.items():

@@ -95,7 +95,7 @@ def test_eight_clients_share_one_pool(backend, tmp_path):
     raw_driver = make_method(
         f"PDL (64B) x{N_SHARDS} par",
         chips,
-        gc_config=GcConfig(incremental_steps=2, hot_cold=True),
+        gc=GcConfig(incremental_steps=2, hot_cold=True),
     )
     driver = CountingDriver(raw_driver)
     seed_rng = random.Random(20100220)

@@ -61,11 +61,11 @@ INCREMENTAL_CONFIGS = {
 def _build(
     n_shards: int, gc_config: "GcConfig | None" = None
 ) -> Tuple[List[FlashChip], PageUpdateMethod]:
-    kwargs = {} if gc_config is None else {"gc_config": gc_config}
     if n_shards == 1:
         chips = [FlashChip(SPEC)]
-        return chips, PdlDriver(chips[0], max_differential_size=MAX_DIFF, **kwargs)
+        return chips, PdlDriver(chips[0], max_differential_size=MAX_DIFF, gc_config=gc_config)
     chips = [FlashChip(SHARD_SPEC) for _ in range(n_shards)]
+    kwargs = {} if gc_config is None else {"gc": gc_config}
     return chips, make_method(f"PDL ({MAX_DIFF}B) x{n_shards}", chips, **kwargs)
 
 

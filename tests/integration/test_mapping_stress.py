@@ -145,7 +145,13 @@ def test_mapping_audit_thread_executor():
         chip, raw = _region_counted_chip(region_pages)
         chips.append(chip)
         raws.append(raw)
-    driver = make_method(f"PDL (64B) x{N_SHARDS} par", chips, mapping=cfg)
+    driver = make_method(
+        f"PDL (64B) x{N_SHARDS} par",
+        chips,
+        mapping_cache=CACHE_ENTRIES,
+        snapshot_interval=INTERVAL,
+    )
+    assert all(shard.mapping.config == cfg for shard in driver.shards)
     try:
         seed_rng = random.Random(20100130)
         model = [seed_rng.randbytes(PAGE) for _ in range(N_PAGES)]

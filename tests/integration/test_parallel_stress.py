@@ -80,7 +80,7 @@ def test_eight_clients_over_four_shards(backend, tmp_path):
     driver = make_method(
         f"PDL (64B) x{N_SHARDS} par",
         chips,
-        gc_config=GcConfig(incremental_steps=2, hot_cold=True),
+        gc=GcConfig(incremental_steps=2, hot_cold=True),
     )
     try:
         seed_rng = random.Random(20100130)

@@ -10,7 +10,8 @@ import dataclasses
 
 import pytest
 
-from repro.scenarios.cells import CellResult, EngineConfig, replay_cell
+from repro.ftl.errors import ConfigurationError
+from repro.scenarios.cells import Cell, CellResult, replay_cell
 from repro.scenarios.matrix import (
     DEFAULT_CONFIGS,
     DEFAULT_SEED,
@@ -38,19 +39,26 @@ def small_stream(pattern="zipf-0.9", seed=DEFAULT_SEED):
 
 
 class TestEngineConfig:
+    """A grid cell: a name, a backend and a ``repro.config.EngineConfig``."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig("x", "OPU", backend="network")
-        with pytest.raises(ValueError):
-            EngineConfig("x", "OPU", buffer_pages=-1)
-        with pytest.raises(ValueError):
-            EngineConfig("x", "OPU", writeback="sometimes", buffer_pages=4)
-        with pytest.raises(ValueError):
-            EngineConfig("x", "OPU", writeback="background")  # no pool
+        # Every mistake is caught when the cell is made, not at replay.
+        with pytest.raises(ConfigurationError):
+            Cell.of("x", "OPU", backend="network")
+        with pytest.raises(ConfigurationError):
+            Cell.of("x", "OPU", buffer_capacity=-1)
+        with pytest.raises(ConfigurationError):
+            Cell.of("x", "OPU", writeback="sometimes", buffer_capacity=4)
+        with pytest.raises(ConfigurationError):
+            Cell.of("x", "OPU", writeback="background")  # no pool
+        with pytest.raises(ConfigurationError):
+            Cell.of("x", "LSM (4KB)")
+        with pytest.raises(ConfigurationError):
+            Cell.of("x", "OPU", buffer_capacity=4, buffer_policy="mru")
 
     def test_describe_mentions_every_axis(self):
-        config = EngineConfig(
-            "x", "PDL (256B)", backend="file", buffer_pages=8,
+        config = Cell.of(
+            "x", "PDL (256B)", backend="file", buffer_capacity=8,
             buffer_policy="2q", writeback="background",
         )
         text = config.describe()
@@ -66,7 +74,7 @@ class TestEngineConfig:
 class TestReplayCell:
     def test_cell_matches_expected_images(self):
         stream = small_stream()
-        cell = replay_cell(EngineConfig("pdl", "PDL (256B)"), stream)
+        cell = replay_cell(Cell.of("pdl", "PDL (256B)"), stream)
         assert cell.n_reads == stream.n_reads
         assert cell.n_updates == stream.n_updates
         assert cell.check_ok is True
@@ -77,7 +85,7 @@ class TestReplayCell:
         import hashlib
 
         stream = small_stream("sequential")
-        cell = replay_cell(EngineConfig("opu", "OPU"), stream)
+        cell = replay_cell(Cell.of("opu", "OPU"), stream)
         digest = hashlib.sha256()
         expected = stream.expected_images()
         for pid in range(stream.n_pages):
@@ -85,20 +93,20 @@ class TestReplayCell:
         assert cell.state_hash == digest.hexdigest()
 
     def test_methods_without_checker_report_none(self):
-        cell = replay_cell(EngineConfig("ipu", "IPU"), small_stream())
+        cell = replay_cell(Cell.of("ipu", "IPU"), small_stream())
         assert cell.check_ok is None
 
     def test_buffered_cell_replays_identically(self):
         stream = small_stream("ycsb-a")
-        direct = replay_cell(EngineConfig("d", "PDL (256B)"), stream)
+        direct = replay_cell(Cell.of("d", "PDL (256B)"), stream)
         buffered = replay_cell(
-            EngineConfig("b", "PDL (256B)", buffer_pages=8), stream
+            Cell.of("b", "PDL (256B)", buffer_capacity=8), stream
         )
         assert buffered.state_hash == direct.state_hash
 
     def test_file_backend_writes_under_workdir(self, tmp_path):
         cell = replay_cell(
-            EngineConfig("f", "PDL (256B)", backend="file"),
+            Cell.of("f", "PDL (256B)", backend="file"),
             small_stream(),
             workdir=tmp_path,
         )
@@ -173,9 +181,9 @@ class TestMatrix:
     def test_small_matrix_is_equivalent(self):
         patterns = [make_pattern("sequential"), make_pattern("ycsb-a")]
         configs = [
-            EngineConfig("pdl", "PDL (256B)"),
-            EngineConfig("opu", "OPU"),
-            EngineConfig("pdl-x2", "PDL (256B) x2"),
+            Cell.of("pdl", "PDL (256B)"),
+            Cell.of("opu", "OPU"),
+            Cell.of("pdl-x2", "PDL (256B) x2"),
         ]
         result = run_matrix(patterns, configs, n_pages=N_PAGES, n_ops=N_OPS)
         assert result.equivalent, result.divergences
@@ -186,13 +194,13 @@ class TestMatrix:
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
-            run_matrix([], [EngineConfig("a", "OPU")])
+            run_matrix([], [Cell.of("a", "OPU")])
         with pytest.raises(ValueError):
             run_matrix([make_pattern("sequential")], [])
         with pytest.raises(ValueError, match="duplicate"):
             run_matrix(
                 [make_pattern("sequential")],
-                [EngineConfig("a", "OPU"), EngineConfig("a", "IPU")],
+                [Cell.of("a", "OPU"), Cell.of("a", "IPU")],
             )
 
     def test_pattern_set_helpers_include_trace(self, tmp_path):

@@ -13,7 +13,8 @@ from repro.flash.chip import FlashChip
 from repro.flash.spec import FlashSpec
 from repro.ftl.errors import ConcurrencyError, ConfigurationError
 from repro.ftl.gc import GcConfig
-from repro.methods import make_method, parse_parallel_label
+from repro.config import EngineConfig
+from repro.methods import make_method
 from repro.sharding.executor import ParallelShardedDriver, ShardExecutor
 from repro.sharding.recovery import recover_all
 
@@ -68,8 +69,9 @@ class TestLabelPlumbing:
     def test_name_round_trips_through_parser(self):
         driver = make_method("PDL (64B) x2 par", _chips(2))
         try:
-            rest, parallel = parse_parallel_label(driver.name)
-            assert parallel and rest == "PDL (64B) x2"
+            config = EngineConfig.parse(driver.name)
+            assert config.parallel and config.n_shards == 2
+            assert config.label == driver.name
         finally:
             driver.close()
 
@@ -77,7 +79,7 @@ class TestLabelPlumbing:
         driver = make_method("PDL (64B) x2 par gc=cb", _chips(2))
         try:
             assert isinstance(driver, ParallelShardedDriver)
-            assert all(s.gc.policy_label == "cb" for s in driver.shards)
+            assert all(s.gc.config.policy == "cb" for s in driver.shards)
         finally:
             driver.close()
 
@@ -86,8 +88,8 @@ class TestLabelPlumbing:
             make_method("PDL (64B) par", FlashChip(SPEC))
 
     def test_duplicate_par_token_rejected(self):
-        with pytest.raises(ValueError):
-            parse_parallel_label("PDL (64B) x2 par par")
+        with pytest.raises(ConfigurationError, match="more than one parallel token"):
+            EngineConfig.parse("PDL (64B) x2 par par")
 
     def test_mismatched_executor_rejected(self):
         chips = _chips(2)
@@ -434,7 +436,7 @@ class TestUseAfterClose:
 class TestOwnershipGuard:
     def test_gc_hooks_rejected_off_worker_thread(self):
         driver = make_method(
-            "PDL (64B) x2 par", _chips(2), gc_config=GcConfig(incremental_steps=1)
+            "PDL (64B) x2 par", _chips(2), gc=GcConfig(incremental_steps=1)
         )
         try:
             with pytest.raises(ConcurrencyError, match="gate"):
@@ -485,17 +487,12 @@ class TestParallelRecovery:
         finally:
             parallel.executor.shutdown()
 
-    @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None])
+    @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None, "thread"])
     def test_unknown_parallel_value_rejected(self, bogus):
+        """``parallel`` is a bool; the old "thread" spelling went with the
+        process executor that made it necessary."""
         with pytest.raises(ConfigurationError, match=repr(bogus)):
             recover_all(_chips(2), parallel=bogus)
-
-    def test_thread_spelling_accepted(self):
-        recovered, _ = recover_all(_chips(2), parallel="thread")
-        try:
-            assert isinstance(recovered, ParallelShardedDriver)
-        finally:
-            recovered.close()
 
     def test_recovered_driver_usable_from_many_threads(self):
         chips = _chips(2)

@@ -10,7 +10,8 @@ from repro.flash.spec import FlashSpec
 from repro.flash.stats import WRITE_STEP
 from repro.ftl.errors import ConfigurationError
 from repro.ftl.opu import OpuDriver
-from repro.methods import make_method, parse_sharded_label, sharded_labels
+from repro.config import EngineConfig
+from repro.methods import make_method, sharded_labels
 from repro.sharding.driver import ShardedDriver
 from repro.sharding.recovery import recover_all
 from repro.sharding.router import HashRouter, RangeRouter
@@ -83,10 +84,10 @@ class TestConstruction:
             ShardedDriver([])
 
     def test_label_parsing(self):
-        assert parse_sharded_label("PDL (256B) x4") == ("PDL (256B)", 4)
-        assert parse_sharded_label("opu X2") == ("opu", 2)
-        assert parse_sharded_label("PDL (256B)") == ("PDL (256B)", None)
-        assert parse_sharded_label("IPU") == ("IPU", None)
+        assert EngineConfig.parse("PDL (256B) x4").n_shards == 4
+        assert EngineConfig.parse("opu X2") == EngineConfig(method="OPU", n_shards=2)
+        assert EngineConfig.parse("PDL (256B)").n_shards is None
+        assert EngineConfig.parse("IPU").n_shards is None
         assert sharded_labels("OPU", [1, 2]) == ["OPU x1", "OPU x2"]
 
 
@@ -242,7 +243,7 @@ class TestGcReport:
         from repro.ftl.gc import GcConfig
 
         chips, driver = _sharded(
-            2, gc_config=GcConfig(incremental_steps=2, hot_cold=True)
+            2, gc=GcConfig(incremental_steps=2, hot_cold=True)
         )
         rng = random.Random(23)
         images = {pid: rng.randbytes(PAGE) for pid in range(12)}

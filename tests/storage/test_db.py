@@ -1,8 +1,13 @@
 """Database façade tests: allocation horizon errors, resume, sharding."""
 
+import gc
+import json
+import warnings
+
 import pytest
 
 from repro.core.pdl import PdlDriver
+from repro.flash.backend import BackendError
 from repro.flash.chip import FlashChip
 from repro.flash.spec import TINY_SPEC, FlashSpec
 from repro.ftl.errors import (
@@ -11,6 +16,7 @@ from repro.ftl.errors import (
     UnallocatedPageError,
     UnknownPageError,
 )
+from repro.ftl.gc import GcConfig
 from repro.methods import make_method
 from repro.storage.db import Database
 
@@ -173,6 +179,143 @@ class TestPersistentOpen:
             assert chip.stats.cache_hits > 0
 
 
+def _leaked_flash_handles(action):
+    """Run ``action`` and return the ResourceWarnings about ``.flash``
+    files that the garbage collector raises afterwards."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        action()
+        gc.collect()
+    return [
+        str(w.message)
+        for w in caught
+        if issubclass(w.category, ResourceWarning) and ".flash" in str(w.message)
+    ]
+
+
+class TestOpenValidatesThenTouchesTheDisk:
+    """A configuration mistake never creates a database, and a failure
+    after images are open closes every one of them."""
+
+    SPEC = FlashSpec(
+        n_blocks=12, pages_per_block=8, page_data_size=256, page_spare_size=32
+    )
+
+    @pytest.mark.parametrize(
+        "mistake",
+        [
+            {"buffer_policy": "nope"},
+            {"writeback": "bogus"},
+            {"buffer_capacity": 0},
+            {"gc": GcConfig(policy="mystery")},
+            {"victim_policy": None},
+            {"method": "OPU"},
+            {"snapshot_interval": 24},
+        ],
+        ids=lambda fields: next(iter(fields)),
+    )
+    def test_invalid_config_leaves_nothing_behind(self, tmp_path, mistake):
+        def attempt():
+            with pytest.raises(ConfigurationError):
+                Database.open(tmp_path / "db", spec=self.SPEC, n_shards=2, **mistake)
+
+        assert _leaked_flash_handles(attempt) == []
+        assert list(tmp_path.iterdir()) == []  # no directory, manifest or image
+
+    def test_corrupt_image_closes_the_images_already_open(self, tmp_path):
+        with Database.open(tmp_path, spec=self.SPEC, n_shards=3) as db:
+            db.allocate_page().write(0, b"\x01" * db.page_size)
+        with open(tmp_path / "shard-0002.flash", "r+b") as image:
+            image.write(b"not a flash image")
+
+        def attempt():
+            with pytest.raises(BackendError, match="shard-0002"):
+                Database.open(tmp_path)
+
+        assert _leaked_flash_handles(attempt) == []
+
+    def test_failed_recovery_closes_every_image(self, tmp_path, monkeypatch):
+        """Parallel open: the scans fail after *all* images are open."""
+        import repro.config
+
+        with Database.open(tmp_path, spec=self.SPEC, n_shards=2):
+            pass
+
+        def broken_scan(chip, **options):
+            raise BackendError(f"scan of {chip!r} failed")
+
+        monkeypatch.setattr(repro.config, "recover_driver", broken_scan)
+
+        def attempt():
+            with pytest.raises(BackendError, match="scan of"):
+                Database.open(tmp_path, parallel=True)
+
+        assert _leaked_flash_handles(attempt) == []
+
+
+class TestManifest:
+    """Written atomically, read loudly; never a reason to delete images."""
+
+    SPEC = TestOpenValidatesThenTouchesTheDisk.SPEC
+
+    def _created(self, path):
+        with Database.open(path, spec=self.SPEC, n_shards=2, buffer_capacity=4) as db:
+            db.allocate_page().write(0, b"\x42" * db.page_size)
+        return json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda m: "", "not JSON"),
+            (lambda m: json.dumps(m)[: len(json.dumps(m)) // 2], "not JSON"),
+            (lambda m: "[1, 2]", "format 'list'"),
+            (lambda m: json.dumps({**m, "format": 2}), "format 2"),
+            (lambda m: json.dumps({k: v for k, v in m.items() if k != "n_shards"}), "'n_shards'"),
+            (lambda m: json.dumps({k: v for k, v in m.items() if k != "spec"}), "'spec'"),
+            (lambda m: json.dumps({**m, "spec": {**m["spec"], "n_planes": 2}}), "'n_planes'"),
+            (lambda m: json.dumps({**m, "mapping": {"region_blocks": 10}}), "'journal_blocks'"),
+        ],
+        ids=["empty", "truncated", "non-object", "unknown-format", "missing-n_shards",
+             "missing-spec", "unknown-spec-key", "missing-mapping-key"],
+    )
+    def test_unreadable_manifest_is_a_backend_error(self, tmp_path, damage, named):
+        manifest = self._created(tmp_path)
+        (tmp_path / "manifest.json").write_text(damage(manifest), encoding="utf-8")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(BackendError, match=named) as info:
+            Database.open(tmp_path)
+        assert str(tmp_path) in str(info.value)
+        # Loud, and harmless: the images are still there, and a restored
+        # manifest opens them.
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with Database.open(tmp_path) as db:
+            assert db.page(0).data == b"\x42" * db.page_size
+
+    def test_creation_that_dies_mid_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        import repro.storage.db as db_module
+
+        def torn_dump(obj, fh, **kwargs):
+            fh.write(json.dumps(obj)[:40])
+            raise OSError("disk full")
+
+        def attempt():
+            with monkeypatch.context() as patch:
+                patch.setattr(db_module.json, "dump", torn_dump)
+                with pytest.raises(OSError, match="disk full"):
+                    Database.open(tmp_path, spec=self.SPEC, n_shards=2)
+
+        assert _leaked_flash_handles(attempt) == []
+        assert not (tmp_path / "manifest.json").exists()  # never half a manifest
+        # The database never existed: the next open starts it over.
+        with Database.open(tmp_path, spec=self.SPEC, n_shards=2) as db:
+            assert db.allocated_pages == 0
+        assert self._created(tmp_path)["n_shards"] == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "shard-0000.flash", "shard-0001.flash",
+        ]
+
+
 class TestParallelOpen:
     """Database.open(parallel=True): worker-threaded shard execution."""
 
@@ -243,9 +386,10 @@ class TestParallelOpen:
             for pid, data in images.items():
                 assert db2.page(pid).data == data
 
-    @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None])
+    @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None, "thread"])
     def test_unknown_parallel_value_rejected(self, tmp_path, bogus):
-        """Truthiness used to decide: "fiber" silently built threads."""
+        """Truthiness used to decide: "fiber" silently built threads.
+        ``parallel`` is a bool — the "thread" spelling is gone too."""
         with pytest.raises(ConfigurationError, match=repr(bogus)):
             Database.open(tmp_path / "new", spec=self.SPEC, parallel=bogus)
         assert not (tmp_path / "new").exists()  # rejected before any I/O
@@ -253,12 +397,6 @@ class TestParallelOpen:
             pass
         with pytest.raises(ConfigurationError, match=repr(bogus)):
             Database.open(tmp_path / "old", parallel=bogus)
-
-    def test_thread_spelling_accepted(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
-
-        with Database.open(tmp_path, spec=self.SPEC, parallel="thread") as db:
-            assert isinstance(db.driver, ParallelShardedDriver)
 
 
 class TestGcConfigPassthrough:
@@ -269,7 +407,7 @@ class TestGcConfigPassthrough:
 
         config = GcConfig(policy="cb", incremental_steps=2, hot_cold=True)
         with Database.open(
-            tmp_path / "db", n_shards=2, buffer_capacity=8, gc_config=config
+            tmp_path / "db", n_shards=2, buffer_capacity=8, gc=config
         ) as db:
             for shard in db.driver.shards:
                 assert shard.gc.config is config
@@ -279,7 +417,7 @@ class TestGcConfigPassthrough:
             db.flush()
         # GC tuning is runtime state: it is re-supplied on reopen and
         # reaches the recovered per-shard drivers.
-        with Database.open(tmp_path / "db", buffer_capacity=8, gc_config=config) as db:
+        with Database.open(tmp_path / "db", buffer_capacity=8, gc=config) as db:
             for shard in db.driver.shards:
                 assert shard.gc.config is config
             assert bytes(db.page(0).data) == b"\x07" * db.page_size

@@ -1,7 +1,12 @@
-"""Tests for the driver registry / label parsing."""
+"""Tests for the driver registry: labels → constructed drivers.
+
+The label grammar itself (round trips, the rejection table) is held by
+``tests/test_config.py``; these cases check what ``make_method`` builds.
+"""
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
 from repro.ftl.errors import ConfigurationError
@@ -13,39 +18,38 @@ from repro.methods import (
     PAPER_METHODS_NO_IPU,
     make_method,
     method_labels,
-    parse_parallel_label,
 )
 
 
 class TestParallelToken:
-    """The ``par`` token: pure parsing (driver behaviour is covered by
+    """The ``par`` token (driver behaviour is covered by
     tests/sharding/test_parallel_driver.py)."""
 
     def test_token_stripped_from_anywhere(self):
-        assert parse_parallel_label("PDL (256B) x4 par") == ("PDL (256B) x4", True)
-        assert parse_parallel_label("PDL (256B) par x4") == ("PDL (256B) x4", True)
-        assert parse_parallel_label("OPU x2") == ("OPU x2", False)
+        want = EngineConfig(n_shards=4, parallel=True)
+        assert EngineConfig.parse("PDL (256B) x4 par") == want
+        assert EngineConfig.parse("PDL (256B) par x4") == want
+        assert not EngineConfig.parse("OPU x2").parallel
 
     def test_token_is_word_bounded(self):
-        # 'par' inside another word must not trigger.
-        assert parse_parallel_label("parquet x2") == ("parquet x2", False)
-        assert parse_parallel_label("OPU")[1] is False
+        # 'par' inside another word is not the token: no such label.
+        with pytest.raises(ConfigurationError, match="unknown method label"):
+            EngineConfig.parse("OPU x2 parquet")
+        with pytest.raises(ConfigurationError, match="unknown method label"):
+            EngineConfig.parse("OPU x2par")
+        assert not EngineConfig.parse("OPU").parallel
 
     def test_duplicate_token_rejected(self):
-        with pytest.raises(ValueError):
-            parse_parallel_label("OPU x2 par par")
+        with pytest.raises(ConfigurationError, match="more than one parallel"):
+            EngineConfig.parse("OPU x2 par par")
 
     def test_removed_process_token_is_an_unknown_label(self, chip):
         # No special case for the token the process transport used: it
         # is just text the label grammar does not know.
-        assert parse_parallel_label("PDL (256B) x2 proc") == (
-            "PDL (256B) x2 proc",
-            False,
-        )
-        with pytest.raises(ValueError, match="unknown method label"):
+        with pytest.raises(ConfigurationError, match="unknown method label"):
             make_method("PDL (256B) proc", chip)
         chips = [FlashChip(chip.spec) for _ in range(2)]
-        with pytest.raises((ValueError, ConfigurationError)):
+        with pytest.raises(ConfigurationError, match="unknown method label"):
             make_method("PDL (256B) x2 proc", chips)
 
 
@@ -78,9 +82,9 @@ class TestLabelParsing:
         assert isinstance(make_method("opu", chip), OpuDriver)
 
     def test_unknown_label(self, chip):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             make_method("LSM (4KB)", chip)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             make_method("PDL", chip)
 
     def test_kwargs_forwarded(self, chip):
@@ -114,7 +118,7 @@ class TestShardedLabels:
         assert driver.n_shards == 3
 
     def test_unknown_base_method_still_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             make_method("LSM (4KB) x2", self._chips(2))
 
     def test_sequence_of_one_chip_for_plain_label(self):
@@ -160,14 +164,15 @@ class TestGcLabelToken:
         return [FlashChip(TINY_SPEC) for _ in range(n)]
 
     def test_parse_gc_label(self):
-        from repro.methods import parse_gc_label
+        from repro.ftl.gc import GcConfig
 
-        assert parse_gc_label("PDL (256B)") == ("PDL (256B)", None)
-        assert parse_gc_label("PDL (256B) x4 gc=cb") == ("PDL (256B) x4", "cb")
-        assert parse_gc_label("PDL (256B) gc=cb x4") == ("PDL (256B) x4", "cb")
-        assert parse_gc_label("OPU gc=WEAR") == ("OPU", "wear")
-        with pytest.raises(ValueError):
-            parse_gc_label("PDL (256B) gc=cb gc=wear")
+        assert EngineConfig.parse("PDL (256B)").gc == GcConfig()
+        want = EngineConfig(n_shards=4, gc=GcConfig(policy="cb"))
+        assert EngineConfig.parse("PDL (256B) x4 gc=cb") == want
+        assert EngineConfig.parse("PDL (256B) gc=cb x4") == want
+        assert EngineConfig.parse("OPU gc=WEAR").gc.policy == "wear"
+        with pytest.raises(ConfigurationError, match="more than one gc"):
+            EngineConfig.parse("PDL (256B) gc=cb gc=wear")
 
     def test_single_driver_gets_policy(self, chip):
         from repro.ftl.gc import cost_benefit_policy
@@ -206,13 +211,13 @@ class TestGcLabelToken:
             make_method("IPL (18KB) gc=cb", chip)
 
     def test_gc_token_conflicts_with_explicit_kwargs(self, chip):
-        from repro.ftl.errors import ConfigurationError
-        from repro.ftl.gc import GcConfig, greedy_policy
+        from repro.ftl.gc import GcConfig
 
-        with pytest.raises(ConfigurationError):
-            make_method("PDL (256B) gc=cb", chip, gc_config=GcConfig())
-        with pytest.raises(ConfigurationError):
-            make_method("PDL (256B) gc=cb", chip, victim_policy=greedy_policy)
+        with pytest.raises(ConfigurationError, match="already sets gc"):
+            make_method("PDL (256B) gc=cb", chip, gc=GcConfig())
+        # The callable spelling is gone: a registered name is the one way.
+        with pytest.raises(ConfigurationError, match="unknown engine option 'victim_policy'"):
+            make_method("PDL (256B)", chip, victim_policy=lambda blocks: None)
 
     def test_unknown_policy_name_rejected(self, chip):
         from repro.ftl.errors import ConfigurationError
@@ -224,7 +229,7 @@ class TestGcLabelToken:
         from repro.ftl.gc import GcConfig
 
         driver = make_method(
-            "PDL (256B)", chip, gc_config=GcConfig(incremental_steps=4, hot_cold=True)
+            "PDL (256B)", chip, gc=GcConfig(incremental_steps=4, hot_cold=True)
         )
         assert driver.gc.config.incremental_steps == 4
         assert driver.gc_config.hot_cold
