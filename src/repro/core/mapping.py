@@ -10,8 +10,8 @@ device far larger than its mapping RAM — the 10x target benchmarked in
 Three cooperating pieces:
 
 * :class:`MappingConfig` — region geometry, cache budget and snapshot
-  cadence, frozen plain data that rides to every shard inside
-  ``driver_kwargs``.
+  cadence, frozen plain data that :class:`~repro.config.EngineConfig`
+  derives once per engine and hands to every shard's driver.
 * :class:`TieredMappingTable` — the ppmt facade the driver mutates.  It
   is two tiers: a *dirty overlay* dict holding every entry touched since
   the last snapshot (authoritative, bounded by the snapshot interval)
@@ -22,7 +22,11 @@ Three cooperating pieces:
   — one LRU implementation in the tree).  Every mutation both updates
   the overlay and appends a journal record through the store, which is
   what makes crash restart O(dirty tail) instead of O(device)
-  (:mod:`repro.ext.journal`).
+  (:mod:`repro.ext.journal`).  The lookup discipline is *one
+  translation per page per operation*: a caller that has looked a row up
+  and has work pending on it hands the row back (:meth:`~TieredMappingTable.hold`)
+  instead of asking again once the clean cache has moved on
+  (docs/recovery.md, "The three mapping tiers").
 * :class:`JournaledVdct` — the vdct with the same journal emission, so
   tail replay restores differential counts without re-reading any
   differential page.
@@ -39,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Protocol
 from typing import Sequence, Tuple
 
+from ..flash.errors import ChecksumError
 from ..flash.spec import FlashSpec
 from ..flash.stats import FlashStats
 from ..ftl.errors import ConfigurationError
@@ -393,10 +398,11 @@ class TieredMappingTable:
     every mutator additionally appends a journal record through the
     store, and lookups that miss both RAM tiers demand-page the covering
     snapshot page in.  Entries returned by :meth:`get` / :meth:`require`
-    are *fresh objects* when they come from the clean tier (unpacked from
-    the resident wire-form page on each lookup); callers must mutate
-    through the table's methods (the in-place idiom would silently skip
-    the journal), which every driver path now does.
+    are the table's own objects — the overlay's live row, or the one the
+    clean tier last unpacked (which a repeated lookup of the same pid
+    gets again, and :meth:`hold` makes the overlay's): callers read them
+    and mutate through the table's methods only (the in-place idiom
+    would also silently skip the journal), which every driver path does.
     """
 
     def __init__(self, store: MappingBackend, cache_entries: int = 0) -> None:
@@ -415,6 +421,11 @@ class TieredMappingTable:
 
             self._capacity_pages = max(1, cache_entries // store.entries_per_page)
             self._policy = LruPolicy(self._capacity_pages)
+        #: The clean tier's last answer, ``(pid, what it held)``: the write
+        #: of a read-change-write cycle asks for the row its read just got.
+        #: A pid the overlay has is answered there first, so only a
+        #: snapshot can outdate this (:meth:`on_snapshot` forgets it).
+        self._last: Tuple[int, Optional[MappingEntry]] = (-1, None)
         self._count = 0
         self._max_pid = -1
 
@@ -447,7 +458,13 @@ class TieredMappingTable:
         if pid in self._overlay:  # tombstone
             self._store.stats.record_mapping_hit()
             return None
-        return self._clean_entry(pid)
+        last_pid, entry = self._last
+        if pid == last_pid:
+            self._store.stats.record_mapping_hit()
+            return entry
+        entry = self._clean_entry(pid)
+        self._last = (pid, entry)
+        return entry
 
     def require(self, pid: int) -> MappingEntry:
         entry = self.get(pid)
@@ -468,7 +485,10 @@ class TieredMappingTable:
             return None
         page = self._cache.get(index)
         if page is None:
-            page = self._store.load_data_page(index)  # records the miss
+            try:
+                page = self._store.load_data_page(index)  # records the miss
+            except (ChecksumError, MappingFormatError) as exc:
+                raise type(exc)(f"translating pid {pid}: {exc}") from exc
             self._admit(index, page)
         else:
             self._store.stats.record_mapping_hit()
@@ -488,6 +508,23 @@ class TieredMappingTable:
             self._policy.remove(victim)
             self._cache.pop(victim, None)
 
+    def hold(self, pid: int, entry: MappingEntry) -> None:
+        """Keep ``pid``'s row resident while work is pending on it.
+
+        ``entry`` is the row the caller just got from :meth:`get` /
+        :meth:`require` and will re-point through a mutator later in the
+        same operation or at the next buffer flush — by which time the
+        bounded clean cache may have evicted the page it was unpacked
+        from.  The overlay adopts it, so that mutator costs no second
+        translation.  A row the overlay already has wins: every mutation
+        since the caller's lookup (a GC relocation under a Case-2 flush,
+        say) went through the overlay, so whatever is there is at least as
+        new.  Nothing changes logically and no journal record is emitted;
+        a held row is a clean one until its mutator runs, and
+        :meth:`on_snapshot` may drop it.
+        """
+        self._overlay.setdefault(pid, entry)
+
     def _live(self, pid: int) -> MappingEntry:
         """The overlay's mutable entry for ``pid`` (copy-on-write)."""
         entry = self._overlay.get(pid)
@@ -502,14 +539,17 @@ class TieredMappingTable:
         return clean
 
     # -- mutators (journal-emitting) ------------------------------------
-    def set_base(self, pid: int, addr: int, timestamp: int) -> None:
-        existed = self.get(pid) is not None
+    def set_base(self, pid: int, addr: int, timestamp: int) -> Optional[MappingEntry]:
+        """Point ``pid`` at a new base page and clear its differential;
+        returns the row this displaced (``None``: the pid was unmapped)."""
+        old = self.get(pid)
         self._overlay[pid] = MappingEntry(base_addr=addr, base_ts=timestamp)
-        if not existed:
+        if old is None:
             self._count += 1
             if pid > self._max_pid:
                 self._max_pid = pid
         self._store.record(REC_SET_BASE, pid, addr, timestamp)
+        return old
 
     def move_base(self, pid: int, addr: int) -> None:
         self._live(pid).base_addr = addr
@@ -562,8 +602,16 @@ class TieredMappingTable:
 
     def on_snapshot(self) -> None:
         """The store sealed a new snapshot: the overlay is now flash-resident
-        and the clean cache's pages belong to the superseded one."""
+        and the clean cache's pages belong to the superseded one.
+
+        Held rows (:meth:`hold`) go with the rest.  One that was still
+        clean equals the row just written, so dropping it loses nothing:
+        the pending mutator re-faults it from the new snapshot — correct,
+        one translation slower.  Nor is one kept by accident: the mutator
+        it waits for dirties it, so between snapshots the overlay outgrows
+        the dirtied pids only by the rows of differentials still buffered."""
         self._overlay.clear()
+        self._last = (-1, None)
         if self._policy is not None:
             for index in self._cache:
                 self._policy.remove(index)

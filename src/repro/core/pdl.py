@@ -227,14 +227,17 @@ class PdlDriver(PageUpdateMethod):
                     return
                 # Step 1: read the base page.
                 base, _spare = self.chip.read_page(entry.base_addr)
-                self._reflect(pid, data, base)
+                self._reflect(pid, data, base, entry)
             finally:
                 self.gc.on_write_end()
         self._mapping_tick()
 
-    def _reflect(self, pid: int, data: bytes, base: bytes) -> None:
-        """Steps 2–3 of PDL_Writing, given the (pre-read) base image."""
-        entry = self.ppmt.require(pid)
+    def _reflect(
+        self, pid: int, data: bytes, base: bytes, entry: MappingEntry
+    ) -> None:
+        """Steps 2–3 of PDL_Writing, given the (pre-read) base image and
+        the mapping row it was read through (looked up after this write's
+        incremental GC step)."""
         # Step 2: create the differential by comparison.
         diff = Differential.from_pages(
             pid,
@@ -251,6 +254,10 @@ class PdlDriver(PageUpdateMethod):
             # through the normal cases below — its fresh timestamp
             # supersedes the stale one both at runtime and in recovery.
             return
+        # Every case below ends in a mutator of this row — now, or at the
+        # flush that takes the differential out of the buffer; the table
+        # keeps the row where that mutator finds it.
+        self.ppmt.hold(pid, entry)
         # Step 3: three cases by differential size.
         if diff.size > self.effective_max:
             self.case_counts[3] += 1
@@ -375,7 +382,9 @@ class PdlDriver(PageUpdateMethod):
                     if pid not in bases:
                         self._program_base(pid, data)
                     else:
-                        self._reflect(pid, data, bases[pid])
+                        # Re-resolved per page: the GC step just above may
+                        # have re-pointed the row since the batched read.
+                        self._reflect(pid, data, bases[pid], self.ppmt.require(pid))
                 finally:
                     self.gc.on_write_end()
         self._mapping_tick()
@@ -395,27 +404,26 @@ class PdlDriver(PageUpdateMethod):
     def _write_new_base(self, pid: int, data: bytes) -> None:
         """writingNewBasePage (Figure 8): Case 3.
 
-        The allocation happens before the superseded addresses are read:
-        it may trigger GC, which can relocate this page's base page or
-        differential page, and the obsolete marks must hit the live
-        copies.
+        The superseded addresses are the row ``set_base`` displaces, read
+        after the allocation: it may trigger GC, which can relocate this
+        page's base page or differential page, and the obsolete marks
+        must hit the live copies.
         """
         ts = self._next_ts()
         addr = self.blocks.allocate(stream=self._base_stream)
-        entry = self.ppmt.require(pid)
-        old_base = entry.base_addr
-        old_diff = entry.diff_addr
         self.chip.program_page(
             addr, data, SpareArea(type=PageType.BASE, pid=pid, timestamp=ts)
         )
         self.blocks.note_valid(addr)
-        self.ppmt.set_base(pid, addr, ts)  # also clears entry.diff_addr
-        self.chip.mark_obsolete(old_base)
-        self.blocks.note_invalid(old_base)
+        old = self.ppmt.set_base(pid, addr, ts)  # also clears the differential
+        if old is None:
+            raise KeyError(f"logical page {pid} has no mapping entry")
+        self.chip.mark_obsolete(old.base_addr)
+        self.blocks.note_invalid(old.base_addr)
         self.buffer.remove(pid)
         self._gc_buffer.remove(pid)  # a staged compaction copy is now stale
-        if old_diff is not None:
-            self._drop_diff_ref(old_diff)
+        if old.diff_addr is not None:
+            self._drop_diff_ref(old.diff_addr)
 
     def _flush_buffer(self) -> None:
         """writingDifferentialWriteBuffer (Figure 8)."""
@@ -459,8 +467,10 @@ class PdlDriver(PageUpdateMethod):
     def relocate_page(self, addr: int, data: bytes, spare: SpareArea) -> None:
         if spare.type is PageType.BASE:
             pid = spare.pid
-            if pid is None or self.ppmt.require(pid).base_addr != addr:
+            entry = None if pid is None else self.ppmt.get(pid)
+            if pid is None or entry is None or entry.base_addr != addr:
                 raise UnknownPageError(f"GC found unmapped valid base page at {addr}")
+            self.ppmt.hold(pid, entry)  # move_base below re-points this row
             new = self.blocks.allocate(for_gc=True, stream=self._base_stream)
             self.chip.program_page(new, data, spare)  # timestamp preserved
             self.blocks.note_valid(new)
@@ -485,6 +495,7 @@ class PdlDriver(PageUpdateMethod):
                 entry = self.ppmt.get(diff.pid)
                 if entry is None or entry.diff_addr != addr:
                     continue  # superseded entry: garbage
+                self.ppmt.hold(diff.pid, entry)  # the compaction flush re-points it
                 if diff.size > self._gc_buffer.free_space:
                     self._flush_gc_buffer()
                 self._gc_buffer.put(diff)

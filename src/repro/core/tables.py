@@ -57,16 +57,18 @@ class PhysicalPageMappingTable:
             raise KeyError(f"logical page {pid} has no mapping entry")
         return entry
 
-    def set_base(self, pid: int, addr: int, timestamp: int) -> None:
-        """Point ``pid`` at a new base page and clear its differential."""
-        entry = self._entries.get(pid)
-        if entry is None:
-            self._entries[pid] = MappingEntry(base_addr=addr, base_ts=timestamp)
-        else:
-            entry.base_addr = addr
-            entry.base_ts = timestamp
-            entry.diff_addr = None
-            entry.diff_ts = None
+    def hold(self, pid: int, entry: MappingEntry) -> None:
+        """The caller just looked ``entry`` up as ``pid``'s row and has work
+        pending on it.  Every row is RAM-resident here, so nothing is done;
+        the demand-paged table keeps the row where the pending mutator
+        finds it without a second translation."""
+
+    def set_base(self, pid: int, addr: int, timestamp: int) -> Optional[MappingEntry]:
+        """Point ``pid`` at a new base page and clear its differential;
+        returns the row this displaced (``None``: the pid was unmapped)."""
+        old = self._entries.get(pid)
+        self._entries[pid] = MappingEntry(base_addr=addr, base_ts=timestamp)
+        return old
 
     def move_base(self, pid: int, addr: int) -> None:
         """Relocate the base page (GC) without touching the differential."""

@@ -190,7 +190,8 @@ class MappingStore:
         return range(start, start + self.config.half_blocks)
 
     def half_start_page(self, half: int) -> int:
-        return self.half_blocks_of(half)[0] * self.spec.pages_per_block
+        first_block = self.config.journal_blocks + half * self.config.half_blocks
+        return first_block * self.spec.pages_per_block
 
     def seal_addr(self, half: int) -> int:
         return self.half_start_page(half) + self.half_pages - 1
@@ -208,9 +209,15 @@ class MappingStore:
         # raw device reads during normal operation (the stress audit).
         self.stats.record_mapping_miss()
         addr = self.half_start_page(self.seq % 2) + index
-        with self.stats.phase(MAPPING_PHASE):
-            data, _spare = self.chip.read_page(addr)
-        return decode_mapping_page(data, expect_seq=self.seq, expect_index=index)
+        try:
+            with self.stats.phase(MAPPING_PHASE):
+                data, _spare = self.chip.read_page(addr)
+            return decode_mapping_page(data, expect_seq=self.seq, expect_index=index)
+        except (ChecksumError, MappingFormatError) as exc:
+            # Same type, so restart's fallback ``except`` still sees it.
+            raise type(exc)(
+                f"snapshot {self.seq} page {index} at flash address {addr}: {exc}"
+            ) from exc
 
     # ------------------------------------------------------------------
     # Journal
@@ -680,8 +687,7 @@ def _try_fast_restart(
         for kind, a, b, ts in records:
             max_ts = max(max_ts, ts)
             if kind == REC_SET_BASE:
-                old = table.get(a)
-                table.set_base(a, b, ts)
+                old = table.set_base(a, b, ts)
                 valid.add(b)
                 if old is not None and old.base_addr >= 0 and old.base_addr != b:
                     valid.discard(old.base_addr)
@@ -691,6 +697,7 @@ def _try_fast_restart(
                 if old.base_addr != b:
                     valid.discard(old.base_addr)
                     retire.add(old.base_addr)
+                table.hold(a, old)  # the row move_base re-points
                 table.move_base(a, b)
                 valid.add(b)
             elif kind == REC_SET_DIFF:
@@ -698,12 +705,10 @@ def _try_fast_restart(
             elif kind == REC_CLEAR_DIFF:
                 table.set_diff(a, None)
             elif kind == REC_REMOVE:
-                old = table.get(a)
-                if old is not None:
-                    table.remove(a)
-                    if old.base_addr >= 0:
-                        valid.discard(old.base_addr)
-                        retire.add(old.base_addr)
+                old = table.remove(a)
+                if old is not None and old.base_addr >= 0:
+                    valid.discard(old.base_addr)
+                    retire.add(old.base_addr)
             elif kind == REC_VDCT_INC:
                 if vdct.count(a) == 0:
                     valid.add(a)

@@ -1,0 +1,158 @@
+"""One translation per page per operation — held without a stopwatch.
+
+The demand-paged mapping tier's host and flash cost on an update cycle is
+set by how often the driver asks the table for a row it already had in
+hand (docs/recovery.md, "The three mapping tiers").  Each such question
+that gets past the dirty overlay is a directory bisect, a packed-row
+bisect and an unpack; when the bounded clean cache has meanwhile evicted
+the translation page it is also a charged flash read, a 2 KB CRC and an
+LRU admit/evict.  Both counts repeat exactly for a seed, so — like
+``test_call_budget.py`` for the codec — they stand in for a timing:
+
+* a read-change-write cycle through a table ten times its clean cache
+  cost 4.4 clean-tier lookups, 1.65 demand page-ins and 188 Python-level
+  calls here (4.85 / 1.70 on the ``crash-restart`` benchmark's geometry)
+  when ``write_page``, ``_reflect`` and the buffer flush each looked the
+  row up again; with the row handed down, and the write served the row
+  its read just translated, it costs 0.87 (the read's, less overlay
+  hits), 0.83 and 129.  The budgets sit between;
+* a row kept resident for a pending mutator must not outlive it: after a
+  flush the overlay holds the pids that were dirtied, and nothing else.
+"""
+
+import random
+
+from repro.core.mapping import MAPPING_PHASE, MappingConfig
+from repro.core.pdl import PdlDriver
+from repro.flash.chip import FlashChip
+from repro.flash.spec import spec_for_database
+
+PAGES = 2048
+CYCLES = 600
+CHANGE = 41  # 2 % of a 2 KB page, the paper's default update
+LOOKUPS_PER_CYCLE_BUDGET = 1.3
+PAGE_INS_PER_CYCLE_BUDGET = 1.0
+CALLS_PER_CYCLE_BUDGET = 150
+
+
+def tiered_driver(pages=PAGES, **driver_kwargs):
+    """A loaded driver whose mapping table is ten times its clean cache
+    and wholly flash-resident (empty overlay); no snapshot falls due in
+    the tests' windows, so every mapping-phase read is a demand page-in."""
+    rng = random.Random(20260930)
+    spec = spec_for_database(pages, 0.25)
+    mapping = MappingConfig.auto(
+        spec, cache_entries=pages // 10, snapshot_interval=8 * CYCLES
+    )
+    driver = PdlDriver(FlashChip(spec), mapping=mapping, **driver_kwargs)
+    driver.load_pages([(pid, rng.randbytes(driver.page_size)) for pid in range(pages)])
+    driver.end_of_load()
+    driver.mapping.snapshot()
+    assert driver.ppmt.overlay_size == 0
+    return driver, rng
+
+
+def patched(rng, image, n_bytes=CHANGE):
+    offset = rng.randrange(len(image) - n_bytes + 1)
+    return image[:offset] + rng.randbytes(n_bytes) + image[offset + n_bytes :]
+
+
+def test_update_cycle_translates_each_page_once(count_python_calls):
+    driver, rng = tiered_driver()
+    store, stats = driver.mapping, driver.chip.stats
+    assert store.data_page_count >= 10 * driver.ppmt.cache_capacity_pages
+
+    # Every lookup that gets past the overlay starts with the store's
+    # directory bisect: count those.
+    lookups = 0
+    directory_lookup = store.page_index_of
+
+    def counted(pid):
+        nonlocal lookups
+        lookups += 1
+        return directory_lookup(pid)
+
+    store.page_index_of = counted
+
+    def window():
+        for cycle in range(CYCLES):
+            if cycle == CYCLES // 2:
+                driver.flush()
+            pid = rng.randrange(PAGES)
+            driver.write_page(pid, patched(rng, driver.read_page(pid)))
+
+    reads_before = stats.of_phase(MAPPING_PHASE).reads
+    calls = count_python_calls(window) - 1  # less the call of window() itself
+
+    assert store.snapshots_taken == 1, "a snapshot's table walk fell into the window"
+    assert driver.buffer_flushes > CYCLES // 40, "the write buffer never cycled"
+    page_ins = stats.of_phase(MAPPING_PHASE).reads - reads_before
+    assert lookups / CYCLES <= LOOKUPS_PER_CYCLE_BUDGET, lookups / CYCLES
+    assert page_ins / CYCLES <= PAGE_INS_PER_CYCLE_BUDGET, page_ins / CYCLES
+    per_cycle = (calls - lookups) / CYCLES  # less the counting shim's own calls
+    assert per_cycle <= CALLS_PER_CYCLE_BUDGET, per_cycle
+
+
+def test_held_rows_leave_the_overlay_as_dirty_rows_or_not_at_all():
+    driver, rng = tiered_driver(pages=256, max_differential_size=256)
+    table = driver.ppmt
+    images = {pid: driver.read_page(pid) for pid in (3, 70, 150, 151, 200)}
+
+    # No-op reflections: the page equals its base and no differential is
+    # stale anywhere — nothing is pending, nothing may be kept.
+    for pid, image in images.items():
+        driver.write_page(pid, image)
+    assert table.overlay_size == 0
+
+    # Cases 1/2 keep the row until the flush re-points it ...
+    for pid in (3, 70, 150):
+        driver.write_page(pid, patched(rng, images[pid]))
+    assert driver.case_counts[1] == 3 and table.overlay_size == 3
+    # ... Case 3 dirties it on the spot (and one pid is written twice).
+    driver.write_page(200, rng.randbytes(driver.page_size))
+    driver.write_page(3, patched(rng, images[3]))
+    assert driver.case_counts[3] == 1
+    driver.flush()
+
+    dirtied = {3, 70, 150, 200}
+    assert table.overlay_size == len(dirtied)
+    assert {pid for pid, _entry in table.overlay_items()} == dirtied
+    assert driver.mapping.snapshots_taken == 1, "a snapshot would have emptied it"
+
+
+def test_a_row_handed_back_never_replaces_one_the_overlay_has():
+    """Between a lookup and the hold, a Case-2 flush can run GC, which
+    re-points (or fsck, which drops) the very row: the overlay's is newer."""
+    driver, _rng = tiered_driver(pages=256)
+    table = driver.ppmt
+    moved, dropped, kept = table.require(7), table.require(9), table.require(11)
+    table.move_base(7, moved.base_addr + 1)
+    table.remove(9)
+
+    for pid, row in ((7, moved), (9, dropped), (11, kept)):
+        table.hold(pid, row)
+
+    assert table.require(7).base_addr == moved.base_addr + 1
+    assert table.get(9) is None and 9 not in table
+    assert table.require(11) is kept
+    assert table.overlay_size == 3
+
+
+def test_the_last_translation_is_reused_but_never_outdated():
+    driver, _rng = tiered_driver(pages=256)
+    table, stats = driver.ppmt, driver.chip.stats
+    first = table.require(7)
+    hits, misses = stats.mapping_hits, stats.mapping_misses
+    assert table.require(7) is first  # no second trip through the clean tier
+    assert (stats.mapping_hits, stats.mapping_misses) == (hits + 1, misses)
+
+    # A mutation is answered by the overlay from then on ...
+    table.set_diff(7, 4242, 99)
+    assert table.require(7).diff_addr == 4242
+    # ... and a snapshot, which empties the overlay, forgets the old answer.
+    driver.mapping.snapshot()
+    assert table.overlay_size == 0
+    assert table.require(7).diff_addr == 4242
+    table.remove(7)
+    driver.mapping.snapshot()
+    assert table.get(7) is None

@@ -18,7 +18,12 @@ ppmt/vdct state.  The boundaries under attack:
 * journal overflow: the marker page must force the scan fallback;
 * single-page damage inside the mapping region (a rotted or misdirected
   newest seal, a rotted snapshot page replay demand-pages): the restart
-  must notice and take the scan fallback, never serve an older table.
+  must notice and take the scan fallback, never serve an older table;
+  a *live* table that demand-pages the damaged page says which pid,
+  snapshot, page and flash address it was translating;
+* a snapshot taken while the write buffer holds differentials — whose
+  mapping rows the table keeps resident for the flush, and the snapshot
+  drops: power loss at every op of the window around it.
 """
 
 from __future__ import annotations
@@ -29,14 +34,14 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.core.mapping import MappingConfig
+from repro.core.mapping import MAPPING_PHASE, MappingConfig, MappingFormatError
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_tables
 from repro.core.tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 from repro.ext.journal import restart_driver
 from repro.flash.backend import FaultInjector, MemoryBackend
 from repro.flash.chip import FlashChip
-from repro.flash.errors import SimulatedPowerLoss
+from repro.flash.errors import ChecksumError, SimulatedPowerLoss
 from repro.flash.spec import FlashSpec
 
 SPEC = FlashSpec(
@@ -262,6 +267,69 @@ def test_crash_matrix_mid_snapshot():
         )
 
 
+def _snapshot_under_held_rows(driver: PdlDriver) -> None:
+    """Updates that stay in the write buffer — the table keeps their rows
+    resident for the flush that will re-point them — then a snapshot
+    (which drops those rows: they are clean), one more update and the
+    flush, which has to fault the dropped rows back in."""
+    rng = random.Random(SEED + 1)
+
+    def update(pid: int) -> None:
+        image = bytearray(driver.read_page(pid))
+        image[8:16] = rng.randbytes(8)
+        driver.write_page(pid, bytes(image))
+
+    pids = iter(range(N_PIDS))
+    while len(driver.buffer) < 3:  # Case-3 rewrites on the way buffer nothing
+        update(next(pids))
+    held = set(driver.buffer.pids())
+    assert held <= {pid for pid, _entry in driver.ppmt.overlay_items()}
+    driver.mapping.snapshot()
+    assert set(driver.buffer.pids()) == held and driver.ppmt.overlay_size == 0
+    update(next(pids))
+    driver.flush()
+    assert held < {pid for pid, _entry in driver.ppmt.overlay_items()}
+
+
+def test_crash_matrix_snapshot_under_held_rows():
+    """Held rows are not lost by accident: a snapshot taken while the
+    write buffer holds differentials, power loss at every mutating op of
+    the window, restart == scan oracle — and without a crash the flush
+    re-points exactly the rows the snapshot dropped."""
+
+    def prepared():
+        chip, driver, cfg = _build(interval=200)  # only the window's own snapshot
+        _workload(driver, n_writes=N_PIDS)
+        return chip, driver, cfg
+
+    chip, driver, cfg = prepared()
+    counter = {"ops": 0}
+    chip.on_operation(lambda _op: counter.__setitem__("ops", counter["ops"] + 1))
+    _snapshot_under_held_rows(driver)
+    chip.on_operation(None)
+    total = counter["ops"]
+    assert total > 10, "window too small for a meaningful sweep"
+    assert driver.mapping.snapshots_taken == 1
+    assert _state_of(driver.ppmt, driver.vdct) == _scan_oracle(chip)
+
+    for k in range(total):
+        chip, driver, cfg = prepared()
+        guard = _Countdown(chip, k)
+        try:
+            _snapshot_under_held_rows(driver)
+        except SimulatedPowerLoss:
+            pass
+        else:
+            pytest.fail(f"crash point {k} of {total} never fired")
+        finally:
+            guard.disarm()
+        expected = _scan_oracle(chip)
+        recovered, _report = _restart(chip, cfg)
+        assert _state_of(recovered.ppmt, recovered.vdct) == expected, (
+            f"crash@{k}: restart diverged from the scan oracle"
+        )
+
+
 def test_journal_tail_newer_than_snapshot():
     """The canonical fast path: clean snapshot + a dirty journal tail."""
     chip, driver, cfg = _build()
@@ -390,3 +458,40 @@ def test_rotted_snapshot_page_forces_fallback():
     assert report.fallback and not report.fast_path
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
     assert len(recovered.ppmt) == N_PIDS
+
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [("bit_rot", ChecksumError), ("misdirected_write", MappingFormatError)],
+)
+def test_live_page_in_of_a_damaged_snapshot_page_names_what_it_translated(fault, error):
+    """A live table that demand-pages a damaged snapshot page cannot
+    repair it (ROADMAP item 4) — but the error that reaches the caller of
+    ``read_page`` says what was being translated, and the table is left
+    as it was: a pid on a healthy page still reads."""
+    injector, chip, driver, _cfg = _snapshotted_with_tail()
+    store, table = driver.mapping, driver.ppmt
+    addr = store.half_start_page(store.seq % 2)  # snapshot page 0: pids 0..7
+    healthy = driver.read_page(9)  # page 1 takes the one-page clean cache
+    if fault == "bit_rot":
+        injector.inject(fault, addr)
+    else:  # a page that reads clean but is no mapping page: a live base
+        injector.inject(fault, addr, donor=table.require(9).base_addr)
+    before = (table.overlay_size, table.cached_pages)
+    misses = chip.stats.mapping_misses
+    reads = chip.stats.of_phase(MAPPING_PHASE).reads
+
+    with pytest.raises(error) as caught:
+        driver.read_page(5)
+
+    message = str(caught.value)
+    for part in ("pid 5", f"snapshot {store.seq}", "page 0", f"flash address {addr}"):
+        assert part in message, message
+    assert caught.value.__cause__ is not None
+    assert (table.overlay_size, table.cached_pages) == before
+    # The failed page-in is the one device read it was, nothing more.
+    assert chip.stats.mapping_misses - misses == 1
+    assert chip.stats.of_phase(MAPPING_PHASE).reads - reads == 1
+    assert driver.read_page(9) == healthy
+    assert driver.read_page(0)[:4] == b"tail"  # a dirty row needs no page-in

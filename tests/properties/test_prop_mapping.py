@@ -5,7 +5,8 @@
     holds, and re-strides into full pages with the right directory.
 (b) ``TieredMappingTable`` over a page store with a one- or two-page
     clean cache behaves as the all-in-RAM ``PhysicalPageMappingTable``
-    does, and counts one miss per page it reads.
+    does — rows handed back through ``hold`` included — and counts one
+    miss per page it reads.
 """
 
 from hypothesis import given, settings
@@ -137,6 +138,9 @@ ops = st.one_of(
         st.just("set_diff"), pids, st.none() | st.integers(0, 2**32 - 2), st.integers(0, 2**40)
     ),
     st.tuples(st.just("remove"), pids),
+    # The driver's idiom: look a row up, maybe have GC move the page in
+    # between (a Case-2 flush), then hand the — possibly stale — row back.
+    st.tuples(st.just("hold"), pids, st.none() | st.integers(0, 2**32 - 1)),
     st.tuples(st.just("snapshot")),
 )
 
@@ -150,6 +154,16 @@ def test_tiered_table_tracks_the_plain_table(cache_pages, sequence):
     for op, *args in sequence:
         if op == "snapshot":
             store.snapshot(tiered)
+        elif op == "hold":
+            pid, moved_to = args
+            row = tiered.get(pid)
+            assert row == plain.get(pid)
+            if row is not None:
+                if moved_to is not None:
+                    tiered.move_base(pid, moved_to)
+                    plain.move_base(pid, moved_to)
+                tiered.hold(pid, row)
+                plain.hold(pid, plain.require(pid))
         elif op in ("move_base", "set_diff") and args[0] not in plain:
             assert tiered.get(args[0]) is None  # both would raise KeyError
         else:
