@@ -59,7 +59,6 @@ from .flash import (
     FlashStats,
     MemoryBackend,
     PageType,
-    ReadCache,
     SpareArea,
     spec_for_database,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "GcConfig",
     "HashRouter",
     "MemoryBackend",
-    "ReadCache",
     "IplDriver",
     "IpuDriver",
     "OpuDriver",

@@ -70,7 +70,6 @@ _MINIMUM = {
     "n_shards": 1,
     "diff_unit": 1,
     "buffer_capacity": 1,
-    "read_cache_pages": 0,
     "mapping_cache": 0,
     "snapshot_interval": 1,
 }
@@ -132,9 +131,6 @@ class EngineConfig:
     #: writes dirty evictions back synchronously.  Custom watermarks are
     #: a ``WritebackConfig`` handed to ``Database(...)`` directly.
     writeback: Optional[str] = None
-    #: Per-chip LRU base-page read cache of the images ``Database.open``
-    #: opens (0 = off).
-    read_cache_pages: int = 0
     #: Turns on the demand-paged, journaled mapping tier on every shard
     #: and bounds its RAM to this many table entries (0 = resident);
     #: restarts then replay the journal tail instead of scanning
@@ -173,9 +169,7 @@ class EngineConfig:
                 )
         for name, low in _MINIMUM.items():
             value = getattr(self, name)
-            if (value is not None or name == "read_cache_pages") and (
-                type(value) is not int or value < low
-            ):
+            if value is not None and (type(value) is not int or value < low):
                 raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.method == "IPL" and self.log_region_bytes is None:
             raise ConfigurationError("IPL needs log_region_bytes (the '(18KB)' of its label)")

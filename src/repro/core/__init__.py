@@ -24,6 +24,7 @@ from .differential import (
     decode_differential_page,
     encode_differential_page,
     find_differential,
+    merge_from_page,
 )
 from .pdl import PdlDriver, format_size
 from .recovery import RECOVERY_PHASE, RecoveryReport, recover_driver, recover_tables
@@ -59,6 +60,7 @@ __all__ = [
     "find_differential",
     "format_size",
     "fsck_driver",
+    "merge_from_page",
     "recover_driver",
     "recover_tables",
 ]

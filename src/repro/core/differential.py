@@ -27,7 +27,9 @@ unchanged bytes than a run header costs are coalesced (configurable
 The encoded entry is the one representation of a differential:
 :meth:`Differential.from_pages` goes from two page images to entry bytes
 in one pass, :meth:`Differential.apply` patches a page straight from them,
-and everything between moves those bytes (docs/architecture.md).
+and everything between moves those bytes (docs/architecture.md).  The
+read path does not even lift the entry out: :func:`merge_from_page`
+patches the base page straight from the differential page's bytes.
 """
 
 from __future__ import annotations
@@ -352,12 +354,19 @@ def decode_differential_page(data: bytes) -> List[Differential]:
 def find_differential(data: bytes, pid: int) -> Optional[Differential]:
     """Locate ``pid``'s entry in a differential page (PDL_Reading Step 2).
 
-    The read path's hot lookup: entry headers carry ``n_runs`` and
-    ``data_len``, so every non-matching entry is skipped in O(1) without
-    looking at its runs — only the matching entry (if any) is validated
-    and sliced out.  Structural damage along the skip path (truncated
-    headers, entries running off the page) still raises
-    :class:`DifferentialError` exactly as a full decode would.
+    Entry headers carry ``n_runs`` and ``data_len``, so every
+    non-matching entry is skipped in O(1) without looking at its runs —
+    only the matching entry (if any) is validated and sliced out.
+    Structural damage along the skip path (truncated headers, entries
+    running off the page) still raises :class:`DifferentialError`
+    exactly as a full decode would.
+
+    No production code calls this any more: the read path uses
+    :func:`merge_from_page`, which is this lookup and
+    :meth:`Differential.apply` in one pass.  It stays as the two-step
+    reference that function is property-tested against
+    (``tests/properties/test_prop_differential.py``), and because the
+    end-to-end tracer's layer table resolves it by name.
     """
     size = len(data)
     pos = PAGE_HEADER_SIZE
@@ -370,4 +379,59 @@ def find_differential(data: bytes, pid: int) -> Optional[Differential]:
         pos += ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * n_runs + data_len
         if pos > size:
             raise DifferentialError("truncated differential run data")
+    return None
+
+
+def merge_from_page(data: bytes, pid: int, base: bytes) -> Optional[bytes]:
+    """PDL_Reading Steps 2–3 in one pass over a differential page:
+    ``base`` with ``pid``'s entry merged in, or ``None`` when the page
+    holds no entry for ``pid``.
+
+    Equal — results and errors — to
+    ``find_differential(data, pid).apply(base)``, without the entry
+    slice, the :class:`Differential` and the second unpack of the run
+    headers: non-matching entries are skipped by header, the matching
+    one is validated as :meth:`Differential.decode_from` validates it
+    (same four errors, same order) and its runs are copied from ``data``
+    into a copy of ``base``, each bounds-checked as :meth:`apply` does.
+    """
+    size = len(data)
+    pos = PAGE_HEADER_SIZE
+    for _ in range(_entry_count(data)):
+        runs_at = pos + ENTRY_HEADER_SIZE
+        if runs_at > size:
+            raise DifferentialError("truncated differential entry header")
+        entry_pid, _ts, n_runs, data_len = _ENTRY_HEADER.unpack_from(data, pos)
+        data_at = runs_at + RUN_HEADER_SIZE * n_runs
+        if entry_pid != pid:
+            pos = data_at + data_len
+            if pos > size:
+                raise DifferentialError("truncated differential run data")
+            continue
+        if data_at > size:
+            raise DifferentialError("truncated differential run header")
+        flat = _run_header_struct(n_runs).unpack_from(data, runs_at)
+        lengths = flat[1::2]
+        carried = sum(lengths)
+        if data_at + carried > size:
+            raise DifferentialError("truncated differential run data")
+        if carried != data_len:
+            raise DifferentialError(
+                f"differential for pid {pid} declares {data_len} data bytes "
+                f"but carries {carried}"
+            )
+        if not n_runs:
+            return base
+        image = bytearray(base)
+        page_size = len(image)
+        pos = data_at
+        for offset, length in zip(flat[::2], lengths):
+            end = offset + length
+            if end > page_size:
+                raise DifferentialError(
+                    f"run [{offset}, {end}) outside page of {page_size} bytes"
+                )
+            image[offset:end] = data[pos : pos + length]
+            pos += length
+        return bytes(image)
     return None

@@ -39,8 +39,7 @@ The decision tree per damaged page (see ``docs/integrity.md``):
 
 fsck charges real simulated I/O (it is an online scan, not a debug
 peek): one Tread per spare area plus one per programmed data area, and
-Twrites for every repair.  The chip's read cache is cleared first so a
-stale cached copy can never mask — or survive — device-level damage.
+Twrites for every repair.
 """
 
 from __future__ import annotations
@@ -158,11 +157,6 @@ def fsck_driver(driver: PdlDriver, repair: bool = True) -> FsckReport:
     """
     chip = driver.chip
     report = FsckReport(pages_scanned=chip.spec.n_pages)
-    if chip.cache is not None:
-        # Device truth only: a cached copy of a damaged (or about to be
-        # repaired) page must not shadow what is actually stored.
-        chip.cache.clear()
-
     io_before = chip.stats.of_phase(FSCK_PHASE)
     with chip.stats.phase(FSCK_PHASE):
         state = _sweep(chip, report)

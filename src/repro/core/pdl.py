@@ -42,7 +42,7 @@ from .differential import (
     DifferentialError,
     decode_differential_page,
     encode_differential_page,
-    find_differential,
+    merge_from_page,
 )
 from .mapping import JournaledVdct, MappingConfig, TieredMappingTable
 from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
@@ -185,25 +185,33 @@ class PdlDriver(PageUpdateMethod):
 
     def read_page(self, pid: int) -> bytes:
         """PDL_Reading (Figure 9): at most two flash reads."""
-        entry = self._entry_of(pid)
-        with self.stats.phase(READ_STEP):
-            base, _spare = self.chip.read_page(entry.base_addr)
+        entry = self.ppmt.get(pid)
+        if entry is None:
+            raise UnknownPageError(f"logical page {pid} was never written")
+        chip = self.chip
+        with chip.stats.phase(READ_STEP):
+            base, _spare = chip.read_page(entry.base_addr)
             # Step 2: the write buffer is consulted before flash.
             diff = self.buffer.get(pid)
+            diff_addr = entry.diff_addr
             try:
-                if diff is None and entry.diff_addr is not None:
-                    diff_page, _ = self.chip.read_page(entry.diff_addr)
-                    diff = find_differential(diff_page, pid)
-                    if diff is None:
-                        raise UnknownPageError(
-                            f"differential page {entry.diff_addr} lacks an entry "
-                            f"for pid {pid}: ppmt/vdct corruption"
-                        )
-                return diff.apply(base) if diff is not None else base
+                if diff is not None:
+                    return diff.apply(base)
+                if diff_addr is None:
+                    return base
+                # Steps 2–3 on flash: find the entry and merge it, one pass.
+                diff_page, _spare = chip.read_page(diff_addr)
+                image = merge_from_page(diff_page, pid, base)
             except DifferentialError as exc:
                 raise DifferentialError(
-                    f"read of pid {pid}: differential page {entry.diff_addr}: {exc}"
+                    f"read of pid {pid}: differential page {diff_addr}: {exc}"
                 ) from exc
+            if image is None:
+                raise UnknownPageError(
+                    f"differential page {diff_addr} lacks an entry "
+                    f"for pid {pid}: ppmt/vdct corruption"
+                )
+            return image
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
@@ -549,12 +557,6 @@ class PdlDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     # Internals / introspection
     # ------------------------------------------------------------------
-    def _entry_of(self, pid: int) -> MappingEntry:
-        entry = self.ppmt.get(pid)
-        if entry is None:
-            raise UnknownPageError(f"logical page {pid} was never written")
-        return entry
-
     def differential_page_count(self) -> int:
         """Differential pages currently referenced (for space reports)."""
         return len(self.vdct)

@@ -17,7 +17,6 @@ from .backend import (
     FileBackend,
     MemoryBackend,
 )
-from .cache import ReadCache
 from .chip import ERASE_OPS, MUTATING_OPS, PROGRAM_OPS, CrashPoint, FlashChip
 from .errors import (
     AddressError,
@@ -65,7 +64,6 @@ __all__ = [
     "FileBackend",
     "MemoryBackend",
     "NO_CHECKSUM",
-    "ReadCache",
     "DEFAULT_PHASE",
     "ERASE_OPS",
     "EraseError",

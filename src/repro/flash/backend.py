@@ -36,6 +36,17 @@ The file is opened unbuffered: a completed write has reached the OS
 before the call returns, so a process that dies (even via ``os._exit``)
 loses nothing it was told was written.  ``sync()`` additionally calls
 ``fsync`` for power-loss durability.
+
+All file I/O is *positional* (``os.pread`` / ``os.pwrite`` in
+``_read_at`` / ``_write_at``): one syscall per region touched, no file
+position to maintain.  A page read (:meth:`DeviceBackend.read_page`, the
+one backend call behind every ``FlashChip.read_page``) is a bounds check,
+a look at the RAM meta mirror and at most two ``pread`` calls; a page
+program is three ``pwrite`` calls (data, spare, meta).  A transfer that
+comes up short is finished or reported — never ignored — and the
+descriptor is asked of the file object on every call, so use after
+``close()`` raises ``ValueError`` rather than touching whatever file the
+OS has since handed the same descriptor number to.
 """
 
 from __future__ import annotations
@@ -80,6 +91,11 @@ class DeviceBackend(ABC):
     # ------------------------------------------------------------------
     # Single-page operations
     # ------------------------------------------------------------------
+    @abstractmethod
+    def read_page(self, addr: int) -> Tuple[Optional[bytes], Optional[bytes]]:
+        """Raw ``(data, spare)`` of one page in one call — what a chip
+        page read costs; the single-page form of :meth:`read_pages`."""
+
     @abstractmethod
     def read_data(self, addr: int) -> Optional[bytes]:
         """Raw data-area image, or ``None`` when erased."""
@@ -184,6 +200,11 @@ class MemoryBackend(DeviceBackend):
         self._erase_counts: List[int] = [0] * spec.n_blocks
 
     # -- single-page ---------------------------------------------------
+    def read_page(self, addr: int) -> Tuple[Optional[bytes], Optional[bytes]]:
+        if not 0 <= addr < self._n_pages:
+            self._check_addr(addr)
+        return self._data[addr], self._spare[addr]
+
     def read_data(self, addr: int) -> Optional[bytes]:
         self._check_addr(addr)
         return self._data[addr]
@@ -346,16 +367,17 @@ class FileBackend(DeviceBackend):
         header += b"\xff" * (HEADER_SIZE - len(header))
         # O_EXCL-free create: callers wanting exclusivity use create().
         self._file = open(self.path, "w+b", buffering=0)
-        self._file.write(header)
         # Zeroed counters mean "everything erased"; truncate leaves the
         # data and spare regions sparse.
-        self._file.write(bytes(4 * spec.n_blocks + _META_SIZE * spec.n_pages))
+        self._write_at(
+            0, header + bytes(4 * spec.n_blocks + _META_SIZE * spec.n_pages)
+        )
         self._file.truncate(self._size)
         self._meta_mirror = bytearray(_META_SIZE * spec.n_pages)
         self._erase_mirror = [0] * spec.n_blocks
 
     def _open_existing(self, spec: Optional[FlashSpec]) -> None:
-        raw = self._file.read(HEADER_SIZE)
+        raw = os.pread(self._file.fileno(), HEADER_SIZE, 0)
         if len(raw) < _HEADER.size:
             raise BackendError(f"image {self.path!r} too short for a header")
         magic, version, n_blocks, ppb, data_size, spare_size = _HEADER.unpack_from(
@@ -402,8 +424,10 @@ class FileBackend(DeviceBackend):
     # Raw file I/O helpers
     # ------------------------------------------------------------------
     def _read_at(self, offset: int, size: int) -> bytes:
-        self._file.seek(offset)
-        buf = self._file.read(size)
+        # ``fileno()`` per call, never a cached number: it raises
+        # ValueError once the file is closed, where a remembered
+        # descriptor could by then belong to some other open file.
+        buf = os.pread(self._file.fileno(), size, offset)
         if len(buf) != size:
             raise BackendError(
                 f"short read at {offset} in {self.path!r}: "
@@ -412,8 +436,22 @@ class FileBackend(DeviceBackend):
         return buf
 
     def _write_at(self, offset: int, payload: bytes) -> None:
-        self._file.seek(offset)
-        self._file.write(payload)
+        written = os.pwrite(self._file.fileno(), payload, offset)
+        if written != len(payload):
+            self._finish_write(offset, payload, written)
+
+    def _finish_write(self, offset: int, payload: bytes, written: int) -> None:
+        """A ``pwrite`` came up short: write the rest, or say what is
+        missing — a page half on disk must never pass for a program."""
+        view = memoryview(payload)
+        while written < len(view):
+            step = os.pwrite(self._file.fileno(), view[written:], offset + written)
+            if step <= 0:
+                raise BackendError(
+                    f"short write at {offset} in {self.path!r}: "
+                    f"wanted {len(view)}, wrote {written}"
+                )
+            written += step
 
     def _meta(self, addr: int) -> Tuple[int, int]:
         base = _META_SIZE * addr
@@ -425,6 +463,20 @@ class FileBackend(DeviceBackend):
         self._write_at(self._meta_off + _META_SIZE * addr, payload)
 
     # -- single-page ---------------------------------------------------
+    def read_page(self, addr: int) -> Tuple[Optional[bytes], Optional[bytes]]:
+        if not 0 <= addr < self._n_pages:
+            self._check_addr(addr)
+        meta = self._meta_mirror
+        data: Optional[bytes] = None
+        spare: Optional[bytes] = None
+        if meta[_META_SIZE * addr]:
+            size = self.spec.page_data_size
+            data = self._read_at(self._data_off + size * addr, size)
+        if meta[_META_SIZE * addr + 1]:
+            size = self.spec.page_spare_size
+            spare = self._read_at(self._spare_off + size * addr, size)
+        return data, spare
+
     def read_data(self, addr: int) -> Optional[bytes]:
         self._check_addr(addr)
         if self._meta(addr)[0] == 0:
@@ -708,6 +760,9 @@ class FaultInjector(DeviceBackend):
     # ------------------------------------------------------------------
     # DeviceBackend delegation
     # ------------------------------------------------------------------
+    def read_page(self, addr: int) -> Tuple[Optional[bytes], Optional[bytes]]:
+        return self.inner.read_page(addr)
+
     def read_data(self, addr: int) -> Optional[bytes]:
         return self.inner.read_data(addr)
 

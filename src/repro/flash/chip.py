@@ -20,6 +20,14 @@ survives the process.  The chip keeps everything the paper's model adds
 on top: Table-1 latencies and phase accounting, the monotonic clock,
 wear limits, crash injection, and the NAND legality checks above.
 
+A page read is one straight line: :meth:`FlashChip.read_page` makes
+exactly **one** backend call (``backend.read_page`` → raw data + raw
+spare) and keeps every check and charge — bounds, phase accounting,
+clock, spare decode, per-read CRC — inline around it, paying a Python
+call only for the ones that cannot be (docs/architecture.md, "Read
+path").  Nothing sits between the chip and the device: every page read
+charges its ``Tread``.
+
 Batched entry points (:meth:`read_pages`, :meth:`read_spares`,
 :meth:`program_pages`) charge exactly the same per-page latencies as N
 single calls — simulated cost is identical by construction — but reach
@@ -42,6 +50,7 @@ prefix of completed operations.
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +58,6 @@ import numpy as np
 
 from .address import split_address
 from .backend import DeviceBackend, MemoryBackend
-from .cache import ReadCache
 from .errors import (
     AddressError,
     ChecksumError,
@@ -61,9 +69,9 @@ from .errors import (
 )
 from .spare import (
     CHECKSUM_HEADER_SIZE,
-    PageType,
     SpareArea,
     data_checksum,
+    decoded_spare,
     erased_spare,
 )
 from .spec import FlashSpec
@@ -148,10 +156,6 @@ class FlashChip:
     backend:
         Device backend holding the bits; defaults to a fresh
         :class:`MemoryBackend` — the original volatile emulator.
-    read_cache_pages:
-        Capacity of the LRU base-page read cache (0, the default,
-        disables it).  Cache hits skip both the backend access and the
-        ``Tread`` charge; see :mod:`repro.flash.cache`.
     realtime_scale:
         When positive, every operation *actually sleeps* ``scale ×`` its
         simulated latency, so the calling thread waits the way a host
@@ -168,7 +172,6 @@ class FlashChip:
         spec: Optional[FlashSpec] = None,
         stats: Optional[FlashStats] = None,
         backend: Optional[DeviceBackend] = None,
-        read_cache_pages: int = 0,
         realtime_scale: float = 0.0,
     ) -> None:
         if spec is None and backend is None:
@@ -197,7 +200,6 @@ class FlashChip:
         self.stats = stats or FlashStats(
             spec.n_blocks, spec.t_read_us, spec.t_write_us, spec.t_erase_us
         )
-        self.cache = ReadCache(read_cache_pages) if read_cache_pages > 0 else None
         if realtime_scale < 0:
             raise ValueError("realtime_scale must be non-negative")
         self.realtime_scale = realtime_scale
@@ -283,40 +285,38 @@ class FlashChip:
     # Read operations
     # ------------------------------------------------------------------
     def read_page(self, addr: int, verify: bool = True) -> Tuple[bytes, SpareArea]:
-        """Read a page's data area and decoded spare area (one Tread).
-
-        With a read cache enabled, a hit serves both from RAM and
-        charges nothing; only base pages are admitted (see
-        :mod:`repro.flash.cache`).
+        """Read a page's data area and decoded spare area (one Tread,
+        one backend call).
 
         When the spare area carries a data checksum it is verified
-        against the data read back; a mismatch invalidates any cached
-        copy and raises :class:`~repro.flash.errors.ChecksumError`
-        (``verify=False`` skips the check — fsck reads suspect pages this
-        way to classify damage itself).
+        against the data read back; a mismatch raises
+        :class:`~repro.flash.errors.ChecksumError` (``verify=False``
+        skips the check — fsck reads suspect pages this way to classify
+        damage itself).
+
+        The hot path of every driver: each check and charge below is
+        inline.  ``_check_addr`` and ``_checksum_mismatch`` are entered
+        only to report a failure, ``SpareArea.decode`` only for a spare
+        its memo has not seen.
         """
-        self._check_addr(addr)
-        if self.cache is not None:
-            entry = self.cache.get(addr)
-            if entry is not None:
-                self.stats.record_cache_hit()
-                return entry
+        if not 0 <= addr < self._n_pages:
+            self._check_addr(addr)
         self.stats.record_read()
-        self._advance_clock(self.spec.t_read_us)
-        data = self.backend.read_data(addr)
+        self._clock_us += self.spec.t_read_us
+        if self.realtime_scale > 0.0:
+            self._sleep_scaled(self.spec.t_read_us)
+        data, raw_spare = self.backend.read_page(addr)
         if data is None:
             data = b"\xff" * self.spec.page_data_size
-        # _decode_raw_spare, inlined: two calls fewer on every page read.
-        raw_spare = self.backend.read_spare(addr)
         if raw_spare is None:
             raw_spare = erased_spare(self.spec.page_spare_size)
-        spare = SpareArea.decode(raw_spare)
+        spare = decoded_spare(raw_spare) or SpareArea.decode(raw_spare)
         if verify:
-            self._verify_checksum(addr, data, spare)
-        if self.cache is not None:
-            self.stats.record_cache_miss()
-            if verify and spare.type is PageType.BASE and not spare.obsolete:
-                self.cache.put(addr, data, spare)
+            checksum = spare.checksum
+            if checksum is not None:
+                self.stats.checksum_checks += 1
+                if zlib.crc32(data) != checksum:
+                    self._checksum_mismatch(addr, data, checksum)
         return data, spare
 
     def read_spare(self, addr: int) -> SpareArea:
@@ -332,12 +332,7 @@ class FlashChip:
     ) -> List[Tuple[bytes, SpareArea]]:
         """Read many pages in one backend call (N × Tread, batched I/O).
 
-        With the read cache disabled (the default), charges and results
-        are identical to N :meth:`read_page` calls.  The cache is never
-        consulted nor populated here — batch readers (GC, recovery)
-        stream pages once and would only thrash it — so with a cache
-        enabled this path always pays full Tread where single
-        :meth:`read_page` calls might hit for free.
+        Charges and results are identical to N :meth:`read_page` calls.
 
         Checksums are verified per page; the whole batch is charged
         before the first :class:`~repro.flash.errors.ChecksumError`
@@ -397,8 +392,6 @@ class FlashChip:
         self.backend.program_page(
             addr, payload, spare.encode(self.spec.page_spare_size)
         )
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     def program_pages(
         self, items: Sequence[Tuple[int, bytes, SpareArea]]
@@ -437,9 +430,6 @@ class FlashChip:
             if staged:
                 self.backend.program_pages(staged)
                 self._sleep_scaled(self.spec.t_write_us * len(staged))
-                if self.cache is not None:
-                    for addr in staged_addrs:
-                        self.cache.invalidate(addr)
 
     def _validate_program(self, addr: int, data: Buffer) -> Buffer:
         """Validate and normalize a program payload without copying it.
@@ -512,8 +502,6 @@ class FlashChip:
             self.backend.write_spare(
                 addr, chosen.encode(self.spec.page_spare_size), 1
             )
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     def program_spare(self, addr: int, spare: SpareArea) -> None:
         """Re-program only the spare area (one Twrite).
@@ -547,8 +535,6 @@ class FlashChip:
         self.stats.record_write()
         self._advance_clock(self.spec.t_write_us)
         self.backend.write_spare(addr, encoded, spare_programs + 1)
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     def mark_obsolete(self, addr: int) -> None:
         """Clear the obsolete flag byte in a page's spare area (one Twrite).
@@ -577,8 +563,6 @@ class FlashChip:
         patched = bytearray(current)
         patched[1] = 0x00
         self.backend.write_spare(addr, patched, spare_programs + 1)
-        if self.cache is not None:
-            self.cache.invalidate(addr)
 
     # ------------------------------------------------------------------
     # Erase
@@ -598,9 +582,6 @@ class FlashChip:
         self.stats.record_erase(block)
         self._advance_clock(self.spec.t_erase_us)
         self.backend.erase_block(block)
-        if self.cache is not None:
-            start = block * self.spec.pages_per_block
-            self.cache.invalidate_range(start, start + self.spec.pages_per_block)
 
     # ------------------------------------------------------------------
     # Cost-free inspection (tests, assertions, recovery verification)
@@ -667,19 +648,26 @@ class FlashChip:
         return spare
 
     def _verify_checksum(self, addr: int, data: bytes, spare: SpareArea) -> None:
-        """Compare the data read back against the spare's stored CRC."""
-        if spare.checksum is None:
+        """Compare the data read back against the spare's stored CRC
+        (the batched readers' form of what :meth:`read_page` does inline)."""
+        checksum = spare.checksum
+        if checksum is None:
             return
-        self.stats.record_checksum_check()
-        if data_checksum(data) != spare.checksum:
-            self.stats.record_checksum_failure()
-            if self.cache is not None:
-                # A repaired page must never be shadowed by the bad copy.
-                self.cache.invalidate(addr)
-            raise ChecksumError(
-                f"page {split_address(addr, self.spec)} data does not match "
-                f"its spare-area checksum"
-            )
+        self.stats.checksum_checks += 1
+        if zlib.crc32(data) != checksum:
+            self._checksum_mismatch(addr, data, checksum)
+
+    def _checksum_mismatch(self, addr: int, data: bytes, checksum: int) -> None:
+        """The raw CRC of ``data`` is not the stored one: a failure,
+        unless the CRC is the reserved all-ones value, which
+        :func:`~repro.flash.spare.data_checksum` stores as 0."""
+        if data_checksum(data) == checksum:
+            return
+        self.stats.record_checksum_failure()
+        raise ChecksumError(
+            f"page {split_address(addr, self.spec)} data does not match "
+            f"its spare-area checksum"
+        )
 
     def _decode_raw_spare(self, raw: Optional[bytes]) -> SpareArea:
         if raw is None:

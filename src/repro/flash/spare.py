@@ -61,6 +61,10 @@ _ERASED_CACHE: dict = {}
 #: wholesale at the cap — entries are tiny and recreated on demand).
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_CAP = 16384
+#: The memo's probe, for ``FlashChip.read_page``: a spare seen before
+#: costs a dict lookup there, not a call into :meth:`SpareArea.decode`
+#: (``None`` on a miss; keys are the raw ``bytes``).
+decoded_spare = _DECODE_CACHE.get
 
 NO_PID = 0xFFFFFFFF
 NO_TS = 0xFFFFFFFFFFFFFFFF

@@ -98,7 +98,11 @@ class LatencyRecorder:
 
 
 class _PhaseScope:
-    """Context manager pushing a phase name for the ``with`` block."""
+    """Context manager pushing a phase name for the ``with`` block.
+
+    Holds nothing but its thread's stack and the name, so one scope per
+    (thread, name) serves every ``with`` — nested in itself included.
+    """
 
     __slots__ = ("_stack", "_name")
 
@@ -168,12 +172,6 @@ class FlashStats:
         #: reads (totals/snapshot); per-op accounting itself is
         #: single-writer by the executor's one-owner-per-shard gates.
         self._lock = threading.Lock()
-        #: Read-cache accounting (see :mod:`repro.flash.cache`): hits are
-        #: reads served from RAM — no flash operation, no Tread charge —
-        #: while misses count reads that fell through to the device (a
-        #: miss is *also* recorded as a normal read in its phase).
-        self.cache_hits: int = 0
-        self.cache_misses: int = 0
         #: Integrity accounting (see :mod:`repro.flash.spare`): how many
         #: page reads carried a spare-area checksum and were verified,
         #: and how many of those failed (raising ``ChecksumError``).
@@ -230,11 +228,19 @@ class FlashStats:
     def phase(self, name: str) -> "_PhaseScope":
         """Attribute operations inside the ``with`` block to phase ``name``.
 
-        Returns a tiny reusable-shape scope object instead of a
-        generator-based context manager: the phase push/pop brackets
-        every driver entry point, so its constant cost is hot-path cost.
+        The phase push/pop brackets every driver entry point, so its
+        constant cost is hot-path cost: the scope is a tiny object (not
+        a generator-based context manager), made once per thread and
+        name and handed back on every later call.
         """
-        return _PhaseScope(self._phase_stack, name)
+        try:
+            return self._local.scopes[name]
+        except (AttributeError, KeyError):
+            scopes = getattr(self._local, "scopes", None)
+            if scopes is None:
+                scopes = self._local.scopes = {}
+            scope = scopes[name] = _PhaseScope(self._phase_stack, name)
+            return scope
 
     @property
     def current_phase(self) -> str:
@@ -261,7 +267,12 @@ class FlashStats:
     # Recording (called by the chip)
     # ------------------------------------------------------------------
     def record_read(self) -> None:
-        bucket = self._bucket()
+        # ``_bucket``'s common case, inlined — this is every page read:
+        # the thread has a stack, a phase is pushed, its bucket exists.
+        try:
+            bucket = self.phases[self._local.stack[-1]]
+        except (AttributeError, IndexError, KeyError):
+            bucket = self._bucket()
         bucket.reads += 1
         bucket.time_us += self._t_read
 
@@ -282,12 +293,6 @@ class FlashStats:
         bucket.erases += 1
         bucket.time_us += self._t_erase
         self.block_erases[block] += 1
-
-    def record_cache_hit(self) -> None:
-        self.cache_hits += 1
-
-    def record_cache_miss(self) -> None:
-        self.cache_misses += 1
 
     def record_checksum_check(self) -> None:
         self.checksum_checks += 1
@@ -366,11 +371,6 @@ class FlashStats:
         erases = [now - then for now, then in zip(self.block_erases, snap.block_erases)]
         return StatsSnapshot(phases=phases, block_erases=erases)
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        accesses = self.cache_hits + self.cache_misses
-        return self.cache_hits / accesses if accesses else 0.0
-
     def write_stall_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of per-write GC stalls, in simulated us.
 
@@ -388,8 +388,6 @@ class FlashStats:
         """Clear all counters (e.g. after loading + warm-up)."""
         self.phases.clear()
         self.block_erases = [0] * len(self.block_erases)
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.checksum_checks = 0
         self.checksum_failures = 0
         self.write_stall_us = []

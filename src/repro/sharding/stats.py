@@ -140,22 +140,6 @@ class AggregateStats:
         return sum(stats.gc_step_pages for stats in self._shards)
 
     # ------------------------------------------------------------------
-    # Read-cache aggregation
-    # ------------------------------------------------------------------
-    @property
-    def cache_hits(self) -> int:
-        return sum(stats.cache_hits for stats in self._shards)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(stats.cache_misses for stats in self._shards)
-
-    @property
-    def cache_hit_ratio(self) -> float:
-        accesses = self.cache_hits + self.cache_misses
-        return self.cache_hits / accesses if accesses else 0.0
-
-    # ------------------------------------------------------------------
     # Integrity aggregation
     # ------------------------------------------------------------------
     @property
@@ -210,8 +194,6 @@ class AggregateStats:
             "write_stall_max_us": self.max_write_stall_us,
             "gc_steps": self.gc_steps,
             "gc_step_pages": self.gc_step_pages,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "checksum_checks": self.checksum_checks,
             "checksum_failures": self.checksum_failures,
             "mapping_hits": self.mapping_hits,

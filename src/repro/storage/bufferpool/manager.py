@@ -150,7 +150,11 @@ class BufferManager:
                         page.pin()
                     return page
                 generation = self._evict_gen.get(pid, 0)
-            data = self._driver_read_page(pid)
+            if self._driver_lock is None:
+                data = self.driver.read_page(pid)
+            else:
+                with self._driver_lock:
+                    data = self.driver.read_page(pid)
             with self._lock:
                 page = self._frames.get(pid)
                 if page is not None:
@@ -471,12 +475,6 @@ class BufferManager:
     # ------------------------------------------------------------------
     # Driver access (serialized for non-thread-safe drivers)
     # ------------------------------------------------------------------
-    def _driver_read_page(self, pid: int) -> bytes:
-        if self._driver_lock is not None:
-            with self._driver_lock:
-                return self.driver.read_page(pid)
-        return self.driver.read_page(pid)
-
     def _driver_write_page(self, pid: int, data: bytes, logs) -> None:
         if self._driver_lock is not None:
             with self._driver_lock:

@@ -27,9 +27,7 @@ subsequent eviction) and returned to the reclaim order via
 unpinned or cleaned.  Clock and 2Q revisit skipped frames naturally.
 
 This module deliberately imports nothing from the flash or FTL layers
-besides the shared :class:`~repro.ftl.errors.ConfigurationError`, so the
-:class:`~repro.flash.cache.ReadCache` can reuse :class:`LruPolicy`
-(one LRU implementation in the tree, not two).
+besides the shared :class:`~repro.ftl.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -224,7 +222,9 @@ class ClockPolicy(EvictionPolicy):
     def admit(self, pid: int) -> None:
         self._slot[pid] = len(self._ring)
         self._ring.append(pid)
-        self._ref[pid] = False  # first sweep may take a never-touched page
+        # Clear, decided on measurements (docs/bufferpool.md): the first
+        # sweep may take a page that was missed once and never touched.
+        self._ref[pid] = False
 
     def touch(self, pid: int) -> None:
         self._ref[pid] = True

@@ -167,13 +167,7 @@ class Database:
                     # existed, so start over rather than resurrect it.
                     os.remove(image)
                 opener = FileBackend.create if stored is None else FileBackend.open
-                chips.append(
-                    FlashChip(
-                        config.spec,
-                        backend=opener(image, config.spec),
-                        read_cache_pages=config.read_cache_pages,
-                    )
-                )
+                chips.append(FlashChip(config.spec, backend=opener(image, config.spec)))
             if stored is None:
                 driver = config.build(chips)
                 _write_manifest(manifest_path, {"format": MANIFEST_VERSION, **config.manifest()})

@@ -5,8 +5,10 @@ the cycle makes (docs/architecture.md, "Differential codec"), and that
 count — unlike a timing — repeats exactly for a seed.  With one object
 and one named-tuple per 16-byte run the cycle cost 182 calls; with the
 differential kept in wire form and the chip's per-call overhead trimmed
-it costs 107.  The budget sits between the two, so re-introducing
-per-run object churn fails tier-1 without a timing assertion.
+it cost 107; with one backend call per page read, the chip's checks
+inline and find + apply fused (``test_read_call_budget.py``) it costs 70.
+The budget sits between the last two, so re-introducing per-run object
+churn or a call per check fails tier-1 without a timing assertion.
 """
 
 import random
@@ -18,7 +20,7 @@ from repro.flash.spec import spec_for_database
 PAGES = 256
 CYCLES = 4000
 CHANGE = 41  # 2 % of a 2 KB page, the paper's default update
-CALLS_PER_CYCLE_BUDGET = 125
+CALLS_PER_CYCLE_BUDGET = 90
 
 
 def test_update_cycle_stays_within_its_call_budget(count_python_calls):

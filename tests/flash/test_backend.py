@@ -1,6 +1,8 @@
 """Unit tests for the device-backend layer (memory + file images)."""
 
+import base64
 import os
+import zlib
 
 import pytest
 
@@ -98,9 +100,23 @@ class TestBackendContract:
             assert backend.read_spare(addr) == spare
             assert backend.data_programs(addr) == 1
 
+    def test_read_page_is_read_data_plus_read_spare(self, backend):
+        backend.program_page(5, bytes(range(64)), _spare(1, 10))
+        backend.write_data(6, b"\x0f" * 64, 1)  # data programmed, spare still erased
+        for addr in range(SPEC.n_pages):
+            assert backend.read_page(addr) == (
+                backend.read_data(addr),
+                backend.read_spare(addr),
+            )
+        assert backend.read_page(6) == (b"\x0f" * 64, None)
+        assert backend.read_page(7) == (None, None)
+
     def test_address_validation(self, backend):
         with pytest.raises(AddressError):
             backend.read_data(SPEC.n_pages)
+        for addr in (-1, SPEC.n_pages):
+            with pytest.raises(AddressError):
+                backend.read_page(addr)
         with pytest.raises(AddressError):
             backend.erase_block(SPEC.n_blocks)
 
@@ -163,6 +179,166 @@ class TestFileBackendPersistence:
         b2 = FileBackend.open(path)
         assert b2.read_data(0) is None
         b2.close()
+
+
+def _write_recipe_image(path):
+    """Every kind of backend write, in a fixed order."""
+    b = FileBackend.create(path, SPEC)
+    for addr in (0, 1, 2, 5, 6, 9, 12, 13):
+        b.program_page(addr, bytes([addr * 17 % 251 + 1]) * 64, _spare(addr, addr + 1))
+    b.program_pages(
+        [(a, bytes(range(a, a + 64)), _spare(100 + a, 50 + a)) for a in (14, 15)]
+    )
+    obsolete = bytearray(_spare(5, 6))
+    obsolete[1] = 0x00
+    b.write_spare(5, bytes(obsolete), 2)
+    b.write_data(10, b"\x0f" * 16 + b"\xff" * 48, 1)
+    b.erase_block(0)
+    b.erase_block(0)
+    b.program_page(3, b"\x33" * 64, _spare(3, 99))
+    b.close()
+
+
+#: The image ``_write_recipe_image`` left behind at the last commit whose
+#: ``FileBackend`` did ``seek`` + ``read``/``write`` (zlib + base64; 1 392
+#: bytes, CRC32 649260004).
+SEEK_ERA_IMAGE = (
+    "eNoLcPFx8wn2MGRkYGFgAGMHIBYA4v9EASYGbICREYiZQCSIzQghqQKEKATKFAJjCgEDhSCMQpBO"
+    "IWAYYDCLQsCPBv6TCCh1/1kKwT0KAR+/gKCQsIiomLiEpJS0jKycvIKikrKKqpq6hqaWto6unr6B"
+    "oZGxiamZuYWllbWNrZ29g6OTs4urm7uHp5e3jy+F2v22gkOQERoa//9v/Q9iMyHxQWxmJD6InQzn"
+    "o4fnVgZWIMmGpB7EZsepHkP/f04gyUWCeh4gyYtkH4jNh8QvgpahMH4xkHaE8wHIx3Tw"
+)
+
+
+class TestPositionalIO:
+    """``os.pread`` / ``os.pwrite`` behind ``_read_at`` / ``_write_at``."""
+
+    def test_image_format_is_unchanged(self, tmp_path):
+        """A seek-era image reads back page for page, and the same writes
+        made here leave the same bytes on disk."""
+        old = tmp_path / "old.flash"
+        old.write_bytes(zlib.decompress(base64.b64decode(SEEK_ERA_IMAGE)))
+        new = tmp_path / "new.flash"
+        _write_recipe_image(new)
+        assert new.read_bytes() == old.read_bytes()
+
+        a, b = FileBackend.open(old), FileBackend.open(new)
+        try:
+            addrs = list(range(SPEC.n_pages))
+            assert [a.read_page(addr) for addr in addrs] == a.read_pages(addrs)
+            assert a.read_pages(addrs) == b.read_pages(addrs)
+            assert a.read_page(3) == (b"\x33" * 64, _spare(3, 99))
+            assert a.read_page(0) == (None, None)  # erased after its program
+            assert a.read_page(10) == (b"\x0f" * 16 + b"\xff" * 48, None)
+            assert a.spare_programs(5) == 2 and a.read_spare(5)[1] == 0x00
+            assert [a.erase_count(blk) for blk in range(4)] == [2, 0, 0, 0]
+        finally:
+            a.close()
+            b.close()
+
+    def test_syscalls_per_page(self, tmp_path, monkeypatch):
+        """A page read is at most two ``pread``s (none for an erased
+        page: the RAM meta mirror answers), a page program three
+        ``pwrite``s — data, spare, counters."""
+        b = FileBackend(tmp_path / "chip.flash", SPEC)
+        issued = []
+        real_pread, real_pwrite = os.pread, os.pwrite
+
+        def pread(fd, size, offset):
+            issued.append("pread")
+            return real_pread(fd, size, offset)
+
+        def pwrite(fd, payload, offset):
+            issued.append("pwrite")
+            return real_pwrite(fd, payload, offset)
+
+        monkeypatch.setattr(os, "pread", pread)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        b.program_page(2, b"\x22" * 64, _spare(2, 3))
+        assert issued == ["pwrite"] * 3
+        del issued[:]
+        assert b.read_page(2) == (b"\x22" * 64, _spare(2, 3))
+        assert issued == ["pread"] * 2
+        del issued[:]
+        assert b.read_page(3) == (None, None)
+        assert issued == []
+        b.close()
+
+    def test_short_read_raises(self, tmp_path, monkeypatch):
+        b = FileBackend(tmp_path / "chip.flash", SPEC)
+        b.program_page(2, b"\x22" * 64, _spare(2, 3))
+        real = os.pread
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "pread", lambda fd, size, off: real(fd, size - 1, off))
+            with pytest.raises(BackendError, match="short read .*wanted 64, got 63"):
+                b.read_page(2)
+        b.close()
+
+    def test_short_write_is_finished(self, tmp_path, monkeypatch):
+        b = FileBackend(tmp_path / "chip.flash", SPEC)
+        real = os.pwrite
+        calls = []
+
+        def stingy(fd, payload, offset):
+            calls.append(len(payload))
+            return real(fd, bytes(payload)[: max(1, len(payload) // 3)], offset)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "pwrite", stingy)
+            b.program_page(2, bytes(range(64)), _spare(2, 3))
+        assert len(calls) > 3, "the short writes were never retried"
+        assert b.read_page(2) == (bytes(range(64)), _spare(2, 3))
+        assert b.data_programs(2) == 1
+        b.close()
+        reopened = FileBackend.open(tmp_path / "chip.flash")
+        assert reopened.read_page(2) == (bytes(range(64)), _spare(2, 3))
+        reopened.close()
+
+    def test_write_that_makes_no_progress_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "chip.flash"
+        b = FileBackend(path, SPEC)
+        real = os.pwrite
+        budget = [10]  # bytes the "device" still accepts
+
+        def full_device(fd, payload, offset):
+            take = min(budget[0], len(payload))
+            budget[0] -= take
+            return real(fd, bytes(payload)[:take], offset) if take else 0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "pwrite", full_device)
+            with pytest.raises(BackendError) as caught:
+                b.program_page(2, b"\x22" * 64, _spare(2, 3))
+        message = str(caught.value)
+        assert "short write" in message and str(path) in message
+        assert f"at {b._data_off + 64 * 2}" in message
+        assert "wanted 64, wrote 10" in message
+        # The counters are written last: the page still reads as erased.
+        assert b.read_page(2) == (None, None)
+        b.close()
+
+    def test_use_after_close_raises_without_touching_a_descriptor(
+        self, tmp_path, monkeypatch
+    ):
+        """``close()`` frees the descriptor number for the OS to reuse: no
+        positional call may reach it."""
+        b = FileBackend(tmp_path / "chip.flash", SPEC)
+        b.program_page(2, b"\x22" * 64, _spare(2, 3))
+        b.close()
+
+        def touched(*_args):
+            raise AssertionError("I/O issued on a closed backend")
+
+        monkeypatch.setattr(os, "pread", touched)
+        monkeypatch.setattr(os, "pwrite", touched)
+        with pytest.raises(ValueError, match="closed file"):
+            b.read_page(2)
+        with pytest.raises(ValueError, match="closed file"):
+            b.read_pages([2, 3])
+        with pytest.raises(ValueError, match="closed file"):
+            b.program_page(3, b"\x33" * 64, _spare(3, 4))
+        with pytest.raises(ValueError, match="closed file"):
+            b.erase_block(0)
 
 
 class TestAddressRuns:

@@ -1,5 +1,7 @@
 """The device fault injector and the chip's checksum verification."""
 
+from collections import Counter
+
 import pytest
 
 from repro.flash.backend import (
@@ -166,6 +168,104 @@ class TestInjectorDelegation:
         chip.mark_obsolete(1)
 
 
+class CountingBackend:
+    """Delegates every backend call to ``inner`` and counts it by name."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+class TestOneBackendCallPerRead:
+    """chip → counter → FaultInjector → counter → backend: a chip page
+    read is one call at both seams, checks and charges intact."""
+
+    @staticmethod
+    def _stack(tmp_path, kind):
+        below = CountingBackend(_backend(kind, SPEC, tmp_path))
+        injector = FaultInjector(below)
+        above = CountingBackend(injector)
+        chip = FlashChip(SPEC, backend=above)
+        _load(chip)
+        above.calls.clear()
+        below.calls.clear()
+        return chip, injector, above, below
+
+    def test_read_page_is_one_call(self, tmp_path, kind):
+        chip, _injector, above, below = self._stack(tmp_path, kind)
+        data, spare = chip.read_page(2)
+        assert (data, spare.pid) == (bytes([3]) * SPEC.page_data_size, 2)
+        assert above.calls == {"read_page": 1}
+        assert below.calls == {"read_page": 1}  # the injector delegates it whole
+        assert chip.stats.totals().reads == 1
+        assert chip.stats.checksum_checks == 1
+
+    def test_read_pages_is_one_call(self, tmp_path, kind):
+        chip, _injector, above, below = self._stack(tmp_path, kind)
+        assert len(chip.read_pages(range(6))) == 6
+        assert above.calls == below.calls == {"read_pages": 1}
+        assert chip.stats.totals().reads == 6
+
+    def test_erased_page_reads_as_ones(self, tmp_path, kind):
+        chip, _injector, above, _below = self._stack(tmp_path, kind)
+        before_us = chip.clock_us
+        data, spare = chip.read_page(15)
+        assert data == b"\xff" * SPEC.page_data_size
+        assert spare.type is PageType.ERASED and spare.pid is None
+        assert above.calls == {"read_page": 1}
+        assert chip.clock_us - before_us == SPEC.t_read_us  # still a Tread
+
+    def test_unverified_read_skips_the_crc(self, tmp_path, kind):
+        chip, injector, above, _below = self._stack(tmp_path, kind)
+        injector.inject("bit_rot", 0)
+        above.calls.clear()
+        data, _spare = chip.read_page(0, verify=False)  # no raise
+        assert data != bytes([1]) * SPEC.page_data_size
+        assert chip.stats.checksum_checks == 0
+        assert above.calls == {"read_page": 1}
+
+    def test_bit_rot_is_detected(self, tmp_path, kind):
+        chip, injector, above, _below = self._stack(tmp_path, kind)
+        injector.inject("bit_rot", 5)
+        above.calls.clear()
+        with pytest.raises(ChecksumError, match="page b1:p1 "):
+            chip.read_page(5)
+        assert above.calls == {"read_page": 1}
+        assert (chip.stats.checksum_checks, chip.stats.checksum_failures) == (1, 1)
+        assert chip.stats.totals().reads == 1  # the device did the read
+
+    def test_misdirected_write_shows_the_wrong_owner(self, tmp_path, kind):
+        chip, injector, above, _below = self._stack(tmp_path, kind)
+        injector.inject("misdirected_write", 3, donor=1)
+        above.calls.clear()
+        data, spare = chip.read_page(3)  # self-consistent: the CRC verifies
+        assert (data, spare.pid) == (bytes([2]) * SPEC.page_data_size, 1)
+        assert above.calls == {"read_page": 1}
+
+    def test_torn_spare_is_detected(self, tmp_path, kind):
+        chip, injector, above, _below = self._stack(tmp_path, kind)
+        injector.inject("torn_spare", 4, tear_at=2)  # pid, stamp and CRC gone
+        injector.inject("torn_spare", 5, tear_at=18)  # half of the CRC gone
+        above.calls.clear()
+        _data, spare = chip.read_page(4)
+        assert spare.type is PageType.BASE and spare.pid is None and spare.checksum is None
+        with pytest.raises(ChecksumError):
+            chip.read_page(5)
+        assert above.calls == {"read_page": 2}
+
+
 class TestChipVerification:
     def test_verified_read_counts_check(self, tmp_path):
         _injector, chip = _chip(tmp_path)
@@ -189,24 +289,18 @@ class TestChipVerification:
             chip.read_pages(range(6))
         assert chip.stats.checksum_failures == 1
 
-    def test_checksum_failure_evicts_cached_copy(self, tmp_path):
-        injector, chip = _chip(tmp_path, read_cache_pages=4)
-        _load(chip, n=2)
-        chip.read_page(0)  # populates the cache
-        assert 0 in chip.cache
-        injector.inject("bit_rot", 0)
-        # The cache would happily serve the stale (pre-rot) copy; reads
-        # bypassing it must evict on failure so nothing resurrects it.
-        chip.cache.invalidate(0)
-        with pytest.raises(ChecksumError):
-            chip.read_page(0)
-        assert 0 not in chip.cache
+    def test_reserved_all_ones_crc_still_verifies(self, tmp_path, monkeypatch):
+        """A data area whose CRC32 is 0xFFFFFFFF ("no checksum") is stored
+        as 0; the read's raw compare misses and the exact one must pass."""
+        import zlib
 
-    def test_unverified_reads_never_populate_cache(self, tmp_path):
-        _injector, chip = _chip(tmp_path, read_cache_pages=4)
-        _load(chip, n=1)
-        chip.read_page(0, verify=False)
-        assert 0 not in chip.cache
+        _injector, chip = _chip(tmp_path)
+        monkeypatch.setattr(zlib, "crc32", lambda _data: 0xFFFFFFFF)
+        _load(chip, n=2)
+        assert chip.peek_spare(0).checksum == 0
+        chip.read_page(0)
+        chip.read_pages([0, 1])
+        assert (chip.stats.checksum_checks, chip.stats.checksum_failures) == (3, 0)
 
     def test_pre_checksum_spare_reads_without_verification(self, tmp_path):
         """A 16-byte spare has no checksum slot: reads must not fail."""

@@ -14,6 +14,7 @@ from repro.core.differential import (
     decode_differential_page,
     encode_differential_page,
     find_differential,
+    merge_from_page,
 )
 from repro.ftl.base import ChangeRun
 
@@ -157,18 +158,82 @@ class TestWireFormatPinned:
 
 
 # ----------------------------------------------------------------------
+# The read path's fused pass == find, then apply
+# ----------------------------------------------------------------------
+def outcome(fn):
+    """What ``fn()`` did: its result, or the ``DifferentialError`` text."""
+    try:
+        return ("ok", fn())
+    except DifferentialError as exc:
+        return ("DifferentialError", str(exc))
+
+
+def reference_merge(data, pid, base):
+    """PDL_Reading steps 2 and 3 as two steps — the pair ``merge_from_page``
+    replaced on the read path and must stay equal to."""
+    diff = find_differential(data, pid)
+    return None if diff is None else diff.apply(base)
+
+
+def assert_fused_agrees(data, pid, base):
+    fused = outcome(lambda: merge_from_page(data, pid, base))
+    assert fused == outcome(lambda: reference_merge(data, pid, base))
+    if fused[0] == "ok" and fused[1] is not None:
+        assert len(fused[1]) == len(base)
+    return fused
+
+
+class TestFusedReadMatchesReference:
+    @given(
+        pairs=st.lists(page_pairs(), min_size=1, max_size=5),
+        unit=st.sampled_from([1, 3, 8, 16, 24, 32, 64, None]),
+        first_pid=st.integers(0, 2**32 - 16),
+    )
+    @settings(max_examples=300)
+    def test_valid_pages(self, pairs, unit, first_pid):
+        diffs = [
+            Differential.from_pages(first_pid + 2 * i, 7 + i, base, new, unit=unit)
+            for i, (base, new) in enumerate(pairs)
+        ]
+        page = encode_differential_page(diffs, 4 + sum(d.size for d in diffs))
+        for diff, (base, new) in zip(diffs, pairs):
+            assert assert_fused_agrees(page, diff.pid, base) == ("ok", new)
+            if diff.is_empty:
+                assert merge_from_page(page, diff.pid, base) is base
+            # An absent pid, whatever surrounds it.
+            assert assert_fused_agrees(page, diff.pid + 1, base) == ("ok", None)
+        # Padding after the last entry (a real page's erased tail) changes nothing.
+        padded = page + b"\xff" * 40
+        for diff, (base, new) in zip(diffs, pairs):
+            assert assert_fused_agrees(padded, diff.pid, base) == ("ok", new)
+
+    @given(diff=TestCodecRoundTrips.diff_strategy, base=pages, slack=st.integers(-2, 2))
+    def test_runs_outside_the_page(self, diff, base, slack):
+        """Same bounds error: offsets up to 60 000 against a 128-byte base,
+        and a base that ends just before, at and just after the last run."""
+        page = encode_differential_page([diff], 4 + diff.size)
+        assert_fused_agrees(page, diff.pid, base)
+        last_end = max((run.end for run in diff.runs), default=4)
+        assert_fused_agrees(page, diff.pid, b"\x5a" * max(0, last_end + slack))
+
+
+# ----------------------------------------------------------------------
 # Damaged input fails loudly, and only one way
 # ----------------------------------------------------------------------
-def exercise_decoders(data, base):
-    """Drive every decoder over ``data``.  Anything but success or
-    ``DifferentialError`` (``struct.error``, ``IndexError``...) escapes
-    and fails the test; a merge may never change the page's length."""
+def exercise_decoders(data, base, pids=()):
+    """Drive every decoder over ``data``, looking for ``pids``, for every
+    pid a full decode finds and for whatever sits where the first entry's
+    pid would.  Anything but success or ``DifferentialError``
+    (``struct.error``, ``IndexError``...) escapes and fails the test; a
+    merge may never change the page's length."""
     found = []
     try:
         found = decode_differential_page(data)
     except DifferentialError:
         pass
-    for pid in sorted({diff.pid for diff in found} | {0, 1, 7}):
+    first = struct.unpack_from("<I", data, 4) if len(data) >= 8 else ()
+    for pid in sorted({diff.pid for diff in found} | {0, 1, 7, *first, *pids}):
+        assert_fused_agrees(data, pid, base)
         try:
             diff = find_differential(data, pid)
         except DifferentialError:
@@ -186,9 +251,10 @@ def exercise_decoders(data, base):
 
 
 class TestDamagedPagesFailLoudly:
+    #: (pids, page): the damaged page is searched for the pids it held.
     valid_page = st.lists(
         TestCodecRoundTrips.diff_strategy, min_size=1, max_size=4, unique_by=lambda d: d.pid
-    ).map(lambda diffs: encode_differential_page(diffs, 4096))
+    ).map(lambda diffs: ([d.pid for d in diffs], encode_differential_page(diffs, 4096)))
 
     @given(
         tail=st.binary(max_size=200),
@@ -203,11 +269,13 @@ class TestDamagedPagesFailLoudly:
     @given(page=valid_page, bit=st.integers(min_value=0), base=pages)
     @settings(max_examples=300)
     def test_single_bit_flips(self, page, bit, base):
+        pids, page = page
         damaged = bytearray(page)
         bit %= 8 * len(damaged)
         damaged[bit // 8] ^= 1 << (bit % 8)
-        exercise_decoders(bytes(damaged), base)
+        exercise_decoders(bytes(damaged), base, pids)
 
     @given(page=valid_page, cut=st.integers(min_value=0), base=pages)
     def test_truncation(self, page, cut, base):
-        exercise_decoders(page[: cut % len(page)], base)
+        pids, page = page
+        exercise_decoders(page[: cut % len(page)], base, pids)

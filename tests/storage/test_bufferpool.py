@@ -139,6 +139,21 @@ class TestClock:
         assert 0 in pool
         assert 1 not in pool
 
+    def test_page_admitted_on_a_miss_and_never_touched_is_a_first_sweep_victim(
+        self, driver
+    ):
+        """``admit`` leaves the reference bit clear — decided on the
+        Figure-18 sweep's numbers, docs/bufferpool.md ("`clock`: the
+        reference bit a miss starts with")."""
+        pool = BufferManager(driver, 3, policy="clock")
+        _load(driver, 8)
+        for pid in (0, 0, 1, 2, 2):  # 0 and 2 are hit once; 1 is only missed
+            pool.get_page(pid)
+        pool.get_page(3)  # the hand clears 0's bit and stops at 1: no second chance
+        assert 1 not in pool
+        assert 0 in pool and 2 in pool
+        assert pool.stats.policy_counters.get("ref_clears") == 1
+
     def test_sweep_eventually_evicts(self, driver):
         pool = BufferManager(driver, 3, policy="clock")
         _load(driver, 16)

@@ -162,22 +162,6 @@ class TestPersistentOpen:
         with Database.open(tmp_path) as db2:
             assert db2.allocated_pages == 3
 
-    def test_read_cache_reaches_the_chips(self, tmp_path):
-        with Database.open(
-            tmp_path,
-            spec=self.SPEC,
-            max_differential_size=64,
-            buffer_capacity=2,
-            read_cache_pages=16,
-        ) as db:
-            self._populate(db, n=6)
-            # Tiny pool forces flash reads; the chip cache absorbs some.
-            for pid in (0, 1, 2, 3) * 6:
-                db.page(pid)
-            chip = db.driver.chip
-            assert chip.cache is not None
-            assert chip.stats.cache_hits > 0
-
 
 def _leaked_flash_handles(action):
     """Run ``action`` and return the ResourceWarnings about ``.flash``

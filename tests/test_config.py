@@ -58,10 +58,7 @@ label_configs = st.builds(lambda method, shape: EngineConfig(**method, **shape),
 def any_configs(draw):
     """Label-expressible configs with the remaining fields drawn too."""
     config = draw(label_configs)
-    extra = {
-        "spec": draw(st.sampled_from([None, TINY_SPEC, SPEC])),
-        "read_cache_pages": draw(st.integers(0, 64)),
-    }
+    extra = {"spec": draw(st.sampled_from([None, TINY_SPEC, SPEC]))}
     if draw(st.booleans()):
         extra["buffer_capacity"] = draw(st.integers(1, 256))
         extra["buffer_policy"] = draw(st.sampled_from(["lru", "clock", "2q"]))
@@ -137,7 +134,6 @@ REJECTED = {
     "trigger_blocks through the config": lambda: EngineConfig(gc=GcConfig(trigger_blocks=3)),
     "buffer_capacity=0": lambda: EngineConfig(buffer_capacity=0),
     "non-integer capacity": lambda: EngineConfig(buffer_capacity="8"),
-    "negative read cache": lambda: EngineConfig(read_cache_pages=-1),
     "spec that is not a FlashSpec": lambda: EngineConfig(spec={"n_blocks": 8}),
     "unknown keyword": lambda: EngineConfig.of(victim_policy=None),
     "unknown keyword beside a label": lambda: EngineConfig.parse("OPU", coalesce_gap=4),
@@ -194,7 +190,6 @@ def test_retunable_fields_may_differ_on_reopen(tmp_path):
         gc=GcConfig(policy="cb", incremental_steps=2),
         mapping_cache=0,
         snapshot_interval=24,
-        read_cache_pages=8,
         diff_unit=None,
     )
     with Database.open(tmp_path, **retuned) as db:
@@ -203,7 +198,7 @@ def test_retunable_fields_may_differ_on_reopen(tmp_path):
         for shard in db.driver.shards:
             assert shard.mapping.config.cache_entries == 0
             assert shard.mapping.config.snapshot_interval == 24
-            assert shard.diff_unit is None and shard.chip.cache is not None
+            assert shard.diff_unit is None
 
 
 @pytest.mark.parametrize(
