@@ -1,68 +1,14 @@
-"""Experiment 7 / Figure 18, plus the buffer-pool subsystem sweep.
+"""Experiment 7 / Figure 18: TPC-C I/O time per transaction vs buffer size.
 
-Part 1 (pytest, paper fidelity): TPC-C I/O time per transaction vs
-buffer size.  Paper shapes asserted: at every buffer size the ordering
-is IPL(64KB) > IPL(18KB) and OPU > PDL(2KB) > PDL(256B) (I/O time,
-worse to better), with PDL(256B) winning by the paper's reported
-1.2–6.1× margin over the alternatives; larger buffers reduce everyone's
-I/O.
-
-Part 2 (standalone, the production extension): sweep eviction policy ×
-buffer size × write-back mode over the workloads the subsystem exists
-for, writing ``bench_results/bufferpool.json``:
-
-* **skewed updates** (90 % of writes on 10 % of pages) through a
-  4-shard parallel array — background write-back must cut the p99
-  client-visible eviction stall vs synchronous write-back, because the
-  eviction path reclaims frames the daemon already cleaned instead of
-  stalling on flash;
-* **scan + hot set** (TPC-C-shaped: OLTP point traffic with reporting
-  scans underneath) — the scan-resistant ``2q`` policy must beat
-  ``lru`` on hit ratio at equal or lower total flash writes, because
-  scan pages die in its probation queue instead of flushing the hot
-  set;
-* a TPC-C spot check of the policies at one buffer size, through the
-  real transaction mix.
-
-Runs standalone for CI smoke checks::
-
-    python benchmarks/bench_exp7_fig18.py --tiny
-
-or under pytest-benchmark like the other experiments::
-
-    python -m pytest benchmarks/bench_exp7_fig18.py -q
+Paper shapes asserted: at every buffer size the ordering is
+IPL(64KB) > IPL(18KB) and OPU > PDL(2KB) > PDL(256B) (I/O time, worse to
+better), with PDL(256B) winning by the paper's reported 1.2–6.1× margin
+over the alternatives; larger buffers reduce everyone's I/O.
 """
 
-import sys
-from pathlib import Path
-
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
-from repro.bench.experiments import experiment7  # noqa: E402
-from repro.bench.reporting import ResultTable  # noqa: E402
-from repro.workloads.runner import (  # noqa: E402
-    RunnerConfig,
-    measure_buffered_updates,
-    measure_scan_mix,
-)
+from repro.bench.experiments import experiment7
 
 FRACTIONS = (0.002, 0.01, 0.05, 0.1)
-
-POLICIES = ("lru", "clock", "2q")
-
-#: Buffer sizes for the subsystem sweep, as fractions of the database.
-SWEEP_FRACTIONS_FULL = (0.08, 0.15, 0.30)
-SWEEP_FRACTIONS_TINY = (0.15,)
-
-FULL_RUNNER = dict(database_pages=1024, measure_ops=6000)
-TINY_RUNNER = dict(database_pages=512, measure_ops=2500)
-
-#: The skewed-update workload runs on a parallel shard array so the
-#: write-back daemon's batches overlap with client work for real.
-UPDATE_LABEL = "PDL (256B) x4 par"
-SCAN_LABEL = "PDL (256B)"
 
 
 def test_experiment7_figure18(run_experiment, scale):
@@ -91,180 +37,3 @@ def test_experiment7_figure18(run_experiment, scale):
     for method in ("PDL (256B)", "OPU", "IPL (18KB)"):
         assert v(method, 0.1) < v(method, 0.002)
 
-
-# ----------------------------------------------------------------------
-# Buffer-pool subsystem sweep (standalone / CI smoke)
-# ----------------------------------------------------------------------
-
-def run_bufferpool_bench(tiny: bool):
-    """Policy × buffer size × write-back sweep → one ResultTable."""
-    runner = RunnerConfig(**(TINY_RUNNER if tiny else FULL_RUNNER))
-    fractions = SWEEP_FRACTIONS_TINY if tiny else SWEEP_FRACTIONS_FULL
-    table = ResultTable(
-        experiment="bufferpool",
-        title="Buffer-pool subsystem: policy x buffer size x write-back",
-        columns=(
-            "workload",
-            "policy",
-            "writeback",
-            "buffer_pages",
-            "hit_ratio",
-            "p99_stall_us",
-            "max_stall_us",
-            "clean_reclaims",
-            "sync_writebacks",
-            "writeback_pages",
-            "flash_writes",
-            "flash_reads",
-            "io_time_ms",
-        ),
-    )
-    def add(m):
-        table.add_row(
-            m.workload,
-            m.policy,
-            m.writeback,
-            m.buffer_pages,
-            m.hit_ratio,
-            m.eviction_stall_p99_us,
-            m.eviction_stall_max_us,
-            m.clean_reclaims,
-            m.sync_writebacks,
-            m.writeback_pages,
-            m.flash_writes,
-            m.flash_reads,
-            m.io_time_us / 1000.0,
-        )
-        return m
-
-    update_points = {}
-    for fraction in fractions:
-        for policy in POLICIES:
-            for writeback in (None, "background"):
-                m = add(
-                    measure_buffered_updates(
-                        UPDATE_LABEL,
-                        runner,
-                        buffer_fraction=fraction,
-                        policy=policy,
-                        writeback=writeback,
-                    )
-                )
-                update_points[(fraction, policy, m.writeback)] = m
-    scan_points = {}
-    for fraction in fractions:
-        for policy in POLICIES:
-            scan_points[(fraction, policy)] = add(
-                measure_scan_mix(
-                    SCAN_LABEL, runner, buffer_fraction=fraction, policy=policy
-                )
-            )
-
-    # TPC-C spot check: the real transaction mix through each policy.
-    from repro.bench.config import current_scale
-    from repro.workloads.tpcc.driver import run_tpcc
-
-    scale = current_scale()
-    tpcc_txns = 150 if tiny else scale.tpcc_transactions
-    for policy in POLICIES:
-        m = run_tpcc(
-            "PDL (256B)",
-            scale.tpcc_scale,
-            buffer_fraction=0.05,
-            n_transactions=tpcc_txns,
-            buffer_policy=policy,
-        )
-        table.add_row(
-            "tpcc",
-            policy,
-            m.writeback,
-            m.buffer_pages,
-            m.hit_ratio,
-            m.eviction_stall_p99_us,
-            0.0,
-            0,
-            0,
-            0,
-            m.flash_writes,
-            m.flash_reads,
-            m.io_us_per_txn * tpcc_txns / 1000.0,
-        )
-
-    mid = fractions[len(fractions) // 2] if len(fractions) > 1 else fractions[0]
-    sync = update_points[(mid, "lru", "sync")]
-    back = update_points[(mid, "lru", "background")]
-    table.note(
-        f"background write-back: p99 eviction stall "
-        f"{back.eviction_stall_p99_us:.1f}us vs {sync.eviction_stall_p99_us:.1f}us "
-        f"sync ({sync.clean_reclaims} -> {back.clean_reclaims} clean reclaims)"
-    )
-    lru = scan_points[(mid, "lru")]
-    twoq = scan_points[(mid, "2q")]
-    table.note(
-        f"scan-mix: 2q hit {twoq.hit_ratio:.3f} vs lru {lru.hit_ratio:.3f} at "
-        f"{twoq.flash_writes} vs {lru.flash_writes} flash writes"
-    )
-    return table, update_points, scan_points
-
-
-def check_bufferpool_wins(update_points, scan_points) -> None:
-    """Acceptance: the subsystem pays for itself on its two workloads."""
-    fractions = sorted({f for f, _p, _w in update_points})
-    for fraction in fractions:
-        sync = update_points[(fraction, "lru", "sync")]
-        back = update_points[(fraction, "lru", "background")]
-        assert sync.sync_writebacks > 0, "sync mode never wrote back on eviction"
-        assert back.eviction_stall_p99_us < sync.eviction_stall_p99_us, (
-            f"buffer={sync.buffer_pages}: background p99 stall "
-            f"{back.eviction_stall_p99_us:.1f}us not below sync's "
-            f"{sync.eviction_stall_p99_us:.1f}us"
-        )
-        assert back.clean_reclaims > back.sync_writebacks, (
-            f"buffer={sync.buffer_pages}: background mode still evicted "
-            "synchronously more often than it reclaimed clean frames"
-        )
-        lru = scan_points[(fraction, "lru")]
-        twoq = scan_points[(fraction, "2q")]
-        assert twoq.hit_ratio > lru.hit_ratio, (
-            f"buffer={lru.buffer_pages}: 2q hit ratio {twoq.hit_ratio:.3f} "
-            f"not above lru's {lru.hit_ratio:.3f} on the scan mix"
-        )
-        assert twoq.flash_writes <= lru.flash_writes, (
-            f"buffer={lru.buffer_pages}: 2q cost {twoq.flash_writes} flash "
-            f"writes vs lru's {lru.flash_writes}"
-        )
-
-
-def test_bufferpool_sweep(benchmark):
-    table, update_points, scan_points = benchmark.pedantic(
-        lambda: run_bufferpool_bench(tiny=True),
-        rounds=1,
-        iterations=1,
-        warmup_rounds=0,
-    )
-    print()
-    print(table.render())
-    table.save()
-    check_bufferpool_wins(update_points, scan_points)
-
-
-def main(argv=None):
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--tiny",
-        action="store_true",
-        help="seconds-long smoke run (CI): one buffer size, 512-page db",
-    )
-    args = parser.parse_args(argv)
-    table, update_points, scan_points = run_bufferpool_bench(tiny=args.tiny)
-    print(table.render())
-    print(f"saved: {table.save()}")
-    check_bufferpool_wins(update_points, scan_points)
-    print("buffer-pool check: OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -124,8 +124,8 @@ def main(argv=None) -> int:
         patterns, configs, n_pages=n_pages, n_ops=n_ops, seed=args.seed
     )
     elapsed = time.perf_counter() - started
-    result.table.note(f"wall time: {elapsed:.1f}s")
     print(result.table.render())
+    print(f"wall time: {elapsed:.1f}s")
     print(f"saved: {result.table.save(args.out)}")
     if not result.equivalent:
         print("\nORACLE DIVERGENCE:", file=sys.stderr)

@@ -108,6 +108,8 @@ class ResultTable:
 
 
 def _format_cell(value: object) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         return f"{value:.1f}" if abs(value) >= 10 else f"{value:.4f}"
     return str(value)

@@ -4,8 +4,8 @@ The paper leaves mapping persistence as further study (Section 4.5); this
 module supplies the DFTL-style answer (Dayan & Bonnet, PAPERS.md): the
 authoritative ppmt lives on flash in a compact, struct-packed page format
 and only a bounded working set is held in RAM.  A shard can then serve a
-device far larger than its mapping RAM — the 10x target benchmarked in
-``benchmarks/bench_recovery.py``.
+device far larger than its mapping RAM — the 10x target held by
+``tests/integration/test_extension_claims.py``.
 
 Three cooperating pieces:
 

@@ -49,7 +49,6 @@ prefix of completed operations.
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -156,15 +155,6 @@ class FlashChip:
     backend:
         Device backend holding the bits; defaults to a fresh
         :class:`MemoryBackend` — the original volatile emulator.
-    realtime_scale:
-        When positive, every operation *actually sleeps* ``scale ×`` its
-        simulated latency, so the calling thread waits the way a host
-        thread waits on a real NAND device.  ``1.0`` reproduces Table-1
-        timings in wall-clock; fractions compress them proportionally.
-        Sleeps release the GIL, which is what lets the parallel shard
-        executor overlap device waits across chips
-        (``benchmarks/bench_parallel.py``; see ``docs/concurrency.md``).
-        Simulated accounting is unaffected; 0 (the default) never sleeps.
     """
 
     def __init__(
@@ -172,7 +162,6 @@ class FlashChip:
         spec: Optional[FlashSpec] = None,
         stats: Optional[FlashStats] = None,
         backend: Optional[DeviceBackend] = None,
-        realtime_scale: float = 0.0,
     ) -> None:
         if spec is None and backend is None:
             raise ValueError("FlashChip needs a spec or a backend")
@@ -200,9 +189,6 @@ class FlashChip:
         self.stats = stats or FlashStats(
             spec.n_blocks, spec.t_read_us, spec.t_write_us, spec.t_erase_us
         )
-        if realtime_scale < 0:
-            raise ValueError("realtime_scale must be non-negative")
-        self.realtime_scale = realtime_scale
         self._clock_us: float = 0.0
         self._crash_point: Optional[CrashPoint] = None
         self._crash_remaining: int = 0
@@ -258,19 +244,8 @@ class FlashChip:
     # Clock
     # ------------------------------------------------------------------
     def _advance_clock(self, us: float) -> None:
-        """Charge ``us`` simulated microseconds; in realtime mode, also
-        make the calling thread wait the scaled latency (one sleep per
-        chip call, so batched entry points wait once for the batch —
-        ``program_pages`` charges per page and sleeps the batch total
-        separately)."""
+        """Charge ``us`` simulated microseconds."""
         self._clock_us += us
-        if self.realtime_scale > 0.0:
-            self._sleep_scaled(us)
-
-    def _sleep_scaled(self, us: float) -> None:
-        """Actually wait ``realtime_scale × us`` (no-op at scale 0)."""
-        if self.realtime_scale > 0.0:
-            time.sleep(us * self.realtime_scale * 1e-6)
 
     @property
     def clock_us(self) -> float:
@@ -303,8 +278,6 @@ class FlashChip:
             self._check_addr(addr)
         self.stats.record_read()
         self._clock_us += self.spec.t_read_us
-        if self.realtime_scale > 0.0:
-            self._sleep_scaled(self.spec.t_read_us)
         data, raw_spare = self.backend.read_page(addr)
         if data is None:
             data = b"\xff" * self.spec.page_data_size
@@ -419,8 +392,6 @@ class FlashChip:
                 spare = self._attach_checksum(payload, spare)
                 self._pre_mutate("program_page")
                 self.stats.record_write()
-                # Clock per page; the realtime wait happens once for the
-                # whole admitted batch below (matching read_pages).
                 self._clock_us += self.spec.t_write_us
                 staged.append(
                     (addr, payload, spare.encode(self.spec.page_spare_size))
@@ -429,7 +400,6 @@ class FlashChip:
         finally:
             if staged:
                 self.backend.program_pages(staged)
-                self._sleep_scaled(self.spec.t_write_us * len(staged))
 
     def _validate_program(self, addr: int, data: Buffer) -> Buffer:
         """Validate and normalize a program payload without copying it.

@@ -36,7 +36,8 @@ the write cost" exactly as the paper reports (Figure 12(b)'s slashed
 areas).  The engine additionally meters the GC time each individual
 write absorbed (the *write stall*) into
 :meth:`~repro.flash.stats.FlashStats.record_write_stall`, which is the
-tail-latency metric ``benchmarks/bench_gc.py`` compares across modes.
+tail-latency metric ``tests/integration/test_extension_claims.py``
+holds across modes.
 """
 
 from __future__ import annotations

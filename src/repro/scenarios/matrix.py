@@ -199,15 +199,24 @@ def run_matrix(
                 )
                 cells.append(cell)
                 result.cells[(stream.scenario, config.name)] = cell
+                device = (
+                    cell.device_reads,
+                    cell.device_writes,
+                    cell.device_erases,
+                    cell.io_time_us / 1000.0,
+                )
+                if config.config.writeback is not None:
+                    # The write-back daemon decides when dirty frames
+                    # reach flash: device traffic moves with the thread
+                    # scheduler, so the table leaves it out (the
+                    # CellResult keeps it).
+                    device = (None,) * len(device)
                 table.add_row(
                     cell.scenario,
                     cell.config,
                     cell.n_reads,
                     cell.n_updates,
-                    cell.device_reads,
-                    cell.device_writes,
-                    cell.device_erases,
-                    cell.io_time_us / 1000.0,
+                    *device,
                     _check_cell(cell),
                     cell.state_hash[:12],
                 )

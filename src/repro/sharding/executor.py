@@ -25,9 +25,8 @@ ever mutated under their shard's gate;
 :class:`~repro.sharding.stats.AggregateStats` merges them (stall
 histograms included) when the caller reads after a join.
 
-See ``docs/concurrency.md`` for the full execution model, including how
-measured wall-clock time relates to the simulated parallel clock and
-why speedup is largest on the file backend's real I/O waits.
+See ``docs/concurrency.md`` for the full execution model, including
+which of the simulated and host time metrics answers which question.
 """
 
 from __future__ import annotations

@@ -20,10 +20,8 @@ Two properties make this composition sound:
 The per-chip scans are independent (each reads only its own chip), so
 they can run concurrently: ``recover_all(..., parallel=True)`` executes
 the Figure-11 scans on one worker thread per shard and returns a
-:class:`~repro.sharding.executor.ParallelShardedDriver`, making the
-1/N-of-~60 s/GB recovery estimate a *measured* wall-clock property
-rather than a modeling claim (``benchmarks/bench_parallel.py`` records
-the serial-vs-threaded scan times; see ``docs/concurrency.md``).
+:class:`~repro.sharding.executor.ParallelShardedDriver` (see
+``docs/concurrency.md``).
 """
 
 from __future__ import annotations

@@ -14,15 +14,14 @@ Two *simulated* time metrics matter for a multi-chip array:
 * **parallel time** — the busy time of the *busiest* chip: elapsed
   time with the chips serving their queues concurrently, the paper's
   simulated-I/O-time metric generalized to an array.  Exposed via
-  :meth:`chip_clocks` (per-chip monotonic clocks); the scaling
-  benchmark reports ``max(clock deltas)`` as the parallel cost.
+  :meth:`chip_clocks` (per-chip monotonic clocks):
+  ``max(clock deltas)`` over a window is its parallel cost
+  (``tests/integration/test_extension_claims.py`` holds the 1-vs-4
+  shard ratio).
 
-Since the :class:`~repro.sharding.executor.ShardExecutor`, the parallel
-model is no longer only simulated: a
-:class:`~repro.sharding.executor.ParallelShardedDriver` really executes
-shards concurrently, and ``measure_sharded_updates`` reports measured
-wall-clock time next to these simulated metrics so the model can be
-validated (``benchmarks/bench_parallel.py``; see
+A :class:`~repro.sharding.executor.ParallelShardedDriver` really executes
+shards on worker threads; what that costs and buys in *host* time is the
+end-to-end benchmark's ``uniform-x4-thread`` workload (see
 ``docs/concurrency.md``).  The per-shard collectors merged here need no
 lock — each :class:`FlashStats` is mutated only by the thread holding
 its shard's gate, and every aggregate property

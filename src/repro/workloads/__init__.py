@@ -24,7 +24,6 @@ from .runner import (
     warm_to_steady_state,
 )
 from .synthetic import (
-    PlannedCycle,
     SyntheticConfig,
     SyntheticWorkload,
     VerificationError,
@@ -33,7 +32,6 @@ from .synthetic import (
 __all__ = [
     "AccessPattern",
     "MethodMeasurement",
-    "PlannedCycle",
     "RunnerConfig",
     "SyntheticConfig",
     "SyntheticWorkload",

@@ -21,27 +21,14 @@ correctness check of the driver under test (disable with
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..ftl.base import ChangeRun, PageUpdateMethod
 
 
 class VerificationError(AssertionError):
     """A driver returned page contents different from the shadow copy."""
-
-
-@dataclass(frozen=True)
-class PlannedCycle:
-    """One pre-drawn update cycle: the pid and its in-memory mutations.
-
-    Runs are content-independent overwrites, so a cycle can be replayed
-    on any thread as long as per-pid plan order is preserved.
-    """
-
-    pid: int
-    runs: Tuple[ChangeRun, ...]
 
 
 @dataclass
@@ -136,11 +123,7 @@ class SyntheticWorkload:
         return data
 
     def _mutate(self, image: bytearray) -> ChangeRun:
-        """Change ``%ChangedByOneU_Op`` of the page at a random offset.
-
-        Draws offset then payload from the workload RNG — the exact
-        order :meth:`plan_updates` replicates; keep the two in sync.
-        """
+        """Change ``%ChangedByOneU_Op`` of the page at a random offset."""
         rng = self.rng
         page_size = len(image)
         size = min(self.change_size, page_size)
@@ -155,94 +138,6 @@ class SyntheticWorkload:
     def run_updates(self, n_cycles: int) -> None:
         for _ in range(n_cycles):
             self.update_cycle()
-
-    def plan_updates(self, n_cycles: int) -> List["PlannedCycle"]:
-        """Pre-draw ``n_cycles`` update cycles from the workload RNG.
-
-        The draws happen in exactly the order :meth:`update_cycle` makes
-        them — pid first, then each mutation's offset and payload — so a
-        workload that plans and executes ``n`` cycles consumes the same
-        RNG stream as one that runs them directly.  Mutations depend only
-        on the RNG and the page size, never on page contents, which is
-        what makes the plan executable out of order across pids: applying
-        one pid's runs in plan order yields the same final image no
-        matter how other pids interleave.
-        """
-        page_size = self.driver.page_size
-        size = min(self.change_size, page_size)
-        plan: List[PlannedCycle] = []
-        for _ in range(n_cycles):
-            pid = self.rng.randrange(self.config.database_pages)
-            runs: List[ChangeRun] = []
-            for _ in range(self.config.n_updates_till_write):
-                offset = self.rng.randrange(page_size - size + 1)
-                runs.append(ChangeRun(offset, self.rng.randbytes(size)))
-            plan.append(PlannedCycle(pid, tuple(runs)))
-        return plan
-
-    def run_updates_threaded(self, n_cycles: int, n_threads: int) -> None:
-        """Run update cycles from ``n_threads`` concurrent client threads.
-
-        The whole operation stream is pre-drawn with :meth:`plan_updates`
-        and partitioned by ``pid % n_threads``: an identical seed yields
-        the identical set of update cycles — same pids, same mutations —
-        regardless of the client-thread count, and the same stream a
-        serial :meth:`run_updates` call would execute.  Each thread owns
-        a disjoint pid partition and replays its cycles in plan order, so
-        the shadow copy stays race-free (threads write disjoint list
-        slots), verification remains exact, and the final database state
-        matches the serial run bit-for-bit.  Only the interleaving
-        across pids is nondeterministic — which is the point: this
-        drives a thread-safe driver (e.g. a
-        :class:`~repro.sharding.executor.ParallelShardedDriver`) the way
-        concurrent DBMS clients would.  Serial drivers are not safe
-        under this entry point; use :meth:`run_updates`.
-        """
-        if n_threads < 1:
-            raise ValueError("n_threads must be at least 1")
-        if n_threads == 1:
-            self.run_updates(n_cycles)
-            return
-        plan = self.plan_updates(n_cycles)
-        partitions: List[List[PlannedCycle]] = [[] for _ in range(n_threads)]
-        for cycle in plan:
-            partitions[cycle.pid % n_threads].append(cycle)
-        errors: List[BaseException] = []
-        lock = threading.Lock()
-
-        def client(t: int) -> None:
-            try:
-                for cycle in partitions[t]:
-                    pid = cycle.pid
-                    data = self.driver.read_page(pid)
-                    self._verify(pid, data)
-                    image = bytearray(data)
-                    # Same cycle shape as update_cycle: N in-memory
-                    # mutations, change runs collected so tightly-coupled
-                    # drivers (IPL) see real update logs, not a
-                    # degenerate whole-page log.
-                    for run in cycle.runs:
-                        image[run.offset : run.offset + len(run.data)] = run.data
-                    new_data = bytes(image)
-                    self._shadow[pid] = new_data
-                    self.driver.write_page(
-                        pid, new_data, update_logs=list(cycle.runs)
-                    )
-            except BaseException as exc:
-                with lock:
-                    errors.append(exc)
-
-        threads = [
-            threading.Thread(target=client, args=(t,), name=f"client-{t}")
-            for t in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        self.update_cycles += len(plan)
 
     def run_mix(self, n_ops: int, pct_update: float) -> None:
         """Execute a read-only/update mix (``%UpdateOps`` of Table 3)."""

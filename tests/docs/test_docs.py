@@ -54,6 +54,18 @@ def test_paper_map_names_only_real_files():
         assert (ROOT / path).exists(), f"paper-map cites missing {path}"
 
 
+def test_docs_and_docstrings_cite_only_real_benchmark_files():
+    """Every backticked ``benchmarks/…`` or ``bench_results/…`` path in
+    ``docs/*.md`` and under ``src/`` (docstrings double the backticks)
+    exists: a deleted bench or result file takes its citations with it."""
+    files = sorted((ROOT / "docs").glob("*.md")) + sorted((ROOT / "src").rglob("*.py"))
+    pattern = re.compile(r"`((?:benchmarks|bench_results)/[\w./-]+?)`")
+    cited = [(f, t) for f in files for t in pattern.findall(f.read_text(encoding="utf-8"))]
+    assert cited
+    missing = [f"{f.relative_to(ROOT)}: {t}" for f, t in cited if not (ROOT / t).exists()]
+    assert not missing, missing
+
+
 def test_ci_states_each_dependency_once():
     """``src/repro`` imports numpy unconditionally, so every CI job that
     runs project code installs ``requirements-dev.txt`` — and none names

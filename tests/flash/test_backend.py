@@ -239,7 +239,8 @@ class TestPositionalIO:
     def test_syscalls_per_page(self, tmp_path, monkeypatch):
         """A page read is at most two ``pread``s (none for an erased
         page: the RAM meta mirror answers), a page program three
-        ``pwrite``s — data, spare, counters."""
+        ``pwrite``s — data, spare, counters — and the batched entry
+        points pay the same for a whole contiguous run, not per page."""
         b = FileBackend(tmp_path / "chip.flash", SPEC)
         issued = []
         real_pread, real_pwrite = os.pread, os.pwrite
@@ -262,6 +263,12 @@ class TestPositionalIO:
         del issued[:]
         assert b.read_page(3) == (None, None)
         assert issued == []
+        run = [(addr, bytes([addr]) * 64, _spare(addr, 9)) for addr in range(4, 12)]
+        b.program_pages(run)
+        assert issued == ["pwrite"] * 3  # 24 as eight program_page calls
+        del issued[:]
+        assert b.read_pages(range(4, 12)) == [(data, spare) for _, data, spare in run]
+        assert issued == ["pread"] * 2  # 16 as eight read_page calls
         b.close()
 
     def test_short_read_raises(self, tmp_path, monkeypatch):

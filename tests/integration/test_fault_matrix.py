@@ -49,7 +49,7 @@ REGION_KINDS = ("seal", "snapshot", "meta", "journal")
 def region_targets(store):
     """One address per page kind of the mapping region: the newest
     snapshot's seal, first data page and first meta page, and the first
-    journal page (``benchmarks/bench_fsck.py`` injects at the same four)."""
+    journal page."""
     half = store.seq % 2
     return {
         "seal": store.seal_addr(half),

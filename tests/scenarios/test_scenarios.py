@@ -1,12 +1,14 @@
 """Cell replay, oracle, and matrix tests for the scenario suite.
 
-The tier-1 tests run a reduced grid; the full CI smoke grid runs via
-``scripts/run_scenarios.py --tiny`` (the scenario-matrix-smoke job), and
-the complete default grid is exercised by the ``slow``-marked matrix
-test below.
+The tier-1 tests run a reduced grid, plus ``scripts/run_scenarios.py
+--tiny`` once (the scenario-matrix-smoke job's grid) to hold the tracked
+``bench_results/scenarios.json`` to what the script writes; the complete
+default grid is exercised by the ``slow``-marked matrix test below.
 """
 
 import dataclasses
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,8 @@ from repro.workloads.patterns import make_pattern
 
 N_PAGES = 32
 N_OPS = 120
+
+ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 def small_stream(pattern="zipf-0.9", seed=DEFAULT_SEED):
@@ -211,6 +215,14 @@ class TestMatrix:
         )
         assert len(default_patterns(path)) == len(default_patterns()) + 1
         assert len(tiny_patterns(path)) == len(tiny_patterns()) + 1
+
+    def test_tracked_results_are_the_tiny_grid_byte_for_byte(self, tmp_path):
+        """The one result file the repository tracks holds only cells
+        every run repeats: regenerating it must be a no-op."""
+        main = runpy.run_path(str(ROOT / "scripts" / "run_scenarios.py"))["main"]
+        assert main(["--tiny", "--out", str(tmp_path)]) == 0
+        tracked = ROOT / "bench_results" / "scenarios.json"
+        assert (tmp_path / "scenarios.json").read_bytes() == tracked.read_bytes()
 
 
 @pytest.mark.slow

@@ -3,13 +3,11 @@
 import pytest
 
 from repro.flash.spec import TINY_SPEC
-from repro.ftl.errors import ConfigurationError
 from repro.sharding.executor import ParallelShardedDriver
 from repro.workloads.runner import (
     MethodMeasurement,
     aging_horizon,
     build_workload,
-    measure_sharded_updates,
     measure_updates,
     warm_to_steady_state,
 )
@@ -76,45 +74,7 @@ class TestMeasurement:
 
 
 class TestWallClockMeasurement:
-    """measure_sharded_updates: simulated model vs measured wall time."""
-
-    def test_wall_clock_recorded_alongside_simulated_model(self, small_runner):
-        point = measure_sharded_updates("PDL (64B) x2", small_runner)
-        assert point.wall_s > 0.0
-        assert point.wall_us_per_op == pytest.approx(
-            point.wall_s * 1e6 / point.n_ops
-        )
-        assert point.client_threads == 1
-        assert not point.measured_parallel
-        d = point.as_dict()
-        assert d["wall_s"] == point.wall_s
-        assert d["measured_parallel"] is False
-
-    def test_par_label_builds_and_measures_parallel_driver(self, small_runner):
-        point = measure_sharded_updates("PDL (64B) x2 par", small_runner)
-        assert point.measured_parallel
-        assert point.label.endswith("par")
-        assert point.serial_us_per_op > 0
-
-    def test_threaded_clients_partition_the_window(self, small_runner):
-        point = measure_sharded_updates(
-            "PDL (64B) x2 par", small_runner, client_threads=4
-        )
-        assert point.client_threads == 4
-        assert point.measured_parallel
-        assert point.wall_s > 0.0
-
-    def test_threaded_clients_run_the_full_window(self, small_runner):
-        """The plan partition executes every requested cycle, even when
-        the window does not divide evenly by the thread count."""
-        point = measure_sharded_updates(
-            "PDL (64B) x2 par", small_runner, client_threads=3
-        )
-        assert point.n_ops == small_runner.measure_ops
-
-    def test_threaded_clients_require_parallel_driver(self, small_runner):
-        with pytest.raises(ConfigurationError):
-            measure_sharded_updates("PDL (64B) x2", small_runner, client_threads=4)
+    """A ``par`` label reaches the thread-parallel driver through the runner."""
 
     def test_par_workload_builds_parallel_driver(self, small_runner):
         wl = build_workload("PDL (64B) x2 par", small_runner, 2.0, 1)

@@ -98,71 +98,3 @@ class TestOperations:
 
         assert run() == run()
 
-
-class TestSeedPlumbing:
-    """One seed → one operation stream, no matter how it is executed."""
-
-    def test_plan_consumes_the_serial_rng_stream(self, tiny_spec):
-        """plan_updates draws exactly what update_cycle would draw."""
-
-        def build():
-            chip = FlashChip(tiny_spec)
-            wl = SyntheticWorkload(
-                make_method("PDL (64B)", chip),
-                SyntheticConfig(database_pages=8, seed=11),
-            )
-            wl.load()
-            return wl
-
-        planned, direct = build(), build()
-        plan = planned.plan_updates(30)
-        for cycle in plan:
-            image = bytearray(planned.shadow[cycle.pid])
-            for run in cycle.runs:
-                image[run.offset : run.offset + len(run.data)] = run.data
-            planned._shadow[cycle.pid] = bytes(image)
-        direct.run_updates(30)
-        assert [bytes(s) for s in planned.shadow] == [
-            bytes(s) for s in direct.shadow
-        ]
-        # Both consumed the same RNG stream: the next draw agrees too.
-        assert planned.rng.random() == direct.rng.random()
-
-    @pytest.mark.parametrize("n_threads", [2, 3, 7])
-    def test_threaded_stream_matches_serial(self, tiny_spec, n_threads):
-        """Identical seed → identical final state for serial and threaded
-        execution at any client-thread count (the oracle's precondition)."""
-        from repro.flash.spec import FlashSpec
-
-        spec = FlashSpec(
-            n_blocks=16, pages_per_block=8, page_data_size=256, page_spare_size=32
-        )
-
-        def run(threads):
-            chips = [FlashChip(spec) for _ in range(2)]
-            wl = SyntheticWorkload(
-                make_method("PDL (64B) x2 par", chips),
-                SyntheticConfig(database_pages=24, seed=11),
-            )
-            wl.load()
-            try:
-                if threads == 0:
-                    wl.run_updates(60)
-                else:
-                    wl.run_updates_threaded(60, threads)
-                wl.verify_all()
-                assert wl.update_cycles == 60
-                return [bytes(s) for s in wl.shadow]
-            finally:
-                wl.driver.close()
-
-        assert run(0) == run(n_threads)
-
-    def test_single_thread_falls_back_to_serial(self, workload):
-        workload.run_updates_threaded(10, 1)
-        assert workload.update_cycles == 10
-        workload.verify_all()
-
-    def test_thread_count_validation(self, workload):
-        with pytest.raises(ValueError):
-            workload.run_updates_threaded(4, 0)
