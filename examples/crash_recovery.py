@@ -7,7 +7,7 @@ Demonstrates Section 4.5 end to end:
 2. pull the plug at a random moment (the emulator's crash injection);
 3. rebuild the mapping tables with the full Figure-11 scan;
 4. compare against the snapshot+journal restart (the paper's "further
-   study" item, implemented in repro.ext.journal) — after the crash, and
+   study" item, implemented in repro.core.restart) — after the crash, and
    after a clean checkpoint, which is just a snapshot with an empty
    journal.
 

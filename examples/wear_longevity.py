@@ -5,14 +5,13 @@ The paper's Experiment 6 argues PDL extends flash lifetime because fewer
 writes mean fewer erases.  This example measures erases per update for
 each method (Figure 17) and then shows the wear-leveling ablation: how
 GC victim policies spread erases across blocks (footnote 4's orthogonal
-concern, implemented in repro.ext.wear_leveling).
+concern; the policies live in repro.ftl.gc).
 
 Run:  python examples/wear_longevity.py
 """
 
 import random
 
-import repro.ext.wear_leveling  # noqa: F401  (registers the "rr" policy)
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
 from repro.methods import make_method

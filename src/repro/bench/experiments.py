@@ -374,7 +374,6 @@ def ablation_diff_granularity(
 
 def ablation_victim_policy(scale: Optional[BenchScale] = None) -> ResultTable:
     """GC victim-selection policy comparison (greedy / round-robin / wear)."""
-    from ..ext import wear_leveling  # noqa: F401  (registers "rr")
     from ..ftl.gc import GcConfig
 
     scale = scale or current_scale()

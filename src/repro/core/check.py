@@ -28,11 +28,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from ..flash.spare import PageType, data_checksum
 from .differential import DifferentialError, decode_differential_page
-from .pdl import PdlDriver
+
+if TYPE_CHECKING:
+    from .pdl import PdlDriver  # pdl imports fsck, which imports this module
 
 
 @dataclass

@@ -45,7 +45,7 @@ Twrites for every repair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.errors import ProgramError
@@ -58,8 +58,10 @@ from .differential import (
     decode_differential_page,
     encode_differential_page,
 )
-from .pdl import PdlDriver
 from .tables import MappingEntry
+
+if TYPE_CHECKING:
+    from .pdl import PdlDriver  # pdl imports this module
 
 #: Accounting phase for fsck I/O.
 FSCK_PHASE = "fsck"

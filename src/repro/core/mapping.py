@@ -22,7 +22,7 @@ Three cooperating pieces:
   — one LRU implementation in the tree).  Every mutation both updates
   the overlay and appends a journal record through the store, which is
   what makes crash restart O(dirty tail) instead of O(device)
-  (:mod:`repro.ext.journal`).  The lookup discipline is *one
+  (:mod:`repro.core.restart`).  The lookup discipline is *one
   translation per page per operation*: a caller that has looked a row up
   and has work pending on it hands the row back (:meth:`~TieredMappingTable.hold`)
   instead of asking again once the clean cache has moved on
@@ -60,7 +60,7 @@ if TYPE_CHECKING:
 MAPPING_PHASE = "mapping"
 
 # ----------------------------------------------------------------------
-# Journal record kinds (fixed-size records; see repro.ext.journal)
+# Journal record kinds (fixed-size records; see repro.core.mapping_store)
 # ----------------------------------------------------------------------
 REC_SET_BASE = 1  #: a = pid, b = base addr, ts = base timestamp
 REC_MOVE_BASE = 2  #: a = pid, b = new base addr (GC relocation)
@@ -365,7 +365,7 @@ class MappingConfig:
 
 
 # ----------------------------------------------------------------------
-# Store interface (implemented by repro.ext.journal.MappingStore)
+# Store interface (implemented by repro.core.mapping_store.MappingStore)
 # ----------------------------------------------------------------------
 class MappingBackend(Protocol):
     """What the tiered table needs from the journal/snapshot store."""

@@ -25,7 +25,7 @@ gets a fresh, strictly larger stamp.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.spare import PageType, SpareArea
@@ -44,13 +44,11 @@ from .differential import (
     encode_differential_page,
     merge_from_page,
 )
-from .mapping import JournaledVdct, MappingConfig, TieredMappingTable
+from .fsck import FsckReport, fsck_driver
+from .mapping import REC_VDCT_DROP, JournaledVdct, MappingConfig, TieredMappingTable
+from .mapping_store import MappingStore
 from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
 from .write_buffer import DifferentialWriteBuffer
-
-if TYPE_CHECKING:
-    from ..ext.journal import MappingStore
-    from .fsck import FsckReport
 
 
 def format_size(n_bytes: int) -> str:
@@ -87,11 +85,8 @@ class PdlDriver(PageUpdateMethod):
             self.name += f" gc={self.gc_config.policy}"
         #: Journal/snapshot store of the tiered mapping table, or None
         #: when the classic all-RAM tables are in use.
-        self.mapping: "Optional[MappingStore]" = None
+        self.mapping: Optional[MappingStore] = None
         if mapping is not None:
-            # Local import: the ext layer imports this module at top level.
-            from ..ext.journal import MappingStore
-
             self.mapping = MappingStore(chip, mapping)
         # The mapping region is the device's first blocks; the allocator
         # and GC never see them.
@@ -298,14 +293,12 @@ class PdlDriver(PageUpdateMethod):
         the freshly loaded table is durable before the workload starts."""
         self._mapping_tick(force=True)
 
-    def fsck(self, repair: bool = True) -> "FsckReport":
+    def fsck(self, repair: bool = True) -> FsckReport:
         """Scan for single-page corruption and repair it online.
 
         Returns a :class:`repro.core.fsck.FsckReport`; see that module
         for the detection sweep and the per-page repair decision tree.
         """
-        from .fsck import fsck_driver  # local import: fsck imports this module
-
         return fsck_driver(self, repair=repair)
 
     # ------------------------------------------------------------------
@@ -527,8 +520,6 @@ class PdlDriver(PageUpdateMethod):
         """
         self._flush_gc_buffer()
         if self.mapping is not None:
-            from .mapping import REC_VDCT_DROP
-
             for addr in sorted(self._gc_victim_diffs):
                 self.mapping.record(REC_VDCT_DROP, addr)
             self.mapping.commit()

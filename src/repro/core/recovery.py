@@ -31,6 +31,7 @@ from ..flash.errors import ProgramError
 from ..flash.spare import PageType, data_checksum
 from .differential import DifferentialError, decode_differential_page
 from .pdl import PdlDriver
+from .restart_plan import Fallback, Fast, RestartPlan
 from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 
 #: Accounting phase for the recovery scan.
@@ -80,18 +81,30 @@ class RecoveryReport:
     #: ``diff_read_batches`` calls instead of ``diff_pages_read``.
     diff_pages_read: int = 0
     diff_read_batches: int = 0
-    #: Mapping-tier restart fields (repro.ext.journal.restart_driver).
-    #: ``fast_path`` means snapshot-load + journal-tail replay satisfied
-    #: the restart; ``fallback`` means the journal was unusable and the
-    #: full Figure-11 scan above ran instead; ``repaired`` means a fresh
-    #: snapshot was written at the end of the restart.
-    fast_path: bool = False
+    #: Mapping-tier restart fields (repro.core.restart.restart_driver):
+    #: the plan that was carried out, and what carrying it out counted.
+    plan: Optional[RestartPlan] = None
     snapshot_seq: Optional[int] = None
     journal_records: int = 0
     journal_pages: int = 0
     tail_pages_scanned: int = 0
-    repaired: bool = False
-    fallback: bool = False
+
+    @property
+    def fast_path(self) -> bool:
+        """Snapshot load + journal-tail replay satisfied the restart."""
+        return isinstance(self.plan, Fast)
+
+    @property
+    def fallback(self) -> bool:
+        """The journal was unusable; the full Figure-11 scan ran instead."""
+        return isinstance(self.plan, Fallback)
+
+    @property
+    def repaired(self) -> bool:
+        """The restart ended by writing a fresh snapshot."""
+        return self.fallback or (
+            isinstance(self.plan, Fast) and self.plan.repair is not None
+        )
 
 
 def recover_tables(
@@ -324,13 +337,15 @@ def recover_driver(
 
     When a ``mapping`` configuration is passed (the tiered, journaled
     mapping table), restart is delegated to
-    :func:`repro.ext.journal.restart_driver`: snapshot load plus journal
+    :func:`repro.core.restart.restart_driver`: snapshot load plus journal
     tail replay, with the scan below as its verifier/fallback.  The
     return contract is identical, so recovery-driven callers
     (``recover_all``, ``Database.open``) need no changes.
     """
     if driver_kwargs.get("mapping") is not None:
-        from ..ext.journal import restart_driver  # ext layers above core
+        # Local import: restart imports this module (the scan is its
+        # fallback and RecoveryReport its return type).
+        from .restart import restart_driver
 
         return restart_driver(chip, **driver_kwargs)
     # The fresh driver assumes an empty chip; the scan fills its tables.

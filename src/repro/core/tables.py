@@ -10,7 +10,7 @@
 
 Both tables are volatile; :mod:`repro.core.recovery` reconstructs them
 from flash after a crash.  Their demand-paged, journaled twins
-(:mod:`repro.core.mapping`, persisted by :mod:`repro.ext.journal`) are
+(:mod:`repro.core.mapping`, persisted by :mod:`repro.core.mapping_store`) are
 the one way a table survives a restart without that scan.
 """
 

@@ -188,10 +188,31 @@ def wear_aware_policy(wear_weight: float = 1.0) -> VictimPolicy:
     return policy
 
 
+def round_robin_policy() -> VictimPolicy:
+    """The pure wear-leveling extreme: cycle through the candidates in
+    block order, spreading erases evenly regardless of garbage density.
+    Stateful — each collector gets its own cursor."""
+    cursor = 0
+
+    def policy(blocks: BlockManager) -> Optional[int]:
+        nonlocal cursor
+        usable = [
+            b for b in sorted(blocks.victim_candidates()) if blocks.garbage_in(b) > 0
+        ]
+        if not usable:
+            return None
+        block = next((b for b in usable if b >= cursor), usable[0])
+        cursor = block + 1
+        return block
+
+    return policy
+
+
 register_victim_policy("greedy", lambda: greedy_policy)
 register_victim_policy("cb", lambda: cost_benefit_policy)
 register_victim_policy("cost-benefit", lambda: cost_benefit_policy)
 register_victim_policy("wear", wear_aware_policy)
+register_victim_policy("rr", round_robin_policy)
 
 
 # ----------------------------------------------------------------------

@@ -44,3 +44,16 @@ def test_every_engine_target_resolves_in_its_owner_namespace():
         if attr not in vars(owner):
             missing.append(f"{target.module}:{target.qualname}")
     assert not missing, missing
+
+
+def test_ext_journal_alias_is_the_core_objects():
+    """The frozen benchmark names ``repro.ext.journal`` and the tracer
+    patches by identity: the alias must be the objects the engine runs, and
+    the store's traced methods must sit in its own class body."""
+    import repro.ext.journal as alias
+    from repro.core import mapping_store, restart
+
+    assert alias.MappingStore is mapping_store.MappingStore
+    assert alias.restart_driver is restart.restart_driver
+    for name in ("record", "commit", "snapshot", "load_data_page"):
+        assert name in vars(mapping_store.MappingStore), name

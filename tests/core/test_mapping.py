@@ -21,8 +21,8 @@ from repro.core.mapping import (
     records_per_page,
     stride_pages,
 )
+from repro.core.mapping_store import MappingStore
 from repro.core.tables import MappingEntry
-from repro.ext.journal import MappingStore
 from repro.flash.chip import FlashChip
 from repro.flash.spec import FlashSpec
 from repro.ftl.errors import ConfigurationError

@@ -101,3 +101,20 @@ def test_configuration_table_lists_exactly_the_config_fields():
     rows = re.findall(r"(?m)^\| `(\w+)` \|[^|]*\| ([^|]+?) \|", section)
     assert [name for name, _kind in rows] == [f.name for f in dataclasses.fields(EngineConfig)]
     assert tuple(name for name, kind in rows if "durable" in kind) == DURABLE
+
+
+def test_restart_decision_tree_names_exactly_the_plan_enums():
+    """docs/recovery.md, "Restart decision tree": its leaves are exactly the
+    ``FallbackReason`` / ``RepairReason`` members, and each ``file:line``
+    (``name``) it cites lands on that definition."""
+    from repro.core.restart_plan import FallbackReason, RepairReason
+
+    text = (ROOT / "docs" / "recovery.md").read_text(encoding="utf-8")
+    section = text.split("\n## Restart decision tree\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"\b((?:Fallback|Repair)Reason\.\w+)", section))
+    assert named == {str(member) for enum in (FallbackReason, RepairReason) for member in enum}
+    cited = re.findall(r"`(src/[\w./]+\.py):(\d+)`[\s,(]+`(\w+)`", section)
+    assert len(cited) >= 5
+    for path, line, name in cited:
+        source = (ROOT / path).read_text(encoding="utf-8").splitlines()[int(line) - 1]
+        assert re.match(rf"(def|class) {name}\b", source), f"{path}:{line} is not {name}"

@@ -1,7 +1,7 @@
 """Crash matrix for the mapping journal/snapshot restart path.
 
 Every test pits the snapshot-load + journal-tail-replay restart
-(:func:`repro.ext.journal.restart_driver`) against the Figure-11
+(:func:`repro.core.restart.restart_driver`) against the Figure-11
 full-scan oracle (:func:`repro.core.recovery.recover_tables` on a
 private deep copy of the crashed chip) and demands byte-identical
 ppmt/vdct state.  The boundaries under attack:
@@ -29,6 +29,7 @@ ppmt/vdct state.  The boundaries under attack:
 from __future__ import annotations
 
 import copy
+import logging
 import random
 from typing import Dict, Optional, Tuple
 
@@ -37,8 +38,9 @@ import pytest
 from repro.core.mapping import MAPPING_PHASE, MappingConfig, MappingFormatError
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_tables
+from repro.core.restart import restart_driver
+from repro.core.restart_plan import FallbackReason, RepairReason
 from repro.core.tables import PhysicalPageMappingTable, ValidDifferentialCountTable
-from repro.ext.journal import restart_driver
 from repro.flash.backend import FaultInjector, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.errors import ChecksumError, SimulatedPowerLoss
@@ -104,10 +106,18 @@ def _scan_oracle(chip: FlashChip, first_page: int = 0) -> State:
 
 
 def _restart(chip: FlashChip, cfg: MappingConfig):
+    """Restart a private copy.  Whatever the plan, no seal or journal
+    page is read twice: the survey is the one pass, fallback included."""
     replica = copy.deepcopy(chip)
-    driver, report = restart_driver(
-        replica, max_differential_size=MAX_DIFF, mapping=cfg
-    )
+    reads: list = []
+    read_page = replica.read_page
+    replica.read_page = lambda addr, **kw: reads.append(addr) or read_page(addr, **kw)
+    driver, report = restart_driver(replica, max_differential_size=MAX_DIFF, mapping=cfg)
+    del replica.read_page
+    store = driver.mapping
+    journal = [store.journal_page_addr(i) for i in range(store.journal_pages)]
+    twice = [a for a in (store.seal_addr(0), store.seal_addr(1), *journal) if reads.count(a) > 1]
+    assert not twice, f"{report.plan}: region pages {twice} were read twice"
     return driver, report
 
 
@@ -209,7 +219,7 @@ def test_torn_journal_append_replays_valid_prefix():
         if report.fast_path:
             # The torn page is journal damage the restart must have seen
             # and repaired (fresh snapshot at the end of the restart).
-            assert report.repaired
+            assert report.plan.repair is RepairReason.TORN_TAIL
     assert torn_fired == total_appends
 
 
@@ -330,8 +340,9 @@ def test_crash_matrix_snapshot_under_held_rows():
         )
 
 
-def test_journal_tail_newer_than_snapshot():
-    """The canonical fast path: clean snapshot + a dirty journal tail."""
+def test_journal_tail_newer_than_snapshot(caplog):
+    """The canonical fast path: clean snapshot + a dirty journal tail —
+    one INFO line naming the epoch and the journal prefix."""
     chip, driver, cfg = _build()
     _workload(driver)
     driver.mapping.snapshot()
@@ -343,10 +354,17 @@ def test_journal_tail_newer_than_snapshot():
         driver.write_page(pid, bytes(image))
     driver.flush()
     expected = _scan_oracle(chip)
-    recovered, report = _restart(chip, cfg)
-    assert report.fast_path and not report.fallback
+    with caplog.at_level(logging.INFO, logger="repro.core.restart"):
+        recovered, report = _restart(chip, cfg)
+    assert report.fast_path and not report.fallback and not report.repaired
     assert report.journal_records > 0
-    assert report.snapshot_seq is not None
+    assert report.snapshot_seq == report.plan.seq
+    (line,) = caplog.records
+    assert line.levelno == logging.INFO and line.name == "repro.core.restart"
+    assert line.getMessage() == (
+        f"restart plan: Fast(seq={report.snapshot_seq}, "
+        f"prefix_pages={report.journal_pages}, repair=None)"
+    )
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
     # The recovered driver stays fully operational, journal included.
     image = bytearray(recovered.read_page(0))
@@ -356,10 +374,10 @@ def test_journal_tail_newer_than_snapshot():
     assert recovered.read_page(0) == bytes(image)
 
 
-def test_journal_overflow_marker_forces_fallback():
+def test_journal_overflow_marker_forces_fallback(caplog):
     """A full journal writes the overflow marker; with no snapshot ever
     landing (GC kept "in flight" artificially), restart must take the
-    scan fallback and still converge."""
+    scan fallback and still converge — and say so in one WARNING."""
     chip, driver, cfg = _build(interval=24)
     driver.mapping._safe_to_snapshot = lambda: False  # type: ignore[method-assign]
     rng = random.Random(SEED)
@@ -376,8 +394,13 @@ def test_journal_overflow_marker_forces_fallback():
     assert driver.mapping._overflowed, "journal never overflowed"
     expected = _scan_oracle(chip)
     recovered, report = _restart(chip, cfg)
-    assert report.fallback and not report.fast_path
+    assert report.plan.reason is FallbackReason.JOURNAL_OVERFLOWED
+    assert report.fallback and report.repaired and not report.fast_path
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
+    (line,) = caplog.records
+    assert line.levelno == logging.WARNING
+    assert "JOURNAL_OVERFLOWED" in line.getMessage()
+    assert f"repair_seq={recovered.mapping.seq}" in line.getMessage()
 
 
 def _snapshotted_with_tail(snapshots: int = 1):
@@ -409,7 +432,8 @@ def test_damaged_newest_seal_forces_fallback(fault, snapshots):
     # now inside the mapping region must never be adopted.
     expected = _scan_oracle(chip, cfg.region_blocks * SPEC.pages_per_block)
     recovered, report = _restart(chip, cfg)
-    assert report.fallback and report.repaired and not report.fast_path
+    assert report.plan.reason is FallbackReason.SEAL_UNREADABLE
+    assert recovered.mapping.seq == report.plan.repair_seq
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
     assert len(recovered.ppmt) == N_PIDS
     # The repair snapshot replaced the damaged half: the next restart is
@@ -455,10 +479,9 @@ def test_rotted_snapshot_page_forces_fallback():
     injector.inject("bit_rot", store.half_start_page(store.seq % 2))
     expected = _scan_oracle(chip)
     recovered, report = _restart(chip, cfg)
-    assert report.fallback and not report.fast_path
+    assert report.plan.reason is FallbackReason.REPLAY_REJECTED
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
     assert len(recovered.ppmt) == N_PIDS
-
 
 
 @pytest.mark.parametrize(

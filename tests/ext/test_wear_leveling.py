@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-import repro.ext.wear_leveling  # noqa: F401  (registers "rr")
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
 from repro.ftl.gc import GcConfig, register_victim_policy, wear_aware_policy

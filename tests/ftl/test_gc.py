@@ -1,5 +1,9 @@
 """Unit tests for the GC engine with a scripted relocation handler."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.flash.chip import FlashChip
@@ -159,10 +163,23 @@ class TestVictimPolicyRegistry:
         with pytest.raises(ConfigurationError, match="unknown victim policy"):
             make_victim_policy("lru")
 
-    def test_ext_round_robin_registers_on_import(self):
-        import repro.ext.wear_leveling  # noqa: F401
-
-        assert "rr" in victim_policy_names()
+    def test_round_robin_needs_no_side_effect_import(self):
+        """``gc=rr`` in a fresh interpreter that imported only what the
+        label needs (the policy used to register itself when an extension
+        module happened to be imported first)."""
+        script = (
+            "from repro.methods import make_method\n"
+            "from repro.flash.chip import FlashChip\n"
+            "from repro.flash.spec import TINY_SPEC\n"
+            "from repro.ftl.gc import victim_policy_names\n"
+            "print(make_method('PDL (256B) gc=rr', FlashChip(TINY_SPEC)).name)\n"
+            "assert 'rr' in victim_policy_names()\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (done.returncode, done.stdout.strip()) == (0, "PDL (256B) gc=rr"), done.stderr
 
     def test_config_resolves_registered_policy(self, chip):
         blocks = BlockManager(chip, reserve_blocks=2)

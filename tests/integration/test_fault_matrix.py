@@ -23,7 +23,8 @@ from repro.core import check_driver, fsck_driver
 from repro.core.mapping import MappingConfig
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
-from repro.ext.journal import restart_driver
+from repro.core.restart import restart_driver
+from repro.core.restart_plan import FallbackReason
 from repro.flash.backend import FaultInjector, FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spare import (
@@ -163,7 +164,13 @@ def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
             # to the scan; a torn spare leaves the data readable, and a
             # damaged journal tail is re-derived by the seeded tail scan.
             unreadable = fault != "torn_spare" and kind != "journal"
-            assert (restart.fallback, restart.fast_path) == (unreadable, not unreadable)
+            assert restart.fast_path == (not unreadable), restart.plan
+            if unreadable:
+                assert restart.plan.reason is {
+                    "seal": FallbackReason.SEAL_UNREADABLE,
+                    "meta": FallbackReason.META_UNREADABLE,
+                    "snapshot": FallbackReason.REPLAY_REJECTED,  # replay's page-in finds it
+                }[kind]
         assert check_driver(restarted).consistent
         for spid in sorted(survivors - rollbacks):
             assert restarted.read_page(spid) == images[spid], (fault, kind, spid)
