@@ -45,6 +45,10 @@ VALUE_SIZE = 8
 CHILD_SIZE = 4
 
 
+#: A fetched node: (page for writes, view for reads, is_leaf, n_keys, next_leaf + 1, keys).
+_Node = Tuple[Page, memoryview, int, int, int, Tuple[int, ...]]
+
+
 class BTreeError(RuntimeError):
     """Raised on malformed nodes or capacity misconfiguration."""
 
@@ -94,10 +98,10 @@ class BTree:
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[int]:
         """Value stored under ``key``, or None."""
-        page, n, _next, keys = self._find_leaf(key)
+        _page, view, _leaf, n, _next, keys = self._find_leaf(key)
         idx = bisect_left(keys, key)
         if idx < n and keys[idx] == key:
-            return page.unpack_at(_U64, HEADER_SIZE + (n + idx) * KEY_SIZE)[0]
+            return _U64.unpack_from(view, HEADER_SIZE + (n + idx) * KEY_SIZE)[0]
         return None
 
     def insert(self, key: int, value: int) -> None:
@@ -116,7 +120,7 @@ class BTree:
 
     def delete(self, key: int) -> bool:
         """Remove a key; returns True when it existed."""
-        page, n, next_raw, keys = self._find_leaf(key)
+        page, _view, _leaf, n, next_raw, keys = self._find_leaf(key)
         idx = bisect_left(keys, key)
         if idx >= n or keys[idx] != key:
             return False
@@ -136,17 +140,17 @@ class BTree:
         self, lo: Optional[int] = None, hi: Optional[int] = None
     ) -> Iterator[Tuple[int, int]]:
         """Yield ``(key, value)`` pairs with lo <= key < hi, in order."""
-        page, n, next_raw, keys = self._find_leaf(lo if lo is not None else 0)
+        page, view, is_leaf, n, next_raw, keys = self._find_leaf(lo or 0)
         begin = bisect_left(keys, lo) if lo is not None else 0
         while True:
             # Both arrays are copied out before the first yield: the
             # consumer may fetch pages in between and evict this leaf.
-            values = page.unpack_at(_array(n, "Q"), HEADER_SIZE + n * KEY_SIZE)
+            values = _array(n, "Q").unpack_from(view, HEADER_SIZE + n * KEY_SIZE)
             end = bisect_left(keys, hi) if hi is not None else n
             yield from zip(keys[begin:end], values[begin:end])
             if end < n or not next_raw:
                 return
-            page, is_leaf, n, next_raw, keys = self._node(next_raw - 1)
+            page, view, is_leaf, n, next_raw, keys = self._node(next_raw - 1)
             if not is_leaf:
                 raise BTreeError(f"leaf chain reaches branch node {page.pid}")
             begin = 0  # only trim inside the first leaf
@@ -168,7 +172,7 @@ class BTree:
     # ------------------------------------------------------------------
     def _insert(self, pid: int, key: int, value: int) -> Optional[Tuple[int, int]]:
         """Recursive insert; returns (separator, new right pid) on split."""
-        page, is_leaf, n, next_raw, keys = self._node(pid)
+        page, _view, is_leaf, n, next_raw, keys = self._node(pid)
         if is_leaf:
             idx = bisect_left(keys, key)
             if idx < n and keys[idx] == key:  # upsert
@@ -231,24 +235,24 @@ class BTree:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def _node(self, pid: int) -> Tuple[Page, int, int, int, Tuple[int, ...]]:
-        """Fetch node ``pid``: (page, is_leaf, n_keys, next_leaf + 1, keys)."""
+    def _node(self, pid: int) -> _Node:
+        """Fetch and decode node ``pid``."""
         page = self.db.page(pid)
-        magic, is_leaf, _r1, n, _r2, next_raw = page.unpack_at(_HEADER, 0)
+        view = page.view
+        magic, is_leaf, _r1, n, _r2, next_raw = _HEADER.unpack_from(view)
         if magic != MAGIC:
             raise BTreeError(f"page {pid} is not a B+tree node (magic 0x{magic:04X})")
-        return page, is_leaf, n, next_raw, page.unpack_at(_array(n, "Q"), HEADER_SIZE)
+        return page, view, is_leaf, n, next_raw, _array(n, "Q").unpack_from(view, HEADER_SIZE)
 
-    def _find_leaf(self, key: int) -> Tuple[Page, int, int, Tuple[int, ...]]:
-        """Descend to the leaf covering ``key``: (page, n_keys, next_leaf + 1, keys)."""
+    def _find_leaf(self, key: int) -> _Node:
+        """Descend to the leaf covering ``key``."""
         pid = self.root_pid
         while True:
-            page, is_leaf, n, next_raw, keys = self._node(pid)
+            node = _page, view, is_leaf, n, _next, keys = self._node(pid)
             if is_leaf:
-                return page, n, next_raw, keys
-            (pid,) = page.unpack_at(
-                _U32,
-                HEADER_SIZE + n * KEY_SIZE + bisect_right(keys, key) * CHILD_SIZE,
+                return node
+            (pid,) = _U32.unpack_from(
+                view, HEADER_SIZE + n * KEY_SIZE + bisect_right(keys, key) * CHILD_SIZE
             )
 
     # ------------------------------------------------------------------
@@ -262,7 +266,7 @@ class BTree:
         next_raw = leaves[0] + 1
         while next_raw:
             chained.append(next_raw - 1)
-            next_raw = self._node(next_raw - 1)[3]
+            next_raw = self._node(next_raw - 1)[4]
         if leaves != chained:
             raise BTreeError("leaf chain does not match tree order")
 
@@ -274,7 +278,7 @@ class BTree:
         leaves: List[int],
         is_root: bool = False,
     ) -> None:
-        page, is_leaf, n, _next, keys = self._node(pid)
+        _page, view, is_leaf, n, _next, keys = self._node(pid)
         if list(keys) != sorted(keys):
             raise BTreeError(f"node {pid} keys unsorted")
         for key in keys:
@@ -289,7 +293,7 @@ class BTree:
             raise BTreeError(f"branch {pid} overflows")
         if not is_root and n < 1:
             raise BTreeError(f"branch {pid} is empty")
-        children = page.unpack_at(_array(n + 1, "I"), HEADER_SIZE + n * KEY_SIZE)
+        children = _array(n + 1, "I").unpack_from(view, HEADER_SIZE + n * KEY_SIZE)
         bounds = [lo, *keys, hi]
         for child, clo, chi in zip(children, bounds, bounds[1:]):
             self._check_node(child, clo, chi, leaves)

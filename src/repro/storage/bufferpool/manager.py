@@ -12,8 +12,8 @@ Locking model (see ``docs/bufferpool.md``):
 
 * one pool lock (re-entrant) guards the frame table, the eviction
   policy and the stats — every public entry point takes it;
-* per-page latches guard page content/pins (:class:`~repro.storage.page
-  .Page`); the ordering is always ``pool lock → page latch → dirty
+* per-page latches guard page writes/pins, never a read (:class:`~repro
+  .storage.page.Page`); the ordering is always ``pool lock → page latch → dirty
   lock``, with the driver lock (serial drivers only) innermost;
 * flash **reads** for misses happen *outside* the pool lock so client
   threads miss concurrently on a parallel sharded driver; a lost race
@@ -68,6 +68,8 @@ class BufferManager:
         if capacity < 1:
             raise ValueError("buffer capacity must be at least one page")
         self.driver = driver
+        #: Whether frames record update logs: fixed per driver, read once.
+        self._logged = driver.tightly_coupled
         self._capacity = capacity
         self._frames: Dict[int, Page] = {}
         if isinstance(policy, str):
@@ -171,7 +173,7 @@ class BufferManager:
                     self.stats.read_races += 1
                     continue
                 self.stats.misses += 1
-                page = Page(pid, data, self.driver.tightly_coupled)
+                page = Page(pid, data, self._logged)
                 self._admit_locked(page)
                 if pin:
                     page.pin()
@@ -195,7 +197,7 @@ class BufferManager:
         with self._lock:
             if pid in self._frames:
                 raise BufferError(f"page {pid} already buffered")
-            page = Page(pid, data, self.driver.tightly_coupled)
+            page = Page(pid, data, self._logged)
             page.dirty = True
             self._admit_locked(page)
             return page
@@ -298,7 +300,7 @@ class BufferManager:
                 return
             snapshots = [page.writeback_snapshot() for page in dirty]
             logs = None
-            if self.driver.tightly_coupled:
+            if self._logged:
                 logs = {
                     page.pid: snap[1] for page, snap in zip(dirty, snapshots)
                 }
@@ -325,7 +327,7 @@ class BufferManager:
         clear.
         """
         with page.latch:
-            logs = page.change_log if self.driver.tightly_coupled else None
+            logs = page.change_log if self._logged else None
             self._driver_write_page(page.pid, page.data, logs)
             page.clear_log()
 
@@ -341,8 +343,8 @@ class BufferManager:
 
     def _evict_one_locked(self) -> None:
         while True:
-            self._drain_reparks_locked()
-            victim_pid = None
+            if self._repark:  # unlocked peek: an event queued right now waits a turn
+                self._drain_reparks_locked()
             if self.writeback is None:
                 victim_pid = self.policy.select_victim(self._pin_evictable)
             else:

@@ -207,7 +207,7 @@ class WritebackDaemon:
                 data, logs, version = page.writeback_snapshot()
                 snapshots.append((page, data, logs, version))
             update_logs = None
-            if pool.driver.tightly_coupled:
+            if pool._logged:
                 update_logs = {page.pid: logs for page, _d, logs, _v in snapshots}
             # The flash write itself: off every pool/page lock.  On a
             # parallel sharded driver this groups by shard and joins the

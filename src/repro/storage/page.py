@@ -14,12 +14,19 @@ unlogged page it is one compare and one assignment.
 
 Concurrency: many client threads share one pool over a
 :class:`~repro.sharding.executor.ParallelShardedDriver`, so each page
-carries a small re-entrant latch serializing content access, log
-clearing and pin-count changes.  The latch is a *leaf* lock in the
-ordering ``pool lock → page latch → notification lock`` (see
-``docs/bufferpool.md``); the pool-observer callbacks invoked under it
-must therefore never take the pool lock — they only update the pool's
-dirty/unpark bookkeeping, which lives behind its own small lock.
+carries a small re-entrant latch.  **A latch orders multi-step
+mutations, never a single read**: writes, log clearing, write-back
+snapshots and pin-count changes take it, so version, dirty flag, change
+log and pin count move together; :meth:`Page.read`, :attr:`Page.data`
+and decodes from :attr:`Page.view` take nothing.  That rests on the
+global interpreter lock — a read is one C-level copy or unpack, a store
+one C-level slice assignment, and the GIL runs each whole — so a
+free-threaded interpreter voids it (``tests/storage/test_page.py`` fails
+there by name).  The latch is a *leaf* lock in the ordering ``pool lock
+→ page latch → notification lock`` (see ``docs/bufferpool.md``); the
+pool-observer callbacks invoked under it must therefore never take the
+pool lock — they only update the pool's dirty/unpark bookkeeping, which
+lives behind its own small lock.
 
 Pinning marks a page as in use so the pool will not evict it.  Prefer
 the :meth:`pinned` context manager (or
@@ -35,10 +42,9 @@ raises :class:`BufferError` rather than lose the update.
 
 from __future__ import annotations
 
-import struct
 import threading
 from contextlib import contextmanager
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional
 
 from ..core.differential import compute_runs
 from ..ftl.base import ChangeRun
@@ -62,6 +68,7 @@ class Page:
         "version",
         "_observer",
         "_evicted",
+        "_view",
     )
 
     def __init__(self, pid: int, data: bytes, logged: bool = True):
@@ -73,9 +80,9 @@ class Page:
         #: Update logs since the page was last clean (none if unlogged).
         self.change_log: List[ChangeRun] = []
         self.pin_count = 0
-        #: Serializes content access, log clearing and pinning.
-        #: Re-entrant: :meth:`write_delta` and the pool's write-back call
-        #: other latched methods while holding it.
+        #: Serializes writes, log clearing, write-back snapshots and
+        #: pinning (never a read).  Re-entrant: :meth:`write_delta` and
+        #: the pool's write-back call other latched methods holding it.
         self.latch = threading.RLock()
         #: Bumped on every effective write; background write-back compares
         #: versions to decide whether its flushed snapshot is current.
@@ -85,6 +92,7 @@ class Page:
         #: The owning pool dropped this frame (never true of a page that
         #: was never attached, as unit tests build them).
         self._evicted = False
+        self._view: Optional[memoryview] = None
 
     # ------------------------------------------------------------------
     # Access
@@ -96,27 +104,27 @@ class Page:
     @property
     def data(self) -> bytes:
         """An immutable snapshot of the page contents."""
-        with self.latch:
-            return bytes(self._data)
+        return bytes(self._data)
+
+    @property
+    def view(self) -> memoryview:
+        """The live image, read-only and uncopied: what decoders
+        ``unpack_from``.  One per frame, made on first use.  It bounds
+        reads past the page end but not a negative offset (``struct``
+        counts that from the end), so a decoder whose offsets come from
+        page content checks them itself."""
+        view = self._view
+        if view is None:
+            view = self._view = memoryview(self._data).toreadonly()
+        return view
 
     def read(self, offset: int, length: int) -> bytes:
-        with self.latch:
-            if offset < 0 or offset + length > len(self._data):
-                raise ValueError(
-                    f"read [{offset}, {offset + length}) outside page of "
-                    f"{len(self._data)} bytes"
-                )
-            return bytes(self._data[offset : offset + length])
-
-    def unpack_at(self, layout: struct.Struct, offset: int) -> Tuple:
-        """Decode ``layout`` straight from the live image (no copy)."""
-        with self.latch:
-            if offset < 0 or offset + layout.size > len(self._data):
-                raise ValueError(
-                    f"read [{offset}, {offset + layout.size}) outside page of "
-                    f"{len(self._data)} bytes"
-                )
-            return layout.unpack_from(self._data, offset)
+        if offset < 0 or length < 0 or offset + length > len(self._data):
+            raise ValueError(
+                f"read [{offset}, {offset + length}) outside page of "
+                f"{len(self._data)} bytes"
+            )
+        return bytes(self._data[offset : offset + length])
 
     # ------------------------------------------------------------------
     # Mutation (logged when the page is)
@@ -203,11 +211,11 @@ class Page:
     # Pool attachment
     # ------------------------------------------------------------------
     def attach(self, observer) -> None:
-        """Bind the owning pool; reports a pre-existing dirty state."""
-        with self.latch:
-            self._observer = observer
-            if self.dirty:
-                observer._page_dirtied(self.pid)
+        """Bind the owning pool; reports a pre-existing dirty state.  No
+        latch: the pool lock that publishes the frame is still held."""
+        self._observer = observer
+        if self.dirty:
+            observer._page_dirtied(self.pid)
 
     def detach(self) -> None:
         """The owning pool dropped this frame: later writes must fail."""

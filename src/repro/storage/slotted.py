@@ -45,14 +45,20 @@ class SlottedPage:
     as :class:`~repro.storage.heap.HeapFile` does.
     """
 
+    __slots__ = ("page", "_view", "slot_count", "_free_start", "live_records")
+
     def __init__(self, page: Page):
         self.page = page
-        magic, self.slot_count, self._free_start, self.live_records = page.unpack_at(
-            _HEADER, 0
+        self._view = view = page.view
+        magic, self.slot_count, self._free_start, self.live_records = (
+            _HEADER.unpack_from(view)
         )
-        if magic != MAGIC:
+        # Slot offsets count back from the page end: a count that cannot fit
+        # would take one below zero, which struct reads from the end.
+        if magic != MAGIC or HEADER_SIZE + self.slot_count * SLOT_SIZE > len(view):
             raise SlottedPageError(
-                f"page {page.pid} is not a slotted page (magic 0x{magic:04X})"
+                f"page {page.pid} is not a slotted page (magic 0x{magic:04X}, "
+                f"{self.slot_count} slots in {len(view)} bytes)"
             )
 
     @classmethod
@@ -79,7 +85,7 @@ class SlottedPage:
             raise SlottedPageError(
                 f"slot {slot} out of range (page {self.page.pid} has {self.slot_count})"
             )
-        return self.page.unpack_at(_SLOT, self.page.size - SLOT_SIZE * (slot + 1))
+        return _SLOT.unpack_from(self._view, len(self._view) - SLOT_SIZE * (slot + 1))
 
     def _live_slot(self, slot: int) -> Tuple[int, int]:
         offset, length = self._read_slot(slot)

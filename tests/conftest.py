@@ -52,26 +52,45 @@ def mutate(rng: random.Random, data: bytes, n_bytes: int) -> bytes:
     return bytes(image)
 
 
+def _count_profile_events(fn, counted) -> int:
+    """Run ``fn()`` under ``sys.setprofile``; count the events for which
+    ``counted(event, arg)`` is true."""
+    n = 0
+
+    def on_event(_frame, event, arg):
+        nonlocal n
+        if counted(event, arg):
+            n += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(on_event)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return n
+
+
 @pytest.fixture
 def count_python_calls():
     """``count(fn)`` runs ``fn()`` and returns how many Python-level calls
     it made (``sys.setprofile`` "call" events, ``fn`` itself included) —
     the deterministic stand-in for a stopwatch the call-budget tests use."""
+    return lambda fn: _count_profile_events(fn, lambda event, _arg: event == "call")
 
-    def count(fn) -> int:
-        calls = 0
 
-        def on_event(_frame, event, _arg):
-            nonlocal calls
-            if event == "call":
-                calls += 1
+@pytest.fixture
+def count_lock_releases():
+    """``count(fn)`` runs ``fn()`` and returns how many times it released a
+    ``threading`` lock or re-entrant lock — a ``with`` block's ``__exit__``
+    or a bare ``release`` ("c_call" events).  Every release pairs with an
+    acquisition, so this is what ``fn`` spent on locking, without a clock."""
 
-        previous = sys.getprofile()
-        sys.setprofile(on_event)
-        try:
-            fn()
-        finally:
-            sys.setprofile(previous)
-        return calls
+    def is_release(event, arg) -> bool:
+        return (
+            event == "c_call"
+            and arg.__name__ in ("__exit__", "release")
+            and type(getattr(arg, "__self__", None)).__name__ in ("RLock", "lock")
+        )
 
-    return count
+    return lambda fn: _count_profile_events(fn, is_release)

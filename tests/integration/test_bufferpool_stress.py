@@ -16,9 +16,17 @@ as the driver-level stress test) and accesses pages exclusively through
   pages (dirty evictions + flushes + background write-back) equal the
   driver-level written-page count — no page write is lost or
   double-counted when eviction, flushing and the daemon interleave.
+
+A second case holds the rule the pool's readers rest on — *a latch
+orders multi-step mutations, never a single read* (``repro/storage/
+page.py``): one writer stamps whole records with one ``page.write``
+while reader threads ``read``, snapshot and decode the same frames with
+no latch, and no reader may ever see a record half old and half new.
 """
 
 import random
+import struct
+import sys
 import threading
 import time
 
@@ -84,8 +92,9 @@ class CountingDriver:
         return getattr(self._inner, name)
 
 
-@pytest.mark.parametrize("backend", ["memory", "file"])
-def test_eight_clients_share_one_pool(backend, tmp_path):
+def open_pool(backend, tmp_path, model):
+    """A pool with background write-back over a counted 4-shard parallel
+    driver loaded with ``model``: ``(db, counted driver, raw driver)``."""
     chips = []
     for i in range(N_SHARDS):
         device = None
@@ -98,17 +107,40 @@ def test_eight_clients_share_one_pool(backend, tmp_path):
         gc=GcConfig(incremental_steps=2, hot_cold=True),
     )
     driver = CountingDriver(raw_driver)
-    seed_rng = random.Random(20100220)
-    model = [seed_rng.randbytes(PAGE) for _ in range(N_PAGES)]
     raw_driver.load_pages(list(enumerate(model)))
     raw_driver.end_of_load()
     db = Database.resume(
         driver,
         BUFFER_PAGES,
-        N_PAGES,
+        len(model),
         buffer_policy="lru",
         writeback=WritebackConfig(high_watermark=0.4, low_watermark=0.15),
     )
+    return db, driver, raw_driver
+
+
+def audit_quiesced_pool(db, driver):
+    """After the last flush, before anything reads the driver directly:
+    the BufferStats audit, no pin leaks, nothing left dirty."""
+    stats = db.buffer_stats
+    assert stats.misses == driver.reads, (
+        f"pool misses {stats.misses} != driver reads {driver.reads}"
+    )
+    assert stats.flashed_pages == driver.pages_written, (
+        f"pool flashed pages {stats.flashed_pages} != driver writes "
+        f"{driver.pages_written}"
+    )
+    leaked = [page.pid for page in db.pool.pages() if page.pin_count]
+    assert not leaked, f"leaked pins on pages {leaked}"
+    assert db.pool.pinned_count() == 0
+    assert db.pool.dirty_count == 0  # everything flushed
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_eight_clients_share_one_pool(backend, tmp_path):
+    seed_rng = random.Random(20100220)
+    model = [seed_rng.randbytes(PAGE) for _ in range(N_PAGES)]
+    db, driver, raw_driver = open_pool(backend, tmp_path, model)
     try:
         errors = []
 
@@ -162,21 +194,9 @@ def test_eight_clients_share_one_pool(backend, tmp_path):
             db.flush()
         assert stats.writeback_pages > 0, "background write-back never ran"
 
-        # The stats audit, *before* the verification reads below touch
-        # the driver outside the pool.
-        assert stats.misses == driver.reads, (
-            f"pool misses {stats.misses} != driver reads {driver.reads}"
-        )
-        assert stats.flashed_pages == driver.pages_written, (
-            f"pool flashed pages {stats.flashed_pages} != driver writes "
-            f"{driver.pages_written}"
-        )
-
-        # No pin leaks: every resident frame is unpinned.
-        leaked = [page.pid for page in db.pool.pages() if page.pin_count]
-        assert not leaked, f"leaked pins on pages {leaked}"
-        assert db.pool.pinned_count() == 0
-        assert db.pool.dirty_count == 0  # everything flushed
+        # *Before* the verification reads below touch the driver
+        # outside the pool.
+        audit_quiesced_pool(db, driver)
 
         # Every client's final image survived the interleaving.
         for pid in range(N_PAGES):
@@ -186,5 +206,109 @@ def test_eight_clients_share_one_pool(backend, tmp_path):
         for shard in raw_driver.shards:
             check_driver(shard).raise_if_inconsistent()
     finally:
+        db.pool.close()
+        raw_driver.close()
+
+
+RECORD_WORDS = 16
+RECORD = struct.Struct(f"<{RECORD_WORDS}I")  # one sequence number, repeated
+RECORDS_PER_PAGE = PAGE // RECORD.size
+N_READERS = 4
+SHARED_PAGES = 96  # twice the pool: readers and the writer evict each other
+HOT_PAGES = 4  # ... and meet on these, where a torn write would be seen
+WRITER_OPS = 2500
+JOIN_TIMEOUT_S = 120.0
+
+
+def stamp(seq):
+    return RECORD.pack(*[seq] * RECORD_WORDS)
+
+
+def pick_page(rng):
+    return rng.randrange(HOT_PAGES if rng.random() < 0.75 else SHARED_PAGES)
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_latch_free_readers_never_see_a_torn_record(backend, tmp_path):
+    # model[pid][slot] is the sequence number last stamped there; only
+    # the writer thread touches it until every thread is joined.
+    model = [[0] * RECORDS_PER_PAGE for _ in range(SHARED_PAGES)]
+    db, driver, raw_driver = open_pool(
+        backend, tmp_path, [stamp(0) * RECORDS_PER_PAGE] * SHARED_PAGES
+    )
+    errors = []
+    done = threading.Event()
+    reads = [0] * N_READERS
+
+    def writer():
+        rng = random.Random(41)
+        try:
+            for seq in range(1, WRITER_OPS + 1):
+                pid, slot = pick_page(rng), rng.randrange(RECORDS_PER_PAGE)
+                with db.pool.pinned(pid) as page:
+                    page.write(slot * RECORD.size, stamp(seq))
+                model[pid][slot] = seq
+                if seq % 500 == 0:
+                    db.flush()
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader(r):
+        rng = random.Random(5000 + r)
+        newest = {}  # (pid, slot) -> highest sequence number this reader saw
+        try:
+            while not done.is_set():
+                pid = pick_page(rng)
+                with db.pool.pinned(pid) as page:
+                    snapshot = page.data
+                    for slot in range(RECORDS_PER_PAGE):
+                        at = slot * RECORD.size
+                        for words in (
+                            RECORD.unpack(page.read(at, RECORD.size)),
+                            RECORD.unpack_from(page.view, at),
+                            RECORD.unpack_from(snapshot, at),
+                        ):
+                            assert len(set(words)) == 1, (
+                                f"reader {r}: torn record {pid}/{slot}: {words}"
+                            )
+                        # Read last, so no older than anything seen before:
+                        # a frame admitted from a stale flash image would be.
+                        seq = RECORD.unpack_from(page.view, at)[0]
+                        assert seq >= newest.get((pid, slot), 0), (
+                            f"reader {r}: record {pid}/{slot} went back to {seq}"
+                        )
+                        newest[pid, slot] = seq
+                reads[r] += 1
+        except BaseException as exc:
+            errors.append(exc)
+            done.set()
+
+    threads = [threading.Thread(target=writer, name="stamp-writer")] + [
+        threading.Thread(target=reader, args=(r,), name=f"stamp-reader-{r}")
+        for r in range(N_READERS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads every few bytecodes
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT_S)
+        hung = [thread.name for thread in threads if thread.is_alive()]
+        done.set()
+        assert not hung, f"threads still running: {hung}"
+        if errors:
+            raise errors[0]
+        assert all(reads), f"a reader never ran: {reads}"
+        db.flush()
+        audit_quiesced_pool(db, driver)
+        for pid, seqs in enumerate(model):
+            assert raw_driver.read_page(pid) == b"".join(map(stamp, seqs)), (
+                f"pid {pid} differs on flash"
+            )
+    finally:
+        sys.setswitchinterval(interval)
         db.pool.close()
         raw_driver.close()

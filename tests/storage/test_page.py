@@ -1,6 +1,7 @@
 """Unit tests for buffered pages and change-log recording."""
 
 import struct
+import sys
 
 import pytest
 
@@ -43,6 +44,12 @@ class TestReadWrite:
             page.write(62, b"abc")
         with pytest.raises(ValueError):
             page.read(60, 10)
+
+    def test_negative_length_read_rejected(self, page):
+        with pytest.raises(ValueError):
+            page.read(0, -1)  # a bare slice would return all but the last byte
+        with pytest.raises(ValueError):
+            page.read(10, -5)
 
     def test_read_returns_copy(self, page):
         page.write(0, b"abc")
@@ -151,19 +158,32 @@ class TestUnlogged:
         assert page.writeback_snapshot()[1] == []
 
 
-class TestUnpackAt:
+class TestView:
     def test_decodes_in_place(self, page):
         layout = struct.Struct("<HI")
         page.write(10, layout.pack(0xBEEF, 123456))
-        assert page.unpack_at(layout, 10) == (0xBEEF, 123456)
+        view = page.view
+        assert layout.unpack_from(view, 10) == (0xBEEF, 123456)
+        page.write(10, layout.pack(7, 8))
+        assert layout.unpack_from(view, 10) == (7, 8)  # live, not a snapshot
+        assert page.view is view  # one per frame
 
     def test_bounds_checked(self, page):
         layout = struct.Struct("<Q")
-        assert page.unpack_at(layout, 56) == (0,)
-        with pytest.raises(ValueError):
-            page.unpack_at(layout, 57)
-        with pytest.raises(ValueError):
-            page.unpack_at(layout, -8)  # struct would count from the end
+        assert layout.unpack_from(page.view, 56) == (0,)
+        with pytest.raises(struct.error):
+            layout.unpack_from(page.view, 57)
+        with pytest.raises(TypeError):
+            page.view[0] = 1  # writes go through Page.write, never the view
+
+
+def test_latch_free_reads_rest_on_the_gil():
+    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
+    assert gil_enabled, (
+        "free-threaded interpreter: Page.read, Page.data and decodes from "
+        "Page.view take no latch (repro/storage/page.py, 'Concurrency'); "
+        "without the GIL they can tear against a concurrent Page.write"
+    )
 
 
 class TestPinning:

@@ -26,6 +26,15 @@ class TestFormat:
         with pytest.raises(SlottedPageError):
             SlottedPage(Page(0, bytes(256))).slot_count
 
+    def test_slot_count_larger_than_the_page_rejected(self):
+        # Slot offsets count back from the page end; a corrupt count must
+        # not turn into a negative offset that struct reads from the end.
+        page = Page(0, bytes(64))
+        SlottedPage.format(page)
+        page.write(2, (64 // SLOT_SIZE).to_bytes(2, "little"))
+        with pytest.raises(SlottedPageError, match="16 slots in 64 bytes"):
+            SlottedPage(page)
+
     def test_capacity_for(self):
         assert SlottedPage.capacity_for(20, 256) == (256 - HEADER_SIZE) // 24
 
