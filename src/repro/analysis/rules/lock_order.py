@@ -4,7 +4,8 @@ The engine's deadlock-freedom argument (docs/bufferpool.md) is a total
 order: pool ``_lock`` → page ``latch`` → ``_dirty_lock`` → serial
 ``_driver_lock`` or, on a parallel array, a shard gate
 (docs/concurrency.md: a leaf, nothing is acquired under it), with
-``_flush_serial`` above them all.  Nothing enforces it at runtime — two
+``_flush_serial`` above them all; a page calls its pool (``_pin``/
+``_unpin``) only with its latch released.  Nothing enforces it at runtime — two
 threads acquiring two locks in opposite orders deadlock only under the
 right interleaving, which is exactly the kind of bug that survives
 every test run until production.

@@ -2,11 +2,11 @@
 
 A raw ``pin()`` with an exception before the matching ``unpin()``
 leaves the frame unevictable forever — the pool fills with pinned
-garbage and ``get_page`` eventually raises ``BufferPoolFullError``.
-``BufferManager.pinned(pid)`` / ``Page.pinned()`` pair the two in a
-context manager; only ``storage/page.py`` (which defines them) and
-``storage/bufferpool/manager.py`` (which must pin under its own lock
-while claiming write-back batches) may call the raw methods.
+garbage and ``get_page`` eventually raises ``BufferError`` ("all buffer
+frames are pinned").  ``BufferManager.pinned(pid)`` / ``Page.pinned()``
+pair the two in a context manager; only ``storage/page.py``, which
+defines them, may call the raw methods (the pool counts its own pins
+under its lock and never calls them).
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from ..findings import Finding
 from ..registry import Rule, register_rule
 from . import path_matches
 
-ALLOWED_PATHS = (
-    "repro/storage/page.py",
-    "repro/storage/bufferpool/manager.py",
-)
+ALLOWED_PATHS = ("repro/storage/page.py",)
 
 
 @register_rule

@@ -11,8 +11,9 @@ strictly opt-in.
 Locking model (see ``docs/bufferpool.md``):
 
 * one pool lock (re-entrant) guards the frame table, the eviction
-  policy and the stats — every public entry point takes it;
-* per-page latches guard page writes/pins, never a read (:class:`~repro
+  policy, the stats and resident frames' pin counts — every public
+  entry point takes it;
+* per-page latches order page writes, never a read (:class:`~repro
   .storage.page.Page`); the ordering is always ``pool lock → page latch → dirty
   lock``, with the driver lock (serial drivers only) innermost;
 * flash **reads** for misses happen *outside* the pool lock so client
@@ -86,11 +87,10 @@ class BufferManager:
         #: outside the lock detect an admit+evict cycle of the same pid
         #: (its image may be stale) and retry instead of admitting it.
         self._evict_gen: Dict[int, int] = {}
-        #: Leaf lock: dirty counter + pending unpark queue + daemon cond.
+        #: Leaf lock: the dirty counter and the daemon's condition.
         self._dirty_lock = threading.Lock()
         self._dirty_cond = threading.Condition(self._dirty_lock)
         self._dirty_count = 0
-        self._repark: List[int] = []
         #: Serializes concurrent flush_all callers (durability points).
         self._flush_serial = threading.Lock()
 
@@ -148,8 +148,7 @@ class BufferManager:
                 if page is not None:
                     self.policy.touch(pid)
                     self.stats.hits += 1
-                    if pin:
-                        page.pin()
+                    page.pin_count += pin  # a bool: pinned under the lookup's lock
                     return page
                 generation = self._evict_gen.get(pid, 0)
             if self._driver_lock is None:
@@ -164,8 +163,7 @@ class BufferManager:
                     self.policy.touch(pid)
                     self.stats.misses += 1
                     self.stats.read_races += 1
-                    if pin:
-                        page.pin()
+                    page.pin_count += pin
                     return page
                 if self._evict_gen.get(pid, 0) != generation:
                     # Admitted and evicted behind our back: retry.
@@ -175,8 +173,7 @@ class BufferManager:
                 self.stats.misses += 1
                 page = Page(pid, data, self._logged)
                 self._admit_locked(page)
-                if pin:
-                    page.pin()
+                page.pin_count += pin
                 return page
 
     def pinned(self, pid: int) -> "_PinnedPage":
@@ -228,7 +225,6 @@ class BufferManager:
         with self._lock:
             while self._inflight:
                 self._inflight_cond.wait()
-            self._drain_reparks_locked()
             dropped = 0
             for pid, page in list(self._frames.items()):
                 if page.dirty or page.pin_count > 0:
@@ -289,7 +285,6 @@ class BufferManager:
         with self._lock:
             while self._inflight:
                 self._inflight_cond.wait()
-            self._drain_reparks_locked()
             dirty = [
                 self._frames[pid]
                 for pid in self.policy.iter_pids()
@@ -343,8 +338,6 @@ class BufferManager:
 
     def _evict_one_locked(self) -> None:
         while True:
-            if self._repark:  # unlocked peek: an event queued right now waits a turn
-                self._drain_reparks_locked()
             if self.writeback is None:
                 victim_pid = self.policy.select_victim(self._pin_evictable)
             else:
@@ -413,10 +406,27 @@ class BufferManager:
         return not page.dirty
 
     # ------------------------------------------------------------------
-    # Page notifications (called under the page latch — leaf locks only)
+    # Pins (pool lock) and page notifications (page latch held)
     # ------------------------------------------------------------------
+    def _pin(self, page: Page) -> bool:
+        """``Page.pin`` on an attached frame; False if it left the pool."""
+        with self._lock:
+            if self._frames.get(page.pid) is not page:
+                return False
+            page.pin_count += 1
+            return True
+
+    def _unpin(self, page: Page) -> None:
+        """Drop one pin; the last hands the frame back to the eviction order."""
+        with self._lock:
+            if page.pin_count <= 0:
+                raise RuntimeError(f"page {page.pid} unpinned more than pinned")
+            page.pin_count -= 1
+            if page.pin_count == 0:
+                self.policy.unpark(page.pid)
+
     def _page_dirtied(self, pid: int) -> None:
-        with self._dirty_cond:
+        with self._dirty_lock:
             self._dirty_count += 1
             if self.writeback is not None and self._dirty_count >= (
                 self.writeback.config.high_pages(self._capacity)
@@ -424,23 +434,10 @@ class BufferManager:
                 self.writeback.notify()
 
     def _page_cleaned(self, pid: int) -> None:
-        with self._dirty_cond:
+        # Only the pool's write-back paths clean: the pool lock is held.
+        with self._dirty_lock:
             self._dirty_count -= 1
-            self._repark.append(pid)
-            self._dirty_cond.notify_all()
-
-    def _page_unpinned(self, pid: int) -> None:
-        with self._dirty_lock:
-            self._repark.append(pid)
-
-    def _drain_reparks_locked(self) -> None:
-        """Feed queued unpin/cleaned events to the policy's cursor."""
-        with self._dirty_lock:
-            if not self._repark:
-                return
-            pending, self._repark = self._repark, []
-        for pid in pending:
-            self.policy.unpark(pid)
+        self.policy.unpark(pid)
 
     # ------------------------------------------------------------------
     # Background write-back support (called by the daemon)
@@ -449,12 +446,11 @@ class BufferManager:
         """Pin up to ``max_pages`` cold dirty pages for a flush batch."""
         batch: List[Page] = []
         with self._lock:
-            self._drain_reparks_locked()
             for pid in self.policy.iter_pids():
                 page = self._frames.get(pid)
                 if page is None or not page.dirty or pid in self._inflight:
                     continue
-                page.pin()  # blocks eviction while the batch is in flight
+                page.pin_count += 1  # blocks eviction while the batch is in flight
                 self._inflight.add(pid)
                 batch.append(page)
                 if len(batch) >= max_pages:
@@ -471,7 +467,7 @@ class BufferManager:
                 self.stats.writeback_batches += 1
             for page in claimed:
                 self._inflight.discard(page.pid)
-                page.unpin()
+                self._unpin(page)
             self._inflight_cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -531,13 +527,10 @@ class _PinnedPage:
     def __init__(self, pool: BufferManager, pid: int):
         self._pool = pool
         self._pid = pid
-        self._page: Optional[Page] = None
 
     def __enter__(self) -> Page:
         self._page = self._pool.get_page(self._pid, pin=True)
         return self._page
 
     def __exit__(self, *exc_info) -> None:
-        if self._page is not None:
-            self._page.unpin()
-            self._page = None
+        self._pool._unpin(self._page)

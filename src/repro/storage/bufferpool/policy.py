@@ -147,8 +147,8 @@ class LruPolicy(EvictionPolicy):
     and later scans step over it with a single hash probe instead of
     re-running the manager's pin/dirty verdict on every eviction — the
     O(pinned-cold-frames) rescan this policy exists to fix.  A parked
-    frame rejoins the scan only on an :meth:`unpark` event (the manager
-    forwards unpin/cleaned notifications) or a :meth:`touch`, which
+    frame rejoins the scan only on an :meth:`unpark` (the manager's, on
+    a frame's last unpin or its cleaning) or a :meth:`touch`, which
     makes it MRU anyway.
     """
 

@@ -16,17 +16,16 @@ Concurrency: many client threads share one pool over a
 :class:`~repro.sharding.executor.ParallelShardedDriver`, so each page
 carries a small re-entrant latch.  **A latch orders multi-step
 mutations, never a single read**: writes, log clearing, write-back
-snapshots and pin-count changes take it, so version, dirty flag, change
-log and pin count move together; :meth:`Page.read`, :attr:`Page.data`
-and decodes from :attr:`Page.view` take nothing.  That rests on the
-global interpreter lock — a read is one C-level copy or unpack, a store
-one C-level slice assignment, and the GIL runs each whole — so a
-free-threaded interpreter voids it (``tests/storage/test_page.py`` fails
-there by name).  The latch is a *leaf* lock in the ordering ``pool lock
-→ page latch → notification lock`` (see ``docs/bufferpool.md``); the
-pool-observer callbacks invoked under it must therefore never take the
-pool lock — they only update the pool's dirty/unpark bookkeeping, which
-lives behind its own small lock.
+snapshots and ``detach`` take it, so version, dirty flag and change log
+move together; :meth:`Page.read`, :attr:`Page.data` and decodes from
+:attr:`Page.view` take nothing.  That rests on the global interpreter
+lock — a read is one C-level copy or unpack, a store one C-level slice
+assignment, and the GIL runs each whole — so a free-threaded
+interpreter voids it (``tests/storage/test_page.py`` fails there by
+name).  A pin is pool state: on an attached frame :meth:`pin` and
+:meth:`unpin` are the pool's, under its lock.  The latch is a *leaf*
+lock in the order ``pool lock → page latch → dirty lock``
+(``docs/bufferpool.md``): nothing holding it calls up into the pool.
 
 Pinning marks a page as in use so the pool will not evict it.  Prefer
 the :meth:`pinned` context manager (or
@@ -36,8 +35,8 @@ also makes the lookup-and-pin atomic) over bare :meth:`pin`/
 silently shrinks the pool until it hits :class:`BufferError`.  An
 *unpinned* handle is good only until the next call that can admit a page
 (``Database.page`` / ``allocate_page``) and so evict this one: re-fetch
-by pid afterwards.  Writing through the handle of an evicted frame
-raises :class:`BufferError` rather than lose the update.
+by pid afterwards.  Writing through or pinning the handle of an evicted
+frame raises :class:`BufferError`.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from ..ftl.base import ChangeRun
 
 
 class BufferError(RuntimeError):
-    """Raised on pool misuse (all frames pinned, a write to an evicted frame)."""
+    """Raised on pool misuse (all frames pinned, use of an evicted frame)."""
 
 
 class Page:
@@ -79,15 +78,16 @@ class Page:
         self.logged = logged
         #: Update logs since the page was last clean (none if unlogged).
         self.change_log: List[ChangeRun] = []
+        #: Guarded by the owning pool's lock while attached, else the latch.
         self.pin_count = 0
-        #: Serializes writes, log clearing, write-back snapshots and
-        #: pinning (never a read).  Re-entrant: :meth:`write_delta` and
-        #: the pool's write-back call other latched methods holding it.
+        #: Serializes writes, log clearing and write-back snapshots (never
+        #: a read).  Re-entrant: :meth:`write_delta` and the pool's
+        #: write-back call other latched methods holding it.
         self.latch = threading.RLock()
         #: Bumped on every effective write; background write-back compares
         #: versions to decide whether its flushed snapshot is current.
         self.version = 0
-        #: The owning pool (dirty/clean/unpin notifications), if any.
+        #: The owning pool (pins, dirty/clean notifications), if any.
         self._observer = None
         #: The owning pool dropped this frame (never true of a page that
         #: was never attached, as unit tests build them).
@@ -164,10 +164,7 @@ class Page:
     def _store(self, offset: int, data: bytes) -> None:
         """Assign bounds-checked, non-empty ``data`` (latch held)."""
         if self._evicted:
-            raise BufferError(
-                f"write to page {self.pid} through the handle of an evicted "
-                "frame: re-fetch (or pin) after any call that can admit a page"
-            )
+            raise self._stale("write to")
         self._data[offset : offset + len(data)] = data
         self.version += 1
         if not self.dirty:
@@ -218,7 +215,7 @@ class Page:
             observer._page_dirtied(self.pid)
 
     def detach(self) -> None:
-        """The owning pool dropped this frame: later writes must fail."""
+        """The owning pool dropped this frame: later writes and pins fail."""
         with self.latch:
             self._observer = None
             self._evicted = True
@@ -227,16 +224,27 @@ class Page:
     # Pinning
     # ------------------------------------------------------------------
     def pin(self) -> None:
-        with self.latch:
-            self.pin_count += 1
+        pool = self._observer
+        if pool is None or not pool._pin(self):
+            with self.latch:
+                if self._evicted:
+                    raise self._stale("pin")
+                self.pin_count += 1
 
     def unpin(self) -> None:
+        pool = self._observer
+        if pool is not None:
+            return pool._unpin(self)
         with self.latch:
             if self.pin_count <= 0:
                 raise RuntimeError(f"page {self.pid} unpinned more than pinned")
             self.pin_count -= 1
-            if self.pin_count == 0 and self._observer is not None:
-                self._observer._page_unpinned(self.pid)
+
+    def _stale(self, action: str) -> BufferError:
+        return BufferError(
+            f"{action} page {self.pid} through the handle of an evicted "
+            "frame: re-fetch (or pin) after any call that can admit a page"
+        )
 
     @contextmanager
     def pinned(self) -> Iterator["Page"]:

@@ -72,3 +72,32 @@ def test_shard_gates_are_in_the_lock_order_graph(tmp_path):
     message = result.new[0].message
     assert "Probe._lock held while acquiring ShardExecutor._gates" in message
     assert "ShardExecutor._gates held while acquiring Probe._lock" in message
+
+
+def test_a_page_calling_its_pool_under_its_latch_is_a_cycle(tmp_path):
+    """Pins reach the pool *without* the page latch: the live pool holds
+    its lock across ``with page.latch:`` for a write-back, so an ``unpin``
+    that called ``self._observer._unpin`` inside the latch would close a
+    latch → pool-lock cycle, and the rule resolves that call."""
+    storage = REPO_ROOT / "src" / "repro" / "storage"
+    page = (storage / "page.py").read_text()
+    live = (
+        "        pool = self._observer\n"
+        "        if pool is not None:\n"
+        "            return pool._unpin(self)\n"
+        "        with self.latch:\n"
+    )
+    seeded = (
+        "        with self.latch:\n"
+        "            if self._observer is not None:\n"
+        "                self._observer._unpin(self)\n"
+        "                return\n"
+    )
+    assert page.count(live) == 1
+    (tmp_path / "page.py").write_text(page.replace(live, seeded))
+    (tmp_path / "manager.py").write_text((storage / "bufferpool" / "manager.py").read_text())
+    cycles = [f for f in analyze([tmp_path], root=tmp_path).new if f.rule == "lock-order"]
+    assert len(cycles) == 1, [f.render() for f in cycles]
+    message = cycles[0].message
+    assert "Page.latch held while acquiring BufferManager._lock" in message
+    assert "BufferManager._lock held while acquiring Page.latch" in message

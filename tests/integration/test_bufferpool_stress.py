@@ -17,7 +17,17 @@ as the driver-level stress test) and accesses pages exclusively through
   driver-level written-page count — no page write is lost or
   double-counted when eviction, flushing and the daemon interleave.
 
-A second case holds the rule the pool's readers rest on — *a latch
+A second case holds what a pin is: pool state, counted under the pool
+lock, whose last release hands the frame back to the eviction order.
+Four threads, with and without the daemon, each hold a pin on one of ten
+times the pool's pages while fetching, pinned, from a hot set of the
+pool's size, so evictions keep meeting held frames and parking them.
+Afterwards no pin is left, the policy ranks exactly the resident frames
+and keeps no unpinned frame parked (bar a dirty one, with the daemon),
+and no thread met "all buffer frames are pinned" — none holds more than
+two of the twelve frames.  Dropping the unpark on the last unpin fails it.
+
+A third case holds the rule the pool's readers rest on — *a latch
 orders multi-step mutations, never a single read* (``repro/storage/
 page.py``): one writer stamps whole records with one ``page.write``
 while reader threads ``read``, snapshot and decode the same frames with
@@ -92,9 +102,13 @@ class CountingDriver:
         return getattr(self._inner, name)
 
 
-def open_pool(backend, tmp_path, model):
-    """A pool with background write-back over a counted 4-shard parallel
-    driver loaded with ``model``: ``(db, counted driver, raw driver)``."""
+DAEMON = WritebackConfig(high_watermark=0.4, low_watermark=0.15)
+
+
+def open_pool(backend, tmp_path, model, capacity=BUFFER_PAGES, writeback=DAEMON):
+    """A pool (background write-back by default) over a counted 4-shard
+    parallel driver loaded with ``model``: ``(db, counted driver, raw
+    driver)``."""
     chips = []
     for i in range(N_SHARDS):
         device = None
@@ -110,11 +124,7 @@ def open_pool(backend, tmp_path, model):
     raw_driver.load_pages(list(enumerate(model)))
     raw_driver.end_of_load()
     db = Database.resume(
-        driver,
-        BUFFER_PAGES,
-        len(model),
-        buffer_policy="lru",
-        writeback=WritebackConfig(high_watermark=0.4, low_watermark=0.15),
+        driver, capacity, len(model), buffer_policy="lru", writeback=writeback
     )
     return db, driver, raw_driver
 
@@ -206,6 +216,74 @@ def test_eight_clients_share_one_pool(backend, tmp_path):
         for shard in raw_driver.shards:
             check_driver(shard).raise_if_inconsistent()
     finally:
+        db.pool.close()
+        raw_driver.close()
+
+
+PINNERS = 4
+PINNED_POOL = 12  # > 2 pins x PINNERS: some frame is always unpinned
+PINNED_PAGES = 10 * PINNED_POOL  # held pins spread over these ...
+PINNED_HOT_SET = PINNED_POOL  # ... while the fetches under them hit these
+PINNER_OPS = 600
+
+
+@pytest.mark.parametrize("writeback", [None, DAEMON], ids=["sync", "daemon"])
+def test_every_unpin_hands_the_frame_back_to_the_eviction_order(writeback, tmp_path):
+    model = [bytes(PAGE)] * PINNED_PAGES
+    db, driver, raw_driver = open_pool(
+        "memory", tmp_path, model, capacity=PINNED_POOL, writeback=writeback
+    )
+    pool, errors = db.pool, []
+
+    def pinner(t):
+        rng = random.Random(7000 + t)
+        try:
+            for op in range(PINNER_OPS):
+                pid = rng.randrange(PINNED_PAGES)
+                with pool.pinned(pid) as page:
+                    if pid % PINNERS == t and op % 4 == 0:  # one writer per pid
+                        page.write(0, op.to_bytes(4, "little"))
+                    for _ in range(3):  # misses here evict around the pin
+                        with pool.pinned(rng.randrange(PINNED_HOT_SET)):
+                            pass
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=pinner, args=(t,), name=f"pinner-{t}")
+        for t in range(PINNERS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(JOIN_TIMEOUT_S)
+        assert not [thread.name for thread in threads if thread.is_alive()]
+        if errors:
+            raise errors[0]
+        if pool.writeback is not None:
+            pool.writeback.pause()  # hold the frames still for the checks
+        resident = {page.pid: page for page in pool.pages()}
+        assert [pid for pid, page in resident.items() if page.pin_count] == []
+        assert sorted(pool.policy.iter_pids()) == sorted(resident)
+        offered = []  # what the next eviction scan would consider
+        pool.policy.select_victim(lambda pid: offered.append(pid) and False)
+        # Nothing is pinned, so only dirt (which the daemon's scan skips)
+        # may keep a frame parked.
+        parked = [
+            pid for pid, page in resident.items()
+            if pid not in offered and not (writeback and page.dirty)
+        ]
+        assert not parked, f"unpinned frames left parked: {parked}"
+        assert pool.stats.pinned_skips > 0, "no eviction ever met a pin"
+        if pool.writeback is not None:
+            pool.writeback.resume()
+        db.flush()
+        audit_quiesced_pool(db, driver)
+    finally:
+        sys.setswitchinterval(interval)
         db.pool.close()
         raw_driver.close()
 

@@ -288,6 +288,24 @@ class TestManager:
         fresh = pool.get_page(0)
         assert fresh is not stale and fresh.data[:2] == b"\x11\x00"
 
+    def test_pin_through_a_dropped_handle_is_loud(self, driver):
+        """A pin on a frame the pool no longer holds would count a pin no
+        eviction ever checks: evicted or cleared, it fails like a write."""
+        pool = BufferManager(driver, 2)
+        _load(driver, 4)
+        evicted, cleared = pool.get_page(0), pool.get_page(1)
+        pool.get_page(2)  # evicts 0
+        assert pool.clear() == 2  # drops 1 and 2
+        for stale in (evicted, cleared):
+            with pytest.raises(BufferError, match=f"page {stale.pid} .* re-fetch"):
+                stale.pin()
+            with pytest.raises(BufferError, match=f"page {stale.pid} .* re-fetch"):
+                with stale.pinned():
+                    pass
+            assert stale.pin_count == 0
+        with pool.pinned(0) as fresh:
+            assert fresh.pin_count == 1 and fresh is not evicted
+
     def test_clear_retires_the_handles_it_drops(self, driver):
         pool = BufferManager(driver, 4)
         _load(driver, 4)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.differential import compute_runs
 from repro.ftl.base import ChangeRun
-from repro.storage.page import Page
+from repro.storage.page import BufferError, Page
 
 
 @pytest.fixture
@@ -96,6 +96,9 @@ class TestWriteDelta:
 
 
 class _Observer:
+    """The pool's side of the contract: dirty/clean notifications, and
+    the pin count of a frame it owns."""
+
     def __init__(self):
         self.events = []
 
@@ -105,8 +108,14 @@ class _Observer:
     def _page_cleaned(self, pid):
         self.events.append(("cleaned", pid))
 
-    def _page_unpinned(self, pid):
-        self.events.append(("unpinned", pid))
+    def _pin(self, page):
+        self.events.append(("pin", page.pid))
+        page.pin_count += 1
+        return True
+
+    def _unpin(self, page):
+        self.events.append(("unpin", page.pid))
+        page.pin_count -= 1
 
 
 class TestUnlogged:
@@ -215,3 +224,27 @@ class TestPinning:
         with page.pinned(), page.pinned():
             assert page.pin_count == 2
         assert page.pin_count == 0
+
+    def test_an_attached_frame_pins_through_its_pool(self):
+        page, observer = Page(3, bytes(64)), _Observer()
+        page.attach(observer)
+        with page.pinned():
+            assert page.pin_count == 1
+        assert observer.events == [("pin", 3), ("unpin", 3)]
+
+    def test_a_dropped_frame_cannot_be_pinned(self):
+        """Dropped before the pin, or while the pin waited for the pool."""
+
+        class Evicting(_Observer):
+            def _pin(self, page):
+                page.detach()
+                return False
+
+        dropped, racing = Page(3, bytes(64)), Page(3, bytes(64))
+        dropped.attach(_Observer())
+        dropped.detach()
+        racing.attach(Evicting())
+        for page in (dropped, racing):
+            with pytest.raises(BufferError, match="pin page 3 .* re-fetch"):
+                page.pin()
+            assert page.pin_count == 0

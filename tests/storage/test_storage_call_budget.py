@@ -15,13 +15,22 @@ per write).  Each budget sits between its last two figures, so bringing
 back per-run objects, whole-node decodes or a latch around a read fails
 tier-1 without a timing assertion.
 
-The second test is one fetch, ``BufferManager.get_page`` alone: a hit is
-2 calls and 1 release (the pool lock); a miss that evicts a clean frame
-is 28 calls, the driver's read included, and 3 releases — the pool lock
-on either side of the flash read and the victim's ``detach``.  It was 29
-and 5 while ``attach`` latched a frame no other thread could yet see and
-every eviction called for, and locked, an empty repark queue.
+The second test is one fetch, two ways.  ``BufferManager.get_page``: a hit
+is 2 calls and 1 release (the pool lock); a miss that evicts a clean
+frame is 27 calls, the driver's read included, and 3 releases — the pool
+lock on either side of the flash read and the victim's ``detach``.  It
+was 29 and 5 while ``attach`` latched a frame no other thread could yet
+see and every eviction called for, and locked, an empty repark queue,
+and 28.25 calls while unpin and clean events were queued for the next
+eviction to replay.  ``with pool.pinned(pid):`` is that fetch plus a pin
+and an unpin: 8 calls and 2 releases on a hit, 29 and 4 on a miss — the
+pin is counted inside the fetch's pool lock, the unpin is one more
+acquisition of it.  While a pin count sat behind the page latch and the
+last unpin queued its repark event behind the dirty lock they were 9 and
+4, 34.75 and 7.
 """
+
+import pytest
 
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
@@ -41,8 +50,10 @@ TRANSACTIONS = 400
 CALLS_PER_TRANSACTION_BUDGET = 1280
 LOCK_RELEASES_PER_TRANSACTION_BUDGET = 200
 
-HIT_BUDGET = (2, 1)  # (Python calls, lock releases) per fetch
-MISS_BUDGET = (30, 3)
+HIT_BUDGET = (2, 1)  # (Python calls, lock releases) per get_page
+MISS_BUDGET = (28, 3)
+PINNED_HIT_BUDGET = (8, 2)  # per `with pool.pinned(pid):`
+PINNED_MISS_BUDGET = (32, 5)
 
 
 def test_transaction_stays_within_its_call_budget(
@@ -65,7 +76,23 @@ def test_transaction_stays_within_its_call_budget(
     assert releases / TRANSACTIONS <= LOCK_RELEASES_PER_TRANSACTION_BUDGET
 
 
-def test_fetch_stays_within_its_budget(count_python_calls, count_lock_releases):
+def _get_page(pool, pid):
+    pool.get_page(pid)
+
+
+def _pinned(pool, pid):
+    with pool.pinned(pid):
+        pass
+
+
+@pytest.mark.parametrize(
+    "access, hit_budget, miss_budget",
+    [(_get_page, HIT_BUDGET, MISS_BUDGET), (_pinned, PINNED_HIT_BUDGET, PINNED_MISS_BUDGET)],
+    ids=["get_page", "pinned"],
+)
+def test_fetch_stays_within_its_budget(
+    access, hit_budget, miss_budget, count_python_calls, count_lock_releases
+):
     frames = 4
     pool = BufferManager(PdlDriver(FlashChip(TINY_SPEC), max_differential_size=128), frames)
     for pid in range(3 * frames):
@@ -76,10 +103,10 @@ def test_fetch_stays_within_its_budget(count_python_calls, count_lock_releases):
 
     def fetch(pids):
         for pid in pids:
-            pool.get_page(pid)
+            access(pool, pid)
 
-    def calls_per_fetch(pids):  # less the lambda's call and fetch's
-        return (count_python_calls(lambda: fetch(pids)) - 2) / frames
+    def calls_per_fetch(pids):  # less the lambda's call, fetch's and access's
+        return (count_python_calls(lambda: fetch(pids)) - 2) / frames - 1
 
     def releases_per_fetch(pids):
         return count_lock_releases(lambda: fetch(pids)) / frames
@@ -88,6 +115,7 @@ def test_fetch_stays_within_its_budget(count_python_calls, count_lock_releases):
     assert (stats.hits, stats.misses) == (2 * frames, 0)
     miss = calls_per_fetch(cold), releases_per_fetch(colder)
     assert (stats.misses, stats.clean_reclaims) == (2 * frames, 2 * frames)
+    assert pool.pinned_count() == 0
 
-    assert hit[0] <= HIT_BUDGET[0] and hit[1] <= HIT_BUDGET[1], hit
-    assert miss[0] <= MISS_BUDGET[0] and miss[1] <= MISS_BUDGET[1], miss
+    assert hit[0] <= hit_budget[0] and hit[1] <= hit_budget[1], hit
+    assert miss[0] <= miss_budget[0] and miss[1] <= miss_budget[1], miss
