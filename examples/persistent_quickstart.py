@@ -50,10 +50,10 @@ with Database.open(
 # ----------------------------------------------------------------------
 # Session 2: reopen from the images alone (Figure-11 recovery per shard).
 # The durable fields (spec, shard count, Max_Differential_Size) come
-# from the manifest; retunable ones (pool size, parallel, GC, ...) are
+# from the manifest; retunable ones (pool size, GC, ...) are
 # this session's to choose — see repro.config.EngineConfig.
 # ----------------------------------------------------------------------
-with Database.open(path, buffer_capacity=32, parallel=True) as db:
+with Database.open(path, buffer_capacity=32) as db:
     assert db.allocated_pages == len(images)
     for pid, expected in images.items():
         assert db.page(pid).data == expected, f"page {pid} corrupted"

@@ -89,7 +89,6 @@ from .methods import (
 )
 from .sharding import (
     HashRouter,
-    ParallelShardedDriver,
     RangeRouter,
     ShardExecutor,
     ShardRouter,
@@ -126,7 +125,6 @@ __all__ = [
     "PAPER_METHODS_NO_IPU",
     "PageType",
     "PageUpdateMethod",
-    "ParallelShardedDriver",
     "PdlDriver",
     "PhysicalPageMappingTable",
     "RangeRouter",

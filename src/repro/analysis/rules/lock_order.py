@@ -1,8 +1,8 @@
 """lock-order: the static lock-acquisition graph must stay acyclic.
 
 The engine's deadlock-freedom argument (docs/bufferpool.md) is a total
-order: pool ``_lock`` → page ``latch`` → ``_dirty_lock`` → serial
-``_driver_lock`` or, on a parallel array, a shard gate
+order: pool ``_lock`` → page ``latch`` → ``_dirty_lock`` → a bare
+driver's ``_driver_lock`` or, on a sharded array, a shard gate
 (docs/concurrency.md: a leaf, nothing is acquired under it), with
 ``_flush_serial`` above them all; a page calls its pool (``_pin``/
 ``_unpin``) only with its latch released.  Nothing enforces it at runtime — two

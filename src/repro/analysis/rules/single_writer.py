@@ -1,4 +1,4 @@
-"""single-writer: shard mutators belong to the executor layer.
+"""single-writer: shard mutators belong to the sharding layer.
 
 Each shard driver is single-threaded state; the concurrency design
 (docs/concurrency.md) gives every shard one writer at a time — the
@@ -13,7 +13,7 @@ The rule flags calls to shard mutators (``write_page``, ``flush``,
 direct subscripts (``driver.shards[0].flush()``), loop variables
 (``for s in driver.shards: s.flush()``), locals
 (``s = driver.shards[i]``) and lambda defaults — outside the sharding
-layer itself (driver/executor/recovery modules, which *are* the owning
+layer itself (the driver and recovery modules, which *are* the owning
 layer).  Read-only access (stats, counters) is fine and not flagged.
 """
 
@@ -39,7 +39,6 @@ MUTATORS = {
 
 ALLOWED_PATHS = (
     "repro/sharding/driver.py",
-    "repro/sharding/executor.py",
     "repro/sharding/recovery.py",
 )
 
@@ -58,7 +57,7 @@ def _is_shard_subscript(node: ast.AST) -> bool:
 @register_rule
 class SingleWriterRule(Rule):
     id = "single-writer"
-    summary = "shard-owned driver mutators called outside the executor layer"
+    summary = "shard-owned driver mutators called outside the sharding layer"
     hint = (
         "route the operation through the sharded driver (it owns the "
         "routing and takes the shard's gate) instead of mutating "

@@ -17,9 +17,8 @@ The constructor is the one validator — it runs before anything touches
 a device or the disk and always raises
 :class:`~repro.ftl.errors.ConfigurationError` — and
 :meth:`EngineConfig.build` / :meth:`EngineConfig.recover` are the one
-assembler: the only places a bare /
-:class:`~repro.sharding.driver.ShardedDriver` /
-:class:`~repro.sharding.executor.ParallelShardedDriver` stack is chosen.
+assembler: the only places a bare or a
+:class:`~repro.sharding.driver.ShardedDriver` stack is chosen.
 Field table and label grammar: ``docs/architecture.md``, "Configuration".
 """
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core.differential import DEFAULT_DIFF_UNIT
@@ -45,7 +43,6 @@ from .ftl.ipl import IplDriver
 from .ftl.ipu import IpuDriver
 from .ftl.opu import OpuDriver
 from .sharding.driver import ShardedDriver
-from .sharding.executor import ParallelShardedDriver, ShardExecutor
 from .sharding.router import ShardRouter
 from .storage.bufferpool.policy import make_eviction_policy
 
@@ -53,7 +50,9 @@ from .storage.bufferpool.policy import make_eviction_policy
 METHODS = ("PDL", "IPL", "OPU", "IPU")
 
 # The label grammar: ``<method> [xN] [par] [gc=<policy>]``, the three
-# tokens in any order, case-insensitive, whitespace-tolerant.
+# tokens in any order, case-insensitive, whitespace-tolerant.  ``par``
+# (thread-safe execution, which every array now has) is accepted and
+# ignored, so old labels keep working.
 _METHOD_RE = re.compile(
     r"\s*(?:(?P<plain>OPU|IPU)|(?P<sized>PDL|IPL)\s*\(\s*(?P<size>\d+)\s*(?P<unit>K?B)?\s*\))",
     re.IGNORECASE,
@@ -101,13 +100,8 @@ class EngineConfig:
     #: ``None`` drives one chip bare; ``N`` puts N chips behind the sharded
     #: façade (``x1`` is the façade over one chip, the baseline of
     #: shard-scaling sweeps).  For a database directory it is the number
-    #: of images, and one image is driven bare unless ``parallel``.
+    #: of images, and one image is driven bare.
     n_shards: Optional[int] = _knob(None, durable=True)
-    #: Own each shard through a gate and fan batches (and recovery's
-    #: per-chip scans) out to one worker thread per shard: safe for
-    #: concurrent clients (``docs/concurrency.md``).  Always an array —
-    #: with ``n_shards`` unset, the one-shard array.
-    parallel: bool = False
     #: PDL's differential granularity in bytes; ``None`` compares
     #: byte-wise (the granularity ablation).
     diff_unit: Optional[int] = _knob(DEFAULT_DIFF_UNIT, only=("PDL",))
@@ -153,14 +147,8 @@ class EngineConfig:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; expected one of {', '.join(METHODS)}"
             )
-        if not isinstance(self.parallel, bool):
-            raise ConfigurationError(
-                f"parallel={self.parallel!r} is not an execution mode; expected False or True"
-            )
         if self.method == "PDL" and self.max_differential_size is None:
             object.__setattr__(self, "max_differential_size", 256)
-        if self.parallel and self.n_shards is None:
-            object.__setattr__(self, "n_shards", 1)
         for knob in fields(self):
             only = knob.metadata.get("only", METHODS)
             if self.method not in only and getattr(self, knob.name) != knob.default:
@@ -199,7 +187,14 @@ class EngineConfig:
     @classmethod
     def of(cls, **fields_: Any) -> "EngineConfig":
         """The constructor for a caller's ``**fields``: an unknown name is a
-        :class:`ConfigurationError` listing the real ones, not a ``TypeError``."""
+        :class:`ConfigurationError` listing the real ones, not a ``TypeError``.
+        A bool ``parallel`` (the old execution-mode switch; every array is
+        now thread-safe) is accepted and ignored, so old scripts keep working."""
+        parallel = fields_.pop("parallel", False)
+        if not isinstance(parallel, bool):
+            raise ConfigurationError(
+                f"parallel={parallel!r} is not an execution mode; expected False or True"
+            )
         known = [knob.name for knob in fields(cls)]
         unknown = sorted(set(fields_) - set(known))
         if unknown:
@@ -218,7 +213,7 @@ class EngineConfig:
         ``"PDL (256B) x4 par gc=cb"``: a method (``OPU``, ``IPU``,
         ``PDL(<size>)``, ``IPL(<size>)``; sizes take ``B``/``KB``), then
         optionally ``xN`` (N chips behind the sharded façade), ``par``
-        (thread-parallel, needs ``xN``) and ``gc=<policy>`` in any order.
+        (accepted after ``xN`` and ignored) and ``gc=<policy>`` in any order.
         A field set by the label may not be passed as a keyword too.
         """
         unknown = ConfigurationError(
@@ -247,13 +242,12 @@ class EngineConfig:
             pos = token.end()
         if "parallel" in found and "n_shards" not in found:
             raise ConfigurationError(
-                f"label {label!r} requests parallel execution but is unsharded; "
-                "parallelism is per shard — use an 'xN' label (x1 gives a one-worker array)"
+                f"label {label!r} has 'par' but no 'xN'; 'par' only follows an array's "
+                "shard count (x1 gives the one-shard array)"
             )
         if "n_shards" in found:
             found["n_shards"] = int(found["n_shards"])
-        if "parallel" in found:
-            found["parallel"] = True
+        found.pop("parallel", None)
         if "gc" in found:
             found["gc"] = GcConfig(policy=found["gc"].lower())
         twice = sorted(found.keys() & fields_.keys())
@@ -279,7 +273,7 @@ class EngineConfig:
             text += f" gc={self.gc.policy}"
         if self.n_shards is not None:
             text += f" x{self.n_shards}"
-        return text + (" par" if self.parallel else "")
+        return text
 
     # ------------------------------------------------------------------
     # JSON and the manifest
@@ -350,7 +344,7 @@ class EngineConfig:
         if durable["mapping_region"] is not None and asked.mapping_cache is None:
             durable["mapping_cache"] = 0
         if durable["n_shards"] == 1:
-            durable["n_shards"] = None  # one image: bare, unless parallel
+            durable["n_shards"] = None  # one image: bare
         return replace(asked, **durable)
 
     # ------------------------------------------------------------------
@@ -361,7 +355,7 @@ class EngineConfig:
         of them in shard order); ``router`` overrides the array's
         default hash partition."""
         shards = [self._driver(chip) for chip in self._chips(chips, router)]
-        return self._stack(shards, router, None)
+        return self._stack(shards, router)
 
     def recover(
         self, chips: Chips, router: Optional[ShardRouter] = None
@@ -372,28 +366,15 @@ class EngineConfig:
         Each chip is recovered on its own (:func:`recover_driver`: the
         journal fast path when the mapping tier is on, else the
         Figure-11 scan); ``router`` must be the partition in use before.
-        Under ``parallel`` the scans run concurrently, one worker per
-        chip, and the pool is kept to drive the returned array.
         """
         if self.method != "PDL":
             raise ConfigurationError(f"only PDL engines recover from flash, not {self.method}")
-        scans = [
-            partial(recover_driver, chip, **self._pdl_options(chip.spec))
+        recovered = [
+            recover_driver(chip, **self._pdl_options(chip.spec))
             for chip in self._chips(chips, router)
         ]
-        executor = None
-        recovered: Sequence[Any]
-        if self.parallel:
-            executor = ShardExecutor(len(scans))
-            try:
-                recovered = executor.map(list(enumerate(scans)))
-            except BaseException:
-                executor.shutdown()
-                raise
-        else:
-            recovered = [scan() for scan in scans]
         shards, reports = zip(*recovered)
-        return self._stack(list(shards), router, executor), list(reports)
+        return self._stack(list(shards), router), list(reports)
 
     def _chips(self, chips: Chips, router: Optional[ShardRouter]) -> List[FlashChip]:
         fleet = [chips] if isinstance(chips, FlashChip) else list(chips)
@@ -436,15 +417,10 @@ class EngineConfig:
         return IpuDriver(chip)
 
     def _stack(
-        self,
-        shards: List[PageUpdateMethod],
-        router: Optional[ShardRouter],
-        executor: Optional[ShardExecutor],
+        self, shards: List[PageUpdateMethod], router: Optional[ShardRouter]
     ) -> PageUpdateMethod:
         if self.n_shards is None:
             return shards[0]
-        if self.parallel:
-            return ParallelShardedDriver(shards, router, executor)
         return ShardedDriver(shards, router)
 
 

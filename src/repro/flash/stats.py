@@ -20,12 +20,12 @@ Phases nest; an operation is charged to the innermost phase only, so
 simply their sum.
 
 Threading model (see ``docs/concurrency.md``): the phase stack is
-*thread-local*, so a worker thread executing one shard's operations and
-a client thread pushing an outer phase never corrupt each other's
-nesting.  Counter mutation stays lock-free on the hot path because the
-parallel execution layer guarantees a **single writer per collector**
-(the thread holding the shard's gate); the only lock taken guards creation of a
-new phase bucket against a concurrent aggregate read, so ``totals()`` /
+*thread-local*, so client threads executing on different shards never
+corrupt each other's nesting.  Counter mutation stays lock-free on the
+hot path because the sharding layer guarantees a **single writer per
+collector** (the thread holding the shard's gate); the only lock taken
+guards creation of a new phase bucket against a concurrent aggregate
+read, so ``totals()`` /
 ``snapshot()`` from a monitoring thread never observe the phases dict
 mid-resize.
 """
@@ -170,7 +170,7 @@ class FlashStats:
         self._local = threading.local()
         #: Guards phase-bucket creation against concurrent aggregate
         #: reads (totals/snapshot); per-op accounting itself is
-        #: single-writer by the executor's one-owner-per-shard gates.
+        #: single-writer by the sharded driver's one-owner-per-shard gates.
         self._lock = threading.Lock()
         #: Integrity accounting (see :mod:`repro.flash.spare`): how many
         #: page reads carried a spare-area checksum and were verified,
@@ -328,9 +328,10 @@ class FlashStats:
         """A stable shallow copy of the phases dict for iteration.
 
         Taken under the bucket-creation lock, so a reader never iterates
-        the dict while a worker inserts a new phase key.  The OpCounts
+        the dict while a writer inserts a new phase key.  The OpCounts
         values themselves are still live (single-writer mutation); exact
-        readings belong after a join, as everywhere in the stats layer.
+        readings belong after the writers return, as everywhere in the
+        stats layer.
         """
         with self._lock:
             return list(self.phases.items())

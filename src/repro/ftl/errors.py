@@ -37,12 +37,12 @@ class ConfigurationError(FtlError):
 
 
 class ConcurrencyError(FtlError):
-    """The thread-execution contract of the parallel layer was violated.
+    """The thread-execution contract of the sharding layer was violated.
 
     Raised when shard state is touched by a thread that does not own
     the shard — e.g. a GC engine guarded by a shard's gate sees its write
-    hooks run without it — or when work is handed to a shut-down
-    :class:`~repro.sharding.executor.ShardExecutor`.  Single-writer-per-
+    hooks run without it — or when a closed array's
+    :class:`~repro.sharding.driver.ShardExecutor` is called.  Single-writer-per-
     shard is what lets the drivers stay lock-free; see
     ``docs/concurrency.md``.
     """

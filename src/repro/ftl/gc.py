@@ -302,8 +302,8 @@ class GarbageCollector:
         """Guard this engine's write hooks with an ownership test
         (``None`` removes the guard).
 
-        The parallel sharded driver binds each shard's engine to "the
-        calling thread holds this shard's gate"; the hooks then refuse
+        The sharded driver binds each shard's engine to "the calling
+        thread holds this shard's gate"; the hooks then refuse
         to run for anyone else, so incremental pacing, stall metering
         and the in-flight victim can never be mutated concurrently — the
         guard that keeps GC state shard-local under real threading.

@@ -6,12 +6,12 @@ against names::
 
     make_method("PDL (256B)", chip)
     make_method("IPL (18KB)", chip)
-    make_method("PDL (256B) x4 par gc=cb", chips)   # four chips, threads, cost-benefit GC
+    make_method("PDL (256B) x4 gc=cb", chips)   # four chips, cost-benefit GC
 
 A label is one way of writing an :class:`~repro.config.EngineConfig`
 down; :meth:`EngineConfig.parse <repro.config.EngineConfig.parse>` is
 the one tokenizer and states the grammar (method, ``xN`` shard count,
-``par``, ``gc=<policy>``).
+``gc=<policy>``).
 """
 
 from __future__ import annotations

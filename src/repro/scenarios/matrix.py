@@ -7,7 +7,7 @@ oracle, and emits one cross-scenario report table
 :class:`~repro.bench.reporting.ResultTable` machinery).
 
 The default grid covers every axis the engine has grown: the four
-page-update methods, shard counts, the serial and thread executors,
+page-update methods, shard counts,
 GC victim policies, both device backends, and buffered configurations
 with each eviction policy and write-back mode.  ``TINY_CONFIGS`` /
 :func:`tiny_patterns` are the reduced CI smoke grid — same axes, fewer
@@ -30,7 +30,7 @@ from .stream import build_stream
 #: The paper's seed (runner default), reused for scenario streams.
 DEFAULT_SEED = 20100121
 
-#: The full configuration grid: methods × shards × executor × GC policy
+#: The full configuration grid: methods × shards × GC policy
 #: × backend × buffer policy/write-back × mapping tier.
 DEFAULT_CONFIGS: Tuple[Cell, ...] = (
     Cell.of("pdl-256", "PDL (256B)"),
@@ -41,7 +41,6 @@ DEFAULT_CONFIGS: Tuple[Cell, ...] = (
     Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
     Cell.of("pdl-x4", "PDL (256B) x4"),
     Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
-    Cell.of("pdl-x4-thread", "PDL (256B) x4 par"),
     Cell.of("opu-x2-file", "OPU x2", backend="file"),
     Cell.of("pdl-buf-lru", "PDL (256B)", buffer_capacity=12),
     Cell.of(
@@ -67,7 +66,7 @@ TINY_CONFIGS: Tuple[Cell, ...] = (
     Cell.of("ipl-512", "IPL (512B)"),
     Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
     Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
-    Cell.of("pdl-x2-thread", "PDL (256B) x2 par"),
+    Cell.of("pdl-x2-thread", "PDL (256B) x2"),  # name kept: scenarios.json is keyed by it
     Cell.of("pdl-buf-2q-bg", "PDL (256B)", buffer_capacity=10,
             buffer_policy="2q", writeback="background"),
     Cell.of("pdl-map-16", "PDL (256B)", mapping_cache=16, snapshot_interval=48),

@@ -11,15 +11,12 @@ shard's mapping tables after a crash.
 * :mod:`repro.sharding.router` — hash and range partitioning, pluggable.
 * :mod:`repro.sharding.driver` — the façade: every array operation
   (routing, batched group flush, fsck, aggregated wear reporting)
-  stated once over two execution primitives, run inline.
-* :mod:`repro.sharding.executor` — real thread parallelism: an
-  ownership gate and a worker thread per shard (:class:`ShardExecutor`)
-  and the :class:`ParallelShardedDriver`, which swaps the primitives for
-  "take the gate" and "fan out" (see ``docs/concurrency.md``).
+  stated once, each shard owned through its gate
+  (:class:`ShardExecutor`; see ``docs/concurrency.md``).
 * :mod:`repro.sharding.stats` — merged :class:`FlashStats` view plus
   per-chip clocks for serial-vs-parallel time accounting.
 * :mod:`repro.sharding.recovery` — per-shard Figure-11 scans composed
-  into array recovery (optionally scanning all shards concurrently).
+  into array recovery.
 
 Build sharded configurations from paper-style labels::
 
@@ -31,8 +28,7 @@ Build sharded configurations from paper-style labels::
     driver = make_method("PDL (256B) x4", chips)
 """
 
-from .driver import ShardedDriver
-from .executor import ParallelShardedDriver, ShardExecutor
+from .driver import ShardedDriver, ShardExecutor
 from .recovery import recover_all
 from .router import HashRouter, RangeRouter, ShardRouter, make_router
 from .stats import AggregateStats
@@ -40,7 +36,6 @@ from .stats import AggregateStats
 __all__ = [
     "AggregateStats",
     "HashRouter",
-    "ParallelShardedDriver",
     "RangeRouter",
     "ShardExecutor",
     "ShardRouter",

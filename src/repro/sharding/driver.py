@@ -15,19 +15,20 @@ pool, sharding multiplies the paper's mechanisms for free:
 * **GC parallelism** — each shard reclaims its own blocks; a GC storm on
   one shard never stalls traffic routed to the others;
 * **recovery parallelism** — the Figure-11 scan is per-chip, so an
-  N-shard array recovers in the wall-clock time of one shard's scan;
+  N-shard array recovers in the simulated time of one shard's scan;
 * **group flush** — the Section-4.5 write-through generalizes to
   :meth:`group_flush`, which drains every shard's differential write
   buffer in one batched call, the natural commit point for a DBMS
   checkpoint running above the array.
 
-This base class executes everything on the calling thread, one shard
-after another; parallelism appears only in the simulated clock model
-(the busiest chip's share of a window).  Its subclass
-:class:`~repro.sharding.executor.ParallelShardedDriver` puts each shard
-behind an ownership gate and fans batches out to real worker threads —
-see ``docs/concurrency.md`` for the execution model and how the two
-time metrics relate.
+Every shard sits behind an ownership **gate** (:class:`ShardExecutor`):
+a single-page operation takes its shard's gate on the calling thread,
+and a batched one runs each shard's piece under that shard's gate, in
+shard order, on the calling thread too.  So an array is safe for many
+client threads (serialized per shard, overlapping across shards) and
+its flash behaviour is exactly the in-order one — see
+``docs/concurrency.md`` for the execution model and why there are no
+worker threads.
 
 The driver is method-agnostic: any mix of PDL/OPU/IPU/IPL shards built
 by :func:`repro.methods.make_method` works, although homogeneous fleets
@@ -36,14 +37,14 @@ by :func:`repro.methods.make_method` works, although homogeneous fleets
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import threading
 from functools import partial
-from typing import Callable, ContextManager, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
 from ..ftl.base import ChangeRun, PageUpdateMethod
-from ..ftl.errors import ConfigurationError
+from ..ftl.errors import ConcurrencyError, ConfigurationError
 from .router import HashRouter, ShardRouter
 from .stats import AggregateStats
 
@@ -54,6 +55,101 @@ def _write_then_flush(shard: PageUpdateMethod, entry: Optional[tuple]) -> None:
         group, logs = entry
         shard.write_pages(group, update_logs=logs)
     shard.flush()
+
+
+def _join(calls: Sequence[Callable[[], object]]) -> List[object]:
+    """Make every call, in order, even after one fails — a fan-out must
+    not leave a later shard unflushed or its file open — then re-raise
+    the first failure."""
+    results: List[object] = []
+    first: Optional[BaseException] = None
+    for call in calls:
+        try:
+            results.append(call())
+        except BaseException as exc:
+            if first is None:
+                first = exc
+            results.append(None)
+    if first is not None:
+        raise first
+    return results
+
+
+class ShardExecutor:
+    """One ownership gate (a lock) per shard, taken on the caller.
+
+    Holding gate ``i`` *is* owning shard ``i``: all work on one shard is
+    sequential (the single-writer invariant every crash and GC argument
+    assumes) while different shards' callers overlap.  A thread that
+    already holds the gate calls straight through, so shard code that
+    re-enters cannot deadlock on itself.  After :meth:`shutdown` every
+    call is refused — checked *under* the gate, so a caller that was
+    waiting for it cannot run behind the shutdown's last tasks.
+
+    The executor knows nothing about drivers or routing;
+    :class:`ShardedDriver` supplies the policy.
+    """
+
+    def __init__(self, n_shards: int):
+        if n_shards < 1:
+            raise ValueError("ShardExecutor needs at least one shard")
+        self._gates = [threading.Lock() for _ in range(n_shards)]
+        #: Ident of the thread holding each gate, ``None`` while free.
+        self._holders: List[Optional[int]] = [None] * n_shards
+        self._closed = False
+        #: Makes :meth:`shutdown`'s test-and-set of ``_closed`` atomic.
+        self._closing = threading.Lock()
+
+    def holds(self, index: int) -> bool:
+        """Whether the calling thread holds shard ``index``'s gate."""
+        return self._holders[index] == threading.get_ident()
+
+    def _own(self, index: int, fn: Callable, args: tuple, kwargs: dict, live: bool = True):
+        """``fn(*args, **kwargs)`` on this thread, as shard ``index``'s
+        owner; ``live`` (anything but a shutdown's last task) is refused
+        once the executor is shut down."""
+        with self._gates[index]:
+            if live and self._closed:
+                raise ConcurrencyError("executor is shut down")
+            self._holders[index] = threading.get_ident()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self._holders[index] = None
+
+    def run(self, index: int, fn: Callable, *args, **kwargs):
+        """Take shard ``index``'s gate and call ``fn`` on this thread."""
+        if not 0 <= index < len(self._gates):
+            raise ValueError(f"shard index {index} outside pool of {len(self._gates)}")
+        if self.holds(index):
+            return fn(*args, **kwargs)
+        return self._own(index, fn, args, kwargs)
+
+    # benchmarks/e2e/trace.py patches this name in the class namespace.
+    submit = run
+
+    def map(self, tasks: Sequence[Tuple[int, Callable[[], object]]]) -> List[object]:
+        """Run ``(shard index, thunk)`` tasks in order, each under its
+        gate; every task runs even when an earlier one fails, then the
+        first failure is re-raised."""
+        return _join([partial(self.run, index, fn) for index, fn in tasks])
+
+    def shutdown(self, last: Sequence[Tuple[int, Callable[[], object]]] = ()) -> None:
+        """Refuse all further calls, then run the ``last`` ``(shard index,
+        thunk)`` tasks (closing a shard's chip) under their gates, so
+        nothing follows them on a shard; the first failure is re-raised
+        after all have run.  Idempotent: a second call does nothing."""
+        with self._closing:
+            if self._closed:
+                return
+            self._closed = True
+        _join([partial(self._own, index, fn, (), {}, False) for index, fn in last])
+
+    def __enter__(self) -> "ShardExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
 
 def _fsck_shard(shard: PageUpdateMethod, repair: bool):
@@ -68,9 +164,14 @@ class ShardedDriver(PageUpdateMethod):
     """A :class:`PageUpdateMethod` routing pages across shard drivers.
 
     Every array-level operation is stated once, here, over two
-    primitives: :meth:`_run_on` (one call on one shard) and
-    :meth:`_fan_out` (one thunk per shard, joined).  This class runs
-    both inline; the parallel subclass only swaps the primitives.
+    primitives: :meth:`_run_on` (one call as one shard's owner) and
+    :meth:`_fan_out` (one thunk per shard, each as its shard's owner, in
+    shard order).  Construction guards each shard's GC engine with its
+    gate (:meth:`~repro.ftl.gc.GarbageCollector.bind_owner`), so a call
+    that bypasses the façade — ``driver.shards[0].write_page(...)`` —
+    raises :class:`ConcurrencyError` instead of racing the owner.
+    :meth:`close` shuts the gates; every entry point raises
+    :class:`ConcurrencyError` afterwards.
     """
 
     def __init__(
@@ -98,9 +199,12 @@ class ShardedDriver(PageUpdateMethod):
         self.tightly_coupled = any(s.tightly_coupled for s in self.shards)
         self._stats = AggregateStats([s.stats for s in self.shards])
         self.group_flushes = 0
-        #: Guards ``group_flushes``.  Nothing to guard on one thread; the
-        #: parallel subclass, whose clients may race, installs a lock.
-        self._counter_lock: ContextManager = nullcontext()
+        self._counter_lock = threading.Lock()  # client threads race here
+        self.executor = ShardExecutor(len(self.shards))
+        for index, shard in enumerate(self.shards):
+            gc = getattr(shard, "gc", None)
+            if gc is not None:
+                gc.bind_owner(partial(self.executor.holds, index))
 
     # ------------------------------------------------------------------
     # Routing and execution primitives
@@ -137,11 +241,12 @@ class ShardedDriver(PageUpdateMethod):
 
     def _run_on(self, index: int, fn: Callable, *args):
         """Execute ``fn(*args)`` as shard ``index``'s owner."""
-        return fn(*args)
+        return self.executor.run(index, fn, *args)
 
     def _fan_out(self, tasks: Dict[int, Callable[[], object]]) -> List[object]:
-        """Run one thunk per shard index; results in shard order."""
-        return [tasks[index]() for index in sorted(tasks)]
+        """Run one thunk per shard index under its gate; results in
+        shard order, the first failure re-raised after all have run."""
+        return self.executor.map(sorted(tasks.items()))
 
     # ------------------------------------------------------------------
     # PageUpdateMethod contract
@@ -196,10 +301,8 @@ class ShardedDriver(PageUpdateMethod):
         All shards flush before control returns, so a caller observing
         the return has a single durability horizon across the array —
         the sharded generalization of Section 4.5's write-through.  The
-        flushes are independent per-chip programs: inline they run one
-        after another (simulated parallel time is still the slowest
-        shard's share), on worker threads they overlap in wall-clock
-        time too — see ``docs/concurrency.md``.
+        flushes are independent per-chip programs run one after another;
+        simulated parallel time is the slowest shard's share.
 
         ``pages`` (with optional ``update_logs``) is the buffer-pool
         flush entry point: each shard's slice of the batch is written
@@ -259,8 +362,9 @@ class ShardedDriver(PageUpdateMethod):
         self._fan_out({i: chip.sync for i, chip in enumerate(self.chips)})
 
     def close(self) -> None:
-        """Sync and close every shard chip's backend."""
-        self._fan_out({i: chip.close for i, chip in enumerate(self.chips)})
+        """Shut the gates, then sync and close every shard chip's backend
+        under its gate — all of them, even if one fails.  Idempotent."""
+        self.executor.shutdown(last=list(enumerate(chip.close for chip in self.chips)))
 
     def chip_clocks(self) -> List[float]:
         """Each shard chip's monotonic clock; ``max`` of window deltas is
@@ -325,8 +429,7 @@ class ShardedDriver(PageUpdateMethod):
         ``per_shard`` list holds the individual shard reports (in shard
         order; shards without an fsck-capable driver contribute an empty
         report).  Each scan runs as its shard's owner (the single-writer
-        invariant covers fsck's repair writes too), so on worker threads
-        an array fscks in the wall-clock time of its slowest shard.
+        invariant covers fsck's repair writes too).
         """
         from ..core.fsck import FsckReport
 

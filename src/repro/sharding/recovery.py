@@ -17,11 +17,9 @@ Two properties make this composition sound:
   pure configuration, not state, so callers persist it as part of
   deployment config rather than on flash.
 
-The per-chip scans are independent (each reads only its own chip), so
-they can run concurrently: ``recover_all(..., parallel=True)`` executes
-the Figure-11 scans on one worker thread per shard and returns a
-:class:`~repro.sharding.executor.ParallelShardedDriver` (see
-``docs/concurrency.md``).
+The per-chip scans are independent (each reads only its own chip) and
+run one after another on the calling thread (``docs/concurrency.md``
+says why there are no worker threads).
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ def recover_all(
     the pre-crash partition (defaults to :class:`HashRouter` over
     ``len(chips)`` shards, the :func:`repro.methods.make_method`
     default).  ``fields`` are :class:`~repro.config.EngineConfig`
-    fields (``max_differential_size``, ``gc``, ``parallel=True`` for
-    concurrent scans, …); :meth:`~repro.config.EngineConfig.recover`
+    fields (``max_differential_size``, ``gc``, ``mapping_cache``, …);
+    :meth:`~repro.config.EngineConfig.recover`
     does the work.  Returns the operational driver plus one
     :class:`RecoveryReport` per shard, in shard order.
     """

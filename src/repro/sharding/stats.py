@@ -19,14 +19,13 @@ Two *simulated* time metrics matter for a multi-chip array:
   (``tests/integration/test_extension_claims.py`` holds the 1-vs-4
   shard ratio).
 
-A :class:`~repro.sharding.executor.ParallelShardedDriver` really executes
-shards on worker threads; what that costs and buys in *host* time is the
-end-to-end benchmark's ``uniform-x4-thread`` workload (see
-``docs/concurrency.md``).  The per-shard collectors merged here need no
-lock — each :class:`FlashStats` is mutated only by the thread holding
-its shard's gate, and every aggregate property
-below (op totals, stall histograms, GC step counters) merges them on
-read, which is safe once the fan-out has joined.
+What the gates cost in *host* time is the end-to-end benchmark's
+``uniform-x4-thread`` workload (see ``docs/concurrency.md``).  The
+per-shard collectors merged here need no lock — each :class:`FlashStats`
+is mutated only by the thread holding its shard's gate, and every
+aggregate property below (op totals, stall histograms, GC step
+counters) merges them on read, which is exact once the call that wrote
+them has returned.
 
 ``block_erases`` concatenates the shards' per-block wear counters in
 shard order, so wear reports and Figure-16-style histograms extend to
@@ -68,7 +67,7 @@ class AggregateStats:
         """Per-phase counters summed over all shards.
 
         Iterates each shard's locked :meth:`FlashStats.phase_items`
-        snapshot, so a monitoring thread never races a worker creating
+        snapshot, so a monitoring thread never races a client creating
         its first bucket for a phase name.
         """
         merged: Dict[str, OpCounts] = {}

@@ -4,10 +4,9 @@ Grown out of the original single-file LRU pool: an eviction-policy
 registry mirroring
 the GC victim-policy registry (``lru``, ``clock``, scan-resistant
 ``2q``), thread-safe frame pinning for many client threads over one
-:class:`~repro.sharding.executor.ParallelShardedDriver`, and a
-watermark-driven background write-back daemon that batches dirty pages
-through the shard executor so hot-path evictions almost never wait on
-flash.  See ``docs/bufferpool.md``.
+driver, and a watermark-driven background write-back daemon that
+batches dirty pages through the driver so hot-path evictions almost
+never wait on flash.  See ``docs/bufferpool.md``.
 """
 
 from .manager import BufferError, BufferManager

@@ -15,24 +15,22 @@ Locking model (see ``docs/bufferpool.md``):
   entry point takes it;
 * per-page latches order page writes, never a read (:class:`~repro
   .storage.page.Page`); the ordering is always ``pool lock → page latch → dirty
-  lock``, with the driver lock (serial drivers only) innermost;
+  lock``, with the driver lock (unsharded drivers only) innermost;
 * flash **reads** for misses happen *outside* the pool lock so client
-  threads miss concurrently on a parallel sharded driver; a lost race
-  discards the duplicate read and counts it in ``stats.read_races``;
+  threads miss concurrently on a sharded driver; a lost race discards
+  the duplicate read and counts it in ``stats.read_races``;
 * flash **writes** from evictions run under the pool lock — that is the
   synchronous stall the write-back daemon exists to avoid: with
   ``writeback="background"`` the eviction path first reclaims a clean
   frame (no flash I/O at all) and only falls back to a synchronous
   write-back when the daemon is behind.
 
-A serial driver (plain :class:`~repro.core.pdl.PdlDriver` or
-:class:`~repro.sharding.driver.ShardedDriver`) is not thread-safe, so
-when one is used with the daemon (two threads!) all driver calls are
-additionally serialized through an internal driver lock.  A
-:class:`~repro.sharding.executor.ParallelShardedDriver` needs no such
-lock — its per-shard gates are the serialization — which is the
-configuration where background write-back actually overlaps with client
-work.
+A bare driver (a :class:`~repro.core.pdl.PdlDriver`, say) is not
+thread-safe, so every call into one is serialized through an internal
+driver lock.  A :class:`~repro.sharding.driver.ShardedDriver` needs no
+such lock — its per-shard gates are the serialization — which is the
+configuration where client threads and background write-back overlap
+on different shards.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from ...ftl.base import PageUpdateMethod
 from ...sharding.driver import ShardedDriver
-from ...sharding.executor import ParallelShardedDriver
 from ..page import BufferError, Page
 from .policy import EvictionPolicy, make_eviction_policy
 from .stats import BufferStats
@@ -94,17 +91,15 @@ class BufferManager:
         #: Serializes concurrent flush_all callers (durability points).
         self._flush_serial = threading.Lock()
 
-        #: Serial drivers are not thread-safe; with a write-back daemon
-        #: (a second thread) every driver call goes through this lock.
-        #: Parallel sharded drivers serialize at their shard gates.
-        parallel = isinstance(driver, ParallelShardedDriver)
-        self._driver_lock: Optional[threading.Lock] = None
+        #: A bare driver is not thread-safe: every call into it goes
+        #: through this lock.  Sharded drivers serialize at their gates.
+        self._driver_lock: Optional[threading.Lock] = (
+            None if isinstance(driver, ShardedDriver) else threading.Lock()
+        )
 
         config = normalize_writeback(writeback)
         self.writeback: Optional[WritebackDaemon] = None
         if config is not None:
-            if not parallel:
-                self._driver_lock = threading.Lock()
             self.writeback = WritebackDaemon(self, config)
         self._closed = False
 
@@ -133,7 +128,7 @@ class BufferManager:
         """Fetch a page, reading it from flash on a miss.
 
         The flash read happens outside the pool lock, so concurrent
-        misses on *different* pages overlap on a parallel driver.  Two
+        misses on *different* pages overlap on a sharded driver.  Two
         threads missing the same pid race benignly: the loser discards
         its duplicate read and both counts stay exact (every driver read
         is a recorded miss).  If the pid was admitted *and evicted

@@ -9,10 +9,9 @@ drop for free.  :class:`WritebackDaemon` is that flusher:
   (or an eviction that found no clean frame kicks it);
 * it then drains cold dirty pages down to the **low watermark**, in
   batches, through the driver's batched ``write_pages`` path — on a
-  :class:`~repro.sharding.executor.ParallelShardedDriver` that single
-  call groups the batch by shard and fans it out across the shard
-  executor's workers, so an N-shard array cleans N batches of frames in
-  the wall-clock time of one;
+  :class:`~repro.sharding.driver.ShardedDriver` that single call groups
+  the batch by shard and writes each shard's slice under its gate, so
+  client threads block only on the shard being written;
 * the flash write happens **off every lock**: pages are pinned and
   snapshotted first (pin ⇒ the pool cannot evict them mid-flight), and
   reconciled afterwards — a page whose version moved while its snapshot
@@ -44,7 +43,7 @@ class WritebackConfig:
     the dirty count reaches ``high_watermark × capacity`` and drains cold
     dirty pages until it falls to ``low_watermark × capacity``, flushing
     at most ``max_batch_pages`` per driver call so one batch never
-    monopolizes the shard executor.
+    holds a shard's gate for long.
     """
 
     high_watermark: float = 0.5
@@ -209,9 +208,8 @@ class WritebackDaemon:
             update_logs = None
             if pool._logged:
                 update_logs = {page.pid: logs for page, _d, logs, _v in snapshots}
-            # The flash write itself: off every pool/page lock.  On a
-            # parallel sharded driver this groups by shard and joins the
-            # shard workers; only this daemon thread waits.
+            # The flash write itself: off every pool/page lock.  A
+            # sharded driver groups it by shard, one gate at a time.
             pool._driver_write_pages(
                 [(page.pid, data) for page, data, _l, _v in snapshots],
                 update_logs=update_logs,

@@ -182,7 +182,7 @@ class Database:
             )
         except BaseException:
             # Whatever was opened so far is released before the error
-            # propagates (a driver closes its own chips and workers).
+            # propagates (a driver closes its own chips).
             if driver is not None:
                 driver.close()
             else:
@@ -207,8 +207,7 @@ class Database:
             # the daemon and the device backends must still be released
             # (the synchronous flush itself completed first).
             self.pool.close()  # stop the write-back daemon before the driver
-            # Drivers close their own chips; the parallel driver
-            # additionally stops its worker pool.
+            # Drivers close their own chips.
             self.driver.close()
             self._closed = True
 

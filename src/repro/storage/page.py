@@ -12,9 +12,8 @@ driver.  To keep logs minimal (and the comparison fair),
 :meth:`write_delta` records only the genuinely changed byte runs; on an
 unlogged page it is one compare and one assignment.
 
-Concurrency: many client threads share one pool over a
-:class:`~repro.sharding.executor.ParallelShardedDriver`, so each page
-carries a small re-entrant latch.  **A latch orders multi-step
+Concurrency: many client threads share one pool, so each page carries
+a small re-entrant latch.  **A latch orders multi-step
 mutations, never a single read**: writes, log clearing, write-back
 snapshots and ``detach`` take it, so version, dirty flag and change log
 move together; :meth:`Page.read`, :attr:`Page.data` and decodes from

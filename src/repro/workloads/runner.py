@@ -8,9 +8,7 @@ time split the way Figure 12 splits it: read step, write step, and the
 GC share amortized into writes.
 
 Sharded labels (``"PDL (256B) x4"``) build one chip per shard, each
-sized so its slice of the database keeps the paper's utilization ratio;
-a ``par`` label executes the shards on worker threads (see
-``docs/concurrency.md``).
+sized so its slice of the database keeps the paper's utilization ratio.
 """
 
 from __future__ import annotations

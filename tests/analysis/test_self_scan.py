@@ -48,11 +48,11 @@ def test_known_suppressions_are_deliberate():
 
 
 def test_shard_gates_are_in_the_lock_order_graph(tmp_path):
-    """The clean scan above covers the gate: beside the live executor, a
-    probe that takes a gate on both sides of its own lock is reported as
-    a cycle, and the edge *into* the gate is the live ``_own``'s."""
-    executor = REPO_ROOT / "src" / "repro" / "sharding" / "executor.py"
-    (tmp_path / "executor.py").write_text(executor.read_text())
+    """The clean scan above covers the gate: beside the live sharded
+    driver, a probe that takes a gate on both sides of its own lock is
+    reported as a cycle, and the edge *into* the gate is the live ``_own``'s."""
+    driver = REPO_ROOT / "src" / "repro" / "sharding" / "driver.py"
+    (tmp_path / "driver.py").write_text(driver.read_text())
     (tmp_path / "probe.py").write_text(
         "import threading\n"
         "class Probe:\n"

@@ -2,7 +2,7 @@
 
 Eight client threads hammer one :class:`Database` — a shared
 :class:`BufferManager` with background write-back over a 4-shard
-:class:`ParallelShardedDriver` — on both device backends.  Each client
+:class:`ShardedDriver` — on both device backends.  Each client
 owns a disjoint pid partition (the same single-writer-per-pid contract
 as the driver-level stress test) and accesses pages exclusively through
 ``pool.pinned``.  Afterwards the pool is held to the full standard:
@@ -116,7 +116,7 @@ def open_pool(backend, tmp_path, model, capacity=BUFFER_PAGES, writeback=DAEMON)
             device = FileBackend.create(str(tmp_path / f"shard-{i}.flash"), SPEC)
         chips.append(FlashChip(SPEC, backend=device))
     raw_driver = make_method(
-        f"PDL (64B) x{N_SHARDS} par",
+        f"PDL (64B) x{N_SHARDS}",
         chips,
         gc=GcConfig(incremental_steps=2, hot_cold=True),
     )

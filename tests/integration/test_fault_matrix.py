@@ -11,8 +11,8 @@ precise loss*; and a subsequent restart of the repaired chip (the
 Figure-11 scan, then the snapshot+journal path — fast or fallback,
 whichever the damage forces) must round-trip cleanly.  The matrix runs
 on the memory backend and the file backend,
-plus array-level smoke over ``ShardedDriver`` / ``ParallelShardedDriver``
-/ ``Database`` and a pre-checksum image compatibility check.
+plus array-level smoke over ``ShardedDriver`` / ``Database`` and a
+pre-checksum image compatibility check.
 """
 
 import os
@@ -213,7 +213,7 @@ class TestRepairableCells:
 
 
 class TestArrayFsck:
-    def _shards(self, n, parallel):
+    def _shards(self, n):
         injectors, shards = [], []
         for i in range(n):
             injector = FaultInjector(MemoryBackend(SPEC), seed=i)
@@ -221,22 +221,43 @@ class TestArrayFsck:
             shards.append(
                 PdlDriver(FlashChip(SPEC, backend=injector), max_differential_size=64)
             )
-        if parallel:
-            from repro.sharding.executor import ParallelShardedDriver
-
-            return injectors, ParallelShardedDriver(shards)
         from repro.sharding.driver import ShardedDriver
 
         return injectors, ShardedDriver(shards)
 
+    @staticmethod
+    def _fsck(driver, parallel):
+        """Run ``driver.fsck()`` on this thread, or on a client thread of
+        its own when ``parallel`` — the shard gates, not the thread that
+        loaded the array, decide who may touch a shard."""
+        if not parallel:
+            return driver.fsck()
+        import threading
+
+        out = {}
+
+        def client():
+            try:
+                out["report"] = driver.fsck()
+            except BaseException as exc:  # re-raised on the test thread
+                out["error"] = exc
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "fsck on a client thread did not finish"
+        if "error" in out:
+            raise out["error"]
+        return out["report"]
+
     @pytest.mark.parametrize("parallel", [False, True])
     def test_sharded_fsck_merges_per_shard(self, parallel):
-        injectors, driver = self._shards(3, parallel)
+        injectors, driver = self._shards(3)
         try:
             for pid in range(12):
                 driver.load_page(pid, bytes([pid + 1]) * PAGE)
             driver.end_of_load()
-            report = driver.fsck()
+            report = self._fsck(driver, parallel)
             assert report.clean
             assert len(report.per_shard) == 3
             assert report.pages_scanned == 3 * SPEC.n_pages
@@ -244,13 +265,12 @@ class TestArrayFsck:
             index = driver.shard_index(pid)
             shard = driver.shards[index]
             injectors[index].inject("bit_rot", shard.ppmt.require(pid).base_addr)
-            report = driver.fsck()
+            report = self._fsck(driver, parallel)
             assert report.detected == 1
             assert report.lost_pids == [pid]
             assert all(r.check.consistent for r in report.per_shard)
         finally:
-            if parallel:
-                driver.close()
+            driver.close()
 
     def test_database_fsck_drops_stale_pool_copies(self, tmp_path):
         from repro.ftl.errors import UnknownPageError

@@ -1,11 +1,11 @@
-"""Mapping-cache stress: 8 clients × 4 demand-paged shards on worker threads.
+"""Mapping-cache stress: 8 client threads × 4 demand-paged shards.
 
 Eight client threads hammer a 4-shard array whose every shard runs the
 demand-paged mapping tier with a deliberately tiny translation cache.
 Afterwards the array is held to the usual standards (correct images,
 ``check_driver``-clean shards) *plus* the mapping-tier audit:
 
-* **raw-counter audit** (thread executor) — per chip, the stats layer's
+* **raw-counter audit** — per chip, the stats layer's
   ``mapping_misses`` must equal the independently counted raw device
   reads landing in the mapping region, and ``mapping_writebacks`` the
   raw programs landing there: every demand-page fault and journal/
@@ -52,8 +52,8 @@ def _region_counted_chip(region_pages: int):
     """A chip counting raw device ops that land in the mapping region.
 
     Ground truth outside the stats layer: the read/program entry points
-    are wrapped directly.  Each chip is driven by exactly one worker
-    thread, so plain dicts need no lock.
+    are wrapped directly.  Each chip is driven by one thread at a time
+    (whichever holds its shard's gate), so plain dicts need no lock.
     """
     chip = FlashChip(SPEC)
     raw = {"map_reads": 0, "map_programs": 0}
@@ -146,7 +146,7 @@ def test_mapping_audit_thread_executor():
         chips.append(chip)
         raws.append(raw)
     driver = make_method(
-        f"PDL (64B) x{N_SHARDS} par",
+        f"PDL (64B) x{N_SHARDS}",
         chips,
         mapping_cache=CACHE_ENTRIES,
         snapshot_interval=INTERVAL,

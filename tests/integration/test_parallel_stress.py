@@ -1,6 +1,6 @@
 """Thread-safety stress: many clients hammering one parallel array.
 
-Eight client threads drive a 4-shard :class:`ParallelShardedDriver`
+Eight client threads drive a 4-shard :class:`ShardedDriver`
 concurrently — single-page reads/writes, batched buffer-pool flushes and
 group flushes, on both device backends.  Afterwards the test holds the
 driver to the same standards as any serial run:
@@ -11,7 +11,7 @@ driver to the same standards as any serial run:
   counters collected independently at each chip's entry points — the
   PR 3 phase-partition audit extended across threads: no operation is
   lost or double-counted when accounting happens on whichever client
-  or worker thread holds the shard's gate.
+  thread holds the shard's gate.
 """
 
 import random
@@ -78,7 +78,7 @@ def test_eight_clients_over_four_shards(backend, tmp_path):
         chips.append(chip)
         raws.append(raw)
     driver = make_method(
-        f"PDL (64B) x{N_SHARDS} par",
+        f"PDL (64B) x{N_SHARDS}",
         chips,
         gc=GcConfig(incremental_steps=2, hot_cold=True),
     )

@@ -1,4 +1,4 @@
-"""Unit tests for the shard gates and worker pool (ShardExecutor)."""
+"""Unit tests for the shard gates (ShardExecutor)."""
 
 import threading
 import time
@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.ftl.errors import ConcurrencyError
-from repro.sharding.executor import ShardExecutor, gather
+from repro.sharding.driver import ShardExecutor
 
 
 @pytest.fixture
@@ -16,63 +16,20 @@ def pool():
     executor.shutdown()
 
 
-def _worker_ident(pool, index):
-    return pool.submit(index, threading.get_ident).result()
-
-
 class TestSubmission:
     def test_result_round_trip(self, pool):
-        assert pool.submit(0, lambda: 41 + 1).result() == 42
+        assert pool.run(0, lambda: 41 + 1) == 42
 
     def test_args_and_kwargs_forwarded(self, pool):
-        future = pool.submit(1, lambda a, b=0: a + b, 40, b=2)
-        assert future.result() == 42
-
-    def test_exception_delivered_via_future(self, pool):
-        future = pool.submit(2, lambda: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            future.result()
+        assert pool.run(1, lambda a, b=0: a + b, 40, b=2) == 42
 
     def test_invalid_worker_index_rejected(self, pool):
         with pytest.raises(ValueError):
-            pool.submit(4, lambda: None)
+            pool.run(4, lambda: None)
 
     def test_needs_at_least_one_worker(self):
         with pytest.raises(ValueError):
             ShardExecutor(0)
-
-
-class TestSingleWriterInvariant:
-    def test_tasks_for_one_worker_run_on_one_thread_in_order(self, pool):
-        seen = []
-
-        def task(i):
-            seen.append((i, threading.get_ident()))
-
-        futures = [pool.submit(0, task, i) for i in range(50)]
-        gather(futures)
-        assert [i for i, _ in seen] == list(range(50))  # FIFO per mailbox
-        assert {ident for _, ident in seen} == {_worker_ident(pool, 0)}
-
-    def test_workers_are_distinct_threads(self, pool):
-        idents = {_worker_ident(pool, i) for i in range(4)}
-        assert len(idents) == 4
-        assert threading.get_ident() not in idents
-
-    def test_workers_run_concurrently(self, pool):
-        """Two blocking tasks on different workers overlap in time."""
-        barrier = threading.Barrier(2, timeout=5.0)
-        futures = [pool.submit(i, barrier.wait) for i in range(2)]
-        gather(futures)  # would raise BrokenBarrierError if serialized
-
-    def test_run_executes_inline_on_own_worker(self, pool):
-        """A task running on worker 0 already holds gate 0, so it may
-        re-enter run() for shard 0 without deadlocking on it."""
-
-        def outer():
-            return pool.run(0, lambda: threading.get_ident())
-
-        assert pool.submit(0, outer).result() == _worker_ident(pool, 0)
 
 
 class TestGate:
@@ -85,6 +42,7 @@ class TestGate:
         assert not pool.holds(0)
 
     def test_worker_tasks_hold_their_gate(self, pool):
+        """Every task of a fan-out runs as its shard's owner."""
         assert pool.map([(i, lambda i=i: pool.holds(i)) for i in range(4)]) == [True] * 4
 
     def test_gate_released_when_the_call_raises(self, pool):
@@ -93,6 +51,8 @@ class TestGate:
         assert pool.run(0, lambda: "free") == "free"
 
     def test_a_held_gate_excludes_callers_and_the_worker(self, pool):
+        """A held gate makes another caller of that shard wait — a
+        fan-out included — and no caller of any other shard."""
         inside, release = threading.Event(), threading.Event()
 
         def hold():
@@ -102,12 +62,18 @@ class TestGate:
         holder = threading.Thread(target=pool.run, args=(0, hold))
         holder.start()
         assert inside.wait(timeout=5)
-        queued = pool.submit(0, lambda: "worker")
+        fanned = []
+        fan_out = threading.Thread(
+            target=lambda: fanned.extend(pool.map([(1, lambda: 1), (0, lambda: 0)]))
+        )
+        fan_out.start()
         assert pool.run(1, lambda: "other shard") == "other shard"
-        assert not queued.done()
+        fan_out.join(timeout=0.1)
+        assert fan_out.is_alive() and not fanned
         release.set()
         holder.join(timeout=5)
-        assert queued.result(timeout=5) == "worker"
+        fan_out.join(timeout=5)
+        assert fanned == [1, 0]
 
     def test_run_reenters_from_a_client_holding_the_gate(self, pool):
         assert pool.run(0, lambda: pool.run(0, lambda: pool.holds(0)))
@@ -117,10 +83,24 @@ class TestGate:
             (threading.get_ident(), True)
         ]
 
-    def test_fan_out_while_holding_a_target_gate_rejected(self, pool):
-        """It would wait on a worker that is waiting on the caller."""
-        with pytest.raises(ConcurrencyError, match="deadlock"):
-            pool.run(1, lambda: pool.map([(0, int), (1, int)]))
+    def test_fan_out_while_holding_a_target_gate_reenters(self, pool):
+        """The fan-out runs on the caller, which already owns shard 1."""
+        assert pool.run(1, lambda: pool.map([(0, int), (1, lambda: pool.holds(1))])) == [
+            0,
+            True,
+        ]
+
+    def test_fan_out_runs_every_task_in_order_then_raises_the_first_failure(self, pool):
+        ran = []
+
+        def fail(i):
+            ran.append(i)
+            raise KeyError(i)
+
+        with pytest.raises(KeyError) as info:
+            pool.map([(0, lambda: fail(0)), (1, lambda: ran.append(1)), (2, lambda: fail(2))])
+        assert info.value.args == (0,)
+        assert ran == [0, 1, 2]
 
     def test_run_after_shutdown_rejected(self):
         executor = ShardExecutor(1)
@@ -136,10 +116,10 @@ class TestGate:
                 pool.submit(index, lambda: None)
 
     def test_a_client_waiting_on_a_gate_never_runs_behind_shutdowns_last_task(self):
-        """close() racing a client: the chip is closed by the worker's
+        """close() racing a client: the chip is closed by the shutdown's
         last task, and a caller that was queued on the gate meanwhile
         is refused under it rather than let through afterwards."""
-        executor = ShardExecutor(1)
+        executor = ShardExecutor(2)
         inside, release = threading.Event(), threading.Event()
         order, refused = [], []
 
@@ -155,13 +135,14 @@ class TestGate:
 
         def refuses_new_work():
             try:
-                executor.submit(0, int)
+                executor.run(1, int)
             except ConcurrencyError:
                 return True
             return False
 
-        executor.submit(0, hold)
-        assert inside.wait(timeout=5)  # the worker holds gate 0
+        holder = threading.Thread(target=executor.run, args=(0, hold))
+        holder.start()
+        assert inside.wait(timeout=5)  # another thread holds gate 0
         waiting = threading.Thread(target=client)
         waiting.start()
         time.sleep(0.05)  # long enough to reach the gate; right either way
@@ -174,8 +155,8 @@ class TestGate:
             assert time.monotonic() < deadline
             time.sleep(0.001)
         release.set()
-        waiting.join(timeout=5)
-        closing.join(timeout=5)
+        for thread in (holder, waiting, closing):
+            thread.join(timeout=5)
         assert order == ["close"]
         assert len(refused) == 1
 
@@ -189,46 +170,7 @@ class TestGate:
         assert closed == [1]
 
 
-class TestGather:
-    def test_gather_preserves_order(self, pool):
-        futures = [pool.submit(i % 4, lambda i=i: i * i) for i in range(8)]
-        assert gather(futures) == [i * i for i in range(8)]
-
-    def test_gather_raises_first_error_after_joining_all(self, pool):
-        done = threading.Event()
-
-        def slow_ok():
-            time.sleep(0.05)
-            done.set()
-
-        futures = [
-            pool.submit(0, lambda: 1 / 0),
-            pool.submit(1, slow_ok),
-        ]
-        with pytest.raises(ZeroDivisionError):
-            gather(futures)
-        # The failing future must not abandon the in-flight sibling.
-        assert done.is_set()
-
-
 class TestLifecycle:
-    def test_map_runs_tasks_on_named_workers(self, pool):
-        results = pool.map(
-            [(i, lambda i=i: (i, threading.get_ident())) for i in range(4)]
-        )
-        assert [i for i, _ in results] == [0, 1, 2, 3]
-        assert [ident for _, ident in results] == [
-            _worker_ident(pool, i) for i in range(4)
-        ]
-
-    def test_shutdown_drains_queued_tasks(self):
-        executor = ShardExecutor(1)
-        counter = []
-        for i in range(20):
-            executor.submit(0, counter.append, i)
-        executor.shutdown(wait=True)
-        assert counter == list(range(20))
-
     def test_submit_after_shutdown_rejected(self):
         executor = ShardExecutor(1)
         executor.shutdown()
@@ -242,6 +184,6 @@ class TestLifecycle:
 
     def test_context_manager_shuts_down(self):
         with ShardExecutor(1) as executor:
-            assert executor.submit(0, lambda: "ok").result() == "ok"
+            assert executor.run(0, lambda: "ok") == "ok"
         with pytest.raises(ConcurrencyError):
-            executor.submit(0, lambda: None)
+            executor.run(0, lambda: None)

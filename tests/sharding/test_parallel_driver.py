@@ -1,4 +1,4 @@
-"""ParallelShardedDriver: equivalence with the serial façade + plumbing."""
+"""The sharded driver under client threads: gates, plumbing, close, recovery."""
 
 import random
 import sys
@@ -15,7 +15,7 @@ from repro.ftl.errors import ConcurrencyError, ConfigurationError
 from repro.ftl.gc import GcConfig
 from repro.config import EngineConfig
 from repro.methods import make_method
-from repro.sharding.executor import ParallelShardedDriver, ShardExecutor
+from repro.sharding.driver import ShardedDriver
 from repro.sharding.recovery import recover_all
 
 SPEC = FlashSpec(n_blocks=12, pages_per_block=8, page_data_size=256, page_spare_size=16)
@@ -59,10 +59,11 @@ def _workload(driver, n_updates=300, seed=3):
 
 class TestLabelPlumbing:
     def test_par_label_builds_parallel_driver(self):
+        """``par`` is accepted and ignored: every array is gated."""
         driver = make_method("PDL (64B) x2 par", _chips(2))
         try:
-            assert isinstance(driver, ParallelShardedDriver)
-            assert driver.name == "PDL (64B) x2 par"
+            assert type(driver) is ShardedDriver
+            assert driver.name == "PDL (64B) x2"
         finally:
             driver.close()
 
@@ -70,7 +71,7 @@ class TestLabelPlumbing:
         driver = make_method("PDL (64B) x2 par", _chips(2))
         try:
             config = EngineConfig.parse(driver.name)
-            assert config.parallel and config.n_shards == 2
+            assert config == EngineConfig.parse("PDL (64B) x2 par")
             assert config.label == driver.name
         finally:
             driver.close()
@@ -78,7 +79,7 @@ class TestLabelPlumbing:
     def test_par_composes_with_gc_token(self):
         driver = make_method("PDL (64B) x2 par gc=cb", _chips(2))
         try:
-            assert isinstance(driver, ParallelShardedDriver)
+            assert type(driver) is ShardedDriver
             assert all(s.gc.config.policy == "cb" for s in driver.shards)
         finally:
             driver.close()
@@ -91,114 +92,11 @@ class TestLabelPlumbing:
         with pytest.raises(ConfigurationError, match="more than one parallel token"):
             EngineConfig.parse("PDL (64B) x2 par par")
 
-    def test_mismatched_executor_rejected(self):
-        chips = _chips(2)
-        shards = [make_method("PDL (64B)", chip) for chip in chips]
-        with ShardExecutor(3) as executor:
-            with pytest.raises(ConcurrencyError):
-                ParallelShardedDriver(shards, executor=executor)
-
-
-def _assert_same_flash(serial_chips, parallel_chips):
-    for s_chip, p_chip in zip(serial_chips, parallel_chips):
-        assert s_chip.stats.totals() == p_chip.stats.totals()
-        assert s_chip.clock_us == p_chip.clock_us
-        for addr in range(SPEC.n_pages):
-            assert s_chip.peek_data(addr) == p_chip.peek_data(addr)
-
-
-def _load_singly(driver):
-    rng = random.Random(5)
-    for pid in range(N_PAGES):
-        driver.load_page(pid, rng.randbytes(PAGE))
-
 
 def _load_then_end(driver):
     rng = random.Random(5)
     driver.load_pages([(pid, rng.randbytes(PAGE)) for pid in range(N_PAGES)])
     driver.end_of_load()
-
-
-def _after_workload(entry_point):
-    def run(driver):
-        model = _workload(driver, n_updates=120)
-        return entry_point(driver, model)
-
-    return run
-
-
-def _flush_pool_batch(driver, model):
-    rng = random.Random(9)
-    pages = [(pid, rng.randbytes(PAGE)) for pid in sorted(model)[::3]]
-    before = driver.group_flushes
-    driver.group_flush(pages=pages)
-    assert [driver.read_page(pid) for pid, _ in pages] == [d for _, d in pages]
-    return driver.group_flushes - before
-
-
-#: Entry points the update loop of ``_workload`` does not reach, each as
-#: ``driver -> comparable result``.
-ENTRY_POINTS = {
-    "load_page": _load_singly,
-    "end_of_load": _load_then_end,
-    "fsck": _after_workload(lambda d, _m: d.fsck(repair=True)),
-    "sync": _after_workload(lambda d, _m: d.sync()),
-    "gc_report": _after_workload(lambda d, _m: d.gc_report()),
-    "wear_report": _after_workload(lambda d, _m: d.wear_report()),
-    "group_flush_pages": _after_workload(_flush_pool_batch),
-}
-
-
-class TestEquivalenceWithSerial:
-    """Shards are independent devices driven in identical per-shard
-    order, so the parallel driver must leave byte-identical flash."""
-
-    def test_flash_state_and_stats_match_serial(self):
-        serial_chips = _chips(4)
-        serial = make_method("PDL (64B) x4 gc=cb", serial_chips)
-        model = _workload(serial)
-
-        parallel_chips = _chips(4)
-        parallel = make_method("PDL (64B) x4 gc=cb par", parallel_chips)
-        try:
-            parallel_model = _workload(parallel)
-            assert parallel_model == model
-            _assert_same_flash(serial_chips, parallel_chips)
-            for pid, data in model.items():
-                assert parallel.read_page(pid) == data
-            for shard in parallel.shards:
-                check_driver(shard).raise_if_inconsistent()
-        finally:
-            parallel.close()
-
-    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-    def test_entry_point_matches_serial(self, name):
-        serial_chips, parallel_chips = _chips(3), _chips(3)
-        serial = make_method("PDL (64B) x3", serial_chips)
-        parallel = make_method("PDL (64B) x3 par", parallel_chips)
-        try:
-            assert ENTRY_POINTS[name](parallel) == ENTRY_POINTS[name](serial)
-            _assert_same_flash(serial_chips, parallel_chips)
-        finally:
-            parallel.close()
-
-    def test_phase_attribution_travels_to_workers(self):
-        driver = make_method("PDL (64B) x2 par", _chips(2))
-        try:
-            rng = random.Random(1)
-            with driver.stats.phase("custom_phase"):
-                driver.load_pages(
-                    (pid, rng.randbytes(PAGE)) for pid in range(8)
-                )
-            counts = driver.stats.of_phase("custom_phase")
-            # The shard drivers push their own inner "load" phase; the
-            # outer custom phase must at least exist on the stack the
-            # worker uses, i.e. attribution must not leak to the
-            # unattributed default.
-            assert driver.stats.of_phase("unattributed").total_ops == 0
-            assert counts.total_ops + driver.stats.of_phase("load").total_ops > 0
-        finally:
-            driver.close()
 
 
 #: What the façade may call on a shard driver / on its chip.
@@ -263,7 +161,7 @@ def _every_entry_point(driver, n_clients):
         mine = range(t, N_PAGES, n_clients)
         driver.write_page(mine[0], page)
         driver.write_pages([(pid, page) for pid in mine[1:3]])
-        driver.write_pages([(mine[3], page)])  # one shard: runs on the caller
+        driver.write_pages([(mine[3], page)])  # one shard
         assert driver.read_page(mine[0]) == page
         driver.flush()
         driver.group_flush()
@@ -275,7 +173,7 @@ def _every_entry_point(driver, n_clients):
         _from_clients(n_clients, load)
         _from_clients(n_clients, operate)
     finally:
-        driver.close()  # once: the pool stops with it
+        driver.close()  # once: the gates shut with it
 
 
 class TestGateOwnership:
@@ -284,7 +182,7 @@ class TestGateOwnership:
     hooks the owner guard covers — and never two threads at once."""
 
     def test_every_shard_and_chip_call_holds_its_gate(self):
-        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver = make_method("PDL (64B) x2", _chips(2))
         calls = []  # (shard index, method name, gate held?, thread ident)
 
         @contextmanager
@@ -301,15 +199,36 @@ class TestGateOwnership:
         assert {index for index, _, _, _ in calls} == {0, 1}
         strays = [(i, name) for i, name, held, _ in calls if not held]
         assert not strays, strays
-        # Single-page operations are never handed off: they ran on
-        # client threads, which are gone; the workers saw only fan-outs.
-        workers = {t.ident for t in driver.executor._threads}
-        single = {"load_page", "read_page", "write_page"}
-        assert not [c for c in calls if c[1] in single and c[3] in workers]
-        assert [c for c in calls if c[1] == "flush" and c[3] in workers]
+
+    def test_four_clients_leave_every_shard_consistent(self):
+        driver = make_method("PDL (64B) x4", _chips(4), gc=GcConfig(incremental_steps=1))
+        _load_then_end(driver)
+        models = [{} for _ in range(4)]
+
+        def client(t):
+            rng = random.Random(t)
+            for i in range(60):
+                pid = rng.randrange(t, N_PAGES, 4)
+                models[t][pid] = rng.randbytes(PAGE)
+                if i % 5 == 4:
+                    driver.write_pages(list(models[t].items()))
+                    driver.group_flush()
+                else:
+                    driver.write_page(pid, models[t][pid])
+
+        try:
+            _from_clients(4, client)
+            for index, shard in enumerate(driver.shards):
+                driver.executor.run(index, shard.gc.drain_victim)
+                check_driver(shard).raise_if_inconsistent()
+            for model in models:
+                for pid, data in model.items():
+                    assert driver.read_page(pid) == data
+        finally:
+            driver.close()
 
     def test_never_two_threads_inside_one_shard(self):
-        driver = make_method("PDL (64B) x4 par", _chips(4))
+        driver = make_method("PDL (64B) x4", _chips(4))
         inside = [0] * 4
         peak = [0] * 4
 
@@ -338,7 +257,7 @@ class TestGateOwnership:
     def test_a_blocked_shard_blocks_only_its_own_clients(self):
         """Shard 0 stuck inside a chip read holds gate 0 and nothing
         else: shard 1 serves its client, shard 0's next client waits."""
-        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver = make_method("PDL (64B) x2", _chips(2))
         try:
             _load_then_end(driver)
             on_shard = {0: [], 1: []}
@@ -382,7 +301,7 @@ class TestGateOwnership:
 
 class TestUseAfterClose:
     def test_parallel_driver_refuses_every_entry_point(self):
-        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver = make_method("PDL (64B) x2", _chips(2))
         _load_then_end(driver)
         driver.close()
         page = bytes(PAGE)
@@ -391,8 +310,8 @@ class TestUseAfterClose:
             lambda: driver.read_page(0),
             lambda: driver.write_page(0, page),
             lambda: driver.load_page(N_PAGES, page),
-            lambda: driver.write_pages(some[:1]),  # one shard: the gate path
-            lambda: driver.write_pages(some),  # fan-out: the worker path
+            lambda: driver.write_pages(some[:1]),  # one shard
+            lambda: driver.write_pages(some),  # a fan-out
             lambda: driver.load_pages(some),
             lambda: driver.group_flush(pages=some),
             driver.flush,
@@ -404,39 +323,50 @@ class TestUseAfterClose:
                 use()
 
     def test_parallel_close_is_idempotent(self):
-        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver = make_method("PDL (64B) x2", _chips(2))
         driver.close()
         driver.close()
 
-    def test_serial_driver_has_no_closed_state_of_its_own(self, tmp_path):
-        """Documented, not endorsed: the serial facade forwards to its
-        chips, so use after close() is whatever the backend does — a
-        memory chip keeps answering, a file chip raises ValueError."""
-        page = bytes(PAGE)
-        memory = make_method("PDL (64B) x2", _chips(2))
-        memory.load_page(0, page)
-        memory.close()
-        memory.close()
-        assert memory.read_page(0) == page
-
-        files = make_method(
+    @staticmethod
+    def _file_array(tmp_path):
+        return make_method(
             "PDL (64B) x2",
             [
                 FlashChip(SPEC, backend=FileBackend.create(tmp_path / f"s{i}.img", SPEC))
                 for i in range(2)
             ],
         )
-        files.load_page(0, page)
+
+    def test_file_array_refuses_use_after_close(self, tmp_path):
+        """The façade's own closed state answers, not the backend's
+        ``ValueError`` ("closed file")."""
+        files = self._file_array(tmp_path)
+        files.load_page(0, bytes(PAGE))
         files.close()
         files.close()
-        with pytest.raises(ValueError, match="closed file"):
+        with pytest.raises(ConcurrencyError, match="shut down"):
             files.read_page(0)
+
+    def test_a_failing_chip_close_still_closes_the_others(self, tmp_path):
+        files = self._file_array(tmp_path)
+        chips = files.chips
+
+        def broken_close():
+            raise OSError("chip 0 will not close")
+
+        chips[0].close = broken_close
+        with pytest.raises(OSError, match="chip 0"):
+            files.close()
+        with pytest.raises(ValueError, match="closed file"):
+            chips[1].sync()
+        del chips[0].close  # the real close again
+        chips[0].close()
 
 
 class TestOwnershipGuard:
     def test_gc_hooks_rejected_off_worker_thread(self):
         driver = make_method(
-            "PDL (64B) x2 par", _chips(2), gc=GcConfig(incremental_steps=1)
+            "PDL (64B) x2", _chips(2), gc=GcConfig(incremental_steps=1)
         )
         try:
             with pytest.raises(ConcurrencyError, match="gate"):
@@ -450,7 +380,7 @@ class TestOwnershipGuard:
     def test_direct_shard_write_bypassing_mailbox_rejected(self):
         """(Named before ownership became a gate: "the mailbox" is the
         facade, the only code that takes one.)"""
-        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver = make_method("PDL (64B) x2", _chips(2))
         try:
             with pytest.raises(ConcurrencyError):
                 driver.shards[0].write_page(0, b"\x00" * PAGE)
@@ -458,7 +388,7 @@ class TestOwnershipGuard:
             driver.close()
 
     def test_unbinding_restores_direct_use(self):
-        driver = make_method("PDL (64B) x2 par", _chips(2))
+        driver = make_method("PDL (64B) x2", _chips(2))
         try:
             for shard in driver.shards:
                 shard.gc.bind_owner(None)
@@ -468,29 +398,10 @@ class TestOwnershipGuard:
 
 
 class TestParallelRecovery:
-    def test_parallel_scan_matches_serial_scan(self):
-        chips = _chips(3)
-        driver = make_method("PDL (64B) x3", chips)
-        model = _workload(driver, n_updates=150)
-
-        serial, serial_reports = recover_all(chips, parallel=False)
-        parallel, parallel_reports = recover_all(chips, parallel=True)
-        try:
-            assert isinstance(parallel, ParallelShardedDriver)
-            for ser, par in zip(serial_reports, parallel_reports):
-                assert ser.pages_scanned == par.pages_scanned
-                assert ser.base_pages_adopted == par.base_pages_adopted
-                assert ser.differentials_adopted == par.differentials_adopted
-                assert ser.max_timestamp == par.max_timestamp
-            for pid, data in model.items():
-                assert parallel.read_page(pid) == data
-        finally:
-            parallel.executor.shutdown()
-
     @pytest.mark.parametrize("bogus", ["process", "fiber", 1, None, "thread"])
     def test_unknown_parallel_value_rejected(self, bogus):
-        """``parallel`` is a bool; the old "thread" spelling went with the
-        process executor that made it necessary."""
+        """``parallel`` is still accepted as a bool, and ignored; the old
+        "thread" spelling went with the process executor."""
         with pytest.raises(ConfigurationError, match=repr(bogus)):
             recover_all(_chips(2), parallel=bogus)
 
@@ -499,6 +410,7 @@ class TestParallelRecovery:
         driver = make_method("PDL (64B) x2", chips)
         model = _workload(driver, n_updates=100)
         recovered, _ = recover_all(chips, parallel=True)
+        assert recovered.name == "PDL (256B) x2"
         try:
             errors = []
 
@@ -518,4 +430,4 @@ class TestParallelRecovery:
                 thread.join()
             assert not errors
         finally:
-            recovered.executor.shutdown()
+            recovered.close()

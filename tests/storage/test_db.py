@@ -18,6 +18,7 @@ from repro.ftl.errors import (
 )
 from repro.ftl.gc import GcConfig
 from repro.methods import make_method
+from repro.sharding.driver import ShardedDriver
 from repro.storage.db import Database
 
 
@@ -301,7 +302,8 @@ class TestManifest:
 
 
 class TestParallelOpen:
-    """Database.open(parallel=True): worker-threaded shard execution."""
+    """Database.open(parallel=...): the old execution-mode switch, still
+    accepted as a bool and ignored — every array is gated."""
 
     SPEC = FlashSpec(
         n_blocks=12, pages_per_block=8, page_data_size=256, page_spare_size=16
@@ -318,8 +320,6 @@ class TestParallelOpen:
         return images
 
     def test_parallel_create_and_serial_reopen(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
-
         with Database.open(
             tmp_path,
             spec=self.SPEC,
@@ -328,33 +328,14 @@ class TestParallelOpen:
             buffer_capacity=4,
             parallel=True,
         ) as db:
-            assert isinstance(db.driver, ParallelShardedDriver)
+            assert type(db.driver) is ShardedDriver and db.driver.name == "PDL (64B) x3"
             images = self._populate(db, n=9)
-        # parallel is runtime state — a plain reopen recovers serially.
         with Database.open(tmp_path) as db2:
-            assert not isinstance(db2.driver, ParallelShardedDriver)
+            assert type(db2.driver) is ShardedDriver
             for pid, data in images.items():
                 assert db2.page(pid).data == data
 
-    def test_parallel_reopen_recovers_concurrently(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
-
-        with Database.open(
-            tmp_path,
-            spec=self.SPEC,
-            n_shards=2,
-            max_differential_size=64,
-            buffer_capacity=4,
-        ) as db:
-            images = self._populate(db, n=6)
-        with Database.open(tmp_path, parallel=True) as db2:
-            assert isinstance(db2.driver, ParallelShardedDriver)
-            for pid, data in images.items():
-                assert db2.page(pid).data == data
-
-    def test_parallel_single_shard_gets_the_facade(self, tmp_path):
-        from repro.sharding.executor import ParallelShardedDriver
-
+    def test_parallel_single_shard_stays_bare(self, tmp_path):
         with Database.open(
             tmp_path,
             spec=self.SPEC,
@@ -362,11 +343,10 @@ class TestParallelOpen:
             buffer_capacity=4,
             parallel=True,
         ) as db:
-            assert isinstance(db.driver, ParallelShardedDriver)
-            assert db.driver.n_shards == 1
+            assert type(db.driver) is PdlDriver
             images = self._populate(db, n=4)
         with Database.open(tmp_path, parallel=True) as db2:
-            assert isinstance(db2.driver, ParallelShardedDriver)
+            assert type(db2.driver) is PdlDriver
             for pid, data in images.items():
                 assert db2.page(pid).data == data
 

@@ -17,13 +17,16 @@ tier-1 without a timing assertion.
 
 The second test is one fetch, two ways.  ``BufferManager.get_page``: a hit
 is 2 calls and 1 release (the pool lock); a miss that evicts a clean
-frame is 27 calls, the driver's read included, and 3 releases — the pool
-lock on either side of the flash read and the victim's ``detach``.  It
-was 29 and 5 while ``attach`` latched a frame no other thread could yet
-see and every eviction called for, and locked, an empty repark queue,
-and 28.25 calls while unpin and clean events were queued for the next
-eviction to replay.  ``with pool.pinned(pid):`` is that fetch plus a pin
-and an unpin: 8 calls and 2 releases on a hit, 29 and 4 on a miss — the
+frame is 27 calls, the driver's read included, and 4 releases — the pool
+lock on either side of the flash read, the driver lock around it (every
+call into a bare driver is serialized, so client threads may share the
+pool with or without the write-back daemon) and the victim's ``detach``.
+Before that lock was unconditional it was 3 releases; before that, 29
+and 5 while ``attach`` latched a frame no other thread could yet see and
+every eviction called for, and locked, an empty repark queue, and 28.25
+calls while unpin and clean events were queued for the next eviction to
+replay.  ``with pool.pinned(pid):`` is that fetch plus a pin
+and an unpin: 8 calls and 2 releases on a hit, 29 and 5 on a miss — the
 pin is counted inside the fetch's pool lock, the unpin is one more
 acquisition of it.  While a pin count sat behind the page latch and the
 last unpin queued its repark event behind the dirty lock they were 9 and
@@ -51,7 +54,7 @@ CALLS_PER_TRANSACTION_BUDGET = 1280
 LOCK_RELEASES_PER_TRANSACTION_BUDGET = 200
 
 HIT_BUDGET = (2, 1)  # (Python calls, lock releases) per get_page
-MISS_BUDGET = (28, 3)
+MISS_BUDGET = (28, 4)
 PINNED_HIT_BUDGET = (8, 2)  # per `with pool.pinned(pid):`
 PINNED_MISS_BUDGET = (32, 5)
 

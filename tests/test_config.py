@@ -39,7 +39,6 @@ sizes = st.one_of(st.integers(1, 1023), st.integers(1, 64).map(lambda kb: kb * 1
 shapes = st.one_of(
     st.just({}),
     st.builds(lambda n: {"n_shards": n}, st.integers(1, 16)),
-    st.builds(lambda n: {"n_shards": n, "parallel": True}, st.integers(1, 16)),
 )
 collectors = st.sampled_from(["greedy", "cb", "cost-benefit", "wear"]).map(
     lambda name: {"gc": GcConfig(policy=name)}
@@ -83,7 +82,7 @@ def test_label_round_trip(config):
     assert EngineConfig.parse(config.label) == config
     # Case, spacing and the order of the trailing tokens are the writer's choice.
     words = config.label.split()
-    tokens = [w for w in words if w == "par" or w.startswith(("x", "gc="))]
+    tokens = [w for w in words if w.startswith(("x", "gc="))]
     method = [w for w in words if w not in tokens]
     respelled = "  ".join(method + tokens[::-1]).lower()
     assert EngineConfig.parse(respelled) == config
@@ -125,8 +124,8 @@ REJECTED = {
     "negative mapping_cache": lambda: EngineConfig(mapping_cache=-1),
     "writeback without a pool": lambda: EngineConfig(writeback="background"),
     "unknown writeback mode": lambda: EngineConfig(buffer_capacity=8, writeback="bogus"),
-    "non-bool parallel": lambda: EngineConfig(n_shards=2, parallel="thread"),
-    "truthy parallel": lambda: EngineConfig(n_shards=2, parallel=1),
+    "non-bool parallel": lambda: EngineConfig.of(n_shards=2, parallel="thread"),
+    "truthy parallel": lambda: EngineConfig.of(n_shards=2, parallel=1),
     "unknown eviction policy": lambda: EngineConfig(buffer_capacity=8, buffer_policy="nope"),
     "unknown victim policy": lambda: EngineConfig(gc=GcConfig(policy="mystery")),
     "unknown victim policy in a label": lambda: EngineConfig.parse("OPU gc=mystery"),
@@ -186,7 +185,7 @@ def test_retunable_fields_may_differ_on_reopen(tmp_path):
         buffer_capacity=32,
         buffer_policy="2q",
         writeback="background",
-        parallel=True,
+        parallel=True,  # accepted and ignored
         gc=GcConfig(policy="cb", incremental_steps=2),
         mapping_cache=0,
         snapshot_interval=24,
@@ -194,7 +193,7 @@ def test_retunable_fields_may_differ_on_reopen(tmp_path):
     )
     with Database.open(tmp_path, **retuned) as db:
         assert db.page(0).data == b"\x5a" * db.page_size
-        assert db.pool.capacity == 32 and db.driver.name == "PDL (64B) gc=cb x2 par"
+        assert db.pool.capacity == 32 and db.driver.name == "PDL (64B) gc=cb x2"
         for shard in db.driver.shards:
             assert shard.mapping.config.cache_entries == 0
             assert shard.mapping.config.snapshot_interval == 24
@@ -284,12 +283,9 @@ PARENT_CELLS = {
     "pdl-256-file": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "file", NO_POOL),
     "pdl-x4": ("ShardedDriver", "PDL (256B) x4", 4, 256, GREEDY, None, "memory", NO_POOL),
     "pdl-x4-cb": ("ShardedDriver", "PDL (256B) gc=cb x4", 4, 256, CB, None, "memory", NO_POOL),
-    "pdl-x4-thread": (
-        "ParallelShardedDriver", "PDL (256B) x4 par", 4, 256, GREEDY, None, "memory", NO_POOL,
-    ),
-    "pdl-x2-thread": (
-        "ParallelShardedDriver", "PDL (256B) x2 par", 2, 256, GREEDY, None, "memory", NO_POOL,
-    ),
+    # Recorded with the worker-threaded class and an "x2 par" label until
+    # every array became gated and the cell's label lost its ``par``.
+    "pdl-x2-thread": ("ShardedDriver", "PDL (256B) x2", 2, 256, GREEDY, None, "memory", NO_POOL),
     "opu-x2-file": ("ShardedDriver", "OPU x2", 2, None, GREEDY, None, "file", NO_POOL),
     "pdl-buf-lru": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "memory", (12, "lru", None)),
     "pdl-buf-2q-bg": (
@@ -371,7 +367,7 @@ def test_grid_cells_assemble_as_at_the_parent(grid, cell):
         named = EngineConfig.parse(driver.name)
         assert named.label == driver.name == config.label
         for knob in ("method", "max_differential_size", "log_region_bytes",
-                     "n_shards", "parallel", "gc"):
+                     "n_shards", "gc"):
             assert getattr(named, knob) == getattr(config, knob), knob
     finally:
         driver.close()
@@ -381,11 +377,9 @@ def test_grid_cells_assemble_as_at_the_parent(grid, cell):
 @pytest.mark.parametrize("parallel", [False, True])
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_database_open_assembles_as_at_the_parent(tmp_path, n_shards, parallel, mapping_cache):
-    # One image is a *bare* PdlDriver unless parallel — the pool
-    # workloads must not acquire the routed façade.
-    if parallel:
-        stack, name = "ParallelShardedDriver", f"PDL (256B) x{n_shards} par"
-    elif n_shards == 1:
+    # One image is a *bare* PdlDriver — the pool workloads must not
+    # acquire the routed façade — and ``parallel`` is accepted and ignored.
+    if n_shards == 1:
         stack, name = "PdlDriver", "PDL (256B)"
     else:
         stack, name = "ShardedDriver", f"PDL (256B) x{n_shards}"

@@ -22,14 +22,14 @@ from repro.methods import (
 
 
 class TestParallelToken:
-    """The ``par`` token (driver behaviour is covered by
-    tests/sharding/test_parallel_driver.py)."""
+    """The ``par`` token: still accepted after ``xN``, and ignored —
+    every array is thread-safe (tests/sharding/test_parallel_driver.py)."""
 
     def test_token_stripped_from_anywhere(self):
-        want = EngineConfig(n_shards=4, parallel=True)
+        want = EngineConfig(n_shards=4)
         assert EngineConfig.parse("PDL (256B) x4 par") == want
         assert EngineConfig.parse("PDL (256B) par x4") == want
-        assert not EngineConfig.parse("OPU x2").parallel
+        assert EngineConfig.parse("OPU x2 par").label == "OPU x2"
 
     def test_token_is_word_bounded(self):
         # 'par' inside another word is not the token: no such label.
@@ -37,7 +37,6 @@ class TestParallelToken:
             EngineConfig.parse("OPU x2 parquet")
         with pytest.raises(ConfigurationError, match="unknown method label"):
             EngineConfig.parse("OPU x2par")
-        assert not EngineConfig.parse("OPU").parallel
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(ConfigurationError, match="more than one parallel"):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash.spec import TINY_SPEC
-from repro.sharding.executor import ParallelShardedDriver
+from repro.sharding.driver import ShardedDriver
 from repro.workloads.runner import (
     MethodMeasurement,
     aging_horizon,
@@ -74,8 +74,8 @@ class TestMeasurement:
 
 
 class TestWallClockMeasurement:
-    """A ``par`` label reaches the thread-parallel driver through the runner."""
+    """An old ``par`` label still builds, as the one gated array."""
 
     def test_par_workload_builds_parallel_driver(self, small_runner):
         wl = build_workload("PDL (64B) x2 par", small_runner, 2.0, 1)
-        assert isinstance(wl.driver, ParallelShardedDriver)
+        assert type(wl.driver) is ShardedDriver and wl.driver.name == "PDL (64B) x2"
