@@ -20,8 +20,8 @@ NAND flash that stores each logical page as a base page plus at most one
   pages, heap files, B+tree) standing in for the Odysseus ORDBMS;
 * :mod:`repro.workloads` — the paper's synthetic update operations and a
   scaled TPC-C implementation;
-* :mod:`repro.bench` — orchestrators regenerating every figure of the
-  evaluation (Figures 12–18).
+* :mod:`repro.bench` — the paper suite: every table and figure of the
+  evaluation (Tables 1–2, Figures 12–18) as one entry of ``FIGURES``.
 
 Quickstart::
 

@@ -1,47 +1,17 @@
-"""Experiment harness (S10): regenerates every table and figure.
-
-See :mod:`repro.bench.experiments` for the per-figure orchestrators and
-``python -m repro.bench --list`` for the CLI.
+"""The paper suite: every table and figure of the evaluation is one entry
+of :data:`~repro.bench.figures.FIGURES`; ``python -m repro.bench --list``
+for the CLI.
 """
 
-from .config import SCALES, BenchScale, current_scale
-from .experiments import (
-    ALL_EXPERIMENTS,
-    ablation_diff_granularity,
-    ablation_max_differential_size,
-    ablation_victim_policy,
-    experiment1,
-    experiment2,
-    experiment3,
-    experiment4,
-    experiment5,
-    experiment6,
-    experiment7,
-    table1_chip_parameters,
-    table2_properties,
-)
-from .plotting import bar_chart, line_chart, render_figure
+from .figures import FIGURES, SCALES, BenchScale, Figure, current_scale, run
 from .reporting import ResultTable
 
 __all__ = [
-    "ALL_EXPERIMENTS",
-    "BenchScale",
-    "ResultTable",
+    "FIGURES",
     "SCALES",
-    "ablation_diff_granularity",
-    "ablation_max_differential_size",
-    "ablation_victim_policy",
-    "bar_chart",
-    "line_chart",
-    "render_figure",
+    "BenchScale",
+    "Figure",
+    "ResultTable",
     "current_scale",
-    "experiment1",
-    "experiment2",
-    "experiment3",
-    "experiment4",
-    "experiment5",
-    "experiment6",
-    "experiment7",
-    "table1_chip_parameters",
-    "table2_properties",
+    "run",
 ]

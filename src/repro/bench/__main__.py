@@ -1,87 +1,82 @@
-"""Command-line entry point: regenerate any of the paper's experiments.
+"""Command-line entry point: regenerate and check the paper's figures.
 
 Usage::
 
     python -m repro.bench --list
     python -m repro.bench exp1 exp7
     python -m repro.bench all --scale smoke
-    repro-bench exp1                     # installed console script
 
-Each experiment prints its table and persists JSON under
-``bench_results/`` for EXPERIMENTS.md.
+Each figure prints its table and notes, saves ``<experiment>.json`` under
+``$REPRO_BENCH_RESULTS`` (default ``bench_results/``) and runs its shape
+check.  The exit status is 1 if any check failed; each failure names the
+figure and the assertion on stderr.  The checks are plain ``assert``
+statements, so ``python -O`` skips them.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
+import traceback
 from typing import List
 
-from .config import ENV_VAR, SCALES, current_scale
-from .experiments import ALL_EXPERIMENTS
-from .plotting import render_figure
+from .figures import FIGURES, SCALE_VAR, SCALES, current_scale, run
 
 
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Regenerate the tables and figures of the "
+        prog="python -m repro.bench",
+        description="Regenerate and check the tables and figures of the "
         "page-differential-logging paper.",
     )
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help="experiment ids (see --list), or 'all'",
-    )
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
+    parser.add_argument("experiments", nargs="*", help="figure ids (see --list), or 'all'")
+    parser.add_argument("--list", action="store_true", help="list figure ids")
     parser.add_argument(
         "--scale",
         choices=sorted(SCALES),
-        help=f"benchmark scale (default from ${ENV_VAR}, else 'small')",
+        help=f"benchmark scale (default from ${SCALE_VAR}, else 'small')",
     )
     parser.add_argument(
-        "--no-save", action="store_true", help="skip writing bench_results/*.json"
-    )
-    parser.add_argument(
-        "--figure", action="store_true",
-        help="also draw an ASCII rendition of the figure",
+        "--no-save", action="store_true", help="skip writing the JSON result files"
     )
     args = parser.parse_args(argv)
 
     if args.list or not args.experiments:
         print("available experiments:")
-        for name in ALL_EXPERIMENTS:
+        for name in FIGURES:
             print(f"  {name}")
         return 0
 
-    if args.scale:
-        os.environ[ENV_VAR] = args.scale
-    scale = current_scale()
-
-    names = list(args.experiments)
-    if names == ["all"]:
-        names = list(ALL_EXPERIMENTS)
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
+    names = list(FIGURES) if args.experiments == ["all"] else args.experiments
+    unknown = [n for n in names if n not in FIGURES]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
+    scale = SCALES[args.scale] if args.scale else current_scale()
 
-    print(f"running at scale '{scale.name}' "
-          f"(db={scale.database_pages} pages, ops={scale.measure_ops})")
+    print(f"running at scale '{scale.name}'")
+    failed = False
     for name in names:
         started = time.time()
-        table = ALL_EXPERIMENTS[name]()
+        figure = FIGURES[name]
+        table = run(figure, scale)
         print()
         print(table.render())
-        if args.figure:
-            print()
-            print(render_figure(table))
         if not args.no_save:
-            path = table.save()
-            print(f"  saved: {path}")
+            print(f"  saved: {table.save()}")
+        try:
+            figure.check(table)
+        except AssertionError as exc:
+            failed = True
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail = f" ({exc})" if str(exc) else ""
+            print(
+                f"shape check failed: {name}: {where.filename}:{where.lineno}: "
+                f"{where.line}{detail}",
+                file=sys.stderr,
+            )
         print(f"  elapsed: {time.time() - started:.1f}s")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

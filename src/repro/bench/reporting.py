@@ -1,9 +1,10 @@
 """Result tables: paper-style text rendering and JSON persistence.
 
-Each experiment produces a :class:`ResultTable` — named columns, one row
-per (method, parameter) point — which renders as an aligned text table
-(the "same rows/series the paper reports") and serializes to JSON under
-``bench_results/`` so EXPERIMENTS.md can cite exact numbers.
+Each figure of the paper suite, and the scenario matrix, produces a
+:class:`ResultTable` — named columns, one row per (method, parameter)
+point — which renders as an aligned text table (the "same rows/series
+the paper reports") and serializes to JSON under ``$REPRO_BENCH_RESULTS``
+(default ``bench_results/``).
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
-
-#: Default directory for persisted results (relative to the repo root).
-RESULTS_DIR = os.environ.get("REPRO_BENCH_RESULTS", "bench_results")
 
 
 @dataclass
@@ -74,7 +72,9 @@ class ResultTable:
         }
 
     def save(self, directory: Optional[str] = None) -> str:
-        directory = directory or RESULTS_DIR
+        """Write ``<experiment>.json`` into ``directory``, else
+        ``$REPRO_BENCH_RESULTS`` as it is now, else ``bench_results/``."""
+        directory = directory or os.environ.get("REPRO_BENCH_RESULTS", "bench_results")
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"{self.experiment}.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -82,7 +82,7 @@ class ResultTable:
         return path
 
     # ------------------------------------------------------------------
-    # Queries (used by benchmark assertions)
+    # Queries (used by the figures' shape checks)
     # ------------------------------------------------------------------
     def column(self, name: str) -> List[object]:
         idx = list(self.columns).index(name)

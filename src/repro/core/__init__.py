@@ -1,4 +1,7 @@
-"""The paper's contribution: page-differential logging (S5–S6 in DESIGN.md).
+"""The paper's contribution: page-differential logging (Section 4).
+
+Its one substitution, the 16-byte diff unit, is in docs/paper-map.md,
+"Substitutions".
 
 * :class:`Differential` and the run/page codecs — Section 4.2's structures.
 * :class:`DifferentialWriteBuffer` — the one-page staging buffer.

@@ -63,7 +63,7 @@ DEFAULT_COALESCE_GAP = RUN_HEADER_SIZE
 #: averaging about half a page.  That sawtooth requires the encoded size
 #: to exceed one page *before* literally every byte has changed — i.e. a
 #: unit-granular encoder that emits one entry per changed unit.  16 bytes
-#: reproduces the paper's steady state; see DESIGN.md.
+#: reproduces the paper's steady state; see docs/paper-map.md, "Substitutions".
 DEFAULT_DIFF_UNIT = 16
 
 

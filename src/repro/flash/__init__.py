@@ -1,4 +1,4 @@
-"""NAND flash emulator substrate (S1 in DESIGN.md).
+"""NAND flash emulator substrate (scaled: docs/paper-map.md, "Substitutions").
 
 Public surface:
 

@@ -11,7 +11,7 @@ The chip enforces real NAND semantics (Section 2 of the paper):
   is how pages are marked obsolete without an erase;
 * log pages may be partially programmed in slots
   (``FlashSpec.max_log_page_programs``), the relaxation IPL's cost model
-  requires (see DESIGN.md).
+  requires (see docs/paper-map.md, "Substitutions").
 
 The *bits* live in a :class:`~repro.flash.backend.DeviceBackend` — the
 volatile :class:`~repro.flash.backend.MemoryBackend` by default, or the

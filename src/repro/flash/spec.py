@@ -44,7 +44,7 @@ class FlashSpec:
         Partial-program budget for pages used as IPL log pages.  The
         paper's IPL cost model flushes 1/16-page log buffers, i.e. up to 16
         programs land in one 2 KB log page; this knob documents and bounds
-        that relaxation (see DESIGN.md, substitutions).
+        that relaxation (see docs/paper-map.md, "Substitutions").
     erase_endurance:
         Erase cycles a block sustains before wearing out (~100,000 for the
         paper's chip).  Only enforced when ``enforce_endurance`` is True;

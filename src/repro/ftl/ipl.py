@@ -14,8 +14,8 @@ fresh block, and the old block is erased (the paper counts merging as
 IPL's garbage collection, footnote 11).
 
 Log-region writes use slot-granular partial page programming
-(``FlashSpec.max_log_page_programs``); see DESIGN.md for why this matches
-the paper's cost model.
+(``FlashSpec.max_log_page_programs``); docs/paper-map.md, "Substitutions",
+says why this matches the paper's cost model.
 
 On-flash slot format (little-endian)::
 

@@ -3,8 +3,8 @@
 Runs a set of named patterns against a grid of engine configurations,
 feeds every scenario's cells through the differential-equivalence
 oracle, and emits one cross-scenario report table
-(``bench_results/scenarios.json`` via the bench
-:class:`~repro.bench.reporting.ResultTable` machinery).
+(``bench_results/scenarios.json`` via the paper suite's
+:class:`~repro.bench.reporting.ResultTable`).
 
 The default grid covers every axis the engine has grown: the four
 page-update methods, shard counts,

@@ -1,4 +1,4 @@
-"""Mini-DBMS storage substrate (S7 in DESIGN.md).
+"""Mini-DBMS storage substrate (docs/paper-map.md, "Substitutions").
 
 A page-based storage engine standing in for the Odysseus ORDBMS storage
 layer the paper used: a buffer-pool subsystem with pluggable eviction

@@ -11,7 +11,7 @@ workload" by a string instead of re-rolling its own loop:
   thetas (``zipf-0.6`` mild … ``zipf-1.2`` heavy), ranks scattered over
   pids so hot pages are not physically clustered;
 * ``scan-hot`` — full sequential read scans interleaved with a hot-set
-  update stream (the STOCK-LEVEL / reporting mix of ``bench_exp7``);
+  update stream (the STOCK-LEVEL / reporting mix of Experiment 7's TPC-C);
 * ``ycsb-a`` … ``ycsb-f`` — the YCSB core-workload read/update mixes
   (A 50/50, B 95/5, C read-only, D read-latest, E scan-heavy,
   F read-modify-write), with "insert" mapped to an update of the

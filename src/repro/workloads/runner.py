@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..config import EngineConfig
 from ..core.pdl import PdlDriver
@@ -40,6 +40,8 @@ class MethodMeasurement:
     erases: int
     reads: int
     writes: int
+    max_block_wear: int  # erases of the most-erased block in the window
+    tightly_coupled: bool  # the driver's Figure-10 coupling (Table 2)
 
     @property
     def overall_us(self) -> float:
@@ -151,7 +153,7 @@ def warm_to_steady_state(workload: SyntheticWorkload, runner: RunnerConfig) -> i
 
     The paper instead re-executes until GC has hit each block ten times;
     the aging pass reproduces the same per-page state directly (see
-    DESIGN.md, substitutions).
+    docs/paper-map.md, "Substitutions").
     """
     driver = workload.driver
     ops = 0
@@ -221,12 +223,7 @@ def measure_updates(
     workload = build_workload(
         label, runner, pct_changed, n_updates_till_write, method_kwargs
     )
-    warm_to_steady_state(workload, runner)
-    stats = workload.driver.stats
-    snap = stats.snapshot()
-    workload.run_updates(runner.measure_ops)
-    delta = stats.delta_since(snap)
-    return _measurement(label, runner.measure_ops, delta)
+    return _measure_window(label, runner, workload, workload.run_updates)
 
 
 def measure_mix(
@@ -246,25 +243,34 @@ def measure_mix(
     workload = build_workload(
         label, runner, pct_changed, n_updates_till_write, method_kwargs
     )
+    return _measure_window(
+        label, runner, workload, lambda n_ops: workload.run_mix(n_ops, pct_update)
+    )
+
+
+def _measure_window(
+    label: str,
+    runner: RunnerConfig,
+    workload: SyntheticWorkload,
+    run_window: Callable[[int], object],
+) -> MethodMeasurement:
+    """Warm ``workload`` to steady state, then measure ``run_window`` over
+    ``runner.measure_ops`` operations."""
     warm_to_steady_state(workload, runner)
     stats = workload.driver.stats
     snap = stats.snapshot()
-    workload.run_mix(runner.measure_ops, pct_update)
+    n_ops = runner.measure_ops
+    run_window(n_ops)
     delta = stats.delta_since(snap)
-    return _measurement(label, runner.measure_ops, delta)
-
-
-def _measurement(label: str, n_ops: int, delta) -> MethodMeasurement:
-    read = delta.of_phase(READ_STEP)
-    write = delta.of_phase(WRITE_STEP)
-    gc = delta.of_phase(GC)
     return MethodMeasurement(
         label=label,
         n_ops=n_ops,
-        read_us=read.time_us / n_ops,
-        write_us=write.time_us / n_ops,
-        gc_us=gc.time_us / n_ops,
+        read_us=delta.of_phase(READ_STEP).time_us / n_ops,
+        write_us=delta.of_phase(WRITE_STEP).time_us / n_ops,
+        gc_us=delta.of_phase(GC).time_us / n_ops,
         erases=delta.total_erases,
         reads=delta.totals().reads,
         writes=delta.totals().writes,
+        max_block_wear=delta.max_block_erases(),
+        tightly_coupled=workload.driver.tightly_coupled,
     )

@@ -1,4 +1,5 @@
-"""Scaled TPC-C workload (S9 in DESIGN.md) for Experiment 7 / Figure 18."""
+"""Scaled TPC-C workload for Experiment 7 / Figure 18 (docs/paper-map.md,
+"Substitutions")."""
 
 from .driver import TpccMeasurement, estimate_database_pages, run_tpcc
 from .loader import Table, TpccDatabase

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...flash.chip import FlashChip
-from ...flash.spec import FlashSpec, spec_for_database
+from ...flash.spec import SAMSUNG_K9L8G08U0M, FlashSpec, spec_for_database
 from ...methods import make_method
 from ...storage.db import Database
 from .loader import TpccDatabase
@@ -38,14 +38,9 @@ class TpccMeasurement:
     hit_ratio: float
     erases: int
     counts: TxnCounts
-    #: Buffer-pool configuration of this point (Experiment-7 extension).
-    buffer_policy: str = "lru"
-    writeback: str = "sync"
     #: Flash operations of the measured window.
     flash_reads: int = 0
     flash_writes: int = 0
-    #: Client-visible eviction stall tail over the measured window (host µs).
-    eviction_stall_p99_us: float = 0.0
 
 
 def estimate_database_pages(scale: TpccScale, page_size: int = 2048) -> int:
@@ -72,70 +67,45 @@ def run_tpcc(
     n_transactions: int = 1000,
     warmup_transactions: Optional[int] = None,
     seed: int = 7,
-    base_spec: Optional[FlashSpec] = None,
-    buffer_policy: str = "lru",
-    writeback=None,
+    base_spec: FlashSpec = SAMSUNG_K9L8G08U0M,
 ) -> TpccMeasurement:
-    """Measure one (method, buffer size) point of Figure 18.
-
-    ``buffer_policy`` / ``writeback`` extend the paper's sweep with the
-    buffer-pool subsystem's knobs; the defaults (``"lru"``, sync
-    write-back) reproduce the paper's configuration exactly.
-    """
+    """Measure one (method, buffer size) point of Figure 18, with the
+    paper's pool: LRU eviction, synchronous write-back."""
     if not 0.0 < buffer_fraction <= 1.0:
         raise ValueError("buffer_fraction must be in (0, 1]")
     est_pages = estimate_database_pages(scale)
-    if base_spec is None:
-        from ...flash.spec import SAMSUNG_K9L8G08U0M
-
-        base_spec = SAMSUNG_K9L8G08U0M
     spec = spec_for_database(est_pages * 2, utilization=0.25, base=base_spec)
     chip = FlashChip(spec)
     driver = make_method(label, chip)
     # Load through a generous buffer, then shrink to the measured size.
-    load_db = Database(
-        driver,
-        buffer_capacity=max(est_pages // 2, 256),
-        buffer_policy=buffer_policy,
-        writeback=writeback,
+    load_db = Database(driver, buffer_capacity=max(est_pages // 2, 256))
+    tpcc = TpccDatabase(load_db, scale, seed=seed)
+    tpcc.load()
+    database_pages = load_db.allocated_pages
+    buffer_pages = max(4, int(database_pages * buffer_fraction))
+    load_db.pool.capacity = buffer_pages  # shrink to the measured size
+    workload = TpccWorkload(tpcc, seed=seed)
+    if warmup_transactions is None:
+        warmup_transactions = max(100, n_transactions // 4)
+    workload.run(warmup_transactions)
+    snap = chip.stats.snapshot()
+    stats = load_db.buffer_stats
+    hits0, misses0 = stats.hits, stats.misses
+    counts0 = workload.counts.total
+    workload.run(n_transactions)
+    delta = chip.stats.delta_since(snap)
+    accesses = stats.hits - hits0 + stats.misses - misses0
+    hits = stats.hits - hits0
+    return TpccMeasurement(
+        label=label,
+        buffer_fraction=buffer_fraction,
+        buffer_pages=buffer_pages,
+        database_pages=database_pages,
+        transactions=workload.counts.total - counts0,
+        io_us_per_txn=delta.total_time_us / n_transactions,
+        hit_ratio=hits / accesses if accesses else 0.0,
+        erases=delta.total_erases,
+        counts=workload.counts,
+        flash_reads=delta.totals().reads,
+        flash_writes=delta.totals().writes,
     )
-    try:
-        tpcc = TpccDatabase(load_db, scale, seed=seed)
-        tpcc.load()
-        database_pages = load_db.allocated_pages
-        buffer_pages = max(4, int(database_pages * buffer_fraction))
-        load_db.pool.capacity = buffer_pages  # shrink to the measured size
-        workload = TpccWorkload(tpcc, seed=seed)
-        if warmup_transactions is None:
-            warmup_transactions = max(100, n_transactions // 4)
-        workload.run(warmup_transactions)
-        snap = chip.stats.snapshot()
-        stats = load_db.buffer_stats
-        hits0, misses0 = stats.hits, stats.misses
-        stalls0 = stats.eviction_stalls.count
-        counts0 = workload.counts.total
-        workload.run(n_transactions)
-        delta = chip.stats.delta_since(snap)
-        accesses = stats.hits - hits0 + stats.misses - misses0
-        hits = stats.hits - hits0
-        window_stalls = stats.eviction_stalls.samples[stalls0:]
-        from ...flash.stats import percentile
-
-        return TpccMeasurement(
-            label=label,
-            buffer_fraction=buffer_fraction,
-            buffer_pages=buffer_pages,
-            database_pages=database_pages,
-            transactions=workload.counts.total - counts0,
-            io_us_per_txn=delta.total_time_us / n_transactions,
-            hit_ratio=hits / accesses if accesses else 0.0,
-            erases=delta.total_erases,
-            counts=workload.counts,
-            buffer_policy=buffer_policy,
-            writeback="background" if load_db.pool.writeback is not None else "sync",
-            flash_reads=delta.totals().reads,
-            flash_writes=delta.totals().writes,
-            eviction_stall_p99_us=percentile(window_stalls, 99),
-        )
-    finally:
-        load_db.pool.close()  # stop the write-back daemon, if any

@@ -4,7 +4,7 @@ The paper's Experiment 7 runs TPC-C against a ~1 GB database.  We keep
 the full schema shape — all nine tables, fixed-size records padded to
 spec-like sizes — but scale cardinalities down so the buffer-size sweep
 (0.1 %–10 % of the database) exercises the same locality regimes on a
-laptop-sized emulator (see DESIGN.md, substitutions).
+laptop-sized emulator (see docs/paper-map.md, "Substitutions").
 
 Records are fixed-size ``struct`` layouts with filler padding standing in
 for the textual fields; sizes approximate the TPC-C specification

@@ -1,8 +1,11 @@
-"""Tests for the repro-bench command-line interface."""
+"""Tests for the ``python -m repro.bench`` command-line interface."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.__main__ import main
+from repro.bench.figures import FIGURES
 
 
 class TestCli:
@@ -27,13 +30,18 @@ class TestCli:
 
     def test_runs_table1(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
-        # note: RESULTS_DIR is read at import time; use --no-save instead
-        assert main(["table1", "--no-save", "--scale", "smoke"]) == 0
+        assert main(["table1", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "Tread" in out
+        assert (tmp_path / "table1_chip.json").is_file()
 
-    def test_figure_flag(self, capsys):
-        assert main(["table1", "--no-save", "--figure"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 1" in out
+    def test_a_failed_check_exits_1_naming_figure_and_assertion(self, capsys, monkeypatch):
+        def check(table):
+            assert table.value("value", symbol="Tread") == 1.0
+
+        monkeypatch.setitem(FIGURES, "table1", replace(FIGURES["table1"], check=check))
+        assert main(["table1", "--no-save", "--scale", "smoke"]) == 1
+        err = capsys.readouterr().err
+        assert "table1" in err
+        assert 'assert table.value("value", symbol="Tread") == 1.0' in err

@@ -1,32 +1,22 @@
-"""Smoke + shape tests for the experiment orchestrators at tiny scale.
+"""The paper suite's table: scales, tiny-scale runs, and the slow tier.
 
-These run the real experiment code paths end-to-end on miniature
-configurations (the full-size shape assertions live in benchmarks/).
+``test_figure_reproduces_its_shape`` runs every entry of ``FIGURES`` at
+``smoke`` scale and holds it to its shape check — the same
+``check(run(figure, scale))`` that ``python -m repro.bench`` does.
 """
 
 import pytest
 
-from repro.bench.config import SCALES, BenchScale, current_scale
-from repro.bench.experiments import (
-    ablation_max_differential_size,
-    experiment1,
-    table1_chip_parameters,
-)
+from repro.bench.figures import FIGURES, SCALES, BenchScale, current_scale, run
+from repro.workloads.runner import RunnerConfig
 from repro.workloads.tpcc.schema import TpccScale
 
 TINY = BenchScale(
     name="tiny",
-    database_pages=128,
-    measure_ops=60,
-    tpcc_scale=TpccScale(
-        warehouses=1,
-        districts_per_warehouse=2,
-        customers_per_district=20,
-        items=60,
-        initial_orders_per_district=15,
-    ),
+    runner=RunnerConfig(database_pages=128, measure_ops=40),
+    exp1_ops=60,
+    tpcc_scale=TpccScale(1, 2, 20, 60, 15),
     tpcc_transactions=40,
-    sweep_measure_ops=40,
 )
 
 
@@ -43,15 +33,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             current_scale()
 
-    def test_runner_override(self):
-        runner = TINY.runner(measure_ops=5)
-        assert runner.measure_ops == 5
-        assert runner.database_pages == TINY.database_pages
-
 
 class TestTable1:
     def test_matches_paper(self):
-        table = table1_chip_parameters()
+        table = run(FIGURES["table1"], TINY)
         assert table.value("value", symbol="Npage") == 64
         assert table.value("value", symbol="Tread") == 110.0
         assert table.value("value", symbol="Sdata") == 2048
@@ -59,7 +44,7 @@ class TestTable1:
 
 class TestExperiment1Tiny:
     def test_runs_and_orders_sanely(self):
-        table = experiment1(TINY)
+        table = run(FIGURES["exp1"], TINY)
         methods = set(table.column("method"))
         assert "PDL (256B)" in methods and "IPU" in methods
         ipu = table.value("overall_us", method="IPU")
@@ -73,6 +58,15 @@ class TestExperiment1Tiny:
 
 class TestAblationTiny:
     def test_max_diff_sweep_runs(self):
-        table = ablation_max_differential_size(TINY, sizes=(64, 256))
-        assert len(table.rows) == 2
-        assert table.column("max_diff_size") == [64, 256]
+        figure = FIGURES["ablation_max_diff"]
+        assert [size for (size,) in figure.sweep] == [64, 128, 256, 512, 1024, 2048]
+        for size in (64, 256):
+            read_us, _write, _overall = figure.measure(TINY, size)
+            assert 110.0 <= read_us <= 2 * 110.0 + 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_figure_reproduces_its_shape(name):
+    figure = FIGURES[name]
+    figure.check(run(figure, SCALES["smoke"]))

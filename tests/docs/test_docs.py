@@ -66,6 +66,29 @@ def test_docs_and_docstrings_cite_only_real_benchmark_files():
     assert not missing, missing
 
 
+def test_source_cites_only_real_markdown_files():
+    """Every ``*.md`` name in a file under ``src/`` exists, relative to the
+    repository root: a docstring cannot point at a document never written."""
+    pattern = re.compile(r"[\w./-]+\.md\b")
+    files = sorted((ROOT / "src").rglob("*.py"))
+    cited = [(f, n) for f in files for n in pattern.findall(f.read_text(encoding="utf-8"))]
+    assert cited
+    missing = [f"{f.relative_to(ROOT)}: {n}" for f, n in cited if not (ROOT / n).is_file()]
+    assert not missing, missing
+
+
+def test_substitutions_cite_their_definitions():
+    """docs/paper-map.md, "Substitutions": each ``file:line`` (``name``)
+    lands on the line that defines ``name``."""
+    text = (ROOT / "docs" / "paper-map.md").read_text(encoding="utf-8")
+    section = text.split("\n## Substitutions\n", 1)[1].split("\n## ", 1)[0]
+    cited = re.findall(r"`(src/[\w./]+\.py):(\d+)` \(`(\w+)`\)", section)
+    assert len(cited) >= 6
+    for path, line, name in cited:
+        source = (ROOT / path).read_text(encoding="utf-8").splitlines()[int(line) - 1]
+        assert re.match(rf"\s*(def |class )?{name}\b", source), f"{path}:{line} is not {name}"
+
+
 def test_ci_states_each_dependency_once():
     """``src/repro`` imports numpy unconditionally, so every CI job that
     runs project code installs ``requirements-dev.txt`` — and none names
