@@ -3,15 +3,14 @@
 
 Usage:
     python scripts/lint_invariants.py [paths...]
-        [--baseline FILE] [--write-baseline] [--format text|json]
-        [--output FILE] [--list-rules] [--rule ID]...
+        [--format text|json] [--output FILE] [--list-rules] [--rule ID]...
 
-Exit codes: 0 = clean, 1 = findings (or stale baseline entries with
---prune-stale semantics left to the caller), 2 = usage/configuration
-error (unknown rule, malformed baseline, missing path).
+Exit codes: 0 = clean, 1 = findings, 2 = usage/configuration error
+(unknown rule, missing path).
 
-Defaults: scans ``src/`` relative to the repo root, with the checked-in
-``analysis-baseline.json`` when present.  See docs/static-analysis.md.
+Defaults: scans ``src/`` relative to the repo root.  There is no
+baseline: a finding is fixed, or suppressed inline with a reason.  See
+docs/static-analysis.md.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis import (  # noqa: E402
-    Baseline,
-    BaselineError,
-    analyze,
-    get_rule,
-    all_rules,
-)
+from repro.analysis import analyze, get_rule, all_rules  # noqa: E402
 from repro.analysis.findings import Severity  # noqa: E402
 
 
@@ -45,30 +38,6 @@ def main(argv=None) -> int:
         nargs="*",
         type=Path,
         help="files or directories to scan (default: src/)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline JSON file (default: analysis-baseline.json at the "
-        "repo root when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0; "
-        "entries get a TODO justification you must fill in before the "
-        "baseline will load",
-    )
-    parser.add_argument(
-        "--justification",
-        default="",
-        help="justification recorded on entries written by --write-baseline",
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", dest="fmt"
@@ -126,31 +95,7 @@ def main(argv=None) -> int:
             first = paths[0].resolve()
             root = first if first.is_dir() else first.parent
 
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        default = REPO_ROOT / "analysis-baseline.json"
-        if default.exists():
-            baseline_path = default
-
-    if args.write_baseline:
-        result = analyze(paths, root=root, baseline=None, rules=rules)
-        target = args.baseline or REPO_ROOT / "analysis-baseline.json"
-        justification = args.justification or (
-            "TODO: justify or fix (entry written by --write-baseline)"
-        )
-        Baseline.from_findings(result.new, justification).save(target)
-        print(f"wrote {len(result.new)} finding(s) to {target}")
-        return 0
-
-    baseline = None
-    if baseline_path is not None and not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    result = analyze(paths, root=root, baseline=baseline, rules=rules)
+    result = analyze(paths, root=root, rules=rules)
     report = render(result, args.fmt)
     print(report)
     if args.output is not None:
@@ -164,11 +109,6 @@ def render(result, fmt: str) -> str:
             {
                 "findings": [f.to_json() for f in result.new],
                 "suppressed": [f.to_json() for f in result.suppressed],
-                "grandfathered": [f.to_json() for f in result.grandfathered],
-                "stale_baseline": [
-                    {"rule": e.rule, "path": e.path, "message": e.message}
-                    for e in result.stale_baseline
-                ],
                 "parse_errors": [
                     {"path": rel, "error": msg} for rel, msg in result.broken
                 ],
@@ -184,21 +124,7 @@ def render(result, fmt: str) -> str:
     errors = sum(
         1 for f in result.new if f.severity is Severity.ERROR
     ) + len(result.broken)
-    summary = (
-        f"{errors} error(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.grandfathered)} baselined"
-    )
-    if result.stale_baseline:
-        summary += f", {len(result.stale_baseline)} stale baseline entr" + (
-            "y" if len(result.stale_baseline) == 1 else "ies"
-        )
-        for entry in result.stale_baseline:
-            lines.append(
-                f"note: stale baseline entry [{entry.rule}] {entry.path}: "
-                f"{entry.message!r} no longer matches — remove it"
-            )
-    lines.append(summary)
+    lines.append(f"{errors} error(s), {len(result.suppressed)} suppressed")
     return "\n".join(lines)
 
 

@@ -13,10 +13,7 @@ Architecture (mirrors the GC victim-policy registry idiom):
 * :mod:`.project` — source loading, AST parsing and the
   ``# repro: allow[rule-id]`` inline-suppression scanner;
 * :mod:`.registry` — rule registration/lookup by id;
-* :mod:`.baseline` — the checked-in grandfather file (every entry must
-  carry a written justification);
-* :mod:`.engine` — orchestration: load → run rules → suppress →
-  baseline-match → report;
+* :mod:`.engine` — orchestration: load → run rules → suppress → report;
 * :mod:`.rules` — the project-specific rules (importing the subpackage
   registers them all).
 
@@ -25,7 +22,6 @@ catalogue, suppression syntax and how to add a rule are documented in
 ``docs/static-analysis.md``.
 """
 
-from .baseline import Baseline, BaselineEntry, BaselineError
 from .engine import AnalysisResult, analyze
 from .findings import Finding, Severity
 from .project import Module, Project, load_project
@@ -36,9 +32,6 @@ from . import rules as _rules  # noqa: F401  (import-for-side-effect)
 
 __all__ = [
     "AnalysisResult",
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
     "Finding",
     "Module",
     "Project",

@@ -1,4 +1,4 @@
-"""Orchestration: load sources, run rules, apply suppressions and baseline."""
+"""Orchestration: load sources, run rules, apply inline suppressions."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from .baseline import Baseline, BaselineEntry
 from .findings import Finding, Severity
 from .project import Project, load_project
 from .registry import Rule, all_rules
@@ -17,17 +16,13 @@ class AnalysisResult:
     """Everything one analyzer run produced, pre-partitioned for reporting.
 
     ``new`` are the findings that fail the build; ``suppressed`` were
-    silenced by inline ``# repro: allow[...]`` comments; ``grandfathered``
-    matched a baseline entry; ``stale_baseline`` are baseline entries
-    that no longer match anything (debt repaid — remove them);
-    ``broken`` are files that failed to parse (these fail the build too:
-    an unparseable file is an unanalyzed file).
+    silenced by inline ``# repro: allow[...]`` comments; ``broken`` are
+    files that failed to parse (these fail the build too: an unparseable
+    file is an unanalyzed file).
     """
 
     new: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     broken: List[tuple] = field(default_factory=list)
 
     @property
@@ -65,10 +60,9 @@ def run_rules(project: Project, rules: Optional[Sequence[Rule]] = None) -> List[
 def analyze(
     paths: Iterable[Path],
     root: Path,
-    baseline: Optional[Baseline] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> AnalysisResult:
-    """Full pipeline: parse → rules → inline suppressions → baseline."""
+    """Full pipeline: parse → rules → inline suppressions."""
     project = load_project(paths, root=root)
     raw = run_rules(project, rules=rules)
 
@@ -82,12 +76,8 @@ def analyze(
         else:
             kept.append(finding)
 
-    baseline = baseline or Baseline.empty()
-    new, grandfathered, stale = baseline.split(kept)
     return AnalysisResult(
-        new=new,
+        new=kept,
         suppressed=suppressed,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
         broken=list(project.broken),
     )

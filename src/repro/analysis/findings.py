@@ -10,9 +10,7 @@ class Severity(enum.Enum):
     """How seriously a finding should be treated.
 
     ``ERROR`` findings fail the build; ``WARNING`` findings are reported
-    but do not affect the exit code unless ``--strict-warnings`` is
-    passed to the CLI; ``NOTE`` is informational (stale baseline
-    entries, skipped files).
+    but do not affect the exit code; ``NOTE`` is informational.
     """
 
     ERROR = "error"
@@ -28,10 +26,7 @@ class Finding:
     """One violation at one source location.
 
     ``path`` is stored as a POSIX-style path relative to the scan root
-    so findings are stable across machines and usable as baseline keys.
-    The baseline matches on ``(rule, path, message)`` — deliberately not
-    on ``line``, so unrelated edits above a grandfathered finding do not
-    invalidate the baseline entry.
+    so findings are stable across machines.
     """
 
     rule: str
@@ -40,11 +35,6 @@ class Finding:
     message: str
     severity: Severity = Severity.ERROR
     hint: str = field(default="", compare=False)
-
-    @property
-    def key(self) -> tuple:
-        """Identity used for baseline matching (line-independent)."""
-        return (self.rule, self.path, self.message)
 
     def render(self) -> str:
         text = f"{self.path}:{self.line}: [{self.rule}] {self.severity}: {self.message}"

@@ -116,33 +116,18 @@ _BYTE = np.dtype(np.uint8)
 _VERDICTS_AS_INT = {k: np.dtype(f"<u{k}") for k in (1, 2, 4, 8)}
 
 
-def _changed_offsets(base: bytes, new: bytes, unit: int) -> List[int]:
-    """Offsets of the ``unit``-byte chunks (short tail included) that differ."""
-    if len(base) != len(new):
-        raise ValueError(f"page images differ in size: {len(base)} vs {len(new)} bytes")
-    if unit <= 0:
-        raise ValueError("unit must be positive")
-    if base == new:
-        return []
-    n_full = len(base) // unit
-    offsets: List[int] = []
-    if n_full:
-        # Compare 8 bytes per element where the unit allows: same answer,
-        # an eighth of the elements numpy has to touch on every page diff.
-        dtype, per_unit = (_WORD, unit // 8) if unit % 8 == 0 else (_BYTE, unit)
-        count = n_full * per_unit
-        differs = np.frombuffer(base, dtype, count) != np.frombuffer(new, dtype, count)
-        as_int = _VERDICTS_AS_INT.get(per_unit)
-        if as_int is not None:
-            # One unit's verdicts read as one integer: non-zero iff changed.
-            differs = differs.view(as_int)
-        else:
-            differs = differs.reshape(n_full, per_unit).any(axis=1)
-        offsets = (differs.nonzero()[0] * unit).tolist()
-    tail_start = n_full * unit
-    if tail_start < len(base) and base[tail_start:] != new[tail_start:]:
-        offsets.append(tail_start)
-    return offsets
+#: Per ``(unit, n_full)``: every full unit's packed run header
+#: ``(offset, unit)`` as one opaque numpy element, and the numpy type one
+#: unit of page bytes is — what :meth:`Differential.from_pages` gathers a
+#: page's changed units from.
+_UNIT_LAYOUTS: Dict[Tuple[int, int], Tuple[np.ndarray, np.dtype]] = {}
+
+
+def _unit_layout(unit: int, n_full: int) -> Tuple[np.ndarray, np.dtype]:
+    packed = b"".join(_RUN_HEADER.pack(offset, unit) for offset in range(0, n_full * unit, unit))
+    layout = (np.frombuffer(packed, f"V{RUN_HEADER_SIZE}"), np.dtype(f"V{unit}"))
+    _UNIT_LAYOUTS[unit, n_full] = layout
+    return layout
 
 
 def compute_unit_runs(base: bytes, new: bytes, unit: int = DEFAULT_DIFF_UNIT) -> Tuple[ChangeRun, ...]:
@@ -156,10 +141,7 @@ def compute_unit_runs(base: bytes, new: bytes, unit: int = DEFAULT_DIFF_UNIT) ->
     differential exceed one page and trigger PDL_Writing's Case 3 (the
     sawtooth of the paper's footnote 16).
     """
-    return tuple(
-        ChangeRun(offset, new[offset : offset + unit])
-        for offset in _changed_offsets(base, new, unit)
-    )
+    return Differential.from_pages(0, 0, base, new, unit=unit).runs
 
 
 def _pack_entry(
@@ -217,14 +199,48 @@ class Differential:
         With ``unit`` set (the default), the unit-granular encoder is used;
         ``unit=None`` selects byte-wise maximal runs with gap coalescing
         (the ablation configuration).
+
+        The unit path is one pass with no Python loop: numpy finds the
+        changed units, one fancy index gathers their run headers and
+        another their data, and one ``b"".join`` makes the entry.
         """
         if unit is None:
             return cls(pid, timestamp, compute_runs(base, new, coalesce_gap))
-        offsets = _changed_offsets(base, new, unit)
-        chunks = [new[offset : offset + unit] for offset in offsets]
-        return cls.__new__(cls)._set(
-            pid, timestamp, _pack_entry(pid, timestamp, offsets, chunks)
-        )
+        size = len(new)
+        if len(base) != size:
+            raise ValueError(f"page images differ in size: {len(base)} vs {size} bytes")
+        if unit <= 0:
+            raise ValueError("unit must be positive")
+        if base == new:
+            return cls.__new__(cls)._set(pid, timestamp, _ENTRY_HEADER.pack(pid, timestamp, 0, 0))
+        n_full = size // unit
+        # Compare 8 bytes per element where the unit allows: same answer,
+        # an eighth of the elements numpy has to touch on every page diff.
+        dtype, per_unit = (_WORD, unit // 8) if unit % 8 == 0 else (_BYTE, unit)
+        count = n_full * per_unit
+        differs = np.frombuffer(base, dtype, count) != np.frombuffer(new, dtype, count)
+        as_int = _VERDICTS_AS_INT.get(per_unit)
+        if as_int is not None:
+            # One unit's verdicts read as one integer: non-zero iff changed.
+            differs = differs.view(as_int)
+        else:
+            differs = differs.reshape(n_full, per_unit).any(axis=1)
+        changed = differs.nonzero()[0]
+        headers, unit_type = _UNIT_LAYOUTS.get((unit, n_full)) or _unit_layout(unit, n_full)
+        run_headers = headers[changed].tobytes()
+        data = np.frombuffer(new, unit_type, n_full)[changed].tobytes()
+        n_runs = len(changed)
+        data_len = n_runs * unit
+        tail_start = n_full * unit
+        if tail_start < size and base[tail_start:] != new[tail_start:]:
+            # The short tail unit: its own run, as long as the tail is.
+            tail = new[tail_start:]
+            run_headers += _RUN_HEADER.pack(tail_start, len(tail))
+            data += tail
+            n_runs += 1
+            data_len += len(tail)
+        wire = b"".join((_ENTRY_HEADER.pack(pid, timestamp, n_runs, data_len), run_headers, data))
+        return cls.__new__(cls)._set(pid, timestamp, wire)
 
     # ------------------------------------------------------------------
     # Views of the wire form

@@ -67,7 +67,6 @@ from .errors import (
     WearOutError,
 )
 from .spare import (
-    CHECKSUM_HEADER_SIZE,
     SpareArea,
     data_checksum,
     decoded_spare,
@@ -243,10 +242,6 @@ class FlashChip:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    def _advance_clock(self, us: float) -> None:
-        """Charge ``us`` simulated microseconds."""
-        self._clock_us += us
-
     @property
     def clock_us(self) -> float:
         """Simulated microseconds elapsed since chip creation.
@@ -297,7 +292,7 @@ class FlashChip:
         recovery-scan cost estimate of ~60 s for 1 GB)."""
         self._check_addr(addr)
         self.stats.record_read()
-        self._advance_clock(self.spec.t_read_us)
+        self._clock_us += self.spec.t_read_us
         return self._decode_raw_spare(self.backend.read_spare(addr))
 
     def read_pages(
@@ -315,7 +310,7 @@ class FlashChip:
         for addr in addrs:
             self._check_addr(addr)
         self.stats.record_reads(len(addrs))
-        self._advance_clock(self.spec.t_read_us * len(addrs))
+        self._clock_us += self.spec.t_read_us * len(addrs)
         erased = b"\xff" * self.spec.page_data_size
         out: List[Tuple[bytes, SpareArea]] = []
         for addr, (raw_data, raw_spare) in zip(addrs, self.backend.read_pages(addrs)):
@@ -336,7 +331,7 @@ class FlashChip:
         for addr in addrs:
             self._check_addr(addr)
         self.stats.record_reads(len(addrs))
-        self._advance_clock(self.spec.t_read_us * len(addrs))
+        self._clock_us += self.spec.t_read_us * len(addrs)
         decode = SpareArea.decode
         erased = erased_spare(self.spec.page_spare_size)
         return [
@@ -355,16 +350,19 @@ class FlashChip:
         When the spare area has room, a CRC32 of the (padded) data area
         is stamped into it automatically unless the caller already
         supplied one — GC relocations pass the decoded spare through, so
-        identical copies keep their original, still-valid checksum.
+        identical copies keep their original, still-valid checksum.  The
+        CRC goes straight into the spare's one encode call; no copy of the
+        :class:`SpareArea` is made.
         """
         payload = self._validate_program(addr, data)
-        spare = self._attach_checksum(payload, spare)
+        raw_spare = spare.encode(
+            self.spec.page_spare_size,
+            data_checksum(payload) if spare.checksum is None else None,
+        )
         self._pre_mutate("program_page")
         self.stats.record_write()
-        self._advance_clock(self.spec.t_write_us)
-        self.backend.program_page(
-            addr, payload, spare.encode(self.spec.page_spare_size)
-        )
+        self._clock_us += self.spec.t_write_us
+        self.backend.program_page(addr, payload, raw_spare)
 
     def program_pages(
         self, items: Sequence[Tuple[int, bytes, SpareArea]]
@@ -389,13 +387,14 @@ class FlashChip:
                         "twice in one batch"
                     )
                 payload = self._validate_program(addr, data)
-                spare = self._attach_checksum(payload, spare)
+                raw_spare = spare.encode(
+                    self.spec.page_spare_size,
+                    data_checksum(payload) if spare.checksum is None else None,
+                )
                 self._pre_mutate("program_page")
                 self.stats.record_write()
                 self._clock_us += self.spec.t_write_us
-                staged.append(
-                    (addr, payload, spare.encode(self.spec.page_spare_size))
-                )
+                staged.append((addr, payload, raw_spare))
                 staged_addrs.add(addr)
         finally:
             if staged:
@@ -463,7 +462,7 @@ class FlashChip:
             )
         self._pre_mutate("program_partial")
         self.stats.record_write()
-        self._advance_clock(self.spec.t_write_us)
+        self._clock_us += self.spec.t_write_us
         updated = bytearray(current)
         updated[offset : offset + len(data)] = data
         self.backend.write_data(addr, updated, data_programs + 1)
@@ -487,9 +486,10 @@ class FlashChip:
         """
         self._check_addr(addr)
         current = self.backend.read_spare(addr)
+        kept = None
         if current is not None and spare.checksum is None:
-            spare = spare.with_checksum(SpareArea.decode(current).checksum)
-        encoded = spare.encode(self.spec.page_spare_size)
+            kept = SpareArea.decode(current).checksum
+        encoded = spare.encode(self.spec.page_spare_size, kept)
         if current is not None and not _bits_compatible(current, encoded):
             raise SpareProgramError(
                 f"spare reprogram at {split_address(addr, self.spec)} "
@@ -503,7 +503,7 @@ class FlashChip:
             )
         self._pre_mutate("program_spare")
         self.stats.record_write()
-        self._advance_clock(self.spec.t_write_us)
+        self._clock_us += self.spec.t_write_us
         self.backend.write_spare(addr, encoded, spare_programs + 1)
 
     def mark_obsolete(self, addr: int) -> None:
@@ -529,7 +529,7 @@ class FlashChip:
             )
         self._pre_mutate("mark_obsolete")
         self.stats.record_write()
-        self._advance_clock(self.spec.t_write_us)
+        self._clock_us += self.spec.t_write_us
         patched = bytearray(current)
         patched[1] = 0x00
         self.backend.write_spare(addr, patched, spare_programs + 1)
@@ -550,7 +550,7 @@ class FlashChip:
             )
         self._pre_mutate("erase_block")
         self.stats.record_erase(block)
-        self._advance_clock(self.spec.t_erase_us)
+        self._clock_us += self.spec.t_erase_us
         self.backend.erase_block(block)
 
     # ------------------------------------------------------------------
@@ -602,21 +602,6 @@ class FlashChip:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _attach_checksum(self, payload: bytes, spare: SpareArea) -> SpareArea:
-        """Stamp a data-area CRC into a spare about to be programmed.
-
-        Only when the spare area has room for it and the caller did not
-        supply one already (GC relocations and recovery re-programs pass
-        decoded spares through, preserving the original checksum over
-        bit-identical data).
-        """
-        if (
-            spare.checksum is None
-            and self.spec.page_spare_size >= CHECKSUM_HEADER_SIZE
-        ):
-            return spare.with_checksum(data_checksum(payload))
-        return spare
-
     def _verify_checksum(self, addr: int, data: bytes, spare: SpareArea) -> None:
         """Compare the data read back against the spare's stored CRC
         (the batched readers' form of what :meth:`read_page` does inline)."""

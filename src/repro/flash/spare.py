@@ -53,8 +53,7 @@ _CHECKSUM = struct.Struct("<I")
 #: the hot path (spare areas of at least 20 bytes).
 _HEADER_CRC = struct.Struct("<BBIQ2sI")
 
-#: All-0xFF spare templates keyed by spare size; encode() copies one and
-#: packs over it instead of concatenating header + checksum + padding.
+#: All-0xFF spare contents keyed by spare size (see :func:`erased_spare`).
 _ERASED_CACHE: dict = {}
 
 #: Memoized decode results keyed by raw spare contents (bounded; cleared
@@ -120,47 +119,47 @@ class SpareArea:
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
-    def encode(self, spare_size: int) -> bytes:
+    def encode(self, spare_size: int, checksum: Optional[int] = None) -> bytes:
         """Serialize to ``spare_size`` bytes (header + 0xFF padding).
 
+        ``checksum``, when given, is stored in place of ``self.checksum``
+        — the chip stamps a program's data CRC this way, with no copy of
+        the spare.  Header and checksum are packed by one struct call.
         The checksum is emitted only when the spare area has room for it
         (``spare_size >= 20``); on smaller spares it is silently dropped,
         so chips with header-only spare areas keep working unchecked.
+
+        The all-ones values mean "none" on flash, so a pid, timestamp or
+        checksum equal to :data:`NO_PID`, :data:`NO_TS` or
+        :data:`NO_CHECKSUM` is rejected like any other out-of-range value
+        rather than written and read back as ``None``.
         """
         if spare_size < HEADER_SIZE:
             raise ValueError(f"spare area of {spare_size} bytes cannot hold header")
-        pid = NO_PID if self.pid is None else self.pid
-        ts = NO_TS if self.timestamp is None else self.timestamp
-        if not 0 <= pid <= NO_PID:
-            raise ValueError(f"pid {pid} out of u32 range")
-        if not 0 <= ts <= NO_TS:
-            raise ValueError(f"timestamp {ts} out of u64 range")
-        buf = bytearray(erased_spare(spare_size))
-        if spare_size >= CHECKSUM_HEADER_SIZE:
-            crc = NO_CHECKSUM if self.checksum is None else self.checksum
-            if not 0 <= crc <= NO_CHECKSUM:
-                raise ValueError(f"checksum {crc} out of u32 range")
-            _HEADER_CRC.pack_into(
-                buf,
-                0,
-                int(self.type),
-                0x00 if self.obsolete else 0xFF,
-                pid,
-                ts,
-                b"\xff\xff",
-                crc,
+        pid = self.pid
+        if pid is None:
+            pid = NO_PID
+        elif not 0 <= pid < NO_PID:
+            raise ValueError(f"pid {pid} out of range [0, 0xFFFFFFFF)")
+        ts = self.timestamp
+        if ts is None:
+            ts = NO_TS
+        elif not 0 <= ts < NO_TS:
+            raise ValueError(f"timestamp {ts} out of range [0, 2**64 - 1)")
+        valid = 0x00 if self.obsolete else 0xFF
+        if spare_size < CHECKSUM_HEADER_SIZE:
+            return _HEADER.pack(self.type, valid, pid, ts, b"\xff\xff") + b"\xff" * (
+                spare_size - HEADER_SIZE
             )
-        else:
-            _HEADER.pack_into(
-                buf,
-                0,
-                int(self.type),
-                0x00 if self.obsolete else 0xFF,
-                pid,
-                ts,
-                b"\xff\xff",
-            )
-        return bytes(buf)
+        if checksum is None:
+            checksum = self.checksum
+        if checksum is None:
+            checksum = NO_CHECKSUM
+        elif not 0 <= checksum < NO_CHECKSUM:
+            raise ValueError(f"checksum {checksum} out of range [0, 0xFFFFFFFF)")
+        return _HEADER_CRC.pack(self.type, valid, pid, ts, b"\xff\xff", checksum) + b"\xff" * (
+            spare_size - CHECKSUM_HEADER_SIZE
+        )
 
     @classmethod
     def decode(cls, raw: bytes) -> "SpareArea":
@@ -236,7 +235,7 @@ def erased_spare(spare_size: int) -> bytes:
     """The raw contents of an erased spare area (all bits 1).
 
     Returns a cached immutable object — callers must not mutate it
-    (copy into a ``bytearray`` first, as :meth:`SpareArea.encode` does).
+    (copy into a ``bytearray`` first).
     """
     cached = _ERASED_CACHE.get(spare_size)
     if cached is None:

@@ -1,14 +1,8 @@
-"""Engine behaviour: suppressions, baseline round-trips, parse errors."""
+"""Engine behaviour: suppressions and parse errors."""
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import Baseline, BaselineError, analyze
-from repro.analysis.baseline import BaselineEntry
-
-BAD_READ = "def f(chip, a):\n    return chip.read_page(a, verify=False)\n"
-
+from repro.analysis import analyze
 
 def write(tmp_path: Path, name: str, source: str) -> Path:
     path = tmp_path / name
@@ -91,71 +85,6 @@ def test_allow_comment_inside_string_is_ignored(tmp_path):
     )
     result = analyze([tmp_path], root=tmp_path)
     assert [f.rule for f in result.new] == ["checksum-bypass"]
-
-
-# ---------------------------------------------------------------------------
-# Baseline round-trips
-# ---------------------------------------------------------------------------
-def test_baseline_roundtrip_grandfathers_findings(tmp_path):
-    write(tmp_path, "a.py", BAD_READ)
-    first = analyze([tmp_path], root=tmp_path)
-    assert len(first.new) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.new, "legacy torn-page probe").save(baseline_path)
-    baseline = Baseline.load(baseline_path)
-
-    second = analyze([tmp_path], root=tmp_path, baseline=baseline)
-    assert second.new == []
-    assert len(second.grandfathered) == 1
-    assert second.stale_baseline == []
-    assert second.ok
-
-
-def test_baseline_requires_justification(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(
-        '{"version": 1, "findings": [{"rule": "checksum-bypass", '
-        '"path": "a.py", "message": "m", "justification": "  "}]}',
-        encoding="utf-8",
-    )
-    with pytest.raises(BaselineError, match="justification"):
-        Baseline.load(baseline_path)
-
-
-def test_baseline_rejects_malformed_json(tmp_path):
-    baseline_path = write(tmp_path, "baseline.json", "{not json")
-    with pytest.raises(BaselineError, match="valid JSON"):
-        Baseline.load(baseline_path)
-
-
-def test_stale_baseline_entries_are_reported(tmp_path):
-    write(tmp_path, "a.py", "x = 1\n")
-    baseline = Baseline(
-        entries=[
-            BaselineEntry(
-                rule="checksum-bypass",
-                path="a.py",
-                message="long gone",
-                justification="was fixed in a later PR",
-            )
-        ]
-    )
-    result = analyze([tmp_path], root=tmp_path, baseline=baseline)
-    assert result.new == []
-    assert len(result.stale_baseline) == 1
-    assert result.ok  # stale entries are notes, not failures
-
-
-def test_baseline_match_ignores_line_numbers(tmp_path):
-    write(tmp_path, "a.py", BAD_READ)
-    first = analyze([tmp_path], root=tmp_path)
-    baseline = Baseline.from_findings(first.new, "grandfathered")
-    # Shift the finding down two lines; (rule, path, message) still match.
-    write(tmp_path, "a.py", "import os\nUSED = os.name\n" + BAD_READ)
-    second = analyze([tmp_path], root=tmp_path, baseline=baseline)
-    assert second.new == []
-    assert len(second.grandfathered) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes, formats, baseline flags, seeded-violation gate."""
+"""CLI contract: exit codes, formats, seeded-violation gate."""
 
 import json
 import shutil
@@ -23,7 +23,7 @@ def run_cli(*args, cwd=REPO_ROOT):
 
 def test_clean_tree_exits_zero(tmp_path):
     (tmp_path / "ok.py").write_text("def f():\n    return 1\n")
-    proc = run_cli(tmp_path, "--no-baseline")
+    proc = run_cli(tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
@@ -33,7 +33,7 @@ def test_seeded_violation_tree_exits_one(tmp_path):
     tree.mkdir()
     (tree / "ok.py").write_text("def f():\n    return 1\n")
     shutil.copy(FIXTURES / "checksum_bypass" / "bad.py", tree / "seeded.py")
-    proc = run_cli(tree, "--no-baseline")
+    proc = run_cli(tree)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "checksum-bypass" in proc.stdout
 
@@ -49,15 +49,6 @@ def test_unknown_rule_exits_two(tmp_path):
     proc = run_cli(tmp_path, "--rule", "no-such-rule")
     assert proc.returncode == 2
     assert "unknown rule" in proc.stderr
-
-
-def test_malformed_baseline_exits_two(tmp_path):
-    (tmp_path / "ok.py").write_text("x = 1\n")
-    bad = tmp_path / "baseline.json"
-    bad.write_text("{broken")
-    proc = run_cli(tmp_path, "--baseline", bad)
-    assert proc.returncode == 2
-    assert "baseline" in proc.stderr
 
 
 def test_list_rules():
@@ -80,7 +71,7 @@ def test_json_format_and_output_file(tmp_path):
     tree.mkdir()
     shutil.copy(FIXTURES / "pin_discipline" / "bad.py", tree / "bad.py")
     out = tmp_path / "findings.json"
-    proc = run_cli(tree, "--no-baseline", "--format", "json", "--output", out)
+    proc = run_cli(tree, "--format", "json", "--output", out)
     assert proc.returncode == 1
     payload = json.loads(out.read_text())
     assert payload["ok"] is False
@@ -88,34 +79,12 @@ def test_json_format_and_output_file(tmp_path):
     assert all(f["path"] == "bad.py" for f in payload["findings"])
 
 
-def test_write_baseline_then_rerun_is_clean(tmp_path):
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    shutil.copy(FIXTURES / "bare_except" / "bad.py", tree / "bad.py")
-    baseline = tmp_path / "baseline.json"
-
-    wrote = run_cli(
-        tree,
-        "--baseline",
-        baseline,
-        "--write-baseline",
-        "--justification",
-        "grandfathered during gate rollout",
-    )
-    assert wrote.returncode == 0, wrote.stdout + wrote.stderr
-    assert baseline.is_file()
-
-    rerun = run_cli(tree, "--baseline", baseline)
-    assert rerun.returncode == 0, rerun.stdout + rerun.stderr
-    assert "2 baselined" in rerun.stdout
-
-
 def test_single_rule_filter(tmp_path):
     tree = tmp_path / "tree"
     tree.mkdir()
     shutil.copy(FIXTURES / "checksum_bypass" / "bad.py", tree / "a.py")
     shutil.copy(FIXTURES / "pin_discipline" / "bad.py", tree / "b.py")
-    proc = run_cli(tree, "--no-baseline", "--rule", "pin-discipline")
+    proc = run_cli(tree, "--rule", "pin-discipline")
     assert proc.returncode == 1
     assert "pin-discipline" in proc.stdout
     assert "checksum-bypass" not in proc.stdout

@@ -7,37 +7,15 @@ a contract violation fails locally before it ever reaches CI.
 
 from pathlib import Path
 
-from repro.analysis import Baseline, analyze
+from repro.analysis import analyze
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def load_repo_baseline():
-    path = REPO_ROOT / "analysis-baseline.json"
-    return Baseline.load(path) if path.exists() else Baseline.empty()
-
-
 def test_src_tree_has_no_unbaselined_findings():
-    baseline = load_repo_baseline()
-    result = analyze([REPO_ROOT / "src"], root=REPO_ROOT, baseline=baseline)
+    result = analyze([REPO_ROOT / "src"], root=REPO_ROOT)
     assert result.broken == [], result.broken
     assert result.new == [], "\n".join(f.render() for f in result.new)
-
-
-def test_repo_baseline_entries_all_carry_justifications():
-    # Baseline.load raises on empty justifications; this documents the
-    # contract explicitly and keeps the file parseable.
-    baseline = load_repo_baseline()
-    for entry in baseline.entries:
-        assert entry.justification.strip()
-
-
-def test_repo_baseline_has_no_stale_entries():
-    baseline = load_repo_baseline()
-    result = analyze([REPO_ROOT / "src"], root=REPO_ROOT, baseline=baseline)
-    assert result.stale_baseline == [], [
-        (e.rule, e.path) for e in result.stale_baseline
-    ]
 
 
 def test_known_suppressions_are_deliberate():

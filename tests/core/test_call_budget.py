@@ -6,37 +6,60 @@ count — unlike a timing — repeats exactly for a seed.  With one object
 and one named-tuple per 16-byte run the cycle cost 182 calls; with the
 differential kept in wire form and the chip's per-call overhead trimmed
 it cost 107; with one backend call per page read, the chip's checks
-inline and find + apply fused (``test_read_call_budget.py``) it costs 70.
-The budget sits between the last two, so re-introducing per-run object
-churn or a call per check fails tier-1 without a timing assertion.
+inline and find + apply fused (``test_read_call_budget.py``) it cost 70;
+with the differential gathered by numpy in one pass and the program's
+CRC packed by the spare's one encode call (docs/architecture.md, "Write
+path") it costs 64.  The budget sits between the last two, so
+re-introducing per-run object churn or a call per check fails tier-1
+without a timing assertion.
+
+The write alone — one ``PdlDriver.write_page`` — is counted too, on both
+backends: 50.7 / 56.3 calls (memory / file) with a Python slice per
+changed unit and a ``SpareArea`` copy per program to stamp its CRC,
+44.3 / 49.9 without.  Its budgets sit less than one spare copy per
+program above the new counts, so either coming back fails by name.
 """
 
 import random
+from functools import partial
+
+import pytest
 
 from repro.core.pdl import PdlDriver
+from repro.flash.backend import FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
 
 PAGES = 256
 CYCLES = 4000
+WRITES = 2000
 CHANGE = 41  # 2 % of a 2 KB page, the paper's default update
-CALLS_PER_CYCLE_BUDGET = 90
+CALLS_PER_CYCLE_BUDGET = 67
+
+
+def _changed(rng, driver, pid):
+    image = bytearray(driver.read_page(pid))
+    offset = rng.randrange(len(image) - CHANGE + 1)
+    image[offset : offset + CHANGE] = rng.randbytes(CHANGE)
+    return bytes(image)
+
+
+def _loaded_driver(backend, rng):
+    chip = FlashChip(backend.spec, backend=backend)
+    driver = PdlDriver(chip, max_differential_size=256)
+    for pid in range(PAGES):
+        driver.load_page(pid, rng.randbytes(driver.page_size))
+    return driver
 
 
 def test_update_cycle_stays_within_its_call_budget(count_python_calls):
     rng = random.Random(20260917)
-    chip = FlashChip(spec_for_database(PAGES, 0.25))
-    driver = PdlDriver(chip, max_differential_size=256)
-    size = driver.page_size
-    for pid in range(PAGES):
-        driver.load_page(pid, rng.randbytes(size))
+    driver = _loaded_driver(MemoryBackend(spec_for_database(PAGES, 0.25)), rng)
+    chip = driver.chip
 
     def cycle():
         pid = rng.randrange(PAGES)
-        image = bytearray(driver.read_page(pid))
-        offset = rng.randrange(size - CHANGE + 1)
-        image[offset : offset + CHANGE] = rng.randbytes(CHANGE)
-        driver.write_page(pid, bytes(image))
+        driver.write_page(pid, _changed(rng, driver, pid))
 
     # Warm up: differentials at their steady-state size, GC running.
     while chip.stats.total_erases < chip.spec.n_blocks:
@@ -50,5 +73,35 @@ def test_update_cycle_stays_within_its_call_budget(count_python_calls):
     calls = count_python_calls(window) - 1  # less the call of window() itself
 
     assert chip.stats.total_erases > erases_before, "GC never ran in the window"
-    per_cycle = (calls - CYCLES) / CYCLES  # less the call of cycle() itself
+    # Less the calls of cycle() and _changed() themselves.
+    per_cycle = (calls - 2 * CYCLES) / CYCLES
     assert per_cycle <= CALLS_PER_CYCLE_BUDGET, per_cycle
+
+
+@pytest.mark.parametrize("kind, budget", [("memory", 45), ("file", 51)])
+def test_write_stays_within_its_call_budget(kind, budget, tmp_path, count_python_calls):
+    rng = random.Random(20261016)
+    spec = spec_for_database(PAGES, 0.25)
+    if kind == "memory":
+        backend = MemoryBackend(spec)
+    else:
+        backend = FileBackend(tmp_path / "chip.flash", spec)
+    driver = _loaded_driver(backend, rng)
+    chip = driver.chip
+    try:
+        while chip.stats.total_erases < chip.spec.n_blocks:
+            pid = rng.randrange(PAGES)
+            driver.write_page(pid, _changed(rng, driver, pid))
+        erases_before = chip.stats.total_erases
+
+        calls = 0
+        for _ in range(WRITES):
+            pid = rng.randrange(PAGES)
+            image = _changed(rng, driver, pid)
+            calls += count_python_calls(partial(driver.write_page, pid, image))
+
+        assert chip.stats.total_erases > erases_before, "GC never ran in the window"
+        per_write = calls / WRITES
+        assert per_write <= budget, per_write
+    finally:
+        chip.close()

@@ -10,7 +10,7 @@ from repro.flash.errors import (
     SpareProgramError,
     WearOutError,
 )
-from repro.flash.spare import PageType, SpareArea
+from repro.flash.spare import PageType, SpareArea, data_checksum
 from repro.flash.spec import FlashSpec
 
 
@@ -132,6 +132,34 @@ class TestObsoleteMarking:
         with pytest.raises(SpareProgramError):
             # timestamp 0 has all ts bits cleared; None would set them to 1
             chip.program_spare(0, SpareArea(type=PageType.BASE, pid=1))
+
+
+class TestSpareHandedToTheBackend:
+    """Every program hands the backend the caller's spare with the data
+    area's CRC stamped in, or the caller's own CRC kept (GC relocations
+    pass a decoded spare through); a 16-byte spare has no room for it."""
+
+    @pytest.mark.parametrize("spare_size", [16, 20, 64])
+    @pytest.mark.parametrize("supplied", [None, 0x1234ABCD], ids=["stamped", "supplied"])
+    def test_program_page_pages_and_spare(self, spare_size, supplied):
+        spec = FlashSpec(
+            n_blocks=4, pages_per_block=4, page_data_size=256, page_spare_size=spare_size
+        )
+        chip = FlashChip(spec)
+        spare = SpareArea(type=PageType.BASE, pid=7, timestamp=3, checksum=supplied)
+        short = b"\x00\x01\x02"  # padded with 0xFF; the CRC covers the padding
+        payload = short + b"\xff" * (spec.page_data_size - len(short))
+        crc = data_checksum(payload) if supplied is None else supplied
+
+        chip.program_page(0, short, spare)
+        chip.program_pages([(1, short, spare), (2, payload, spare)])
+        stamped = spare.with_checksum(crc).encode(spare_size)
+        assert [chip.backend.read_spare(addr) for addr in (0, 1, 2)] == [stamped] * 3
+
+        # A re-programmed spare with no CRC of its own keeps the page's.
+        chip.program_spare(0, spare.with_checksum(None).as_obsolete())
+        obsolete = spare.as_obsolete().with_checksum(crc).encode(spare_size)
+        assert chip.backend.read_spare(0) == obsolete
 
 
 class TestCostAccounting:

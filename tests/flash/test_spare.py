@@ -102,6 +102,22 @@ class TestErrors:
         with pytest.raises(ValueError):
             SpareArea(type=PageType.BASE, timestamp=1 << 65).encode(64)
 
+    @pytest.mark.parametrize(
+        "spare, checksum",
+        [
+            (SpareArea(type=PageType.BASE, pid=NO_PID), None),
+            (SpareArea(type=PageType.BASE, timestamp=NO_TS), None),
+            (SpareArea(type=PageType.BASE, checksum=NO_CHECKSUM), None),
+            (SpareArea(type=PageType.BASE), NO_CHECKSUM),
+        ],
+        ids=["pid", "timestamp", "checksum", "checksum-argument"],
+    )
+    def test_reserved_all_ones_values_are_rejected(self, spare, checksum):
+        """All-ones means "none" on flash: written, it would read back as
+        ``None`` instead of the value that was encoded."""
+        with pytest.raises(ValueError):
+            spare.encode(64, checksum)
+
     def test_padding_is_erased(self):
         encoded = SpareArea(type=PageType.BASE, pid=1).encode(64)
         assert encoded[CHECKSUM_HEADER_SIZE:] == b"\xff" * (64 - CHECKSUM_HEADER_SIZE)
@@ -135,6 +151,11 @@ class TestChecksum:
         assert (stamped.type, stamped.pid, stamped.timestamp) == (
             spare.type, spare.pid, spare.timestamp,
         )
+
+    def test_checksum_argument_replaces_the_spares_own(self):
+        spare = SpareArea(type=PageType.BASE, pid=1, timestamp=2, checksum=55)
+        assert spare.encode(64, 77) == spare.with_checksum(77).encode(64)
+        assert spare.encode(64, None) == spare.encode(64)
 
     def test_as_obsolete_preserves_checksum(self):
         spare = SpareArea(type=PageType.BASE, pid=1, timestamp=2, checksum=55)

@@ -2,7 +2,7 @@
 
 import struct
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.differential import (
@@ -142,6 +142,16 @@ class TestWireFormatPinned:
         timestamp=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=300)
+    # Identical pages: the entry header alone.
+    @example(pair=(bytes(64), bytes(64)), unit=16, gap=0, pid=1, timestamp=2)
+    # Only the short tail unit changed: one run, as long as the tail.
+    @example(pair=(bytes(70), bytes(69) + b"\x01"), unit=16, gap=0, pid=1, timestamp=2)
+    # Every unit changed: the Case-3 page, bigger than the page itself.
+    @example(pair=(bytes(128), b"\xff" * 128), unit=16, gap=0, pid=1, timestamp=2)
+    # A unit that does not divide the page, changed in a full unit and the tail.
+    @example(
+        pair=(bytes(100), b"\x07" + bytes(98) + b"\x07"), unit=24, gap=0, pid=1, timestamp=2
+    )
     def test_from_pages_matches_reference_encoder(self, pair, unit, gap, pid, timestamp):
         base, new = pair
         diff = Differential.from_pages(pid, timestamp, base, new, coalesce_gap=gap, unit=unit)
