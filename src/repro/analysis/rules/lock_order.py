@@ -1,11 +1,11 @@
 """lock-order: the static lock-acquisition graph must stay acyclic.
 
 The engine's deadlock-freedom argument (docs/bufferpool.md) is a total
-order: pool ``_lock`` → page ``latch`` → ``_dirty_lock`` → a bare
-driver's ``_driver_lock`` or, on a sharded array, a shard gate
-(docs/concurrency.md: a leaf, nothing is acquired under it), with
-``_flush_serial`` above them all; a page calls its pool (``_pin``/
-``_unpin``) only with its latch released.  Nothing enforces it at runtime — two
+order: pool ``_lock`` → page ``latch`` → a bare driver's
+``_driver_lock`` or, on a sharded array, a shard gate
+(docs/concurrency.md: a leaf, nothing is acquired under it); a page
+calls its pool (``_pin``/``_unpin``) only with its latch released.
+Nothing enforces it at runtime — two
 threads acquiring two locks in opposite orders deadlock only under the
 right interleaving, which is exactly the kind of bug that survives
 every test run until production.
@@ -17,7 +17,7 @@ This rule rebuilds the order statically, project-wide:
    (``self.X = [threading.Lock() for ...]``: one node for the whole
    family, acquired as ``with self.X[i]:``); ``Condition(self.Y)``
    aliases to ``Y``'s lock; assigning another object's known lock
-   attribute (``self._cond = pool._dirty_cond``) aliases across classes.
+   attribute (``self._cond = pool._lock``) aliases across classes.
 2. **Acquisition graph** — every ``with self.X:`` / ``with obj.Y:`` /
    ``with self.X[i]:`` adds edges from all locks held at that point; calls are resolved
    (``self.m()`` to the same class, other receivers only when the
@@ -144,8 +144,7 @@ class LockOrderRule(Rule):
     summary = "cycles in the static lock-acquisition graph"
     hint = (
         "acquire locks in the documented order (pool lock -> page latch -> "
-        "dirty lock -> driver lock or shard gate); restructure one side of "
-        "the cycle"
+        "driver lock or shard gate); restructure one side of the cycle"
     )
 
     def run(self, project) -> Iterator[Finding]:

@@ -118,13 +118,9 @@ class EngineConfig:
     #: paper's "exclude the buffering effect" set-up); ``Database.open``
     #: uses 64 when it is not given.
     buffer_capacity: Optional[int] = None
-    #: Registered eviction policy: ``lru`` (the paper-faithful default),
-    #: ``clock`` or the scan-resistant ``2q`` (``docs/bufferpool.md``).
+    #: Registered eviction policy: ``lru`` (the paper-faithful default)
+    #: or the scan-resistant ``2q`` (``docs/bufferpool.md``).
     buffer_policy: str = "lru"
-    #: ``"background"`` starts the watermark write-back daemon; ``None``
-    #: writes dirty evictions back synchronously.  Custom watermarks are
-    #: a ``WritebackConfig`` handed to ``Database(...)`` directly.
-    writeback: Optional[str] = None
     #: Turns on the demand-paged, journaled mapping tier on every shard
     #: and bounds its RAM to this many table entries (0 = resident);
     #: restarts then replay the journal tail instead of scanning
@@ -169,12 +165,6 @@ class EngineConfig:
         if self.spec is not None and not isinstance(self.spec, FlashSpec):
             raise ConfigurationError(f"spec must be a FlashSpec, got {self.spec!r}")
         make_eviction_policy(self.buffer_policy, 1)  # likewise
-        if self.writeback not in (None, "background"):
-            raise ConfigurationError(
-                f"unknown writeback mode {self.writeback!r}; expected None or 'background'"
-            )
-        if self.writeback is not None and self.buffer_capacity is None:
-            raise ConfigurationError("writeback needs a buffer pool (set buffer_capacity)")
         tier_only = (self.snapshot_interval, self.mapping_region)
         if self.mapping_cache is None and tier_only != (None, None):
             raise ConfigurationError(

@@ -76,8 +76,7 @@ class Cell:
         config = self.config
         parts = [config.label, self.backend]
         if config.buffer_capacity is not None:
-            mode = config.writeback or "sync"
-            parts.append(f"buffer={config.buffer_capacity}/{config.buffer_policy}/{mode}")
+            parts.append(f"buffer={config.buffer_capacity}/{config.buffer_policy}")
         if config.mapping_cache is not None:
             parts.append(f"mapping={config.mapping_cache}")
         return " ".join(parts)
@@ -161,7 +160,6 @@ def replay_cell(
                 config.buffer_capacity,
                 stream.n_pages,
                 buffer_policy=config.buffer_policy,
-                writeback=config.writeback,
             )
         shadow: Dict[int, bytes] = dict(stream.initial_images())
         snap = driver.stats.snapshot()

@@ -9,7 +9,7 @@ oracle, and emits one cross-scenario report table
 The default grid covers every axis the engine has grown: the four
 page-update methods, shard counts,
 GC victim policies, both device backends, and buffered configurations
-with each eviction policy and write-back mode.  ``TINY_CONFIGS`` /
+with each eviction policy.  ``TINY_CONFIGS`` /
 :func:`tiny_patterns` are the reduced CI smoke grid — same axes, fewer
 cells and operations (see ``scripts/run_scenarios.py --tiny``).
 """
@@ -31,7 +31,7 @@ from .stream import build_stream
 DEFAULT_SEED = 20100121
 
 #: The full configuration grid: methods × shards × GC policy
-#: × backend × buffer policy/write-back × mapping tier.
+#: × backend × buffer policy × mapping tier.
 DEFAULT_CONFIGS: Tuple[Cell, ...] = (
     Cell.of("pdl-256", "PDL (256B)"),
     Cell.of("pdl-2k", "PDL (2KB)"),
@@ -43,13 +43,7 @@ DEFAULT_CONFIGS: Tuple[Cell, ...] = (
     Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
     Cell.of("opu-x2-file", "OPU x2", backend="file"),
     Cell.of("pdl-buf-lru", "PDL (256B)", buffer_capacity=12),
-    Cell.of(
-        "pdl-buf-2q-bg",
-        "PDL (256B)",
-        buffer_capacity=12,
-        buffer_policy="2q",
-        writeback="background",
-    ),
+    Cell.of("pdl-buf-2q", "PDL (256B)", buffer_capacity=12, buffer_policy="2q"),
     # Demand-paged mapping tier: the oracle holds these to the identical
     # logical state hash as the in-RAM table (tight cache, resident
     # cache and sharded variants).
@@ -67,8 +61,7 @@ TINY_CONFIGS: Tuple[Cell, ...] = (
     Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
     Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
     Cell.of("pdl-x2-thread", "PDL (256B) x2"),  # name kept: scenarios.json is keyed by it
-    Cell.of("pdl-buf-2q-bg", "PDL (256B)", buffer_capacity=10,
-            buffer_policy="2q", writeback="background"),
+    Cell.of("pdl-buf-2q", "PDL (256B)", buffer_capacity=10, buffer_policy="2q"),
     Cell.of("pdl-map-16", "PDL (256B)", mapping_cache=16, snapshot_interval=48),
 )
 
@@ -198,24 +191,15 @@ def run_matrix(
                 )
                 cells.append(cell)
                 result.cells[(stream.scenario, config.name)] = cell
-                device = (
-                    cell.device_reads,
-                    cell.device_writes,
-                    cell.device_erases,
-                    cell.io_time_us / 1000.0,
-                )
-                if config.config.writeback is not None:
-                    # The write-back daemon decides when dirty frames
-                    # reach flash: device traffic moves with the thread
-                    # scheduler, so the table leaves it out (the
-                    # CellResult keeps it).
-                    device = (None,) * len(device)
                 table.add_row(
                     cell.scenario,
                     cell.config,
                     cell.n_reads,
                     cell.n_updates,
-                    *device,
+                    cell.device_reads,
+                    cell.device_writes,
+                    cell.device_erases,
+                    cell.io_time_us / 1000.0,
                     _check_cell(cell),
                     cell.state_hash[:12],
                 )

@@ -2,7 +2,7 @@
 
 A page-based storage engine standing in for the Odysseus ORDBMS storage
 layer the paper used: a buffer-pool subsystem with pluggable eviction
-policies and optional background write-back (:mod:`.bufferpool`),
+policies (:mod:`.bufferpool`),
 change-log recording (the tightly-coupled hook), slotted pages, heap
 files, and a paged B+tree.
 """
@@ -13,7 +13,6 @@ from .bufferpool import (
     BufferManager,
     BufferStats,
     EvictionPolicy,
-    WritebackConfig,
     eviction_policy_names,
     make_eviction_policy,
     register_eviction_policy,
@@ -36,7 +35,6 @@ __all__ = [
     "RID",
     "SlottedPage",
     "SlottedPageError",
-    "WritebackConfig",
     "eviction_policy_names",
     "make_eviction_policy",
     "register_eviction_policy",

@@ -1,12 +1,14 @@
 """The production buffer pool: thread-safe frames over a page-update driver.
 
 This is the DBMS buffer of the paper's Experiment 7 grown into a
-subsystem: pluggable eviction (:mod:`.policy`), thread-safe pinning, and
-optional watermark-driven background write-back (:mod:`.writeback`).
-With the defaults — ``policy="lru"``, ``writeback=None`` — its flash
-behaviour is byte-identical to the original 148-line synchronous LRU
-pool, which keeps every paper experiment faithful; the new machinery is
-strictly opt-in.
+subsystem: pluggable eviction (:mod:`.policy`) and thread-safe pinning.
+A dirty frame reaches flash only when it has to — on its eviction, on
+:meth:`BufferManager.flush_page` or on :meth:`BufferManager.flush_all` —
+which is the paper's rule of writing a page's differential once, at the
+time the page needs to be reflected into flash.  With
+``policy="lru"`` its flash behaviour is byte-identical to the original
+148-line synchronous LRU pool, which keeps every paper experiment
+faithful.
 
 Locking model (see ``docs/bufferpool.md``):
 
@@ -14,42 +16,32 @@ Locking model (see ``docs/bufferpool.md``):
   policy, the stats and resident frames' pin counts — every public
   entry point takes it;
 * per-page latches order page writes, never a read (:class:`~repro
-  .storage.page.Page`); the ordering is always ``pool lock → page latch → dirty
-  lock``, with the driver lock (unsharded drivers only) innermost;
+  .storage.page.Page`); the ordering is always ``pool lock → page latch
+  → driver lock / shard gate``, and nothing reaches back up it;
 * flash **reads** for misses happen *outside* the pool lock so client
   threads miss concurrently on a sharded driver; a lost race discards
   the duplicate read and counts it in ``stats.read_races``;
-* flash **writes** from evictions run under the pool lock — that is the
-  synchronous stall the write-back daemon exists to avoid: with
-  ``writeback="background"`` the eviction path first reclaims a clean
-  frame (no flash I/O at all) and only falls back to a synchronous
-  write-back when the daemon is behind.
+* flash **writes** — dirty evictions and flushes — run under the pool
+  lock, a synchronous stall recorded per eviction in
+  ``stats.eviction_stalls``.
 
 A bare driver (a :class:`~repro.core.pdl.PdlDriver`, say) is not
 thread-safe, so every call into one is serialized through an internal
 driver lock.  A :class:`~repro.sharding.driver.ShardedDriver` needs no
-such lock — its per-shard gates are the serialization — which is the
-configuration where client threads and background write-back overlap
-on different shards.
+such lock — its per-shard gates are the serialization.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from ...ftl.base import PageUpdateMethod
 from ...sharding.driver import ShardedDriver
 from ..page import BufferError, Page
 from .policy import EvictionPolicy, make_eviction_policy
 from .stats import BufferStats
-from .writeback import WritebackConfig, WritebackDaemon, normalize_writeback
-
-
-#: Candidates examined by the bounded clean-frame scan before the
-#: eviction path gives up and falls back to synchronous write-back.
-CLEAN_SCAN_MIN = 8
 
 
 class BufferManager:
@@ -61,7 +53,6 @@ class BufferManager:
         capacity: int,
         *,
         policy: Union[str, EvictionPolicy] = "lru",
-        writeback=None,
     ):
         if capacity < 1:
             raise ValueError("buffer capacity must be at least one page")
@@ -77,30 +68,16 @@ class BufferManager:
         self.stats.policy_counters = policy.counters  # live view
 
         self._lock = threading.RLock()
-        #: Signalled when an in-flight background batch completes.
-        self._inflight_cond = threading.Condition(self._lock)
-        self._inflight: set = set()
         #: Per-pid eviction generation: lets a miss read that ran
         #: outside the lock detect an admit+evict cycle of the same pid
         #: (its image may be stale) and retry instead of admitting it.
         self._evict_gen: Dict[int, int] = {}
-        #: Leaf lock: the dirty counter and the daemon's condition.
-        self._dirty_lock = threading.Lock()
-        self._dirty_cond = threading.Condition(self._dirty_lock)
-        self._dirty_count = 0
-        #: Serializes concurrent flush_all callers (durability points).
-        self._flush_serial = threading.Lock()
 
         #: A bare driver is not thread-safe: every call into it goes
         #: through this lock.  Sharded drivers serialize at their gates.
         self._driver_lock: Optional[threading.Lock] = (
             None if isinstance(driver, ShardedDriver) else threading.Lock()
         )
-
-        config = normalize_writeback(writeback)
-        self.writeback: Optional[WritebackDaemon] = None
-        if config is not None:
-            self.writeback = WritebackDaemon(self, config)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -139,6 +116,8 @@ class BufferManager:
         """
         while True:
             with self._lock:
+                if self._closed:
+                    raise self._closed_error("get_page", pid)
                 page = self._frames.get(pid)
                 if page is not None:
                     self.policy.touch(pid)
@@ -187,6 +166,8 @@ class BufferManager:
         performs the initial flash write.
         """
         with self._lock:
+            if self._closed:
+                raise self._closed_error("create_page", pid)
             if pid in self._frames:
                 raise BufferError(f"page {pid} already buffered")
             page = Page(pid, data, self._logged)
@@ -204,9 +185,9 @@ class BufferManager:
 
     @property
     def dirty_count(self) -> int:
-        """Resident dirty pages (maintained by page notifications)."""
-        with self._dirty_lock:
-            return self._dirty_count
+        """Resident dirty pages."""
+        with self._lock:
+            return sum(1 for page in self._frames.values() if page.dirty)
 
     def clear(self) -> int:
         """Drop every clean, unpinned frame; returns how many were dropped.
@@ -218,8 +199,6 @@ class BufferManager:
         is never safe here.
         """
         with self._lock:
-            while self._inflight:
-                self._inflight_cond.wait()
             dropped = 0
             for pid, page in list(self._frames.items()):
                 if page.dirty or page.pin_count > 0:
@@ -236,10 +215,8 @@ class BufferManager:
     # ------------------------------------------------------------------
     def flush_page(self, pid: int) -> None:
         with self._lock:
-            while pid in self._inflight:
-                # A background batch holds this page; wait it out rather
-                # than double-writing the pid concurrently.
-                self._inflight_cond.wait()
+            if self._closed:
+                raise self._closed_error("flush_page", pid)
             page = self._frames.get(pid)
             if page is not None and page.dirty:
                 self._write_back_locked(page)
@@ -248,38 +225,19 @@ class BufferManager:
     def flush_all(self) -> None:
         """Write back every dirty page and the driver's own buffers.
 
-        The durability point: the write-back daemon (if any) is paused
-        and its in-flight batch joined first, then the remaining dirty
-        pages go down in one batched driver call — through
-        ``group_flush(pages=...)`` on a sharded driver, so the page
-        writes and the per-shard buffer flushes fan out in a single
-        join — in cold-to-hot policy order (LRU order, as always).
-        Pages dirtied *while* the batch was in flight keep their
-        residual logs and stay dirty; "flush returned" covers exactly
-        the writes that completed before it was called, as it always
-        did.
+        The durability point: the dirty pages go down in one batched
+        driver call — through ``group_flush(pages=...)`` on a sharded
+        driver, so the page writes and the per-shard buffer flushes fan
+        out in a single join — in cold-to-hot policy order (LRU order,
+        as always).  The pool lock is held throughout, so callers
+        serialize; a client holding a pinned handle may still write
+        through the page latch while the batch is in flight, and such a
+        page keeps its residual log and stays dirty.  "flush returned"
+        covers exactly the writes that completed before it was called.
         """
-        with self._flush_serial:
-            daemon = self.writeback
-            daemon_error = None
-            if daemon is not None:
-                # A daemon that died on a driver error left its batch
-                # pages dirty; surface the error once, *after* flushing
-                # everything synchronously — durability first.
-                daemon_error, daemon.error = daemon.error, None
-                daemon.pause()
-            try:
-                self._flush_all_inner()
-            finally:
-                if daemon is not None:
-                    daemon.resume()
-            if daemon_error is not None:
-                raise daemon_error
-
-    def _flush_all_inner(self) -> None:
         with self._lock:
-            while self._inflight:
-                self._inflight_cond.wait()
+            if self._closed:
+                raise self._closed_error("flush_all")
             dirty = [
                 self._frames[pid]
                 for pid in self.policy.iter_pids()
@@ -295,16 +253,14 @@ class BufferManager:
                     page.pid: snap[1] for page, snap in zip(dirty, snapshots)
                 }
             batch = [(page.pid, snap[0]) for page, snap in zip(dirty, snapshots)]
-            if isinstance(self.driver, ShardedDriver):
-                # One fan-out: per-shard page writes + buffer flush.
-                if self._driver_lock is not None:
-                    with self._driver_lock:
-                        self.driver.group_flush(pages=batch, update_logs=logs)
-                else:
-                    self.driver.group_flush(pages=batch, update_logs=logs)
+            if self._driver_lock is None:
+                # A sharded driver: one fan-out of per-shard page writes
+                # and buffer flushes.
+                self.driver.group_flush(pages=batch, update_logs=logs)
             else:
-                self._driver_write_pages(batch, update_logs=logs)
-                self._driver_flush()
+                with self._driver_lock:
+                    self.driver.write_pages(batch, update_logs=logs)
+                    self.driver.flush()
             for page, snap in zip(dirty, snapshots):
                 page.finish_writeback(snap[2], len(snap[1]))
                 self.stats.flushes += 1
@@ -318,8 +274,19 @@ class BufferManager:
         """
         with page.latch:
             logs = page.change_log if self._logged else None
-            self._driver_write_page(page.pid, page.data, logs)
+            if self._driver_lock is None:
+                self.driver.write_page(page.pid, page.data, update_logs=logs)
+            else:
+                with self._driver_lock:
+                    self.driver.write_page(page.pid, page.data, update_logs=logs)
             page.clear_log()
+
+    def _driver_flush(self) -> None:
+        if self._driver_lock is None:
+            self.driver.flush()
+        else:
+            with self._driver_lock:
+                self.driver.flush()
 
     # ------------------------------------------------------------------
     # Internals: admission and eviction
@@ -332,41 +299,12 @@ class BufferManager:
         page.attach(self)
 
     def _evict_one_locked(self) -> None:
-        while True:
-            if self.writeback is None:
-                victim_pid = self.policy.select_victim(self._pin_evictable)
-            else:
-                # Fast path: drop a clean frame, no flash I/O at all.
-                limit = max(CLEAN_SCAN_MIN, self._capacity // 8)
-                victim_pid = self.policy.select_victim(
-                    self._clean_evictable, limit=limit
-                )
-                if victim_pid is None:
-                    # The daemon is behind the dirty rate: wake it and
-                    # pay one synchronous write-back as the backstop.
-                    self.stats.writeback_kicks += 1
-                    self.writeback.kick()
-                    victim_pid = self.policy.select_victim(
-                        self._pin_evictable, include_parked=True
-                    )
-            if victim_pid is not None:
-                self._evict_locked(victim_pid)
-                return
-            if self._inflight:
-                # Everything reclaimable is pinned by an in-flight
-                # write-back batch; it will unpin shortly.
-                self.stats.pin_waits += 1
-                self._inflight_cond.wait()
-                continue
-            raise BufferError("all buffer frames are pinned")
-
-    def _evict_locked(self, pid: int) -> None:
-        # The write-back decision reads the victim's *current* dirty
-        # state, not the scan's verdict — a clean-scan candidate that a
-        # racing writer dirtied in between still gets written back.
         # The frame is only removed after a successful write-back: a
         # raising driver abandons the eviction with the page still
         # dirty and resident instead of dropping it on the floor.
+        pid = self.policy.select_victim(self._pin_evictable)
+        if pid is None:
+            raise BufferError("all buffer frames are pinned")
         victim = self._frames[pid]
         if victim.dirty:
             self.stats.dirty_evictions += 1
@@ -393,15 +331,8 @@ class BufferManager:
             return False
         return True
 
-    def _clean_evictable(self, pid: int) -> bool:
-        page = self._frames[pid]
-        if page.pin_count != 0:
-            self.stats.pinned_skips += 1
-            return False
-        return not page.dirty
-
     # ------------------------------------------------------------------
-    # Pins (pool lock) and page notifications (page latch held)
+    # Pins (pool lock)
     # ------------------------------------------------------------------
     def _pin(self, page: Page) -> bool:
         """``Page.pin`` on an attached frame; False if it left the pool."""
@@ -420,75 +351,6 @@ class BufferManager:
             if page.pin_count == 0:
                 self.policy.unpark(page.pid)
 
-    def _page_dirtied(self, pid: int) -> None:
-        with self._dirty_lock:
-            self._dirty_count += 1
-            if self.writeback is not None and self._dirty_count >= (
-                self.writeback.config.high_pages(self._capacity)
-            ):
-                self.writeback.notify()
-
-    def _page_cleaned(self, pid: int) -> None:
-        # Only the pool's write-back paths clean: the pool lock is held.
-        with self._dirty_lock:
-            self._dirty_count -= 1
-        self.policy.unpark(pid)
-
-    # ------------------------------------------------------------------
-    # Background write-back support (called by the daemon)
-    # ------------------------------------------------------------------
-    def _claim_dirty_batch(self, max_pages: int) -> List[Page]:
-        """Pin up to ``max_pages`` cold dirty pages for a flush batch."""
-        batch: List[Page] = []
-        with self._lock:
-            for pid in self.policy.iter_pids():
-                page = self._frames.get(pid)
-                if page is None or not page.dirty or pid in self._inflight:
-                    continue
-                page.pin_count += 1  # blocks eviction while the batch is in flight
-                self._inflight.add(pid)
-                batch.append(page)
-                if len(batch) >= max_pages:
-                    break
-        return batch
-
-    def _finish_dirty_batch(self, snapshots, claimed: List[Page]) -> None:
-        """Reconcile a flushed batch; always unpins every claimed page."""
-        with self._lock:
-            for page, _data, logs, version in snapshots:
-                page.finish_writeback(version, len(logs))
-                self.stats.writeback_pages += 1
-            if snapshots:
-                self.stats.writeback_batches += 1
-            for page in claimed:
-                self._inflight.discard(page.pid)
-                self._unpin(page)
-            self._inflight_cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # Driver access (serialized for non-thread-safe drivers)
-    # ------------------------------------------------------------------
-    def _driver_write_page(self, pid: int, data: bytes, logs) -> None:
-        if self._driver_lock is not None:
-            with self._driver_lock:
-                self.driver.write_page(pid, data, update_logs=logs)
-        else:
-            self.driver.write_page(pid, data, update_logs=logs)
-
-    def _driver_write_pages(self, pages, update_logs=None) -> None:
-        if self._driver_lock is not None:
-            with self._driver_lock:
-                self.driver.write_pages(pages, update_logs=update_logs)
-        else:
-            self.driver.write_pages(pages, update_logs=update_logs)
-
-    def _driver_flush(self) -> None:
-        if self._driver_lock is not None:
-            with self._driver_lock:
-                self.driver.flush()
-        else:
-            self.driver.flush()
-
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
@@ -502,16 +364,20 @@ class BufferManager:
             return sum(1 for page in self._frames.values() if page.pin_count)
 
     def close(self) -> None:
-        """Stop the write-back daemon (if any).  Idempotent.
+        """Retire the pool.  Idempotent.
 
-        Does *not* flush — :meth:`repro.storage.db.Database.close`
-        flushes first, then closes the pool, then the driver.
+        Afterwards ``get_page``, ``create_page``, ``flush_page`` and
+        ``flush_all`` raise :class:`BufferError` instead of buffering a
+        write that would never land.  Does *not* flush —
+        :meth:`repro.storage.db.Database.close` flushes first, then
+        closes the pool, then the driver.
         """
-        if self._closed:
-            return
-        self._closed = True
-        if self.writeback is not None:
-            self.writeback.stop()
+        with self._lock:
+            self._closed = True
+
+    def _closed_error(self, action: str, pid: Optional[int] = None) -> BufferError:
+        target = "" if pid is None else f" of page {pid}"
+        return BufferError(f"{action}{target} on a closed buffer pool")
 
 
 class _PinnedPage:

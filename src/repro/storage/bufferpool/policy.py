@@ -3,7 +3,7 @@
 Mirrors the GC victim-policy registry of :mod:`repro.ftl.gc`: policies
 are registered under a name, selected by
 ``Database.open(..., buffer_policy="2q")`` or
-``BufferManager(..., policy="clock")``, and each pool gets a fresh
+``BufferManager(..., policy="2q")``, and each pool gets a fresh
 instance so stateful policies never share bookkeeping.
 
 A policy tracks *which* resident page to reclaim next; the
@@ -14,17 +14,16 @@ themselves and consults the policy through a small contract:
   :meth:`~EvictionPolicy.remove` maintain recency state;
 * :meth:`EvictionPolicy.select_victim` scans candidates best-first and
   returns the first one the manager's ``evictable`` callback accepts —
-  the callback is where pin counts and (for clean-first reclamation)
-  dirtiness live, so policies never see :class:`Page` objects;
+  the callback is where pin counts live, so policies never see
+  :class:`Page` objects;
 * :meth:`EvictionPolicy.iter_pids` yields the resident set coldest-first
-  (write-back daemons flush cold dirty pages first; ``flush_all``
-  preserves the historical LRU flush order through it).
+  (``flush_all`` preserves the historical LRU flush order through it).
 
-Rejected candidates are *parked* by the LRU policy (the reclaim-cursor
-fix: a pinned cold frame is skipped exactly once, not rescanned on every
-subsequent eviction) and returned to the reclaim order via
-:meth:`EvictionPolicy.unpark` when the manager learns the frame was
-unpinned or cleaned.  Clock and 2Q revisit skipped frames naturally.
+Rejected (pinned) candidates are *parked* by the LRU policy (the
+reclaim-cursor fix: a pinned cold frame is skipped exactly once, not
+rescanned on every subsequent eviction) and returned to the reclaim
+order via :meth:`EvictionPolicy.unpark` on the frame's last unpin.  2Q
+revisits skipped frames naturally.
 
 This module deliberately imports nothing from the flash or FTL layers
 besides the shared :class:`~repro.ftl.errors.ConfigurationError`.
@@ -66,28 +65,16 @@ class EvictionPolicy:
         raise NotImplementedError
 
     def unpark(self, pid: int) -> None:
-        """A previously rejected frame became reclaimable again (unpinned
-        or cleaned).  Default: nothing parks, nothing to do."""
+        """A previously rejected frame became reclaimable again (its last
+        pin was dropped).  Default: nothing parks, nothing to do."""
 
     def resize(self, capacity: int) -> None:
         """The pool capacity changed (the manager already evicted down)."""
         self.capacity = capacity
 
     # -- reclamation ----------------------------------------------------
-    def select_victim(
-        self,
-        evictable: Evictable,
-        limit: Optional[int] = None,
-        include_parked: bool = False,
-    ) -> Optional[int]:
-        """Best reclaimable pid, or None.
-
-        ``limit`` bounds how many candidates are offered to ``evictable``
-        (clean-first passes stay cheap even when most of the pool is
-        dirty).  ``include_parked`` additionally re-examines parked
-        frames — the unbounded backstop pass uses it, since a parked
-        frame may be evictable under the relaxed criteria.
-        """
+    def select_victim(self, evictable: Evictable) -> Optional[int]:
+        """Best pid that ``evictable`` accepts, or None."""
         raise NotImplementedError
 
     def iter_pids(self) -> Iterator[int]:
@@ -145,11 +132,11 @@ class LruPolicy(EvictionPolicy):
     order are bit-identical to the original.  The difference is what
     happens to a *rejected* candidate: its pid enters the ``parked`` set
     and later scans step over it with a single hash probe instead of
-    re-running the manager's pin/dirty verdict on every eviction — the
+    re-running the manager's pin verdict on every eviction — the
     O(pinned-cold-frames) rescan this policy exists to fix.  A parked
     frame rejoins the scan only on an :meth:`unpark` (the manager's, on
-    a frame's last unpin or its cleaning) or a :meth:`touch`, which
-    makes it MRU anyway.
+    a frame's last unpin) or a :meth:`touch`, which makes it MRU
+    anyway.
     """
 
     name = "lru"
@@ -173,114 +160,22 @@ class LruPolicy(EvictionPolicy):
     def unpark(self, pid: int) -> None:
         self._parked.discard(pid)
 
-    def select_victim(
-        self,
-        evictable: Evictable,
-        limit: Optional[int] = None,
-        include_parked: bool = False,
-    ) -> Optional[int]:
+    def select_victim(self, evictable: Evictable) -> Optional[int]:
         # Plain iteration, no copy: the loop only mutates the parked
         # *set*, never the order dict, and the common case returns at
         # the first candidate — copying the whole order would pay the
         # O(capacity)-per-eviction cost this cursor exists to avoid.
-        offered = 0
         for pid in self._order:
-            if not include_parked and pid in self._parked:
+            if pid in self._parked:
                 continue
-            if limit is not None and offered >= limit:
-                return None
-            offered += 1
             if evictable(pid):
                 return pid
-            if pid not in self._parked:
-                self._parked.add(pid)
-                self._count("parked")
+            self._parked.add(pid)
+            self._count("parked")
         return None
 
     def iter_pids(self) -> Iterator[int]:
         return iter(list(self._order))
-
-
-# ----------------------------------------------------------------------
-# Clock (second-chance approximation of LRU)
-# ----------------------------------------------------------------------
-class ClockPolicy(EvictionPolicy):
-    """The classic clock sweep: one reference bit per frame, a rotating
-    hand that clears bits until it finds an unreferenced, evictable
-    frame.  Rejected frames simply stay in the ring — the hand revisits
-    them one full sweep later, which is the policy's own cursor."""
-
-    name = "clock"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._ring: List[Optional[int]] = []  # None = tombstone
-        self._slot: Dict[int, int] = {}
-        self._ref: Dict[int, bool] = {}
-        self._hand = 0
-
-    def admit(self, pid: int) -> None:
-        self._slot[pid] = len(self._ring)
-        self._ring.append(pid)
-        # Clear, decided on measurements (docs/bufferpool.md): the first
-        # sweep may take a page that was missed once and never touched.
-        self._ref[pid] = False
-
-    def touch(self, pid: int) -> None:
-        self._ref[pid] = True
-
-    def remove(self, pid: int) -> None:
-        slot = self._slot.pop(pid, None)
-        if slot is not None:
-            self._ring[slot] = None
-            self._ref.pop(pid, None)
-            self._maybe_compact()
-
-    def select_victim(
-        self,
-        evictable: Evictable,
-        limit: Optional[int] = None,
-        include_parked: bool = False,
-    ) -> Optional[int]:
-        if not self._slot:
-            return None
-        offered = 0
-        # Two full sweeps suffice: the first clears every set bit, the
-        # second must then stop at any evictable frame.
-        for _step in range(2 * len(self._ring)):
-            if self._hand >= len(self._ring):
-                self._hand = 0
-            pid = self._ring[self._hand]
-            self._hand += 1
-            if pid is None:
-                continue
-            if self._ref.get(pid):
-                self._ref[pid] = False
-                self._count("ref_clears")
-                continue
-            if limit is not None and offered >= limit:
-                return None
-            offered += 1
-            if evictable(pid):
-                return pid
-        return None
-
-    def iter_pids(self) -> Iterator[int]:
-        n = len(self._ring)
-        for i in range(n):
-            pid = self._ring[(self._hand + i) % n]
-            if pid is not None:
-                yield pid
-
-    def _maybe_compact(self) -> None:
-        if len(self._ring) < 16 or len(self._slot) * 2 > len(self._ring):
-            return
-        before_hand = sum(
-            1 for pid in self._ring[: self._hand] if pid is not None
-        )
-        self._ring = [pid for pid in self._ring if pid is not None]
-        self._slot = {pid: i for i, pid in enumerate(self._ring)}
-        self._hand = before_hand
 
 
 # ----------------------------------------------------------------------
@@ -344,20 +239,11 @@ class TwoQPolicy(EvictionPolicy):
             return [self._a1in, self._am]
         return [self._am, self._a1in]
 
-    def select_victim(
-        self,
-        evictable: Evictable,
-        limit: Optional[int] = None,
-        include_parked: bool = False,
-    ) -> Optional[int]:
+    def select_victim(self, evictable: Evictable) -> Optional[int]:
         # No copies: nothing in the loop mutates the queues (2Q parks
         # nothing; ghosting happens in remove(), after selection).
-        offered = 0
         for queue in self._queues():
             for pid in queue:
-                if limit is not None and offered >= limit:
-                    return None
-                offered += 1
                 if evictable(pid):
                     return pid
         return None
@@ -368,5 +254,4 @@ class TwoQPolicy(EvictionPolicy):
 
 
 register_eviction_policy("lru", LruPolicy)
-register_eviction_policy("clock", ClockPolicy)
 register_eviction_policy("2q", TwoQPolicy)

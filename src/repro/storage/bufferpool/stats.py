@@ -3,23 +3,19 @@
 The original pool counted hits/misses/evictions; the production pool
 additionally meters everything Experiment 7's knob actually moves:
 
-* how evictions were served — ``clean_reclaims`` (no flash write on the
-  client thread) vs ``sync_writebacks`` (the backstop that stalls the
-  client on flash);
+* how evictions were served — ``clean_reclaims`` (a clean frame
+  dropped, no flash write) vs ``sync_writebacks`` (a dirty frame written
+  back on the client thread before it is dropped);
 * the *client-visible eviction stall* — host microseconds a page access
-  spent waiting on synchronous write-back, recorded per eviction (zero
-  for clean reclaims) so ``eviction_stall_p99_us`` is a tail over all
+  spent waiting on that write-back, recorded per eviction (zero for
+  clean reclaims) so ``eviction_stall_p99_us`` is a tail over all
   evictions, mirroring the GC write-stall convention;
-* background write-back throughput (``writeback_batches`` /
-  ``writeback_pages``) and high-watermark emergencies
-  (``writeback_kicks``);
-* pinned-frame pressure: ``pinned_skips`` counts victim-scan rejections
-  and ``pin_waits`` counts evictions that had to wait for an in-flight
-  write-back — both climb long before the old all-frames-pinned
-  :class:`BufferError` cliff.
+* pinned-frame pressure: ``pinned_skips`` counts victim-scan rejections,
+  which climb long before the all-frames-pinned :class:`BufferError`
+  cliff.
 
-All counters are mutated under the pool lock (the write-back daemon
-included), so reads after a quiesce are exact.  Merged reporting lives
+All counters are mutated under the pool lock, so reads after a quiesce
+are exact.  Merged reporting lives
 in :meth:`repro.sharding.stats.AggregateStats.report`, which embeds
 :meth:`BufferStats.as_dict` next to the flash totals.
 """
@@ -27,7 +23,7 @@ in :meth:`repro.sharding.stats.AggregateStats.report`, which embeds
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ...flash.stats import LatencyRecorder
 
@@ -41,22 +37,12 @@ class BufferStats:
     evictions: int = 0
     dirty_evictions: int = 0
     flushes: int = 0
-    #: Evictions served by dropping a clean frame — no flash write on
-    #: the client thread (the background write-back fast path).
+    #: Evictions served by dropping a clean frame — no flash write.
     clean_reclaims: int = 0
-    #: Dirty evictions written back synchronously on the client thread
-    #: (always, without a write-back daemon; the backstop, with one).
+    #: Dirty evictions written back synchronously on the client thread.
     sync_writebacks: int = 0
-    #: Background write-back batches and the dirty pages they flushed.
-    writeback_batches: int = 0
-    writeback_pages: int = 0
-    #: Emergency daemon wake-ups from the eviction path (the clean scan
-    #: found nothing — the daemon is behind the dirty rate).
-    writeback_kicks: int = 0
     #: Victim-scan candidates rejected because the frame was pinned.
     pinned_skips: int = 0
-    #: Evictions that waited for an in-flight background write-back.
-    pin_waits: int = 0
     #: Concurrent misses on one pid: the loser's duplicate flash read is
     #: discarded but still counted as a miss (misses == driver reads).
     read_races: int = 0
@@ -65,7 +51,7 @@ class BufferStats:
     #: Host-µs eviction stalls, one sample per eviction (zero included).
     eviction_stalls: LatencyRecorder = field(default_factory=LatencyRecorder)
     #: Introspection counters owned by the eviction policy (parked
-    #: frames, clock ref-bit clears, 2Q ghost promotions, ...).
+    #: frames, 2Q ghost promotions, ...).
     policy_counters: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -78,10 +64,9 @@ class BufferStats:
 
     @property
     def flashed_pages(self) -> int:
-        """Pages this pool wrote to the driver (evictions + flushes +
-        background write-back) — equals the driver-level write count in
-        the stress-test audit."""
-        return self.dirty_evictions + self.flushes + self.writeback_pages
+        """Pages this pool wrote to the driver (evictions + flushes) —
+        equals the driver-level write count in the stress-test audit."""
+        return self.dirty_evictions + self.flushes
 
     def eviction_stall_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of per-eviction client stalls (host µs)."""
@@ -102,11 +87,7 @@ class BufferStats:
             "clean_reclaims": self.clean_reclaims,
             "sync_writebacks": self.sync_writebacks,
             "flushes": self.flushes,
-            "writeback_batches": self.writeback_batches,
-            "writeback_pages": self.writeback_pages,
-            "writeback_kicks": self.writeback_kicks,
             "pinned_skips": self.pinned_skips,
-            "pin_waits": self.pin_waits,
             "read_races": self.read_races,
             "eviction_stall_p99_us": self.eviction_stall_percentile(99),
             "eviction_stall_max_us": self.max_eviction_stall_us,

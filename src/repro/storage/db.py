@@ -86,12 +86,9 @@ class Database:
         buffer_capacity: int,
         *,
         buffer_policy: str = "lru",
-        writeback=None,
     ):
         self.driver = driver
-        self.pool = BufferManager(
-            driver, buffer_capacity, policy=buffer_policy, writeback=writeback
-        )
+        self.pool = BufferManager(driver, buffer_capacity, policy=buffer_policy)
         self.page_size = driver.page_size
         self._next_pid = 0
         #: Guards the allocation horizon: clients may share one engine
@@ -110,7 +107,6 @@ class Database:
         allocated_pages: int,
         *,
         buffer_policy: str = "lru",
-        writeback=None,
     ) -> "Database":
         """Re-attach to an existing (e.g. just-recovered) driver.
 
@@ -120,12 +116,7 @@ class Database:
         """
         if allocated_pages < 0:
             raise ValueError("allocated_pages must be non-negative")
-        db = cls(
-            driver,
-            buffer_capacity,
-            buffer_policy=buffer_policy,
-            writeback=writeback,
-        )
+        db = cls(driver, buffer_capacity, buffer_policy=buffer_policy)
         db._next_pid = allocated_pages
         return db
 
@@ -178,7 +169,6 @@ class Database:
                 config.buffer_capacity,
                 _allocation_horizon(driver),
                 buffer_policy=config.buffer_policy,
-                writeback=config.writeback,
             )
         except BaseException:
             # Whatever was opened so far is released before the error
@@ -196,18 +186,18 @@ class Database:
         """Flush everything durable, then release the device backends.
 
         Safe to call twice.  After ``close`` the database (and its
-        driver) must not be used; reopen with :meth:`open`.
+        driver) must not be used — fetching, allocating or flushing a
+        page raises :class:`~repro.storage.page.BufferError`; reopen with
+        :meth:`open`.
         """
         if self._closed:
             return
         try:
             self.flush()
         finally:
-            # Even when the flush surfaces a write-back daemon error,
-            # the daemon and the device backends must still be released
-            # (the synchronous flush itself completed first).
-            self.pool.close()  # stop the write-back daemon before the driver
-            # Drivers close their own chips.
+            # Even when the flush raises, the pool is retired and the
+            # device backends are released (drivers close their chips).
+            self.pool.close()
             self.driver.close()
             self._closed = True
 

@@ -22,8 +22,8 @@ lock — a read is one C-level copy or unpack, a store one C-level slice
 assignment, and the GIL runs each whole — so a free-threaded
 interpreter voids it (``tests/storage/test_page.py`` fails there by
 name).  A pin is pool state: on an attached frame :meth:`pin` and
-:meth:`unpin` are the pool's, under its lock.  The latch is a *leaf*
-lock in the order ``pool lock → page latch → dirty lock``
+:meth:`unpin` are the pool's, under its lock.  The latch sits in the
+order ``pool lock → page latch → driver lock / shard gate``
 (``docs/bufferpool.md``): nothing holding it calls up into the pool.
 
 Pinning marks a page as in use so the pool will not evict it.  Prefer
@@ -83,10 +83,10 @@ class Page:
         #: a read).  Re-entrant: :meth:`write_delta` and the pool's
         #: write-back call other latched methods holding it.
         self.latch = threading.RLock()
-        #: Bumped on every effective write; background write-back compares
+        #: Bumped on every effective write; ``flush_all`` compares
         #: versions to decide whether its flushed snapshot is current.
         self.version = 0
-        #: The owning pool (pins, dirty/clean notifications), if any.
+        #: The owning pool (it counts this frame's pins), if any.
         self._observer = None
         #: The owning pool dropped this frame (never true of a page that
         #: was never attached, as unit tests build them).
@@ -166,25 +166,19 @@ class Page:
             raise self._stale("write to")
         self._data[offset : offset + len(data)] = data
         self.version += 1
-        if not self.dirty:
-            self.dirty = True
-            if self._observer is not None:
-                self._observer._page_dirtied(self.pid)
+        self.dirty = True
 
     def clear_log(self) -> None:
         """Called by the buffer pool after a successful write-back."""
         with self.latch:
             self.change_log = []
-            if self.dirty:
-                self.dirty = False
-                if self._observer is not None:
-                    self._observer._page_cleaned(self.pid)
+            self.dirty = False
 
     # ------------------------------------------------------------------
-    # Background write-back support
+    # Batched write-back support (``flush_all``)
     # ------------------------------------------------------------------
     def writeback_snapshot(self):
-        """Consistent ``(data, change_log copy, version)`` for a flusher."""
+        """Consistent ``(data, change_log copy, version)`` for a batch flush."""
         with self.latch:
             return bytes(self._data), list(self.change_log), self.version
 
@@ -207,11 +201,9 @@ class Page:
     # Pool attachment
     # ------------------------------------------------------------------
     def attach(self, observer) -> None:
-        """Bind the owning pool; reports a pre-existing dirty state.  No
-        latch: the pool lock that publishes the frame is still held."""
+        """Bind the owning pool.  No latch: the pool lock that publishes
+        the frame is still held."""
         self._observer = observer
-        if self.dirty:
-            observer._page_dirtied(self.pid)
 
     def detach(self) -> None:
         """The owning pool dropped this frame: later writes and pins fail."""

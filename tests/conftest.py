@@ -7,6 +7,7 @@ code depends on absolute sizes.
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from pathlib import Path
@@ -54,7 +55,13 @@ def mutate(rng: random.Random, data: bytes, n_bytes: int) -> bytes:
 
 def _count_profile_events(fn, counted) -> int:
     """Run ``fn()`` under ``sys.setprofile``; count the events for which
-    ``counted(event, arg)`` is true."""
+    ``counted(event, arg)`` is true.
+
+    The cyclic garbage collector is held off while ``fn`` runs: a
+    collection that happens to land inside it runs code that is not
+    ``fn``'s — ``gc.callbacks`` (hypothesis installs one) and the
+    finalizers of earlier tests' garbage — and whether one lands depends
+    on everything the process allocated before, not on ``fn``."""
     n = 0
 
     def on_event(_frame, event, arg):
@@ -62,12 +69,16 @@ def _count_profile_events(fn, counted) -> int:
         if counted(event, arg):
             n += 1
 
+    was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(on_event)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
     return n
 
 

@@ -52,9 +52,7 @@ class TestEngineConfig:
         with pytest.raises(ConfigurationError):
             Cell.of("x", "OPU", buffer_capacity=-1)
         with pytest.raises(ConfigurationError):
-            Cell.of("x", "OPU", writeback="sometimes", buffer_capacity=4)
-        with pytest.raises(ConfigurationError):
-            Cell.of("x", "OPU", writeback="background")  # no pool
+            Cell.of("x", "OPU", writeback="background", buffer_capacity=4)
         with pytest.raises(ConfigurationError):
             Cell.of("x", "LSM (4KB)")
         with pytest.raises(ConfigurationError):
@@ -62,12 +60,11 @@ class TestEngineConfig:
 
     def test_describe_mentions_every_axis(self):
         config = Cell.of(
-            "x", "PDL (256B)", backend="file", buffer_capacity=8,
-            buffer_policy="2q", writeback="background",
+            "x", "PDL (256B)", backend="file", buffer_capacity=8, buffer_policy="2q"
         )
         text = config.describe()
         assert "PDL (256B)" in text and "file" in text
-        assert "buffer=8/2q/background" in text
+        assert "buffer=8/2q" in text
 
     def test_grids_have_unique_names(self):
         for grid in (DEFAULT_CONFIGS, TINY_CONFIGS):

@@ -1,14 +1,13 @@
 """Unit tests for the buffer-pool subsystem.
 
-Covers the eviction-policy registry and the three built-in policies,
-the LRU reclaim cursor (parked pinned frames are not rescanned), the
-watermark write-back daemon, capacity resizing, pin context managers,
-and the merged stats report.  The byte-for-byte legacy-equivalence test
+Covers the eviction-policy registry and the two built-in policies,
+the LRU reclaim cursor (parked pinned frames are not rescanned),
+write-back on flush, a closed pool's refusals, capacity resizing, pin
+context managers, and the merged stats report.  The byte-for-byte legacy-equivalence test
 lives in ``test_bufferpool_equivalence.py``.
 """
 
 import threading
-import time
 
 import pytest
 
@@ -20,14 +19,11 @@ from repro.methods import make_method
 from repro.storage.bufferpool import (
     BufferError,
     BufferManager,
-    WritebackConfig,
     eviction_policy_names,
     make_eviction_policy,
-    normalize_writeback,
     register_eviction_policy,
 )
 from repro.storage.bufferpool.policy import (
-    ClockPolicy,
     EvictionPolicy,
     LruPolicy,
     TwoQPolicy,
@@ -53,7 +49,7 @@ def _load(driver, n):
 class TestRegistry:
     def test_builtin_names(self):
         names = eviction_policy_names()
-        assert {"lru", "clock", "2q"} <= set(names)
+        assert {"lru", "2q"} <= set(names)
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ConfigurationError, match="unknown eviction policy"):
@@ -81,8 +77,8 @@ class TestRegistry:
         assert 0 not in pool
 
     def test_manager_accepts_policy_instance(self, driver):
-        pool = BufferManager(driver, 4, policy=ClockPolicy(4))
-        assert pool.stats.policy == "clock"
+        pool = BufferManager(driver, 4, policy=TwoQPolicy(4))
+        assert pool.stats.policy == "2q"
 
 
 # ----------------------------------------------------------------------
@@ -123,44 +119,6 @@ class TestLruCursor:
         pool.get_page(1).pin()
         with pytest.raises(BufferError):
             pool.get_page(2)
-
-
-# ----------------------------------------------------------------------
-# Clock
-# ----------------------------------------------------------------------
-class TestClock:
-    def test_second_chance(self, driver):
-        pool = BufferManager(driver, 3, policy="clock")
-        _load(driver, 8)
-        for pid in (0, 1, 2):
-            pool.get_page(pid)
-        pool.get_page(0)  # sets 0's reference bit
-        pool.get_page(3)  # hand clears 0's bit, evicts 1
-        assert 0 in pool
-        assert 1 not in pool
-
-    def test_page_admitted_on_a_miss_and_never_touched_is_a_first_sweep_victim(
-        self, driver
-    ):
-        """``admit`` leaves the reference bit clear — decided on the
-        Figure-18 sweep's numbers, docs/bufferpool.md ("`clock`: the
-        reference bit a miss starts with")."""
-        pool = BufferManager(driver, 3, policy="clock")
-        _load(driver, 8)
-        for pid in (0, 0, 1, 2, 2):  # 0 and 2 are hit once; 1 is only missed
-            pool.get_page(pid)
-        pool.get_page(3)  # the hand clears 0's bit and stops at 1: no second chance
-        assert 1 not in pool
-        assert 0 in pool and 2 in pool
-        assert pool.stats.policy_counters.get("ref_clears") == 1
-
-    def test_sweep_eventually_evicts(self, driver):
-        pool = BufferManager(driver, 3, policy="clock")
-        _load(driver, 16)
-        for pid in range(10):
-            pool.get_page(pid)
-        assert len(pool) == 3
-        assert pool.stats.evictions == 7
 
 
 # ----------------------------------------------------------------------
@@ -318,78 +276,20 @@ class TestManager:
 
 
 # ----------------------------------------------------------------------
-# Write-back daemon
+# Write-back: only on eviction, flush_page or flush_all
 # ----------------------------------------------------------------------
-def _wait_until(predicate, timeout=15.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
-
-
 class TestWriteback:
-    def test_normalize(self):
-        assert normalize_writeback(None) is None
-        assert normalize_writeback(False) is None
-        assert normalize_writeback("sync") is None
-        assert isinstance(normalize_writeback(True), WritebackConfig)
-        assert isinstance(normalize_writeback("background"), WritebackConfig)
-        config = WritebackConfig(high_watermark=0.8, low_watermark=0.1)
-        assert normalize_writeback(config) is config
-        with pytest.raises(ValueError):
-            normalize_writeback("later")
-        with pytest.raises(ValueError):
-            WritebackConfig(high_watermark=0.2, low_watermark=0.5)
-
-    def test_daemon_cleans_dirty_pages(self, driver):
-        pool = BufferManager(
-            driver,
-            8,
-            writeback=WritebackConfig(high_watermark=0.5, low_watermark=0.1),
-        )
-        try:
-            _load(driver, 8)
-            for pid in range(8):
-                pool.get_page(pid).write(0, bytes([0xA0 + pid]))
-            assert _wait_until(lambda: pool.stats.writeback_pages >= 4)
-            assert pool.stats.writeback_batches >= 1
-            assert _wait_until(lambda: pool.dirty_count <= 4)
-            # The daemon's writes are durable without any client flush.
-            for pid in range(4):
-                assert pool.get_page(pid).data[0] == 0xA0 + pid
-        finally:
-            pool.close()
-
-    def test_eviction_prefers_clean_frames(self, driver):
-        pool = BufferManager(driver, 8, writeback=True)
-        try:
-            _load(driver, 32)
-            for pid in range(8):
-                pool.get_page(pid).write(0, b"\xBB")
-            assert _wait_until(lambda: pool.stats.writeback_pages >= 4)
-            stalls0 = pool.stats.sync_writebacks
-            for pid in range(8, 12):
-                pool.get_page(pid)
-            assert pool.stats.clean_reclaims >= 1
-            # Clean reclamation first; the sync backstop stays rare.
-            assert pool.stats.sync_writebacks - stalls0 <= 4
-        finally:
-            pool.close()
-
-    def test_flush_all_pauses_daemon_and_is_durable(self, driver):
-        pool = BufferManager(driver, 8, writeback=True)
-        try:
-            _load(driver, 8)
-            for pid in range(8):
-                pool.get_page(pid).write(0, bytes([0xC0 + pid]))
-            pool.flush_all()
-            assert pool.dirty_count == 0
-            for pid in range(8):
-                assert driver.read_page(pid)[0] == 0xC0 + pid
-        finally:
-            pool.close()
+    def test_flush_all_is_durable(self, driver):
+        pool = BufferManager(driver, 8)
+        _load(driver, 8)
+        for pid in range(8):
+            pool.get_page(pid).write(0, bytes([0xC0 + pid]))
+        assert pool.dirty_count == 8
+        pool.flush_all()
+        assert pool.dirty_count == 0
+        assert pool.stats.flushes == pool.stats.flashed_pages == 8
+        for pid in range(8):
+            assert driver.read_page(pid)[0] == 0xC0 + pid
 
     def test_concurrent_writer_keeps_residual_log(self):
         """Over a tightly-coupled driver, a page dirtied mid-flush stays
@@ -425,74 +325,21 @@ class TestWriteback:
         assert driver.read_page(0)[:2] == b"\x01\x02"
 
     def test_close_is_idempotent(self, driver):
-        pool = BufferManager(driver, 4, writeback=True)
+        pool = BufferManager(driver, 4)
         pool.close()
         pool.close()
-        assert not pool.writeback.running
-
-    def test_daemon_drains_to_low_watermark_across_batches(self, tiny_spec):
-        """One wake-up drains the whole surplus, not one batch of it."""
-        chip = FlashChip(tiny_spec)
-        driver = PdlDriver(chip, max_differential_size=64)
-        _load(driver, 40)
-        pool = BufferManager(
-            driver,
-            40,
-            writeback=WritebackConfig(
-                high_watermark=0.5, low_watermark=0.25, max_batch_pages=4
-            ),
-        )
-        try:
-            for pid in range(20):  # dirty count hits the high watermark
-                pool.get_page(pid).write(0, b"\xDD")
-            assert _wait_until(lambda: pool.dirty_count <= 10)
-            # 20 -> <=10 dirty with 4-page batches takes several rounds.
-            assert pool.stats.writeback_batches >= 3
-        finally:
-            pool.close()
-
-    def test_daemon_error_surfaces_once_after_synchronous_flush(self, driver):
-        pool = BufferManager(
-            driver,
-            8,
-            writeback=WritebackConfig(high_watermark=0.4, low_watermark=0.1),
-        )
-        try:
-            _load(driver, 8)
-            boom = RuntimeError("device gone")
-            original = driver.write_pages
-
-            def failing(pages, update_logs=None):
-                if threading.current_thread().name == "bufferpool-writeback":
-                    raise boom
-                return original(pages, update_logs=update_logs)
-
-            driver.write_pages = failing
-            for pid in range(8):
-                pool.get_page(pid).write(0, bytes([0xE0 + pid]))
-            assert _wait_until(lambda: pool.writeback.error is not None)
-            # flush_all completes the synchronous flush, THEN raises.
-            with pytest.raises(RuntimeError, match="device gone"):
-                pool.flush_all()
-            assert pool.dirty_count == 0
-            for pid in range(8):
-                assert driver.read_page(pid)[0] == 0xE0 + pid
-            pool.flush_all()  # the error is surfaced exactly once
-        finally:
-            pool.close()
+        with pytest.raises(BufferError, match="get_page of page 0 on a closed"):
+            pool.get_page(0)
 
 
 # ----------------------------------------------------------------------
 # Database plumbing
 # ----------------------------------------------------------------------
 class TestDatabasePlumbing:
-    def test_open_with_policy_and_writeback(self, tmp_path):
+    def test_open_with_policy(self, tmp_path):
         path = tmp_path / "db"
-        with Database.open(
-            path, buffer_capacity=16, buffer_policy="2q", writeback="background"
-        ) as db:
+        with Database.open(path, buffer_capacity=16, buffer_policy="2q") as db:
             assert db.pool.stats.policy == "2q"
-            assert db.pool.writeback is not None
             page = db.allocate_page()
             page.write(0, b"hello")
             db.flush()
@@ -500,7 +347,6 @@ class TestDatabasePlumbing:
         # Reopen with defaults: runtime knobs do not persist.
         with Database.open(path) as db:
             assert db.pool.stats.policy == "lru"
-            assert db.pool.writeback is None
             assert db.page(pid).data[:5] == b"hello"
 
     def test_report_merges_buffer_stats(self, tmp_path):
@@ -512,6 +358,29 @@ class TestDatabasePlumbing:
         assert report["writes"] > 0
         assert report["buffer"]["policy"] == "lru"
         assert report["buffer"]["flushes"] == 1
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_a_closed_database_refuses_loudly(self, backend, driver, tmp_path):
+        """No write may be buffered where nothing will ever flush it."""
+        if backend == "file":
+            db = Database.open(tmp_path / "db", buffer_capacity=4)
+        else:
+            db = Database(driver, 4)
+        page = db.allocate_page()
+        page.write(0, b"kept")
+        db.close()
+        db.close()  # twice is fine
+        for action, call in (
+            ("get_page of page 0", lambda: db.page(0)),
+            ("create_page of page 1", db.allocate_page),
+            ("flush_page of page 0", lambda: db.pool.flush_page(0)),
+            ("flush_all", db.flush),
+        ):
+            with pytest.raises(BufferError, match=f"^{action} on a closed buffer pool"):
+                call()
+        if backend == "file":
+            with Database.open(tmp_path / "db") as reopened:
+                assert reopened.page(0).data[:4] == b"kept"
 
     def test_unknown_policy_surfaces_configuration_error(self, driver):
         with pytest.raises(ConfigurationError):

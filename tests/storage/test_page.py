@@ -96,17 +96,11 @@ class TestWriteDelta:
 
 
 class _Observer:
-    """The pool's side of the contract: dirty/clean notifications, and
-    the pin count of a frame it owns."""
+    """The pool's side of the contract: the pin count of a frame it owns
+    — and nothing else; a write or a clean calls the pool for nothing."""
 
     def __init__(self):
         self.events = []
-
-    def _page_dirtied(self, pid):
-        self.events.append(("dirtied", pid))
-
-    def _page_cleaned(self, pid):
-        self.events.append(("cleaned", pid))
 
     def _pin(self, page):
         self.events.append(("pin", page.pid))
@@ -135,12 +129,11 @@ class TestUnlogged:
         page.write_delta(4, b"abd")
         assert page.data[4:7] == b"abd"
         assert page.dirty and page.version == 2
-        assert observer.events == [("dirtied", 3)]
         snapshot = page.writeback_snapshot()
         assert snapshot[0] == page.data and snapshot[2] == 2
         assert page.finish_writeback(snapshot[2], len(snapshot[1]))
         assert not page.dirty and page.change_log == []
-        assert observer.events == [("dirtied", 3), ("cleaned", 3)]
+        assert observer.events == []
 
     def test_noop_write_delta_stays_clean(self, watched):
         page, observer = watched

@@ -17,20 +17,28 @@ tier-1 without a timing assertion.
 
 The second test is one fetch, two ways.  ``BufferManager.get_page``: a hit
 is 2 calls and 1 release (the pool lock); a miss that evicts a clean
-frame is 27 calls, the driver's read included, and 4 releases — the pool
+frame is 26 calls, the driver's read included, and 4 releases — the pool
 lock on either side of the flash read, the driver lock around it (every
 call into a bare driver is serialized, so client threads may share the
-pool with or without the write-back daemon) and the victim's ``detach``.
-Before that lock was unconditional it was 3 releases; before that, 29
+pool) and the victim's ``detach``.  It was 27 calls while the eviction
+was two methods; before the driver lock was unconditional it was 3
+releases; before that, 29
 and 5 while ``attach`` latched a frame no other thread could yet see and
 every eviction called for, and locked, an empty repark queue, and 28.25
 calls while unpin and clean events were queued for the next eviction to
 replay.  ``with pool.pinned(pid):`` is that fetch plus a pin
-and an unpin: 8 calls and 2 releases on a hit, 29 and 5 on a miss — the
+and an unpin: 8 calls and 2 releases on a hit, 28 and 5 on a miss — the
 pin is counted inside the fetch's pool lock, the unpin is one more
 acquisition of it.  While a pin count sat behind the page latch and the
 last unpin queued its repark event behind the dirty lock they were 9 and
 4, 34.75 and 7.
+
+The last two hold the write-back path: the first write to a clean
+resident frame is 2 calls (``write``, ``_store``) and 1 release (the
+latch), and ``flush_all`` of four dirty frames is 196 calls and 14
+releases — 3 and 2, 208 and 20 while every dirtying and cleaning
+notified the pool for a background write-back daemon, under a dirty
+lock of its own.
 """
 
 import pytest
@@ -57,6 +65,8 @@ HIT_BUDGET = (2, 1)  # (Python calls, lock releases) per get_page
 MISS_BUDGET = (28, 4)
 PINNED_HIT_BUDGET = (8, 2)  # per `with pool.pinned(pid):`
 PINNED_MISS_BUDGET = (32, 5)
+FIRST_WRITE_BUDGET = (2, 1)  # the first write to a clean resident frame
+FLUSH_ALL_BUDGET = (196, 14)  # flush_all of four dirty frames
 
 
 def test_transaction_stays_within_its_call_budget(
@@ -122,3 +132,37 @@ def test_fetch_stays_within_its_budget(
 
     assert hit[0] <= hit_budget[0] and hit[1] <= hit_budget[1], hit
     assert miss[0] <= miss_budget[0] and miss[1] <= miss_budget[1], miss
+
+
+def _clean_pool(frames=4):
+    pool = BufferManager(PdlDriver(FlashChip(TINY_SPEC), max_differential_size=128), frames)
+    for pid in range(frames):
+        pool.create_page(pid, bytes([pid]) * TINY_SPEC.page_data_size)
+    pool.flush_all()
+    return pool
+
+
+def test_first_write_to_a_clean_frame_stays_within_its_budget(
+    count_python_calls, count_lock_releases
+):
+    pool = _clean_pool()
+    first, second = pool.get_page(0), pool.get_page(1)
+    calls = count_python_calls(lambda: first.write(0, b"\xee")) - 1  # less the lambda
+    releases = count_lock_releases(lambda: second.write(0, b"\xee"))
+    assert first.dirty and second.dirty
+    assert calls <= FIRST_WRITE_BUDGET[0] and releases <= FIRST_WRITE_BUDGET[1], (calls, releases)
+
+
+def test_flush_all_stays_within_its_budget(count_python_calls, count_lock_releases):
+    def dirty_pool():
+        pool = _clean_pool()
+        for pid in range(4):
+            pool.get_page(pid).write(0, b"\xee")
+        return pool
+
+    dirty_pool().flush_all()  # the first write-back of a process pays one-off set-up
+    calls = count_python_calls(dirty_pool().flush_all)
+    pool = dirty_pool()
+    releases = count_lock_releases(pool.flush_all)
+    assert pool.dirty_count == 0 and pool.stats.flushes == 8  # 4 created, 4 rewritten
+    assert calls <= FLUSH_ALL_BUDGET[0] and releases <= FLUSH_ALL_BUDGET[1], (calls, releases)

@@ -60,8 +60,7 @@ def any_configs(draw):
     extra = {"spec": draw(st.sampled_from([None, TINY_SPEC, SPEC]))}
     if draw(st.booleans()):
         extra["buffer_capacity"] = draw(st.integers(1, 256))
-        extra["buffer_policy"] = draw(st.sampled_from(["lru", "clock", "2q"]))
-        extra["writeback"] = draw(st.sampled_from([None, "background"]))
+        extra["buffer_policy"] = draw(st.sampled_from(["lru", "2q"]))
     if config.method == "PDL":
         extra["diff_unit"] = draw(st.sampled_from([None, 1, 16, 64]))
         if draw(st.booleans()):
@@ -122,8 +121,9 @@ REJECTED = {
         mapping_cache=0, mapping_region=(3, 2)
     ),
     "negative mapping_cache": lambda: EngineConfig(mapping_cache=-1),
-    "writeback without a pool": lambda: EngineConfig(writeback="background"),
-    "unknown writeback mode": lambda: EngineConfig(buffer_capacity=8, writeback="bogus"),
+    # ``writeback`` is no field any more: every spelling is an unknown option.
+    "writeback without a pool": lambda: EngineConfig.of(writeback="background"),
+    "unknown writeback mode": lambda: EngineConfig.of(buffer_capacity=8, writeback="bogus"),
     "non-bool parallel": lambda: EngineConfig.of(n_shards=2, parallel="thread"),
     "truthy parallel": lambda: EngineConfig.of(n_shards=2, parallel=1),
     "unknown eviction policy": lambda: EngineConfig(buffer_capacity=8, buffer_policy="nope"),
@@ -184,7 +184,6 @@ def test_retunable_fields_may_differ_on_reopen(tmp_path):
     retuned = dict(
         buffer_capacity=32,
         buffer_policy="2q",
-        writeback="background",
         parallel=True,  # accepted and ignored
         gc=GcConfig(policy="cb", incremental_steps=2),
         mapping_cache=0,
@@ -272,8 +271,10 @@ PARENT_LABELS = {
     "IPU": ("IpuDriver", "IPU", 1, None, None, None),
 }
 
-#: cell name -> facts + (backend, (pool frames, policy, write-back)).
-NO_POOL = (None, "lru", None)
+#: cell name -> facts + (backend, (pool frames, policy)).  Recorded with a
+#: third, write-back entry (``None``; ``"background"`` for ``pdl-buf-2q``)
+#: until the write-back daemon was deleted and that cell lost its ``-bg``.
+NO_POOL = (None, "lru")
 PARENT_CELLS = {
     "pdl-256": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "memory", NO_POOL),
     "pdl-2k": ("PdlDriver", "PDL (2KB)", 1, 2048, GREEDY, None, "memory", NO_POOL),
@@ -287,10 +288,8 @@ PARENT_CELLS = {
     # every array became gated and the cell's label lost its ``par``.
     "pdl-x2-thread": ("ShardedDriver", "PDL (256B) x2", 2, 256, GREEDY, None, "memory", NO_POOL),
     "opu-x2-file": ("ShardedDriver", "OPU x2", 2, None, GREEDY, None, "file", NO_POOL),
-    "pdl-buf-lru": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "memory", (12, "lru", None)),
-    "pdl-buf-2q-bg": (
-        "PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "memory", (12, "2q", "background"),
-    ),
+    "pdl-buf-lru": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "memory", (12, "lru")),
+    "pdl-buf-2q": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, None, "memory", (12, "2q")),
     "pdl-map-16": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, (15, 1, 16, 48), "memory", NO_POOL),
     "pdl-map-res": ("PdlDriver", "PDL (256B)", 1, 256, GREEDY, (16, 2, 0, 96), "memory", NO_POOL),
     "pdl-map-x2": (
@@ -298,7 +297,7 @@ PARENT_CELLS = {
     ),
 }
 #: The tiny grid repeats default cells; only its pool is smaller.
-PARENT_TINY_POOL = (10, "2q", "background")
+PARENT_TINY_POOL = (10, "2q")
 
 #: (n_shards, mapping_cache) -> first 16 hex digits of sha256(manifest.json).
 PARENT_MANIFESTS = {
@@ -356,9 +355,9 @@ def test_grid_cells_assemble_as_at_the_parent(grid, cell):
     spec = runner.spec() if config.n_shards is None else runner.shard_spec(config.n_shards)
     driver = config.build([FlashChip(spec) for _ in range(config.n_chips)])
     try:
-        pool = (config.buffer_capacity, config.buffer_policy, config.writeback)
+        pool = (config.buffer_capacity, config.buffer_policy)
         expected = PARENT_CELLS[cell.name]
-        if grid == "tiny" and cell.name == "pdl-buf-2q-bg":
+        if grid == "tiny" and cell.name == "pdl-buf-2q":
             expected = (*expected[:-1], PARENT_TINY_POOL)
         assert (*_facts(driver), cell.backend, pool) == expected
         # ``driver.name`` is the config's label for every stack ``build``
