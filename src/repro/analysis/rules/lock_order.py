@@ -5,6 +5,10 @@ order: pool ``_lock`` → page ``latch`` → a bare driver's
 ``_driver_lock`` or, on a sharded array, a shard gate
 (docs/concurrency.md: a leaf, nothing is acquired under it); a page
 calls its pool (``_pin``/``_unpin``) only with its latch released.
+``BufferManager.flush_all`` holds several latches at once, all under
+the pool lock (taken with ``acquire``/``release``, which this rule does
+not see): only the pool-lock holder ever holds more than one, so no
+two latches are ever waited on in opposite orders.
 Nothing enforces it at runtime — two
 threads acquiring two locks in opposite orders deadlock only under the
 right interleaving, which is exactly the kind of bug that survives

@@ -106,9 +106,8 @@ class EngineConfig:
     #: byte-wise (the granularity ablation).
     diff_unit: Optional[int] = _knob(DEFAULT_DIFF_UNIT, only=("PDL",))
     #: Victim policy, incremental step budget and hot/cold separation of
-    #: every (per-shard) collector; ``trigger_blocks`` stays a
-    #: constructor-only knob.  IPL merges and IPU updates in place, so
-    #: neither has a collector to tune.
+    #: every (per-shard) collector.  IPL merges and IPU updates in
+    #: place, so neither has a collector to tune.
     gc: GcConfig = _knob(GcConfig(), only=("PDL", "OPU"))
     #: Chip geometry and timings of the images ``Database.open`` creates
     #: (default :data:`~repro.flash.spec.BENCH_SPEC`); everywhere else the
@@ -157,10 +156,8 @@ class EngineConfig:
                 raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.method == "IPL" and self.log_region_bytes is None:
             raise ConfigurationError("IPL needs log_region_bytes (the '(18KB)' of its label)")
-        if not isinstance(self.gc, GcConfig) or self.gc.trigger_blocks is not None:
-            raise ConfigurationError(
-                f"gc must be a GcConfig without trigger_blocks, got {self.gc!r}"
-            )
+        if not isinstance(self.gc, GcConfig):
+            raise ConfigurationError(f"gc must be a GcConfig, got {self.gc!r}")
         make_victim_policy(self.gc.policy)  # raises on an unregistered name
         if self.spec is not None and not isinstance(self.spec, FlashSpec):
             raise ConfigurationError(f"spec must be a FlashSpec, got {self.spec!r}")

@@ -35,7 +35,6 @@ from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import UnknownPageError
 from ..ftl.gc import GarbageCollector, GcConfig
 from .differential import (
-    DEFAULT_COALESCE_GAP,
     DEFAULT_DIFF_UNIT,
     PAGE_HEADER_SIZE,
     Differential,
@@ -68,8 +67,6 @@ class PdlDriver(PageUpdateMethod):
         chip: FlashChip,
         max_differential_size: int = 256,
         diff_unit: "int | None" = DEFAULT_DIFF_UNIT,
-        coalesce_gap: int = DEFAULT_COALESCE_GAP,
-        reserve_blocks: int = 2,
         gc_config: Optional[GcConfig] = None,
         mapping: Optional[MappingConfig] = None,
     ) -> None:
@@ -79,7 +76,6 @@ class PdlDriver(PageUpdateMethod):
         self.name = f"PDL ({format_size(max_differential_size)})"
         self.max_differential_size = max_differential_size
         self.diff_unit = diff_unit
-        self.coalesce_gap = coalesce_gap
         self.gc_config = gc_config if gc_config is not None else GcConfig()
         if self.gc_config.policy != "greedy":
             self.name += f" gc={self.gc_config.policy}"
@@ -91,9 +87,7 @@ class PdlDriver(PageUpdateMethod):
         # The mapping region is the device's first blocks; the allocator
         # and GC never see them.
         self.blocks = BlockManager(
-            chip,
-            reserve_blocks=reserve_blocks,
-            exclude_blocks=mapping.region_blocks if mapping is not None else 0,
+            chip, exclude_blocks=mapping.region_blocks if mapping is not None else 0
         )
         self.gc = GarbageCollector(chip, self.blocks, handler=self, config=self.gc_config)
         # Hot/cold separation: differential pages churn (hot) while base
@@ -170,12 +164,7 @@ class PdlDriver(PageUpdateMethod):
         if pid in self.ppmt:
             raise ValueError(f"logical page {pid} already loaded")
         with self.stats.phase("load"):
-            ts = self._next_ts()
-            addr = self.blocks.allocate(stream=self._base_stream)
-            spare = SpareArea(type=PageType.BASE, pid=pid, timestamp=ts)
-            self.chip.program_page(addr, data, spare)
-            self.blocks.note_valid(addr)
-            self.ppmt.set_base(pid, addr, ts)
+            self._program_base(pid, data)
         self._mapping_tick()
 
     def read_page(self, pid: int) -> bytes:
@@ -247,7 +236,6 @@ class PdlDriver(PageUpdateMethod):
             self._next_ts(),
             base,
             data,
-            coalesce_gap=self.coalesce_gap,
             unit=self.diff_unit,
         )
         if diff.is_empty and entry.diff_addr is None and pid not in self.buffer:
@@ -393,14 +381,16 @@ class PdlDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     # Writing paths
     # ------------------------------------------------------------------
-    def _program_base(self, pid: int, data: bytes) -> None:
+    def _program_base(self, pid: int, data: bytes) -> Optional[MappingEntry]:
+        """Program ``data`` as ``pid``'s new base page and map it; returns
+        the row ``set_base`` displaced (None for a page new to the table)."""
         ts = self._next_ts()
         addr = self.blocks.allocate(stream=self._base_stream)
         self.chip.program_page(
             addr, data, SpareArea(type=PageType.BASE, pid=pid, timestamp=ts)
         )
         self.blocks.note_valid(addr)
-        self.ppmt.set_base(pid, addr, ts)
+        return self.ppmt.set_base(pid, addr, ts)
 
     def _write_new_base(self, pid: int, data: bytes) -> None:
         """writingNewBasePage (Figure 8): Case 3.
@@ -410,13 +400,7 @@ class PdlDriver(PageUpdateMethod):
         page's base page or differential page, and the obsolete marks
         must hit the live copies.
         """
-        ts = self._next_ts()
-        addr = self.blocks.allocate(stream=self._base_stream)
-        self.chip.program_page(
-            addr, data, SpareArea(type=PageType.BASE, pid=pid, timestamp=ts)
-        )
-        self.blocks.note_valid(addr)
-        old = self.ppmt.set_base(pid, addr, ts)  # also clears the differential
+        old = self._program_base(pid, data)  # also clears the differential
         if old is None:
             raise KeyError(f"logical page {pid} has no mapping entry")
         self.chip.mark_obsolete(old.base_addr)

@@ -21,7 +21,7 @@ Two execution modes share one engine, selected by :class:`GcConfig`:
   completion.  A single unlucky write absorbs an entire multi-block
   collection cycle.
 * **incremental** (``incremental_steps=N``) — reclamation starts early,
-  when the pool falls to ``trigger_blocks``, and each write relocates at
+  when the pool falls to the trigger level, and each write relocates at
   most N victim pages before doing its own work.  A victim block stays
   *in flight* across many writes: its relocated pages coexist with their
   new copies (GC copies preserve timestamps, so recovery may keep
@@ -60,9 +60,9 @@ VictimPolicy = Callable[[BlockManager], Optional[int]]
 #: starts.  Zero means steps begin exactly when the pool reaches the
 #: reserve — the same instant the stop-the-world collector would run —
 #: so victims are selected with identical garbage density and
-#: incremental mode pays no extra erases for its latency; raise it (via
-#: ``GcConfig.trigger_blocks``) to trade a few early, denser-victim
-#: erases for even fewer backstop stalls.
+#: incremental mode pays no extra erases for its latency; raising it
+#: would trade a few early, denser-victim erases for even fewer
+#: backstop stalls.
 GC_TRIGGER_HEADROOM = 0
 
 
@@ -224,9 +224,9 @@ class GcConfig:
 
     ``policy`` names a registered victim policy.  ``incremental_steps``
     bounds the relocations a single write performs (0 keeps the paper's
-    stop-the-world collector).  ``trigger_blocks`` is the free-pool
-    level at which incremental work starts (default: the allocator's
-    reserve plus :data:`GC_TRIGGER_HEADROOM`).  ``hot_cold`` splits the
+    stop-the-world collector); incremental work starts when the free
+    pool falls to the allocator's reserve plus
+    :data:`GC_TRIGGER_HEADROOM`.  ``hot_cold`` splits the
     append point into separate hot and cold active blocks — drivers
     route short-lived pages (PDL differential pages, OPU fresh writes)
     to the hot stream and long-lived ones (base pages, GC survivors) to
@@ -236,14 +236,11 @@ class GcConfig:
 
     policy: str = "greedy"
     incremental_steps: int = 0
-    trigger_blocks: Optional[int] = None
     hot_cold: bool = False
 
     def __post_init__(self) -> None:
         if self.incremental_steps < 0:
             raise ValueError("incremental_steps must be non-negative")
-        if self.trigger_blocks is not None and self.trigger_blocks < 1:
-            raise ValueError("trigger_blocks must be at least 1")
 
     @property
     def incremental(self) -> bool:
@@ -277,12 +274,8 @@ class GarbageCollector:
         self.config = config if config is not None else GcConfig()
         #: A fresh instance of the registered policy ``config.policy`` names.
         self.policy: VictimPolicy = make_victim_policy(self.config.policy)
-        if self.config.trigger_blocks is not None:
-            trigger = self.config.trigger_blocks
-        else:
-            trigger = blocks.reserve_blocks + GC_TRIGGER_HEADROOM
         #: Incremental work starts when the free pool is at or below this.
-        self.trigger_blocks = max(trigger, blocks.reserve_blocks)
+        self.trigger_blocks = blocks.reserve_blocks + GC_TRIGGER_HEADROOM
         self.collections = 0
         self.pages_relocated = 0
         #: Incremental steps that performed any reclamation work.

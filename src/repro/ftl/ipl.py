@@ -44,6 +44,9 @@ RUN_HEADER_SIZE = _RUN_HEADER.size  # 4 bytes
 #: The paper sets the per-logical-page log buffer to page size / 16.
 LOG_BUFFER_DIVISOR = 16
 
+#: Free blocks group creation leaves for merges to relocate into.
+SPARE_BLOCKS = 2
+
 
 def encode_slot(pid: int, runs: List[ChangeRun]) -> bytes:
     """Serialize one log-slot payload."""
@@ -85,7 +88,7 @@ class IplDriver(PageUpdateMethod):
 
     tightly_coupled = True
 
-    def __init__(self, chip: FlashChip, log_region_bytes: int, spare_blocks: int = 2):
+    def __init__(self, chip: FlashChip, log_region_bytes: int):
         super().__init__(chip)
         spec = chip.spec
         if log_region_bytes <= 0:
@@ -109,7 +112,6 @@ class IplDriver(PageUpdateMethod):
                 f"page but IPL needs {self.slots_per_page}"
             )
         self.name = f"IPL ({_format_size(log_region_bytes)})"
-        self.spare_blocks = spare_blocks
         self._free: Deque[int] = deque(range(spec.n_blocks))
         self._groups: Dict[int, _Group] = {}
         self.merges = 0
@@ -119,7 +121,7 @@ class IplDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     def max_database_pages(self) -> int:
         """Largest database this chip/configuration can host."""
-        usable_blocks = self.spec.n_blocks - self.spare_blocks
+        usable_blocks = self.spec.n_blocks - SPARE_BLOCKS
         return usable_blocks * self.data_pages_per_block
 
     # ------------------------------------------------------------------
@@ -299,10 +301,10 @@ class IplDriver(PageUpdateMethod):
     def _take_free_block(self, for_merge: bool = False) -> int:
         """Pop a free block.
 
-        Group creation must leave ``spare_blocks`` free so merging always
+        Group creation must leave :data:`SPARE_BLOCKS` free so merging always
         has a relocation target; merges themselves may use the reserve.
         """
-        available = len(self._free) - (0 if for_merge else self.spare_blocks)
+        available = len(self._free) - (0 if for_merge else SPARE_BLOCKS)
         if available <= 0:
             raise OutOfSpaceError(
                 "IPL has no free blocks; database exceeds "

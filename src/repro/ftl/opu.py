@@ -29,7 +29,6 @@ class OpuDriver(PageUpdateMethod):
     def __init__(
         self,
         chip: FlashChip,
-        reserve_blocks: int = 2,
         gc_config: Optional[GcConfig] = None,
     ):
         super().__init__(chip)
@@ -37,7 +36,7 @@ class OpuDriver(PageUpdateMethod):
         self.gc_config = gc_config if gc_config is not None else GcConfig()
         if self.gc_config.policy != "greedy":
             self.name += f" gc={self.gc_config.policy}"
-        self.blocks = BlockManager(chip, reserve_blocks=reserve_blocks)
+        self.blocks = BlockManager(chip)
         self.gc = GarbageCollector(chip, self.blocks, handler=self, config=self.gc_config)
         # Hot/cold separation for a page-mapping FTL: fresh updates are
         # hot, pages that survived a collection are cold — the classic

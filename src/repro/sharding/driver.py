@@ -19,7 +19,8 @@ pool, sharding multiplies the paper's mechanisms for free:
 * **group flush** — the Section-4.5 write-through generalizes to
   :meth:`group_flush`, which drains every shard's differential write
   buffer in one batched call, the natural commit point for a DBMS
-  checkpoint running above the array.
+  checkpoint running above the array (a buffer pool's ``flush_all`` is
+  one :meth:`write_pages` of its dirty frames, then this).
 
 Every shard sits behind an ownership **gate** (:class:`ShardExecutor`):
 a single-page operation takes its shard's gate on the calling thread,
@@ -47,14 +48,6 @@ from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import ConcurrencyError, ConfigurationError
 from .router import HashRouter, ShardRouter
 from .stats import AggregateStats
-
-
-def _write_then_flush(shard: PageUpdateMethod, entry: Optional[tuple]) -> None:
-    """One shard's share of a buffer-pool flush: its slice, then a drain."""
-    if entry is not None:
-        group, logs = entry
-        shard.write_pages(group, update_logs=logs)
-    shard.flush()
 
 
 def _join(calls: Sequence[Callable[[], object]]) -> List[object]:
@@ -295,32 +288,18 @@ class ShardedDriver(PageUpdateMethod):
         """Write-through over the whole array (see :meth:`group_flush`)."""
         self.group_flush()
 
-    def group_flush(self, pages=None, update_logs=None) -> None:
+    def group_flush(self) -> None:
         """Batched flush: drain every shard's buffers in one call.
 
         All shards flush before control returns, so a caller observing
         the return has a single durability horizon across the array —
         the sharded generalization of Section 4.5's write-through.  The
         flushes are independent per-chip programs run one after another;
-        simulated parallel time is the slowest shard's share.
-
-        ``pages`` (with optional ``update_logs``) is the buffer-pool
-        flush entry point: each shard's slice of the batch is written
-        *and* its buffers drained in one task, so a pool's ``flush_all``
-        is one fan-out/join instead of a ``write_pages`` followed by a
-        separate flush sweep.  Per-shard operation order is identical to
-        the two-call sequence (writes, then flush).
+        simulated parallel time is the slowest shard's share.  A buffer
+        pool's ``flush_all`` is :meth:`write_pages` of its batch, then
+        this.
         """
-        if pages is None:
-            self._fan_out({i: shard.flush for i, shard in enumerate(self.shards)})
-        else:
-            split = self._split_by_shard(pages, update_logs)
-            self._fan_out(
-                {
-                    i: partial(_write_then_flush, shard, split.get(i))
-                    for i, shard in enumerate(self.shards)
-                }
-            )
+        self._fan_out({i: shard.flush for i, shard in enumerate(self.shards)})
         with self._counter_lock:
             self.group_flushes += 1
 

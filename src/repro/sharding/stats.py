@@ -34,8 +34,7 @@ arrays unchanged.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..flash.stats import FlashStats, OpCounts, StatsSnapshot, percentile
 
@@ -47,17 +46,6 @@ class AggregateStats:
         if not shard_stats:
             raise ValueError("AggregateStats needs at least one shard")
         self._shards = list(shard_stats)
-
-    # ------------------------------------------------------------------
-    # Phase management (pushed onto every shard, for cross-shard work
-    # such as the initial bulk load or a group flush)
-    # ------------------------------------------------------------------
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        with ExitStack() as stack:
-            for stats in self._shards:
-                stack.enter_context(stats.phase(name))
-            yield
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -103,10 +91,6 @@ class AggregateStats:
     @property
     def total_erases(self) -> int:
         return self.totals().erases
-
-    def per_shard(self) -> List[FlashStats]:
-        """The underlying per-shard collectors (read-only use)."""
-        return list(self._shards)
 
     # ------------------------------------------------------------------
     # GC / write-stall aggregation
@@ -162,11 +146,6 @@ class AggregateStats:
     @property
     def mapping_writebacks(self) -> int:
         return sum(stats.mapping_writebacks for stats in self._shards)
-
-    @property
-    def mapping_hit_ratio(self) -> float:
-        lookups = self.mapping_hits + self.mapping_misses
-        return self.mapping_hits / lookups if lookups else 0.0
 
     # ------------------------------------------------------------------
     # Merged reporting (flash totals + optional buffer-pool counters)

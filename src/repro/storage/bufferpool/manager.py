@@ -16,14 +16,17 @@ Locking model (see ``docs/bufferpool.md``):
   policy, the stats and resident frames' pin counts — every public
   entry point takes it;
 * per-page latches order page writes, never a read (:class:`~repro
-  .storage.page.Page`); the ordering is always ``pool lock → page latch
-  → driver lock / shard gate``, and nothing reaches back up it;
+  .storage.page.Page`); the ordering is always ``pool lock → page
+  latch(es) → driver lock / shard gate``, and nothing reaches back up
+  it — only the pool-lock holder ever holds more than one latch (the
+  batch of :meth:`BufferManager.flush_all`), and no latch holder waits
+  on the pool lock or on another latch;
 * flash **reads** for misses happen *outside* the pool lock so client
   threads miss concurrently on a sharded driver; a lost race discards
   the duplicate read and counts it in ``stats.read_races``;
 * flash **writes** — dirty evictions and flushes — run under the pool
-  lock, a synchronous stall recorded per eviction in
-  ``stats.eviction_stalls``.
+  lock with the written frames' latches held, a synchronous stall
+  recorded per eviction in ``stats.eviction_stalls``.
 
 A bare driver (a :class:`~repro.core.pdl.PdlDriver`, say) is not
 thread-safe, so every call into one is serialized through an internal
@@ -225,15 +228,15 @@ class BufferManager:
     def flush_all(self) -> None:
         """Write back every dirty page and the driver's own buffers.
 
-        The durability point: the dirty pages go down in one batched
-        driver call — through ``group_flush(pages=...)`` on a sharded
-        driver, so the page writes and the per-shard buffer flushes fan
-        out in a single join — in cold-to-hot policy order (LRU order,
-        as always).  The pool lock is held throughout, so callers
-        serialize; a client holding a pinned handle may still write
-        through the page latch while the batch is in flight, and such a
-        page keeps its residual log and stays dirty.  "flush returned"
-        covers exactly the writes that completed before it was called.
+        The durability point, written the way an eviction writes one
+        page: under the pool lock, each dirty frame's latch is taken in
+        cold-to-hot policy order (LRU order, as always) and held across
+        one ``write_pages`` of the batch and the driver's ``flush``; then
+        the logs are cleared and the latches released.  A client writing
+        through a pinned handle meanwhile waits for the batch and then
+        dirties the page again, so "flush returned" covers exactly the
+        writes that completed before it was called.  An empty batch
+        still flushes the driver.
         """
         with self._lock:
             if self._closed:
@@ -243,34 +246,35 @@ class BufferManager:
                 for pid in self.policy.iter_pids()
                 if pid in self._frames and self._frames[pid].dirty
             ]
-            if not dirty:
-                self._driver_flush()
-                return
-            snapshots = [page.writeback_snapshot() for page in dirty]
-            logs = None
-            if self._logged:
-                logs = {
-                    page.pid: snap[1] for page, snap in zip(dirty, snapshots)
-                }
-            batch = [(page.pid, snap[0]) for page, snap in zip(dirty, snapshots)]
-            if self._driver_lock is None:
-                # A sharded driver: one fan-out of per-shard page writes
-                # and buffer flushes.
-                self.driver.group_flush(pages=batch, update_logs=logs)
-            else:
-                with self._driver_lock:
-                    self.driver.write_pages(batch, update_logs=logs)
+            for page in dirty:
+                page.latch.acquire()
+            try:
+                batch = [(page.pid, page.data) for page in dirty]
+                logs = None
+                if self._logged:
+                    logs = {page.pid: page.change_log for page in dirty}
+                if self._driver_lock is None:
+                    if batch:
+                        self.driver.write_pages(batch, update_logs=logs)
                     self.driver.flush()
-            for page, snap in zip(dirty, snapshots):
-                page.finish_writeback(snap[2], len(snap[1]))
-                self.stats.flushes += 1
+                else:
+                    with self._driver_lock:
+                        if batch:
+                            self.driver.write_pages(batch, update_logs=logs)
+                        self.driver.flush()
+                for page in dirty:
+                    page.clear_log()
+                    self.stats.flushes += 1
+            finally:
+                for page in dirty:
+                    page.latch.release()
 
     def _write_back_locked(self, page: Page) -> None:
         """Synchronous single-page write-back (pool lock held).
 
         The page latch is held across the driver call, so a concurrent
-        writer cannot slip a change between the snapshot and the log
-        clear.
+        writer cannot slip a change between the image written and the
+        log clear.
         """
         with page.latch:
             logs = page.change_log if self._logged else None
@@ -280,13 +284,6 @@ class BufferManager:
                 with self._driver_lock:
                     self.driver.write_page(page.pid, page.data, update_logs=logs)
             page.clear_log()
-
-    def _driver_flush(self) -> None:
-        if self._driver_lock is None:
-            self.driver.flush()
-        else:
-            with self._driver_lock:
-                self.driver.flush()
 
     # ------------------------------------------------------------------
     # Internals: admission and eviction
@@ -308,7 +305,6 @@ class BufferManager:
         victim = self._frames[pid]
         if victim.dirty:
             self.stats.dirty_evictions += 1
-            self.stats.sync_writebacks += 1
             start = time.perf_counter()
             try:
                 self._write_back_locked(victim)
@@ -317,7 +313,6 @@ class BufferManager:
                     (time.perf_counter() - start) * 1e6
                 )
         else:
-            self.stats.clean_reclaims += 1
             self.stats.eviction_stalls.record(0.0)
         del self._frames[pid]
         self.policy.remove(pid)

@@ -5,7 +5,8 @@ additionally meters everything Experiment 7's knob actually moves:
 
 * how evictions were served — ``clean_reclaims`` (a clean frame
   dropped, no flash write) vs ``sync_writebacks`` (a dirty frame written
-  back on the client thread before it is dropped);
+  back on the client thread before it is dropped), both read off
+  ``evictions`` and ``dirty_evictions``;
 * the *client-visible eviction stall* — host microseconds a page access
   spent waiting on that write-back, recorded per eviction (zero for
   clean reclaims) so ``eviction_stall_p99_us`` is a tail over all
@@ -37,10 +38,6 @@ class BufferStats:
     evictions: int = 0
     dirty_evictions: int = 0
     flushes: int = 0
-    #: Evictions served by dropping a clean frame — no flash write.
-    clean_reclaims: int = 0
-    #: Dirty evictions written back synchronously on the client thread.
-    sync_writebacks: int = 0
     #: Victim-scan candidates rejected because the frame was pinned.
     pinned_skips: int = 0
     #: Concurrent misses on one pid: the loser's duplicate flash read is
@@ -61,6 +58,16 @@ class BufferStats:
     @property
     def hit_ratio(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
+
+    @property
+    def clean_reclaims(self) -> int:
+        """Evictions served by dropping a clean frame — no flash write."""
+        return self.evictions - self.dirty_evictions
+
+    @property
+    def sync_writebacks(self) -> int:
+        """Dirty evictions, each written back on the client thread."""
+        return self.dirty_evictions
 
     @property
     def flashed_pages(self) -> int:

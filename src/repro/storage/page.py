@@ -14,9 +14,9 @@ unlogged page it is one compare and one assignment.
 
 Concurrency: many client threads share one pool, so each page carries
 a small re-entrant latch.  **A latch orders multi-step
-mutations, never a single read**: writes, log clearing, write-back
-snapshots and ``detach`` take it, so version, dirty flag and change log
-move together; :meth:`Page.read`, :attr:`Page.data` and decodes from
+mutations, never a single read**: writes, log clearing, the pool's
+write-backs and ``detach`` take it, so version, dirty flag and change
+log move together; :meth:`Page.read`, :attr:`Page.data` and decodes from
 :attr:`Page.view` take nothing.  That rests on the global interpreter
 lock — a read is one C-level copy or unpack, a store one C-level slice
 assignment, and the GIL runs each whole — so a free-threaded
@@ -24,7 +24,8 @@ interpreter voids it (``tests/storage/test_page.py`` fails there by
 name).  A pin is pool state: on an attached frame :meth:`pin` and
 :meth:`unpin` are the pool's, under its lock.  The latch sits in the
 order ``pool lock → page latch → driver lock / shard gate``
-(``docs/bufferpool.md``): nothing holding it calls up into the pool.
+(``docs/bufferpool.md``): nothing holding it calls up into the pool,
+and only the pool-lock holder ever holds several latches at once.
 
 Pinning marks a page as in use so the pool will not evict it.  Prefer
 the :meth:`pinned` context manager (or
@@ -79,12 +80,12 @@ class Page:
         self.change_log: List[ChangeRun] = []
         #: Guarded by the owning pool's lock while attached, else the latch.
         self.pin_count = 0
-        #: Serializes writes, log clearing and write-back snapshots (never
-        #: a read).  Re-entrant: :meth:`write_delta` and the pool's
-        #: write-back call other latched methods holding it.
+        #: Serializes writes, log clearing and the pool's write-backs
+        #: (never a read).  Re-entrant: :meth:`write_delta` and the
+        #: pool's write-back call other latched methods holding it.
         self.latch = threading.RLock()
-        #: Bumped on every effective write; ``flush_all`` compares
-        #: versions to decide whether its flushed snapshot is current.
+        #: Bumped on every effective write: a cheap "has this frame
+        #: changed since" stamp for callers that compare images.
         self.version = 0
         #: The owning pool (it counts this frame's pins), if any.
         self._observer = None
@@ -173,29 +174,6 @@ class Page:
         with self.latch:
             self.change_log = []
             self.dirty = False
-
-    # ------------------------------------------------------------------
-    # Batched write-back support (``flush_all``)
-    # ------------------------------------------------------------------
-    def writeback_snapshot(self):
-        """Consistent ``(data, change_log copy, version)`` for a batch flush."""
-        with self.latch:
-            return bytes(self._data), list(self.change_log), self.version
-
-    def finish_writeback(self, snapshot_version: int, log_len: int) -> bool:
-        """Reconcile after the snapshot reached flash.
-
-        Returns True when the page is now clean.  When writers raced the
-        flush, the runs covered by the snapshot are trimmed and the page
-        stays dirty with only the residual log (none on an unlogged page:
-        the driver diffs the next image itself).
-        """
-        with self.latch:
-            if self.version == snapshot_version:
-                self.clear_log()
-                return True
-            del self.change_log[:log_len]
-            return False
 
     # ------------------------------------------------------------------
     # Pool attachment

@@ -77,7 +77,6 @@ class RunnerConfig:
     database_pages: int = 2048
     utilization: float = 0.25  # the paper's 1 GB DB on the Table-1 chip
     measure_ops: int = 1000
-    warmup_multiplier: float = 1.5  # warm-up cycles = multiplier × DB pages
     seed: int = 20100121
     verify: bool = True
     base_spec: Optional[FlashSpec] = None

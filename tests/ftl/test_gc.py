@@ -248,8 +248,6 @@ class TestGcConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             GcConfig(incremental_steps=-1)
-        with pytest.raises(ValueError):
-            GcConfig(trigger_blocks=0)
 
     def test_unknown_policy_rejected_at_engine_construction(self, chip):
         blocks = BlockManager(chip, reserve_blocks=2)

@@ -7,7 +7,7 @@ from repro.flash.spec import FlashSpec
 from repro.flash.stats import GC, READ_STEP, WRITE_STEP
 from repro.ftl.base import ChangeRun, apply_runs
 from repro.ftl.errors import ConfigurationError, OutOfSpaceError
-from repro.ftl.ipl import IplDriver, decode_slot, encode_slot
+from repro.ftl.ipl import SPARE_BLOCKS, IplDriver, decode_slot, encode_slot
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ class TestConfiguration:
             IplDriver(FlashChip(spec), log_region_bytes=512)
 
     def test_max_database_pages(self, ipl, tiny_spec):
-        expected = (tiny_spec.n_blocks - ipl.spare_blocks) * 6
+        expected = (tiny_spec.n_blocks - SPARE_BLOCKS) * 6
         assert ipl.max_database_pages() == expected
 
     def test_label(self, chip):
@@ -190,7 +190,7 @@ class TestMerging:
 class TestCapacity:
     def test_out_of_space_when_groups_exceed_blocks(self, tiny_spec):
         chip = FlashChip(tiny_spec)
-        ipl = IplDriver(chip, log_region_bytes=512, spare_blocks=2)
+        ipl = IplDriver(chip, log_region_bytes=512)
         limit = ipl.max_database_pages()
         with pytest.raises(OutOfSpaceError):
             for pid in range(limit + ipl.data_pages_per_block + 1):

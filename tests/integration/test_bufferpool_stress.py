@@ -88,13 +88,6 @@ class CountingDriver:
             self.pages_written += len(pages)
         self._inner.write_pages(pages, update_logs=update_logs)
 
-    def group_flush(self, pages=None, update_logs=None):
-        if pages is not None:
-            pages = list(pages)
-            with self._lock:
-                self.pages_written += len(pages)
-        self._inner.group_flush(pages=pages, update_logs=update_logs)
-
     def __getattr__(self, name):
         return getattr(self._inner, name)
 

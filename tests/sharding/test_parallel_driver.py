@@ -165,7 +165,8 @@ def _every_entry_point(driver, n_clients):
         assert driver.read_page(mine[0]) == page
         driver.flush()
         driver.group_flush()
-        driver.group_flush(pages=[(pid, page) for pid in mine[3:5]])
+        driver.write_pages([(pid, page) for pid in mine[3:5]])
+        driver.group_flush()
         assert driver.fsck(repair=False).clean
         driver.sync()
 
@@ -313,7 +314,7 @@ class TestUseAfterClose:
             lambda: driver.write_pages(some[:1]),  # one shard
             lambda: driver.write_pages(some),  # a fan-out
             lambda: driver.load_pages(some),
-            lambda: driver.group_flush(pages=some),
+            driver.group_flush,
             driver.flush,
             driver.end_of_load,
             driver.fsck,

@@ -14,6 +14,7 @@ import pytest
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
+from repro.ftl.base import ChangeRun
 from repro.ftl.errors import ConfigurationError
 from repro.methods import make_method
 from repro.storage.bufferpool import (
@@ -291,38 +292,42 @@ class TestWriteback:
         for pid in range(8):
             assert driver.read_page(pid)[0] == 0xC0 + pid
 
-    def test_concurrent_writer_keeps_residual_log(self):
-        """Over a tightly-coupled driver, a page dirtied mid-flush stays
-        dirty with only the new runs."""
-        ipl = make_method("IPL (18KB)", FlashChip(spec_for_database(16, 0.25)))
-        pool = BufferManager(ipl, 4)
-        ipl.load_page(0, bytes(ipl.page_size))
-        page = pool.get_page(0)
-        page.write(0, b"\x01")
-        data, logs, version = page.writeback_snapshot()
-        assert [run.offset for run in logs] == [0]
-        page.write(1, b"\x02")  # races the in-flight snapshot
-        assert not page.finish_writeback(version, len(logs))
-        assert page.dirty
-        assert len(page.change_log) == 1
-        assert page.change_log[0].offset == 1
+    @pytest.mark.parametrize("label", ["PDL (64B)", "IPL (18KB)"])
+    def test_racing_writer_waits_for_the_batch(self, label):
+        """A client writing through a handle while ``flush_all``'s batch is
+        in the driver waits on the latch, then dirties the page again:
+        with exactly its own run over IPL, with no log over PDL."""
+        inner = make_method(label, FlashChip(spec_for_database(16, 0.25)))
+        inner.load_page(0, bytes(inner.page_size))
+        flushed, writers = {}, []
 
-    def test_concurrent_writer_on_loose_driver_stays_dirty_without_a_log(self, driver):
-        """The twin over PDL: the race is caught by the version alone —
-        the pool never asked the page for update logs."""
-        pool = BufferManager(driver, 4)
-        _load(driver, 4)
+        class Spy:
+            tightly_coupled = inner.tightly_coupled
+
+            def write_pages(self, pages, update_logs=None):
+                writer = threading.Thread(target=page.write, args=(1, b"\x02"))
+                writer.start()
+                writer.join(0.2)
+                writers.append((writer, writer.is_alive()))
+                flushed.update(pages)
+                inner.write_pages(pages, update_logs=update_logs)
+
+            def __getattr__(self, name):
+                return getattr(inner, name)
+
+        pool = BufferManager(Spy(), 4)
         page = pool.get_page(0)
         page.write(0, b"\x01")
-        data, logs, version = page.writeback_snapshot()
-        assert logs == []
-        page.write(1, b"\x02")  # races the in-flight snapshot
-        assert not page.finish_writeback(version, len(logs))
+        pool.flush_all()
+        [(writer, waiting)] = writers
+        writer.join()
+        assert waiting  # the writer did not finish before the batch returned
+        assert flushed[0][:2] == b"\x01\x00"
         assert page.dirty
-        assert page.change_log == []
+        assert page.change_log == ([ChangeRun(1, b"\x02")] if inner.tightly_coupled else [])
         pool.flush_all()
         assert not page.dirty
-        assert driver.read_page(0)[:2] == b"\x01\x02"
+        assert inner.read_page(0)[:2] == b"\x01\x02"
 
     def test_close_is_idempotent(self, driver):
         pool = BufferManager(driver, 4)

@@ -129,10 +129,8 @@ class TestUnlogged:
         page.write_delta(4, b"abd")
         assert page.data[4:7] == b"abd"
         assert page.dirty and page.version == 2
-        snapshot = page.writeback_snapshot()
-        assert snapshot[0] == page.data and snapshot[2] == 2
-        assert page.finish_writeback(snapshot[2], len(snapshot[1]))
-        assert not page.dirty and page.change_log == []
+        page.clear_log()
+        assert not page.dirty and page.change_log == [] and page.version == 2
         assert observer.events == []
 
     def test_noop_write_delta_stays_clean(self, watched):
@@ -157,7 +155,8 @@ class TestUnlogged:
         page.write_delta(0, b"xbz")
         assert page.data[:3] == b"xbz" and page.dirty
         assert page.change_log == []
-        assert page.writeback_snapshot()[1] == []
+        page.clear_log()
+        assert not page.dirty and page.change_log == []
 
 
 class TestView:

@@ -130,7 +130,6 @@ REJECTED = {
     "unknown victim policy": lambda: EngineConfig(gc=GcConfig(policy="mystery")),
     "unknown victim policy in a label": lambda: EngineConfig.parse("OPU gc=mystery"),
     "gc that is not a GcConfig": lambda: EngineConfig(gc="cb"),
-    "trigger_blocks through the config": lambda: EngineConfig(gc=GcConfig(trigger_blocks=3)),
     "buffer_capacity=0": lambda: EngineConfig(buffer_capacity=0),
     "non-integer capacity": lambda: EngineConfig(buffer_capacity="8"),
     "spec that is not a FlashSpec": lambda: EngineConfig(spec={"n_blocks": 8}),
@@ -238,8 +237,11 @@ def test_durable_fields_not_passed_come_from_the_manifest(tmp_path):
 # ----------------------------------------------------------------------
 # The assembly-equivalence table (literals recorded at the parent commit)
 # ----------------------------------------------------------------------
-GREEDY = ("greedy", 0, None, False)
-CB = ("cb", 0, None, False)
+#: A collector's (policy, incremental steps, hot/cold).  Recorded with a
+#: ``trigger_blocks`` entry (``None``) between the steps and hot/cold until
+#: that field was deleted and the trigger level became a constant.
+GREEDY = ("greedy", 0, False)
+CB = ("cb", 0, False)
 
 
 def _facts(driver):
@@ -253,7 +255,7 @@ def _facts(driver):
         per_shard.add(
             (
                 getattr(shard, "max_differential_size", None),
-                gc and (gc.policy, gc.incremental_steps, gc.trigger_blocks, gc.hot_cold),
+                gc and (gc.policy, gc.incremental_steps, gc.hot_cold),
                 tier and (tier.region_blocks, tier.journal_blocks,
                           tier.cache_entries, tier.snapshot_interval),
             )
