@@ -2,9 +2,14 @@
 
 Every node is one logical page accessed through the buffer pool, so index
 traffic participates in the paper's I/O measurements exactly like heap
-traffic.  Nodes are read and edited in wire form: a descent decodes the
-header, the key array and the one child or value it needs straight from
-the page image; an insert or delete splices the node's bytes and hands
+traffic.  Nodes are read and edited in wire form.  A node is decoded —
+header, key array and, for a branch, child array — straight from the
+page image at most once per :attr:`Page.version`: the decode is kept as
+the frame's :attr:`Page.memo`, stamped with the version read before
+decoding, and a visit reuses it while the stamp matches, so a descent
+through unchanged nodes is a fetch, a compare, a ``bisect`` and a tuple
+index per level.  Every write bumps the version, so no write path
+touches the memo.  An insert or delete splices the node's bytes and hands
 the new image to one :meth:`Page.write_delta`, which over a
 tightly-coupled driver logs its changed runs lowest offset first (IPL's
 flash traffic depends on that order) and over the others is a compare
@@ -45,8 +50,11 @@ VALUE_SIZE = 8
 CHILD_SIZE = 4
 
 
-#: A fetched node: (page for writes, view for reads, is_leaf, n_keys, next_leaf + 1, keys).
-_Node = Tuple[Page, memoryview, int, int, int, Tuple[int, ...]]
+#: A node's decode, kept as its frame's memo: (the page version it was
+#: decoded at, is_leaf, n_keys, next_leaf + 1, keys, child pids — empty
+#: for a leaf, whose values are read from the page when asked for).
+#: Ints and tuples only: no reference back to the page.
+_Memo = Tuple[int, int, int, int, Tuple[int, ...], Tuple[int, ...]]
 
 
 class BTreeError(RuntimeError):
@@ -57,6 +65,23 @@ class BTreeError(RuntimeError):
 def _array(n: int, code: str) -> struct.Struct:
     """Layout of ``n`` keys/values (``"Q"``) or child pids (``"I"``)."""
     return struct.Struct(f"<{n}{code}")
+
+
+def _decode(page: Page) -> _Memo:
+    """Decode the node in ``page`` and keep the decode as its memo."""
+    version = page.version  # before the decode: a racing write makes it stale
+    view = page.view
+    magic, is_leaf, _r1, n, _r2, next_raw = _HEADER.unpack_from(view)
+    if magic != MAGIC:
+        raise BTreeError(
+            f"page {page.pid} is not a B+tree node (magic 0x{magic:04X})"
+        )
+    keys = _array(n, "Q").unpack_from(view, HEADER_SIZE)
+    children = (
+        () if is_leaf else _array(n + 1, "I").unpack_from(view, HEADER_SIZE + n * KEY_SIZE)
+    )
+    memo = page.memo = (version, is_leaf, n, next_raw, keys, children)
+    return memo
 
 
 def _header(is_leaf: int, n_keys: int, next_raw: int = 0) -> bytes:
@@ -98,10 +123,10 @@ class BTree:
     # ------------------------------------------------------------------
     def get(self, key: int) -> Optional[int]:
         """Value stored under ``key``, or None."""
-        _page, view, _leaf, n, _next, keys = self._find_leaf(key)
+        page, (_, _leaf, n, _next, keys, _none) = self._find_leaf(key)
         idx = bisect_left(keys, key)
         if idx < n and keys[idx] == key:
-            return _U64.unpack_from(view, HEADER_SIZE + (n + idx) * KEY_SIZE)[0]
+            return _U64.unpack_from(page.view, HEADER_SIZE + (n + idx) * KEY_SIZE)[0]
         return None
 
     def insert(self, key: int, value: int) -> None:
@@ -120,7 +145,7 @@ class BTree:
 
     def delete(self, key: int) -> bool:
         """Remove a key; returns True when it existed."""
-        page, _view, _leaf, n, next_raw, keys = self._find_leaf(key)
+        page, (_, _leaf, n, next_raw, keys, _none) = self._find_leaf(key)
         idx = bisect_left(keys, key)
         if idx >= n or keys[idx] != key:
             return False
@@ -140,17 +165,17 @@ class BTree:
         self, lo: Optional[int] = None, hi: Optional[int] = None
     ) -> Iterator[Tuple[int, int]]:
         """Yield ``(key, value)`` pairs with lo <= key < hi, in order."""
-        page, view, is_leaf, n, next_raw, keys = self._find_leaf(lo or 0)
+        page, (_, is_leaf, n, next_raw, keys, _none) = self._find_leaf(lo or 0)
         begin = bisect_left(keys, lo) if lo is not None else 0
         while True:
             # Both arrays are copied out before the first yield: the
             # consumer may fetch pages in between and evict this leaf.
-            values = _array(n, "Q").unpack_from(view, HEADER_SIZE + n * KEY_SIZE)
+            values = _array(n, "Q").unpack_from(page.view, HEADER_SIZE + n * KEY_SIZE)
             end = bisect_left(keys, hi) if hi is not None else n
             yield from zip(keys[begin:end], values[begin:end])
             if end < n or not next_raw:
                 return
-            page, view, is_leaf, n, next_raw, keys = self._node(next_raw - 1)
+            page, (_, is_leaf, n, next_raw, keys, _none) = self._node(next_raw - 1)
             if not is_leaf:
                 raise BTreeError(f"leaf chain reaches branch node {page.pid}")
             begin = 0  # only trim inside the first leaf
@@ -172,7 +197,7 @@ class BTree:
     # ------------------------------------------------------------------
     def _insert(self, pid: int, key: int, value: int) -> Optional[Tuple[int, int]]:
         """Recursive insert; returns (separator, new right pid) on split."""
-        page, _view, is_leaf, n, next_raw, keys = self._node(pid)
+        page, (_, is_leaf, n, next_raw, keys, children) = self._node(pid)
         if is_leaf:
             idx = bisect_left(keys, key)
             if idx < n and keys[idx] == key:  # upsert
@@ -188,15 +213,14 @@ class BTree:
                 return None
             return self._split(pid, 1, n + 1, next_raw, body)
         idx = bisect_right(keys, key)
-        # Copied out now: by the time a child split comes back the page
-        # may have been evicted, and a branch split must not re-fetch it
-        # before allocating its sibling.
-        body = page.read(HEADER_SIZE, n * KEY_SIZE + (n + 1) * CHILD_SIZE)
-        (child,) = _U32.unpack_from(body, n * KEY_SIZE + idx * CHILD_SIZE)
-        split = self._insert(child, key, value)
+        split = self._insert(children[idx], key, value)
         if split is None:
             return None
         sep_key, right_pid = split
+        # Re-encoded from the decode, not read from the page: by now the
+        # page may have been evicted, and a branch split must not
+        # re-fetch it before allocating its sibling.
+        body = _array(n, "Q").pack(*keys) + _array(n + 1, "I").pack(*children)
         body = _with_entry(
             body, n, idx, sep_key, (idx + 1) * CHILD_SIZE, _U32.pack(right_pid)
         )
@@ -235,25 +259,28 @@ class BTree:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def _node(self, pid: int) -> _Node:
-        """Fetch and decode node ``pid``."""
+    def _node(self, pid: int) -> Tuple[Page, _Memo]:
+        """Fetch node ``pid`` with its decode: the frame's memo while the
+        stamp matches, else a fresh one."""
         page = self.db.page(pid)
-        view = page.view
-        magic, is_leaf, _r1, n, _r2, next_raw = _HEADER.unpack_from(view)
-        if magic != MAGIC:
-            raise BTreeError(f"page {pid} is not a B+tree node (magic 0x{magic:04X})")
-        return page, view, is_leaf, n, next_raw, _array(n, "Q").unpack_from(view, HEADER_SIZE)
+        memo = page.memo
+        if memo is None or memo[0] != page.version:
+            memo = _decode(page)
+        return page, memo
 
-    def _find_leaf(self, key: int) -> _Node:
-        """Descend to the leaf covering ``key``."""
+    def _find_leaf(self, key: int) -> Tuple[Page, _Memo]:
+        """Descend to the leaf covering ``key`` (``_node`` inlined)."""
+        fetch = self.db.page
         pid = self.root_pid
         while True:
-            node = _page, view, is_leaf, n, _next, keys = self._node(pid)
+            page = fetch(pid)
+            memo = page.memo
+            if memo is None or memo[0] != page.version:
+                memo = _decode(page)
+            _, is_leaf, _n, _next, keys, children = memo
             if is_leaf:
-                return node
-            (pid,) = _U32.unpack_from(
-                view, HEADER_SIZE + n * KEY_SIZE + bisect_right(keys, key) * CHILD_SIZE
-            )
+                return page, memo
+            pid = children[bisect_right(keys, key)]
 
     # ------------------------------------------------------------------
     # Validation (used by tests)
@@ -266,7 +293,7 @@ class BTree:
         next_raw = leaves[0] + 1
         while next_raw:
             chained.append(next_raw - 1)
-            next_raw = self._node(next_raw - 1)[4]
+            _page, (_, _leaf, _n, next_raw, _keys, _none) = self._node(next_raw - 1)
         if leaves != chained:
             raise BTreeError("leaf chain does not match tree order")
 
@@ -278,7 +305,7 @@ class BTree:
         leaves: List[int],
         is_root: bool = False,
     ) -> None:
-        _page, view, is_leaf, n, _next, keys = self._node(pid)
+        _page, (_, is_leaf, n, _next, keys, children) = self._node(pid)
         if list(keys) != sorted(keys):
             raise BTreeError(f"node {pid} keys unsorted")
         for key in keys:
@@ -293,7 +320,6 @@ class BTree:
             raise BTreeError(f"branch {pid} overflows")
         if not is_root and n < 1:
             raise BTreeError(f"branch {pid} is empty")
-        children = _array(n + 1, "I").unpack_from(view, HEADER_SIZE + n * KEY_SIZE)
         bounds = [lo, *keys, hi]
         for child, clo, chi in zip(children, bounds, bounds[1:]):
             self._check_node(child, clo, chi, leaves)

@@ -68,6 +68,7 @@ class Page:
         "_observer",
         "_evicted",
         "_view",
+        "memo",
     )
 
     def __init__(self, pid: int, data: bytes, logged: bool = True):
@@ -85,7 +86,7 @@ class Page:
         #: pool's write-back call other latched methods holding it.
         self.latch = threading.RLock()
         #: Bumped on every effective write: a cheap "has this frame
-        #: changed since" stamp for callers that compare images.
+        #: changed since" stamp.  :attr:`memo` is checked against it.
         self.version = 0
         #: The owning pool (it counts this frame's pins), if any.
         self._observer = None
@@ -93,6 +94,14 @@ class Page:
         #: was never attached, as unit tests build them).
         self._evicted = False
         self._view: Optional[memoryview] = None
+        #: A decoder's last decode of this frame, stamped with the
+        #: :attr:`version` it read *before* decoding, so a write that
+        #: lands mid-decode leaves it stale, never wrong; reused only
+        #: while the stamp matches.  The B+tree keeps its node decode
+        #: here (``BTree._decode``).  It holds no reference to the page,
+        #: so an evicted frame is still freed by refcount.  Every frame
+        #: starts with none: a pool admits a page as a new ``Page``.
+        self.memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Access

@@ -490,7 +490,7 @@ def test_rotted_snapshot_page_forces_fallback():
 )
 def test_live_page_in_of_a_damaged_snapshot_page_names_what_it_translated(fault, error):
     """A live table that demand-pages a damaged snapshot page cannot
-    repair it (ROADMAP item 4) — but the error that reaches the caller of
+    repair it (ROADMAP item 3) — but the error that reaches the caller of
     ``read_page`` says what was being translated, and the table is left
     as it was: a pid on a healthy page still reads."""
     injector, chip, driver, _cfg = _snapshotted_with_tail()
