@@ -1,5 +1,6 @@
-"""The paper suite: every table and figure of the evaluation is one entry
-of :data:`~repro.bench.figures.FIGURES`; ``python -m repro.bench --list``
+"""The paper suite: every table and figure of the evaluation, and the
+scenario grid's equivalence oracle, is one entry of
+:data:`~repro.bench.figures.FIGURES`; ``python -m repro.bench --list``
 for the CLI.
 """
 

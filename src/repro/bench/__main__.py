@@ -5,6 +5,7 @@ Usage::
     python -m repro.bench --list
     python -m repro.bench exp1 exp7
     python -m repro.bench all --scale smoke
+    python -m repro.bench equivalence --scale smoke   # the scenario grid
 
 Each figure prints its table and notes, saves ``<experiment>.json`` under
 ``$REPRO_BENCH_RESULTS`` (default ``bench_results/``) and runs its shape

@@ -8,6 +8,11 @@ so a row never depends on which other points ran.  ``python -m
 repro.bench`` and the slow-tier test in ``tests/bench/`` both call
 :func:`run` and then ``check``.
 
+One more entry, ``equivalence``, is the scenario grid of the scale
+(:class:`Grid`): a point is (scenario, config), its measurement one
+:func:`~repro.scenarios.cells.replay_cell`, and its check the
+differential-equivalence oracle.
+
 Absolute microseconds differ from the paper (a scaled chip with the same
 Table-1 latencies); the *shapes* — orderings, crossovers, trends — are
 what the checks hold.  What is scaled, and why, is in docs/paper-map.md,
@@ -19,12 +24,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Callable, Dict, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Tuple, Union
 
 from ..core.pdl import format_size
 from ..flash.spec import BENCH_SPEC_8K, SAMSUNG_K9L8G08U0M
 from ..ftl.gc import GcConfig
 from ..methods import PAPER_METHODS, PAPER_METHODS_NO_IPU
+from ..scenarios.cells import Cell, replay_cell
+from ..scenarios.stream import build_stream
+from ..workloads.patterns import AccessPattern, TracePattern, make_pattern
 from ..workloads.runner import RunnerConfig, measure_mix, measure_updates
 from ..workloads.tpcc.driver import run_tpcc
 from ..workloads.tpcc.schema import TpccScale
@@ -37,6 +46,33 @@ from .reporting import ResultTable
 #: Names the CLI's default scale when ``--scale`` is not given.
 SCALE_VAR = "REPRO_BENCH_SCALE"
 
+#: The checked-in replay trace, the last scenario of every grid.
+TRACE = Path(__file__).resolve().parents[3] / "benchmarks" / "traces" / "oltp_hotset.trace"
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The equivalence figure's sweep: scenarios × engine cells.
+
+    The scenarios are the registered ``patterns`` followed by the
+    checked-in trace, each resolved into ``n_ops`` operations over
+    ``n_pages`` 256-byte pages.  Cells are looked up by name, so names
+    are unique.
+    """
+
+    patterns: Tuple[str, ...]
+    cells: Tuple[Cell, ...]
+    n_pages: int
+    n_ops: int
+
+    def __post_init__(self) -> None:
+        names = [cell.name for cell in self.cells]
+        if not names or len(set(names)) != len(names):
+            raise ValueError(f"a grid needs unique cell names, got {names}")
+
+    def scenarios(self) -> List[AccessPattern]:
+        return [*map(make_pattern, self.patterns), TracePattern(TRACE)]
+
 
 @dataclass(frozen=True)
 class BenchScale:
@@ -45,7 +81,9 @@ class BenchScale:
     ``runner`` is the window every synthetic sweep point measures;
     Experiment 1, one point per method, affords the longer ``exp1_ops``.
     Every scale keeps the paper's invariants: 2 KB pages, 64-page blocks,
-    Table-1 latencies, a database filling ~25 % of the chip.
+    Table-1 latencies, a database filling ~25 % of the chip.  ``grid`` is
+    the equivalence figure's scenario × config grid, its streams seeded
+    with ``runner.seed``.
     """
 
     name: str
@@ -53,36 +91,85 @@ class BenchScale:
     exp1_ops: int
     tpcc_scale: TpccScale
     tpcc_transactions: int
+    grid: Grid
 
 
 #: The suite's sizes.  ``TpccScale`` is positional: warehouses, districts
 #: per warehouse, customers per district, items, orders per district.
 SCALES = {
-    # seconds per figure; CI-sized
+    # seconds per figure; CI-sized.  The grid has one cell per axis: the
+    # four methods, a file backend, shards with a GC policy, a buffer
+    # pool and the demand-paged mapping tier.
     "smoke": BenchScale(
         "smoke",
         RunnerConfig(database_pages=256, measure_ops=100),
         exp1_ops=150,
         tpcc_scale=TpccScale(1, 2, 60, 200, 40),
         tpcc_transactions=120,
+        grid=Grid(
+            ("sequential", "strided", "zipf-0.9", "scan-hot", "ycsb-a", "ycsb-f"),
+            (
+                Cell.of("pdl-256", "PDL (256B)"),
+                Cell.of("opu", "OPU"),
+                Cell.of("ipu", "IPU"),
+                Cell.of("ipl-512", "IPL (512B)"),
+                Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
+                Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
+                # name kept: scenarios.json is keyed by it
+                Cell.of("pdl-x2-thread", "PDL (256B) x2"),
+                Cell.of("pdl-buf-2q", "PDL (256B)", buffer_capacity=10, buffer_policy="2q"),
+                Cell.of("pdl-map-16", "PDL (256B)", mapping_cache=16, snapshot_interval=48),
+            ),
+            n_pages=48,
+            n_ops=220,
+        ),
     ),
-    # the default: minutes for the suite, every shape emerges
+    # the default: minutes for the suite, every shape emerges.  The grid
+    # covers every axis: methods × shards × GC policy × backend × buffer
+    # policy × mapping tier.
     "small": BenchScale(
         "small",
         RunnerConfig(database_pages=1024, measure_ops=400),
         exp1_ops=1000,
         tpcc_scale=TpccScale(1, 4, 100, 500, 80),
         tpcc_transactions=400,
-    ),
-    # closest to the paper's 1 GB database (still scaled)
-    "paper": BenchScale(
-        "paper",
-        RunnerConfig(database_pages=8192, measure_ops=1500),
-        exp1_ops=4000,
-        tpcc_scale=TpccScale(2, 10, 300, 2000, 300),
-        tpcc_transactions=1500,
+        grid=Grid(
+            (
+                "sequential", "strided", "zipf-0.9", "zipf-1.2", "scan-hot",
+                "ycsb-a", "ycsb-b", "ycsb-d", "ycsb-f",
+            ),
+            (
+                Cell.of("pdl-256", "PDL (256B)"),
+                Cell.of("pdl-2k", "PDL (2KB)"),
+                Cell.of("opu", "OPU"),
+                Cell.of("ipu", "IPU"),
+                Cell.of("ipl-512", "IPL (512B)"),
+                Cell.of("pdl-256-file", "PDL (256B)", backend="file"),
+                Cell.of("pdl-x4", "PDL (256B) x4"),
+                Cell.of("pdl-x4-cb", "PDL (256B) x4 gc=cb"),
+                Cell.of("opu-x2-file", "OPU x2", backend="file"),
+                Cell.of("pdl-buf-lru", "PDL (256B)", buffer_capacity=12),
+                Cell.of("pdl-buf-2q", "PDL (256B)", buffer_capacity=12, buffer_policy="2q"),
+                # The demand-paged mapping tier: a tight cache, a resident
+                # cache and a sharded one.
+                Cell.of("pdl-map-16", "PDL (256B)", mapping_cache=16, snapshot_interval=48),
+                Cell.of("pdl-map-res", "PDL (256B)", mapping_cache=0),
+                Cell.of("pdl-map-x2", "PDL (256B) x2", mapping_cache=16),
+            ),
+            n_pages=96,
+            n_ops=600,
+        ),
     ),
 }
+# closest to the paper's 1 GB database (still scaled); small's grid
+SCALES["paper"] = BenchScale(
+    "paper",
+    RunnerConfig(database_pages=8192, measure_ops=1500),
+    exp1_ops=4000,
+    tpcc_scale=TpccScale(2, 10, 300, 2000, 300),
+    tpcc_transactions=1500,
+    grid=SCALES["small"].grid,
+)
 
 
 def current_scale() -> BenchScale:
@@ -99,12 +186,15 @@ def current_scale() -> BenchScale:
 
 @dataclass(frozen=True)
 class Figure:
-    """One table or figure: row = point + ``measure(scale, *point)``."""
+    """One table or figure: row = point + ``measure(scale, *point)``.
+
+    ``sweep`` is the points, or a function of the scale giving them.
+    """
 
     experiment: str  # the result file's name
     title: str
     columns: Tuple[str, ...]
-    sweep: Tuple[tuple, ...]
+    sweep: Union[Tuple[tuple, ...], Callable[[BenchScale], Tuple[tuple, ...]]]
     measure: Callable[..., tuple]
     check: Callable[[ResultTable], None]
     notes: Tuple[str, ...] = ()
@@ -113,7 +203,8 @@ class Figure:
 def run(figure: Figure, scale: BenchScale) -> ResultTable:
     """Measure every point of ``figure``'s sweep at ``scale``."""
     table = ResultTable(figure.experiment, figure.title, figure.columns)
-    for point in figure.sweep:
+    sweep = figure.sweep(scale) if callable(figure.sweep) else figure.sweep
+    for point in sweep:
         table.add_row(*point, *figure.measure(scale, *point))
     for note in (*figure.notes, f"scale={scale.name}"):
         table.note(note)
@@ -194,6 +285,29 @@ def _victim_policy(scale: BenchScale, name: str) -> tuple:
     gc = GcConfig(policy=VICTIM_POLICIES[name])
     m = measure_updates("PDL (256B)", scale.runner, 2.0, 1, method_kwargs={"gc": gc})
     return m.overall_us, m.gc_us, m.erases_per_op, m.max_block_wear
+
+
+def _grid_points(scale: BenchScale) -> Tuple[tuple, ...]:
+    grid = scale.grid
+    return tuple(product([p.name for p in grid.scenarios()], [c.name for c in grid.cells]))
+
+
+def _equivalence(scale: BenchScale, scenario: str, config: str) -> tuple:
+    """Replay one scenario's seeded stream on a fresh engine of one cell."""
+    grid = scale.grid
+    pattern = next(p for p in grid.scenarios() if p.name == scenario)
+    cell = next(c for c in grid.cells if c.name == config)
+    stream = build_stream(
+        pattern, n_pages=grid.n_pages, n_ops=grid.n_ops, page_size=256, seed=scale.runner.seed
+    )
+    r = replay_cell(cell, stream)
+    check = "n/a" if r.check_ok is None else "ok" if r.check_ok else "FAIL"
+    if not r.audit_ok:
+        check += "+audit"
+    return (
+        r.n_reads, r.n_updates, r.device_reads, r.device_writes, r.device_erases,
+        r.io_time_us / 1000.0, check, r.state_hash[:12],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +520,32 @@ def _check_victim_policy(table: ResultTable) -> None:
     assert greedy_overall <= rr_overall * 1.25
 
 
+def _check_equivalence(table: ResultTable) -> None:
+    """The differential-equivalence oracle: within a scenario every config
+    reaches the same state through the same logical traffic, and no
+    config failed its self-check (``FAIL``) or its accounting audit
+    (``+audit``)."""
+    assert table.rows, "no cell was replayed"
+    columns = list(table.columns)
+    config, reads, updates, check, state = (
+        columns.index(name) for name in ("config", "reads", "updates", "check", "state_hash")
+    )
+    for scenario in dict.fromkeys(table.column("scenario")):
+        rows = table.lookup(scenario=scenario)
+        ref = rows[0]
+        for row in rows:
+            where = f"scenario {scenario!r}, config {row[config]!r}"
+            assert row[state] == ref[state], (
+                f"{where}: state {row[state]} != {ref[state]} of {ref[config]!r}"
+            )
+            assert (row[reads], row[updates]) == (ref[reads], ref[updates]), (
+                f"{where}: {row[reads]}r/{row[updates]}u != "
+                f"{ref[reads]}r/{ref[updates]}u of {ref[config]!r}"
+            )
+            assert "FAIL" not in row[check], f"{where}: check_driver found a violation"
+            assert "+audit" not in row[check], f"{where}: the accounting audit failed"
+
+
 # ----------------------------------------------------------------------
 # The table
 # ----------------------------------------------------------------------
@@ -561,5 +701,22 @@ FIGURES: Dict[str, Figure] = {
         sweep=tuple((name,) for name in VICTIM_POLICIES),
         measure=_victim_policy,
         check=_check_victim_policy,
+    ),
+    "equivalence": Figure(
+        "scenarios",
+        "Scenario × config differential-equivalence grid",
+        ("scenario", "config", "reads", "updates", "dev_reads", "dev_writes", "erases",
+         "io_time_ms", "check", "state_hash"),
+        sweep=_grid_points,
+        measure=_equivalence,
+        check=_check_equivalence,
+        notes=(
+            "each row replays the scenario's seeded stream on a fresh engine; a "
+            "wrong byte read back raises CellReplayError",
+            "state_hash: SHA-256 over every final page (first 12 hex digits); "
+            "check: check_driver over every PDL shard (n/a: no checker), "
+            "+audit if the device counters fail their audit",
+            "device counters differ across configs by design and are never compared",
+        ),
     ),
 }

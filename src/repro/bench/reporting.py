@@ -1,6 +1,6 @@
 """Result tables: paper-style text rendering and JSON persistence.
 
-Each figure of the paper suite, and the scenario matrix, produces a
+Each entry of the suite, the equivalence grid included, produces a
 :class:`ResultTable` — named columns, one row per (method, parameter)
 point — which renders as an aligned text table (the "same rows/series
 the paper reports") and serializes to JSON under ``$REPRO_BENCH_RESULTS``
@@ -55,9 +55,6 @@ class ResultTable:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
 
     # ------------------------------------------------------------------
     # Persistence

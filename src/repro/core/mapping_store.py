@@ -37,7 +37,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.errors import ChecksumError
@@ -107,7 +107,6 @@ class MappingStore:
         self.seq = 0
         #: First pid of each snapshot data page (RAM; bisected on lookup).
         self.directory: List[int] = []
-        self._n_data = 0
         #: Blocks that were open for appends when the snapshot was taken.
         self.snapshot_active_blocks: List[int] = []
         self.journaling = True
@@ -140,7 +139,7 @@ class MappingStore:
 
     @property
     def data_page_count(self) -> int:
-        return self._n_data
+        return len(self.directory)
 
     @property
     def journal_pages(self) -> int:
@@ -334,7 +333,7 @@ class MappingStore:
         new_seq = self.seq + 1
 
         rows = merge_snapshot_rows(
-            (self.load_data_page(index) for index in range(self._n_data)),
+            (self.load_data_page(index) for index in range(len(self.directory))),
             self.directory,
             table.overlay_items(),
         )
@@ -403,7 +402,6 @@ class MappingStore:
 
         self.seq = new_seq
         self.directory = directory
-        self._n_data = n_data
         self.snapshot_active_blocks = sorted(driver.blocks.active_blocks())
         table.on_snapshot()
         self._pending.clear()
@@ -413,6 +411,28 @@ class MappingStore:
         self.snapshot_due = False
         self.snapshots_taken += 1
         return new_seq
+
+    # ------------------------------------------------------------------
+    # Restart (driven by repro.core.restart)
+    # ------------------------------------------------------------------
+    def adopt(self, seq: int, directory: Sequence[int], active_blocks: Sequence[int]) -> None:
+        """Take the sealed snapshot ``seq`` as the current one: the first
+        pid of each of its data pages, and the blocks open when it was
+        taken."""
+        self.seq = seq
+        self.directory = list(directory)
+        self.snapshot_active_blocks = list(active_blocks)
+
+    def abandon(self) -> None:
+        """Drop an adopted snapshot whose replay was rejected: nothing is
+        demand-paged from it any more."""
+        self.directory = []
+
+    def resume_journal(self, cursor: int, records: int) -> None:
+        """Append after the ``cursor`` journal pages a restart replayed,
+        which hold ``records`` records since the snapshot."""
+        self._cursor = cursor
+        self._records_since_snapshot = records
 
     def _encode_meta(self, directory: List[int]) -> List[bytes]:
         driver = self.driver

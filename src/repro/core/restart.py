@@ -221,10 +221,8 @@ def _execute_fast(
     seal, meta = newest_seal(survey.seals), survey.meta
     if seal is not None:  # else the implicit empty snapshot of epoch 0
         assert isinstance(meta, Meta)
-        store.seq = report.snapshot_seq = seal.seq
-        store.directory = list(meta.directory)
-        store._n_data = seal.n_data
-        store.snapshot_active_blocks = list(meta.active_blocks)
+        store.adopt(seal.seq, meta.directory, meta.active_blocks)
+        report.snapshot_seq = seal.seq
         table.seed_counts(seal.count, seal.max_pid1 - 1)
         driver.vdct.seed(meta.vdct_rows)
         bits = np.unpackbits(np.frombuffer(meta.bitmap, dtype=np.uint8), bitorder="little")
@@ -240,8 +238,7 @@ def _execute_fast(
         # that is programmed but unreadable, or a record stream the
         # tables reject — corrupt in a way the CRCs could not see.  What
         # was adopted and replayed is void; the scan stays sound.
-        store.directory = []
-        store._n_data = 0
+        store.abandon()
         table.on_snapshot()
         table.seed_counts(0, -1)
         return Fallback(FallbackReason.REPLAY_REJECTED, repair_seq(survey))
@@ -250,8 +247,7 @@ def _execute_fast(
     _retire_sweep(driver, retire, valid, report)
     driver.blocks.rebuild(valid)
     driver.resume_ts(max_ts)
-    store._cursor = plan.prefix_pages
-    store._records_since_snapshot = len(plan.records)
+    store.resume_journal(plan.prefix_pages, len(plan.records))
     return plan
 
 

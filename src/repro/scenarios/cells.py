@@ -1,4 +1,4 @@
-"""One matrix cell: replay a resolved stream against one engine config.
+"""One grid cell: replay a resolved stream against one engine config.
 
 A cell is (scenario stream × :class:`Cell`).  The replay builds
 the configured engine from scratch, loads the stream's initial images,
@@ -72,15 +72,6 @@ class Cell:
         """The cell for a method label plus ``EngineConfig`` fields."""
         return cls(name, EngineConfig.parse(label, **fields), backend)
 
-    def describe(self) -> str:
-        config = self.config
-        parts = [config.label, self.backend]
-        if config.buffer_capacity is not None:
-            parts.append(f"buffer={config.buffer_capacity}/{config.buffer_policy}")
-        if config.mapping_cache is not None:
-            parts.append(f"mapping={config.mapping_cache}")
-        return " ".join(parts)
-
 
 @dataclass
 class CellResult:
@@ -101,31 +92,21 @@ class CellResult:
     audit_notes: List[str] = field(default_factory=list)
 
 
-def _base_spec(page_size: int) -> FlashSpec:
-    """A small chip geometry matching the stream's page size."""
-    return FlashSpec(
-        n_blocks=16, pages_per_block=8, page_data_size=page_size, page_spare_size=32
-    )
-
-
 def _build_chips(
     cell: Cell, stream: ScenarioStream, utilization: float, workdir: Path
 ) -> List[FlashChip]:
-    runner = RunnerConfig(
-        database_pages=stream.n_pages,
-        utilization=utilization,
-        base_spec=_base_spec(stream.page_size),
+    # A small chip geometry matching the stream's page size.
+    base_spec = FlashSpec(
+        n_blocks=16, pages_per_block=8, page_data_size=stream.page_size, page_spare_size=32
     )
-    n_shards = cell.config.n_shards
-    spec = runner.spec() if n_shards is None else runner.shard_spec(n_shards)
-
-    def backend(index: int) -> Optional[FileBackend]:
-        if cell.backend == "memory":
-            return None
-        slug = "".join(c if c.isalnum() else "-" for c in cell.name.lower())
-        return FileBackend(workdir / f"{slug}-shard{index:02d}.flash", spec)
-
-    return [FlashChip(spec, backend=backend(i)) for i in range(cell.config.n_chips)]
+    runner = RunnerConfig(stream.n_pages, utilization, base_spec=base_spec)
+    if cell.backend == "memory":
+        return runner.chips(cell.config)
+    slug = "".join(c if c.isalnum() else "-" for c in cell.name.lower())
+    return runner.chips(
+        cell.config,
+        lambda index, spec: FileBackend(workdir / f"{slug}-shard{index:02d}.flash", spec),
+    )
 
 
 def replay_cell(

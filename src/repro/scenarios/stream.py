@@ -13,9 +13,8 @@ keep the resolution stable:
 
 Because mutations are content-independent byte overwrites, replaying a
 stream's per-pid subsequences in order produces the same final page
-images no matter how ops interleave across pids — the property both the
-threaded workload clients and the differential-equivalence oracle rely
-on.
+images no matter how ops interleave across pids — the property the
+differential-equivalence oracle relies on.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..config import EngineConfig
 from ..core.pdl import PdlDriver
+from ..flash.backend import DeviceBackend
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec, spec_for_database
 from ..flash.stats import GC, READ_STEP, WRITE_STEP
@@ -108,6 +109,20 @@ class RunnerConfig:
             spec = spec.scaled(min_blocks)
         return spec
 
+    def chips(
+        self,
+        engine: EngineConfig,
+        backend: Optional[Callable[[int, FlashSpec], DeviceBackend]] = None,
+    ) -> List[FlashChip]:
+        """The chips ``engine`` assembles over: one holding the database,
+        or one per shard sized by :meth:`shard_spec`.  ``backend(index,
+        spec)`` gives chip ``index`` its device (default: in memory)."""
+        n_shards = engine.n_shards
+        spec = self.spec() if n_shards is None else self.shard_spec(n_shards)
+        return [
+            FlashChip(spec, backend=None if backend is None else backend(i, spec))
+            for i in range(engine.n_chips)
+        ]
 
 
 def aging_horizon(driver: PageUpdateMethod, change_size: int) -> int:
@@ -181,8 +196,7 @@ def _build_driver(
 ) -> PageUpdateMethod:
     """The engine ``label`` (+ fields) names, over chips sized by ``runner``."""
     engine = EngineConfig.parse(label, **(method_kwargs or {}))
-    spec = runner.spec() if engine.n_shards is None else runner.shard_spec(engine.n_shards)
-    return engine.build([FlashChip(spec) for _ in range(engine.n_chips)])
+    return engine.build(runner.chips(engine))
 
 
 def build_workload(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.__main__ import main
 from repro.bench.figures import FIGURES
+from repro.flash.backend import FileBackend
 
 
 class TestCli:
@@ -45,3 +46,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "table1" in err
         assert 'assert table.value("value", symbol="Tread") == 1.0' in err
+
+    def test_a_divergent_cell_fails_the_equivalence_oracle(self, capsys, monkeypatch):
+        # One cell — the first file-backed PDL shard the grid replays,
+        # sequential × pdl-256-file — reports a seeded check_driver violation.
+        import repro.scenarios.cells as cells
+
+        seeded = []
+
+        def check_driver(shard):
+            report = real_check_driver(shard)
+            if not seeded and isinstance(shard.chip.backend, FileBackend):
+                seeded.append(shard)
+                report.add("seeded violation")
+            return report
+
+        real_check_driver = cells.check_driver
+        monkeypatch.setattr(cells, "check_driver", check_driver)
+        assert main(["equivalence", "--no-save", "--scale", "smoke"]) == 1
+        assert len(seeded) == 1
+        err = capsys.readouterr().err
+        assert "equivalence" in err
+        assert "scenario 'sequential', config 'pdl-256-file'" in err

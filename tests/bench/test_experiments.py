@@ -17,6 +17,7 @@ TINY = BenchScale(
     exp1_ops=60,
     tpcc_scale=TpccScale(1, 2, 20, 60, 15),
     tpcc_transactions=40,
+    grid=SCALES["smoke"].grid,
 )
 
 

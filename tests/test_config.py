@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bench.figures import SCALES
 from repro.config import DURABLE, EngineConfig
 from repro.flash.backend import FileBackend
 from repro.flash.chip import FlashChip
@@ -24,7 +25,6 @@ from repro.flash.spec import SAMSUNG_K9L8G08U0M, TINY_SPEC, FlashSpec
 from repro.ftl.errors import ConfigurationError
 from repro.ftl.gc import GcConfig
 from repro.methods import PAPER_METHODS, make_method
-from repro.scenarios.matrix import DEFAULT_CONFIGS, TINY_CONFIGS
 from repro.sharding.driver import ShardedDriver
 from repro.sharding.recovery import recover_all
 from repro.storage.db import Database
@@ -348,14 +348,15 @@ def test_paper_labels_assemble_as_at_the_parent(label):
 
 @pytest.mark.parametrize(
     "grid, cell",
-    [("default", cell) for cell in DEFAULT_CONFIGS] + [("tiny", cell) for cell in TINY_CONFIGS],
+    # "default" is small's (and paper's) grid, "tiny" is smoke's.
+    [("default", cell) for cell in SCALES["small"].grid.cells]
+    + [("tiny", cell) for cell in SCALES["smoke"].grid.cells],
     ids=lambda value: value if isinstance(value, str) else value.name,
 )
 def test_grid_cells_assemble_as_at_the_parent(grid, cell):
     config = cell.config
     runner = RunnerConfig(database_pages=96, utilization=0.25, base_spec=TINY_SPEC)
-    spec = runner.spec() if config.n_shards is None else runner.shard_spec(config.n_shards)
-    driver = config.build([FlashChip(spec) for _ in range(config.n_chips)])
+    driver = config.build(runner.chips(config))
     try:
         pool = (config.buffer_capacity, config.buffer_policy)
         expected = PARENT_CELLS[cell.name]
