@@ -10,8 +10,9 @@ Usage::
 Each figure prints its table and notes, saves ``<experiment>.json`` under
 ``$REPRO_BENCH_RESULTS`` (default ``bench_results/``) and runs its shape
 check.  The exit status is 1 if any check failed; each failure names the
-figure and the assertion on stderr.  The checks are plain ``assert``
-statements, so ``python -O`` skips them.
+figure and the assertion on stderr.  The shape checks are plain
+``assert`` statements, so ``python -O`` skips them; the equivalence
+oracle raises regardless.
 """
 
 from __future__ import annotations

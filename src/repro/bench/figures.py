@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple, Union
@@ -32,7 +33,7 @@ from ..flash.spec import BENCH_SPEC_8K, SAMSUNG_K9L8G08U0M
 from ..ftl.gc import GcConfig
 from ..methods import PAPER_METHODS, PAPER_METHODS_NO_IPU
 from ..scenarios.cells import Cell, replay_cell
-from ..scenarios.stream import build_stream
+from ..scenarios.stream import ScenarioStream, build_stream
 from ..workloads.patterns import AccessPattern, TracePattern, make_pattern
 from ..workloads.runner import RunnerConfig, measure_mix, measure_updates
 from ..workloads.tpcc.driver import run_tpcc
@@ -292,18 +293,25 @@ def _grid_points(scale: BenchScale) -> Tuple[tuple, ...]:
     return tuple(product([p.name for p in grid.scenarios()], [c.name for c in grid.cells]))
 
 
+@lru_cache(maxsize=1)
+def _stream(grid: Grid, seed: int, scenario: str) -> ScenarioStream:
+    """One scenario's stream; the sweep is scenario-major, so every cell
+    of a scenario after the first reuses it."""
+    pattern = next(p for p in grid.scenarios() if p.name == scenario)
+    return build_stream(pattern, n_pages=grid.n_pages, n_ops=grid.n_ops, page_size=256, seed=seed)
+
+
 def _equivalence(scale: BenchScale, scenario: str, config: str) -> tuple:
     """Replay one scenario's seeded stream on a fresh engine of one cell."""
     grid = scale.grid
-    pattern = next(p for p in grid.scenarios() if p.name == scenario)
     cell = next(c for c in grid.cells if c.name == config)
-    stream = build_stream(
-        pattern, n_pages=grid.n_pages, n_ops=grid.n_ops, page_size=256, seed=scale.runner.seed
-    )
-    r = replay_cell(cell, stream)
+    r = replay_cell(cell, _stream(grid, scale.runner.seed, scenario))
     check = "n/a" if r.check_ok is None else "ok" if r.check_ok else "FAIL"
     if not r.audit_ok:
         check += "+audit"
+    problems = [*r.check_violations, *r.audit_notes]
+    if problems:
+        check += f" ({problems[0]})"
     return (
         r.n_reads, r.n_updates, r.device_reads, r.device_writes, r.device_erases,
         r.io_time_us / 1000.0, check, r.state_hash[:12],
@@ -524,26 +532,33 @@ def _check_equivalence(table: ResultTable) -> None:
     """The differential-equivalence oracle: within a scenario every config
     reaches the same state through the same logical traffic, and no
     config failed its self-check (``FAIL``) or its accounting audit
-    (``+audit``)."""
-    assert table.rows, "no cell was replayed"
+    (``+audit``).  Every problem is listed, and it raises even under
+    ``python -O``."""
+    if not table.rows:
+        raise AssertionError("no cell was replayed")
     columns = list(table.columns)
     config, reads, updates, check, state = (
         columns.index(name) for name in ("config", "reads", "updates", "check", "state_hash")
     )
+    problems = []
     for scenario in dict.fromkeys(table.column("scenario")):
         rows = table.lookup(scenario=scenario)
         ref = rows[0]
         for row in rows:
             where = f"scenario {scenario!r}, config {row[config]!r}"
-            assert row[state] == ref[state], (
-                f"{where}: state {row[state]} != {ref[state]} of {ref[config]!r}"
-            )
-            assert (row[reads], row[updates]) == (ref[reads], ref[updates]), (
-                f"{where}: {row[reads]}r/{row[updates]}u != "
-                f"{ref[reads]}r/{ref[updates]}u of {ref[config]!r}"
-            )
-            assert "FAIL" not in row[check], f"{where}: check_driver found a violation"
-            assert "+audit" not in row[check], f"{where}: the accounting audit failed"
+            if row[state] != ref[state]:
+                problems.append(f"{where}: state {row[state]} != {ref[state]} of {ref[config]!r}")
+            if (row[reads], row[updates]) != (ref[reads], ref[updates]):
+                problems.append(
+                    f"{where}: {row[reads]}r/{row[updates]}u != "
+                    f"{ref[reads]}r/{ref[updates]}u of {ref[config]!r}"
+                )
+            if "FAIL" in row[check]:
+                problems.append(f"{where}: check_driver found a violation: {row[check]}")
+            if "+audit" in row[check]:
+                problems.append(f"{where}: the accounting audit failed: {row[check]}")
+    if problems:
+        raise AssertionError("; ".join(problems))
 
 
 # ----------------------------------------------------------------------
@@ -715,7 +730,8 @@ FIGURES: Dict[str, Figure] = {
             "wrong byte read back raises CellReplayError",
             "state_hash: SHA-256 over every final page (first 12 hex digits); "
             "check: check_driver over every PDL shard (n/a: no checker), "
-            "+audit if the device counters fail their audit",
+            "+audit if the device counters fail their audit; a failing cell adds "
+            "its first violation or audit note",
             "device counters differ across configs by design and are never compared",
         ),
     ),

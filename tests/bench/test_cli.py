@@ -68,3 +68,4 @@ class TestCli:
         err = capsys.readouterr().err
         assert "equivalence" in err
         assert "scenario 'sequential', config 'pdl-256-file'" in err
+        assert "seeded violation" in err
