@@ -1,18 +1,24 @@
 """bare-except: bare ``except:`` and silently swallowed broad catches.
 
-Worker and daemon loops are where swallowed errors hurt most: a worker
-that eats an exception keeps draining its mailbox and acking tasks, so
-the parent never learns the shard is corrupt (the PR 7 executor went
-through review precisely to route worker errors back through the result
-channel).  Two shapes are flagged everywhere:
+Damage is ordinary input here, and the code that meets it counts it:
+the Figure-11 scan reports and quarantines every page it cannot decode,
+and fsck records every finding.  What each lets pass on purpose is
+narrow — ``_quarantine_corrupt`` (core/recovery.py) and fsck's
+``_mark_obsolete_quietly`` catch only the ``ProgramError`` of marking
+an already-quarantined page obsolete.  The broad catches that remain
+re-raise: a sharded fan-out finishes every shard, then raises the first
+failure (``_join`` in sharding/driver.py), and ``Database.open`` and
+``FileBackend`` release what they opened before the error propagates.
+A broad catch that drops the error would turn a corrupt page into a
+silent wrong answer.  Two shapes are flagged everywhere:
 
 * bare ``except:`` — also catches ``KeyboardInterrupt``/``SystemExit``,
-  making workers unkillable;
+  so nothing can interrupt the code it guards;
 * ``except Exception:`` / ``except BaseException:`` whose body is only
   ``pass``/``...`` — the error vanishes without a trace.
 
-Deliberate best-effort swallows (e.g. closing an already-broken chip in
-a worker's cleanup path) must carry an inline
+Deliberate best-effort swallows (e.g. closing an already-broken chip on
+a cleanup path) must carry an inline
 ``# repro: allow[bare-except] -- why`` justification.
 """
 

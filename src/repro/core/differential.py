@@ -308,23 +308,7 @@ class Differential:
     @classmethod
     def decode_from(cls, buf: bytes, pos: int) -> Tuple["Differential", int]:
         """Decode one entry starting at ``pos``; returns it and the new pos."""
-        runs_at = pos + ENTRY_HEADER_SIZE
-        if runs_at > len(buf):
-            raise DifferentialError("truncated differential entry header")
-        pid, timestamp, n_runs, data_len = _ENTRY_HEADER.unpack_from(buf, pos)
-        data_at = runs_at + RUN_HEADER_SIZE * n_runs
-        if data_at > len(buf):
-            raise DifferentialError("truncated differential run header")
-        # All run headers in one struct call; every second field is a length.
-        carried = sum(_run_header_struct(n_runs).unpack_from(buf, runs_at)[1::2])
-        end = data_at + carried
-        if end > len(buf):
-            raise DifferentialError("truncated differential run data")
-        if carried != data_len:
-            raise DifferentialError(
-                f"differential for pid {pid} declares {data_len} data bytes "
-                f"but carries {carried}"
-            )
+        ((pid, timestamp, end),) = _walk_entries(buf, pos, 1)
         return cls.__new__(cls)._set(pid, timestamp, bytes(buf[pos:end])), end
 
 
@@ -357,14 +341,67 @@ def _entry_count(data: bytes) -> int:
     return count
 
 
+def _walk_entries(buf: bytes, pos: int, count: int) -> List[Tuple[int, int, int]]:
+    """Validate ``count`` consecutive entries starting at ``pos``; returns
+    each one's ``(pid, timestamp, end)``, where ``end`` is the next entry's
+    start.
+
+    The one place an entry is validated in full: its header, its run
+    headers and its run data must fit in ``buf``, and the run lengths must
+    sum to the declared ``data_len`` — checked in that order, so every
+    decoder built on this walk fails with the same error on the same
+    bytes.  Nothing is sliced; the run headers are unpacked by one struct
+    call per entry only to sum their lengths.
+    """
+    size = len(buf)
+    headers = _RUN_HEADER_STRUCTS
+    walked: List[Tuple[int, int, int]] = []
+    for _ in range(count):
+        runs_at = pos + ENTRY_HEADER_SIZE
+        if runs_at > size:
+            raise DifferentialError("truncated differential entry header")
+        pid, timestamp, n_runs, data_len = _ENTRY_HEADER.unpack_from(buf, pos)
+        data_at = runs_at + RUN_HEADER_SIZE * n_runs
+        if data_at > size:
+            raise DifferentialError("truncated differential run header")
+        # All run headers in one struct call; every second field is a length.
+        run_header = headers.get(n_runs) or _run_header_struct(n_runs)
+        carried = sum(run_header.unpack_from(buf, runs_at)[1::2])
+        pos = data_at + carried
+        if pos > size:
+            raise DifferentialError("truncated differential run data")
+        if carried != data_len:
+            raise DifferentialError(
+                f"differential for pid {pid} declares {data_len} data bytes "
+                f"but carries {carried}"
+            )
+        walked.append((pid, timestamp, pos))
+    return walked
+
+
 def decode_differential_page(data: bytes) -> List[Differential]:
     """Parse a differential page's data area into its entries."""
     diffs: List[Differential] = []
     pos = PAGE_HEADER_SIZE
-    for _ in range(_entry_count(data)):
-        diff, pos = Differential.decode_from(data, pos)
+    for pid, timestamp, end in _walk_entries(data, pos, _entry_count(data)):
+        diff = Differential.__new__(Differential)._set(pid, timestamp, bytes(data[pos:end]))
         diffs.append(diff)
+        pos = end
     return diffs
+
+
+def differential_page_stamps(data: bytes) -> List[Tuple[int, int]]:
+    """Each entry's ``(pid, timestamp)`` of a differential page, in order.
+
+    Equal — results and errors — to ``[(d.pid, d.timestamp) for d in
+    decode_differential_page(data)]``, without a slice or a
+    :class:`Differential` per entry: what the recovery scans need to
+    rebuild the tables (Figure 11), and all they need.
+    """
+    return [
+        (pid, timestamp)
+        for pid, timestamp, _end in _walk_entries(data, PAGE_HEADER_SIZE, _entry_count(data))
+    ]
 
 
 def find_differential(data: bytes, pid: int) -> Optional[Differential]:

@@ -24,12 +24,12 @@ crash time are lost, the paper's file-buffer analogy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from ..flash.chip import FlashChip
 from ..flash.errors import ProgramError
 from ..flash.spare import PageType, data_checksum
-from .differential import DifferentialError, decode_differential_page
+from .differential import DifferentialError, differential_page_stamps
 from .pdl import PdlDriver
 from .restart_plan import Fallback, Fast, RestartPlan
 from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
@@ -37,6 +37,13 @@ from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 #: Accounting phase for the recovery scan.
 RECOVERY_PHASE = "recovery"
 
+
+#: The page types the scan's triage tells apart, bound once: the loop
+#: runs once per physical page.
+_ERASED = PageType.ERASED
+_BASE = PageType.BASE
+_DIFFERENTIAL = PageType.DIFFERENTIAL
+_CORRUPT = PageType.CORRUPT
 
 #: Pages per batched spare read during the scan.  On the file backend the
 #: spare region is contiguous, so each chunk is a single sequential read.
@@ -143,42 +150,46 @@ def recover_tables(
             report.stale_pages_obsoleted += 1
         ppmt.set_diff(pid, None)
 
+    n_pages = chip.spec.n_pages
     with chip.stats.phase(RECOVERY_PHASE):
-        for start in range(first_page, chip.spec.n_pages, SCAN_CHUNK_PAGES):
-            addrs = range(start, min(start + SCAN_CHUNK_PAGES, chip.spec.n_pages))
-            survivors: List[tuple] = []  # (addr, spare) surviving triage
+        for start in range(first_page, n_pages, SCAN_CHUNK_PAGES):
+            addrs = range(start, min(start + SCAN_CHUNK_PAGES, n_pages))
+            report.pages_scanned += len(addrs)
+            max_ts = report.max_timestamp
+            survivors: List[tuple] = []  # (addr, type, pid, timestamp) surviving triage
             diff_addrs: List[int] = []
             for addr, spare in zip(addrs, chip.read_spares(addrs)):
-                report.pages_scanned += 1
-                if spare.is_erased:
+                kind = spare.type
+                if kind is _ERASED:
                     continue
                 # Even stale/obsolete stamps must bound the resumed
                 # counter: a reused timestamp would break recovery's
                 # strictly-newer adoption rule on the next crash.
-                report.max_timestamp = max(report.max_timestamp, spare.timestamp or 0)
+                ts = spare.timestamp
+                if ts is not None and ts > max_ts:
+                    max_ts = ts
                 if spare.obsolete:
                     continue
-                if spare.is_corrupt:
+                if kind is _BASE:
+                    survivors.append((addr, kind, spare.pid, ts or 0))
+                elif kind is _DIFFERENTIAL:
+                    survivors.append((addr, kind, None, 0))
+                    diff_addrs.append(addr)
+                elif kind is _CORRUPT:
                     # A damaged type byte: the page holds *something* that
                     # was programmed, so it must not be treated as erased
                     # (the old behaviour re-allocated over it).  Quarantine
                     # by obsoleting — its block stays sealed until GC.
                     report.corrupt_spare_pages += 1
                     _quarantine_corrupt(chip, addr, report)
-                    continue
-                if spare.type is PageType.BASE:
-                    survivors.append((addr, spare))
-                elif spare.type is PageType.DIFFERENTIAL:
-                    survivors.append((addr, spare))
-                    diff_addrs.append(addr)
                 # Pages of other types (the mapping region's) are
                 # left untouched: recovery never destroys data it does not
                 # own.
+            report.max_timestamp = max_ts
             images = _prefetch_diff_pages(chip, diff_addrs, report)
-            for addr, spare in survivors:
-                if spare.type is PageType.BASE:
-                    _scan_base_page(chip, addr, spare.pid, spare.timestamp or 0,
-                                    ppmt, drop_diff, report)
+            for addr, kind, pid, ts in survivors:
+                if kind is _BASE:
+                    _scan_base_page(chip, addr, pid, ts, ppmt, drop_diff, report)
                 else:
                     _scan_diff_page(chip, addr, images[addr], ppmt, vdct,
                                     drop_diff, report)
@@ -292,29 +303,33 @@ def _scan_diff_page(
     try:
         if data is None:
             raise DifferentialError("differential page data failed its checksum")
-        diffs = decode_differential_page(data)
+        stamps = differential_page_stamps(data)
     except DifferentialError:
         report.corrupt_differential_pages += 1
         _quarantine_corrupt(chip, addr, report)
         return
     adopted = 0
-    for diff in diffs:
-        entry = ppmt.get(diff.pid)
+    max_ts = report.max_timestamp
+    for pid, timestamp in stamps:
+        entry = ppmt.get(pid)
         base_ts = entry.base_ts if entry is not None and entry.base_addr >= 0 else -1
-        if diff.timestamp <= base_ts:
+        if timestamp <= base_ts:
             continue  # older than the adopted base: stale
         current = entry.diff_ts if entry is not None and entry.diff_ts is not None else -1
-        if diff.timestamp <= current:
+        if timestamp <= current:
             continue  # an at-least-as-recent differential was adopted
         if entry is None:
             # The differential precedes its base in scan order; register a
             # placeholder row (base_addr < 0 marks "not yet seen").
-            ppmt.set_base(diff.pid, -1, -1)
-        drop_diff(diff.pid)
-        ppmt.set_diff(diff.pid, addr, diff.timestamp)
+            ppmt.set_base(pid, -1, -1)
+        elif entry.diff_addr is not None:
+            drop_diff(pid)
+        ppmt.set_diff(pid, addr, timestamp)
         vdct.increment(addr)
         adopted += 1
-        report.max_timestamp = max(report.max_timestamp, diff.timestamp)
+        if timestamp > max_ts:
+            max_ts = timestamp
+    report.max_timestamp = max_ts
     report.differentials_adopted += adopted
     if vdct.count(addr) == 0:
         # No valid differential remains in r.
@@ -353,10 +368,7 @@ def recover_driver(
     # recover_tables resumes the timestamp counter itself (from the
     # global maximum over all programmed stamps, stale copies included).
     report = recover_tables(chip, driver.ppmt, driver.vdct, driver=driver)
-    valid: Set[int] = set()
-    for _pid, entry in driver.ppmt.items():
-        valid.add(entry.base_addr)
-    for diff_page in driver.vdct.pages():
-        valid.add(diff_page)
+    valid = {entry.base_addr for _pid, entry in driver.ppmt.items()}
+    valid.update(driver.vdct.pages())
     driver.blocks.rebuild(valid)
     return driver, report

@@ -28,7 +28,7 @@ import numpy as np
 from ..flash.chip import FlashChip
 from ..flash.errors import ChecksumError, ProgramError, SpareProgramError
 from ..flash.spare import PageType
-from .differential import DifferentialError, decode_differential_page
+from .differential import DifferentialError, differential_page_stamps
 from .mapping import (
     JOURNAL_HEADER,
     MAPPING_PHASE,
@@ -341,59 +341,58 @@ def _tail_scan(
             report.tail_pages_scanned += len(addrs)
             report.pages_scanned += len(addrs)
             for addr, spare in zip(addrs, spares):
-                if spare.is_erased:
+                kind = spare.type
+                if kind is PageType.ERASED:
                     continue
                 max_ts = max(max_ts, spare.timestamp or 0)
-                if spare.obsolete or spare.type is PageType.CHECKPOINT:
+                if spare.obsolete or kind is PageType.CHECKPOINT:
                     continue
-                if spare.is_corrupt or (
-                    spare.type is PageType.BASE and spare.pid is None
-                ):
+                if kind is PageType.CORRUPT or (kind is PageType.BASE and spare.pid is None):
                     retire.add(addr)
                     valid.discard(addr)
                     continue
-                if spare.type is PageType.BASE:
+                if kind is PageType.BASE:
                     _tail_scan_base(
                         table, addr, spare.pid, spare.timestamp or 0,
                         valid, retire, drop_ref, report,
                     )
-                elif spare.type is PageType.DIFFERENTIAL:
+                elif kind is PageType.DIFFERENTIAL:
                     if vdct.count(addr) > 0:
                         continue  # fully described by replayed records
                     try:
                         data, _ = chip.read_page(addr)
-                        diffs = decode_differential_page(data)
+                        stamps = differential_page_stamps(data)
                     except (ChecksumError, DifferentialError):
                         retire.add(addr)
                         valid.discard(addr)
                         continue
                     report.pages_scanned += 1
                     adopted = 0
-                    for diff in diffs:
-                        entry = table.get(diff.pid)
+                    for pid, timestamp in stamps:
+                        entry = table.get(pid)
                         base_ts = (
                             entry.base_ts
                             if entry is not None and entry.base_addr >= 0
                             else -1
                         )
-                        if diff.timestamp <= base_ts:
+                        if timestamp <= base_ts:
                             continue
                         current = (
                             entry.diff_ts
                             if entry is not None and entry.diff_ts is not None
                             else -1
                         )
-                        if diff.timestamp <= current:
+                        if timestamp <= current:
                             continue
                         if entry is None:
-                            table.set_base(diff.pid, -1, -1)
-                            placeholders.add(diff.pid)
+                            table.set_base(pid, -1, -1)
+                            placeholders.add(pid)
                         elif entry.diff_addr is not None:
                             drop_ref(entry.diff_addr)
-                        table.set_diff(diff.pid, addr, diff.timestamp)
+                        table.set_diff(pid, addr, timestamp)
                         vdct.increment(addr)
                         adopted += 1
-                        max_ts = max(max_ts, diff.timestamp)
+                        max_ts = max(max_ts, timestamp)
                     report.differentials_adopted += adopted
                     if vdct.count(addr) > 0:
                         valid.add(addr)

@@ -77,7 +77,9 @@ class PhysicalPageMappingTable:
     def set_diff(
         self, pid: int, addr: Optional[int], timestamp: Optional[int] = None
     ) -> None:
-        entry = self.require(pid)
+        entry = self._entries.get(pid)
+        if entry is None:
+            self.require(pid)  # raises: the row is missing
         entry.diff_addr = addr
         entry.diff_ts = timestamp if addr is not None else None
 

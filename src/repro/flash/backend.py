@@ -57,6 +57,8 @@ import struct
 from abc import ABC, abstractmethod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import AddressError
 from .spare import CHECKSUM_HEADER_SIZE
 from .spec import FlashSpec
@@ -159,6 +161,11 @@ class DeviceBackend(ABC):
         """True when no page of the block has been programmed."""
 
     @abstractmethod
+    def erased_blocks(self) -> List[int]:
+        """Every block :meth:`is_block_erased` holds true of, ascending,
+        in one call (the allocator's rebuild after a restart)."""
+
+    @abstractmethod
     def iter_programmed(self) -> Iterator[int]:
         """Flat addresses of all pages with a programmed spare area."""
 
@@ -250,8 +257,10 @@ class MemoryBackend(DeviceBackend):
         return [(data[a], spare[a]) for a in addrs]
 
     def read_spares(self, addrs: Sequence[int]) -> List[Optional[bytes]]:
+        n_pages = self._n_pages
         for a in addrs:
-            self._check_addr(a)
+            if not 0 <= a < n_pages:
+                self._check_addr(a)
         spare = self._spare
         return [spare[a] for a in addrs]
 
@@ -279,6 +288,15 @@ class MemoryBackend(DeviceBackend):
         return not any(self._data_programs[start:end]) and not any(
             self._spare_programs[start:end]
         )
+
+    def erased_blocks(self) -> List[int]:
+        ppb = self.spec.pages_per_block
+        data, spare = self._data_programs, self._spare_programs
+        return [
+            block
+            for block, start in enumerate(range(0, self._n_pages, ppb))
+            if not (any(data[start : start + ppb]) or any(spare[start : start + ppb]))
+        ]
 
     def iter_programmed(self) -> Iterator[int]:
         for addr, raw in enumerate(self._spare):
@@ -579,9 +597,7 @@ class FileBackend(DeviceBackend):
             self._check_addr(start)
             self._check_addr(start + count - 1)
             raw = self._meta_mirror[_META_SIZE * start : _META_SIZE * (start + count)]
-            out.extend(
-                (raw[2 * i], raw[2 * i + 1]) for i in range(count)
-            )
+            out.extend(zip(raw[0::2], raw[1::2]))
         return out
 
     def _region_run(
@@ -591,9 +607,7 @@ class FileBackend(DeviceBackend):
         out: List[bytes] = []
         for start, count in _address_runs(addrs):
             raw = self._read_at(region_off + item_size * start, item_size * count)
-            out.extend(
-                raw[i * item_size : (i + 1) * item_size] for i in range(count)
-            )
+            out += [raw[at : at + item_size] for at in range(0, item_size * count, item_size)]
         return out
 
     # -- counters / enumeration ----------------------------------------
@@ -615,6 +629,11 @@ class FileBackend(DeviceBackend):
         start = _META_SIZE * block * ppb
         raw = self._meta_mirror[start : start + _META_SIZE * ppb]
         return raw.count(0) == len(raw)
+
+    def erased_blocks(self) -> List[int]:
+        meta = np.frombuffer(self._meta_mirror, np.uint8)
+        programmed = meta.reshape(self.spec.n_blocks, -1).any(axis=1)
+        return np.flatnonzero(~programmed).tolist()
 
     def iter_programmed(self) -> Iterator[int]:
         raw = self._meta_mirror
@@ -803,6 +822,9 @@ class FaultInjector(DeviceBackend):
 
     def is_block_erased(self, block: int) -> bool:
         return self.inner.is_block_erased(block)
+
+    def erased_blocks(self) -> List[int]:
+        return self.inner.erased_blocks()
 
     def iter_programmed(self) -> Iterator[int]:
         return self.inner.iter_programmed()

@@ -307,15 +307,20 @@ class FlashChip:
         propagates (the device did the reads — verification failed
         after them).
         """
+        n_pages = self._n_pages
         for addr in addrs:
-            self._check_addr(addr)
+            if not 0 <= addr < n_pages:
+                self._check_addr(addr)
         self.stats.record_reads(len(addrs))
         self._clock_us += self.spec.t_read_us * len(addrs)
         erased = b"\xff" * self.spec.page_data_size
+        erased_raw_spare = erased_spare(self.spec.page_spare_size)
         out: List[Tuple[bytes, SpareArea]] = []
         for addr, (raw_data, raw_spare) in zip(addrs, self.backend.read_pages(addrs)):
             data = raw_data if raw_data is not None else erased
-            spare = self._decode_raw_spare(raw_spare)
+            if raw_spare is None:
+                raw_spare = erased_raw_spare
+            spare = decoded_spare(raw_spare) or SpareArea.decode(raw_spare)
             if verify:
                 self._verify_checksum(addr, data, spare)
             out.append((data, spare))
@@ -327,17 +332,25 @@ class FlashChip:
         The recovery scan's hot path: on the file backend the spare
         region is contiguous, so scanning a whole chip's spare areas is
         a handful of sequential reads instead of one seek per page.
+
+        As in :meth:`read_page`, the bounds check is inline
+        (``_check_addr`` only raises) and a spare the decode memo has
+        seen costs a dict lookup, not a call into ``SpareArea.decode``.
         """
+        n_pages = self._n_pages
         for addr in addrs:
-            self._check_addr(addr)
+            if not 0 <= addr < n_pages:
+                self._check_addr(addr)
         self.stats.record_reads(len(addrs))
         self._clock_us += self.spec.t_read_us * len(addrs)
         decode = SpareArea.decode
         erased = erased_spare(self.spec.page_spare_size)
-        return [
-            decode(raw if raw is not None else erased)
-            for raw in self.backend.read_spares(addrs)
-        ]
+        spares: List[SpareArea] = []
+        for raw in self.backend.read_spares(addrs):
+            if raw is None:
+                raw = erased
+            spares.append(decoded_spare(raw) or decode(raw))
+        return spares
 
     # ------------------------------------------------------------------
     # Program operations
@@ -578,6 +591,11 @@ class FlashChip:
         if not 0 <= block < self.spec.n_blocks:
             raise AddressError(f"block {block} outside chip of {self.spec.n_blocks}")
         return self.backend.is_block_erased(block)
+
+    def erased_blocks(self) -> List[int]:
+        """Every erased block, ascending — :meth:`is_block_erased` over the
+        whole chip in one backend call."""
+        return self.backend.erased_blocks()
 
     def erase_count(self, block: int) -> int:
         if not 0 <= block < self.spec.n_blocks:

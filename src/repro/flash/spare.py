@@ -103,7 +103,9 @@ class PageType(enum.IntEnum):
     CORRUPT = 0x00
 
 
-_VALID_TYPES = {int(t) for t in PageType} - {int(PageType.CORRUPT)}
+#: Type byte -> page type for every byte a writer encodes (a dict
+#: lookup, not an enum call, on every memo miss in :meth:`SpareArea.decode`).
+_TYPE_OF_BYTE = {int(t): t for t in PageType if t is not PageType.CORRUPT}
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class SpareArea:
             checksum = None if crc == NO_CHECKSUM else crc
         else:
             type_byte, valid_byte, pid, ts, _reserved = _HEADER.unpack_from(raw, 0)
-        page_type = PageType(type_byte) if type_byte in _VALID_TYPES else PageType.CORRUPT
+        page_type = _TYPE_OF_BYTE.get(type_byte, PageType.CORRUPT)
         decoded = cls(
             type=page_type,
             obsolete=valid_byte != 0xFF,

@@ -259,21 +259,20 @@ class BlockManager:
         self._free.clear()
         self._active.clear()
         self._next_page.clear()
-        self._valid = bytearray(self.spec.n_pages)
-        self._valid_per_block = [0] * self.spec.n_blocks
+        # One numpy pass builds the bitmap and the per-block counts.
+        valid = np.zeros(self.spec.n_pages, dtype=np.uint8)
+        valid[np.fromiter(valid_addrs, dtype=np.int64, count=len(valid_addrs))] = 1
+        self._valid = bytearray(valid)
+        self._valid_per_block = (
+            valid.reshape(self.spec.n_blocks, -1).sum(axis=1, dtype=np.int64).tolist()
+        )
         # Pre-crash write times are unknowable; restart every block's age
         # clock at "now" so cost-benefit scores stay well-defined.
         self._last_write_us = [self.chip.clock_us] * self.spec.n_blocks
-        for addr in valid_addrs:
-            self._valid[addr] = True
-            self._valid_per_block[addr // self.spec.pages_per_block] += 1
-        for block in range(self.spec.n_blocks):
-            if block < self.exclude_blocks:
-                self._is_free[block] = False
-                continue
-            erased = self.chip.is_block_erased(block)
-            self._is_free[block] = erased
-            if erased:
+        self._is_free = [False] * self.spec.n_blocks
+        for block in self.chip.erased_blocks():
+            if block >= self.exclude_blocks:
+                self._is_free[block] = True
                 self._free.append(block)
 
     # ------------------------------------------------------------------

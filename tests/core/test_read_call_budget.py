@@ -10,6 +10,20 @@ per page, positional file I/O and the fused ``merge_from_page`` make it
 17 and 21 (docs/architecture.md, "Read path").  The budget sits between,
 so a per-check method call or a second backend call per page fails
 tier-1.  ``test_call_budget.py`` holds the whole read-change-write cycle.
+
+The restart scan (Figure 11) is counted the same way, per scanned page
+of the aged chip, with the spare-decode memo empty as in a freshly
+started process: 14.9 calls on ``MemoryBackend`` and 16.5 on
+``FileBackend`` while the scan decoded a ``Differential`` per entry,
+called a property per spare check and an enum per spare decode, and the
+file backend ran a generator per page; 6.4 and 6.8 with the entry-header
+walk (``differential_page_stamps``), the triage reading ``spare.type``
+once and spare reads decoding through the memo probe
+(docs/recovery.md, "What the scan costs on the host").  Its budgets sit
+less than one call per differential entry above those counts, so a
+``Differential`` per entry coming back fails tier-1; the chip reads the
+restart charged are pinned exactly, so the count cannot be bought with
+fewer charged reads.
 """
 
 import random
@@ -17,13 +31,17 @@ import random
 import pytest
 
 from repro.core.pdl import PdlDriver
+from repro.core.recovery import recover_driver
 from repro.flash.backend import FileBackend, MemoryBackend
+from repro.flash import spare as spare_codec
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
 
 PAGES = 256
 CHANGE = 41  # 2 % of a 2 KB page, the paper's default update
 CALLS_PER_READ_BUDGET = 24
+CALLS_PER_SCANNED_PAGE_BUDGET = {"memory": 6.75, "file": 7.1}
+RESTART_READS = 1071  # every spare, plus each differential page's data area
 
 
 def _aged_driver(backend):
@@ -66,3 +84,29 @@ def test_read_of_a_page_with_its_differential_on_flash(kind, tmp_path, count_pyt
         assert per_read <= CALLS_PER_READ_BUDGET, per_read
     finally:
         driver.chip.close()
+
+
+@pytest.mark.parametrize("kind", ["memory", "file"])
+def test_restart_scan_of_an_aged_chip(kind, tmp_path, count_python_calls):
+    spec = spec_for_database(PAGES, 0.25)
+    backend = MemoryBackend(spec) if kind == "memory" else FileBackend(tmp_path / "chip.flash", spec)
+    chip = _aged_driver(backend).chip
+    try:
+        reads_before = chip.stats.totals().reads
+        # A restart runs in a fresh process: no spare is memoized yet.
+        spare_codec._DECODE_CACHE.clear()
+        reports = []
+
+        def restart():
+            reports.append(recover_driver(chip)[1])
+
+        calls = count_python_calls(restart) - 1  # less the call of restart() itself
+
+        (report,) = reports
+        assert report.pages_scanned == spec.n_pages
+        assert report.differentials_adopted > PAGES, "aging left too few differentials"
+        assert chip.stats.totals().reads - reads_before == RESTART_READS
+        per_page = calls / report.pages_scanned
+        assert per_page <= CALLS_PER_SCANNED_PAGE_BUDGET[kind], per_page
+    finally:
+        chip.close()

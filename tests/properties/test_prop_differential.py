@@ -12,6 +12,7 @@ from repro.core.differential import (
     compute_runs,
     compute_unit_runs,
     decode_differential_page,
+    differential_page_stamps,
     encode_differential_page,
     find_differential,
     merge_from_page,
@@ -228,6 +229,98 @@ class TestFusedReadMatchesReference:
 
 
 # ----------------------------------------------------------------------
+# The recovery scan's stamps view == a full decode
+# ----------------------------------------------------------------------
+def reference_stamps(data):
+    """Every entry's ``(pid, timestamp)`` the way the page decoder did it
+    before the header walk: check the page header, then per entry check
+    and unpack its header, unpack its run headers one by one, sum their
+    lengths and check the data fits and matches ``data_len``."""
+    if len(data) < 4:
+        raise DifferentialError("differential page smaller than its header")
+    magic, count = struct.unpack_from("<HH", data, 0)
+    if magic != DIFF_PAGE_MAGIC:
+        raise DifferentialError(f"not a differential page (magic 0x{magic:04X})")
+    stamps, pos = [], 4
+    for _ in range(count):
+        if pos + 16 > len(data):
+            raise DifferentialError("truncated differential entry header")
+        pid, timestamp, n_runs, data_len = struct.unpack_from("<IQHH", data, pos)
+        pos += 16
+        if pos + 4 * n_runs > len(data):
+            raise DifferentialError("truncated differential run header")
+        carried = sum(struct.unpack_from("<HH", data, pos + 4 * i)[1] for i in range(n_runs))
+        pos += 4 * n_runs + carried
+        if pos > len(data):
+            raise DifferentialError("truncated differential run data")
+        if carried != data_len:
+            raise DifferentialError(
+                f"differential for pid {pid} declares {data_len} data bytes "
+                f"but carries {carried}"
+            )
+        stamps.append((pid, timestamp))
+    return stamps
+
+
+def assert_stamps_agree(data):
+    """The stamps view, a full decode and the reference give the same
+    entries, or fail with the same ``DifferentialError`` text."""
+    stamps = outcome(lambda: differential_page_stamps(data))
+    decoded = outcome(
+        lambda: [(d.pid, d.timestamp) for d in decode_differential_page(data)]
+    )
+    assert stamps == decoded == outcome(lambda: reference_stamps(data))
+    return stamps
+
+
+class TestStampsMatchDecode:
+    #: Entries as the write path makes them: from two page images.
+    entries = st.lists(
+        st.tuples(page_pairs(), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 2)),
+        min_size=1,
+        max_size=5,
+    ).map(
+        lambda drawn: [
+            Differential.from_pages(pid, ts, base, new) for (base, new), pid, ts in drawn
+        ]
+    )
+
+    @given(diffs=entries, padding=st.integers(0, 40))
+    def test_valid_pages(self, diffs, padding):
+        page = encode_differential_page(diffs, 4 + sum(d.size for d in diffs))
+        expected = ("ok", [(d.pid, d.timestamp) for d in diffs])
+        assert assert_stamps_agree(page) == expected
+        # A real page's erased tail after the last entry changes nothing.
+        assert assert_stamps_agree(page + b"\xff" * padding) == expected
+
+    @given(diffs=entries)
+    @settings(max_examples=50)
+    def test_every_truncation(self, diffs):
+        page = encode_differential_page(diffs, 4 + sum(d.size for d in diffs))
+        for cut in range(len(page)):
+            assert assert_stamps_agree(page[:cut])[0] == "DifferentialError"
+
+    @given(
+        diffs=entries,
+        index=st.integers(min_value=0),
+        field=st.sampled_from(["n_runs", "data_len", "magic", "count"]),
+        value=st.integers(0, 0xFFFF),
+    )
+    @settings(max_examples=300)
+    def test_corrupted_headers(self, diffs, index, field, value):
+        page = bytearray(encode_differential_page(diffs, 4 + sum(d.size for d in diffs)))
+        if field == "magic":
+            struct.pack_into("<H", page, 0, value)
+        elif field == "count":
+            struct.pack_into("<H", page, 2, value)
+        else:
+            index %= len(diffs)
+            start = 4 + sum(d.size for d in diffs[:index])
+            struct.pack_into("<H", page, start + (12 if field == "n_runs" else 14), value)
+        assert_stamps_agree(bytes(page))
+
+
+# ----------------------------------------------------------------------
 # Damaged input fails loudly, and only one way
 # ----------------------------------------------------------------------
 def exercise_decoders(data, base, pids=()):
@@ -237,6 +330,7 @@ def exercise_decoders(data, base, pids=()):
     (``struct.error``, ``IndexError``...) escapes and fails the test; a
     merge may never change the page's length."""
     found = []
+    assert_stamps_agree(data)
     try:
         found = decode_differential_page(data)
     except DifferentialError:
