@@ -34,6 +34,7 @@ Layout — the device's first ``region_blocks`` blocks::
 from __future__ import annotations
 
 import struct
+import weakref
 import zlib
 from contextlib import contextmanager
 from itertools import chain
@@ -86,7 +87,8 @@ class MappingStore:
 
     Constructed by :class:`~repro.core.pdl.PdlDriver` when a
     :class:`~repro.core.mapping.MappingConfig` is supplied, then bound
-    back to the driver (:meth:`bind`) once the tables exist.  All flash
+    back to the driver (:meth:`bind`, a weak reference: the driver owns
+    the store) once the tables exist.  All flash
     traffic is charged to the ``mapping`` phase and counted in
     ``FlashStats.mapping_misses`` / ``mapping_writebacks``.
     """
@@ -101,7 +103,7 @@ class MappingStore:
         self.chip = chip
         self.spec = spec
         self.config = config
-        self.driver: Optional[PdlDriver] = None
+        self._driver: "Optional[weakref.ref[PdlDriver]]" = None
         #: Current snapshot sequence number (0 = the implicit empty
         #: snapshot a fresh device starts from).
         self.seq = 0
@@ -120,7 +122,19 @@ class MappingStore:
         self.snapshots_taken = 0
 
     def bind(self, driver: PdlDriver) -> None:
-        self.driver = driver
+        self._driver = weakref.ref(driver)
+
+    def _bound_driver(self) -> PdlDriver:
+        """The owning driver, dereferenced once per entry point."""
+        if self._driver is None:
+            raise ConfigurationError("mapping store is not bound to a driver")
+        driver = self._driver()
+        if driver is None:
+            raise ConfigurationError(
+                "MappingStore: its driver was freed; a mapping store cannot "
+                "outlive the driver that owns it"
+            )
+        return driver
 
     # ------------------------------------------------------------------
     # Geometry
@@ -295,7 +309,7 @@ class MappingStore:
         compaction buffer and wholesale-dropped vdct rows are mid-step
         state the snapshot must never capture.
         """
-        if self.driver is None:
+        if self._driver is None:
             return
         if self.snapshot_due and self._safe_to_snapshot():
             self.snapshot()
@@ -304,8 +318,7 @@ class MappingStore:
             self.commit()
 
     def _safe_to_snapshot(self) -> bool:
-        driver = self.driver
-        assert driver is not None
+        driver = self._bound_driver()
         return driver.gc.in_flight_victim is None and driver._gc_buffer.is_empty
 
     # ------------------------------------------------------------------
@@ -324,9 +337,7 @@ class MappingStore:
         restart still sees the previous snapshot with its epoch-matched
         journal intact.
         """
-        driver = self.driver
-        if driver is None:
-            raise ConfigurationError("mapping store is not bound to a driver")
+        driver = self._bound_driver()
         table = driver.ppmt
         if not isinstance(table, TieredMappingTable):  # pragma: no cover - guard
             raise ConfigurationError("snapshot requires a TieredMappingTable")
@@ -341,7 +352,7 @@ class MappingStore:
         count = len(rows) // ENTRY.size
         max_pid = ENTRY.unpack_from(rows, len(rows) - ENTRY.size)[0] if rows else -1
 
-        meta_chunks = self._encode_meta(directory)
+        meta_chunks = self._encode_meta(driver, directory)
         n_data = len(payloads)
         n_meta = len(meta_chunks)
         if n_data + n_meta + 1 > self.half_pages:
@@ -434,9 +445,7 @@ class MappingStore:
         self._cursor = cursor
         self._records_since_snapshot = records
 
-    def _encode_meta(self, directory: List[int]) -> List[bytes]:
-        driver = self.driver
-        assert driver is not None
+    def _encode_meta(self, driver: PdlDriver, directory: List[int]) -> List[bytes]:
         active = sorted(driver.blocks.active_blocks())
         vdct_rows = sorted(driver.vdct.items())
         bitmap = driver.blocks.valid_bitmap()

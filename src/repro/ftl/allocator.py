@@ -28,14 +28,18 @@ fresh block per stream the relocations may append to.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
-from .errors import OutOfSpaceError
+from .errors import ConfigurationError, OutOfSpaceError
+
+if TYPE_CHECKING:
+    from .gc import GarbageCollector
 
 #: Append stream for long-lived data: base pages, GC-relocated survivors.
 COLD_STREAM = "cold"
@@ -79,7 +83,8 @@ class BlockManager:
         #: Chip-clock reading of each block's most recent page program —
         #: the "age" input of cost-benefit victim selection.
         self._last_write_us: List[float] = [0.0] * self.spec.n_blocks
-        self._gc: Optional[Callable[[], None]] = None
+        #: The registered collector, held weakly: it owns this manager.
+        self._gc: "Optional[weakref.ref[GarbageCollector]]" = None
         #: Fired with the block id every time a stream opens a fresh
         #: block, *before* any page of it is programmed.  The mapping
         #: journal uses this to make its OPEN_BLOCK record durable before
@@ -90,9 +95,16 @@ class BlockManager:
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def set_gc(self, collect: Callable[[], None]) -> None:
-        """Register the GC entry point invoked when free blocks run low."""
-        self._gc = collect
+    def set_gc(self, collector: "Optional[GarbageCollector]") -> None:
+        """Register the collector whose ``collect()`` runs when free
+        blocks run low (``None`` unregisters it).
+
+        Held by weak reference and the method looked up per call: the
+        collector owns this manager, so a strong edge back would make
+        every engine a reference cycle that only a full cyclic
+        collection frees.
+        """
+        self._gc = None if collector is None else weakref.ref(collector)
 
     # ------------------------------------------------------------------
     # Allocation
@@ -118,7 +130,13 @@ class BlockManager:
 
     def _open_new_block(self, for_gc: bool, stream: str) -> None:
         if not for_gc and self._gc is not None and len(self._free) <= self.reserve_blocks:
-            self._gc()
+            collector = self._gc()
+            if collector is None:
+                raise ConfigurationError(
+                    "BlockManager: its garbage collector was freed; the "
+                    "driver that owned both is gone"
+                )
+            collector.collect()
             # GC relocations may have opened a fresh block on this very
             # stream and left room in it; abandoning that tail (by
             # unconditionally popping another block) would strand

@@ -42,6 +42,7 @@ holds across modes.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Optional, Protocol
@@ -270,7 +271,9 @@ class GarbageCollector:
     ):
         self.chip = chip
         self.blocks = blocks
-        self.handler = handler
+        #: The driver that owns this engine, held weakly so a dropped
+        #: driver is freed by reference counting (:meth:`_live_handler`).
+        self._handler = weakref.ref(handler)
         self.config = config if config is not None else GcConfig()
         #: A fresh instance of the registered policy ``config.policy`` names.
         self.policy: VictimPolicy = make_victim_policy(self.config.policy)
@@ -286,7 +289,7 @@ class GarbageCollector:
         self._pending: Deque[int] = deque()
         self._write_mark = 0.0
         self._owner_holds: Optional[Callable[[], bool]] = None
-        blocks.set_gc(self.collect)
+        blocks.set_gc(self)
 
     # ------------------------------------------------------------------
     # Write-path hooks (stall metering + incremental pacing)
@@ -336,6 +339,7 @@ class GarbageCollector:
         The stop-the-world entry point, registered with the allocator as
         the out-of-blocks backstop.  An in-flight incremental victim is
         finished first so the free pool sees its erase."""
+        handler = self._live_handler()
         start = self.chip.clock_us
         try:
             with self.chip.stats.phase(GC):
@@ -345,7 +349,7 @@ class GarbageCollector:
                             "garbage collection found no reclaimable block; "
                             "the chip is full of valid data"
                         )
-                    self._advance(self.blocks.spec.n_pages)
+                    self._advance(handler, self.blocks.spec.n_pages)
         finally:
             self.gc_time_us += self.chip.clock_us - start
 
@@ -357,6 +361,7 @@ class GarbageCollector:
         selected while the free pool is at or below the trigger level;
         an in-flight victim is always driven to completion so its
         relocated copies stop occupying two blocks' worth of space."""
+        handler = self._live_handler()
         relocated = 0
         start = self.chip.clock_us
         try:
@@ -365,7 +370,7 @@ class GarbageCollector:
                     if self._victim is None:
                         if not self._below_trigger() or not self._select_victim():
                             break
-                    relocated += self._advance(max_pages - relocated)
+                    relocated += self._advance(handler, max_pages - relocated)
         finally:
             elapsed = self.chip.clock_us - start
             self.gc_time_us += elapsed
@@ -385,11 +390,12 @@ class GarbageCollector:
         """
         if self._victim is None:
             return
+        handler = self._live_handler()
         start = self.chip.clock_us
         try:
             with self.chip.stats.phase(GC):
                 while self._victim is not None:
-                    self._advance(self.blocks.spec.n_pages)
+                    self._advance(handler, self.blocks.spec.n_pages)
         finally:
             self.gc_time_us += self.chip.clock_us - start
 
@@ -412,6 +418,16 @@ class GarbageCollector:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _live_handler(self) -> RelocationHandler:
+        """The owning driver, dereferenced once per entry point."""
+        handler = self._handler()
+        if handler is None:
+            raise ConfigurationError(
+                "GarbageCollector: its driver (the relocation handler) "
+                "was freed; a collector cannot outlive the driver that owns it"
+            )
+        return handler
+
     def _below_trigger(self) -> bool:
         return self.blocks.free_block_count <= self.trigger_blocks
 
@@ -426,7 +442,7 @@ class GarbageCollector:
         self._pending = deque(self.blocks.valid_pages_in(victim))
         return True
 
-    def _advance(self, budget: int) -> int:
+    def _advance(self, handler: RelocationHandler, budget: int) -> int:
         """Relocate up to ``budget`` pages of the in-flight victim; when
         the victim drains, flush handler buffers, erase it, and return
         the block to the free pool."""
@@ -444,12 +460,12 @@ class GarbageCollector:
         # never invalidates another of the same victim, so the images
         # read up front cannot go stale inside the batch.
         for addr, (data, spare) in zip(batch, self.chip.read_pages(batch)):
-            self.handler.relocate_page(addr, data, spare)
+            handler.relocate_page(addr, data, spare)
             self.blocks.note_invalid(addr)
             self.pages_relocated += 1
         relocated = len(batch)
         if not self._pending:
-            self.handler.finish_victim(victim)
+            handler.finish_victim(victim)
             self.chip.erase_block(victim)
             self.blocks.on_block_erased(victim)
             self.collections += 1
@@ -459,6 +475,7 @@ class GarbageCollector:
     def _reclaim(self, victim: int) -> None:
         """Reclaim one specific block to completion (tests/ablations)."""
         assert self._victim is None, "a victim is already in flight"
+        handler = self._live_handler()
         self._victim = victim
         self._pending = deque(self.blocks.valid_pages_in(victim))
-        self._advance(self.blocks.spec.n_pages)
+        self._advance(handler, self.blocks.spec.n_pages)

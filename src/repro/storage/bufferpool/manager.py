@@ -363,12 +363,17 @@ class BufferManager:
 
         Afterwards ``get_page``, ``create_page``, ``flush_page`` and
         ``flush_all`` raise :class:`BufferError` instead of buffering a
-        write that would never land.  Does *not* flush —
+        write that would never land, and every resident frame is
+        detached: a handle fetched before the close raises the stale
+        :class:`BufferError` on ``pin`` or ``write``, as an evicted
+        frame's does.  Does *not* flush —
         :meth:`repro.storage.db.Database.close` flushes first, then
         closes the pool, then the driver.
         """
         with self._lock:
             self._closed = True
+            for page in self._frames.values():
+                page.detach()
 
     def _closed_error(self, action: str, pid: Optional[int] = None) -> BufferError:
         target = "" if pid is None else f" of page {pid}"

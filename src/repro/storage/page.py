@@ -42,6 +42,7 @@ frame raises :class:`BufferError`.
 from __future__ import annotations
 
 import threading
+import weakref
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
@@ -88,8 +89,11 @@ class Page:
         #: Bumped on every effective write: a cheap "has this frame
         #: changed since" stamp.  :attr:`memo` is checked against it.
         self.version = 0
-        #: The owning pool (it counts this frame's pins), if any.
-        self._observer = None
+        #: A weak reference to the owning pool (it counts this frame's
+        #: pins), if any.  Weak, because the pool owns its frames: a
+        #: dropped pool is freed at once, and its frames then behave as
+        #: detached.
+        self._observer: "Optional[weakref.ref]" = None
         #: The owning pool dropped this frame (never true of a page that
         #: was never attached, as unit tests build them).
         self._evicted = False
@@ -172,7 +176,8 @@ class Page:
 
     def _store(self, offset: int, data: bytes) -> None:
         """Assign bounds-checked, non-empty ``data`` (latch held)."""
-        if self._evicted:
+        observer = self._observer
+        if self._evicted or (observer is not None and observer() is None):
             raise self._stale("write to")
         self._data[offset : offset + len(data)] = data
         self.version += 1
@@ -188,9 +193,9 @@ class Page:
     # Pool attachment
     # ------------------------------------------------------------------
     def attach(self, observer) -> None:
-        """Bind the owning pool.  No latch: the pool lock that publishes
-        the frame is still held."""
-        self._observer = observer
+        """Bind the owning pool (weakly).  No latch: the pool lock that
+        publishes the frame is still held."""
+        self._observer = weakref.ref(observer)
 
     def detach(self) -> None:
         """The owning pool dropped this frame: later writes and pins fail."""
@@ -202,15 +207,17 @@ class Page:
     # Pinning
     # ------------------------------------------------------------------
     def pin(self) -> None:
-        pool = self._observer
+        observer = self._observer
+        pool = None if observer is None else observer()
         if pool is None or not pool._pin(self):
             with self.latch:
-                if self._evicted:
+                if self._evicted or (observer is not None and pool is None):
                     raise self._stale("pin")
                 self.pin_count += 1
 
     def unpin(self) -> None:
-        pool = self._observer
+        observer = self._observer
+        pool = None if observer is None else observer()
         if pool is not None:
             return pool._unpin(self)
         with self.latch:

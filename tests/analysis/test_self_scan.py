@@ -55,20 +55,21 @@ def test_shard_gates_are_in_the_lock_order_graph(tmp_path):
 def test_a_page_calling_its_pool_under_its_latch_is_a_cycle(tmp_path):
     """Pins reach the pool *without* the page latch: the live pool holds
     its lock across ``with page.latch:`` for a write-back, so an ``unpin``
-    that called ``self._observer._unpin`` inside the latch would close a
+    that called the pool's ``_unpin`` inside the latch would close a
     latch → pool-lock cycle, and the rule resolves that call."""
     storage = REPO_ROOT / "src" / "repro" / "storage"
     page = (storage / "page.py").read_text()
     live = (
-        "        pool = self._observer\n"
+        "        pool = None if observer is None else observer()\n"
         "        if pool is not None:\n"
         "            return pool._unpin(self)\n"
         "        with self.latch:\n"
     )
     seeded = (
         "        with self.latch:\n"
-        "            if self._observer is not None:\n"
-        "                self._observer._unpin(self)\n"
+        "            pool = None if observer is None else observer()\n"
+        "            if pool is not None:\n"
+        "                pool._unpin(self)\n"
         "                return\n"
     )
     assert page.count(live) == 1

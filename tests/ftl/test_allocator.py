@@ -13,6 +13,14 @@ def blocks(chip):
     return BlockManager(chip, reserve_blocks=2)
 
 
+class _Collector:
+    """A stand-in garbage collector: ``collect()`` calls ``fn``.  The
+    manager holds its collector weakly, so a test keeps this alive."""
+
+    def __init__(self, fn):
+        self.collect = fn
+
+
 class TestAllocation:
     def test_sequential_within_block(self, blocks, tiny_spec):
         addrs = [blocks.allocate() for _ in range(tiny_spec.pages_per_block)]
@@ -40,7 +48,8 @@ class TestAllocation:
             blocks.chip.erase_block(victim)
             blocks.on_block_erased(victim)
 
-        blocks.set_gc(fake_gc)
+        collector = _Collector(fake_gc)
+        blocks.set_gc(collector)
         # run the pool down to the reserve
         for _ in range(tiny_spec.n_pages - 2 * tiny_spec.pages_per_block):
             blocks.allocate()
@@ -51,7 +60,8 @@ class TestAllocation:
         assert calls
 
     def test_gc_allocation_skips_collector(self, blocks, tiny_spec):
-        blocks.set_gc(lambda: (_ for _ in ()).throw(AssertionError("gc ran")))
+        collector = _Collector(lambda: (_ for _ in ()).throw(AssertionError("gc ran")))
+        blocks.set_gc(collector)
         for _ in range(tiny_spec.n_pages - 2 * tiny_spec.pages_per_block):
             blocks.allocate(for_gc=True)  # may consume the reserve silently
 
@@ -288,7 +298,8 @@ class TestReuseAfterGcOpensBlock:
             chip.erase_block(victim)
             blocks.on_block_erased(victim)
 
-        blocks.set_gc(relocating_gc)
+        collector = _Collector(relocating_gc)
+        blocks.set_gc(collector)
         ppb = tiny_spec.pages_per_block
         # Exhaust the pool down to the reserve with garbage blocks.
         while blocks.free_block_count > blocks.reserve_blocks:

@@ -265,7 +265,7 @@ def _fill_to_debt(chip, blocks, gc, tiny_spec):
     while blocks.free_block_count > blocks.reserve_blocks:
         _fill(chip, blocks, tiny_spec.pages_per_block, valid_every=2)
         i += 1
-    blocks.set_gc(gc.collect)
+    blocks.set_gc(gc)
 
 
 class TestIncrementalSteps:

@@ -235,8 +235,21 @@ class TestPinning:
         dropped, racing = Page(3, bytes(64)), Page(3, bytes(64))
         dropped.attach(_Observer())
         dropped.detach()
-        racing.attach(Evicting())
+        evicting = Evicting()  # a page holds its pool weakly: keep it alive
+        racing.attach(evicting)
         for page in (dropped, racing):
             with pytest.raises(BufferError, match="pin page 3 .* re-fetch"):
                 page.pin()
             assert page.pin_count == 0
+
+    def test_a_frame_whose_pool_is_gone_is_detached(self):
+        """A page holds its pool weakly: once the pool is freed, the
+        frame behaves as a dropped one."""
+        page, observer = Page(3, bytes(64)), _Observer()
+        page.attach(observer)
+        del observer
+        with pytest.raises(BufferError, match="pin page 3 .* re-fetch"):
+            page.pin()
+        with pytest.raises(BufferError, match="write to page 3 .* re-fetch"):
+            page.write(0, b"x")
+        assert page.pin_count == 0 and not page.dirty
