@@ -55,13 +55,6 @@ def ancestors(node: ast.AST) -> Iterator[ast.AST]:
         current = parent(current)
 
 
-def enclosing_function(node: ast.AST) -> Optional[FunctionNode]:
-    for anc in ancestors(node):
-        if isinstance(anc, FUNCTION_TYPES):
-            return anc
-    return None
-
-
 def enclosing_class(node: ast.AST) -> Optional[ast.ClassDef]:
     for anc in ancestors(node):
         if isinstance(anc, ast.ClassDef):
@@ -140,13 +133,6 @@ def is_none(node: Optional[ast.AST]) -> bool:
 
 def is_false(node: Optional[ast.AST]) -> bool:
     return isinstance(node, ast.Constant) and node.value is False
-
-
-def contains_lambda(node: ast.AST) -> Optional[ast.Lambda]:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Lambda):
-            return sub
-    return None
 
 
 def keyword_arg(node: ast.Call, name: str) -> Optional[ast.AST]:

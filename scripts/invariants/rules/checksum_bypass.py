@@ -1,6 +1,6 @@
 """checksum-bypass: ``verify=False`` reads outside fsck/recovery.
 
-Spare-area checksums (PR 6) only protect readers who check them.
+Spare-area checksums only protect readers who check them.
 ``FlashChip.read_page(..., verify=False)`` exists for exactly one
 consumer: the repair path, which must be able to *look at* a corrupt
 page to heal it (``core/fsck.py`` reads whole blocks unverified and
@@ -16,8 +16,7 @@ import ast
 from typing import Iterator
 
 from .. import astutil
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 from . import path_matches
 
 READ_CALLS = {"read_page", "read_pages"}
@@ -28,7 +27,6 @@ ALLOWED_PATHS = (
 )
 
 
-@register_rule
 class ChecksumBypassRule(Rule):
     id = "checksum-bypass"
     summary = "verify=False flash reads outside the fsck/recovery modules"

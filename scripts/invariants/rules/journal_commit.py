@@ -21,8 +21,7 @@ import ast
 from typing import Iterator, List, Tuple
 
 from .. import astutil
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 
 
 def _is_open_block_record(call: ast.Call) -> bool:
@@ -32,7 +31,6 @@ def _is_open_block_record(call: ast.Call) -> bool:
     return name is not None and name.split(".")[-1] == "REC_OPEN_BLOCK"
 
 
-@register_rule
 class JournalFlushBeforeAckRule(Rule):
     id = "journal-flush-before-ack"
     summary = "OPEN_BLOCK journal record without a following commit()"

@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .. import astutil
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 
 LOCK_CTORS = {"Lock", "RLock"}
 CONDITION_CTORS = {"Condition"}
@@ -142,7 +141,6 @@ class _LockIndex:
         return self._resolve_entry(None, payload, seen)
 
 
-@register_rule
 class LockOrderRule(Rule):
     id = "lock-order"
     summary = "cycles in the static lock-acquisition graph"
@@ -334,7 +332,6 @@ class LockOrderRule(Rule):
                     + ": "
                     + detail
                 ),
-                severity=self.severity,
                 hint=self.hint,
             )
 

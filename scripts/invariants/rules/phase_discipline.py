@@ -4,8 +4,7 @@ The per-phase accounting that backs every figure reproduction rests on
 strict pairing: a phase pushed onto the thread-local stack must be
 popped, a begin hook must see its end hook, a timer started must be
 added to its accumulator — *on every exit path*, or a single raising
-write skews all later attribution (the pre-PR-4 ``gc_time_us`` leak).
-Three shapes are enforced:
+write skews all later attribution.  Three shapes are enforced:
 
 * ``stats.phase(name)`` must be used as a ``with`` context (or handed
   to ``ExitStack.enter_context``), never called bare — the scope object
@@ -22,11 +21,10 @@ Three shapes are enforced:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .. import astutil
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 
 PAIRS: Tuple[Tuple[str, str], ...] = (
     ("on_write_begin", "on_write_end"),
@@ -39,7 +37,6 @@ _PAIR_NAMES = {name for pair in PAIRS for name in pair}
 TIMER_SOURCES = {"perf_counter", "monotonic"}
 
 
-@register_rule
 class PhaseDisciplineRule(Rule):
     id = "phase-discipline"
     summary = "phase scopes, begin/end hooks or timers not exception-safe"

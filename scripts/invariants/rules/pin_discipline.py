@@ -14,14 +14,12 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 from . import path_matches
 
 ALLOWED_PATHS = ("repro/storage/page.py",)
 
 
-@register_rule
 class PinDisciplineRule(Rule):
     id = "pin-discipline"
     summary = "raw pin()/unpin() calls instead of the pinned() context managers"

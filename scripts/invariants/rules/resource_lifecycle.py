@@ -21,8 +21,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set
 
 from .. import astutil
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 
 CONSTRUCTORS = {"FlashChip", "MemoryBackend", "FileBackend", "FaultInjector"}
 FACTORY_SUFFIXES = ("FileBackend.open",)
@@ -42,7 +41,6 @@ def _is_ctor_call(value: ast.AST) -> bool:
     )
 
 
-@register_rule
 class ResourceLifecycleRule(Rule):
     id = "resource-lifecycle"
     summary = "chip/hook resources acquired without a release on every path"

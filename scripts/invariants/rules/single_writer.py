@@ -23,8 +23,7 @@ import ast
 from typing import Iterator, Optional, Set
 
 from .. import astutil
-from ..findings import Finding
-from ..registry import Rule, register_rule
+from ..findings import Finding, Rule
 from . import path_matches
 
 MUTATORS = {
@@ -54,7 +53,6 @@ def _is_shard_subscript(node: ast.AST) -> bool:
     return isinstance(node, ast.Subscript) and _is_shards_expr(node.value)
 
 
-@register_rule
 class SingleWriterRule(Rule):
     id = "single-writer"
     summary = "shard-owned driver mutators called outside the sharding layer"

@@ -1,30 +1,27 @@
 #!/usr/bin/env python3
-"""Run the invariant lint engine over the tree.
+"""Run the invariant lint engine (``scripts/invariants/``) over the tree.
 
 Usage:
-    python scripts/lint_invariants.py [paths...]
-        [--format text|json] [--output FILE] [--list-rules] [--rule ID]...
+    python scripts/lint_invariants.py [paths...] [--rule ID]... [--list-rules]
 
-Exit codes: 0 = clean, 1 = findings, 2 = usage/configuration error
-(unknown rule, missing path).
+Exit codes: 0 = clean, 1 = findings or unparseable files, 2 = usage
+error (unknown rule, missing path, a path with no Python files under it).
 
 Defaults: scans ``src/`` relative to the repo root.  There is no
-baseline: a finding is fixed, or suppressed inline with a reason.  See
+baseline and no suppression: a finding is fixed.  See
 docs/static-analysis.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from invariants import RULES, analyze
+from invariants.project import iter_python_files
 
-from repro.analysis import analyze, get_rule, all_rules  # noqa: E402
-from repro.analysis.findings import Severity  # noqa: E402
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def main(argv=None) -> int:
@@ -40,32 +37,16 @@ def main(argv=None) -> int:
         help="files or directories to scan (default: src/)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--output",
-        type=Path,
-        default=None,
-        help="also write the report (in --format) to this file",
-    )
-    parser.add_argument(
         "--rule",
         action="append",
         default=None,
         help="run only this rule id (repeatable)",
     )
     parser.add_argument("--list-rules", action="store_true")
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=None,
-        help="root for relative finding paths (default: repo root, or the "
-        "scanned directory when it lies outside the repo)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in all_rules():
+        for rule in RULES:
             print(f"{rule.id}: {rule.summary}")
         return 0
 
@@ -74,58 +55,39 @@ def main(argv=None) -> int:
         if not path.exists():
             print(f"error: no such path: {path}", file=sys.stderr)
             return 2
+        if not iter_python_files([path]):
+            print(f"error: no Python files under {path}", file=sys.stderr)
+            return 2
 
     rules = None
     if args.rule:
-        try:
-            rules = [get_rule(rid) for rid in args.rule]
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
+        by_id = {rule.id: rule for rule in RULES}
+        unknown = [rid for rid in args.rule if rid not in by_id]
+        if unknown:
+            print(
+                f"error: unknown rule {unknown[0]!r}; known rules: {', '.join(by_id)}",
+                file=sys.stderr,
+            )
             return 2
+        rules = [by_id[rid] for rid in args.rule]
 
-    root = args.root
-    if root is None:
-        root = REPO_ROOT
-        try:
-            for path in paths:
-                path.resolve().relative_to(REPO_ROOT)
-        except ValueError:
-            # Scanning outside the repo (e.g. a fixture tree copy):
-            # anchor paths at the first scanned directory instead.
-            first = paths[0].resolve()
-            root = first if first.is_dir() else first.parent
+    root = REPO_ROOT
+    try:
+        for path in paths:
+            path.resolve().relative_to(REPO_ROOT)
+    except ValueError:
+        # Scanning outside the repo (e.g. a fixture tree copy):
+        # anchor paths at the first scanned directory instead.
+        first = paths[0].resolve()
+        root = first if first.is_dir() else first.parent
 
     result = analyze(paths, root=root, rules=rules)
-    report = render(result, args.fmt)
-    print(report)
-    if args.output is not None:
-        args.output.write_text(report + "\n", encoding="utf-8")
-    return 0 if result.ok else 1
-
-
-def render(result, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {
-                "findings": [f.to_json() for f in result.new],
-                "suppressed": [f.to_json() for f in result.suppressed],
-                "parse_errors": [
-                    {"path": rel, "error": msg} for rel, msg in result.broken
-                ],
-                "ok": result.ok,
-            },
-            indent=2,
-        )
-    lines = []
     for rel, msg in result.broken:
-        lines.append(f"{rel}:0: [parse-error] error: {msg}")
+        print(f"{rel}:0: [parse-error] error: {msg}")
     for finding in result.new:
-        lines.append(finding.render())
-    errors = sum(
-        1 for f in result.new if f.severity is Severity.ERROR
-    ) + len(result.broken)
-    lines.append(f"{errors} error(s), {len(result.suppressed)} suppressed")
-    return "\n".join(lines)
+        print(finding.render())
+    print(f"{len(result.new) + len(result.broken)} error(s)")
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ from .methods import (
     PAPER_METHODS_NO_IPU,
     make_method,
     method_labels,
-    sharded_labels,
 )
 from .sharding import (
     HashRouter,
@@ -148,7 +147,6 @@ __all__ = [
     "recover_all",
     "recover_driver",
     "register_victim_policy",
-    "sharded_labels",
     "spec_for_database",
     "victim_policy_names",
     "__version__",

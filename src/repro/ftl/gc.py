@@ -211,7 +211,6 @@ def round_robin_policy() -> VictimPolicy:
 
 register_victim_policy("greedy", lambda: greedy_policy)
 register_victim_policy("cb", lambda: cost_benefit_policy)
-register_victim_policy("cost-benefit", lambda: cost_benefit_policy)
 register_victim_policy("wear", wear_aware_policy)
 register_victim_policy("rr", round_robin_policy)
 

@@ -16,7 +16,7 @@ the one tokenizer and states the grammar (method, ``xN`` shard count,
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from .config import Chips, EngineConfig
 from .ftl.base import PageUpdateMethod
@@ -53,8 +53,3 @@ def make_method(
 def method_labels(include_ipu: bool = True) -> List[str]:
     """The standard comparison set, in the paper's plotting order."""
     return list(PAPER_METHODS if include_ipu else PAPER_METHODS_NO_IPU)
-
-
-def sharded_labels(base: str, shard_counts: Sequence[int]) -> List[str]:
-    """Labels for a shard-scaling sweep, e.g. ``["PDL (256B) x1", ...]``."""
-    return [f"{base} x{n}" for n in shard_counts]

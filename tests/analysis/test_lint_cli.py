@@ -1,6 +1,5 @@
-"""CLI contract: exit codes, formats, seeded-violation gate."""
+"""CLI contract: exit codes, seeded-violation gate."""
 
-import json
 import shutil
 import subprocess
 import sys
@@ -55,7 +54,7 @@ def test_list_rules():
     proc = run_cli("--list-rules")
     assert proc.returncode == 0
     listed = {line.split(":")[0] for line in proc.stdout.strip().splitlines()}
-    assert {
+    assert listed == {
         "single-writer",
         "phase-discipline",
         "resource-lifecycle",
@@ -63,20 +62,17 @@ def test_list_rules():
         "lock-order",
         "bare-except",
         "checksum-bypass",
-    } <= listed
+        "journal-flush-before-ack",
+    }
 
 
-def test_json_format_and_output_file(tmp_path):
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    shutil.copy(FIXTURES / "pin_discipline" / "bad.py", tree / "bad.py")
-    out = tmp_path / "findings.json"
-    proc = run_cli(tree, "--format", "json", "--output", out)
-    assert proc.returncode == 1
-    payload = json.loads(out.read_text())
-    assert payload["ok"] is False
-    assert [f["rule"] for f in payload["findings"]] == ["pin-discipline"] * 2
-    assert all(f["path"] == "bad.py" for f in payload["findings"])
+def test_a_path_with_no_python_files_exits_two(tmp_path):
+    """A mis-pointed gate must not pass vacuously."""
+    (tmp_path / "README.md").write_text("# not code\n")
+    for path in (tmp_path, tmp_path / "README.md"):
+        proc = run_cli(path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert f"no Python files under {path}" in proc.stderr
 
 
 def test_single_rule_filter(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze
+from invariants import RULES, analyze
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,10 +54,9 @@ def test_pool_lock_under_a_shard_gate_fires():
 
 
 def test_every_registered_rule_has_fixtures():
-    from repro.analysis import rule_ids
-
-    covered = {rule_id for _fixture, rule_id, _n in CASES}
-    assert covered == set(rule_ids())
+    ids = [rule.id for rule in RULES]
+    assert len(ids) == len(set(ids)), ids
+    assert set(ids) == {rule_id for _fixture, rule_id, _n in CASES}
     for fixture, _rule_id, _n in CASES:
         assert (FIXTURES / fixture / "bad.py").is_file()
         assert (FIXTURES / fixture / "good.py").is_file()

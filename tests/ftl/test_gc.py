@@ -152,7 +152,7 @@ class TestGreedyPolicy:
 
 class TestVictimPolicyRegistry:
     def test_builtin_names_registered(self):
-        for name in ("greedy", "cb", "cost-benefit", "wear"):
+        for name in ("greedy", "cb", "wear"):
             assert name in victim_policy_names()
             assert callable(make_victim_policy(name))
 

@@ -11,7 +11,7 @@ from repro.flash.stats import WRITE_STEP
 from repro.ftl.errors import ConfigurationError
 from repro.ftl.opu import OpuDriver
 from repro.config import EngineConfig
-from repro.methods import make_method, sharded_labels
+from repro.methods import make_method
 from repro.sharding.driver import ShardedDriver
 from repro.sharding.recovery import recover_all
 from repro.sharding.router import HashRouter, RangeRouter
@@ -88,7 +88,6 @@ class TestConstruction:
         assert EngineConfig.parse("opu X2") == EngineConfig(method="OPU", n_shards=2)
         assert EngineConfig.parse("PDL (256B)").n_shards is None
         assert EngineConfig.parse("IPU").n_shards is None
-        assert sharded_labels("OPU", [1, 2]) == ["OPU x1", "OPU x2"]
 
 
 class TestRoutingBehaviour:

@@ -40,7 +40,7 @@ shapes = st.one_of(
     st.just({}),
     st.builds(lambda n: {"n_shards": n}, st.integers(1, 16)),
 )
-collectors = st.sampled_from(["greedy", "cb", "cost-benefit", "wear"]).map(
+collectors = st.sampled_from(["greedy", "cb", "wear"]).map(
     lambda name: {"gc": GcConfig(policy=name)}
 )
 methods = st.one_of(
