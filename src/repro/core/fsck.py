@@ -19,23 +19,10 @@ restore, using the redundancy PDL leaves lying around:
   precise report, and its mapping is removed so reads fail loudly
   instead of serving garbage.
 
-The decision tree per damaged page (see ``docs/integrity.md``):
-
-1. live base page damaged → exact-timestamp copy? relocate it, keep the
-   differential chain (`repaired_copy`); older copy only? adopt it and
-   drop now-inapplicable differentials (`repaired_stale`); no copy?
-   remove the mapping (`lost`).
-2. referenced differential page damaged → surviving older differential
-   with ``ts > base_ts``? re-flush it to a fresh page
-   (`repaired_chain`); none? revert the pid to its base image
-   (`reverted`).
-3. mapping-region damage (role ``"checkpoint"``: seal, snapshot, meta
-   and journal pages) is *reported* only — the ping-pong snapshot
-   protocol self-heals on the next restart (an unreadable seal or
-   snapshot page falls back to the full Figure-11 scan, whose repair
-   snapshot replaces the damaged half).
-4. unreferenced damaged pages are quarantined (marked obsolete) so the
-   allocator and future scans never trust them.
+The decision tree — which disposition each damaged page gets — is the
+table in ``docs/integrity.md`` ("fsck: scan, diagnose, repair"); it is
+stated nowhere else.  :func:`_repair_base` and
+:func:`_repair_differential_page` implement its rows.
 
 fsck charges real simulated I/O (it is an online scan, not a debug
 peek): one Tread per spare area plus one per programmed data area, and
@@ -45,19 +32,14 @@ Twrites for every repair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.errors import ProgramError
 from ..flash.spare import CHECKSUM_HEADER_SIZE, PageType, SpareArea, data_checksum
 from ..ftl.errors import OutOfSpaceError
 from .check import CheckReport, check_driver
-from .differential import (
-    Differential,
-    DifferentialError,
-    decode_differential_page,
-    encode_differential_page,
-)
+from .differential import Differential, DifferentialError, decode_differential_page
 from .tables import MappingEntry
 
 if TYPE_CHECKING:
@@ -85,22 +67,51 @@ class PageFault:
 
 @dataclass
 class FsckReport:
-    """Outcome of one fsck pass (or a merged per-shard set)."""
+    """Outcome of one fsck pass (or a merged per-shard set).
+
+    ``faults`` is the one record of what fsck found and did; every
+    disposition count below is a view of it.
+    """
 
     pages_scanned: int = 0
     checksum_failures: int = 0
     corrupt_spare_pages: int = 0
     faults: List[PageFault] = field(default_factory=list)
-    repaired_base_pages: int = 0
-    repaired_differentials: int = 0
-    stale_pids: List[int] = field(default_factory=list)
-    reverted_pids: List[int] = field(default_factory=list)
-    lost_pids: List[int] = field(default_factory=list)
-    quarantined_pages: int = 0
     scan_reads: int = 0
     repair_writes: int = 0
     check: Optional[CheckReport] = None
     per_shard: Optional[List["FsckReport"]] = None
+
+    def _pids(self, action: str) -> List[int]:
+        return [f.pid for f in self.faults if f.action == action and f.pid is not None]
+
+    @property
+    def repaired_base_pages(self) -> int:
+        return len(self._pids("repaired_copy"))
+
+    @property
+    def repaired_differentials(self) -> int:
+        return len(self._pids("repaired_chain"))
+
+    @property
+    def stale_pids(self) -> List[int]:
+        return self._pids("repaired_stale")
+
+    @property
+    def reverted_pids(self) -> List[int]:
+        return self._pids("reverted")
+
+    @property
+    def lost_pids(self) -> List[int]:
+        return self._pids("lost")
+
+    @property
+    def quarantined_pages(self) -> int:
+        """Damaged pages fsck marked obsolete: every page it acted on,
+        except a ``missing`` one, which reads back erased."""
+        return len(
+            {f.addr for f in self.faults if f.action != "reported" and f.kind != "missing"}
+        )
 
     @property
     def detected(self) -> int:
@@ -114,11 +125,8 @@ class FsckReport:
     @property
     def repaired(self) -> int:
         """Pages restored to full service (copy, stale or chain repair)."""
-        return (
-            self.repaired_base_pages
-            + self.repaired_differentials
-            + len(self.stale_pids)
-        )
+        repairs = ("repaired_copy", "repaired_chain", "repaired_stale")
+        return sum(fault.action in repairs for fault in self.faults)
 
     @property
     def data_loss_pids(self) -> List[int]:
@@ -131,21 +139,25 @@ class FsckReport:
 
     @classmethod
     def merge(cls, reports: List["FsckReport"]) -> "FsckReport":
-        """Sum per-shard reports into one array-level view."""
-        merged = cls(per_shard=list(reports))
-        for report in reports:
-            merged.pages_scanned += report.pages_scanned
-            merged.checksum_failures += report.checksum_failures
-            merged.corrupt_spare_pages += report.corrupt_spare_pages
-            merged.faults.extend(report.faults)
-            merged.repaired_base_pages += report.repaired_base_pages
-            merged.repaired_differentials += report.repaired_differentials
-            merged.stale_pids.extend(report.stale_pids)
-            merged.reverted_pids.extend(report.reverted_pids)
-            merged.lost_pids.extend(report.lost_pids)
-            merged.quarantined_pages += report.quarantined_pages
-            merged.scan_reads += report.scan_reads
-            merged.repair_writes += report.repair_writes
+        """One array-level view of per-shard reports: faults in shard
+        order, I/O counters summed, and the shards' post-repair checks
+        as one check whose violations name their shard."""
+        counters = (
+            "pages_scanned", "checksum_failures", "corrupt_spare_pages",
+            "scan_reads", "repair_writes",
+        )
+        merged = cls(
+            faults=[fault for report in reports for fault in report.faults],
+            per_shard=list(reports),
+        )
+        for name in counters:
+            setattr(merged, name, sum(getattr(report, name) for report in reports))
+        checks = [(i, r.check) for i, r in enumerate(reports) if r.check is not None]
+        if checks:
+            merged.check = CheckReport(
+                pages_checked=sum(check.pages_checked for _i, check in checks),
+                violations=[f"shard {i}: {v}" for i, check in checks for v in check.violations],
+            )
         return merged
 
 
@@ -159,13 +171,45 @@ def fsck_driver(driver: PdlDriver, repair: bool = True) -> FsckReport:
     """
     chip = driver.chip
     report = FsckReport(pages_scanned=chip.spec.n_pages)
+    faults = report.faults
     io_before = chip.stats.of_phase(FSCK_PHASE)
     with chip.stats.phase(FSCK_PHASE):
         state = _sweep(chip, report)
         state.expect_checksum = _checksum_capable(driver) and bool(state.verified)
-        _check_bases(driver, state, report, repair)
-        _check_differentials(driver, state, report, repair)
-        _quarantine_unreferenced(driver, state, report, repair)
+        rows = list(driver.ppmt.items())  # the one walk of the table
+        referenced = {entry.base_addr for _pid, entry in rows}
+        dropped: Set[int] = set()
+        for pid, entry in rows:
+            kind = _fault_kind(state, entry.base_addr, PageType.BASE, (pid, entry.base_ts))
+            if kind is None:
+                continue
+            if not repair:
+                faults.append(PageFault(entry.base_addr, "base", kind, pid, "reported"))
+                continue
+            fixed = _repair_base(driver, state, pid, entry, kind)
+            if any(f.action in ("repaired_stale", "lost") for f in fixed):
+                dropped.add(pid)
+            faults.extend(fixed)
+
+        # The post-repair view: a rolled-back or lost base took its
+        # differential reference with it.
+        diff_refs: Dict[int, List[Tuple[int, MappingEntry]]] = {}
+        for pid, entry in rows:
+            if entry.diff_addr is not None and pid not in dropped:
+                diff_refs.setdefault(entry.diff_addr, []).append((pid, entry))
+        referenced.update(diff_refs)
+        for addr, refs in sorted(diff_refs.items()):
+            kind = _fault_kind(state, addr, PageType.DIFFERENTIAL, pids=[p for p, _e in refs])
+            if kind is None:
+                continue
+            if not repair:
+                faults.extend(
+                    PageFault(addr, "differential", kind, pid, "reported") for pid, _e in refs
+                )
+                continue
+            faults.extend(_repair_differential_page(driver, state, addr, refs, kind))
+
+        faults.extend(_unreferenced_faults(driver, state, referenced, repair))
     io_after = chip.stats.of_phase(FSCK_PHASE)
     report.scan_reads = io_after.reads - io_before.reads
     report.repair_writes = io_after.writes - io_before.writes
@@ -190,13 +234,10 @@ class _SweepState:
         #: Whether a missing checksum on this image counts as damage —
         #: set after the sweep (see :func:`_checksum_capable`).
         self.expect_checksum: bool = False
-        #: pid -> [(ts, addr, obsolete)] over every BASE copy on flash.
-        self.base_copies: Dict[int, List[Tuple[int, int, bool]]] = {}
+        #: pid -> [(ts, addr)] over every BASE copy on flash.
+        self.base_copies: Dict[int, List[Tuple[int, int]]] = {}
         #: Every DIFFERENTIAL-typed page (valid and obsolete).
         self.diff_pages: List[int] = []
-        #: Pages already dispositioned by the base/differential passes
-        #: (the unreferenced sweep must not report them twice).
-        self.handled: set = set()
         #: Lazily decoded differential pages (salvage candidates).
         self._decoded: Dict[int, Optional[List[Differential]]] = {}
 
@@ -208,6 +249,14 @@ class _SweepState:
             except (DifferentialError, KeyError):
                 self._decoded[addr] = None
         return self._decoded[addr]
+
+    def trusted(self, addr: int) -> bool:
+        """Whether a repair donor's bytes are vouched for: its checksum
+        verified, or this image carries none.  A donor whose checksum was
+        torn away is as unverifiable as the page it would repair."""
+        if addr in self.bad_data:
+            return False
+        return not (self.expect_checksum and self.spares[addr].checksum is None)
 
 
 def _sweep(chip: FlashChip, report: FsckReport) -> _SweepState:
@@ -223,7 +272,7 @@ def _sweep(chip: FlashChip, report: FsckReport) -> _SweepState:
                 report.corrupt_spare_pages += 1
             elif spare.type is PageType.BASE and spare.pid is not None:
                 state.base_copies.setdefault(spare.pid, []).append(
-                    (spare.timestamp or 0, addr, spare.obsolete)
+                    (spare.timestamp or 0, addr)
                 )
             elif spare.type is PageType.DIFFERENTIAL:
                 state.diff_pages.append(addr)
@@ -245,6 +294,38 @@ def _sweep(chip: FlashChip, report: FsckReport) -> _SweepState:
     return state
 
 
+def _fault_kind(
+    state: _SweepState,
+    addr: int,
+    page_type: PageType,
+    stamp: Optional[Tuple[int, int]] = None,
+    pids: Sequence[int] = (),
+) -> Optional[str]:
+    """Why the page at ``addr`` cannot serve as a live ``page_type`` page,
+    or ``None`` when it can.  A base also checks ``stamp``, the (pid,
+    timestamp) its mapping row expects — the only way to catch a
+    misdirected write, whose CRC still matches; a differential page
+    also checks that it decodes an entry for each of ``pids``."""
+    spare = state.spares.get(addr)
+    if spare is None:
+        return "missing"
+    if spare.is_corrupt or spare.type is not page_type or spare.obsolete:
+        return "spare"
+    if stamp is not None and (spare.pid, spare.timestamp or 0) != stamp:
+        return "spare"
+    if addr in state.bad_data:
+        return "checksum"
+    if spare.checksum is None and state.expect_checksum:
+        # Torn away: every program on this image stamps one.  The bytes
+        # may still decode, but nothing vouches for them.
+        return "spare"
+    if pids:
+        diffs = state.decoded_diffs(addr)
+        if diffs is None or not set(pids) <= {diff.pid for diff in diffs}:
+            return "decode"
+    return None
+
+
 def _mark_obsolete_quietly(chip: FlashChip, addr: int) -> None:
     """Quarantine a page, tolerating damage to the spare area itself."""
     try:
@@ -253,6 +334,15 @@ def _mark_obsolete_quietly(chip: FlashChip, addr: int) -> None:
         # Erased or budget-exhausted spare: nothing more to clear; the
         # page is already outside every table, which is what matters.
         pass
+
+
+def _retire(driver: PdlDriver, addr: int, kind: str) -> None:
+    """Take a dispositioned page out of the bitmap and quarantine it.  A
+    ``missing`` page reads back erased: there is nothing to mark."""
+    if driver.blocks.is_valid(addr):
+        driver.blocks.note_invalid(addr)
+    if kind != "missing":
+        _mark_obsolete_quietly(driver.chip, addr)
 
 
 def _checkpoint_region_pages(driver: PdlDriver) -> int:
@@ -284,233 +374,103 @@ def _checksum_capable(driver: PdlDriver) -> bool:
     return driver.spec.page_spare_size >= CHECKSUM_HEADER_SIZE
 
 
-def _check_bases(
-    driver: PdlDriver, state: _SweepState, report: FsckReport, repair: bool
-) -> None:
-    """Decision-tree step 1: every live base page, against the mapping."""
-    expect_checksum = state.expect_checksum
-    for pid, entry in list(driver.ppmt.items()):
-        addr = entry.base_addr
-        spare = state.spares.get(addr)
-        kind = None
-        if spare is None or spare.is_erased:
-            kind = "missing"
-        elif spare.is_corrupt:
-            kind = "spare"
-        elif (
-            spare.type is not PageType.BASE
-            or spare.obsolete
-            or spare.pid != pid
-            or (spare.timestamp or 0) != entry.base_ts
-        ):
-            kind = "spare"
-        elif addr in state.bad_data:
-            kind = "checksum"
-        elif spare.checksum is None and expect_checksum:
-            kind = "spare"  # torn away: every program here stamps one
-        if kind is None:
-            continue
-        if not repair:
-            report.add(PageFault(addr, "base", kind, pid, "reported"))
-            continue
-        _repair_base(driver, state, report, pid, entry, kind)
-
-
 def _repair_base(
-    driver: PdlDriver,
-    state: _SweepState,
-    report: FsckReport,
-    pid: int,
-    entry: MappingEntry,
-    kind: str,
-) -> None:
-    chip = driver.chip
+    driver: PdlDriver, state: _SweepState, pid: int, entry: MappingEntry, kind: str
+) -> List[PageFault]:
+    """Disposition of ``pid``'s damaged base page: relocate an identical
+    copy, roll back to the newest older one, or declare the pid lost."""
     bad_addr = entry.base_addr
-    donors = [
+    donors = sorted(
         (ts, addr)
-        for ts, addr, _obsolete in state.base_copies.get(pid, [])
-        if addr != bad_addr
-        and addr not in state.bad_data
-        and addr in state.data
-        # A donor whose checksum was torn away is as unverifiable as
-        # the page it would repair; never rebuild from one.
-        and not (state.expect_checksum and state.spares[addr].checksum is None)
-        and ts <= entry.base_ts
-    ]
-    exact = [(ts, addr) for ts, addr in donors if ts == entry.base_ts]
-    older = sorted((ts, addr) for ts, addr in donors if ts < entry.base_ts)
-
-    def retire_bad_page() -> None:
-        if driver.blocks.is_valid(bad_addr):
-            driver.blocks.note_invalid(bad_addr)
-        state.handled.add(bad_addr)
-        # A "missing" page reads back erased: there is nothing on flash
-        # to mark obsolete, so it is not a quarantine.
-        if bad_addr in state.spares:
-            _mark_obsolete_quietly(chip, bad_addr)
-            report.quarantined_pages += 1
-
-    try:
-        if exact:
-            # An identical copy survives (GC relocation residue or a
-            # crash window left both): relocate it and keep the
-            # differential chain — it still applies bit-for-bit.
-            _ts, donor = exact[0]
+        for ts, addr in state.base_copies.get(pid, [])
+        if addr != bad_addr and ts <= entry.base_ts and state.trusted(addr)
+    )
+    exact = [donor for donor in donors if donor[0] == entry.base_ts]
+    if donors:
+        donor_ts, donor = exact[0] if exact else donors[-1]
+        try:
             new_addr = driver.blocks.allocate(stream=driver._base_stream)
-            chip.program_page(
-                new_addr,
-                state.data[donor],
-                SpareArea(type=PageType.BASE, pid=pid, timestamp=entry.base_ts),
-            )
-            driver.blocks.note_valid(new_addr)
-            driver.ppmt.move_base(pid, new_addr)
-            retire_bad_page()
-            report.repaired_base_pages += 1
-            report.add(
+        except OutOfSpaceError:
+            return [
                 PageFault(
-                    bad_addr, "base", kind, pid, "repaired_copy",
-                    f"relocated surviving copy {donor} to {new_addr}",
+                    bad_addr, "base", kind, pid, "reported",
+                    "no free page available for relocation",
                 )
-            )
-            return
-        if older:
-            # Only an older version survives: adopt it and drop every
-            # differential — they were computed against the lost image.
-            donor_ts, donor = older[-1]
-            new_addr = driver.blocks.allocate(stream=driver._base_stream)
-            chip.program_page(
-                new_addr,
-                state.data[donor],
-                SpareArea(type=PageType.BASE, pid=pid, timestamp=donor_ts),
-            )
-            driver.blocks.note_valid(new_addr)
-            old_diff = entry.diff_addr
-            driver.ppmt.set_base(pid, new_addr, donor_ts)  # clears diff
-            driver.buffer.remove(pid)
-            if old_diff is not None:
-                driver._drop_diff_ref(old_diff)
-            retire_bad_page()
-            report.stale_pids.append(pid)
-            report.add(
-                PageFault(
-                    bad_addr, "base", kind, pid, "repaired_stale",
-                    f"rolled back to copy {donor} at ts {donor_ts}",
-                )
-            )
-            return
-    except OutOfSpaceError:
-        report.add(
-            PageFault(
-                bad_addr, "base", kind, pid, "reported",
-                "no free page available for relocation",
-            )
+            ]
+        driver.chip.program_page(
+            new_addr,
+            state.data[donor],
+            SpareArea(type=PageType.BASE, pid=pid, timestamp=donor_ts),
         )
-        return
+        driver.blocks.note_valid(new_addr)
 
-    # No surviving copy anywhere: the page is lost.  Remove the mapping
-    # so reads raise UnknownPageError instead of serving damaged bytes.
     old_diff = entry.diff_addr
-    driver.buffer.remove(pid)
-    if old_diff is not None:
-        driver._drop_diff_ref(old_diff)
-    driver.ppmt.remove(pid)
-    retire_bad_page()
-    report.lost_pids.append(pid)
-    report.add(PageFault(bad_addr, "base", kind, pid, "lost"))
-
-
-def _check_differentials(
-    driver: PdlDriver, state: _SweepState, report: FsckReport, repair: bool
-) -> None:
-    """Decision-tree step 2: every referenced differential page."""
-    expect_checksum = state.expect_checksum
-    referenced: Dict[int, List[int]] = {}
-    for pid, entry in driver.ppmt.items():
-        if entry.diff_addr is not None:
-            referenced.setdefault(entry.diff_addr, []).append(pid)
-
-    for addr, pids in sorted(referenced.items()):
-        spare = state.spares.get(addr)
-        kind = None
-        if spare is None or spare.is_erased:
-            kind = "missing"
-        elif spare.is_corrupt:
-            kind = "spare"
-        elif spare.type is not PageType.DIFFERENTIAL or spare.obsolete:
-            kind = "spare"
-        elif addr in state.bad_data:
-            kind = "checksum"
-        elif spare.checksum is None and expect_checksum:
-            # The data may decode fine, but with the checksum torn away
-            # it is unverifiable; treat like checksum damage (salvage or
-            # revert) rather than trust bytes nothing vouches for.
-            kind = "spare"
-        elif state.decoded_diffs(addr) is None:
-            kind = "decode"
+    if exact:
+        # The chain was computed against this very image: it still applies.
+        driver.ppmt.move_base(pid, new_addr)
+        fault = PageFault(
+            bad_addr, "base", kind, pid, "repaired_copy",
+            f"relocated surviving copy {donor} to {new_addr}",
+        )
+    else:
+        # An older copy or none: the differentials were computed against
+        # the lost image, so they go; with no copy the mapping goes too,
+        # and reads raise UnknownPageError instead of serving damage.
+        if donors:
+            driver.ppmt.set_base(pid, new_addr, donor_ts)  # clears diff
+            fault = PageFault(
+                bad_addr, "base", kind, pid, "repaired_stale",
+                f"rolled back to copy {donor} at ts {donor_ts}",
+            )
         else:
-            decoded = {d.pid for d in state.decoded_diffs(addr)}
-            if any(pid not in decoded for pid in pids):
-                kind = "decode"
-        if kind is None:
-            continue
-        if not repair:
-            for pid in pids:
-                report.add(PageFault(addr, "differential", kind, pid, "reported"))
-            continue
-        _repair_differential_page(driver, state, report, addr, pids, kind)
+            fault = PageFault(bad_addr, "base", kind, pid, "lost")
+        driver.buffer.remove(pid)
+        if old_diff is not None:
+            driver._drop_diff_ref(old_diff)
+        if not donors:
+            driver.ppmt.remove(pid)
+    _retire(driver, bad_addr, kind)
+    return [fault]
 
 
 def _repair_differential_page(
     driver: PdlDriver,
     state: _SweepState,
-    report: FsckReport,
     addr: int,
-    pids: List[int],
+    refs: List[Tuple[int, MappingEntry]],
     kind: str,
-) -> None:
-    """Salvage what the corrupted differential page held, then retire it."""
-    chip = driver.chip
-    salvaged: List[Tuple[int, Differential]] = []
-    for pid in pids:
-        entry = driver.ppmt.require(pid)
+) -> List[PageFault]:
+    """Disposition of a damaged differential page and the ``(pid, entry)``
+    rows referencing it: salvage what survives elsewhere, then retire it."""
+    faults: List[PageFault] = []
+    salvaged: List[Differential] = []
+    for pid, entry in refs:
         buffered = driver.buffer.get(pid)
         if buffered is not None and buffered.timestamp > entry.base_ts:
             # A newer buffered differential shadows the flash page on
             # every read; detaching the damaged page loses nothing.
             driver.ppmt.set_diff(pid, None)
-            report.repaired_differentials += 1
-            report.add(
+            faults.append(
                 PageFault(
                     addr, "differential", kind, pid, "repaired_chain",
                     "newer buffered differential supersedes the damaged page",
                 )
             )
             continue
-        best: Optional[Differential] = None
-        for other in state.diff_pages:
-            if other == addr or other in state.bad_data:
-                continue
-            if state.expect_checksum and state.spares[other].checksum is None:
-                # Same rule as for referenced pages: with its checksum
-                # torn away the donor's bytes are unverifiable —
-                # reverting beats re-flushing bytes nothing vouches for.
-                continue
-            diffs = state.decoded_diffs(other)
-            if diffs is None:
-                continue
-            for diff in diffs:
-                if diff.pid != pid or diff.timestamp <= entry.base_ts:
-                    continue
-                if best is None or diff.timestamp > best.timestamp:
-                    best = diff
-        if best is not None:
-            salvaged.append((pid, best))
+        survivors = [
+            diff
+            for other in state.diff_pages
+            if other != addr and state.trusted(other)
+            for diff in state.decoded_diffs(other) or ()
+            if diff.pid == pid and diff.timestamp > entry.base_ts
+        ]
+        if survivors:
+            salvaged.append(max(survivors, key=lambda diff: diff.timestamp))
         else:
             # Nothing newer than the base survives: the page rolls back
             # to its base image.
             driver.ppmt.set_diff(pid, None)
-            report.reverted_pids.append(pid)
-            report.add(
+            faults.append(
                 PageFault(
                     addr, "differential", kind, pid, "reverted",
                     "no surviving differential newer than the base",
@@ -519,130 +479,78 @@ def _repair_differential_page(
 
     # Retire the damaged page before re-flushing (its vdct rows are void).
     driver.vdct.remove(addr)
-    if driver.blocks.is_valid(addr):
-        driver.blocks.note_invalid(addr)
-    state.handled.add(addr)
-    if addr in state.spares:  # a "missing" page has nothing to quarantine
-        _mark_obsolete_quietly(chip, addr)
-        report.quarantined_pages += 1
-
+    _retire(driver, addr, kind)
     if not salvaged:
-        return
+        return faults
     try:
         _reflush_salvaged(driver, salvaged)
     except OutOfSpaceError:
         # Could not write the salvage page: the affected pids revert.
-        for pid, _diff in salvaged:
-            driver.ppmt.set_diff(pid, None)
-            report.reverted_pids.append(pid)
-            report.add(
+        for diff in salvaged:
+            driver.ppmt.set_diff(diff.pid, None)
+            faults.append(
                 PageFault(
-                    addr, "differential", kind, pid, "reverted",
+                    addr, "differential", kind, diff.pid, "reverted",
                     "salvage found but no free page to re-flush it",
                 )
             )
-        return
-    for pid, diff in salvaged:
-        report.repaired_differentials += 1
-        report.add(
-            PageFault(
-                addr, "differential", kind, pid, "repaired_chain",
-                f"re-flushed surviving differential at ts {diff.timestamp}",
-            )
+        return faults
+    faults.extend(
+        PageFault(
+            addr, "differential", kind, diff.pid, "repaired_chain",
+            f"re-flushed surviving differential at ts {diff.timestamp}",
         )
+        for diff in salvaged
+    )
+    return faults
 
 
-def _reflush_salvaged(
-    driver: PdlDriver, salvaged: List[Tuple[int, Differential]]
-) -> None:
-    """Write salvaged differentials to fresh pages, re-pointing entries."""
-    chip = driver.chip
-    capacity = driver.buffer.capacity
-    group: List[Tuple[int, Differential]] = []
+def _reflush_salvaged(driver: PdlDriver, salvaged: List[Differential]) -> None:
+    """Write salvaged differentials to fresh pages of the differential
+    stream, as many per page as fit, re-pointing their entries."""
+    groups: List[List[Differential]] = [[]]
     used = 0
-
-    def flush_group() -> None:
-        nonlocal group, used
-        if not group:
-            return
-        payload = encode_differential_page(
-            [diff for _pid, diff in group], driver.page_size
-        )
-        new_addr = driver.blocks.allocate(stream=driver._diff_stream)
-        chip.program_page(
-            new_addr,
-            payload,
-            SpareArea(type=PageType.DIFFERENTIAL, timestamp=driver._next_ts()),
-        )
-        driver.blocks.note_valid(new_addr)
-        for pid, diff in group:
-            driver.ppmt.set_diff(pid, new_addr, diff.timestamp)
-            driver.vdct.increment(new_addr)
-        group = []
-        used = 0
-
-    for pid, diff in salvaged:
-        if used + diff.size > capacity:
-            flush_group()
-        group.append((pid, diff))
+    for diff in salvaged:
+        if groups[-1] and used + diff.size > driver.buffer.capacity:
+            groups.append([])
+            used = 0
+        groups[-1].append(diff)
         used += diff.size
-    flush_group()
+    for group in groups:
+        new_addr = driver._program_differentials(group, driver._diff_stream)
+        for diff in group:
+            driver.ppmt.set_diff(diff.pid, new_addr, diff.timestamp)
+            driver.vdct.increment(new_addr)
 
 
-def _quarantine_unreferenced(
-    driver: PdlDriver, state: _SweepState, report: FsckReport, repair: bool
-) -> None:
-    """Decision-tree steps 3–4: mapping region and unreferenced damage."""
-    chip = driver.chip
+def _unreferenced_faults(
+    driver: PdlDriver, state: _SweepState, referenced: Set[int], repair: bool
+) -> List[PageFault]:
+    """Damage outside the table: the mapping region and unreferenced pages.
+
+    The mapping region holds only CRC-sealed CHECKPOINT pages; damage
+    there is reported but never touched — restart falls back to the
+    Figure-11 scan, which self-heals.  An unreferenced damaged page that
+    is not already garbage is quarantined."""
     region_end = _checkpoint_region_pages(driver)
-    expect_checksum = state.expect_checksum
-
-    # Mapping-region pages only ever hold CHECKPOINT pages written by
-    # program_page; anything else there — wrong type (a misdirected
-    # write), failed or missing checksum (rot / a torn program), corrupt
-    # spare — is reported but never touched: snapshots are CRC-sealed
-    # and restart falls back to the Figure-11 scan, which self-heals.
-    for addr in range(region_end):
-        spare = state.spares.get(addr)
-        if spare is None:
-            continue
-        kind = None
-        if spare.is_corrupt:
-            kind = "spare"
-        elif spare.type is not PageType.CHECKPOINT:
-            kind = "spare"
-        elif addr in state.bad_data:
-            kind = "checksum"
-        elif spare.checksum is None and expect_checksum:
-            kind = "spare"
-        if kind is None:
-            continue
-        state.handled.add(addr)
-        report.add(
-            PageFault(
-                addr, "checkpoint", kind, None, "reported",
-                "snapshot protocol falls back to the full scan",
+    faults: List[PageFault] = []
+    for addr in sorted(a for a in state.spares if a < region_end):
+        kind = _fault_kind(state, addr, PageType.CHECKPOINT)
+        if kind is not None:
+            faults.append(
+                PageFault(
+                    addr, "checkpoint", kind, None, "reported",
+                    "snapshot protocol falls back to the full scan",
+                )
             )
-        )
-
-    referenced = {entry.base_addr for _pid, entry in driver.ppmt.items()}
-    referenced |= {
-        entry.diff_addr
-        for _pid, entry in driver.ppmt.items()
-        if entry.diff_addr is not None
-    }
-    for addr in sorted(set(state.bad_data) | {
-        a for a, s in state.spares.items() if s.is_corrupt
-    }):
-        if addr in referenced or addr in state.handled or addr < region_end:
-            continue  # handled by the base/differential/region passes
-        spare = state.spares.get(addr)
-        kind = "spare" if spare is not None and spare.is_corrupt else "checksum"
-        if spare is not None and spare.obsolete:
-            continue  # already-garbage pages need no quarantine
-        if not repair:
-            report.add(PageFault(addr, "unreferenced", kind, None, "reported"))
+    damaged = state.bad_data | {a for a, s in state.spares.items() if s.is_corrupt}
+    for addr in sorted(damaged):
+        spare = state.spares[addr]
+        if addr < region_end or addr in referenced or spare.obsolete:
             continue
-        _mark_obsolete_quietly(chip, addr)
-        report.quarantined_pages += 1
-        report.add(PageFault(addr, "unreferenced", kind, None, "quarantined"))
+        kind = "spare" if spare.is_corrupt else "checksum"
+        if repair:
+            _mark_obsolete_quietly(driver.chip, addr)
+        action = "quarantined" if repair else "reported"
+        faults.append(PageFault(addr, "unreferenced", kind, None, action))
+    return faults

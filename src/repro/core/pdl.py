@@ -415,11 +415,7 @@ class PdlDriver(PageUpdateMethod):
         if self.buffer.is_empty:
             return
         diffs = self.buffer.drain()
-        payload = encode_differential_page(diffs, self.page_size)
-        addr = self.blocks.allocate(stream=self._diff_stream)
-        spare = SpareArea(type=PageType.DIFFERENTIAL, timestamp=self._next_ts())
-        self.chip.program_page(addr, payload, spare)
-        self.blocks.note_valid(addr)
+        addr = self._program_differentials(diffs, self._diff_stream)
         self.buffer_flushes += 1
         for diff in diffs:
             entry = self.ppmt.require(diff.pid)
@@ -431,6 +427,19 @@ class PdlDriver(PageUpdateMethod):
             # superseded by this flush; flushing it later would re-point
             # the entry back at stale data.
             self._gc_buffer.remove(diff.pid)
+
+    def _program_differentials(
+        self, diffs: List[Differential], stream: str, for_gc: bool = False
+    ) -> int:
+        """Write ``diffs`` as one new differential page on ``stream`` and
+        return its address; the caller re-points their entries.  The
+        buffer flush, GC compaction and fsck's salvage all write here."""
+        payload = encode_differential_page(diffs, self.page_size)
+        addr = self.blocks.allocate(for_gc=for_gc, stream=stream)
+        spare = SpareArea(type=PageType.DIFFERENTIAL, timestamp=self._next_ts())
+        self.chip.program_page(addr, payload, spare)
+        self.blocks.note_valid(addr)
+        return addr
 
     def _drop_diff_ref(self, addr: int) -> None:
         """decreaseValidDifferentialCount (Figure 8).
@@ -513,15 +522,11 @@ class PdlDriver(PageUpdateMethod):
         if self._gc_buffer.is_empty:
             return
         diffs = self._gc_buffer.drain()
-        payload = encode_differential_page(diffs, self.page_size)
         # Generational promotion: a differential that survived a whole
         # collection belongs to a cold page (hot pages' differentials die
         # before GC reaches them), so compacted pages go to the cold
         # stream rather than back among the fast-churning fresh ones.
-        addr = self.blocks.allocate(for_gc=True, stream=self._base_stream)
-        spare = SpareArea(type=PageType.DIFFERENTIAL, timestamp=self._next_ts())
-        self.chip.program_page(addr, payload, spare)
-        self.blocks.note_valid(addr)
+        addr = self._program_differentials(diffs, self._base_stream, for_gc=True)
         for diff in diffs:
             # The old reference was inside the victim block (vdct entry
             # already dropped); just re-point.  GC copies preserve their

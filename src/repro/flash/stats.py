@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Phase used when no phase was pushed (initial load, ad-hoc access).
 DEFAULT_PHASE = "unattributed"
@@ -47,10 +47,10 @@ GC = "gc"
 
 def percentile(samples: List[float], pct: float) -> float:
     """Nearest-rank percentile of ``samples`` (0 when empty)."""
-    if not samples:
-        return 0.0
     if not 0 < pct <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {pct}")
+    if not samples:
+        return 0.0
     ordered = sorted(samples)
     rank = max(1, -(-len(ordered) * pct // 100))  # ceil without math import
     return ordered[int(rank) - 1]
@@ -85,10 +85,6 @@ class LatencyRecorder:
     @property
     def max_us(self) -> float:
         return max(self.samples, default=0.0)
-
-    @property
-    def mean_us(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else 0.0
 
     def percentile(self, pct: float) -> float:
         return percentile(self.samples, pct)

@@ -10,7 +10,7 @@ paper's benchmark starts from.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from ...storage.btree import BTree
@@ -148,9 +148,3 @@ class TpccDatabase:
                     schema.order_line_key(w, d, o, n),
                     schema.ORDER_LINE.encode(w, d, o, n, i, 5, amount, o),
                 )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def total_pages(self) -> int:
-        return self.db.allocated_pages

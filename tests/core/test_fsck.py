@@ -134,6 +134,28 @@ class TestBaseRepair:
         # Other pages still serve.
         driver.read_page(2)
 
+    def test_lost_base_takes_its_rotted_differential_out_of_the_table(self, rig):
+        """A lost base drops its differential reference, so the rotted
+        differential page only it used is quarantined as unreferenced
+        rather than repaired for a pid that no longer exists."""
+        injector, _chip, driver = rig
+        for pid in range(4):
+            driver.load_page(pid, _page(driver, pid + 1))
+        driver.end_of_load()
+        driver.write_page(2, _patched(_page(driver, 3), 0, b"\x01"))
+        driver.flush()
+        entry = driver.ppmt.require(2)
+        base_addr, diff_addr = entry.base_addr, entry.diff_addr
+        injector.inject("bit_rot", base_addr)
+        injector.inject("bit_rot", diff_addr)
+        report = fsck_driver(driver)
+        assert [(f.addr, f.role, f.kind, f.action) for f in report.faults] == [
+            (base_addr, "base", "checksum", "lost"),
+            (diff_addr, "unreferenced", "checksum", "quarantined"),
+        ]
+        assert report.quarantined_pages == 2
+        assert report.check.consistent
+
 
 class TestDifferentialRepair:
     def test_obsolete_predecessor_salvaged(self, rig):
@@ -351,12 +373,13 @@ class TestEndToEnd:
     def test_merge_sums_reports(self):
         from repro.core.fsck import FsckReport, PageFault
 
-        a = FsckReport(pages_scanned=10, checksum_failures=1, lost_pids=[1])
+        a = FsckReport(pages_scanned=10, checksum_failures=1)
         a.add(PageFault(0, "base", "checksum", 1, "lost"))
-        b = FsckReport(pages_scanned=10, repaired_base_pages=1)
+        b = FsckReport(pages_scanned=10)
+        b.add(PageFault(5, "base", "checksum", 2, "repaired_copy"))
         merged = FsckReport.merge([a, b])
         assert merged.pages_scanned == 20
-        assert merged.detected == 1
+        assert merged.detected == 2
         assert merged.lost_pids == [1]
         assert merged.repaired == 1
         assert merged.per_shard == [a, b]

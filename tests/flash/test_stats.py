@@ -128,6 +128,8 @@ class TestWriteStalls:
 
     def test_empty_and_invalid_percentiles(self, stats):
         assert stats.write_stall_percentile(99) == 0.0
+        with pytest.raises(ValueError):
+            stats.write_stall_percentile(150)
         stats.record_write_stall(5.0)
         with pytest.raises(ValueError):
             stats.write_stall_percentile(0)

@@ -173,3 +173,25 @@ def test_clean_fsck_sweep_reads_each_page_about_once():
     assert report.clean
     assert (report.pages_scanned, report.scan_reads) == (1536, 1945)
     assert report.scan_reads < 3 * report.pages_scanned  # x1.27
+
+
+def test_dry_run_fsck_pages_each_snapshot_page_in_once():
+    """fsck walks the mapping table once: on a table many times its
+    cache, a dry run demand-pages every snapshot page exactly once."""
+    spec = FlashSpec(n_blocks=64, pages_per_block=16, page_data_size=512, page_spare_size=32)
+    driver = PdlDriver(
+        FlashChip(spec), max_differential_size=64,
+        mapping=MappingConfig.auto(spec, cache_entries=16),
+    )
+    images = [bytes([pid % 255 + 1]) * spec.page_data_size for pid in range(300)]
+    for pid, image in enumerate(images):
+        driver.load_page(pid, image)
+    driver.end_of_load()
+    for pid in range(0, len(images), 3):
+        driver.write_page(pid, images[pid][:7] + b"\xcc" + images[pid][8:])
+    driver.flush()
+    driver.mapping.snapshot()
+    before = driver.chip.stats.mapping_misses
+    assert fsck_driver(driver, repair=False).clean
+    assert driver.mapping.data_page_count == 18
+    assert driver.chip.stats.mapping_misses - before == 18

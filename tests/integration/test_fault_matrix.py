@@ -269,6 +269,7 @@ class TestArrayFsck:
             assert report.detected == 1
             assert report.lost_pids == [pid]
             assert all(r.check.consistent for r in report.per_shard)
+            assert report.check.consistent
         finally:
             driver.close()
 
