@@ -26,24 +26,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+import numpy as np
+
 from ..flash.chip import FlashChip
 from ..flash.errors import ProgramError
-from ..flash.spare import PageType, data_checksum
+from ..flash.spare import NO_PID, NO_TS, PageType, data_checksum, spare_kinds
 from .differential import DifferentialError, differential_page_stamps
 from .pdl import PdlDriver
 from .restart_plan import Fallback, Fast, RestartPlan
-from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
+from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
 
 #: Accounting phase for the recovery scan.
 RECOVERY_PHASE = "recovery"
 
 
-#: The page types the scan's triage tells apart, bound once: the loop
-#: runs once per physical page.
-_ERASED = PageType.ERASED
-_BASE = PageType.BASE
-_DIFFERENTIAL = PageType.DIFFERENTIAL
-_CORRUPT = PageType.CORRUPT
+#: The page types the scan's triage tells apart, as the plain ints
+#: :func:`~repro.flash.spare.spare_kinds` yields.
+_ERASED = int(PageType.ERASED)
+_BASE = int(PageType.BASE)
+_DIFFERENTIAL = int(PageType.DIFFERENTIAL)
+_CORRUPT = int(PageType.CORRUPT)
 
 #: Pages per batched spare read during the scan.  On the file backend the
 #: spare region is contiguous, so each chunk is a single sequential read.
@@ -127,83 +129,137 @@ def recover_tables(
     starts it past its mapping region, where a misdirected write can
     leave a base-typed page the next snapshot will erase.
 
-    The caller provides empty tables; the report carries scan statistics
-    and the largest timestamp seen.  ``report.max_timestamp`` covers
-    *every* programmed spare area and differential entry — including
-    stale copies and differential-page headers, whose flush-time stamps
-    are strictly newer than the entries inside them — so resuming from
-    it restores the invariant that every post-recovery program gets a
-    stamp strictly larger than anything already on flash.  When
-    ``driver`` is supplied, its timestamp counter is resumed here, so
-    callers cannot forget to do it.
-    """
-    report = RecoveryReport()
+    Both tables must be empty (``ValueError`` otherwise): the scan builds
+    its rows locally and installs them once at the end.  The report
+    carries scan statistics and the largest timestamp seen.
+    ``report.max_timestamp`` covers *every* programmed spare area and
+    adopted differential entry — including stale copies and
+    differential-page headers, whose flush-time stamps are strictly newer
+    than the entries inside them — so resuming from it restores the
+    invariant that every post-recovery program gets a stamp strictly
+    larger than anything already on flash.  When ``driver`` is supplied,
+    its timestamp counter is resumed here, so callers cannot forget to do
+    it.
 
-    def drop_diff(pid: int) -> None:
-        """decreaseValidDifferentialCount for pid's adopted differential."""
-        entry = ppmt.get(pid)
-        if entry is None or entry.diff_addr is None:
-            return
-        addr = entry.diff_addr
-        if vdct.decrement(addr):
+    Each chunk of spares is triaged as one record array (erased,
+    obsolete, corrupt, base, differential); adoption then walks the
+    chunk's surviving pages in address order over local rows and counts,
+    which keeps every adoption, counter and obsolete mark in the order
+    the page-at-a-time algorithm makes them.
+    """
+    for name, table in (("ppmt", ppmt), ("vdct", vdct)):
+        if len(table):
+            raise ValueError(
+                f"recover_tables needs an empty {name}; it holds {len(table)} rows"
+            )
+    report = RecoveryReport()
+    # The ppmt's rows, one entry made per pid and updated in place; a
+    # base_addr (and base_ts) of -1 marks a differential adopted before
+    # its base page was seen.
+    rows: Dict[int, MappingEntry] = {}
+    # differential page -> number of its entries currently adopted.
+    counts: Dict[int, int] = {}
+
+    def drop_diff(row: MappingEntry) -> None:
+        """decreaseValidDifferentialCount for the row's adopted differential."""
+        addr = row.diff_addr
+        left = counts[addr] - 1
+        if left:
+            counts[addr] = left
+        else:
+            del counts[addr]
             chip.mark_obsolete(addr)
             report.stale_pages_obsoleted += 1
-        ppmt.set_diff(pid, None)
+        row.diff_addr = row.diff_ts = None
 
     n_pages = chip.spec.n_pages
     with chip.stats.phase(RECOVERY_PHASE):
         for start in range(first_page, n_pages, SCAN_CHUNK_PAGES):
             addrs = range(start, min(start + SCAN_CHUNK_PAGES, n_pages))
             report.pages_scanned += len(addrs)
-            max_ts = report.max_timestamp
-            survivors: List[tuple] = []  # (addr, type, pid, timestamp) surviving triage
-            diff_addrs: List[int] = []
-            for addr, spare in zip(addrs, chip.read_spares(addrs)):
-                kind = spare.type
-                if kind is _ERASED:
+            records = chip.read_spare_records(addrs)
+            kinds = spare_kinds(records["type"])
+            stamps = records["ts"]
+            programmed = kinds != _ERASED
+            # Even stale/obsolete stamps must bound the resumed counter: a
+            # reused timestamp would break recovery's strictly-newer
+            # adoption rule on the next crash.
+            stamped = stamps[programmed & (stamps != NO_TS)]
+            if stamped.size:
+                report.max_timestamp = max(report.max_timestamp, int(stamped.max()))
+            live = programmed & (records["valid"] == 0xFF)
+            for at in np.flatnonzero(live & (kinds == _CORRUPT)).tolist():
+                # A damaged type byte: the page holds *something* that was
+                # programmed, so it must not be treated as erased.
+                # Quarantine by obsoleting — its block stays sealed until GC.
+                report.corrupt_spare_pages += 1
+                _quarantine_corrupt(chip, start + at, report)
+            # Pages of other types (the mapping region's) are left
+            # untouched: recovery never destroys data it does not own.
+            survivors = np.flatnonzero(
+                live & ((kinds == _BASE) | (kinds == _DIFFERENTIAL))
+            )
+            survivor_kinds = kinds[survivors].tolist()
+            survivor_addrs = (survivors + start).tolist()
+            images = _prefetch_diff_pages(
+                chip,
+                [a for a, k in zip(survivor_addrs, survivor_kinds) if k == _DIFFERENTIAL],
+                report,
+            )
+            survivor_stamps = stamps[survivors]
+            survivor_stamps[survivor_stamps == NO_TS] = 0
+            for addr, kind, pid, ts in zip(
+                survivor_addrs,
+                survivor_kinds,
+                records["pid"][survivors].tolist(),
+                survivor_stamps.tolist(),
+            ):
+                if kind == _DIFFERENTIAL:
+                    _adopt_diff_page(
+                        chip, addr, images[addr], rows, counts, drop_diff, report
+                    )
                     continue
-                # Even stale/obsolete stamps must bound the resumed
-                # counter: a reused timestamp would break recovery's
-                # strictly-newer adoption rule on the next crash.
-                ts = spare.timestamp
-                if ts is not None and ts > max_ts:
-                    max_ts = ts
-                if spare.obsolete:
-                    continue
-                if kind is _BASE:
-                    survivors.append((addr, kind, spare.pid, ts or 0))
-                elif kind is _DIFFERENTIAL:
-                    survivors.append((addr, kind, None, 0))
-                    diff_addrs.append(addr)
-                elif kind is _CORRUPT:
-                    # A damaged type byte: the page holds *something* that
-                    # was programmed, so it must not be treated as erased
-                    # (the old behaviour re-allocated over it).  Quarantine
-                    # by obsoleting — its block stays sealed until GC.
-                    report.corrupt_spare_pages += 1
+                # Case 1 of Figure 11: the scanned page is a base page.
+                if pid == NO_PID:
+                    # A base page without a pid (torn spare program) cannot
+                    # be mapped to any logical page; count it under its own
+                    # bucket and mark it obsolete so later scans and the
+                    # allocator never trust it.
+                    report.corrupt_base_pages += 1
                     _quarantine_corrupt(chip, addr, report)
-                # Pages of other types (the mapping region's) are
-                # left untouched: recovery never destroys data it does not
-                # own.
-            report.max_timestamp = max_ts
-            images = _prefetch_diff_pages(chip, diff_addrs, report)
-            for addr, kind, pid, ts in survivors:
-                if kind is _BASE:
-                    _scan_base_page(chip, addr, pid, ts, ppmt, drop_diff, report)
-                else:
-                    _scan_diff_page(chip, addr, images[addr], ppmt, vdct,
-                                    drop_diff, report)
+                    continue
+                row = rows.get(pid)
+                if row is None:
+                    rows[pid] = MappingEntry(addr, ts)
+                    report.base_pages_adopted += 1
+                    continue
+                if row.base_addr >= 0:
+                    if ts <= row.base_ts:
+                        # The adopted base is at least as recent: a stale copy.
+                        chip.mark_obsolete(addr)
+                        report.stale_pages_obsoleted += 1
+                        continue
+                    # A more recent base page; the old one is obsolete.
+                    chip.mark_obsolete(row.base_addr)
+                    report.stale_pages_obsoleted += 1
+                row.base_addr = addr
+                row.base_ts = ts
+                report.base_pages_adopted += 1
+                if row.diff_addr is not None and ts > row.diff_ts:
+                    # The new base supersedes the adopted differential.
+                    drop_diff(row)
 
         # Entries whose base page never appeared cannot be served; their
         # differentials alone cannot recreate a page.  This indicates an
         # interrupted initial load; report and drop them.
-        orphans = [pid for pid, entry in ppmt.items() if entry.base_addr < 0]
-        for pid in orphans:
-            drop_diff(pid)
+        for pid in [pid for pid, row in rows.items() if row.base_addr < 0]:
+            row = rows.pop(pid)
+            if row.diff_addr is not None:
+                drop_diff(row)
             report.orphan_pids.append(pid)
-        for pid in orphans:
-            ppmt.remove(pid)
 
+    ppmt.install(rows)
+    vdct.seed(counts.items())
     if driver is not None:
         driver.resume_ts(report.max_timestamp)
     return report
@@ -239,60 +295,13 @@ def _prefetch_diff_pages(
     return images
 
 
-def _scan_base_page(
-    chip: FlashChip,
-    addr: int,
-    pid: Optional[int],
-    ts: int,
-    ppmt: PhysicalPageMappingTable,
-    drop_diff: Callable[[int], None],
-    report: RecoveryReport,
-) -> None:
-    """Case 1 of Figure 11: the scanned page is a base page."""
-    if pid is None:
-        # A base page without a pid (torn spare program) cannot be mapped
-        # to any logical page; count it under its own bucket and mark it
-        # obsolete so later scans and the allocator never trust it.
-        report.corrupt_base_pages += 1
-        _quarantine_corrupt(chip, addr, report)
-        return
-    entry = ppmt.get(pid)
-    if entry is None:
-        ppmt.set_base(pid, addr, ts)
-        report.base_pages_adopted += 1
-        report.max_timestamp = max(report.max_timestamp, ts)
-        return
-    current_diff = entry.diff_addr
-    current_diff_ts = entry.diff_ts
-    if entry.base_addr >= 0 and ts <= entry.base_ts:
-        # The adopted base is at least as recent: r is a stale copy.
-        chip.mark_obsolete(addr)
-        report.stale_pages_obsoleted += 1
-        return
-    if entry.base_addr >= 0:
-        # r is a more recent base page; the old one is obsolete.
-        chip.mark_obsolete(entry.base_addr)
-        report.stale_pages_obsoleted += 1
-    ppmt.set_base(pid, addr, ts)
-    if current_diff is not None:
-        # set_base clears the differential; keep it for the check below.
-        ppmt.set_diff(pid, current_diff, current_diff_ts)
-    report.base_pages_adopted += 1
-    report.max_timestamp = max(report.max_timestamp, ts)
-    if current_diff is not None and ts > (
-        current_diff_ts if current_diff_ts is not None else -1
-    ):
-        # The new base supersedes the adopted differential.
-        drop_diff(pid)
-
-
-def _scan_diff_page(
+def _adopt_diff_page(
     chip: FlashChip,
     addr: int,
     data: Optional[bytes],
-    ppmt: PhysicalPageMappingTable,
-    vdct: ValidDifferentialCountTable,
-    drop_diff: Callable[[int], None],
+    rows: Dict[int, MappingEntry],
+    counts: Dict[int, int],
+    drop_diff: Callable[[MappingEntry], None],
     report: RecoveryReport,
 ) -> None:
     """Case 2 of Figure 11: the scanned page is a differential page.
@@ -311,27 +320,29 @@ def _scan_diff_page(
     adopted = 0
     max_ts = report.max_timestamp
     for pid, timestamp in stamps:
-        entry = ppmt.get(pid)
-        base_ts = entry.base_ts if entry is not None and entry.base_addr >= 0 else -1
-        if timestamp <= base_ts:
-            continue  # older than the adopted base: stale
-        current = entry.diff_ts if entry is not None and entry.diff_ts is not None else -1
-        if timestamp <= current:
-            continue  # an at-least-as-recent differential was adopted
-        if entry is None:
+        row = rows.get(pid)
+        if row is None:
             # The differential precedes its base in scan order; register a
             # placeholder row (base_addr < 0 marks "not yet seen").
-            ppmt.set_base(pid, -1, -1)
-        elif entry.diff_addr is not None:
-            drop_diff(pid)
-        ppmt.set_diff(pid, addr, timestamp)
-        vdct.increment(addr)
+            rows[pid] = MappingEntry(-1, -1, addr, timestamp)
+        elif timestamp <= row.base_ts:
+            continue  # older than the adopted base: stale
+        elif row.diff_addr is None:
+            row.diff_addr = addr
+            row.diff_ts = timestamp
+        elif timestamp <= row.diff_ts:
+            continue  # an at-least-as-recent differential was adopted
+        else:
+            drop_diff(row)
+            row.diff_addr = addr
+            row.diff_ts = timestamp
+        counts[addr] = counts.get(addr, 0) + 1
         adopted += 1
         if timestamp > max_ts:
             max_ts = timestamp
     report.max_timestamp = max_ts
     report.differentials_adopted += adopted
-    if vdct.count(addr) == 0:
+    if addr not in counts:
         # No valid differential remains in r.
         chip.mark_obsolete(addr)
         report.stale_pages_obsoleted += 1

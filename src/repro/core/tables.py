@@ -83,8 +83,15 @@ class PhysicalPageMappingTable:
         entry.diff_addr = addr
         entry.diff_ts = timestamp if addr is not None else None
 
+    def install(self, entries: Dict[int, MappingEntry]) -> None:
+        """Take over ``entries`` as the table's rows, replacing its
+        contents: the recovery scan builds its rows locally and installs
+        them once, as :meth:`ValidDifferentialCountTable.seed` does for
+        the counts.  The caller must not touch the dict afterwards."""
+        self._entries = entries
+
     def remove(self, pid: int) -> Optional[MappingEntry]:
-        """Drop a row entirely (recovery of orphaned entries)."""
+        """Drop a row entirely (fsck's repair of an unrecoverable pid)."""
         return self._entries.pop(pid, None)
 
     def __contains__(self, pid: int) -> bool:

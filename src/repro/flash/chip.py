@@ -29,13 +29,13 @@ path").  Nothing sits between the chip and the device: every page read
 charges its ``Tread``.
 
 Batched entry points (:meth:`read_pages`, :meth:`read_spares`,
-:meth:`program_pages`) charge exactly the same per-page latencies as N
-single calls — simulated cost is identical by construction — but reach
-the backend in one call, which amortizes syscalls on the file backend
-and per-call overhead in memory.  Crash injection still fires *between*
-pages of a batch: the pages admitted before the failure are persisted,
-so the post-crash state is a prefix of completed operations exactly as
-with single-page calls.
+:meth:`read_spare_records`, :meth:`program_pages`) charge exactly the
+same per-page latencies as N single calls — simulated cost is identical
+by construction — but reach the backend in one call, which amortizes
+syscalls on the file backend and per-call overhead in memory.  Crash
+injection still fires *between* pages of a batch: the pages admitted
+before the failure are persisted, so the post-crash state is a prefix of
+completed operations exactly as with single-page calls.
 
 Crash injection: a :class:`CrashPoint` armed via
 :meth:`FlashChip.set_crash_point` makes the chip raise
@@ -71,6 +71,7 @@ from .spare import (
     data_checksum,
     decoded_spare,
     erased_spare,
+    spare_records,
 )
 from .spec import FlashSpec
 from .stats import FlashStats
@@ -351,6 +352,28 @@ class FlashChip:
                 raw = erased
             spares.append(decoded_spare(raw) or decode(raw))
         return spares
+
+    def read_spare_records(self, addrs: Sequence[int]) -> np.ndarray:
+        """Read many spare areas in one backend call (N × Tread), undecoded.
+
+        Charges exactly what :meth:`read_spares` charges, but returns the
+        raw spares as one :func:`~repro.flash.spare.spare_records` array
+        (erased pages read as all-``0xFF`` spares) — the recovery scan
+        triages a chunk of pages with array operations, no
+        :class:`SpareArea` per page.
+        """
+        n_pages = self._n_pages
+        for addr in addrs:
+            if not 0 <= addr < n_pages:
+                self._check_addr(addr)
+        self.stats.record_reads(len(addrs))
+        self._clock_us += self.spec.t_read_us * len(addrs)
+        size = self.spec.page_spare_size
+        erased = erased_spare(size)
+        raws = self.backend.read_spares(addrs)
+        return spare_records(
+            b"".join([erased if raw is None else raw for raw in raws]), size
+        )
 
     # ------------------------------------------------------------------
     # Program operations

@@ -40,6 +40,8 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
+import numpy as np
+
 HEADER_SIZE = 16
 _HEADER = struct.Struct("<BBIQ2s")
 
@@ -231,6 +233,42 @@ class SpareArea:
             and self.type is not PageType.CORRUPT
             and not self.obsolete
         )
+
+
+#: Type byte -> page-type value, for a whole array of type bytes at once
+#: (:func:`spare_kinds`): unknown bytes map to CORRUPT, as in ``decode``.
+_KIND_OF_BYTE = np.full(256, PageType.CORRUPT, dtype=np.uint8)
+_KIND_OF_BYTE[list(_TYPE_OF_BYTE)] = list(_TYPE_OF_BYTE)
+
+
+def spare_records(raw: bytes, spare_size: int) -> np.ndarray:
+    """View concatenated raw spare areas as one numpy record array.
+
+    ``raw`` holds ``len(raw) // spare_size`` spare areas back to back;
+    the result has one record per spare, with the header fields
+    :meth:`SpareArea.decode` reads, undecoded: ``type`` (the raw type
+    byte; :func:`spare_kinds` maps it to a page type), ``valid`` (0xFF
+    unless obsoleted), ``pid`` (:data:`NO_PID` = none) and ``ts``
+    (:data:`NO_TS` = none).  It is a view, not a copy: the recovery scan
+    triages a chip's spares with array operations instead of one
+    ``SpareArea`` per page.
+    """
+    if spare_size < HEADER_SIZE:
+        raise ValueError(f"spare area of {spare_size} bytes too small to decode")
+    dtype = np.dtype(
+        {
+            "names": ["type", "valid", "pid", "ts"],
+            "formats": ["u1", "u1", "<u4", "<u8"],
+            "offsets": [0, 1, 2, 6],
+            "itemsize": spare_size,
+        }
+    )
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def spare_kinds(type_bytes: np.ndarray) -> np.ndarray:
+    """The :class:`PageType` value of each type byte (unknown: CORRUPT)."""
+    return _KIND_OF_BYTE[type_bytes]
 
 
 def erased_spare(spare_size: int) -> bytes:

@@ -341,6 +341,35 @@ class TestTimestampResume:
         assert fresh.current_ts == report.max_timestamp > 0
 
 
+class TestEmptyTablesRequired:
+    """The scan installs its rows in one go, so it must refuse a table
+    that already holds rows instead of overwriting them."""
+
+    @pytest.mark.parametrize("table", ["ppmt", "vdct"])
+    def test_recover_tables_refuses_a_non_empty_table(self, tiny_spec, table):
+        from repro.core.recovery import recover_tables
+        from repro.core.tables import (
+            PhysicalPageMappingTable,
+            ValidDifferentialCountTable,
+        )
+
+        chip, pdl = _fresh(tiny_spec)
+        pdl.load_page(0, _page(pdl))
+        pdl.flush()
+        ppmt = PhysicalPageMappingTable()
+        vdct = ValidDifferentialCountTable()
+        if table == "ppmt":
+            ppmt.set_base(7, 3, 1)
+        else:
+            vdct.increment(5)
+        reads = chip.stats.totals().reads
+        with pytest.raises(ValueError, match=f"empty {table}"):
+            recover_tables(chip, ppmt, vdct)
+        # Refused before the scan: nothing read, the row left as it was.
+        assert chip.stats.totals().reads == reads
+        assert len(ppmt) + len(vdct) == 1
+
+
 class TestCorruptionDuringScan:
     """Single-page damage must be quarantined by the scan, never adopted."""
 

@@ -3,10 +3,10 @@
 ``fixtures/tiny-v1.flash`` is a ``FileBackend`` image (format version 1)
 of a small PDL database cut off by a power loss, written by
 ``fixtures/make_tiny_image.py``.  Recovering a copy of it must give the
-recorded Figure-11 report and the recorded state of every physical page
-and every logical page: a change to how the image is laid out, how
-spare areas or differential pages are encoded, or how the scan decodes
-them, fails here instead of stranding images written by an earlier
+recorded Figure-11 report, the recorded order of its obsolete marks and
+the recorded state of every physical page and every logical page: a
+change to how the image is laid out, how spare areas or differential
+pages are encoded, or how the scan decodes them, fails here instead of stranding images written by an earlier
 build.  The script must also still write the committed bytes, so the
 write side of the format is pinned as well.
 """
@@ -33,6 +33,8 @@ RECORDED_REPORT = RecoveryReport(
     diff_pages_read=7,
     diff_read_batches=1,
 )
+#: The pages the scan marks obsolete, in the order it marks them.
+RECORDED_OBSOLETE_MARKS = [105, 119]
 #: sha256 over every physical page (data area, then raw spare area) and
 #: every logical page as read back, after recovery.
 RECORDED_STATE = "bce864d546d9fa022a28fa68ba24af6e6352a00f68eea56c04efd6ad3a8cb5dc"
@@ -54,10 +56,19 @@ def test_committed_image_recovers_to_the_recorded_state(tmp_path):
     chip = FlashChip(backend=FileBackend.open(path))
     try:
         assert FORMAT_VERSION == 1
+        marks = []
+        mark_obsolete = chip.mark_obsolete
+
+        def recording_mark_obsolete(addr):
+            marks.append(addr)
+            return mark_obsolete(addr)
+
+        chip.mark_obsolete = recording_mark_obsolete
         driver, report = recover_driver(
             chip, max_differential_size=make_tiny_image.MAX_DIFFERENTIAL_SIZE
         )
         assert report == RECORDED_REPORT
+        assert marks == RECORDED_OBSOLETE_MARKS
         assert state_hash(chip, driver) == RECORDED_STATE
     finally:
         chip.close()

@@ -4,7 +4,9 @@ The codec is the on-flash metadata contract every driver, the crash
 recovery scan, and fsck all share — these properties pin it down over
 the whole input space: every page type, every spare size from
 header-only up, the optional checksum slot and its reserved all-ones
-sentinel, and the decode-only CORRUPT path for damaged type bytes.
+sentinel, and the decode-only CORRUPT path for damaged type bytes.  The
+record-array view the recovery scan triages with must read every raw
+spare exactly as ``SpareArea.decode`` does.
 """
 
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from repro.flash.spare import (
     SpareArea,
     data_checksum,
     erased_spare,
+    spare_kinds,
+    spare_records,
 )
 
 ENCODABLE_TYPES = [t for t in PageType if t is not PageType.CORRUPT]
@@ -38,6 +42,30 @@ spares = st.builds(
     timestamp=timestamps,
     checksum=checksums,
 )
+
+
+@st.composite
+def raw_spares(draw, size):
+    """One raw spare area as flash can hold it: written, obsoleted, torn
+    (some programmed bits never cleared), erased or arbitrary bytes."""
+    state = draw(st.sampled_from(["written", "obsolete", "torn", "erased", "arbitrary"]))
+    if state == "erased":
+        return erased_spare(size)
+    if state == "arbitrary":
+        return draw(st.binary(min_size=size, max_size=size))
+    spare = draw(spares)
+    raw = (spare.as_obsolete() if state == "obsolete" else spare).encode(size)
+    if state == "torn":
+        unset = draw(st.binary(min_size=size, max_size=size))
+        raw = bytes(byte | mask for byte, mask in zip(raw, unset))
+    return raw
+
+
+@st.composite
+def spare_runs(draw):
+    """A spare size and 1-8 raw spares of that size, back to back."""
+    size = draw(spare_sizes)
+    return size, draw(st.lists(raw_spares(size), min_size=1, max_size=8))
 
 
 class TestRoundTrip:
@@ -169,3 +197,27 @@ class TestValidation:
         b = SpareArea.decode(raw)
         assert a == b
         assert isinstance(a.type, PageType)
+
+
+class TestRecordView:
+    @given(run=spare_runs())
+    @settings(max_examples=300)
+    def test_record_view_reads_every_field_as_decode(self, run):
+        size, raws = run
+        records = spare_records(b"".join(raws), size)
+        kinds = spare_kinds(records["type"])
+        assert len(records) == len(raws)
+        for raw, record, kind in zip(raws, records.tolist(), kinds.tolist()):
+            _type_byte, valid, pid, ts = record
+            decoded = SpareArea.decode(raw)
+            assert kind == decoded.type
+            assert (valid != 0xFF) == decoded.obsolete
+            assert (None if pid == NO_PID else pid) == decoded.pid
+            assert (None if ts == NO_TS else ts) == decoded.timestamp
+
+    @given(size=st.integers(0, HEADER_SIZE - 1))
+    def test_undersized_spare_rejected_by_the_view(self, size):
+        import pytest
+
+        with pytest.raises(ValueError):
+            spare_records(b"\xff" * size, size)
