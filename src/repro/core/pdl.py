@@ -163,7 +163,7 @@ class PdlDriver(PageUpdateMethod):
         self._check_page(pid, data)
         if pid in self.ppmt:
             raise ValueError(f"logical page {pid} already loaded")
-        with self.stats.phase("load"):
+        with self.chip.stats.phase("load"):
             self._program_base(pid, data)
         self._mapping_tick()
 
@@ -207,7 +207,7 @@ class PdlDriver(PageUpdateMethod):
         makes it DBMS-independent.
         """
         self._check_page(pid, data)
-        with self.stats.phase(WRITE_STEP):
+        with self.chip.stats.phase(WRITE_STEP):
             self.gc.on_write_begin()
             try:
                 # Mapping lookups run after the incremental GC step:
@@ -264,7 +264,7 @@ class PdlDriver(PageUpdateMethod):
 
     def flush(self) -> None:
         """Write-through (Section 4.5): force the write buffer to flash."""
-        with self.stats.phase(WRITE_STEP):
+        with self.chip.stats.phase(WRITE_STEP):
             # A flush is a write-path entry point: it paces incremental
             # steps and meters any GC it absorbs (its buffer-flush
             # allocation can invoke the backstop) as a stall sample, so
@@ -300,7 +300,7 @@ class PdlDriver(PageUpdateMethod):
         while nothing is staged (a staged-but-unprogrammed page must
         never be visible to GC as valid).
         """
-        with self.stats.phase("load"):
+        with self.chip.stats.phase("load"):
             staged: List[tuple] = []  # (addr, data, spare, pid, ts)
             staged_pids = set()
 
@@ -354,7 +354,7 @@ class PdlDriver(PageUpdateMethod):
             return
         for pid, data in pages:
             self._check_page(pid, data)
-        with self.stats.phase(WRITE_STEP):
+        with self.chip.stats.phase(WRITE_STEP):
             entries = [(pid, self.ppmt.get(pid)) for pid, _ in pages]
             mapped = [
                 (pid, entry.base_addr) for pid, entry in entries if entry is not None

@@ -385,12 +385,16 @@ class FileBackend(DeviceBackend):
         header += b"\xff" * (HEADER_SIZE - len(header))
         # O_EXCL-free create: callers wanting exclusivity use create().
         self._file = open(self.path, "w+b", buffering=0)
-        # Zeroed counters mean "everything erased"; truncate leaves the
-        # data and spare regions sparse.
-        self._write_at(
-            0, header + bytes(4 * spec.n_blocks + _META_SIZE * spec.n_pages)
-        )
-        self._file.truncate(self._size)
+        try:
+            # Zeroed counters mean "everything erased"; truncate leaves the
+            # data and spare regions sparse.
+            self._write_at(
+                0, header + bytes(4 * spec.n_blocks + _META_SIZE * spec.n_pages)
+            )
+            self._file.truncate(self._size)
+        except BaseException:
+            self._file.close()  # a half-written image must not leak its handle
+            raise
         self._meta_mirror = bytearray(_META_SIZE * spec.n_pages)
         self._erase_mirror = [0] * spec.n_blocks
 
@@ -648,8 +652,10 @@ class FileBackend(DeviceBackend):
 
     def close(self) -> None:
         if not self._file.closed:
-            self.sync()
-            self._file.close()
+            try:
+                self.sync()
+            finally:
+                self._file.close()  # even when the fsync fails
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<FileBackend {self.path!r} {self.spec.n_pages} pages>"

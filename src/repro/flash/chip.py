@@ -149,9 +149,6 @@ class FlashChip:
     spec:
         Chip geometry and latencies.  May be omitted when ``backend`` is
         given (the backend's spec is adopted).
-    stats:
-        Optional pre-built stats collector (a fresh one is created by
-        default).
     backend:
         Device backend holding the bits; defaults to a fresh
         :class:`MemoryBackend` — the original volatile emulator.
@@ -160,7 +157,7 @@ class FlashChip:
     def __init__(
         self,
         spec: Optional[FlashSpec] = None,
-        stats: Optional[FlashStats] = None,
+        *,
         backend: Optional[DeviceBackend] = None,
     ) -> None:
         if spec is None and backend is None:
@@ -186,7 +183,7 @@ class FlashChip:
         self.spec = spec
         self._n_pages = spec.n_pages  # a computed property; checked per call
         self.backend = backend
-        self.stats = stats or FlashStats(
+        self.stats = FlashStats(
             spec.n_blocks, spec.t_read_us, spec.t_write_us, spec.t_erase_us
         )
         self._clock_us: float = 0.0

@@ -19,22 +19,28 @@ Phases nest; an operation is charged to the innermost phase only, so
 "write_step" and "gc" partition the write path and Figure 12's total is
 simply their sum.
 
+Every read is written once, in :class:`PhaseView` (phase and wear) and
+:class:`StatsView` (plus stall tails, the :data:`COUNTERS` and
+``report``), for three sources: a chip's :class:`FlashStats`, the only
+one written to; an array's :class:`AggregateStats`, a live merged view
+whose phase time is *serial* time (the busiest chip's clock delta is
+the array's *parallel* time); and a window's :class:`StatsSnapshot`.
+
 Threading model (see ``docs/concurrency.md``): the phase stack is
 *thread-local*, so client threads executing on different shards never
 corrupt each other's nesting.  Counter mutation stays lock-free on the
 hot path because the sharding layer guarantees a **single writer per
 collector** (the thread holding the shard's gate); the only lock taken
-guards creation of a new phase bucket against a concurrent aggregate
-read, so ``totals()`` /
-``snapshot()`` from a monitoring thread never observe the phases dict
-mid-resize.
+guards creation of a new phase bucket against a concurrent read, so
+``totals()`` / ``snapshot()`` from a monitoring thread — or through a
+merged view — never observe the phases dict mid-resize.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
 #: Phase used when no phase was pushed (initial load, ad-hoc access).
 DEFAULT_PHASE = "unattributed"
@@ -43,6 +49,19 @@ DEFAULT_PHASE = "unattributed"
 READ_STEP = "read_step"
 WRITE_STEP = "write_step"
 GC = "gc"
+
+#: The scalar counters of every live collector, in report order.
+#: ``FlashStats.reset`` zeroes them, ``AggregateStats`` sums them and
+#: ``StatsView.report`` prints them, each by walking this tuple.
+COUNTERS: Tuple[str, ...] = (
+    "gc_steps",
+    "gc_step_pages",
+    "checksum_checks",
+    "checksum_failures",
+    "mapping_hits",
+    "mapping_misses",
+    "mapping_writebacks",
+)
 
 
 def percentile(samples: List[float], pct: float) -> float:
@@ -54,43 +73,6 @@ def percentile(samples: List[float], pct: float) -> float:
     ordered = sorted(samples)
     rank = max(1, -(-len(ordered) * pct // 100))  # ceil without math import
     return ordered[int(rank) - 1]
-
-
-class LatencyRecorder:
-    """A bag of latency samples with nearest-rank percentile reads.
-
-    Shared by the stats layers that meter per-event stalls (the buffer
-    pool's client-visible eviction stalls; merged views pool several
-    recorders with :meth:`extend`).  Samples are microseconds; zero
-    samples are recorded too, so percentiles are over *all* events
-    rather than only the stalled ones — the same convention as
-    :meth:`FlashStats.record_write_stall`.
-    """
-
-    __slots__ = ("samples",)
-
-    def __init__(self) -> None:
-        self.samples: List[float] = []
-
-    def record(self, us: float) -> None:
-        self.samples.append(us)
-
-    def extend(self, other: "LatencyRecorder") -> None:
-        self.samples.extend(other.samples)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def max_us(self) -> float:
-        return max(self.samples, default=0.0)
-
-    def percentile(self, pct: float) -> float:
-        return percentile(self.samples, pct)
-
-    def reset(self) -> None:
-        self.samples = []
 
 
 class _PhaseScope:
@@ -147,12 +129,150 @@ class OpCounts:
         return self.reads + self.writes + self.erases
 
 
-class FlashStats:
+class PhaseView:
+    """Phase and wear reads, built from :meth:`phase_items` and
+    ``block_erases`` alone.
+
+    Every stats object has them: a chip's :class:`FlashStats`, an
+    array's :class:`AggregateStats` and a window's
+    :class:`StatsSnapshot`.
+    """
+
+    block_erases: List[int]
+
+    def phase_items(self) -> List[Tuple[str, OpCounts]]:
+        """``(phase, counts)`` pairs; the counts may be live."""
+        raise NotImplementedError
+
+    def totals(self) -> OpCounts:
+        """Sum over all phases."""
+        total = OpCounts()
+        for _name, counts in self.phase_items():
+            total = total.add(counts)
+        return total
+
+    def of_phase(self, name: str) -> OpCounts:
+        for phase, counts in self.phase_items():
+            if phase == name:
+                return counts.copy()
+        return OpCounts()
+
+    @property
+    def total_time_us(self) -> float:
+        return self.totals().time_us
+
+    @property
+    def total_erases(self) -> int:
+        return self.totals().erases
+
+    def time_of(self, *names: str) -> float:
+        """Simulated time summed across the given phases."""
+        return sum(self.of_phase(name).time_us for name in names)
+
+    def max_block_erases(self) -> int:
+        return max(self.block_erases, default=0)
+
+    def snapshot(self) -> "StatsSnapshot":
+        """Freeze current counters; subtract later with ``delta_since``."""
+        return StatsSnapshot(
+            phases={name: counts.copy() for name, counts in self.phase_items()},
+            block_erases=list(self.block_erases),
+        )
+
+    def delta_since(self, snap: "StatsSnapshot") -> "StatsSnapshot":
+        """Counters accumulated since ``snap`` was taken."""
+        phases: Dict[str, OpCounts] = {}
+        for name, counts in self.phase_items():
+            diff = counts.sub(snap.phases.get(name, OpCounts()))
+            if diff.total_ops or diff.time_us:
+                phases[name] = diff
+        erases = [now - then for now, then in zip(self.block_erases, snap.block_erases)]
+        return StatsSnapshot(phases=phases, block_erases=erases)
+
+
+class BufferReport(Protocol):
+    """What :meth:`StatsView.report` embeds: the buffer pool's
+    :class:`~repro.storage.bufferpool.stats.BufferStats`."""
+
+    def as_dict(self) -> Dict[str, object]: ...
+
+
+class StatsView(PhaseView):
+    """The full read surface of a live collector or a merged view: the
+    phase and wear reads plus GC stall tails, the :data:`COUNTERS` and
+    :meth:`report`.
+    """
+
+    #: Collectors this view covers: 1 for a chip, the shard count for an array.
+    n_shards: int = 1
+    #: Per-write GC stall samples (simulated us of reclamation work a
+    #: single logical write absorbed); the GC engine records one sample
+    #: per write, zero included, so percentiles are over all writes
+    #: rather than only the stalled ones.
+    write_stall_us: List[float]
+    #: Integrity accounting (see :mod:`repro.flash.spare`): how many page
+    #: reads carried a spare-area checksum and were verified, and how
+    #: many of those failed (raising ``ChecksumError``).
+    checksum_checks: int
+    checksum_failures: int
+    #: Incremental-GC accounting: bounded reclamation steps taken and the
+    #: victim pages they relocated in total.
+    gc_steps: int
+    gc_step_pages: int
+    #: Tiered mapping-table accounting (see :mod:`repro.core.mapping`):
+    #: translation lookups served from the in-RAM overlay/cache
+    #: (``hits``, no flash op), demand reads that paged a mapping page in
+    #: from the snapshot region (``misses``, one flash read each, charged
+    #: to the ``mapping`` phase), and mapping-region page programs —
+    #: journal flushes plus snapshot pages (``writebacks``).
+    mapping_hits: int
+    mapping_misses: int
+    mapping_writebacks: int
+
+    def write_stall_percentile(self, pct: float) -> float:
+        """Nearest-rank percentile of per-write GC stalls, in simulated us.
+
+        ``write_stall_percentile(99)`` is the p99 write stall — the
+        tail-latency metric incremental GC exists to shrink.  Returns 0
+        when no writes have been metered.
+        """
+        return percentile(self.write_stall_us, pct)
+
+    @property
+    def max_write_stall_us(self) -> float:
+        return max(self.write_stall_us, default=0.0)
+
+    def report(self, buffer_stats: Optional[BufferReport] = None) -> Dict[str, object]:
+        """One dict with the flash totals, the stall tail and every counter.
+
+        ``buffer_stats`` embeds the buffer-pool view under ``"buffer"``,
+        so a workload report shows cache behaviour, write-back activity
+        and eviction stalls next to the device traffic they caused (the
+        Experiment-7 coupling, as one artifact).
+        """
+        totals = self.totals()
+        out: Dict[str, object] = {
+            "n_shards": self.n_shards,
+            "reads": totals.reads,
+            "writes": totals.writes,
+            "erases": totals.erases,
+            "io_time_us": totals.time_us,
+            "write_stall_p99_us": self.write_stall_percentile(99),
+            "write_stall_max_us": self.max_write_stall_us,
+        }
+        for name in COUNTERS:
+            out[name] = getattr(self, name)
+        if buffer_stats is not None:
+            out["buffer"] = buffer_stats.as_dict()
+        return out
+
+
+class FlashStats(StatsView):
     """Accumulates per-phase operation counts for one chip.
 
     Besides phase accounting, it tracks per-block erase counts (wear) for
-    Experiment 6 and the longevity discussion, and exposes snapshot/delta
-    helpers so a workload can measure only its steady-state window.
+    Experiment 6 and the longevity discussion, per-write GC stalls and
+    the :data:`COUNTERS`.
     """
 
     def __init__(
@@ -162,40 +282,18 @@ class FlashStats:
         self._t_write = t_write_us
         self._t_erase = t_erase_us
         self.phases: Dict[str, OpCounts] = {}
-        self.block_erases: List[int] = [0] * n_blocks
+        self.block_erases = [0] * n_blocks
         self._local = threading.local()
         #: Guards phase-bucket creation against concurrent aggregate
         #: reads (totals/snapshot); per-op accounting itself is
         #: single-writer by the sharded driver's one-owner-per-shard gates.
         self._lock = threading.Lock()
-        #: Integrity accounting (see :mod:`repro.flash.spare`): how many
-        #: page reads carried a spare-area checksum and were verified,
-        #: and how many of those failed (raising ``ChecksumError``).
-        self.checksum_checks: int = 0
-        self.checksum_failures: int = 0
-        #: Per-write GC stall samples (simulated us of reclamation work a
-        #: single logical write absorbed); the GC engine records one
-        #: sample per write, zero included, so percentiles are over all
-        #: writes rather than only the stalled ones.
-        self.write_stall_us: List[float] = []
-        #: Incremental-GC accounting: bounded reclamation steps taken and
-        #: the victim pages they relocated in total.
-        self.gc_steps: int = 0
-        self.gc_step_pages: int = 0
-        #: Tiered mapping-table accounting (see :mod:`repro.core.mapping`):
-        #: translation lookups served from the in-RAM overlay/cache
-        #: (``hits``, no flash op), demand reads that paged a mapping page
-        #: in from the snapshot region (``misses``, one flash read each,
-        #: charged to the ``mapping`` phase), and mapping-region page
-        #: programs — journal flushes plus snapshot pages (``writebacks``).
-        self.mapping_hits: int = 0
-        self.mapping_misses: int = 0
-        self.mapping_writebacks: int = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Copying (``copy.deepcopy(chip)`` snapshots a device with its stats)
     # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict:
+    def __getstate__(self) -> Dict[str, Any]:
         """Counters only — the thread-local phase stack and the bucket
         lock cannot be copied or pickled and are rebuilt fresh (a copied
         collector starts with no pushed phases)."""
@@ -204,7 +302,7 @@ class FlashStats:
         state.pop("_lock", None)
         return state
 
-    def __setstate__(self, state: Dict) -> None:
+    def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -318,9 +416,9 @@ class FlashStats:
         self.mapping_writebacks += pages
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Reading and resetting
     # ------------------------------------------------------------------
-    def phase_items(self) -> List:
+    def phase_items(self) -> List[Tuple[str, OpCounts]]:
         """A stable shallow copy of the phases dict for iteration.
 
         Taken under the bucket-creation lock, so a reader never iterates
@@ -332,96 +430,56 @@ class FlashStats:
         with self._lock:
             return list(self.phases.items())
 
-    def totals(self) -> OpCounts:
-        """Sum over all phases."""
-        total = OpCounts()
-        for _name, counts in self.phase_items():
-            total = total.add(counts)
-        return total
-
-    def of_phase(self, name: str) -> OpCounts:
-        return self.phases.get(name, OpCounts()).copy()
-
-    @property
-    def total_time_us(self) -> float:
-        return self.totals().time_us
-
-    @property
-    def total_erases(self) -> int:
-        return self.totals().erases
-
-    def snapshot(self) -> "StatsSnapshot":
-        """Freeze current counters; subtract later with ``delta_since``."""
-        return StatsSnapshot(
-            phases={name: counts.copy() for name, counts in self.phase_items()},
-            block_erases=list(self.block_erases),
-        )
-
-    def delta_since(self, snap: "StatsSnapshot") -> "StatsSnapshot":
-        """Counters accumulated since ``snap`` was taken."""
-        phases: Dict[str, OpCounts] = {}
-        for name, counts in self.phase_items():
-            before = snap.phases.get(name, OpCounts())
-            diff = counts.sub(before)
-            if diff.total_ops or diff.time_us:
-                phases[name] = diff
-        erases = [now - then for now, then in zip(self.block_erases, snap.block_erases)]
-        return StatsSnapshot(phases=phases, block_erases=erases)
-
-    def write_stall_percentile(self, pct: float) -> float:
-        """Nearest-rank percentile of per-write GC stalls, in simulated us.
-
-        ``write_stall_percentile(99)`` is the p99 write stall — the
-        tail-latency metric incremental GC exists to shrink.  Returns 0
-        when no writes have been metered.
-        """
-        return percentile(self.write_stall_us, pct)
-
-    @property
-    def max_write_stall_us(self) -> float:
-        return max(self.write_stall_us, default=0.0)
-
     def reset(self) -> None:
         """Clear all counters (e.g. after loading + warm-up)."""
         self.phases.clear()
         self.block_erases = [0] * len(self.block_erases)
-        self.checksum_checks = 0
-        self.checksum_failures = 0
         self.write_stall_us = []
-        self.gc_steps = 0
-        self.gc_step_pages = 0
-        self.mapping_hits = 0
-        self.mapping_misses = 0
-        self.mapping_writebacks = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
+
+
+class AggregateStats(StatsView):
+    """A live merged view over several collectors (an array's shards).
+
+    Phases are summed, wear lists and stall samples concatenated in part
+    order and each of the :data:`COUNTERS` summed, all on read, so a
+    view built once stays current.  ``reset`` fans out to the parts.
+    """
+
+    def __init__(self, parts: Sequence[FlashStats]) -> None:
+        if not parts:
+            raise ValueError("AggregateStats needs at least one shard")
+        self._parts = list(parts)
+        self.n_shards = len(self._parts)
+
+    def phase_items(self) -> List[Tuple[str, OpCounts]]:
+        merged: Dict[str, OpCounts] = {}
+        for part in self._parts:
+            for name, counts in part.phase_items():
+                merged[name] = merged.get(name, OpCounts()).add(counts)
+        return list(merged.items())
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for names the class does not set itself: the
+        # per-part lists and counters the base declares.
+        if name in ("block_erases", "write_stall_us"):
+            return [value for part in self._parts for value in getattr(part, name)]
+        if name in COUNTERS:
+            return sum(getattr(part, name) for part in self._parts)
+        raise AttributeError(name)
+
+    def reset(self) -> None:
+        for part in self._parts:
+            part.reset()
 
 
 @dataclass
-class StatsSnapshot:
-    """An immutable view of counters, used for steady-state windows."""
+class StatsSnapshot(PhaseView):
+    """A frozen window of phase counters and wear (``delta_since``)."""
 
     phases: Dict[str, OpCounts] = field(default_factory=dict)
     block_erases: List[int] = field(default_factory=list)
 
-    def totals(self) -> OpCounts:
-        total = OpCounts()
-        for counts in self.phases.values():
-            total = total.add(counts)
-        return total
-
-    def of_phase(self, name: str) -> OpCounts:
-        return self.phases.get(name, OpCounts()).copy()
-
-    @property
-    def total_time_us(self) -> float:
-        return self.totals().time_us
-
-    @property
-    def total_erases(self) -> int:
-        return self.totals().erases
-
-    def time_of(self, *names: str) -> float:
-        """Simulated time summed across the given phases."""
-        return sum(self.of_phase(name).time_us for name in names)
-
-    def max_block_erases(self) -> int:
-        return max(self.block_erases, default=0)
+    def phase_items(self) -> List[Tuple[str, OpCounts]]:
+        return list(self.phases.items())

@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
-from ..flash.stats import FlashStats
+from ..flash.stats import StatsView
 
 
 class ChangeRun(NamedTuple):
@@ -162,7 +162,7 @@ class PageUpdateMethod(ABC):
         return self.chip.spec
 
     @property
-    def stats(self) -> FlashStats:
+    def stats(self) -> StatsView:
         return self.chip.stats
 
     @property

@@ -137,13 +137,13 @@ class IplDriver(PageUpdateMethod):
         if slot in group.loaded:
             raise ValueError(f"logical page {pid} already loaded")
         addr = group.block * self.spec.pages_per_block + slot
-        with self.stats.phase("load"):
+        with self.chip.stats.phase("load"):
             self.chip.program_page(addr, data, SpareArea(type=PageType.DATA, pid=pid))
         group.loaded.add(slot)
 
     def read_page(self, pid: int) -> bytes:
         group, slot = self._locate(pid)
-        with self.stats.phase(READ_STEP):
+        with self.chip.stats.phase(READ_STEP):
             return self._recreate(group, slot, pid)
 
     def write_page(
@@ -164,14 +164,14 @@ class IplDriver(PageUpdateMethod):
                 group = _Group(block=self._take_free_block())
                 self._groups[gid] = group
             addr = group.block * self.spec.pages_per_block + slot
-            with self.stats.phase(WRITE_STEP):
+            with self.chip.stats.phase(WRITE_STEP):
                 self.chip.program_page(
                     addr, data, SpareArea(type=PageType.DATA, pid=pid)
                 )
             group.loaded.add(slot)
             return
         runs = update_logs if update_logs else [ChangeRun(0, data)]
-        with self.stats.phase(WRITE_STEP):
+        with self.chip.stats.phase(WRITE_STEP):
             for chunk in self._chunk_runs(runs):
                 self._flush_slot(group, pid, chunk)
 
@@ -258,7 +258,7 @@ class IplDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     def _merge(self, group: _Group) -> None:
         """Merge originals with logs into a fresh block, erase the old."""
-        with self.stats.phase(GC):
+        with self.chip.stats.phase(GC):
             new_block = self._take_free_block(for_merge=True)
             # Read every used log page once.
             used_log_pages = sorted(

@@ -51,7 +51,7 @@ class IpuDriver(PageUpdateMethod):
             raise OutOfSpaceError("chip full during in-place load")
         addr = self._next_addr
         self._next_addr += 1
-        with self.stats.phase("load"):
+        with self.chip.stats.phase("load"):
             self.chip.program_page(addr, data, SpareArea(type=PageType.DATA, pid=pid))
         self.mapping[pid] = addr
         self._pid_at[addr] = pid
@@ -60,7 +60,7 @@ class IpuDriver(PageUpdateMethod):
 
     def read_page(self, pid: int) -> bytes:
         addr = self._addr_of(pid)
-        with self.stats.phase(READ_STEP):
+        with self.chip.stats.phase(READ_STEP):
             data, _spare = self.chip.read_page(addr)
         return data
 
@@ -81,7 +81,7 @@ class IpuDriver(PageUpdateMethod):
                 raise OutOfSpaceError("chip full during in-place first write")
             addr = self._next_addr
             self._next_addr += 1
-            with self.stats.phase(WRITE_STEP):
+            with self.chip.stats.phase(WRITE_STEP):
                 self.chip.program_page(
                     addr, data, SpareArea(type=PageType.DATA, pid=pid)
                 )
@@ -95,7 +95,7 @@ class IpuDriver(PageUpdateMethod):
         addr = self._addr_of(pid)
         block = addr // self.spec.pages_per_block
         base = block * self.spec.pages_per_block
-        with self.stats.phase(WRITE_STEP):
+        with self.chip.stats.phase(WRITE_STEP):
             survivors = []
             for slot in sorted(self._occupied.get(block, ())):
                 other = base + slot

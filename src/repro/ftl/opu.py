@@ -53,12 +53,12 @@ class OpuDriver(PageUpdateMethod):
         self._check_page(pid, data)
         if pid in self.mapping:
             raise ValueError(f"logical page {pid} already loaded")
-        with self.stats.phase("load"):
+        with self.chip.stats.phase("load"):
             self._program(pid, data)
 
     def read_page(self, pid: int) -> bytes:
         addr = self._addr_of(pid)
-        with self.stats.phase(READ_STEP):
+        with self.chip.stats.phase(READ_STEP):
             data, _spare = self.chip.read_page(addr)
         return data
 
@@ -66,7 +66,7 @@ class OpuDriver(PageUpdateMethod):
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
     ) -> None:
         self._check_page(pid, data)
-        with self.stats.phase(WRITE_STEP):
+        with self.chip.stats.phase(WRITE_STEP):
             self.gc.on_write_begin()
             try:
                 # Allocate first: allocation may trigger GC, which can

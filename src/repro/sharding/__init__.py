@@ -13,10 +13,10 @@ shard's mapping tables after a crash.
   (routing, batched group flush, fsck, aggregated wear reporting)
   stated once, each shard owned through its gate
   (:class:`ShardExecutor`; see ``docs/concurrency.md``).
-* :mod:`repro.sharding.stats` — merged :class:`FlashStats` view plus
-  per-chip clocks for serial-vs-parallel time accounting.
 * :mod:`repro.sharding.recovery` — per-shard Figure-11 scans composed
   into array recovery.
+* :class:`AggregateStats` (from :mod:`repro.flash.stats`) — an array's
+  ``stats``: one chip's reads, merged over the shards.
 
 Build sharded configurations from paper-style labels::
 
@@ -28,10 +28,10 @@ Build sharded configurations from paper-style labels::
     driver = make_method("PDL (256B) x4", chips)
 """
 
+from ..flash.stats import AggregateStats
 from .driver import ShardedDriver, ShardExecutor
 from .recovery import recover_all
 from .router import HashRouter, RangeRouter, ShardRouter, make_router
-from .stats import AggregateStats
 
 __all__ = [
     "AggregateStats",

@@ -44,10 +44,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
 from ..flash.spec import FlashSpec
+from ..flash.stats import AggregateStats
 from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import ConcurrencyError, ConfigurationError
 from .router import HashRouter, ShardRouter
-from .stats import AggregateStats
 
 
 def _join(calls: Sequence[Callable[[], object]]) -> List[object]:
@@ -190,7 +190,7 @@ class ShardedDriver(PageUpdateMethod):
             )
         self.name = f"{self.shards[0].name} x{len(self.shards)}"
         self.tightly_coupled = any(s.tightly_coupled for s in self.shards)
-        self._stats = AggregateStats([s.stats for s in self.shards])
+        self._stats = AggregateStats([s.chip.stats for s in self.shards])
         self.group_flushes = 0
         self._counter_lock = threading.Lock()  # client threads race here
         self.executor = ShardExecutor(len(self.shards))
@@ -320,7 +320,7 @@ class ShardedDriver(PageUpdateMethod):
         return self.shards[0].spec
 
     @property
-    def stats(self) -> AggregateStats:  # type: ignore[override]
+    def stats(self) -> AggregateStats:
         return self._stats
 
     @property
@@ -391,14 +391,10 @@ class ShardedDriver(PageUpdateMethod):
     def wear_report(self) -> Dict[str, object]:
         """Aggregated wear: per-shard erase totals and worst block."""
         per_shard = [shard.stats.total_erases for shard in self.shards]
-        worst = max(
-            (max(shard.stats.block_erases, default=0) for shard in self.shards),
-            default=0,
-        )
         return {
             "per_shard_erases": per_shard,
             "total_erases": sum(per_shard),
-            "max_block_erases": worst,
+            "max_block_erases": self._stats.max_block_erases(),
         }
 
     def fsck(self, repair: bool = True):

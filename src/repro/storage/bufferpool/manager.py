@@ -309,11 +309,11 @@ class BufferManager:
             try:
                 self._write_back_locked(victim)
             finally:
-                self.stats.eviction_stalls.record(
+                self.stats.eviction_stalls.append(
                     (time.perf_counter() - start) * 1e6
                 )
         else:
-            self.stats.eviction_stalls.record(0.0)
+            self.stats.eviction_stalls.append(0.0)
         del self._frames[pid]
         self.policy.remove(pid)
         self._evict_gen[pid] = self._evict_gen.get(pid, 0) + 1

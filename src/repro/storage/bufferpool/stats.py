@@ -16,17 +16,17 @@ additionally meters everything Experiment 7's knob actually moves:
   cliff.
 
 All counters are mutated under the pool lock, so reads after a quiesce
-are exact.  Merged reporting lives
-in :meth:`repro.sharding.stats.AggregateStats.report`, which embeds
+are exact.  Merged reporting lives in
+:meth:`repro.flash.stats.StatsView.report`, which embeds
 :meth:`BufferStats.as_dict` next to the flash totals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List
 
-from ...flash.stats import LatencyRecorder
+from ...flash.stats import percentile
 
 
 @dataclass
@@ -46,7 +46,7 @@ class BufferStats:
     #: Name of the eviction policy serving this pool.
     policy: str = "lru"
     #: Host-µs eviction stalls, one sample per eviction (zero included).
-    eviction_stalls: LatencyRecorder = field(default_factory=LatencyRecorder)
+    eviction_stalls: List[float] = field(default_factory=list)
     #: Introspection counters owned by the eviction policy (parked
     #: frames, 2Q ghost promotions, ...).
     policy_counters: Dict[str, int] = field(default_factory=dict)
@@ -77,11 +77,11 @@ class BufferStats:
 
     def eviction_stall_percentile(self, pct: float) -> float:
         """Nearest-rank percentile of per-eviction client stalls (host µs)."""
-        return self.eviction_stalls.percentile(pct)
+        return percentile(self.eviction_stalls, pct)
 
     @property
     def max_eviction_stall_us(self) -> float:
-        return self.eviction_stalls.max_us
+        return max(self.eviction_stalls, default=0.0)
 
     def as_dict(self) -> Dict[str, object]:
         return {

@@ -38,7 +38,6 @@ from ..flash.chip import FlashChip
 from ..ftl.base import PageUpdateMethod
 from ..ftl.errors import UnallocatedPageError
 from ..sharding.driver import ShardedDriver
-from ..sharding.stats import AggregateStats
 from .bufferpool import BufferManager, BufferStats
 from .page import Page
 
@@ -267,15 +266,12 @@ class Database:
     def report(self) -> dict:
         """Merged flash + buffer-pool report (one dict for dashboards).
 
-        Flash totals, stall tails and GC counters come from the driver's
-        stats (an :class:`~repro.sharding.stats.AggregateStats` view is
-        built for single-chip drivers), with the extended
-        :class:`BufferStats` embedded under ``"buffer"``.
+        Flash totals, stall tails and counters come from the driver's
+        stats (:meth:`repro.flash.stats.StatsView.report`, the same for
+        one chip and an array), with the extended :class:`BufferStats`
+        embedded under ``"buffer"``.
         """
-        stats = self.driver.stats
-        if not isinstance(stats, AggregateStats):
-            stats = AggregateStats([stats])
-        return stats.report(buffer_stats=self.pool.stats)
+        return self.driver.stats.report(buffer_stats=self.pool.stats)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

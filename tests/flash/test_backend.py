@@ -1,7 +1,9 @@
 """Unit tests for the device-backend layer (memory + file images)."""
 
 import base64
+import gc
 import os
+import warnings
 import zlib
 
 import pytest
@@ -346,6 +348,29 @@ class TestPositionalIO:
             b.program_page(3, b"\x33" * 64, _spare(3, 4))
         with pytest.raises(ValueError, match="closed file"):
             b.erase_block(0)
+
+    def test_close_closes_the_file_when_fsync_fails(self, tmp_path, monkeypatch):
+        b = FileBackend(tmp_path / "chip.flash", SPEC)
+
+        def failing_fsync(_fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            b.close()
+        assert b._file.closed
+
+    def test_failed_create_leaks_no_file(self, tmp_path, monkeypatch):
+        def failing_pwrite(_fd, _payload, _offset):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "pwrite", failing_pwrite)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                FileBackend(tmp_path / "chip.flash", SPEC)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestAddressRuns:

@@ -1,10 +1,19 @@
 """Unit tests for phase accounting and snapshots."""
 
 import pickle
+import random
 
 import pytest
 
-from repro.flash.stats import GC, READ_STEP, WRITE_STEP, FlashStats, OpCounts
+from repro.flash.stats import (
+    COUNTERS,
+    GC,
+    READ_STEP,
+    WRITE_STEP,
+    AggregateStats,
+    FlashStats,
+    OpCounts,
+)
 
 
 @pytest.fixture
@@ -232,3 +241,91 @@ def test_flash_stats_round_trip_preserves_counters():
     assert clone.totals() == stats.totals()
     assert clone.phases == stats.phases
     assert clone.block_erases == stats.block_erases
+
+
+class TestCounters:
+    """``COUNTERS`` is the one list of scalar counters: reset, the merged
+    view and report all walk it, so a counter missing from it would be
+    silently left out of all three."""
+
+    @staticmethod
+    def _busy(seed):
+        stats = FlashStats(n_blocks=4, t_read_us=10.0, t_write_us=100.0, t_erase_us=1000.0)
+        for offset, name in enumerate(COUNTERS):
+            setattr(stats, name, seed * 10 + offset)
+        with stats.phase(WRITE_STEP):
+            for _ in range(seed):
+                stats.record_write()
+        with stats.phase(GC):
+            stats.record_erase(seed % 4)
+        stats.record_read()
+        for us in range(seed):
+            stats.record_write_stall(float(us * seed))
+        return stats
+
+    def test_counters_are_exactly_the_scalar_counters_of_a_collector(self, stats):
+        scalars = {
+            name
+            for name, value in vars(stats).items()
+            if isinstance(value, int) and not name.startswith("_")
+        }
+        assert set(COUNTERS) == scalars
+        assert len(COUNTERS) == len(scalars)
+
+    def test_reset_zeroes_every_counter(self):
+        stats = self._busy(3)
+        assert all(getattr(stats, name) for name in COUNTERS)
+        stats.reset()
+        assert {name: getattr(stats, name) for name in COUNTERS} == dict.fromkeys(
+            COUNTERS, 0
+        )
+
+    def test_merged_counters_are_the_sums_of_the_parts(self):
+        parts = [self._busy(seed) for seed in (1, 2, 5)]
+        merged = AggregateStats(parts)
+        for name in COUNTERS:
+            assert getattr(merged, name) == sum(getattr(part, name) for part in parts)
+        assert merged.totals() == OpCounts(reads=3, writes=8, erases=3, time_us=3830.0)
+        assert merged.block_erases == [n for part in parts for n in part.block_erases]
+        assert sorted(merged.write_stall_us) == sorted(
+            us for part in parts for us in part.write_stall_us
+        )
+        assert merged.max_write_stall_us == 20.0
+        assert not hasattr(merged, "not_a_counter")
+
+    def test_merged_view_over_one_collector_reports_like_it(self):
+        stats = self._busy(4)
+        assert AggregateStats([stats]).report() == stats.report()
+
+    def test_sharded_database_report_sums_its_chips(self):
+        from repro.flash.chip import FlashChip
+        from repro.flash.spec import TINY_SPEC
+        from repro.ftl.gc import GcConfig
+        from repro.methods import make_method
+        from repro.storage.db import Database
+
+        chips = [FlashChip(TINY_SPEC) for _ in range(3)]
+        driver = make_method(
+            "PDL (128B) x3",
+            chips,
+            gc=GcConfig(incremental_steps=2),
+            mapping_cache=8,
+            snapshot_interval=24,
+        )
+        db = Database.resume(driver, buffer_capacity=4, allocated_pages=0)
+        rng = random.Random(11)
+        pids = [db.allocate_page().pid for _ in range(18)]
+        for _ in range(400):
+            db.page(rng.choice(pids)).write(rng.randrange(200), rng.randbytes(40))
+        db.flush()
+        report = db.report()
+        per_chip = [chip.stats.report() for chip in chips]
+        assert report["n_shards"] == 3
+        for key in ("reads", "writes", "erases", "io_time_us", *COUNTERS):
+            assert report[key] == sum(part[key] for part in per_chip), key
+        assert report["write_stall_max_us"] == max(
+            part["write_stall_max_us"] for part in per_chip
+        )
+        assert report["gc_steps"] > 0 and report["mapping_misses"] > 0
+        assert report["checksum_checks"] > 0
+        db.close()

@@ -228,7 +228,7 @@ class TestManager:
         for pid in range(6):
             page = pool.get_page(pid)
             page.write(0, b"\xAA")
-        assert pool.stats.eviction_stalls.count == pool.stats.evictions
+        assert len(pool.stats.eviction_stalls) == pool.stats.evictions
         assert pool.stats.eviction_stall_percentile(99) > 0.0
 
     def test_write_through_an_evicted_handle_is_loud(self, driver):
