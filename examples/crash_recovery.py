@@ -17,7 +17,7 @@ Run:  python examples/crash_recovery.py
 import copy
 import random
 
-from repro import CrashError, FlashChip, FlashSpec, PdlDriver, recover_driver
+from repro import FlashChip, FlashSpec, PdlDriver, SimulatedPowerLoss, recover_driver
 from repro.core.mapping import MappingConfig
 from repro.core.recovery import RECOVERY_PHASE
 
@@ -58,7 +58,7 @@ def main():
             if i % 50 == 49:
                 driver.flush()
                 durable = dict(images)
-    except CrashError:
+    except SimulatedPowerLoss:
         print("…power failure! volatile tables lost.\n")
 
     # ---- full scan recovery (Figure 11), on a copy of the crashed chip ------

@@ -9,7 +9,7 @@ crash + recovery round trip.
 Run:  python examples/quickstart.py
 """
 
-from repro import CrashError, FlashChip, FlashSpec, PdlDriver, recover_driver
+from repro import FlashChip, FlashSpec, PdlDriver, SimulatedPowerLoss, recover_driver
 
 # An emulated chip: the paper's 2 KB/64-page geometry, scaled to 64 blocks.
 spec = FlashSpec(n_blocks=64)
@@ -66,7 +66,7 @@ try:
         image = bytearray(pdl.read_page(pid))
         image[0:4] = b"XXXX"
         pdl.write_page(pid, bytes(image))
-except CrashError:
+except SimulatedPowerLoss:
     print("power failure! in-memory tables lost…")
 
 recovered, report = recover_driver(chip, max_differential_size=256)

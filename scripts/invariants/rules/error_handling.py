@@ -3,9 +3,9 @@
 Damage is ordinary input here, and the code that meets it counts it:
 the Figure-11 scan reports and quarantines every page it cannot decode,
 and fsck records every finding.  What each lets pass on purpose is
-narrow — ``_quarantine_corrupt`` (core/recovery.py) and fsck's
-``_mark_obsolete_quietly`` catch only the ``ProgramError`` of marking
-an already-quarantined page obsolete.  The broad catches that remain
+narrow — ``mark_obsolete_quietly`` (core/fsck.py, shared by fsck and
+the scan) catches only the ``ProgramError`` of marking an
+already-quarantined page obsolete.  The broad catches that remain
 re-raise: a sharded fan-out finishes every shard, then raises the first
 failure (``_join`` in sharding/driver.py), and ``Database.open`` and
 ``FileBackend`` release what they opened before the error propagates.

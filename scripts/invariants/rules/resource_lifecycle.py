@@ -8,11 +8,11 @@ Two leak shapes this engine has actually hit in review:
   Flagged when a local is built from a chip/backend constructor, never
   escapes the function (not returned, stored or passed on) and is
   never closed or used as a context manager.
-* crash/fault hooks (``set_crash_point``, ``crash_after``,
-  ``on_operation``) armed without a matching disarm (same method with
-  ``None``) in the same class or module — a leaked hook fires during
-  a later, unrelated operation (arming in one method and disarming in
-  a paired method of the same class is accepted).
+* crash hooks (``crash_after``, ``on_operation``) armed without a
+  matching disarm (same method with ``None``) in the same class or
+  module — a leaked hook fires during a later, unrelated operation
+  (arming in one method and disarming in a paired method of the same
+  class is accepted).
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Dict, Iterator, List, Optional, Set
 from .. import astutil
 from ..findings import Finding, Rule
 
-CONSTRUCTORS = {"FlashChip", "MemoryBackend", "FileBackend", "FaultInjector"}
+CONSTRUCTORS = {"FlashChip", "MemoryBackend", "FileBackend"}
 FACTORY_SUFFIXES = ("FileBackend.open",)
 
-HOOKS = {"set_crash_point", "crash_after", "on_operation"}
+HOOKS = {"crash_after", "on_operation"}
 
 
 def _is_ctor_call(value: ast.AST) -> bool:

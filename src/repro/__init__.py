@@ -51,7 +51,6 @@ from .flash import (
     SAMSUNG_K9L8G08U0M,
     TINY_SPEC,
     BackendError,
-    CrashError,
     DeviceBackend,
     FileBackend,
     FlashChip,
@@ -59,11 +58,10 @@ from .flash import (
     FlashStats,
     MemoryBackend,
     PageType,
+    SimulatedPowerLoss,
     SpareArea,
     spec_for_database,
 )
-from .flash.chip import CrashPoint
-from .flash.errors import SimulatedPowerLoss
 from .ftl import (
     ChangeRun,
     GcConfig,
@@ -103,8 +101,6 @@ __all__ = [
     "BackendError",
     "ChangeRun",
     "ConcurrencyError",
-    "CrashError",
-    "CrashPoint",
     "DeviceBackend",
     "Differential",
     "DifferentialWriteBuffer",

@@ -28,8 +28,8 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple, Union
 
-from ..core.pdl import format_size
 from ..flash.spec import BENCH_SPEC_8K, SAMSUNG_K9L8G08U0M
+from ..ftl.base import format_size
 from ..ftl.gc import GcConfig
 from ..methods import PAPER_METHODS, PAPER_METHODS_NO_IPU
 from ..scenarios.cells import Cell, replay_cell

@@ -31,12 +31,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .core.differential import DEFAULT_DIFF_UNIT
 from .core.mapping import MappingConfig, default_snapshot_interval
-from .core.pdl import PdlDriver, format_size
+from .core.pdl import PdlDriver
 from .core.recovery import RecoveryReport, recover_driver
 from .flash.backend import BackendError
 from .flash.chip import FlashChip
 from .flash.spec import BENCH_SPEC, FlashSpec
-from .ftl.base import PageUpdateMethod
+from .ftl.base import PageUpdateMethod, format_size
 from .ftl.errors import ConfigurationError
 from .ftl.gc import GcConfig, make_victim_policy
 from .ftl.ipl import IplDriver

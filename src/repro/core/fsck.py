@@ -326,14 +326,19 @@ def _fault_kind(
     return None
 
 
-def _mark_obsolete_quietly(chip: FlashChip, addr: int) -> None:
-    """Quarantine a page, tolerating damage to the spare area itself."""
+def mark_obsolete_quietly(chip: FlashChip, addr: int) -> bool:
+    """Quarantine a damaged page; True when the obsolete mark was written.
+
+    A page being quarantined is by definition damaged, so its spare may
+    be erased, torn or out of program budget.  A failed mark must not
+    abort the caller (an fsck sweep or the recovery scan): the page is
+    already outside every table, which is what matters.
+    """
     try:
         chip.mark_obsolete(addr)
     except ProgramError:
-        # Erased or budget-exhausted spare: nothing more to clear; the
-        # page is already outside every table, which is what matters.
-        pass
+        return False
+    return True
 
 
 def _retire(driver: PdlDriver, addr: int, kind: str) -> None:
@@ -342,7 +347,7 @@ def _retire(driver: PdlDriver, addr: int, kind: str) -> None:
     if driver.blocks.is_valid(addr):
         driver.blocks.note_invalid(addr)
     if kind != "missing":
-        _mark_obsolete_quietly(driver.chip, addr)
+        mark_obsolete_quietly(driver.chip, addr)
 
 
 def _checkpoint_region_pages(driver: PdlDriver) -> int:
@@ -550,7 +555,7 @@ def _unreferenced_faults(
             continue
         kind = "spare" if spare.is_corrupt else "checksum"
         if repair:
-            _mark_obsolete_quietly(driver.chip, addr)
+            mark_obsolete_quietly(driver.chip, addr)
         action = "quarantined" if repair else "reported"
         faults.append(PageFault(addr, "unreferenced", kind, None, action))
     return faults

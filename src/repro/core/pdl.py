@@ -31,7 +31,7 @@ from ..flash.chip import FlashChip
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import READ_STEP, WRITE_STEP
 from ..ftl.allocator import COLD_STREAM, HOT_STREAM, BlockManager
-from ..ftl.base import ChangeRun, PageUpdateMethod
+from ..ftl.base import ChangeRun, PageUpdateMethod, format_size
 from ..ftl.errors import UnknownPageError
 from ..ftl.gc import GarbageCollector, GcConfig
 from .differential import (
@@ -48,13 +48,6 @@ from .mapping import REC_VDCT_DROP, JournaledVdct, MappingConfig, TieredMappingT
 from .mapping_store import MappingStore
 from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
 from .write_buffer import DifferentialWriteBuffer
-
-
-def format_size(n_bytes: int) -> str:
-    """Format Max_Differential_Size the way the paper labels methods."""
-    if n_bytes % 1024 == 0:
-        return f"{n_bytes // 1024}KB"
-    return f"{n_bytes}B"
 
 
 class PdlDriver(PageUpdateMethod):

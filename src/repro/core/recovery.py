@@ -29,9 +29,9 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from ..flash.chip import FlashChip
-from ..flash.errors import ProgramError
 from ..flash.spare import NO_PID, NO_TS, PageType, data_checksum, spare_kinds
 from .differential import DifferentialError, differential_page_stamps
+from .fsck import mark_obsolete_quietly
 from .pdl import PdlDriver
 from .restart_plan import Fallback, Fast, RestartPlan
 from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
@@ -50,22 +50,6 @@ _CORRUPT = int(PageType.CORRUPT)
 #: Pages per batched spare read during the scan.  On the file backend the
 #: spare region is contiguous, so each chunk is a single sequential read.
 SCAN_CHUNK_PAGES = 4096
-
-
-def _quarantine_corrupt(chip: FlashChip, addr: int, report: "RecoveryReport") -> None:
-    """Obsolete a corrupt page, tolerating damage to the spare area itself.
-
-    A page being quarantined is by definition damaged, so its spare may
-    be torn or have its program budget exhausted; a failed obsolete mark
-    must not abort the whole scan — the page is already outside every
-    rebuilt table, which is what matters.  Only an actual write counts
-    toward ``stale_pages_obsoleted``.
-    """
-    try:
-        chip.mark_obsolete(addr)
-    except ProgramError:
-        return
-    report.stale_pages_obsoleted += 1
 
 
 @dataclass
@@ -193,7 +177,8 @@ def recover_tables(
                 # programmed, so it must not be treated as erased.
                 # Quarantine by obsoleting — its block stays sealed until GC.
                 report.corrupt_spare_pages += 1
-                _quarantine_corrupt(chip, start + at, report)
+                if mark_obsolete_quietly(chip, start + at):
+                    report.stale_pages_obsoleted += 1
             # Pages of other types (the mapping region's) are left
             # untouched: recovery never destroys data it does not own.
             survivors = np.flatnonzero(
@@ -226,7 +211,8 @@ def recover_tables(
                     # bucket and mark it obsolete so later scans and the
                     # allocator never trust it.
                     report.corrupt_base_pages += 1
-                    _quarantine_corrupt(chip, addr, report)
+                    if mark_obsolete_quietly(chip, addr):
+                        report.stale_pages_obsoleted += 1
                     continue
                 row = rows.get(pid)
                 if row is None:
@@ -315,7 +301,8 @@ def _adopt_diff_page(
         stamps = differential_page_stamps(data)
     except DifferentialError:
         report.corrupt_differential_pages += 1
-        _quarantine_corrupt(chip, addr, report)
+        if mark_obsolete_quietly(chip, addr):
+            report.stale_pages_obsoleted += 1
         return
     adopted = 0
     max_ts = report.max_timestamp

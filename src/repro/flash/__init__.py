@@ -17,11 +17,10 @@ from .backend import (
     FileBackend,
     MemoryBackend,
 )
-from .chip import ERASE_OPS, MUTATING_OPS, PROGRAM_OPS, CrashPoint, FlashChip
+from .chip import FlashChip
 from .errors import (
     AddressError,
     ChecksumError,
-    CrashError,
     EraseError,
     FlashError,
     ProgramError,
@@ -57,26 +56,21 @@ __all__ = [
     "BackendError",
     "CHECKSUM_HEADER_SIZE",
     "ChecksumError",
-    "CrashError",
-    "CrashPoint",
     "DeviceBackend",
     "FaultInjector",
     "FileBackend",
     "MemoryBackend",
     "NO_CHECKSUM",
     "DEFAULT_PHASE",
-    "ERASE_OPS",
     "EraseError",
     "FlashChip",
     "FlashError",
     "FlashSpec",
     "FlashStats",
     "GC",
-    "MUTATING_OPS",
     "NO_PID",
     "NO_TS",
     "OpCounts",
-    "PROGRAM_OPS",
     "PageAddress",
     "PageType",
     "ProgramError",

@@ -55,7 +55,7 @@ import os
 import random
 import struct
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -670,12 +670,13 @@ class FaultInjectionError(RuntimeError):
     (e.g. bit-rotting an erased page, which has no stored bits)."""
 
 
-class FaultInjector(DeviceBackend):
-    """A :class:`DeviceBackend` wrapper that corrupts pages on demand.
+class FaultInjector:
+    """Corrupts a backend's stored pages on demand.
 
-    Models the single-page failure classes of Graefe & Kuno on top of
-    *either* backend by delegating every normal operation to ``inner``
-    and mutating stored images directly when a fault is injected:
+    Models the single-page failure classes of Graefe & Kuno on *either*
+    backend.  It is a test tool, not a device layer: the chip keeps
+    talking to ``backend`` directly, and an injection rewrites that
+    backend's stored images in place:
 
     * **bit rot** — flip bits inside a programmed data area;
     * **misdirected write** — replace a page's data *and* spare with
@@ -688,24 +689,20 @@ class FaultInjector(DeviceBackend):
     Injections bypass NAND legality on purpose (corruption is not a
     legal program) and never touch program counters or erase counts —
     the device believes the page is healthily programmed, which is
-    exactly what makes the damage silent until a read verifies it.
+    exactly what makes the damage silent until a read verifies it.  An
+    injection that would leave both images as they were raises
+    :class:`FaultInjectionError` and is not logged.
 
     All randomness comes from one :class:`random.Random` seeded at
     construction, so a fault sequence is reproducible run-to-run.
     """
 
-    def __init__(self, inner: DeviceBackend, seed: int = 0) -> None:
-        self.inner = inner
-        self.spec = inner.spec
-        self._n_pages = inner.spec.n_pages
+    def __init__(self, backend: DeviceBackend, seed: int = 0) -> None:
+        self.backend = backend
         self._rng = random.Random(seed)
-        self.injected: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
         #: (kind, addr) in injection order, for test assertions.
         self.fault_log: List[Tuple[str, int]] = []
 
-    # ------------------------------------------------------------------
-    # Fault injection API
-    # ------------------------------------------------------------------
     def inject(self, kind: str, addr: int, **kwargs: object) -> None:
         """Inject one fault of ``kind`` at page ``addr``."""
         if kind not in FAULT_KINDS:
@@ -716,8 +713,9 @@ class FaultInjector(DeviceBackend):
 
     def inject_bit_rot(self, addr: int, n_bits: int = 1) -> None:
         """Flip ``n_bits`` distinct bits in a programmed data area."""
-        self._check_addr(addr)
-        data = self.inner.read_data(addr)
+        backend = self.backend
+        backend._check_addr(addr)
+        data = backend.read_data(addr)
         if data is None:
             raise FaultInjectionError(f"page {addr} has no programmed data to rot")
         if not 1 <= n_bits <= len(data) * 8:
@@ -725,8 +723,8 @@ class FaultInjector(DeviceBackend):
         rotted = bytearray(data)
         for position in self._rng.sample(range(len(data) * 8), n_bits):
             rotted[position // 8] ^= 1 << (position % 8)
-        self.inner.write_data(addr, bytes(rotted), self.inner.data_programs(addr))
-        self._record("bit_rot", addr)
+        backend.write_data(addr, bytes(rotted), backend.data_programs(addr))
+        self.fault_log.append(("bit_rot", addr))
 
     def inject_misdirected_write(self, addr: int, donor: Optional[int] = None) -> None:
         """Overwrite ``addr`` with another programmed page's data + spare.
@@ -735,22 +733,27 @@ class FaultInjector(DeviceBackend):
         programmed pages.  The victim ends up holding a page that is
         self-consistent but belongs somewhere else entirely.
         """
-        self._check_addr(addr)
+        backend = self.backend
+        backend._check_addr(addr)
         if donor is None:
-            candidates = [a for a in self.inner.iter_programmed() if a != addr]
+            candidates = [a for a in backend.iter_programmed() if a != addr]
             if not candidates:
                 raise FaultInjectionError(
                     "no programmed page available to misdirect from"
                 )
             donor = self._rng.choice(candidates)
-        self._check_addr(donor)
-        data = self.inner.read_data(donor)
-        spare = self.inner.read_spare(donor)
+        backend._check_addr(donor)
+        data = backend.read_data(donor)
+        spare = backend.read_spare(donor)
         if data is None or spare is None:
             raise FaultInjectionError(f"donor page {donor} is not fully programmed")
-        self.inner.write_data(addr, data, max(1, self.inner.data_programs(addr)))
-        self.inner.write_spare(addr, spare, max(1, self.inner.spare_programs(addr)))
-        self._record("misdirected_write", addr)
+        if (data, spare) == backend.read_page(addr):
+            raise FaultInjectionError(
+                f"page {addr} already holds donor page {donor}'s images"
+            )
+        backend.write_data(addr, data, max(1, backend.data_programs(addr)))
+        backend.write_spare(addr, spare, max(1, backend.spare_programs(addr)))
+        self.fault_log.append(("misdirected_write", addr))
 
     def inject_torn_spare(self, addr: int, tear_at: Optional[int] = None) -> None:
         """Truncate a spare program: bytes past ``tear_at`` revert to 0xFF.
@@ -759,8 +762,9 @@ class FaultInjector(DeviceBackend):
         prefix (bytes 1..19), where a torn program actually loses
         information — tearing inside the padding would be a no-op.
         """
-        self._check_addr(addr)
-        spare = self.inner.read_spare(addr)
+        backend = self.backend
+        backend._check_addr(addr)
+        spare = backend.read_spare(addr)
         if spare is None:
             raise FaultInjectionError(f"page {addr} has no programmed spare to tear")
         if tear_at is None:
@@ -771,78 +775,12 @@ class FaultInjector(DeviceBackend):
                 f"tear point {tear_at} outside spare of {len(spare)} bytes"
             )
         torn = spare[:tear_at] + b"\xff" * (len(spare) - tear_at)
-        self.inner.write_spare(addr, torn, self.inner.spare_programs(addr))
-        self._record("torn_spare", addr)
-
-    def _record(self, kind: str, addr: int) -> None:
-        self.injected[kind] += 1
-        self.fault_log.append((kind, addr))
-
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
-    # ------------------------------------------------------------------
-    # DeviceBackend delegation
-    # ------------------------------------------------------------------
-    def read_page(self, addr: int) -> Tuple[Optional[bytes], Optional[bytes]]:
-        return self.inner.read_page(addr)
-
-    def read_data(self, addr: int) -> Optional[bytes]:
-        return self.inner.read_data(addr)
-
-    def read_spare(self, addr: int) -> Optional[bytes]:
-        return self.inner.read_spare(addr)
-
-    def program_page(self, addr: int, data: bytes, spare: bytes) -> None:
-        self.inner.program_page(addr, data, spare)
-
-    def write_data(self, addr: int, data: bytes, programs: int) -> None:
-        self.inner.write_data(addr, data, programs)
-
-    def write_spare(self, addr: int, spare: bytes, programs: int) -> None:
-        self.inner.write_spare(addr, spare, programs)
-
-    def erase_block(self, block: int) -> None:
-        self.inner.erase_block(block)
-
-    def read_pages(
-        self, addrs: Sequence[int]
-    ) -> List[Tuple[Optional[bytes], Optional[bytes]]]:
-        return self.inner.read_pages(addrs)
-
-    def read_spares(self, addrs: Sequence[int]) -> List[Optional[bytes]]:
-        return self.inner.read_spares(addrs)
-
-    def program_pages(self, items: Sequence[Tuple[int, bytes, bytes]]) -> None:
-        self.inner.program_pages(items)
-
-    def data_programs(self, addr: int) -> int:
-        return self.inner.data_programs(addr)
-
-    def spare_programs(self, addr: int) -> int:
-        return self.inner.spare_programs(addr)
-
-    def erase_count(self, block: int) -> int:
-        return self.inner.erase_count(block)
-
-    def is_block_erased(self, block: int) -> bool:
-        return self.inner.is_block_erased(block)
-
-    def erased_blocks(self) -> List[int]:
-        return self.inner.erased_blocks()
-
-    def iter_programmed(self) -> Iterator[int]:
-        return self.inner.iter_programmed()
-
-    def sync(self) -> None:
-        self.inner.sync()
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<FaultInjector over {self.inner!r} faults={self.total_injected}>"
+        if torn == spare:
+            raise FaultInjectionError(
+                f"tearing page {addr}'s spare at byte {tear_at} loses nothing"
+            )
+        backend.write_spare(addr, torn, backend.spare_programs(addr))
+        self.fault_log.append(("torn_spare", addr))
 
 
 def _address_runs(addrs: Sequence[int]) -> Iterator[Tuple[int, int]]:

@@ -37,20 +37,21 @@ injection still fires *between* pages of a batch: the pages admitted
 before the failure are persisted, so the post-crash state is a prefix of
 completed operations exactly as with single-page calls.
 
-Crash injection: a :class:`CrashPoint` armed via
-:meth:`FlashChip.set_crash_point` makes the chip raise
-:class:`SimulatedPowerLoss` before the k-th subsequent *mutating*
-operation, optionally filtered to specific operation kinds (the k-th
-program, the k-th erase, …); :meth:`FlashChip.crash_after` is the
-unfiltered shorthand.  Page programming is atomic at the chip level
-(Section 4.5), so the chip state a recovery algorithm sees is always a
-prefix of completed operations.
+Crash injection: the chip has one observer slot, called before every
+*mutating* operation with the operation's name (``program_page``,
+``program_partial``, ``program_spare``, ``mark_obsolete``,
+``erase_block``).  :meth:`FlashChip.crash_after` fills it with a
+countdown that raises :class:`SimulatedPowerLoss` before the k-th next
+mutating operation; :meth:`FlashChip.on_operation` installs any other
+observer, and one that raises — on the k-th erase, say — is a crash
+filtered to that operation kind.  Page programming is atomic at the chip
+level (Section 4.5), so the chip state a recovery algorithm sees is
+always a prefix of completed operations.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -75,46 +76,6 @@ from .spare import (
 )
 from .spec import FlashSpec
 from .stats import FlashStats
-
-#: Mutating operation kinds that re-program page contents.
-PROGRAM_OPS = ("program_page", "program_partial", "program_spare", "mark_obsolete")
-
-#: Mutating operation kinds that erase blocks.
-ERASE_OPS = ("erase_block",)
-
-#: Every mutating operation kind the crash machinery can observe.
-MUTATING_OPS = PROGRAM_OPS + ERASE_OPS
-
-
-@dataclass(frozen=True)
-class CrashPoint:
-    """A power-loss trigger: fail before the (k+1)-th matching operation.
-
-    ``after`` counts matching mutating operations that are *allowed*
-    through before the crash fires (``after=0`` fails the very next
-    one).  ``ops`` restricts matching to specific operation kinds from
-    :data:`MUTATING_OPS`; ``None`` matches every mutating operation.
-    Crash-matrix harnesses enumerate these points to exercise every
-    inter-operation state a real power failure could expose.
-    """
-
-    after: int
-    ops: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.after < 0:
-            raise ValueError("after must be non-negative")
-        if self.ops is not None:
-            unknown = set(self.ops) - set(MUTATING_OPS)
-            if unknown:
-                raise ValueError(
-                    f"unknown mutating ops {sorted(unknown)}; "
-                    f"choose from {MUTATING_OPS}"
-                )
-
-    def matches(self, op: str) -> bool:
-        return self.ops is None or op in self.ops
-
 
 #: Buffers at or above this size take the vectorized legality check;
 #: below it, one big-int conversion is cheaper than numpy call overhead.
@@ -187,36 +148,34 @@ class FlashChip:
             spec.n_blocks, spec.t_read_us, spec.t_write_us, spec.t_erase_us
         )
         self._clock_us: float = 0.0
-        self._crash_point: Optional[CrashPoint] = None
-        self._crash_remaining: int = 0
         self._on_op: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
     # Fault / observation hooks
     # ------------------------------------------------------------------
-    def set_crash_point(self, point: Optional[CrashPoint]) -> None:
-        """Arm a :class:`CrashPoint` (``None`` disarms).
-
-        The chip raises :class:`SimulatedPowerLoss` before the first
-        matching mutating operation once ``point.after`` matching
-        operations have been allowed through.  The point itself is not
-        mutated, so one :class:`CrashPoint` can arm many chips (or the
-        same chip across matrix iterations).
-        """
-        self._crash_point = point
-        self._crash_remaining = point.after if point is not None else 0
-
     def crash_after(self, mutating_ops: Optional[int]) -> None:
         """Raise :class:`SimulatedPowerLoss` before the N-th next mutating op.
 
-        ``crash_after(0)`` makes the very next program/erase fail;
-        ``crash_after(None)`` disarms the hook.  Shorthand for
-        :meth:`set_crash_point` with an unfiltered :class:`CrashPoint`.
+        ``crash_after(0)`` makes the very next program/erase fail; the
+        crash fires once, and later operations pass.  The countdown is
+        the chip's observer (see :meth:`on_operation`): arming it
+        replaces any observer installed, and ``crash_after(None)``
+        empties the slot.
         """
         if mutating_ops is None:
-            self.set_crash_point(None)
+            self._on_op = None
             return
-        self.set_crash_point(CrashPoint(after=mutating_ops))
+        if mutating_ops < 0:
+            raise ValueError("crash_after needs a non-negative operation count")
+        remaining = mutating_ops
+
+        def countdown(op: str) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == -1:
+                raise SimulatedPowerLoss(f"simulated power failure before {op}")
+
+        self._on_op = countdown
 
     def on_operation(self, callback: Optional[Callable[[str], None]]) -> None:
         """Install a per-operation observer (used by failure-injection tests).
@@ -228,12 +187,6 @@ class FlashChip:
         self._on_op = callback
 
     def _pre_mutate(self, op: str) -> None:
-        point = self._crash_point
-        if point is not None and point.matches(op):
-            if self._crash_remaining <= 0:
-                self._crash_point = None
-                raise SimulatedPowerLoss(f"simulated power failure before {op}")
-            self._crash_remaining -= 1
         if self._on_op is not None:
             self._on_op(op)
 

@@ -2,7 +2,8 @@
 
 Every error raised by :mod:`repro.flash` derives from :class:`FlashError`,
 so callers (drivers, the GC engine, tests) can catch emulator failures
-without accidentally swallowing unrelated bugs.
+without accidentally swallowing unrelated bugs.  Crash injection raises
+one of them, :class:`SimulatedPowerLoss`.
 """
 
 from __future__ import annotations
@@ -38,22 +39,16 @@ class WearOutError(FlashError):
     """
 
 
-class CrashError(FlashError):
-    """Raised by the crash-injection hook to simulate a power failure.
+class SimulatedPowerLoss(FlashError):
+    """A simulated power failure, raised before a mutating operation.
 
-    The chip guarantees operation atomicity (page programming is atomic at
-    the chip level, as the paper notes in Section 4.5), so a crash occurs
-    *between* operations: the in-flight operation either fully completed or
-    never happened.
-    """
-
-
-class SimulatedPowerLoss(CrashError):
-    """A :class:`~repro.flash.chip.CrashPoint` fired.
-
-    Subclasses :class:`CrashError` so existing crash-handling code is
-    oblivious to whether the failure came from the legacy countdown hook
-    or from an op-filtered crash point.
+    :meth:`~repro.flash.chip.FlashChip.crash_after` raises it, and so do
+    test observers installed with
+    :meth:`~repro.flash.chip.FlashChip.on_operation`.  The chip
+    guarantees operation atomicity (page programming is atomic at the
+    chip level, as the paper notes in Section 4.5), so a crash occurs
+    *between* operations: the in-flight operation either fully completed
+    or never happened.
     """
 
 

@@ -61,6 +61,13 @@ def apply_runs(page: bytes, runs: Sequence[ChangeRun]) -> bytes:
     return bytes(buf)
 
 
+def format_size(n_bytes: int) -> str:
+    """Format a byte count the way the paper labels methods (256B, 18KB)."""
+    if n_bytes % 1024 == 0:
+        return f"{n_bytes // 1024}KB"
+    return f"{n_bytes}B"
+
+
 class PageUpdateMethod(ABC):
     """Abstract base for the four page-update methods.
 

@@ -32,7 +32,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from ..flash.chip import FlashChip
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import GC, READ_STEP, WRITE_STEP
-from .base import ChangeRun, PageUpdateMethod, apply_runs
+from .base import ChangeRun, PageUpdateMethod, apply_runs, format_size
 from .errors import ConfigurationError, OutOfSpaceError, UnknownPageError
 
 _SLOT_HEADER = struct.Struct("<IH")
@@ -111,7 +111,7 @@ class IplDriver(PageUpdateMethod):
                 f"chip allows {spec.max_log_page_programs} partial programs per "
                 f"page but IPL needs {self.slots_per_page}"
             )
-        self.name = f"IPL ({_format_size(log_region_bytes)})"
+        self.name = f"IPL ({format_size(log_region_bytes)})"
         self._free: Deque[int] = deque(range(spec.n_blocks))
         self._groups: Dict[int, _Group] = {}
         self.merges = 0
@@ -318,10 +318,3 @@ class IplDriver(PageUpdateMethod):
         if group is None or slot not in group.loaded:
             raise UnknownPageError(f"logical page {pid} was never written")
         return group, slot
-
-
-def _format_size(n_bytes: int) -> str:
-    """Format a byte count the way the paper labels methods (18KB, 64KB)."""
-    if n_bytes % 1024 == 0:
-        return f"{n_bytes // 1024}KB"
-    return f"{n_bytes}B"

@@ -8,7 +8,7 @@ from repro.core.check import check_driver
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
 from repro.flash.chip import FlashChip
-from repro.flash.errors import CrashError
+from repro.flash.errors import SimulatedPowerLoss
 
 
 def _soak(driver, rng, n_pages=12, steps=300, flush_every=11):
@@ -51,7 +51,7 @@ class TestConsistentStates:
         chip.crash_after(rng.randrange(40, 150))
         try:
             _soak(driver, rng, steps=400)
-        except CrashError:
+        except SimulatedPowerLoss:
             pass
         recovered, _ = recover_driver(chip, max_differential_size=64)
         report = check_driver(recovered)

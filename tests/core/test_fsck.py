@@ -23,8 +23,9 @@ def _patched(data, offset, patch):
 
 @pytest.fixture
 def rig(tiny_spec):
-    injector = FaultInjector(MemoryBackend(tiny_spec), seed=7)
-    chip = FlashChip(tiny_spec, backend=injector)
+    backend = MemoryBackend(tiny_spec)
+    injector = FaultInjector(backend, seed=7)
+    chip = FlashChip(tiny_spec, backend=backend)
     driver = PdlDriver(chip, max_differential_size=64)
     return injector, chip, driver
 
@@ -235,8 +236,9 @@ class TestQuarantine:
     def test_checkpoint_damage_reported_not_touched(self, tiny_spec):
         from repro.core.mapping import MappingConfig
 
-        injector = FaultInjector(MemoryBackend(tiny_spec), seed=7)
-        chip = FlashChip(tiny_spec, backend=injector)
+        backend = MemoryBackend(tiny_spec)
+        injector = FaultInjector(backend, seed=7)
+        chip = FlashChip(tiny_spec, backend=backend)
         driver = PdlDriver(
             chip, max_differential_size=64, mapping=MappingConfig.auto(tiny_spec)
         )
@@ -246,12 +248,12 @@ class TestQuarantine:
         # Rot the snapshot's seal (the ping-pong half seq 1 used).
         snapshot_addr = driver.mapping.seal_addr(1)
         injector.inject("bit_rot", snapshot_addr)
-        before = injector.inner.read_data(snapshot_addr)
+        before = injector.backend.read_data(snapshot_addr)
         report = fsck_driver(driver)
         assert [(f.role, f.action) for f in report.faults] == [
             ("checkpoint", "reported")
         ]
-        assert injector.inner.read_data(snapshot_addr) == before  # untouched
+        assert injector.backend.read_data(snapshot_addr) == before  # untouched
         assert report.check.consistent
 
 
@@ -279,7 +281,7 @@ class TestChecksumEvidence:
         spare and declare every pid lost."""
         injector, _chip, driver = rig
         images = _populate(driver)
-        _strip_checksums(injector.inner)
+        _strip_checksums(injector.backend)
         report = fsck_driver(driver)
         assert report.clean
         assert report.lost_pids == []
@@ -314,7 +316,7 @@ class TestChecksumEvidence:
         driver.flush()
         entry = driver.ppmt.require(0)
         assert entry.diff_addr != first_diff
-        _strip_checksums(injector.inner, [first_diff])
+        _strip_checksums(injector.backend, [first_diff])
         injector.inject("bit_rot", entry.diff_addr)
         report = fsck_driver(driver)
         assert report.reverted_pids == [0]
@@ -328,7 +330,7 @@ class TestChecksumEvidence:
         be counted for it."""
         injector, chip, driver = rig
         _populate(driver, n=4)
-        backend = injector.inner
+        backend = injector.backend
         addr = driver.ppmt.require(1).base_addr
         # A program whose pulse never reached the media: both areas read
         # back erased while the tables still reference the address.

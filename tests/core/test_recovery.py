@@ -7,7 +7,7 @@ import pytest
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import RECOVERY_PHASE, recover_driver
 from repro.flash.chip import FlashChip
-from repro.flash.errors import CrashError
+from repro.flash.errors import SimulatedPowerLoss
 from repro.flash.spare import PageType
 
 
@@ -102,7 +102,7 @@ class TestCrashWindows:
         old_addr = pdl.ppmt.require(0).base_addr
         new = _page(pdl, 0xEE)  # whole page -> Case 3 (program + obsolete)
         chip.crash_after(1)  # allow the program, crash on the obsolete mark
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             pdl.write_page(0, new)
         recovered, report = recover_driver(chip, max_differential_size=64)
         assert recovered.read_page(0) == new
@@ -116,11 +116,11 @@ class TestCrashWindows:
         base = _page(pdl)
         pdl.load_page(0, base)
         chip.crash_after(1)
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             pdl.write_page(0, _page(pdl, 0xEE))
         # first recovery attempt crashes midway through its own writes
         chip.crash_after(0)
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             recover_driver(chip, max_differential_size=64)
         recovered, _ = recover_driver(chip, max_differential_size=64)
         assert recovered.read_page(0) == _page(pdl, 0xEE)
@@ -259,7 +259,7 @@ class TestRandomizedCrashRecovery:
                     pdl.flush()
                     for q in history:
                         floor[q] = len(history[q]) - 1
-        except CrashError:
+        except SimulatedPowerLoss:
             pass
         recovered, _ = recover_driver(chip, max_differential_size=64)
         for pid, versions in history.items():
@@ -376,8 +376,9 @@ class TestCorruptionDuringScan:
     def _injected(self, tiny_spec, seed=0):
         from repro.flash.backend import FaultInjector, MemoryBackend
 
-        injector = FaultInjector(MemoryBackend(tiny_spec), seed=seed)
-        chip = FlashChip(tiny_spec, backend=injector)
+        backend = MemoryBackend(tiny_spec)
+        injector = FaultInjector(backend, seed=seed)
+        chip = FlashChip(tiny_spec, backend=backend)
         return injector, chip, PdlDriver(chip, max_differential_size=64)
 
     def test_base_without_pid_is_quarantined(self, tiny_spec):
@@ -456,7 +457,7 @@ class TestCorruptionDuringScan:
         pdl.load_page(0, _page(pdl))
         addr = pdl.ppmt.require(0).base_addr
         injector.inject("torn_spare", addr, tear_at=2)  # keeps type, loses pid
-        backend = injector.inner
+        backend = injector.backend
         backend.write_spare(
             addr, backend.read_spare(addr), tiny_spec.max_spare_programs
         )

@@ -404,10 +404,11 @@ def test_journal_overflow_marker_forces_fallback(caplog):
 
 
 def _snapshotted_with_tail(snapshots: int = 1):
-    """A flushed device behind a fault injector: ``snapshots`` snapshots,
+    """A flushed device with a fault injector: ``snapshots`` snapshots,
     then a three-write journal tail that touches the first snapshot page."""
-    injector = FaultInjector(MemoryBackend(SPEC), seed=3)
-    chip, driver, cfg = _build(interval=100, backend=injector)
+    backend = MemoryBackend(SPEC)
+    injector = FaultInjector(backend, seed=3)
+    chip, driver, cfg = _build(interval=100, backend=backend)
     _workload(driver, n_writes=N_PIDS)
     for _ in range(snapshots):
         driver.mapping.snapshot()

@@ -5,8 +5,8 @@ import pytest
 from repro.flash.chip import FlashChip
 from repro.flash.errors import (
     AddressError,
-    CrashError,
     ProgramError,
+    SimulatedPowerLoss,
     SpareProgramError,
     WearOutError,
 )
@@ -220,7 +220,7 @@ class TestCrashInjection:
     def test_crash_fires_before_nth_mutation(self, chip):
         chip.crash_after(1)
         chip.program_page(0, _page(chip), SpareArea(type=PageType.DATA))  # survives
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             chip.program_page(1, _page(chip), SpareArea(type=PageType.DATA))
         # the failed operation must not have happened
         assert chip.is_page_erased(1)
@@ -228,7 +228,7 @@ class TestCrashInjection:
 
     def test_crash_zero_fails_immediately(self, chip):
         chip.crash_after(0)
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             chip.erase_block(0)
 
     def test_reads_do_not_consume_countdown(self, chip):
@@ -236,7 +236,7 @@ class TestCrashInjection:
         for _ in range(10):
             chip.read_page(0)
         chip.program_page(0, _page(chip), SpareArea(type=PageType.DATA))
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             chip.erase_block(0)
 
     def test_disarm(self, chip):
@@ -246,9 +246,29 @@ class TestCrashInjection:
 
     def test_crash_is_one_shot(self, chip):
         chip.crash_after(0)
-        with pytest.raises(CrashError):
+        with pytest.raises(SimulatedPowerLoss):
             chip.erase_block(0)
         chip.erase_block(0)  # hook disarmed after firing
+
+    def test_negative_countdown_rejected(self, chip):
+        with pytest.raises(ValueError):
+            chip.crash_after(-1)
+
+    def test_crash_after_replaces_the_observer(self, chip):
+        seen = []
+        chip.on_operation(seen.append)
+        chip.crash_after(1)
+        chip.erase_block(0)  # allowed through, and unseen
+        with pytest.raises(SimulatedPowerLoss):
+            chip.erase_block(0)
+        assert seen == []
+
+    def test_disarm_empties_the_slot(self, chip):
+        seen = []
+        chip.on_operation(seen.append)
+        chip.crash_after(None)
+        chip.erase_block(0)
+        assert seen == []
 
     def test_operation_observer(self, chip):
         seen = []

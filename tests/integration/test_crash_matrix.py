@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
-from repro.flash.chip import CrashPoint, FlashChip
+from repro.flash.chip import FlashChip
 from repro.flash.errors import SimulatedPowerLoss
 from repro.flash.spec import FlashSpec
 from repro.ftl.base import PageUpdateMethod
@@ -249,36 +249,26 @@ def test_crash_matrix_every_point_incremental_gc(config_key):
             assert recovered.read_page(pid) == bytes(image)
 
 
-class TestCrashPointFiltering:
-    """The CrashPoint op filter: fail on the k-th *specific* operation."""
+class TestOpFilteredCrash:
+    """An observer that raises fails the k-th *specific* operation."""
 
     def test_crash_on_kth_erase_only(self):
         chips, driver = _build(1)
         chip = chips[0]
-        chip.set_crash_point(CrashPoint(after=0, ops=("erase_block",)))
+
+        def crash_on_erase(op):
+            if op == "erase_block":
+                raise SimulatedPowerLoss(f"simulated power failure before {op}")
+
+        chip.on_operation(crash_on_erase)
         window = _Window()
-        with pytest.raises(SimulatedPowerLoss):
-            window.run(driver)
+        try:
+            with pytest.raises(SimulatedPowerLoss):
+                window.run(driver)
+        finally:
+            chip.on_operation(None)
         # Programs went through untouched; the very first erase failed.
         assert chip.stats.totals().writes > 0
         assert chip.stats.total_erases == 0
         recovered, _ = recover_driver(chips[0], max_differential_size=MAX_DIFF)
         _assert_recovered_state(window, recovered, 0)
-
-    def test_crash_point_validates_op_names(self):
-        with pytest.raises(ValueError):
-            CrashPoint(after=1, ops=("warp_core_breach",))
-        with pytest.raises(ValueError):
-            CrashPoint(after=-1)
-
-    def test_crash_point_is_reusable_across_chips(self):
-        point = CrashPoint(after=2, ops=("program_page",))
-        for _ in range(2):  # arming must not consume the point itself
-            chip = FlashChip(SPEC)
-            chip.set_crash_point(point)
-            driver = PdlDriver(chip, max_differential_size=MAX_DIFF)
-            driver.load_page(0, b"\x00" * SPEC.page_data_size)
-            driver.load_page(1, b"\x01" * SPEC.page_data_size)
-            with pytest.raises(SimulatedPowerLoss):
-                driver.load_page(2, b"\x02" * SPEC.page_data_size)
-            assert point.after == 2

@@ -13,7 +13,7 @@ import pytest
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
 from repro.flash.chip import FlashChip
-from repro.flash.errors import CrashError
+from repro.flash.errors import SimulatedPowerLoss
 from repro.flash.spec import FlashSpec
 from repro.methods import make_method
 from repro.storage.btree import BTree
@@ -71,7 +71,7 @@ class TestCrashUnderDatabase:
                     db.flush()
                     committed.update(pending)
                     pending.clear()
-        except CrashError:
+        except SimulatedPowerLoss:
             pass
         else:
             pytest.fail("crash never fired")

@@ -66,13 +66,29 @@ def _patched(data, offset, patch):
     return bytes(image)
 
 
-def _build(backend_kind, tmp_path, seed=0):
+@pytest.fixture
+def build(tmp_path):
+    """``_build`` in a directory of its own; every chip is closed at
+    teardown."""
+    chips = []
+
+    def make(backend_kind, seed=0):
+        built = _build(backend_kind, tmp_path / f"chip{len(chips)}.flash", seed)
+        chips.append(built[1])
+        return built
+
+    yield make
+    for chip in chips:
+        chip.close()
+
+
+def _build(backend_kind, path, seed=0):
     if backend_kind == "memory":
-        inner = MemoryBackend(SPEC)
+        backend = MemoryBackend(SPEC)
     else:
-        inner = FileBackend(tmp_path / "chip.flash", SPEC)
-    injector = FaultInjector(inner, seed=seed)
-    chip = FlashChip(SPEC, backend=injector)
+        backend = FileBackend(path, SPEC)
+    injector = FaultInjector(backend, seed=seed)
+    chip = FlashChip(SPEC, backend=backend)
     driver = PdlDriver(chip, max_differential_size=64, mapping=MAPPING)
     images = {}
     for pid in range(10):
@@ -107,14 +123,13 @@ def _target_addr(driver, kind, pid):
 @pytest.mark.parametrize("backend_kind", BACKENDS)
 @pytest.mark.parametrize("role", ROLES)
 @pytest.mark.parametrize("fault", FAULTS)
-def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
+def test_fault_matrix_cell(build, backend_kind, role, fault):
     pid = 6
     for kind in REGION_KINDS if role == "checkpoint" else (role,):
-        (tmp_path / kind).mkdir()
-        injector, chip, driver, images = _build(backend_kind, tmp_path / kind, seed=3)
+        injector, chip, driver, images = build(backend_kind, seed=3)
         addr = _target_addr(driver, kind, pid)
         injector.inject(fault, addr)
-        damaged = injector.inner.read_data(addr)
+        damaged = injector.backend.read_data(addr)
 
         report = fsck_driver(driver)
 
@@ -130,7 +145,7 @@ def test_fault_matrix_cell(tmp_path, backend_kind, role, fault):
             assert [(f.role, f.action) for f in report.faults] == [
                 ("checkpoint", "reported")
             ]
-            assert injector.inner.read_data(addr) == damaged
+            assert injector.backend.read_data(addr) == damaged
         assert report.check is not None and report.check.consistent
 
         survivors = set(images) - set(report.lost_pids)
@@ -180,8 +195,8 @@ class TestRepairableCells:
     """Cells engineered with surviving redundancy must repair, not lose."""
 
     @pytest.mark.parametrize("backend_kind", BACKENDS)
-    def test_base_with_surviving_copy_repairs(self, tmp_path, backend_kind):
-        injector, chip, driver, images = _build(backend_kind, tmp_path)
+    def test_base_with_surviving_copy_repairs(self, build, backend_kind):
+        injector, chip, driver, images = build(backend_kind)
         pid = 2
         entry = driver.ppmt.require(pid)
         copy_addr = driver.blocks.allocate(stream=driver._base_stream)
@@ -199,8 +214,8 @@ class TestRepairableCells:
         assert driver.read_page(pid) == images[pid]
 
     @pytest.mark.parametrize("backend_kind", BACKENDS)
-    def test_differential_with_surviving_chain_repairs(self, tmp_path, backend_kind):
-        injector, chip, driver, images = _build(backend_kind, tmp_path)
+    def test_differential_with_surviving_chain_repairs(self, build, backend_kind):
+        injector, chip, driver, images = build(backend_kind)
         pid = 3
         v2 = _patched(images[pid], 9, b"\xcc")
         driver.write_page(pid, v2)
@@ -216,10 +231,10 @@ class TestArrayFsck:
     def _shards(self, n):
         injectors, shards = [], []
         for i in range(n):
-            injector = FaultInjector(MemoryBackend(SPEC), seed=i)
-            injectors.append(injector)
+            backend = MemoryBackend(SPEC)
+            injectors.append(FaultInjector(backend, seed=i))
             shards.append(
-                PdlDriver(FlashChip(SPEC, backend=injector), max_differential_size=64)
+                PdlDriver(FlashChip(SPEC, backend=backend), max_differential_size=64)
             )
         from repro.sharding.driver import ShardedDriver
 
@@ -331,6 +346,7 @@ class TestPreChecksumCompatibility:
         report = fsck_driver(recovered)
         assert report.clean  # nothing to verify is not corruption
         assert report.checksum_failures == 0
+        reopened.close()
 
     def test_pre_checksum_wide_spare_image_survives_fsck(self, tmp_path):
         """Regression: a checksum-free image on a chip whose spare *does*
@@ -366,3 +382,4 @@ class TestPreChecksumCompatibility:
         assert report.lost_pids == []
         for pid, expected in images.items():
             assert recovered.read_page(pid) == expected
+        reopened.close()

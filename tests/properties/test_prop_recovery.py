@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
 from repro.flash.chip import FlashChip
-from repro.flash.errors import CrashError
+from repro.flash.errors import SimulatedPowerLoss
 from repro.flash.spec import FlashSpec
 
 SPEC = FlashSpec(
@@ -55,7 +55,7 @@ def test_recovery_invariants(seq, crash_at, max_diff):
                 driver.flush()
                 for q in history:
                     floor[q] = len(history[q]) - 1
-    except CrashError:
+    except SimulatedPowerLoss:
         pass
     chip.crash_after(None)
     recovered, _report = recover_driver(chip, max_differential_size=max_diff)
