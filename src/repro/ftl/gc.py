@@ -305,28 +305,32 @@ class GarbageCollector:
         """
         self._owner_holds = holds
 
+    # Both hooks run on every write, so each tests the guard inline and
+    # enters _check_owner only to raise.
     def _check_owner(self) -> None:
-        if self._owner_holds is not None and not self._owner_holds():
-            raise ConcurrencyError(
-                "GC write hook invoked by a thread that does not hold the "
-                "shard's gate; route all shard operations through the "
-                "sharded driver, which takes it"
-            )
+        raise ConcurrencyError(
+            "GC write hook invoked by a thread that does not hold the "
+            "shard's gate; route all shard operations through the "
+            "sharded driver, which takes it"
+        )
 
     def on_write_begin(self) -> None:
         """Driver hook at the start of one logical write: run the write's
         incremental step budget, and mark the stall-meter baseline."""
-        self._check_owner()
+        holds = self._owner_holds
+        if holds is not None and not holds():
+            self._check_owner()
         self._write_mark = self.gc_time_us
-        if self.config.incremental and (
-            self._victim is not None or self._below_trigger()
-        ):
-            self.step(self.config.incremental_steps)
+        steps = self.config.incremental_steps
+        if steps and (self._victim is not None or self._below_trigger()):
+            self.step(steps)
 
     def on_write_end(self) -> None:
         """Driver hook at the end of one logical write: record how much
         GC time the write absorbed (its stall), backstop runs included."""
-        self._check_owner()
+        holds = self._owner_holds
+        if holds is not None and not holds():
+            self._check_owner()
         self.chip.stats.record_write_stall(self.gc_time_us - self._write_mark)
 
     # ------------------------------------------------------------------

@@ -23,11 +23,11 @@ pool, sharding multiplies the paper's mechanisms for free:
   one :meth:`write_pages` of its dirty frames, then this).
 
 Every shard sits behind an ownership **gate** (:class:`ShardExecutor`):
-a single-page operation takes its shard's gate on the calling thread,
-and a batched one runs each shard's piece under that shard's gate, in
-shard order, on the calling thread too.  So an array is safe for many
-client threads (serialized per shard, overlapping across shards) and
-its flash behaviour is exactly the in-order one — see
+a single-page operation is one route and one gate, taken on the
+calling thread, and a batched one runs each shard's piece under that
+shard's gate, in shard order, on the calling thread too.  So an array
+is safe for many client threads (serialized per shard, overlapping
+across shards) and its flash behaviour is exactly the in-order one — see
 ``docs/concurrency.md`` for the execution model and why there are no
 worker threads.
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
+from threading import get_ident
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
@@ -93,30 +94,60 @@ class ShardExecutor:
         #: Makes :meth:`shutdown`'s test-and-set of ``_closed`` atomic.
         self._closing = threading.Lock()
 
+    def _outside(self, index: int) -> ValueError:
+        return ValueError(f"shard index {index} outside pool of {len(self._gates)}")
+
     def holds(self, index: int) -> bool:
         """Whether the calling thread holds shard ``index``'s gate."""
-        return self._holders[index] == threading.get_ident()
+        if not 0 <= index < len(self._holders):
+            raise self._outside(index)
+        return self._holders[index] == get_ident()
 
-    def _own(self, index: int, fn: Callable, args: tuple, kwargs: dict, live: bool = True):
-        """``fn(*args, **kwargs)`` on this thread, as shard ``index``'s
-        owner; ``live`` (anything but a shutdown's last task) is refused
-        once the executor is shut down."""
+    def owner_test(self, index: int) -> Callable[[], bool]:
+        """``holds(index)`` as a zero-argument test of one frame, for a
+        guard that runs on every write (the GC engine's owner check)."""
+        if not 0 <= index < len(self._holders):
+            raise self._outside(index)
+        holders = self._holders
+
+        def holds() -> bool:
+            return holders[index] == get_ident()
+
+        return holds
+
+    def _own(self, index: int, fn: Callable, args: tuple, kwargs: dict):
+        """``fn(*args, **kwargs)`` on this thread as shard ``index``'s
+        owner, even after shutdown (a shutdown's last task); straight
+        through when this thread already holds the gate."""
+        if self.holds(index):
+            return fn(*args, **kwargs)
         with self._gates[index]:
-            if live and self._closed:
-                raise ConcurrencyError("executor is shut down")
-            self._holders[index] = threading.get_ident()
+            self._holders[index] = get_ident()
             try:
                 return fn(*args, **kwargs)
             finally:
                 self._holders[index] = None
 
     def run(self, index: int, fn: Callable, *args, **kwargs):
-        """Take shard ``index``'s gate and call ``fn`` on this thread."""
-        if not 0 <= index < len(self._gates):
-            raise ValueError(f"shard index {index} outside pool of {len(self._gates)}")
-        if self.holds(index):
+        """Take shard ``index``'s gate and call ``fn`` on this thread.
+
+        Every single-page operation passes here, so the checks of
+        :meth:`holds` and the body of :meth:`_own` are written out
+        inline: one frame between the façade and the shard."""
+        holders = self._holders
+        if not 0 <= index < len(holders):
+            raise self._outside(index)
+        me = get_ident()
+        if holders[index] == me:
             return fn(*args, **kwargs)
-        return self._own(index, fn, args, kwargs)
+        with self._gates[index]:
+            if self._closed:
+                raise ConcurrencyError("executor is shut down")
+            holders[index] = me
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                holders[index] = None
 
     # benchmarks/e2e/trace.py patches this name in the class namespace.
     submit = run
@@ -131,12 +162,13 @@ class ShardExecutor:
         """Refuse all further calls, then run the ``last`` ``(shard index,
         thunk)`` tasks (closing a shard's chip) under their gates, so
         nothing follows them on a shard; the first failure is re-raised
-        after all have run.  Idempotent: a second call does nothing."""
+        after all have run.  A caller that holds a task's gate runs that
+        task straight through.  Idempotent: a second call does nothing."""
         with self._closing:
             if self._closed:
                 return
             self._closed = True
-        _join([partial(self._own, index, fn, (), {}, False) for index, fn in last])
+        _join([partial(self._own, index, fn, (), {}) for index, fn in last])
 
     def __enter__(self) -> "ShardExecutor":
         return self
@@ -156,11 +188,14 @@ def _fsck_shard(shard: PageUpdateMethod, repair: bool):
 class ShardedDriver(PageUpdateMethod):
     """A :class:`PageUpdateMethod` routing pages across shard drivers.
 
-    Every array-level operation is stated once, here, over two
-    primitives: :meth:`_run_on` (one call as one shard's owner) and
+    A single-page operation is one route (``router.shard_of``, its
+    answer checked inline) and one gate (:meth:`ShardExecutor.run`);
+    every batched operation is stated once, here, over
     :meth:`_fan_out` (one thunk per shard, each as its shard's owner, in
-    shard order).  Construction guards each shard's GC engine with its
-    gate (:meth:`~repro.ftl.gc.GarbageCollector.bind_owner`), so a call
+    shard order).  Each shard must own its chip: two shards over one
+    device would be two gates on it.  Construction guards each shard's
+    GC engine with its gate
+    (:meth:`~repro.ftl.gc.GarbageCollector.bind_owner`), so a call
     that bypasses the façade — ``driver.shards[0].write_page(...)`` —
     raises :class:`ConcurrencyError` instead of racing the owner.
     :meth:`close` shuts the gates; every entry point raises
@@ -190,6 +225,14 @@ class ShardedDriver(PageUpdateMethod):
             )
         self.name = f"{self.shards[0].name} x{len(self.shards)}"
         self.tightly_coupled = any(s.tightly_coupled for s in self.shards)
+        first_on_chip: Dict[int, int] = {}
+        for index, shard in enumerate(self.shards):
+            other = first_on_chip.setdefault(id(shard.chip), index)
+            if other != index:
+                raise ConfigurationError(
+                    f"shards {other} and {index} share one flash chip; each "
+                    f"shard needs its own, or one device would have two gates"
+                )
         self._stats = AggregateStats([s.chip.stats for s in self.shards])
         self.group_flushes = 0
         self._counter_lock = threading.Lock()  # client threads race here
@@ -197,18 +240,21 @@ class ShardedDriver(PageUpdateMethod):
         for index, shard in enumerate(self.shards):
             gc = getattr(shard, "gc", None)
             if gc is not None:
-                gc.bind_owner(partial(self.executor.holds, index))
+                gc.bind_owner(self.executor.owner_test(index))
 
     # ------------------------------------------------------------------
     # Routing and execution primitives
     # ------------------------------------------------------------------
+    def _misrouted(self, pid: int, index: int) -> ConfigurationError:
+        return ConfigurationError(
+            f"router sent pid {pid} to shard {index} of {len(self.shards)}"
+        )
+
     def shard_index(self, pid: int) -> int:
         """The shard index owning ``pid`` (validated against the fleet)."""
         index = self.router.shard_of(pid)
         if not 0 <= index < len(self.shards):
-            raise ConfigurationError(
-                f"router sent pid {pid} to shard {index} of {len(self.shards)}"
-            )
+            raise self._misrouted(pid, index)
         return index
 
     def shard_for(self, pid: int) -> PageUpdateMethod:
@@ -232,10 +278,6 @@ class ShardedDriver(PageUpdateMethod):
             out[index] = (group, logs)
         return out
 
-    def _run_on(self, index: int, fn: Callable, *args):
-        """Execute ``fn(*args)`` as shard ``index``'s owner."""
-        return self.executor.run(index, fn, *args)
-
     def _fan_out(self, tasks: Dict[int, Callable[[], object]]) -> List[object]:
         """Run one thunk per shard index under its gate; results in
         shard order, the first failure re-raised after all have run."""
@@ -244,19 +286,27 @@ class ShardedDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     # PageUpdateMethod contract
     # ------------------------------------------------------------------
+    # The single-page operations spell out shard_index: one route frame
+    # and one gate frame per page is all the façade costs.
     def load_page(self, pid: int, data: bytes) -> None:
-        index = self.shard_index(pid)
-        self._run_on(index, self.shards[index].load_page, pid, data)
+        index = self.router.shard_of(pid)
+        if not 0 <= index < len(self.shards):
+            raise self._misrouted(pid, index)
+        self.executor.run(index, self.shards[index].load_page, pid, data)
 
     def read_page(self, pid: int) -> bytes:
-        index = self.shard_index(pid)
-        return self._run_on(index, self.shards[index].read_page, pid)
+        index = self.router.shard_of(pid)
+        if not 0 <= index < len(self.shards):
+            raise self._misrouted(pid, index)
+        return self.executor.run(index, self.shards[index].read_page, pid)
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
     ) -> None:
-        index = self.shard_index(pid)
-        self._run_on(index, self.shards[index].write_page, pid, data, update_logs)
+        index = self.router.shard_of(pid)
+        if not 0 <= index < len(self.shards):
+            raise self._misrouted(pid, index)
+        self.executor.run(index, self.shards[index].write_page, pid, data, update_logs)
 
     def end_of_load(self) -> None:
         self._fan_out({i: shard.end_of_load for i, shard in enumerate(self.shards)})

@@ -14,7 +14,8 @@ Two concrete routers cover the standard choices:
 * :class:`HashRouter` — a splitmix64-style mix of the pid modulo the
   shard count.  Spreads any workload (sequential, clustered, skewed)
   near-uniformly; the right default for update-heavy traffic because it
-  balances GC pressure across shards.
+  balances GC pressure across shards.  Its answers for low pids are
+  kept in a table, so routing a page is one lookup.
 * :class:`RangeRouter` — contiguous pid ranges of a fixed width, with
   the tail clamped onto the last shard so the partition stays total.
   Preserves locality (a sequential scan touches one shard at a time),
@@ -30,16 +31,30 @@ a trace, and to re-attach after :func:`~repro.sharding.recovery.recover_all`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+#: :class:`HashRouter` answers pids below this from a table (one byte a
+#: pid for up to 256 shards), built on demand by doubling; a larger pid
+#: is mixed on every call.
+_TABLE_LIMIT = 1 << 22
 
-def _mix64(x: int) -> int:
-    """The splitmix64 finalizer: a cheap, high-quality 64-bit mixer."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+
+def _negative_pid(pid: int) -> ValueError:
+    return ValueError(f"logical page id {pid} must be non-negative")
+
+
+def _hash_shards(pids: np.ndarray, n_shards: int) -> np.ndarray:
+    """``splitmix64(pid) % n_shards`` over a ``uint64`` array: the
+    splitmix64 finalizer, a cheap, high-quality 64-bit mixer, whose
+    ``mod 2**64`` is numpy's wrapping arithmetic."""
+    x = pids + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (x ^ (x >> np.uint64(31))) % np.uint64(n_shards)
 
 
 class ShardRouter(ABC):
@@ -54,25 +69,48 @@ class ShardRouter(ABC):
     def shard_of(self, pid: int) -> int:
         """The shard owning logical page ``pid`` (total and stable)."""
 
-    def _check_pid(self, pid: int) -> int:
-        if pid < 0:
-            raise ValueError(f"logical page id {pid} must be non-negative")
-        return pid
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} n_shards={self.n_shards}>"
 
 
 class HashRouter(ShardRouter):
-    """Hash partitioning: ``mix64(pid) % n_shards``.
+    """Hash partitioning: ``splitmix64(pid) % n_shards``.
 
     The mixer decorrelates the shard index from low pid bits, so
     striding workloads (every 4th page, B+tree fan-out patterns) still
     balance.  With one shard it degenerates to the identity routing.
+
+    Routing is on every page operation's path, so :meth:`shard_of` is
+    one frame and one table lookup for every pid the table covers.  The
+    mix, a few 128-bit multiplications as Python ints, runs in numpy
+    instead, over the whole table each time it grows.
     """
 
+    def __init__(self, n_shards: int):
+        super().__init__(n_shards)
+        #: ``shard_of(pid)`` for every ``pid < len(_table)``.
+        self._table = array("B" if n_shards <= 256 else "I")
+
     def shard_of(self, pid: int) -> int:
-        return _mix64(self._check_pid(pid)) % self.n_shards
+        table = self._table
+        if 0 <= pid < len(table):
+            return table[pid]
+        return self._route(pid)
+
+    def _route(self, pid: int) -> int:
+        """Route a pid the table does not cover: grow the table over
+        it, or mix it alone past ``_TABLE_LIMIT``."""
+        if pid < 0:
+            raise _negative_pid(pid)
+        if pid >= _TABLE_LIMIT:
+            pids = np.array([pid & _MASK64], dtype=np.uint64)
+            return int(_hash_shards(pids, self.n_shards)[0])
+        size = min(max(2 * len(self._table), pid + 1), _TABLE_LIMIT)
+        table = array(self._table.typecode)
+        shards = _hash_shards(np.arange(size, dtype=np.uint64), self.n_shards)
+        table.frombytes(shards.astype(f"u{table.itemsize}").tobytes())
+        self._table = table  # one store: a racing reader sees either table
+        return table[pid]
 
 
 class RangeRouter(ShardRouter):
@@ -100,7 +138,9 @@ class RangeRouter(ShardRouter):
         return cls(n_shards, width)
 
     def shard_of(self, pid: int) -> int:
-        return min(self._check_pid(pid) // self.pages_per_shard, self.n_shards - 1)
+        if pid < 0:
+            raise _negative_pid(pid)
+        return min(pid // self.pages_per_shard, self.n_shards - 1)
 
 
 def make_router(kind: str, n_shards: int, **kwargs) -> ShardRouter:

@@ -18,6 +18,14 @@ backends: 50.7 / 56.3 calls (memory / file) with a Python slice per
 changed unit and a ``SpareArea`` copy per program to stamp its CRC,
 44.3 / 49.9 without.  Its budgets sit less than one spare copy per
 program above the new counts, so either coming back fails by name.
+
+The one-shard façade is counted against the bare driver on the same
+ops: a routed cycle (one read, one write) made 19.4 more calls with the
+route, the gate and the GC owner guard each a chain of helpers, and
+7.4 more with each one frame — the façade's own two methods, two routes,
+two gates and two owner tests.  Its budget of 9 sits below the next
+frame per page op, and the cycle must take exactly its two gate
+releases and no simulated time beyond the bare driver's.
 """
 
 import random
@@ -29,12 +37,14 @@ from repro.core.pdl import PdlDriver
 from repro.flash.backend import FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spec import spec_for_database
+from repro.methods import make_method
 
 PAGES = 256
 CYCLES = 4000
 WRITES = 2000
 CHANGE = 41  # 2 % of a 2 KB page, the paper's default update
 CALLS_PER_CYCLE_BUDGET = 67
+ROUTED_EXTRA_CALLS_BUDGET = 9
 
 
 def _changed(rng, driver, pid):
@@ -105,3 +115,37 @@ def test_write_stays_within_its_call_budget(kind, budget, tmp_path, count_python
         assert per_write <= budget, per_write
     finally:
         chip.close()
+
+
+def test_routed_cycle_costs_one_route_and_one_gate_per_page_op(
+    count_python_calls, count_lock_releases
+):
+    """The same seeded cycles on the one-shard façade and on the bare
+    driver, over identical chips: routing and the gate may add a few
+    calls, exactly one gate release per page op, and no simulated time."""
+
+    def run(label):
+        rng = random.Random(20261017)
+        chip = FlashChip(spec_for_database(PAGES, 0.25))
+        driver = make_method(label, [chip] if label.endswith("x1") else chip)
+        for pid in range(PAGES):
+            driver.load_page(pid, rng.randbytes(driver.page_size))
+
+        def window():
+            for _ in range(WRITES):
+                pid = rng.randrange(PAGES)
+                driver.write_page(pid, _changed(rng, driver, pid))
+
+        while chip.stats.total_erases < chip.spec.n_blocks:
+            window()
+        calls = count_python_calls(window)
+        releases = count_lock_releases(window)
+        return calls, releases, chip.clock_us
+
+    bare_calls, bare_releases, bare_clock = run("PDL (256B)")
+    routed_calls, routed_releases, routed_clock = run("PDL (256B) x1")
+
+    extra_calls = (routed_calls - bare_calls) / WRITES
+    assert extra_calls <= ROUTED_EXTRA_CALLS_BUDGET, extra_calls
+    assert routed_releases - bare_releases == 2 * WRITES  # one read + one write gate
+    assert routed_clock == bare_clock

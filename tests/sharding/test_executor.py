@@ -115,6 +115,18 @@ class TestGate:
             with pytest.raises(ValueError, match="outside pool"):
                 pool.submit(index, lambda: None)
 
+    def test_holds_checks_its_index_like_run(self, pool):
+        """A negative index must not wrap onto the last gate: inside gate
+        3 of 4, ``holds(-1)`` would otherwise answer True."""
+
+        def probe():
+            for index in (-1, -4, 4):
+                with pytest.raises(ValueError, match="outside pool"):
+                    pool.holds(index)
+            return pool.holds(3)
+
+        assert pool.run(3, probe)
+
     def test_a_client_waiting_on_a_gate_never_runs_behind_shutdowns_last_task(self):
         """close() racing a client: the chip is closed by the shutdown's
         last task, and a caller that was queued on the gate meanwhile
@@ -168,6 +180,28 @@ class TestGate:
         assert closed == [1]
         executor.shutdown(last=[(0, lambda: closed.append("again"))])  # a no-op now
         assert closed == [1]
+
+    def test_shutdown_from_a_gate_holder_runs_that_last_task_through(self):
+        """A caller inside gate 0 closing the executor runs gate 0's last
+        task on the spot, as ``run`` would, instead of waiting for itself."""
+        executor = ShardExecutor(2)
+        order = []
+
+        def close_from_inside():
+            executor.shutdown(
+                last=[(0, lambda: order.append(0)), (1, lambda: order.append(1))]
+            )
+            order.append("returned")
+
+        caller = threading.Thread(
+            target=executor.run, args=(0, close_from_inside), daemon=True
+        )
+        caller.start()
+        caller.join(timeout=5)
+        assert not caller.is_alive(), "shutdown deadlocked on the caller's own gate"
+        assert order == [0, 1, "returned"]
+        with pytest.raises(ConcurrencyError, match="shut down"):
+            executor.run(0, lambda: None)
 
 
 class TestLifecycle:

@@ -1,5 +1,9 @@
 """Unit tests for shard routers (hash / range / factory)."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.sharding.router import HashRouter, RangeRouter, ShardRouter, make_router
@@ -35,6 +39,51 @@ class TestHashRouter:
         hit = {router.shard_of(pid) for pid in range(0, 512, 4)}
         assert len(hit) == 4
 
+    @pytest.mark.parametrize("n_shards", [1, 4, 7, 300])
+    def test_every_pid_routes_by_the_splitmix64_finalizer(self, n_shards):
+        """Routing is a stable partition — recovery re-attaches pages by
+        it — so table lookups and the past-the-table path must both give
+        ``splitmix64(pid) % n``, whatever order pids first arrive in."""
+        mask = (1 << 64) - 1
+
+        def splitmix64(x):
+            x = (x + 0x9E3779B97F4A7C15) & mask
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & mask
+            return x ^ (x >> 31)
+
+        pids = [9000, 0, 1, 4095, 4096, 8191, 8192, 123_457, (1 << 22) - 1]
+        pids += [1 << 22, 10**12, mask, 1 << 64, (1 << 70) + 5]
+        router = HashRouter(n_shards)
+        for pid in pids + list(range(0, 20_000, 7)):
+            assert router.shard_of(pid) == splitmix64(pid) % n_shards, pid
+
+    def test_threads_growing_the_table_agree(self):
+        """Client threads share one router; first routes that grow its
+        table concurrently must all see the answers one thread would."""
+        alone = HashRouter(4)
+        reference = [alone.shard_of(pid) for pid in range(20_000)]
+        router = HashRouter(4)
+        wrong = []
+
+        def client(seed):
+            for pid in random.Random(seed).sample(range(20_000), 2_000):
+                if router.shard_of(pid) != reference[pid]:
+                    wrong.append(pid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
 
 class TestRangeRouter:
     def test_contiguous_ranges(self):
@@ -69,8 +118,10 @@ class TestRouterContract:
             RangeRouter(-1, 10)
 
     def test_negative_pid_rejected(self):
-        with pytest.raises(ValueError):
-            HashRouter(2).shard_of(-5)
+        for router in (HashRouter(2), RangeRouter(2, pages_per_shard=10)):
+            router.shard_of(7)  # a routed pid must not let a negative one wrap
+            with pytest.raises(ValueError, match="logical page id -5 must be non-negative"):
+                router.shard_of(-5)
 
     def test_abstract_base(self):
         with pytest.raises(TypeError):

@@ -79,6 +79,22 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             ShardedDriver(shards)
 
+    def test_one_driver_twice_rejected(self):
+        """Two shards over one device would put two gates on it."""
+        shard = PdlDriver(FlashChip(SPEC), max_differential_size=64)
+        with pytest.raises(ConfigurationError, match="shards 0 and 1 share one flash chip"):
+            ShardedDriver([shard, shard])
+
+    def test_two_drivers_over_one_chip_rejected(self):
+        chip = FlashChip(SPEC)
+        shards = [
+            PdlDriver(FlashChip(SPEC), max_differential_size=64),
+            PdlDriver(chip, max_differential_size=64),
+            OpuDriver(chip),
+        ]
+        with pytest.raises(ConfigurationError, match="shards 1 and 2 share one flash chip"):
+            ShardedDriver(shards)
+
     def test_empty_fleet_rejected(self):
         with pytest.raises(ConfigurationError):
             ShardedDriver([])
