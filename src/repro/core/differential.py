@@ -404,6 +404,124 @@ def differential_page_stamps(data: bytes) -> List[Tuple[int, int]]:
     ]
 
 
+_PAGE_HEADER_DTYPE = np.dtype([("magic", "<u2"), ("count", "<u2")])
+_U2, _U4, _U8 = np.dtype("<u2"), np.dtype("<u4"), np.dtype("<u8")
+#: Byte offsets inside an entry header (``<IQHH``).
+_TIMESTAMP_AT, _N_RUNS_AT, _DATA_LEN_AT = 4, 12, 14
+
+
+def _at_every_byte(data: bytes, dtype: np.dtype) -> np.ndarray:
+    """A view of ``data`` whose element ``i`` is the ``dtype`` value
+    stored at byte ``i``: a gather of values at any offsets is then one
+    fancy index."""
+    return np.ndarray((max(len(data) - dtype.itemsize + 1, 0),), dtype, data, strides=(1,))
+
+
+class PageStamps:
+    """What :func:`differential_page_stamps_batch` read: ``stamps[k]`` is
+    page k's ``(pid, timestamp)`` list, or ``None`` when page k is
+    rejected.  The stamps are kept as two arrays and a page's list is
+    made when it is asked for, so a chunk's stamps are never all Python
+    objects at once."""
+
+    __slots__ = ("_valid", "_bounds", "_pids", "_timestamps")
+
+    def __init__(
+        self, valid: List[bool], bounds: List[int], pids: np.ndarray, timestamps: np.ndarray
+    ) -> None:
+        self._valid = valid
+        self._bounds = bounds
+        self._pids = pids
+        self._timestamps = timestamps
+
+    def __getitem__(self, page: int) -> Optional[List[Tuple[int, int]]]:
+        if not self._valid[page]:
+            return None
+        lo, hi = self._bounds[page], self._bounds[page + 1]
+        return list(zip(self._pids[lo:hi].tolist(), self._timestamps[lo:hi].tolist()))
+
+
+def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
+    """:func:`differential_page_stamps` of every ``page_size`` bytes of
+    ``data`` in one walk: each page's ``(pid, timestamp)`` list, or
+    ``None`` for a page on which that function raises
+    :class:`DifferentialError`.
+
+    The Figure-11 scan reads a chunk's differential pages this way.  The
+    pages are walked side by side, one entry of each per step, with
+    array operations.  An entry is taken at face value (the next one
+    starts ``data_len`` bytes past its run headers) and rejected with
+    its page when its header, run headers or run data would pass the
+    page's end, or its run lengths do not sum to ``data_len`` (checked
+    for all entries at once after the walk).  Up to a page's first bad
+    entry that is exactly the scalar walk's position, and the scalar
+    walk fails at that entry too; past it the walk reads only bytes
+    inside the page, and the page is rejected whatever they hold.  Why
+    a page is rejected is not said: :func:`differential_page_stamps`
+    stays the validator that names the damage.  (Array methods and
+    ufuncs only: numpy's Python-level helpers would cost calls per step.)
+    """
+    n = len(data) // page_size
+    if page_size < PAGE_HEADER_SIZE:
+        return PageStamps([False] * n, [0] * (n + 1), np.zeros(0, _U4), np.zeros(0, _U8))
+    headers = np.ndarray((n,), _PAGE_HEADER_DTYPE, data, strides=(page_size,))
+    valid = headers["magic"] == DIFF_PAGE_MAGIC
+    if page_size < PAGE_HEADER_SIZE + ENTRY_HEADER_SIZE:  # no entry fits a page
+        valid &= headers["count"] == 0
+        return PageStamps(valid.tolist(), [0] * (n + 1), np.zeros(0, _U4), np.zeros(0, _U8))
+    u2_at = _at_every_byte(data, _U2)
+    # The walk's state, one element per page (arrays keep their size, so
+    # numpy's cache of small blocks sees few sizes): where the page's
+    # next entry starts, where the page ends, how many entries are left.
+    at = np.arange(n, dtype=np.int64) * page_size + PAGE_HEADER_SIZE
+    end = at + (page_size - PAGE_HEADER_SIZE)
+    left = headers["count"] * valid
+    # A header read starts at most here, inside the data; a page whose
+    # header would pass its end reads a stray one, and is cut anyway: its
+    # next entry would start at least a header past ``at``.
+    last = len(data) - ENTRY_HEADER_SIZE
+    walking = left > 0
+    # Per step, where each page's entry was and which pages took one; a
+    # first step that takes nothing keeps the stacks two-dimensional.
+    steps_at, steps_taken = [at], [walking & False]
+    while np.logical_or.reduce(walking):
+        probe = np.minimum(at, last)
+        nxt = at + ENTRY_HEADER_SIZE
+        nxt += RUN_HEADER_SIZE * u2_at[probe + _N_RUNS_AT].astype(np.int64)
+        nxt += u2_at[probe + _DATA_LEN_AT]
+        cut = walking & (nxt > end)
+        if np.logical_or.reduce(cut):
+            valid[cut] = False
+            walking &= ~cut
+        steps_at.append(at)
+        steps_taken.append(walking)
+        left = left - walking
+        at = nxt
+        walking = walking & (left > 0)
+    # Steps by pages, read page by page: each page's entries in order.
+    taken = np.array(steps_taken).T
+    at = np.array(steps_at).T[taken]
+    bounds = np.zeros(n + 1, np.int64)
+    np.add.reduce(taken, axis=1).cumsum(out=bounds[1:])
+    # Every walked entry's run lengths come off its data_len one run
+    # header at a time: what an entry still owes at the end is a
+    # data_len its runs do not carry.
+    n_runs = u2_at[at + _N_RUNS_AT]
+    owing = u2_at[at + _DATA_LEN_AT].astype(np.int64)
+    length_at = at + (ENTRY_HEADER_SIZE + RUN_HEADER_SIZE // 2)
+    for run in range(int(np.maximum.reduce(n_runs)) if len(n_runs) else 0):
+        # An entry with no run left reads a stray length, weighted 0.
+        owing -= u2_at[np.minimum(length_at, len(u2_at) - 1)] * (n_runs > run)
+        length_at += RUN_HEADER_SIZE
+    valid[np.arange(n).repeat(bounds[1:] - bounds[:-1])[owing.nonzero()[0]]] = False
+    return PageStamps(
+        valid.tolist(),
+        bounds.tolist(),
+        _at_every_byte(data, _U4)[at],
+        _at_every_byte(data, _U8)[at + _TIMESTAMP_AT],
+    )
+
+
 def find_differential(data: bytes, pid: int) -> Optional[Differential]:
     """Locate ``pid``'s entry in a differential page (PDL_Reading Step 2).
 

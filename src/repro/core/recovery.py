@@ -24,13 +24,13 @@ crash time are lost, the paper's file-buffer analogy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..flash.chip import FlashChip
-from ..flash.spare import NO_PID, NO_TS, PageType, data_checksum, spare_kinds
-from .differential import DifferentialError, differential_page_stamps
+from ..flash.spare import NO_CHECKSUM, NO_PID, NO_TS, PageType, data_checksum, spare_kinds
+from .differential import differential_page_stamps_batch
 from .fsck import mark_obsolete_quietly
 from .pdl import PdlDriver
 from .restart_plan import Fallback, Fast, RestartPlan
@@ -68,9 +68,9 @@ class RecoveryReport:
     corrupt_spare_pages: int = 0
     orphan_pids: List[int] = field(default_factory=list)
     max_timestamp: int = 0
-    #: Batched differential-data reads: pages prefetched through
-    #: ``read_pages`` and the number of chip calls that took.  The same
-    #: page count the old one-read-per-page loop charged, in
+    #: Batched differential-data reads: pages read through
+    #: ``read_data_areas`` and the number of chip calls that took.  The
+    #: same page count the old one-read-per-page loop charged, in
     #: ``diff_read_batches`` calls instead of ``diff_pages_read``.
     diff_pages_read: int = 0
     diff_read_batches: int = 0
@@ -125,11 +125,13 @@ def recover_tables(
     its timestamp counter is resumed here, so callers cannot forget to do
     it.
 
-    Each chunk of spares is triaged as one record array (erased,
-    obsolete, corrupt, base, differential); adoption then walks the
-    chunk's surviving pages in address order over local rows and counts,
-    which keeps every adoption, counter and obsolete mark in the order
-    the page-at-a-time algorithm makes them.
+    Each chunk of spares is read as one buffer and triaged as one record
+    array (erased, obsolete, corrupt, base, differential); the chunk's
+    differential pages are read as another buffer and their entry
+    stamps in one batched walk.  Adoption then walks the chunk's
+    surviving pages in address order over local rows and counts, which
+    keeps every adoption, counter and obsolete mark in the order the
+    page-at-a-time algorithm makes them.
     """
     for name, table in (("ppmt", ppmt), ("vdct", vdct)):
         if len(table):
@@ -161,47 +163,17 @@ def recover_tables(
         for start in range(first_page, n_pages, SCAN_CHUNK_PAGES):
             addrs = range(start, min(start + SCAN_CHUNK_PAGES, n_pages))
             report.pages_scanned += len(addrs)
-            records = chip.read_spare_records(addrs)
-            kinds = spare_kinds(records["type"])
-            stamps = records["ts"]
-            programmed = kinds != _ERASED
-            # Even stale/obsolete stamps must bound the resumed counter: a
-            # reused timestamp would break recovery's strictly-newer
-            # adoption rule on the next crash.
-            stamped = stamps[programmed & (stamps != NO_TS)]
-            if stamped.size:
-                report.max_timestamp = max(report.max_timestamp, int(stamped.max()))
-            live = programmed & (records["valid"] == 0xFF)
-            for at in np.flatnonzero(live & (kinds == _CORRUPT)).tolist():
-                # A damaged type byte: the page holds *something* that was
-                # programmed, so it must not be treated as erased.
-                # Quarantine by obsoleting — its block stays sealed until GC.
-                report.corrupt_spare_pages += 1
-                if mark_obsolete_quietly(chip, start + at):
-                    report.stale_pages_obsoleted += 1
-            # Pages of other types (the mapping region's) are left
-            # untouched: recovery never destroys data it does not own.
-            survivors = np.flatnonzero(
-                live & ((kinds == _BASE) | (kinds == _DIFFERENTIAL))
+            pages, kinds, pids, stamps, checksums = _triage(chip, addrs, report)
+            differential = kinds == _DIFFERENTIAL
+            diff_pages = _read_diff_stamps(
+                chip, pages[differential].tolist(), checksums[differential].tolist(), report
             )
-            survivor_kinds = kinds[survivors].tolist()
-            survivor_addrs = (survivors + start).tolist()
-            images = _prefetch_diff_pages(
-                chip,
-                [a for a, k in zip(survivor_addrs, survivor_kinds) if k == _DIFFERENTIAL],
-                report,
-            )
-            survivor_stamps = stamps[survivors]
-            survivor_stamps[survivor_stamps == NO_TS] = 0
             for addr, kind, pid, ts in zip(
-                survivor_addrs,
-                survivor_kinds,
-                records["pid"][survivors].tolist(),
-                survivor_stamps.tolist(),
+                pages.tolist(), kinds.tolist(), pids.tolist(), stamps.tolist()
             ):
                 if kind == _DIFFERENTIAL:
                     _adopt_diff_page(
-                        chip, addr, images[addr], rows, counts, drop_diff, report
+                        chip, addr, next(diff_pages), rows, counts, drop_diff, report
                     )
                     continue
                 # Case 1 of Figure 11: the scanned page is a base page.
@@ -251,40 +223,98 @@ def recover_tables(
     return report
 
 
-def _prefetch_diff_pages(
-    chip: FlashChip, diff_addrs: List[int], report: RecoveryReport
-) -> Dict[int, Optional[bytes]]:
-    """Batch-read the chunk's differential-page data areas.
+def _triage(
+    chip: FlashChip, addrs: range, report: RecoveryReport
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read a chunk's spares as one record array and sort its pages out:
+    returns the address, kind, pid, timestamp (0 for none) and data
+    checksum (``NO_CHECKSUM`` for none) of each live base or
+    differential page, in address order, as arrays.
 
-    One ``read_pages`` call replaces one ``read_page`` per differential
-    page; the per-page Tread charge is identical by construction.
-    Verification is done here by hand — ``verify=True`` would abort the
-    whole batch at the first corrupt page, while the scan must keep
-    going and quarantine only that page — with the same checksum-stat
-    accounting a verified read performs.  Corrupt pages map to ``None``.
+    Every programmed stamp bounds ``report.max_timestamp`` here, and a
+    live page with a damaged type byte is quarantined.  The chunk's
+    record array is dropped on return, before its differential pages
+    are read, and the caller lists the survivors only after that.
     """
-    images: Dict[int, Optional[bytes]] = {}
+    records = chip.read_spare_records(addrs)
+    kinds = spare_kinds(records["type"])
+    stamps = records["ts"]
+    programmed = kinds != _ERASED
+    # Even stale/obsolete stamps must bound the resumed counter: a
+    # reused timestamp would break recovery's strictly-newer adoption
+    # rule on the next crash.
+    stamped = stamps[programmed & (stamps != NO_TS)]
+    if stamped.size:
+        report.max_timestamp = max(report.max_timestamp, int(stamped.max()))
+    live = programmed & (records["valid"] == 0xFF)
+    for at in (live & (kinds == _CORRUPT)).nonzero()[0].tolist():
+        # A damaged type byte: the page holds *something* that was
+        # programmed, so it must not be treated as erased.  Quarantine
+        # by obsoleting — its block stays sealed until GC.
+        report.corrupt_spare_pages += 1
+        if mark_obsolete_quietly(chip, addrs.start + at):
+            report.stale_pages_obsoleted += 1
+    # Pages of other types (the mapping region's) are left untouched:
+    # recovery never destroys data it does not own.
+    survivors = (live & ((kinds == _BASE) | (kinds == _DIFFERENTIAL))).nonzero()[0]
+    survivor_stamps = stamps[survivors]
+    survivor_stamps[survivor_stamps == NO_TS] = 0
+    if "checksum" in records.dtype.names:
+        checksums = records["checksum"][survivors]
+    else:  # a spare too small to carry one
+        checksums = np.full(len(survivors), NO_CHECKSUM, np.uint32)
+    return (
+        survivors + addrs.start,
+        kinds[survivors],
+        records["pid"][survivors],
+        survivor_stamps,
+        checksums,
+    )
+
+
+def _read_diff_stamps(
+    chip: FlashChip, diff_addrs: List[int], checksums: List[int], report: RecoveryReport
+) -> Iterator[Optional[List[Tuple[int, int]]]]:
+    """The chunk's differential pages' ``(pid, timestamp)`` lists, in
+    ``diff_addrs`` order, with ``None`` for a page to quarantine.
+
+    One ``read_data_areas`` call reads every data area into one buffer
+    (the per-page Tread charge is that of one ``read_page`` each), each
+    page is checked against the data checksum its spare carries
+    (``checksums``, from the spare scan), and one
+    :func:`differential_page_stamps_batch` walk reads every page's entry
+    stamps; all of it happens before this returns.  The checks are made
+    here by hand, with the checksum-stat accounting a verified read
+    performs, because the scan must go on past a corrupt page and
+    quarantine only that page.  A page fails on its checksum or when
+    ``differential_page_stamps`` would raise on it.
+    """
     if not diff_addrs:
-        return images
+        return iter(())
     report.diff_read_batches += 1
     report.diff_pages_read += len(diff_addrs)
-    for addr, (data, spare) in zip(
-        diff_addrs, chip.read_pages(diff_addrs, verify=False)
-    ):
-        if spare.checksum is not None:
-            chip.stats.record_checksum_check()
-            if data_checksum(data) != spare.checksum:
-                chip.stats.record_checksum_failure()
-                images[addr] = None
+    stats = chip.stats
+    size = chip.spec.page_data_size
+    images = chip.read_data_areas(diff_addrs)
+    view = memoryview(images)
+    intact: List[bool] = []
+    for at, checksum in zip(range(0, len(images), size), checksums):
+        if checksum != NO_CHECKSUM:
+            stats.record_checksum_check()
+            if data_checksum(view[at : at + size]) != checksum:
+                stats.record_checksum_failure()
+                intact.append(False)
                 continue
-        images[addr] = data
-    return images
+        intact.append(True)
+    view.release()
+    walked = differential_page_stamps_batch(images, size)
+    return (walked[page] if ok else None for page, ok in enumerate(intact))
 
 
 def _adopt_diff_page(
     chip: FlashChip,
     addr: int,
-    data: Optional[bytes],
+    stamps: Optional[List[Tuple[int, int]]],
     rows: Dict[int, MappingEntry],
     counts: Dict[int, int],
     drop_diff: Callable[[MappingEntry], None],
@@ -292,14 +322,10 @@ def _adopt_diff_page(
 ) -> None:
     """Case 2 of Figure 11: the scanned page is a differential page.
 
-    ``data`` is the prefetched data area (None when its checksum failed
-    in the batch read).
+    ``stamps`` are its entries' ``(pid, timestamp)`` pairs, or None when
+    its data failed its checksum or does not parse: it is quarantined.
     """
-    try:
-        if data is None:
-            raise DifferentialError("differential page data failed its checksum")
-        stamps = differential_page_stamps(data)
-    except DifferentialError:
+    if stamps is None:
         report.corrupt_differential_pages += 1
         if mark_obsolete_quietly(chip, addr):
             report.stale_pages_obsoleted += 1

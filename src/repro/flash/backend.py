@@ -42,7 +42,11 @@ All file I/O is *positional* (``os.pread`` / ``os.pwrite`` in
 position to maintain.  A page read (:meth:`DeviceBackend.read_page`, the
 one backend call behind every ``FlashChip.read_page``) is a bounds check,
 a look at the RAM meta mirror and at most two ``pread`` calls; a page
-program is three ``pwrite`` calls (data, spare, meta).  A transfer that
+program is three ``pwrite`` calls (data, spare, meta); a batched read,
+one per contiguous run of addresses and region.  The recovery scan's
+bulk reads are fewer still: a chunk's spares are one ``preadv`` straight
+into its buffer, and its differential pages' data areas are read in
+address order, nearby pages together (:meth:`FileBackend._runs`).  A transfer that
 comes up short is finished or reported — never ignored — and the
 descriptor is asked of the file object on every call, so use after
 ``close()`` raises ``ValueError`` rather than touching whatever file the
@@ -51,16 +55,17 @@ OS has since handed the same descriptor number to.
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
 import struct
 from abc import ABC, abstractmethod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import AddressError
-from .spare import CHECKSUM_HEADER_SIZE
+from .spare import CHECKSUM_HEADER_SIZE, erased_spare
 from .spec import FlashSpec
 
 MAGIC = b"PDLFLSH1"
@@ -71,6 +76,32 @@ HEADER_SIZE = 64
 
 #: Bytes of per-page metadata: (data_programs, spare_programs).
 _META_SIZE = 2
+
+#: What the scan's bulk reads return: one buffer, raw bytes back to back.
+ScanBuffer = Union[bytes, mmap.mmap]
+
+
+def _scratch(size: int) -> mmap.mmap:
+    """A zero-filled ``size``-byte buffer of its own anonymous mapping.
+
+    The scan's per-chunk buffers (a chunk of spares, a chunk's
+    differential pages) are hundreds of KiB and live for one chunk.
+    Mapped, one goes back to the OS the moment it is dropped; taken from
+    the heap, it would stay resident, in pieces, for the rest of the
+    process.
+    """
+    return mmap.mmap(-1, size)
+
+
+#: Spares a :class:`MemoryBackend` range read joins at a time.
+_JOIN_PAGES = 256
+
+#: A batched read joins two requested pages of a region into one
+#: ``pread`` when at most this many bytes lie between them (reading them
+#: costs less than a second syscall), and never reads more than
+#: ``_MAX_READ`` bytes at once (the whole read is held while it is sliced).
+_COALESCE_GAP = 16 * 1024
+_MAX_READ = 64 * 1024
 
 
 class BackendError(RuntimeError):
@@ -138,6 +169,18 @@ class DeviceBackend(ABC):
         """Raw spare areas for many pages in one call (recovery scans)."""
 
     @abstractmethod
+    def read_data_areas(self, addrs: Sequence[int]) -> ScanBuffer:
+        """The raw data areas of many pages back to back in one buffer,
+        an erased page's as all-``0xFF`` bytes: the Figure-11 scan's read
+        of a chunk's differential pages, whose spares it already holds."""
+
+    @abstractmethod
+    def read_spare_range(self, start: int, stop: int) -> ScanBuffer:
+        """The raw spare areas of pages ``start`` to ``stop - 1`` back to
+        back in one buffer, an erased page's as all-``0xFF`` bytes: the
+        Figure-11 scan's read of a chunk of spares."""
+
+    @abstractmethod
     def program_pages(self, items: Sequence[Tuple[int, bytes, bytes]]) -> None:
         """Store many full pages — ``(addr, data, spare)`` — in one call."""
 
@@ -186,6 +229,11 @@ class DeviceBackend(ABC):
             raise AddressError(
                 f"page address {addr} outside chip of {self._n_pages} pages"
             )
+
+    def _check_range(self, start: int, stop: int) -> None:
+        if start < stop:
+            self._check_addr(start)
+            self._check_addr(stop - 1)
 
     def _check_block(self, block: int) -> None:
         if not 0 <= block < self.spec.n_blocks:
@@ -263,6 +311,34 @@ class MemoryBackend(DeviceBackend):
                 self._check_addr(a)
         spare = self._spare
         return [spare[a] for a in addrs]
+
+    def read_data_areas(self, addrs: Sequence[int]) -> ScanBuffer:
+        n_pages = self._n_pages
+        for a in addrs:
+            if not 0 <= a < n_pages:
+                self._check_addr(a)
+        if not len(addrs):
+            return b""
+        size = self.spec.page_data_size
+        erased = b"\xff" * size
+        image = _scratch(size * len(addrs))
+        for at, raw in zip(range(0, len(image), size), map(self._data.__getitem__, addrs)):
+            image[at : at + size] = erased if raw is None else raw
+        return image
+
+    def read_spare_range(self, start: int, stop: int) -> ScanBuffer:
+        self._check_range(start, stop)
+        if start >= stop:
+            return b""
+        size = self.spec.page_spare_size
+        erased = erased_spare(size)
+        image = _scratch(size * (stop - start))
+        # Joined a slice at a time: one join of the whole range would
+        # take a heap block as large as the image, plus its index.
+        for at in range(start, stop, _JOIN_PAGES):
+            spares = self._spare[at : min(at + _JOIN_PAGES, stop)]
+            image.write(b"".join([erased if raw is None else raw for raw in spares]))
+        return image
 
     def program_pages(self, items: Sequence[Tuple[int, bytes, bytes]]) -> None:
         for addr, data, spare in items:
@@ -457,6 +533,15 @@ class FileBackend(DeviceBackend):
             )
         return buf
 
+    def _read_into(self, offset: int, buffer: mmap.mmap) -> None:
+        """Fill ``buffer`` from ``offset`` with one ``preadv``."""
+        got = os.preadv(self._file.fileno(), [buffer], offset)
+        if got != len(buffer):
+            raise BackendError(
+                f"short read at {offset} in {self.path!r}: "
+                f"wanted {len(buffer)}, got {got}"
+            )
+
     def _write_at(self, offset: int, payload: bytes) -> None:
         written = os.pwrite(self._file.fileno(), payload, offset)
         if written != len(payload):
@@ -573,6 +658,73 @@ class FileBackend(DeviceBackend):
                 metas, self._region_run(addrs, self._spare_off, spare_size)
             )
         ]
+
+    def read_data_areas(self, addrs: Sequence[int]) -> ScanBuffer:
+        pages = np.asarray(addrs, dtype=np.int64).reshape(-1)
+        outside = ((pages < 0) | (pages >= self._n_pages)).nonzero()[0]
+        if outside.size:
+            self._check_addr(int(pages[outside[0]]))
+        if not pages.size:
+            return b""
+        size = self.spec.page_data_size
+        image = _scratch(size * len(pages))
+        programmed = np.frombuffer(self._meta_mirror, np.uint8)[_META_SIZE * pages] != 0
+        np.frombuffer(image, np.uint8).reshape(-1, size)[~programmed] = 0xFF
+        for slots, offsets, first, span in self._runs(pages, programmed, size):
+            raw = memoryview(self._read_at(self._data_off + size * first, span))
+            for slot, at in zip(slots, offsets):
+                image[size * slot : size * (slot + 1)] = raw[at : at + size]
+        return image
+
+    def read_spare_range(self, start: int, stop: int) -> ScanBuffer:
+        self._check_range(start, stop)
+        if start >= stop:
+            return b""
+        size = self.spec.page_spare_size
+        image = _scratch(size * (stop - start))
+        self._read_into(self._spare_off + size * start, image)
+        # The disk keeps whatever an erased page's spare held before its
+        # erase (or sparse zeros): the counters say which pages read 0xFF.
+        erased = np.frombuffer(self._meta_mirror, np.uint8)[2 * start + 1 : 2 * stop : 2] == 0
+        np.frombuffer(image, np.uint8).reshape(-1, size)[erased] = 0xFF
+        return image
+
+    @staticmethod
+    def _runs(
+        pages: np.ndarray, programmed: np.ndarray, size: int
+    ) -> List[Tuple[List[int], List[int], int, int]]:
+        """How :meth:`read_data_areas` reads the data region: the
+        ``pages`` that are ``programmed``, in address order, cut into runs of
+        one ``pread`` each.  Pages at most ``_COALESCE_GAP`` bytes apart
+        share a run, and no run reads more than ``_MAX_READ`` bytes.  A
+        run is (the slots of its pages in ``pages``, their offsets in the
+        read, its first page, the bytes it reads).  (Array methods and
+        ufuncs only: numpy's Python-level helpers would cost calls.)"""
+        slots = programmed.nonzero()[0]
+        if not slots.size:
+            return []
+        wanted = pages[slots]
+        if np.logical_or.reduce(wanted[:-1] > wanted[1:]):
+            order = sorted(range(len(wanted)), key=wanted.tolist().__getitem__)
+            slots, wanted = slots[order], wanted[order]
+        window = wanted // max(1, _MAX_READ // size)
+        cuts = ((wanted[1:] - wanted[:-1] - 1) * size > _COALESCE_GAP) | (
+            window[1:] != window[:-1]
+        )
+        bounds = [0, *(cuts.nonzero()[0] + 1).tolist(), len(wanted)]
+        runs = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            run = wanted[lo:hi]
+            first = int(run[0])
+            runs.append(
+                (
+                    slots[lo:hi].tolist(),
+                    ((run - first) * size).tolist(),
+                    first,
+                    size * (int(run[-1]) + 1 - first),
+                )
+            )
+        return runs
 
     def program_pages(self, items: Sequence[Tuple[int, bytes, bytes]]) -> None:
         # Coalesce contiguous address runs into single writes per region;

@@ -29,7 +29,8 @@ path").  Nothing sits between the chip and the device: every page read
 charges its ``Tread``.
 
 Batched entry points (:meth:`read_pages`, :meth:`read_spares`,
-:meth:`read_spare_records`, :meth:`program_pages`) charge exactly the
+:meth:`read_data_areas`, :meth:`read_spare_records`,
+:meth:`program_pages`) charge exactly the
 same per-page latencies as N single calls — simulated cost is identical
 by construction — but reach the backend in one call, which amortizes
 syscalls on the file backend and per-call overhead in memory.  Crash
@@ -57,7 +58,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .address import split_address
-from .backend import DeviceBackend, MemoryBackend
+from .backend import DeviceBackend, MemoryBackend, ScanBuffer
 from .errors import (
     AddressError,
     ChecksumError,
@@ -303,14 +304,15 @@ class FlashChip:
             spares.append(decoded_spare(raw) or decode(raw))
         return spares
 
-    def read_spare_records(self, addrs: Sequence[int]) -> np.ndarray:
-        """Read many spare areas in one backend call (N × Tread), undecoded.
+    def read_data_areas(self, addrs: Sequence[int]) -> ScanBuffer:
+        """Read many pages' data areas in one backend call (N × Tread),
+        back to back in one buffer (an erased page's as all-``0xFF``
+        bytes), unverified.
 
-        Charges exactly what :meth:`read_spares` charges, but returns the
-        raw spares as one :func:`~repro.flash.spare.spare_records` array
-        (erased pages read as all-``0xFF`` spares) — the recovery scan
-        triages a chunk of pages with array operations, no
-        :class:`SpareArea` per page.
+        The recovery scan reads a chunk's differential pages this way: it
+        already holds their spares (checksums included) from its spare
+        scan, and walks the entries of every page in one pass over the
+        buffer.
         """
         n_pages = self._n_pages
         for addr in addrs:
@@ -318,12 +320,28 @@ class FlashChip:
                 self._check_addr(addr)
         self.stats.record_reads(len(addrs))
         self._clock_us += self.spec.t_read_us * len(addrs)
-        size = self.spec.page_spare_size
-        erased = erased_spare(size)
-        raws = self.backend.read_spares(addrs)
-        return spare_records(
-            b"".join([erased if raw is None else raw for raw in raws]), size
-        )
+        return self.backend.read_data_areas(addrs)
+
+    def read_spare_records(self, addrs: range) -> np.ndarray:
+        """Read a contiguous range of spare areas in one backend call
+        (N × Tread), undecoded.
+
+        Charges exactly what :meth:`read_spares` charges, but returns the
+        raw spares as one :func:`~repro.flash.spare.spare_records` array
+        (erased pages read as all-``0xFF`` spares) — the recovery scan
+        triages a chunk of pages with array operations, no
+        :class:`SpareArea` per page.  The backend hands the range over as
+        one buffer (``read_spare_range``: one ``preadv`` on file).
+        """
+        if addrs.step != 1:
+            raise ValueError(f"spare records are read over a contiguous range, not {addrs}")
+        if addrs:
+            self._check_addr(addrs[0])
+            self._check_addr(addrs[-1])
+        self.stats.record_reads(len(addrs))
+        self._clock_us += self.spec.t_read_us * len(addrs)
+        raw = self.backend.read_spare_range(addrs.start, addrs.stop)
+        return spare_records(raw, self.spec.page_spare_size)
 
     # ------------------------------------------------------------------
     # Program operations

@@ -245,23 +245,23 @@ def spare_records(raw: bytes, spare_size: int) -> np.ndarray:
     """View concatenated raw spare areas as one numpy record array.
 
     ``raw`` holds ``len(raw) // spare_size`` spare areas back to back;
-    the result has one record per spare, with the header fields
+    the result has one record per spare, with the fields
     :meth:`SpareArea.decode` reads, undecoded: ``type`` (the raw type
     byte; :func:`spare_kinds` maps it to a page type), ``valid`` (0xFF
-    unless obsoleted), ``pid`` (:data:`NO_PID` = none) and ``ts``
-    (:data:`NO_TS` = none).  It is a view, not a copy: the recovery scan
-    triages a chip's spares with array operations instead of one
-    ``SpareArea`` per page.
+    unless obsoleted), ``pid`` (:data:`NO_PID` = none), ``ts``
+    (:data:`NO_TS` = none) and, when the spare has room for one,
+    ``checksum`` (:data:`NO_CHECKSUM` = none).  It is a view, not a copy:
+    the recovery scan triages a chip's spares with array operations
+    instead of one ``SpareArea`` per page.
     """
     if spare_size < HEADER_SIZE:
         raise ValueError(f"spare area of {spare_size} bytes too small to decode")
+    fields = [("type", "u1", 0), ("valid", "u1", 1), ("pid", "<u4", 2), ("ts", "<u8", 6)]
+    if spare_size >= CHECKSUM_HEADER_SIZE:
+        fields.append(("checksum", "<u4", CHECKSUM_OFFSET))
+    names, formats, offsets = zip(*fields)
     dtype = np.dtype(
-        {
-            "names": ["type", "valid", "pid", "ts"],
-            "formats": ["u1", "u1", "<u4", "<u8"],
-            "offsets": [0, 1, 2, 6],
-            "itemsize": spare_size,
-        }
+        {"names": names, "formats": formats, "offsets": offsets, "itemsize": spare_size}
     )
     return np.frombuffer(raw, dtype=dtype)
 

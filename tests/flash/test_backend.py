@@ -276,11 +276,14 @@ class TestPositionalIO:
     def test_short_read_raises(self, tmp_path, monkeypatch):
         b = FileBackend(tmp_path / "chip.flash", SPEC)
         b.program_page(2, b"\x22" * 64, _spare(2, 3))
-        real = os.pread
+        real, real_v = os.pread, os.preadv
         with monkeypatch.context() as patch:
             patch.setattr(os, "pread", lambda fd, size, off: real(fd, size - 1, off))
+            patch.setattr(os, "preadv", lambda fd, buffers, off: real_v(fd, buffers, off) - 1)
             with pytest.raises(BackendError, match="short read .*wanted 64, got 63"):
                 b.read_page(2)
+            with pytest.raises(BackendError, match="short read .*wanted 64, got 63"):
+                b.read_spare_range(0, 4)  # four 16-byte spares, one preadv
         b.close()
 
     def test_short_write_is_finished(self, tmp_path, monkeypatch):
@@ -379,6 +382,38 @@ class TestAddressRuns:
         assert list(_address_runs([])) == []
         assert list(_address_runs([3])) == [(3, 1)]
         assert list(_address_runs([4, 2, 3])) == [(4, 1), (2, 2)]
+
+
+class TestDataAreasRead:
+    def test_scattered_pages_are_a_few_preads_and_match_page_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """The recovery scan's data read: nearby pages share a ``pread``
+        (at most 64 KiB, so sixteen 32-page windows here) whatever the
+        request order, and an erased page reads as ``0xFF``, never as
+        the stale bytes still on disk."""
+        spec = FlashSpec(
+            n_blocks=8, pages_per_block=64, page_data_size=2048, page_spare_size=64
+        )
+        b = FileBackend(tmp_path / "chip.flash", spec)
+        for addr in range(0, spec.n_pages, 3):
+            spare = SpareArea(type=PageType.BASE, pid=addr, timestamp=1)
+            b.program_page(addr, bytes([addr % 251]) * 2048, spare.encode(64))
+        b.erase_block(1)
+        addrs = list(reversed(range(spec.n_pages))) + [5, 5, 64]
+        expected = b"".join(b.read_data(addr) or b"\xff" * 2048 for addr in addrs)
+        issued = []
+        real_pread = os.pread
+
+        def pread(fd, size, offset):
+            issued.append(size)
+            return real_pread(fd, size, offset)
+
+        monkeypatch.setattr(os, "pread", pread)
+        assert bytes(b.read_data_areas(addrs)) == expected
+        assert len(issued) == 14  # one per window with a programmed page
+        assert max(issued) <= 64 * 1024
+        b.close()
 
 
 class TestChipOverBackends:

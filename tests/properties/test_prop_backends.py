@@ -11,6 +11,10 @@ Two properties:
 * **Driver-level**: the same PDL workload over both backends yields
   identical page images, and after a flush + Figure-11 recovery both
   sides reconstruct identical ``ppmt`` and ``vdct`` tables.
+
+The recovery scan's bulk reads (``read_spare_range``,
+``read_data_areas``) are held equal, on each backend, to the
+per-address reads they replace.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from hypothesis import strategies as st
 
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
-from repro.flash.backend import FileBackend, MemoryBackend
+from repro.flash.backend import FaultInjectionError, FaultInjector, FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
 from repro.flash.errors import FlashError
-from repro.flash.spare import PageType, SpareArea
+from repro.flash.spare import PageType, SpareArea, spare_records
 from repro.flash.spec import FlashSpec
 
 SPEC = FlashSpec(n_blocks=4, pages_per_block=4, page_data_size=64, page_spare_size=16)
@@ -99,6 +103,51 @@ class TestChipEquivalence:
             assert _chip_state(mem_chip) == _chip_state(file_chip)
         finally:
             file_chip.close()
+
+
+class TestBulkScanReads:
+    @given(
+        ops=st.lists(_ops, max_size=24),
+        tears=st.lists(st.tuples(st.integers(0, SPEC.n_pages - 1), st.integers(1, 15)), max_size=4),
+        span=st.tuples(st.integers(0, SPEC.n_pages), st.integers(0, SPEC.n_pages)),
+        addrs=st.lists(st.integers(0, SPEC.n_pages - 1), max_size=12),
+        kind=st.sampled_from(["memory", "file"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_reads_equal_the_per_address_joins(
+        self, ops, tears, span, addrs, kind, tmp_path_factory
+    ):
+        """Erased pages (a file image keeps their old bytes on disk),
+        obsoleted and torn spares, any order and repeats."""
+        if kind == "memory":
+            backend = MemoryBackend(SPEC)
+        else:
+            backend = FileBackend(tmp_path_factory.mktemp("prop") / "chip.flash", SPEC)
+        chip = FlashChip(SPEC, backend=backend)
+        try:
+            for op in ops:
+                _apply(chip, op)
+            for addr, tear_at in tears:
+                try:
+                    FaultInjector(backend).inject_torn_spare(addr, tear_at)
+                except FaultInjectionError:
+                    pass  # erased, or tearing there changes nothing
+            start, stop = sorted(span)
+            erased_spare = b"\xff" * SPEC.page_spare_size
+            by_address = [backend.read_spare(addr) for addr in range(start, stop)]
+            spares = b"".join(erased_spare if raw is None else raw for raw in by_address)
+            assert backend.read_spares(range(start, stop)) == by_address
+            assert bytes(backend.read_spare_range(start, stop)) == spares
+            records = chip.read_spare_records(range(start, stop))
+            assert records.tolist() == spare_records(spares, SPEC.page_spare_size).tolist()
+            erased_data = b"\xff" * SPEC.page_data_size
+            by_address = [backend.read_data(addr) for addr in addrs]
+            data = b"".join(erased_data if raw is None else raw for raw in by_address)
+            assert [raw for raw, _spare in backend.read_pages(addrs)] == by_address
+            assert bytes(backend.read_data_areas(addrs)) == data
+            assert bytes(chip.read_data_areas(addrs)) == data
+        finally:
+            chip.close()
 
 
 class TestDriverEquivalence:

@@ -2,6 +2,7 @@
 
 import struct
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from repro.core.differential import (
     compute_unit_runs,
     decode_differential_page,
     differential_page_stamps,
+    differential_page_stamps_batch,
     encode_differential_page,
     find_differential,
     merge_from_page,
@@ -318,6 +320,131 @@ class TestStampsMatchDecode:
             start = 4 + sum(d.size for d in diffs[:index])
             struct.pack_into("<H", page, start + (12 if field == "n_runs" else 14), value)
         assert_stamps_agree(bytes(page))
+
+
+# ----------------------------------------------------------------------
+# The batched stamp reader == the scalar one, page by page
+# ----------------------------------------------------------------------
+BATCH_PAGE = 160
+
+#: Ways a differential page is damaged, and the error the scalar walk
+#: raises for each (``None``: the page is intact).
+DAMAGE = {
+    "none": None,
+    "snug": None,
+    "magic": "not a differential page",
+    "count": "truncated differential (entry|run) header",
+    "entry_header": "truncated differential entry header",
+    "run_headers": "truncated differential run header",
+    "run_data": "truncated differential run data",
+    "data_len": "declares",
+}
+
+
+def damaged_page(diffs, damage, index):
+    """``diffs`` encoded on a ``BATCH_PAGE``-byte page (entries that do
+    not fit are cut off at the page end) and damaged as ``damage`` says,
+    at entry ``index``."""
+    page = bytearray(encode_differential_page(diffs, 1 << 16))
+    starts = [4 + sum(d.size for d in diffs[:k]) for k in range(len(diffs))]
+    at = starts[index % len(diffs)]
+    if damage == "magic":
+        struct.pack_into("<H", page, 0, DIFF_PAGE_MAGIC ^ 0x0100)
+    elif damage == "count":
+        # More entries than the page holds: the walk runs off its end.
+        struct.pack_into("<H", page, 2, len(diffs) + 1 + BATCH_PAGE // 16)
+    elif damage == "entry_header":
+        # The entries before ``index``, then one that ends 8 bytes short
+        # of the page end, and a count that promises one more.
+        del page[at:]
+        fill = BATCH_PAGE - 8 - at - 20
+        if fill >= 0:
+            page += struct.pack("<IQHHHH", 7, 7, 1, fill, 0, fill) + bytes(fill)
+        struct.pack_into("<H", page, 2, index % len(diffs) + 2)
+    elif damage == "snug":
+        # The entries before ``index``, then one whose run headers run to
+        # the page's last bytes: intact, with reads right at the page end.
+        del page[at:]
+        room = BATCH_PAGE - at - 16
+        n_runs = room // 4 - 1  # the last few runs carry a byte each
+        carrying = room - 4 * n_runs
+        if n_runs >= carrying:
+            lengths = [0] * (n_runs - carrying) + [1] * carrying
+            runs = [field for k, length in enumerate(lengths) for field in (k + 1, length)]
+            page += struct.pack(f"<IQHH{len(runs)}H", 9, 9, n_runs, carrying, *runs)
+            page += bytes(carrying)
+        struct.pack_into("<H", page, 2, index % len(diffs) + (n_runs >= carrying))
+    elif damage == "run_headers":
+        struct.pack_into("<H", page, at + 12, 0xFFFF)
+    elif damage == "run_data":
+        n_runs, data_len = struct.unpack_from("<HH", page, at + 12)
+        struct.pack_into("<H", page, at + 14, data_len + BATCH_PAGE)
+        if n_runs:  # keep data_len equal to the runs' sum
+            run = at + 16 + 4 * (n_runs - 1)
+            struct.pack_into("<H", page, run + 2, struct.unpack_from("<H", page, run + 2)[0] + BATCH_PAGE)
+    elif damage == "data_len":
+        n_runs, data_len = struct.unpack_from("<HH", page, at + 12)
+        struct.pack_into("<H", page, at + 14, (data_len - 1) % 0x10000 if data_len else 1)
+    return bytes(page[:BATCH_PAGE]).ljust(BATCH_PAGE, b"\xff")
+
+
+def scalar_stamps(page):
+    try:
+        return differential_page_stamps(page)
+    except DifferentialError:
+        return None
+
+
+class TestBatchedStampsMatchScalar:
+    #: Entries as the write path makes them, small enough that a few fit.
+    entries = st.lists(
+        st.tuples(page_pairs(), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 2)),
+        min_size=1,
+        max_size=4,
+    ).map(
+        lambda drawn: [
+            Differential.from_pages(pid, ts, base[:24], new[:24]) for (base, new), pid, ts in drawn
+        ]
+    )
+    pages = st.lists(
+        st.tuples(entries, st.sampled_from(sorted(DAMAGE)), st.integers(min_value=0)),
+        max_size=8,
+    ).map(lambda drawn: [damaged_page(*page) for page in drawn])
+
+    @given(pages=pages)
+    @settings(max_examples=300)
+    def test_same_stamps_and_same_rejections(self, pages):
+        batch = differential_page_stamps_batch(b"".join(pages), BATCH_PAGE)
+        assert list(batch) == [scalar_stamps(page) for page in pages]
+
+    @given(
+        pages=st.lists(st.binary(min_size=24, max_size=24), max_size=6),
+        head=st.booleans(),
+    )
+    def test_arbitrary_bytes(self, pages, head):
+        if head:
+            pages = [struct.pack("<HH", DIFF_PAGE_MAGIC, page[0] % 4) + page[4:] for page in pages]
+        batch = differential_page_stamps_batch(b"".join(pages), 24)
+        assert list(batch) == [scalar_stamps(page) for page in pages]
+
+    def test_every_damage_is_rejected_for_its_reason(self):
+        diffs = [
+            Differential.from_pages(pid, 10 + pid, bytes(24), bytes([pid + 1]) * 24, unit=4)
+            for pid in range(2)
+        ]
+        for damage, reason in DAMAGE.items():
+            page = damaged_page(diffs, damage, 1)
+            (stamps,) = differential_page_stamps_batch(page, BATCH_PAGE)
+            if reason is None:
+                assert stamps == differential_page_stamps(page) != [], damage
+                continue
+            assert stamps is None, damage
+            with pytest.raises(DifferentialError, match=reason):
+                differential_page_stamps(page)
+
+    def test_pages_too_small_for_a_header_are_all_rejected(self):
+        assert list(differential_page_stamps_batch(b"\xff" * 9, 3)) == [None] * 3
+        assert list(differential_page_stamps_batch(b"", BATCH_PAGE)) == []
 
 
 # ----------------------------------------------------------------------

@@ -208,12 +208,15 @@ class TestRecordView:
         kinds = spare_kinds(records["type"])
         assert len(records) == len(raws)
         for raw, record, kind in zip(raws, records.tolist(), kinds.tolist()):
-            _type_byte, valid, pid, ts = record
+            _type_byte, valid, pid, ts, *checksum = record
             decoded = SpareArea.decode(raw)
             assert kind == decoded.type
             assert (valid != 0xFF) == decoded.obsolete
             assert (None if pid == NO_PID else pid) == decoded.pid
             assert (None if ts == NO_TS else ts) == decoded.timestamp
+            assert [None if crc == NO_CHECKSUM else crc for crc in checksum] == (
+                [decoded.checksum] if size >= CHECKSUM_HEADER_SIZE else []
+            )
 
     @given(size=st.integers(0, HEADER_SIZE - 1))
     def test_undersized_spare_rejected_by_the_view(self, size):
