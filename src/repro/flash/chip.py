@@ -13,12 +13,13 @@ The chip enforces real NAND semantics (Section 2 of the paper):
   (``FlashSpec.max_log_page_programs``), the relaxation IPL's cost model
   requires (see docs/paper-map.md, "Substitutions").
 
-The *bits* live in a :class:`~repro.flash.backend.DeviceBackend` — the
-volatile :class:`~repro.flash.backend.MemoryBackend` by default, or the
-persistent :class:`~repro.flash.backend.FileBackend` for state that
-survives the process.  The chip keeps everything the paper's model adds
-on top: Table-1 latencies and phase accounting, the monotonic clock,
-wear limits, crash injection, and the NAND legality checks above.
+The *bits* live in a :class:`~repro.flash.backend.DeviceBackend` (one
+device model) whose page images are kept in memory by default
+(:class:`~repro.flash.backend.MemoryBackend`) or in an image file
+(:class:`~repro.flash.backend.FileBackend`) for state that survives the
+process.  The chip keeps everything the paper's model adds on top:
+Table-1 latencies and phase accounting, the monotonic clock, wear
+limits, crash injection, and the NAND legality checks above.
 
 A page read is one straight line: :meth:`FlashChip.read_page` makes
 exactly **one** backend call (``backend.read_page`` → raw data + raw
@@ -113,7 +114,7 @@ class FlashChip:
         given (the backend's spec is adopted).
     backend:
         Device backend holding the bits; defaults to a fresh
-        :class:`MemoryBackend` — the original volatile emulator.
+        :class:`MemoryBackend`, whose images live in this process.
     """
 
     def __init__(

@@ -39,7 +39,8 @@ class FlashSpec:
     max_spare_programs:
         How many times the spare area may be programmed without an erase.
         The paper (footnote 9) uses 4; obsoleting a page is the second
-        program.
+        program.  This and ``max_log_page_programs`` are at most 255: a
+        page's program counters are u8 in the device image.
     max_log_page_programs:
         Partial-program budget for pages used as IPL log pages.  The
         paper's IPL cost model flushes 1/16-page log buffers, i.e. up to 16
@@ -74,6 +75,9 @@ class FlashSpec:
             raise ValueError("page_spare_size must hold at least a 16-byte header")
         if min(self.t_read_us, self.t_write_us, self.t_erase_us) < 0:
             raise ValueError("latencies must be non-negative")
+        for budget in ("max_spare_programs", "max_log_page_programs"):
+            if not 1 <= getattr(self, budget) <= 0xFF:
+                raise ValueError(f"{budget} must be in 1..255: the image keeps it in a u8 counter")
 
     # ------------------------------------------------------------------
     # Derived geometry

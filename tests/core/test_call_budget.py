@@ -17,7 +17,9 @@ The write alone — one ``PdlDriver.write_page`` — is counted too, on both
 backends: 50.7 / 56.3 calls (memory / file) with a Python slice per
 changed unit and a ``SpareArea`` copy per program to stamp its CRC,
 44.3 / 49.9 without.  Its budgets sit less than one spare copy per
-program above the new counts, so either coming back fails by name.
+program above those counts, so either coming back fails by name.  (One
+device backend, checking addresses inline, has since made them 38.4 /
+42.8.)
 
 The one-shard façade is counted against the bare driver on the same
 ops: a routed cycle (one read, one write) made 19.4 more calls with the

@@ -119,8 +119,22 @@ class TestBackendContract:
         for addr in (-1, SPEC.n_pages):
             with pytest.raises(AddressError):
                 backend.read_page(addr)
+            for batched in (backend.read_pages, backend.read_spares, backend.read_data_areas):
+                with pytest.raises(AddressError):
+                    batched([0, addr])
+            with pytest.raises(AddressError):
+                backend.program_pages([(addr, b"\x01" * 64, _spare(0, 1))])
+            with pytest.raises(AddressError):  # checked before the first run is written
+                backend.program_pages(
+                    [(0, b"\x01" * 64, _spare(0, 1)), (addr, b"\x02" * 64, _spare(0, 2))]
+                )
+        for start, stop in ((-1, 2), (0, SPEC.n_pages + 1)):
+            with pytest.raises(AddressError):
+                backend.read_spare_range(start, stop)
         with pytest.raises(AddressError):
             backend.erase_block(SPEC.n_blocks)
+        assert list(backend.iter_programmed()) == []
+        assert [backend.erase_count(block) for block in range(SPEC.n_blocks)] == [0] * 4
 
 
 class TestFileBackendPersistence:
@@ -167,6 +181,25 @@ class TestFileBackendPersistence:
         path.write_bytes(bytes(raw))
         with pytest.raises(BackendError):
             FileBackend.open(path)
+
+    def test_rejected_batch_program_leaves_the_image_untouched(self, tmp_path):
+        """An address outside the chip lands nowhere: not on the erase
+        counts or counters before the data region (-1), not past it."""
+        path = tmp_path / "chip.flash"
+        FileBackend(path, SPEC).close()
+        for addr in (-1, SPEC.n_pages):
+            b = FileBackend.open(path)
+            try:
+                with pytest.raises(AddressError):
+                    b.program_pages([(addr, b"\x01" * 64, _spare(0, 1))])
+            finally:
+                b.close()
+        b = FileBackend.open(path)
+        try:
+            assert [b.erase_count(block) for block in range(SPEC.n_blocks)] == [0] * 4
+            assert list(b.iter_programmed()) == [] and b.erased_blocks() == [0, 1, 2, 3]
+        finally:
+            b.close()
 
     def test_erased_data_region_stays_sparse(self, tmp_path):
         """Erase and creation never write the data region (the counters

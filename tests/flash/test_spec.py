@@ -78,6 +78,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             FlashSpec(page_spare_size=8)
 
+    @pytest.mark.parametrize("budget", ["max_spare_programs", "max_log_page_programs"])
+    @pytest.mark.parametrize("value", [0, 256, 300])
+    def test_rejects_a_program_budget_a_u8_counter_cannot_hold(self, budget, value):
+        with pytest.raises(ValueError, match=f"{budget} must be in 1..255: .*u8 counter"):
+            FlashSpec(**{budget: value})
+
+    def test_accepts_program_budgets_up_to_255(self):
+        spec = FlashSpec(max_spare_programs=255, max_log_page_programs=255)
+        assert (spec.max_spare_programs, spec.max_log_page_programs) == (255, 255)
+
     def test_rejects_negative_latency(self):
         with pytest.raises(ValueError):
             FlashSpec(t_read_us=-1.0)

@@ -4,10 +4,10 @@ Two properties:
 
 * **Chip-level**: the same operation sequence against a
   :class:`MemoryBackend` chip and a :class:`FileBackend` chip leaves
-  byte-identical data areas, spare areas, program counters and erase
-  counts on both — including sequences where some operations are
-  rejected (NAND rule violations must not leave partial state on either
-  side).
+  byte-identical data areas, spare areas, program counters, erase
+  counts and erased blocks on both — including sequences where some
+  operations are rejected (NAND rule violations must not leave partial
+  state on either side).
 * **Driver-level**: the same PDL workload over both backends yields
   identical page images, and after a flush + Figure-11 recovery both
   sides reconstruct identical ``ppmt`` and ``vdct`` tables.
@@ -87,6 +87,8 @@ def _chip_state(chip: FlashChip):
         [chip.backend.spare_programs(a) for a in range(SPEC.n_pages)],
         [chip.erase_count(b) for b in range(SPEC.n_blocks)],
         sorted(chip.iter_programmed_pages()),
+        chip.erased_blocks(),
+        [chip.is_block_erased(b) for b in range(SPEC.n_blocks)],
     )
 
 
