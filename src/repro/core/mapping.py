@@ -16,7 +16,9 @@ Three cooperating pieces:
   is two tiers: a *dirty overlay* dict holding every entry touched since
   the last snapshot (authoritative, bounded by the snapshot interval)
   and a *clean cache* of snapshot mapping pages kept in wire form
-  (:class:`MappingPage`: the packed rows as read, looked up by bisect),
+  (:class:`MappingPage`: the packed rows as read, looked up by direct
+  index — the row a gap-free page puts the pid at, ``pid - first`` rows
+  in — and bisected only when that row holds another pid),
   demand-paged from the flash region through the store and evicted LRU
   (the bufferpool's :class:`~repro.storage.bufferpool.policy.LruPolicy`
   — one LRU implementation in the tree).  Every mutation both updates
@@ -32,7 +34,10 @@ Three cooperating pieces:
   differential page.
 
 The page codec here is shared by the snapshot writer and the demand
-reader; its wire format is documented in ``docs/recovery.md``.
+reader; its wire format is documented in ``docs/recovery.md``.  The
+snapshot merge patches a page's dirty rows through the same probe, so a
+page costs one read per dirty row; the store reads the old half it
+merges in one batched chip call.
 """
 
 from __future__ import annotations
@@ -87,8 +92,13 @@ PAGE_HEADER = struct.Struct("<IIIH")
 #: can never decode to a valid header around).
 ENTRY = struct.Struct("<IIQIQ")
 
-#: The leading pid of a packed entry — all the bisect needs to read.
+#: The leading pid of a packed entry — all a probe needs to read.
 _PID = struct.Struct("<I")
+
+# The lookup hot path's struct entry points, bound once.
+_ENTRY_SIZE = ENTRY.size
+_unpack_pid = _PID.unpack_from
+_unpack_row = ENTRY.unpack_from
 
 #: Magic stamped into every snapshot mapping page ("PMAP").
 DATA_MAGIC = 0x504D4150
@@ -132,7 +142,7 @@ def pack_entry(pid: int, entry: MappingEntry) -> bytes:
 
 def _unpack_entry(rows: bytes, offset: int) -> Tuple[int, MappingEntry]:
     """The ``(pid, entry)`` packed at ``offset`` (inverse of :func:`pack_entry`)."""
-    pid, base, base_ts, diff1, diff_ts1 = ENTRY.unpack_from(rows, offset)
+    pid, base, base_ts, diff1, diff_ts1 = _unpack_row(rows, offset)
     return pid, MappingEntry(
         base, base_ts, diff1 - 1 if diff1 else None, diff_ts1 - 1 if diff_ts1 else None
     )
@@ -141,12 +151,24 @@ def _unpack_entry(rows: bytes, offset: int) -> Tuple[int, MappingEntry]:
 def _find_row(rows: bytes, pid: int) -> int:
     """Byte offset into ``rows`` of ``pid``'s packed row, or -1.
 
-    ``rows`` is a run of pid-sorted packed entries; the bisect reads only
-    the 4-byte pid of each probed row."""
-    size = ENTRY.size
-    unpack_pid = _PID.unpack_from
+    ``rows`` is a run of pid-sorted packed entries.  Distinct sorted pids
+    climb at least one per row, so ``pid`` can sit no further in than
+    ``pid - first`` rows — exactly there when the run has no gaps, which
+    is read first.  Otherwise the rows below that one are bisected,
+    reading only the 4-byte pid of each probed row."""
+    if not rows:
+        return -1
+    size = _ENTRY_SIZE
+    unpack_pid = _unpack_pid
+    guess = pid - unpack_pid(rows)[0]
+    if guess < 0:
+        return -1
     count = len(rows) // size
     lo, hi = 0, count
+    if guess < count:
+        if unpack_pid(rows, guess * size)[0] == pid:
+            return guess * size
+        hi = guess
     while lo < hi:
         mid = (lo + hi) >> 1
         if unpack_pid(rows, mid * size)[0] < pid:
@@ -161,22 +183,34 @@ def _find_row(rows: bytes, pid: int) -> int:
 class MappingPage:
     """One snapshot mapping page, kept in the wire form the chip returned.
 
-    Nothing is unpacked up front: a lookup bisects the pid-sorted packed
-    rows and builds one fresh :class:`MappingEntry`, so callers own what
+    Nothing is unpacked up front: a lookup reads the row a gap-free page
+    puts the pid at (falling back to a bisect of the pid-sorted packed
+    rows) and builds one fresh :class:`MappingEntry`, so callers own what
     they get and the resident page stays immutable."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "first")
 
     def __init__(self, rows: bytes) -> None:
         #: The packed rows alone (header and page padding stripped).
         self.rows = rows
+        #: The pid of the first row: the origin of the direct-index probe.
+        self.first = _unpack_pid(rows)[0] if rows else 0
 
     def __len__(self) -> int:
         return len(self.rows) // ENTRY.size
 
     def get(self, pid: int) -> Optional[MappingEntry]:
-        offset = _find_row(self.rows, pid)
-        return _unpack_entry(self.rows, offset)[1] if offset >= 0 else None
+        # The probe of :func:`_find_row`, inline: the clean tier's hot path.
+        rows = self.rows
+        offset = (pid - self.first) * _ENTRY_SIZE
+        if not (0 <= offset < len(rows) and _unpack_pid(rows, offset)[0] == pid):
+            offset = _find_row(rows, pid)
+            if offset < 0:
+                return None
+        _pid, base, base_ts, diff1, diff_ts1 = _unpack_row(rows, offset)
+        return MappingEntry(
+            base, base_ts, diff1 - 1 if diff1 else None, diff_ts1 - 1 if diff_ts1 else None
+        )
 
     def items(self) -> Iterator[Tuple[int, MappingEntry]]:
         rows = self.rows
@@ -372,14 +406,15 @@ class MappingBackend(Protocol):
 
     stats: FlashStats
 
+    #: First pid of each current snapshot data page; the store replaces
+    #: the list whenever it adopts a snapshot, so read it per lookup.
+    directory: List[int]
+
     @property
     def entries_per_page(self) -> int: ...
 
     @property
     def data_page_count(self) -> int: ...
-
-    def page_index_of(self, pid: int) -> Optional[int]:
-        """Snapshot data page whose pid range covers ``pid`` (None: none)."""
 
     def load_data_page(self, index: int) -> MappingPage:
         """Demand-read and validate one snapshot mapping page (one Tread)."""
@@ -407,6 +442,9 @@ class TieredMappingTable:
 
     def __init__(self, store: MappingBackend, cache_entries: int = 0) -> None:
         self._store = store
+        #: The chip's counters (one object for the chip's life): a hit is
+        #: one increment of ``mapping_hits``.
+        self._stats = store.stats
         #: pid -> entry dirtied since the last snapshot; ``None`` is a
         #: tombstone shadowing a snapshot-resident row.
         self._overlay: Dict[int, Optional[MappingEntry]] = {}
@@ -451,16 +489,14 @@ class TieredMappingTable:
 
     # -- lookups --------------------------------------------------------
     def get(self, pid: int) -> Optional[MappingEntry]:
-        entry = self._overlay.get(pid)
-        if entry is not None:
-            self._store.stats.record_mapping_hit()
+        overlay = self._overlay
+        entry = overlay.get(pid)
+        if entry is not None or pid in overlay:  # a row or a tombstone
+            self._stats.mapping_hits += 1
             return entry
-        if pid in self._overlay:  # tombstone
-            self._store.stats.record_mapping_hit()
-            return None
         last_pid, entry = self._last
         if pid == last_pid:
-            self._store.stats.record_mapping_hit()
+            self._stats.mapping_hits += 1
             return entry
         entry = self._clean_entry(pid)
         self._last = (pid, entry)
@@ -479,10 +515,11 @@ class TieredMappingTable:
         return self._count
 
     def _clean_entry(self, pid: int) -> Optional[MappingEntry]:
-        index = self._store.page_index_of(pid)
-        if index is None:
-            self._store.stats.record_mapping_hit()
+        directory = self._store.directory
+        if not directory or pid < directory[0]:
+            self._stats.mapping_hits += 1
             return None
+        index = bisect_right(directory, pid) - 1
         page = self._cache.get(index)
         if page is None:
             try:
@@ -491,7 +528,7 @@ class TieredMappingTable:
                 raise type(exc)(f"translating pid {pid}: {exc}") from exc
             self._admit(index, page)
         else:
-            self._store.stats.record_mapping_hit()
+            self._stats.mapping_hits += 1
             if self._policy is not None:
                 self._policy.touch(index)
         return page.get(pid)
@@ -650,9 +687,3 @@ class JournaledVdct(ValidDifferentialCountTable):
             self._store.record(REC_VDCT_DROP, addr)
         return count
 
-
-def directory_index(directory: List[int], pid: int) -> Optional[int]:
-    """Snapshot data page covering ``pid`` given first-pid-per-page keys."""
-    if not directory or pid < directory[0]:
-        return None
-    return bisect_right(directory, pid) - 1

@@ -57,7 +57,6 @@ from .mapping import (
     MappingPage,
     TieredMappingTable,
     decode_mapping_page,
-    directory_index,
     entries_per_page,
     merge_snapshot_rows,
     records_per_page,
@@ -103,11 +102,17 @@ class MappingStore:
         self.chip = chip
         self.spec = spec
         self.config = config
+        #: First page of each snapshot half (fixed by the geometry).
+        self._half_starts = tuple(
+            (config.journal_blocks + half * config.half_blocks) * spec.pages_per_block
+            for half in (0, 1)
+        )
         self._driver: "Optional[weakref.ref[PdlDriver]]" = None
         #: Current snapshot sequence number (0 = the implicit empty
         #: snapshot a fresh device starts from).
         self.seq = 0
-        #: First pid of each snapshot data page (RAM; bisected on lookup).
+        #: First pid of each snapshot data page (RAM; bisected on lookup,
+        #: replaced, never mutated, when a snapshot is taken or adopted).
         self.directory: List[int] = []
         #: Blocks that were open for appends when the snapshot was taken.
         self.snapshot_active_blocks: List[int] = []
@@ -176,8 +181,7 @@ class MappingStore:
         return range(start, start + self.config.half_blocks)
 
     def half_start_page(self, half: int) -> int:
-        first_block = self.config.journal_blocks + half * self.config.half_blocks
-        return first_block * self.spec.pages_per_block
+        return self._half_starts[half]
 
     def seal_addr(self, half: int) -> int:
         return self.half_start_page(half) + self.half_pages - 1
@@ -185,18 +189,16 @@ class MappingStore:
     # ------------------------------------------------------------------
     # Demand paging (the table's clean-tier backend)
     # ------------------------------------------------------------------
-    def page_index_of(self, pid: int) -> Optional[int]:
-        return directory_index(self.directory, pid)
-
     def load_data_page(self, index: int) -> MappingPage:
         # Every load is a miss by definition — a mapping page read from
         # flash because it was not resident — so the counter is recorded
         # here, keeping ``mapping_misses`` equal to the mapping region's
         # raw device reads during normal operation (the stress audit).
-        self.stats.record_mapping_miss()
-        addr = self.half_start_page(self.seq % 2) + index
+        stats = self.chip.stats
+        stats.mapping_misses += 1
+        addr = self._half_starts[self.seq % 2] + index
         try:
-            with self.stats.phase(MAPPING_PHASE):
+            with stats.phase(MAPPING_PHASE):
                 data, _spare = self.chip.read_page(addr)
             return decode_mapping_page(data, expect_seq=self.seq, expect_index=index)
         except (ChecksumError, MappingFormatError) as exc:
@@ -204,6 +206,39 @@ class MappingStore:
             raise type(exc)(
                 f"snapshot {self.seq} page {index} at flash address {addr}: {exc}"
             ) from exc
+
+    def _read_data_pages(self) -> Iterator[MappingPage]:
+        """Every data page of the current snapshot, in order, as
+        :meth:`load_data_page` would return them — one miss and one
+        ``Tread`` each, checksum and header checked, a failure named the
+        same way — but read in one chip call.  A damaged page is found
+        after the whole batch is charged, as for any batched read."""
+        count = len(self.directory)
+        if not count:  # no snapshot yet
+            return
+        start = self._half_starts[self.seq % 2]
+        self.stats.mapping_misses += count
+        try:
+            with self.stats.phase(MAPPING_PHASE):
+                images = self.chip.read_pages(range(start, start + count))
+        except ChecksumError as exc:
+            addr = exc.addr
+            if addr is None:  # pragma: no cover - the chip names the page it read
+                raise
+            raise ChecksumError(
+                f"snapshot {self.seq} page {addr - start} at flash address {addr}: {exc}",
+                addr,
+            ) from exc
+        images.reverse()  # popped in page order: each image goes once decoded
+        for index in range(count):
+            data, _spare = images.pop()
+            try:
+                page = decode_mapping_page(data, expect_seq=self.seq, expect_index=index)
+            except MappingFormatError as exc:
+                raise MappingFormatError(
+                    f"snapshot {self.seq} page {index} at flash address {start + index}: {exc}"
+                ) from exc
+            yield page
 
     # ------------------------------------------------------------------
     # Journal
@@ -344,7 +379,7 @@ class MappingStore:
         new_seq = self.seq + 1
 
         rows = merge_snapshot_rows(
-            (self.load_data_page(index) for index in range(len(self.directory))),
+            self._read_data_pages(),
             self.directory,
             table.overlay_items(),
         )

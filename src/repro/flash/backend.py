@@ -10,12 +10,13 @@ batch at a time.  Callers are trusted to have validated NAND legality.
 "Erased" is a zero program counter, never content.  The counters live
 in RAM in the image's own layout (a ``bytearray`` of u8 pairs per page,
 u32 erase counts), and every read looks at them before it touches an
-image, so an erase zeroes one slice of counters and leaves the old
-images behind it, unreachable.  Two stores differ only in where the
-images live:
+image, so an erase zeroes one slice of counters; the old images behind
+it are unreachable, and a store may drop them.  Two stores differ only
+in where the images live:
 
-* :class:`MemoryBackend` — two lists of immutable ``bytes``; state dies
-  with the process, which is fine for benchmarks and most tests;
+* :class:`MemoryBackend` — two lists of immutable ``bytes``, an erased
+  page's slots pointing at one shared erased image; state dies with the
+  process, which is fine for benchmarks and most tests;
 * :class:`FileBackend` — a single-file image, so a database written by
   one process can be recovered by the next via the paper's Figure-11
   spare-area scan (Section 5's "from flash alone" claim needs durable
@@ -123,13 +124,16 @@ class DeviceBackend:
     * ``_erase_counts`` — a little-endian u32 erase count per block.
 
     A store also copies images into a scan buffer: ``_fill_data(image,
-    pages, programmed)`` and ``_fill_spares(image, start)``.
+    pages, programmed)`` and ``_fill_spares(image, start)``; and is told
+    of an erase, ``_release_block(block)``, once the block's counters are
+    zero — where it may drop what its pages held.
     """
 
     _data: Any
     _spare: Any
     _fill_data: Callable[[mmap.mmap, np.ndarray, np.ndarray], None]
     _fill_spares: Callable[[mmap.mmap, int], None]
+    _release_block: Callable[[int], None]
 
     def __init__(self, spec: FlashSpec) -> None:
         self.spec = spec
@@ -256,6 +260,7 @@ class DeviceBackend:
         self._meta[span * block : span * (block + 1)] = bytes(span)
         at = _ERASE_COUNT.size * block
         self._erase_counts[at : at + _ERASE_COUNT.size] = _ERASE_COUNT.pack(count)
+        self._release_block(block)
 
     # -- Counters and enumeration --------------------------------------
     def data_programs(self, addr: int) -> int:
@@ -336,10 +341,19 @@ class MemoryBackend(DeviceBackend):
 
     def __init__(self, spec: FlashSpec) -> None:
         super().__init__(spec)
-        # A never-programmed slot holds an erased image, so a range of
-        # spares joins without a case for it.
-        self._data = [b"\xff" * spec.page_data_size] * spec.n_pages
-        self._spare = [erased_spare(spec.page_spare_size)] * spec.n_pages
+        # A never-programmed or erased slot holds the one shared erased
+        # image, so a range of spares joins without a case for it.
+        data, spare = b"\xff" * spec.page_data_size, erased_spare(spec.page_spare_size)
+        self._data = [data] * spec.n_pages
+        self._spare = [spare] * spec.n_pages
+        #: One block's slots, erased: what an erase puts back.
+        self._erased_block = ([data] * spec.pages_per_block, [spare] * spec.pages_per_block)
+
+    def _release_block(self, block: int) -> None:
+        # Back to the shared erased images: an erased block pins no old page.
+        start = self.spec.pages_per_block * block
+        stop = start + self.spec.pages_per_block
+        self._data[start:stop], self._spare[start:stop] = self._erased_block
 
     def _fill_data(self, image: mmap.mmap, pages: np.ndarray, programmed: np.ndarray) -> None:
         size = self.spec.page_data_size
@@ -522,6 +536,10 @@ class FileBackend(DeviceBackend):
     # -- The scan's bulk reads -----------------------------------------
     def _fill_spares(self, image: mmap.mmap, start: int) -> None:
         self._spare.read_into(start, image)
+
+    def _release_block(self, block: int) -> None:
+        """An erase writes nothing to the data or spare region: the
+        counters, written through, already say the pages are erased."""
 
     def _fill_data(self, image: mmap.mmap, pages: np.ndarray, programmed: np.ndarray) -> None:
         size = self.spec.page_data_size

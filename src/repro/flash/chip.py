@@ -631,7 +631,8 @@ class FlashChip:
         self.stats.record_checksum_failure()
         raise ChecksumError(
             f"page {split_address(addr, self.spec)} data does not match "
-            f"its spare-area checksum"
+            f"its spare-area checksum",
+            addr,
         )
 
     def _decode_raw_spare(self, raw: Optional[bytes]) -> SpareArea:

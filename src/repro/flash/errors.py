@@ -8,6 +8,8 @@ one of them, :class:`SimulatedPowerLoss`.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class FlashError(Exception):
     """Base class for all flash emulator errors."""
@@ -64,4 +66,11 @@ class ChecksumError(FlashError):
     Kuno: bit rot, a misdirected write, or a torn program.  The page is
     still physically readable; ``fsck`` decides whether it can be
     repaired from a surviving copy or differential chain.
+
+    ``addr`` is the flat address of the page that failed, when the chip
+    raised it: a batched read names the culprit among its pages.
     """
+
+    def __init__(self, message: str, addr: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.addr = addr

@@ -224,7 +224,8 @@ class StatsView(PhaseView):
     #: (``hits``, no flash op), demand reads that paged a mapping page in
     #: from the snapshot region (``misses``, one flash read each, charged
     #: to the ``mapping`` phase), and mapping-region page programs —
-    #: journal flushes plus snapshot pages (``writebacks``).
+    #: journal flushes plus snapshot pages (``writebacks``).  The
+    #: mapping tier's lookup path bumps the first two in place.
     mapping_hits: int
     mapping_misses: int
     mapping_writebacks: int
@@ -402,14 +403,6 @@ class FlashStats(StatsView):
         """Record one bounded incremental-GC step."""
         self.gc_steps += 1
         self.gc_step_pages += pages_relocated
-
-    def record_mapping_hit(self) -> None:
-        """A translation lookup served without touching flash."""
-        self.mapping_hits += 1
-
-    def record_mapping_miss(self) -> None:
-        """A translation lookup that demand-paged a mapping page in."""
-        self.mapping_misses += 1
 
     def record_mapping_writeback(self, pages: int = 1) -> None:
         """Mapping pages written back to the flash region (journal/snapshot)."""

@@ -15,6 +15,7 @@ from repro.core.mapping import (
     PAGE_HEADER,
     MappingConfig,
     MappingFormatError,
+    _find_row,
     decode_mapping_page,
     entries_per_page,
     pack_entry,
@@ -135,6 +136,40 @@ def test_lookup_boundaries_on_a_full_page():
     assert page.get(rows[-1][0] + 1) is None  # above the last
     assert page.get(2**32 - 1) is None
     assert page.get(11) is None and page.get(12) is None  # in a gap
+
+
+def test_lookup_when_the_probed_row_holds_another_pid():
+    """A page with gaps puts a pid below the row ``pid - first`` points
+    at: the probe reads a wrong pid there (or runs off the end) and the
+    bisect below it must still find — or rule out — the row."""
+    pids = [10, 12, 13, 20, 21, 22, 40]
+    rows = [(pid, MappingEntry(pid, 100 + pid)) for pid in pids]
+    page = page_of(rows)
+    packed_rows = page.rows
+    # The probed row and what it holds instead: 12 -> row 2 (13),
+    # 13 -> row 3 (20), 20/21/22 -> past the end, 40 -> past the end.
+    for index, (pid, entry) in enumerate(rows):
+        assert page.get(pid) == entry
+        assert _find_row(packed_rows, pid) == index * ENTRY.size
+    # Absent pids whose probed row exists and holds a larger pid.
+    for pid in (11, 14, 15):
+        assert page.get(pid) is None
+        assert _find_row(packed_rows, pid) == -1
+    # Absent pids past the last row and below the first.
+    for pid in (19, 23, 39, 41, 9, 0):
+        assert page.get(pid) is None
+        assert _find_row(packed_rows, pid) == -1
+
+
+def test_lookup_on_a_gap_free_page_reads_the_probed_row():
+    rows = [(500 + i, MappingEntry(i, i)) for i in range(72)]
+    page = page_of(rows)
+    assert page.first == 500
+    for index, (pid, entry) in enumerate(rows):
+        assert _find_row(page.rows, pid) == index * ENTRY.size
+        assert page.get(pid) == entry
+    assert page.get(499) is None and page.get(572) is None
+    assert _find_row(b"", 500) == -1
 
 
 def test_lookup_on_a_single_row_page():

@@ -489,6 +489,42 @@ def test_rotted_snapshot_page_forces_fallback():
     "fault, error",
     [("bit_rot", ChecksumError), ("misdirected_write", MappingFormatError)],
 )
+def test_snapshot_over_a_damaged_old_page_names_it_and_writes_nothing(fault, error):
+    """A snapshot reads the old half in one batch: the whole batch is
+    charged, then the damaged page is reported as a page-in would report
+    it (snapshot, page index, flash address) before anything is erased
+    or programmed — the old snapshot stays the current one."""
+    injector, chip, driver, _cfg = _snapshotted_with_tail()
+    store = driver.mapping
+    assert store.data_page_count == 2
+    addr = store.half_start_page(store.seq % 2) + 1  # snapshot page 1: pids 8..9
+    if fault == "bit_rot":
+        injector.inject(fault, addr)
+    else:  # a page that reads clean but is no mapping page: a live base
+        injector.inject(fault, addr, donor=driver.ppmt.require(2).base_addr)
+    seq = store.seq
+    misses = chip.stats.mapping_misses
+    mapping = chip.stats.of_phase(MAPPING_PHASE)
+    reads, programs, erases = mapping.reads, mapping.writes, mapping.erases
+
+    with pytest.raises(error) as caught:
+        store.snapshot()
+
+    message = str(caught.value)
+    for part in (f"snapshot {seq}", "page 1", f"flash address {addr}"):
+        assert part in message, message
+    assert caught.value.__cause__ is not None
+    assert store.seq == seq
+    mapping = chip.stats.of_phase(MAPPING_PHASE)
+    assert chip.stats.mapping_misses - misses == 2
+    assert mapping.reads - reads == 2
+    assert (mapping.writes, mapping.erases) == (programs, erases)
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [("bit_rot", ChecksumError), ("misdirected_write", MappingFormatError)],
+)
 def test_live_page_in_of_a_damaged_snapshot_page_names_what_it_translated(fault, error):
     """A live table that demand-pages a damaged snapshot page cannot
     repair it (ROADMAP item 3) — but the error that reaches the caller of

@@ -71,6 +71,15 @@ class TestBackendContract:
         backend.erase_block(1)
         assert backend.erase_count(1) == 2
 
+    def test_erase_leaves_other_blocks_alone(self, backend):
+        backend.program_page(4, b"\x00" * 64, _spare(0, 1))
+        backend.program_page(8, b"\x22" * 64, _spare(2, 3))
+        backend.erase_block(1)
+        assert backend.read_page(8) == (b"\x22" * 64, _spare(2, 3))
+        assert backend.read_pages([3, 4, 8]) == [
+            (None, None), (None, None), (b"\x22" * 64, _spare(2, 3))
+        ]
+
     def test_write_spare_updates_counter(self, backend):
         backend.program_page(0, b"\x00" * 64, _spare(0, 1))
         obsolete = bytearray(_spare(0, 1))
@@ -506,3 +515,33 @@ class TestChipOverBackends:
                 FlashChip(TINY_SPEC, backend=backend)
         finally:
             backend.close()
+
+
+def test_memory_erase_keeps_no_old_image():
+    """An erased block's slots point back at the shared erased images, so
+    the old pages are freed rather than kept, unreachable, until the
+    block is programmed again."""
+    backend = MemoryBackend(SPEC)
+    erased = backend._data[0], backend._spare[0]
+    for addr in range(4, 8):
+        backend.program_page(addr, bytes([addr]) * 64, _spare(addr, 1))
+    backend.write_spare(5, _spare(5, 2), 2)
+    backend.erase_block(1)
+    for addr in range(4, 8):
+        assert (backend._data[addr], backend._spare[addr]) == erased
+        assert backend._data[addr] is erased[0] and backend._spare[addr] is erased[1]
+    assert bytes(backend.read_spare_range(4, 8)) == b"\xff" * (4 * SPEC.page_spare_size)
+
+
+def test_file_erase_writes_nothing_to_the_data_region(tmp_path):
+    """A file erase changes counters only: the stale bytes stay in the
+    data and spare regions, unread, until the next program."""
+    backend = FileBackend(tmp_path / "chip.flash", SPEC)
+    try:
+        backend.program_page(4, b"\x5a" * 64, _spare(0, 1))
+        backend.erase_block(1)
+        assert backend.read_page(4) == (None, None)
+        assert backend._data[4] == b"\x5a" * 64
+        assert backend._spare[4] == _spare(0, 1)
+    finally:
+        backend.close()

@@ -7,17 +7,21 @@
     clean cache behaves as the all-in-RAM ``PhysicalPageMappingTable``
     does — rows handed back through ``hold`` included — and counts one
     miss per page it reads.
+(c) A page's lookup (direct-index probe, bisect behind it) answers as a
+    dict of its rows does, for gap-free runs, runs with holes and single
+    rows, asked below, above, inside and between them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mapping import (
+    DATA_MAGIC,
     ENTRY,
     PAGE_HEADER,
     TieredMappingTable,
+    _find_row,
     decode_mapping_page,
-    directory_index,
     entries_per_page,
     merge_snapshot_rows,
     pack_entry,
@@ -106,12 +110,9 @@ class PageStore:
     def data_page_count(self):
         return len(self.payloads)
 
-    def page_index_of(self, pid):
-        return directory_index(self.directory, pid)
-
     def load_data_page(self, index):
         self.page_reads += 1
-        self.stats.record_mapping_miss()
+        self.stats.mapping_misses += 1
         return decode_mapping_page(
             self.payloads[index], expect_seq=self.seq, expect_index=index
         )
@@ -174,3 +175,41 @@ def test_tiered_table_tracks_the_plain_table(cache_pages, sequence):
         plain.items(), key=lambda r: r[0]
     )
     assert store.stats.mapping_misses == store.page_reads
+
+
+# ----------------------------------------------------------------------
+# (c) probe + bisect == dict lookup
+# ----------------------------------------------------------------------
+@st.composite
+def page_pids(draw):
+    """Sorted distinct pids one page holds: a gap-free run with some
+    rows knocked out (none, a few, or all but one), anywhere in u32."""
+    length = draw(st.integers(1, 72))
+    first = draw(st.integers(0, 2**32 - 1 - length))
+    run = range(first, first + length)
+    holes = draw(st.sets(st.sampled_from(run), max_size=length - 1))
+    return [pid for pid in run if pid not in holes]
+
+
+#: Pids scattered anywhere in u32: almost every probe misses its row.
+sparse_pids = st.lists(
+    st.integers(0, 2**32 - 1), min_size=1, max_size=72, unique=True
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pids=page_pids() | sparse_pids,
+    extra=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+)
+def test_page_lookup_equals_a_dict_of_its_rows(pids, extra):
+    model = {pid: MappingEntry(pid % 1000, pid) for pid in pids}
+    rows = b"".join(pack_entry(pid, model[pid]) for pid in pids)
+    page = decode_mapping_page(PAGE_HEADER.pack(DATA_MAGIC, 1, 0, len(pids)) + rows)
+    # Every row, its neighbours (the holes among them), and a few anywhere.
+    asked = {q for pid in pids for q in (pid - 1, pid, pid + 1) if 0 <= q < 2**32}
+    asked.update(extra)
+    offsets = {pid: index * ENTRY.size for index, pid in enumerate(pids)}
+    for pid in sorted(asked):
+        assert page.get(pid) == model.get(pid), pid
+        assert _find_row(rows, pid) == offsets.get(pid, -1), pid
