@@ -331,6 +331,18 @@ def encode_differential_page(
     return b"".join(parts)
 
 
+def entry_starts(diffs: Sequence[Differential]) -> List[int]:
+    """Where each of ``diffs`` starts on the page
+    :func:`encode_differential_page` packs them into: what a writer
+    records in the mapping row so the read goes straight to the entry."""
+    starts = []
+    at = PAGE_HEADER_SIZE
+    for diff in diffs:
+        starts.append(at)
+        at += diff.size
+    return starts
+
+
 def _entry_count(data: bytes) -> int:
     """Validate a differential page's header; returns its entry count."""
     if len(data) < PAGE_HEADER_SIZE:
@@ -419,33 +431,46 @@ def _at_every_byte(data: bytes, dtype: np.dtype) -> np.ndarray:
 
 class PageStamps:
     """What :func:`differential_page_stamps_batch` read: ``stamps[k]`` is
-    page k's ``(pid, timestamp)`` list, or ``None`` when page k is
-    rejected.  The stamps are kept as two arrays and a page's list is
-    made when it is asked for, so a chunk's stamps are never all Python
-    objects at once."""
+    page k's ``(pid, timestamp, at)`` list (``at``: where the entry
+    starts in its page), or ``None`` when page k is rejected.  The
+    stamps are kept as arrays and a page's list is made when it is
+    asked for, so a chunk's stamps are never all Python objects at
+    once."""
 
-    __slots__ = ("_valid", "_bounds", "_pids", "_timestamps")
+    __slots__ = ("_valid", "_bounds", "_pids", "_timestamps", "_starts")
 
     def __init__(
-        self, valid: List[bool], bounds: List[int], pids: np.ndarray, timestamps: np.ndarray
+        self,
+        valid: List[bool],
+        bounds: List[int],
+        pids: np.ndarray,
+        timestamps: np.ndarray,
+        starts: np.ndarray,
     ) -> None:
         self._valid = valid
         self._bounds = bounds
         self._pids = pids
         self._timestamps = timestamps
+        self._starts = starts
 
-    def __getitem__(self, page: int) -> Optional[List[Tuple[int, int]]]:
+    def __getitem__(self, page: int) -> Optional[List[Tuple[int, int, int]]]:
         if not self._valid[page]:
             return None
         lo, hi = self._bounds[page], self._bounds[page + 1]
-        return list(zip(self._pids[lo:hi].tolist(), self._timestamps[lo:hi].tolist()))
+        return list(
+            zip(
+                self._pids[lo:hi].tolist(),
+                self._timestamps[lo:hi].tolist(),
+                self._starts[lo:hi].tolist(),
+            )
+        )
 
 
 def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
     """:func:`differential_page_stamps` of every ``page_size`` bytes of
-    ``data`` in one walk: each page's ``(pid, timestamp)`` list, or
-    ``None`` for a page on which that function raises
-    :class:`DifferentialError`.
+    ``data`` in one walk, with where in its page each entry starts: each
+    page's ``(pid, timestamp, at)`` list, or ``None`` for a page on
+    which that function raises :class:`DifferentialError`.
 
     The Figure-11 scan reads a chunk's differential pages this way.  The
     pages are walked side by side, one entry of each per step, with
@@ -462,13 +487,14 @@ def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
     ufuncs only: numpy's Python-level helpers would cost calls per step.)
     """
     n = len(data) // page_size
+    none = (np.zeros(0, _U4), np.zeros(0, _U8), np.zeros(0, np.int64))
     if page_size < PAGE_HEADER_SIZE:
-        return PageStamps([False] * n, [0] * (n + 1), np.zeros(0, _U4), np.zeros(0, _U8))
+        return PageStamps([False] * n, [0] * (n + 1), *none)
     headers = np.ndarray((n,), _PAGE_HEADER_DTYPE, data, strides=(page_size,))
     valid = headers["magic"] == DIFF_PAGE_MAGIC
     if page_size < PAGE_HEADER_SIZE + ENTRY_HEADER_SIZE:  # no entry fits a page
         valid &= headers["count"] == 0
-        return PageStamps(valid.tolist(), [0] * (n + 1), np.zeros(0, _U4), np.zeros(0, _U8))
+        return PageStamps(valid.tolist(), [0] * (n + 1), *none)
     u2_at = _at_every_byte(data, _U2)
     # The walk's state, one element per page (arrays keep their size, so
     # numpy's cache of small blocks sees few sizes): where the page's
@@ -513,12 +539,14 @@ def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
         # An entry with no run left reads a stray length, weighted 0.
         owing -= u2_at[np.minimum(length_at, len(u2_at) - 1)] * (n_runs > run)
         length_at += RUN_HEADER_SIZE
-    valid[np.arange(n).repeat(bounds[1:] - bounds[:-1])[owing.nonzero()[0]]] = False
+    page_of = np.arange(n).repeat(bounds[1:] - bounds[:-1])
+    valid[page_of[owing.nonzero()[0]]] = False
     return PageStamps(
         valid.tolist(),
         bounds.tolist(),
         _at_every_byte(data, _U4)[at],
         _at_every_byte(data, _U8)[at + _TIMESTAMP_AT],
+        at - page_of * page_size,
     )
 
 
@@ -553,7 +581,13 @@ def find_differential(data: bytes, pid: int) -> Optional[Differential]:
     return None
 
 
-def merge_from_page(data: bytes, pid: int, base: bytes) -> Optional[bytes]:
+def merge_from_page(
+    data: bytes,
+    pid: int,
+    base: bytes,
+    at: Optional[int] = None,
+    timestamp: Optional[int] = None,
+) -> Optional[bytes]:
     """PDL_Reading Steps 2–3 in one pass over a differential page:
     ``base`` with ``pid``'s entry merged in, or ``None`` when the page
     holds no entry for ``pid``.
@@ -561,48 +595,68 @@ def merge_from_page(data: bytes, pid: int, base: bytes) -> Optional[bytes]:
     Equal — results and errors — to
     ``find_differential(data, pid).apply(base)``, without the entry
     slice, the :class:`Differential` and the second unpack of the run
-    headers: non-matching entries are skipped by header, the matching
-    one is validated as :meth:`Differential.decode_from` validates it
-    (same four errors, same order) and its runs are copied from ``data``
-    into a copy of ``base``, each bounds-checked as :meth:`apply` does.
+    headers: the matching entry is validated as
+    :meth:`Differential.decode_from` validates it (same four errors,
+    same order) and its runs are copied from ``data`` into a copy of
+    ``base``, each bounds-checked as :meth:`apply` does.
+
+    ``at`` and ``timestamp`` are a hint: where the entry of the
+    differential stamped ``timestamp`` was laid out (the mapping row's
+    ``diff_at`` and ``diff_ts``).  When the entry header there reads
+    exactly ``(pid, timestamp)`` — stamps are unique, so that is the
+    differential — it is merged without looking at the entries in front
+    of it.  Any other hint, or none, walks from the first entry and
+    skips non-matching ones by their headers.  On a page as the writer
+    laid it out (a read that verified its checksum) both find the same
+    entry, so the hint changes neither the result nor the error.
     """
     size = len(data)
-    pos = PAGE_HEADER_SIZE
-    for _ in range(_entry_count(data)):
-        runs_at = pos + ENTRY_HEADER_SIZE
-        if runs_at > size:
-            raise DifferentialError("truncated differential entry header")
-        entry_pid, _ts, n_runs, data_len = _ENTRY_HEADER.unpack_from(data, pos)
-        data_at = runs_at + RUN_HEADER_SIZE * n_runs
-        if entry_pid != pid:
-            pos = data_at + data_len
+    count = _entry_count(data)
+    unpack_header = _ENTRY_HEADER.unpack_from
+    pos = -1
+    if at is not None and PAGE_HEADER_SIZE <= at <= size - ENTRY_HEADER_SIZE:
+        entry_pid, entry_ts, n_runs, data_len = unpack_header(data, at)
+        if entry_pid == pid and entry_ts == timestamp:
+            pos = at
+    if pos < 0:
+        pos = PAGE_HEADER_SIZE
+        for _ in range(count):
+            if pos + ENTRY_HEADER_SIZE > size:
+                raise DifferentialError("truncated differential entry header")
+            entry_pid, _ts, n_runs, data_len = unpack_header(data, pos)
+            if entry_pid == pid:
+                break
+            pos += ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * n_runs + data_len
             if pos > size:
                 raise DifferentialError("truncated differential run data")
-            continue
-        if data_at > size:
-            raise DifferentialError("truncated differential run header")
-        flat = _run_header_struct(n_runs).unpack_from(data, runs_at)
-        lengths = flat[1::2]
-        carried = sum(lengths)
-        if data_at + carried > size:
-            raise DifferentialError("truncated differential run data")
-        if carried != data_len:
+        else:
+            return None
+    runs_at = pos + ENTRY_HEADER_SIZE
+    data_at = runs_at + RUN_HEADER_SIZE * n_runs
+    if data_at > size:
+        raise DifferentialError("truncated differential run header")
+    run_header = _RUN_HEADER_STRUCTS.get(n_runs) or _run_header_struct(n_runs)
+    flat = run_header.unpack_from(data, runs_at)
+    lengths = flat[1::2]
+    carried = sum(lengths)
+    if data_at + carried > size:
+        raise DifferentialError("truncated differential run data")
+    if carried != data_len:
+        raise DifferentialError(
+            f"differential for pid {pid} declares {data_len} data bytes "
+            f"but carries {carried}"
+        )
+    if not n_runs:
+        return base
+    image = bytearray(base)
+    page_size = len(image)
+    pos = data_at
+    for offset, length in zip(flat[::2], lengths):
+        end = offset + length
+        if end > page_size:
             raise DifferentialError(
-                f"differential for pid {pid} declares {data_len} data bytes "
-                f"but carries {carried}"
+                f"run [{offset}, {end}) outside page of {page_size} bytes"
             )
-        if not n_runs:
-            return base
-        image = bytearray(base)
-        page_size = len(image)
-        pos = data_at
-        for offset, length in zip(flat[::2], lengths):
-            end = offset + length
-            if end > page_size:
-                raise DifferentialError(
-                    f"run [{offset}, {end}) outside page of {page_size} bytes"
-                )
-            image[offset:end] = data[pos : pos + length]
-            pos += length
-        return bytes(image)
-    return None
+        image[offset:end] = data[pos : pos + length]
+        pos += length
+    return bytes(image)

@@ -522,9 +522,9 @@ def _reflush_salvaged(driver: PdlDriver, salvaged: List[Differential]) -> None:
         groups[-1].append(diff)
         used += diff.size
     for group in groups:
-        new_addr = driver._program_differentials(group, driver._diff_stream)
-        for diff in group:
-            driver.ppmt.set_diff(diff.pid, new_addr, diff.timestamp)
+        new_addr, starts = driver._program_differentials(group, driver._diff_stream)
+        for diff, at in zip(group, starts):
+            driver.ppmt.set_diff(diff.pid, new_addr, diff.timestamp, at)
             driver.vdct.increment(new_addr)
 
 

@@ -20,8 +20,7 @@ Three cooperating pieces:
   index — the row a gap-free page puts the pid at, ``pid - first`` rows
   in — and bisected only when that row holds another pid),
   demand-paged from the flash region through the store and evicted LRU
-  (the bufferpool's :class:`~repro.storage.bufferpool.policy.LruPolicy`
-  — one LRU implementation in the tree).  Every mutation both updates
+  (the cache dict is its own recency order).  Every mutation both updates
   the overlay and appends a journal record through the store, which is
   what makes crash restart O(dirty tail) instead of O(device)
   (:mod:`repro.core.restart`).  The lookup discipline is *one
@@ -44,19 +43,15 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Protocol
-from typing import Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from ..flash.errors import ChecksumError
 from ..flash.spec import FlashSpec
 from ..flash.stats import FlashStats
 from ..ftl.errors import ConfigurationError
 from .tables import MappingEntry, ValidDifferentialCountTable
-
-if TYPE_CHECKING:
-    from ..storage.bufferpool.policy import LruPolicy
-
 
 #: Accounting phase for all mapping-tier flash traffic: demand page-in
 #: reads, journal flushes, snapshot writes and restart replay.  Pushed
@@ -448,17 +443,12 @@ class TieredMappingTable:
         #: pid -> entry dirtied since the last snapshot; ``None`` is a
         #: tombstone shadowing a snapshot-resident row.
         self._overlay: Dict[int, Optional[MappingEntry]] = {}
-        #: snapshot page index -> wire-form page (clean tier).
-        self._cache: Dict[int, MappingPage] = {}
+        #: snapshot page index -> wire-form page (clean tier), in
+        #: recency order when bounded: least recently used first.
+        self._cache: "OrderedDict[int, MappingPage]" = OrderedDict()
         self._capacity_pages: Optional[int] = None
-        self._policy: "Optional[LruPolicy]" = None
         if cache_entries > 0:
-            # Deferred import: ``repro.storage`` imports ``repro.core.pdl``
-            # at module level, so an eager one would be circular.
-            from ..storage.bufferpool.policy import LruPolicy
-
             self._capacity_pages = max(1, cache_entries // store.entries_per_page)
-            self._policy = LruPolicy(self._capacity_pages)
         #: The clean tier's last answer, ``(pid, what it held)``: the write
         #: of a read-change-write cycle asks for the row its read just got.
         #: A pid the overlay has is answered there first, so only a
@@ -529,21 +519,17 @@ class TieredMappingTable:
             self._admit(index, page)
         else:
             self._stats.mapping_hits += 1
-            if self._policy is not None:
-                self._policy.touch(index)
+            if self._capacity_pages is not None:
+                self._cache.move_to_end(index)
         return page.get(pid)
 
     def _admit(self, index: int, page: MappingPage) -> None:
-        self._cache[index] = page
-        if self._policy is None:
-            return
-        self._policy.admit(index)
-        while len(self._cache) > (self._capacity_pages or 0):
-            victim = self._policy.select_victim(lambda _i: True)
-            if victim is None:  # pragma: no cover - capacity >= 1 guards this
-                break
-            self._policy.remove(victim)
-            self._cache.pop(victim, None)
+        """Page ``index`` in as the most recently used; at capacity the
+        least recently used page goes."""
+        cache = self._cache
+        cache[index] = page
+        if self._capacity_pages is not None and len(cache) > self._capacity_pages:
+            cache.popitem(last=False)
 
     def hold(self, pid: int, entry: MappingEntry) -> None:
         """Keep ``pid``'s row resident while work is pending on it.
@@ -593,14 +579,22 @@ class TieredMappingTable:
         self._store.record(REC_MOVE_BASE, pid, addr)
 
     def set_diff(
-        self, pid: int, addr: Optional[int], timestamp: Optional[int] = None
+        self,
+        pid: int,
+        addr: Optional[int],
+        timestamp: Optional[int] = None,
+        at: Optional[int] = None,
     ) -> None:
+        """As the plain table's; the entry offset ``at`` is kept on the
+        overlay row only, never journaled."""
         entry = self._live(pid)
         entry.diff_addr = addr
-        entry.diff_ts = timestamp if addr is not None else None
         if addr is None:
+            entry.diff_ts = entry.diff_at = None
             self._store.record(REC_CLEAR_DIFF, pid)
         else:
+            entry.diff_ts = timestamp
+            entry.diff_at = at
             self._store.record(REC_SET_DIFF, pid, addr, timestamp or 0)
 
     def remove(self, pid: int) -> Optional[MappingEntry]:
@@ -649,9 +643,6 @@ class TieredMappingTable:
         the dirtied pids only by the rows of differentials still buffered."""
         self._overlay.clear()
         self._last = (-1, None)
-        if self._policy is not None:
-            for index in self._cache:
-                self._policy.remove(index)
         self._cache.clear()
 
     def seed_counts(self, count: int, max_pid: int) -> None:

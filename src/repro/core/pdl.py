@@ -41,6 +41,7 @@ from .differential import (
     DifferentialError,
     decode_differential_page,
     encode_differential_page,
+    entry_starts,
     merge_from_page,
 )
 from .fsck import FsckReport, fsck_driver
@@ -176,9 +177,14 @@ class PdlDriver(PageUpdateMethod):
                     return diff.apply(base)
                 if diff_addr is None:
                     return base
-                # Steps 2–3 on flash: find the entry and merge it, one pass.
-                diff_page, _spare = chip.read_page(diff_addr)
-                image = merge_from_page(diff_page, pid, base)
+                # Steps 2–3 on flash: find the entry and merge it, one
+                # pass.  A page whose checksum the read verified is as the
+                # writer laid it out, so the row's entry offset is a safe
+                # place to start; any other page is walked from its first
+                # entry, which names damage in front of the entry too.
+                diff_page, spare = chip.read_page(diff_addr)
+                at = entry.diff_at if spare.checksum is not None else None
+                image = merge_from_page(diff_page, pid, base, at, entry.diff_ts)
             except DifferentialError as exc:
                 raise DifferentialError(
                     f"read of pid {pid}: differential page {diff_addr}: {exc}"
@@ -408,13 +414,13 @@ class PdlDriver(PageUpdateMethod):
         if self.buffer.is_empty:
             return
         diffs = self.buffer.drain()
-        addr = self._program_differentials(diffs, self._diff_stream)
+        addr, starts = self._program_differentials(diffs, self._diff_stream)
         self.buffer_flushes += 1
-        for diff in diffs:
+        for diff, at in zip(diffs, starts):
             entry = self.ppmt.require(diff.pid)
             if entry.diff_addr is not None:
                 self._drop_diff_ref(entry.diff_addr)
-            self.ppmt.set_diff(diff.pid, addr, diff.timestamp)
+            self.ppmt.set_diff(diff.pid, addr, diff.timestamp, at)
             self.vdct.increment(addr)
             # A compaction copy staged from the in-flight GC victim is
             # superseded by this flush; flushing it later would re-point
@@ -423,16 +429,17 @@ class PdlDriver(PageUpdateMethod):
 
     def _program_differentials(
         self, diffs: List[Differential], stream: str, for_gc: bool = False
-    ) -> int:
-        """Write ``diffs`` as one new differential page on ``stream`` and
-        return its address; the caller re-points their entries.  The
-        buffer flush, GC compaction and fsck's salvage all write here."""
+    ) -> Tuple[int, List[int]]:
+        """Write ``diffs`` as one new differential page on ``stream``;
+        return its address and where each entry starts in it, for the
+        caller to re-point their rows at.  The buffer flush, GC
+        compaction and fsck's salvage all write here."""
         payload = encode_differential_page(diffs, self.page_size)
         addr = self.blocks.allocate(for_gc=for_gc, stream=stream)
         spare = SpareArea(type=PageType.DIFFERENTIAL, timestamp=self._next_ts())
         self.chip.program_page(addr, payload, spare)
         self.blocks.note_valid(addr)
-        return addr
+        return addr, entry_starts(diffs)
 
     def _drop_diff_ref(self, addr: int) -> None:
         """decreaseValidDifferentialCount (Figure 8).
@@ -519,12 +526,12 @@ class PdlDriver(PageUpdateMethod):
         # collection belongs to a cold page (hot pages' differentials die
         # before GC reaches them), so compacted pages go to the cold
         # stream rather than back among the fast-churning fresh ones.
-        addr = self._program_differentials(diffs, self._base_stream, for_gc=True)
-        for diff in diffs:
+        addr, starts = self._program_differentials(diffs, self._base_stream, for_gc=True)
+        for diff, at in zip(diffs, starts):
             # The old reference was inside the victim block (vdct entry
             # already dropped); just re-point.  GC copies preserve their
             # timestamps, so the entry stamp is unchanged.
-            self.ppmt.set_diff(diff.pid, addr, diff.timestamp)
+            self.ppmt.set_diff(diff.pid, addr, diff.timestamp, at)
             self.vdct.increment(addr)
 
     # ------------------------------------------------------------------

@@ -156,7 +156,7 @@ def recover_tables(
             del counts[addr]
             chip.mark_obsolete(addr)
             report.stale_pages_obsoleted += 1
-        row.diff_addr = row.diff_ts = None
+        row.diff_addr = row.diff_ts = row.diff_at = None
 
     n_pages = chip.spec.n_pages
     with chip.stats.phase(RECOVERY_PHASE):
@@ -274,9 +274,10 @@ def _triage(
 
 def _read_diff_stamps(
     chip: FlashChip, diff_addrs: List[int], checksums: List[int], report: RecoveryReport
-) -> Iterator[Optional[List[Tuple[int, int]]]]:
-    """The chunk's differential pages' ``(pid, timestamp)`` lists, in
-    ``diff_addrs`` order, with ``None`` for a page to quarantine.
+) -> Iterator[Optional[List[Tuple[int, int, int]]]]:
+    """The chunk's differential pages' ``(pid, timestamp, at)`` lists
+    (``at``: where the entry starts in its page), in ``diff_addrs``
+    order, with ``None`` for a page to quarantine.
 
     One ``read_data_areas`` call reads every data area into one buffer
     (the per-page Tread charge is that of one ``read_page`` each), each
@@ -314,7 +315,7 @@ def _read_diff_stamps(
 def _adopt_diff_page(
     chip: FlashChip,
     addr: int,
-    stamps: Optional[List[Tuple[int, int]]],
+    stamps: Optional[List[Tuple[int, int, int]]],
     rows: Dict[int, MappingEntry],
     counts: Dict[int, int],
     drop_diff: Callable[[MappingEntry], None],
@@ -322,8 +323,9 @@ def _adopt_diff_page(
 ) -> None:
     """Case 2 of Figure 11: the scanned page is a differential page.
 
-    ``stamps`` are its entries' ``(pid, timestamp)`` pairs, or None when
+    ``stamps`` are its entries' ``(pid, timestamp, at)``, or None when
     its data failed its checksum or does not parse: it is quarantined.
+    An adopted row records ``at``, where its entry starts in the page.
     """
     if stamps is None:
         report.corrupt_differential_pages += 1
@@ -332,23 +334,25 @@ def _adopt_diff_page(
         return
     adopted = 0
     max_ts = report.max_timestamp
-    for pid, timestamp in stamps:
+    for pid, timestamp, at in stamps:
         row = rows.get(pid)
         if row is None:
             # The differential precedes its base in scan order; register a
             # placeholder row (base_addr < 0 marks "not yet seen").
-            rows[pid] = MappingEntry(-1, -1, addr, timestamp)
+            rows[pid] = MappingEntry(-1, -1, addr, timestamp, at)
         elif timestamp <= row.base_ts:
             continue  # older than the adopted base: stale
         elif row.diff_addr is None:
             row.diff_addr = addr
             row.diff_ts = timestamp
+            row.diff_at = at
         elif timestamp <= row.diff_ts:
             continue  # an at-least-as-recent differential was adopted
         else:
             drop_diff(row)
             row.diff_addr = addr
             row.diff_ts = timestamp
+            row.diff_at = at
         counts[addr] = counts.get(addr, 0) + 1
         adopted += 1
         if timestamp > max_ts:

@@ -16,11 +16,11 @@ the one way a table survives a restart without that scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class MappingEntry:
     """One ppmt row: where a logical page currently lives.
 
@@ -31,15 +31,19 @@ class MappingEntry:
     way — recovery's seeded tail scan and the mapping journal both need
     it to apply the strictly-newer adoption rule without re-reading the
     differential page.
+    ``diff_at`` is where that differential's entry starts in its
+    differential page, recorded wherever the entry is placed (a buffer
+    flush, GC compaction, fsck's salvage, the Figure-11 scan) so
+    PDL_Reading goes straight to it.  It is RAM only: a row restored
+    from a mapping snapshot or the journal has ``None``, and the read
+    walks the page's entry headers instead.
     """
 
     base_addr: int
     base_ts: int
     diff_addr: Optional[int] = None
     diff_ts: Optional[int] = None
-
-    def copy(self) -> "MappingEntry":
-        return MappingEntry(self.base_addr, self.base_ts, self.diff_addr, self.diff_ts)
+    diff_at: Optional[int] = field(default=None, compare=False)
 
 
 class PhysicalPageMappingTable:
@@ -75,13 +79,24 @@ class PhysicalPageMappingTable:
         self.require(pid).base_addr = addr
 
     def set_diff(
-        self, pid: int, addr: Optional[int], timestamp: Optional[int] = None
+        self,
+        pid: int,
+        addr: Optional[int],
+        timestamp: Optional[int] = None,
+        at: Optional[int] = None,
     ) -> None:
+        """Point ``pid`` at the differential stamped ``timestamp`` whose
+        entry starts ``at`` bytes into differential page ``addr`` (``at``
+        unknown: ``None``); ``addr=None`` clears the differential."""
         entry = self._entries.get(pid)
         if entry is None:
             self.require(pid)  # raises: the row is missing
         entry.diff_addr = addr
-        entry.diff_ts = timestamp if addr is not None else None
+        if addr is None:
+            entry.diff_ts = entry.diff_at = None
+        else:
+            entry.diff_ts = timestamp
+            entry.diff_at = at
 
     def install(self, entries: Dict[int, MappingEntry]) -> None:
         """Take over ``entries`` as the table's rows, replacing its

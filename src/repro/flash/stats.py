@@ -39,6 +39,7 @@ merged view — never observe the phases dict mid-resize.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
 
@@ -64,7 +65,7 @@ COUNTERS: Tuple[str, ...] = (
 )
 
 
-def percentile(samples: List[float], pct: float) -> float:
+def percentile(samples: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile of ``samples`` (0 when empty)."""
     if not 0 < pct <= 100:
         raise ValueError(f"percentile must be in (0, 100], got {pct}")
@@ -208,8 +209,9 @@ class StatsView(PhaseView):
     #: Per-write GC stall samples (simulated us of reclamation work a
     #: single logical write absorbed); the GC engine records one sample
     #: per write, zero included, so percentiles are over all writes
-    #: rather than only the stalled ones.
-    write_stall_us: List[float]
+    #: rather than only the stalled ones.  A chip keeps them as one
+    #: ``array("d")``, eight bytes a sample rather than a float object.
+    write_stall_us: Sequence[float]
     #: Integrity accounting (see :mod:`repro.flash.spare`): how many page
     #: reads carried a spare-area checksum and were verified, and how
     #: many of those failed (raising ``ChecksumError``).
@@ -275,6 +277,8 @@ class FlashStats(StatsView):
     Experiment 6 and the longevity discussion, per-write GC stalls and
     the :data:`COUNTERS`.
     """
+
+    write_stall_us: "array[float]"
 
     def __init__(
         self, n_blocks: int, t_read_us: float, t_write_us: float, t_erase_us: float
@@ -427,7 +431,7 @@ class FlashStats(StatsView):
         """Clear all counters (e.g. after loading + warm-up)."""
         self.phases.clear()
         self.block_erases = [0] * len(self.block_erases)
-        self.write_stall_us = []
+        self.write_stall_us = array("d")
         for name in COUNTERS:
             setattr(self, name, 0)
 

@@ -1,4 +1,5 @@
-"""The snapshot mapping-page codec: wire format, header checks, packed lookup.
+"""The snapshot mapping-page codec: wire format, header checks, packed lookup;
+and the clean tier's recency order.
 
 The wire format is pinned by bytes written with the encoder that
 preceded the wire-form clean tier, so a snapshot that version wrote
@@ -6,6 +7,9 @@ stays readable.
 """
 
 from __future__ import annotations
+
+import random
+from bisect import bisect_right
 
 import pytest
 
@@ -15,6 +19,8 @@ from repro.core.mapping import (
     PAGE_HEADER,
     MappingConfig,
     MappingFormatError,
+    MappingPage,
+    TieredMappingTable,
     _find_row,
     decode_mapping_page,
     entries_per_page,
@@ -26,7 +32,9 @@ from repro.core.mapping_store import MappingStore
 from repro.core.tables import MappingEntry
 from repro.flash.chip import FlashChip
 from repro.flash.spec import FlashSpec
+from repro.flash.stats import FlashStats
 from repro.ftl.errors import ConfigurationError
+from repro.storage.bufferpool.policy import LruPolicy
 
 #: A page that holds exactly two rows, so three rows stride into two pages.
 TWO_ROW_PAGE = PAGE_HEADER.size + 2 * ENTRY.size
@@ -216,3 +224,89 @@ def test_auto_sizes_the_journal_with_the_stores_geometry(page_data_size):
     # half-full pages; with the store's own capacity that is exactly this.
     journal_pages = 1 + -(-2 * 500 // store.records_per_page)
     assert config.journal_blocks == -(-journal_pages // spec.pages_per_block)
+
+
+# ----------------------------------------------------------------------
+# The clean tier: a bounded cache of translation pages, evicted LRU
+# ----------------------------------------------------------------------
+PER_PAGE = 4
+
+
+class PagedStore:
+    """Snapshot pages of ``PER_PAGE`` consecutive pids held in RAM, with
+    the order the table paged them in."""
+
+    entries_per_page = PER_PAGE
+
+    def __init__(self, n_pages):
+        self.stats = FlashStats(1, 0.0, 0.0, 0.0)
+        self.directory = [index * PER_PAGE for index in range(n_pages)]
+        self.pages = [
+            MappingPage(packed([(pid, MappingEntry(pid, 1)) for pid in range(first, first + PER_PAGE)]))
+            for first in self.directory
+        ]
+        self.page_ins = []
+
+    @property
+    def data_page_count(self):
+        return len(self.pages)
+
+    def load_data_page(self, index):
+        self.page_ins.append(index)
+        self.stats.mapping_misses += 1
+        return self.pages[index]
+
+    def record(self, kind, a, b=0, ts=0):
+        pass
+
+
+def lookups(capacity_pages, n_pages, pids):
+    store = PagedStore(n_pages)
+    table = TieredMappingTable(store, cache_entries=capacity_pages * PER_PAGE)
+    for pid in pids:
+        assert table.require(pid).base_addr == pid
+    return store.page_ins
+
+
+def test_a_touched_page_survives_and_the_least_recent_goes():
+    # Pages 0 and 1 in; page 0 touched; page 2 in evicts page 1, not 0.
+    pids = [0, 4, 1, 8, 2, 5]
+    assert lookups(2, 3, pids) == [0, 1, 2, 1]
+
+
+def old_policy_page_ins(capacity_pages, directory, pids):
+    """The page-ins the table made when its clean cache was evicted by
+    the bufferpool's ``LruPolicy``: touch on a hit; on a miss admit, then
+    evict ``select_victim``'s choice while over capacity."""
+    policy, resident, page_ins, last = LruPolicy(capacity_pages), set(), [], None
+    for pid in pids:
+        if pid == last:  # the table answers a repeated pid from its last lookup
+            continue
+        last = pid
+        index = bisect_right(directory, pid) - 1
+        if index in resident:
+            policy.touch(index)
+            continue
+        page_ins.append(index)
+        resident.add(index)
+        policy.admit(index)
+        while len(resident) > capacity_pages:
+            victim = policy.select_victim(lambda _index: True)
+            policy.remove(victim)
+            resident.discard(victim)
+    return page_ins
+
+
+@pytest.mark.parametrize("capacity_pages", [1, 3, 7])
+def test_page_ins_are_the_old_policys(capacity_pages):
+    rng = random.Random(20261019)
+    n_pages = 12
+    hot = [rng.randrange(n_pages * PER_PAGE) for _ in range(5)]
+    pids = [
+        rng.choice(hot) if rng.random() < 0.5 else rng.randrange(n_pages * PER_PAGE)
+        for _ in range(3000)
+    ]
+    directory = PagedStore(n_pages).directory
+    expected = old_policy_page_ins(capacity_pages, directory, pids)
+    assert len(expected) > 100
+    assert lookups(capacity_pages, n_pages, pids) == expected

@@ -20,7 +20,9 @@ LRU admit/evict.  Both counts repeat exactly for a seed, so — like
   time the device backend was one class, and 69.9 once a lookup probed
   the row a gap-free translation page puts the pid at, counted a hit
   with one increment and found the page without a call, and a page-in
-  stopped asking the store for its counters and half twice.  The budgets
+  stopped asking the store for its counters and half twice; 66.4 once
+  the clean cache kept its own recency order instead of paying the
+  bufferpool's eviction-policy protocol on every page-in.  The budgets
   sit between;
 * a row kept resident for a pending mutator must not outlive it: after a
   flush the overlay holds the pids that were dirtied, and nothing else;

@@ -7,9 +7,13 @@ unlike a timing, repeat exactly) that was 39.7 on ``MemoryBackend`` and
 a method call per check, and the codec found the entry, sliced it out
 and unpacked its run headers a second time to apply it; one backend call
 per page, positional file I/O and the fused ``merge_from_page`` make it
-17 and 21 (docs/architecture.md, "Read path").  The budget sits between,
-so a per-check method call or a second backend call per page fails
-tier-1.  ``test_call_budget.py`` holds the whole read-change-write cycle.
+17 and 21 (docs/architecture.md, "Read path"), and 14 and 18 once the
+merge took its run-header struct from the cache without a call.  The
+budget sits between, so a per-check method call or a second backend
+call per page fails tier-1.  ``test_call_budget.py`` holds the whole
+read-change-write cycle.  A read through a row that records where its
+entry starts unpacks one entry header, where a walk unpacks one per
+entry in front of it too; that is counted here as well.
 
 The restart scan (Figure 11) is counted the same way, per scanned page
 of the aged chip, with the spare-decode memo empty as in a freshly
@@ -51,6 +55,7 @@ import tracemalloc
 
 import pytest
 
+from repro.core import differential
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import SCAN_CHUNK_PAGES, recover_driver
 from repro.flash.backend import FileBackend, MemoryBackend
@@ -106,6 +111,39 @@ def test_read_of_a_page_with_its_differential_on_flash(kind, tmp_path, count_pyt
         assert per_read <= CALLS_PER_READ_BUDGET, per_read
     finally:
         driver.chip.close()
+
+
+class CountingHeader:
+    """A stand-in for ``differential._ENTRY_HEADER`` that counts unpacks."""
+
+    def __init__(self, real):
+        self.real = real
+        self.unpacks = 0
+
+    def unpack_from(self, *args):
+        self.unpacks += 1
+        return self.real.unpack_from(*args)
+
+
+def test_a_placed_row_reads_one_entry_header(monkeypatch):
+    """A row whose differential the writer placed says where its entry
+    starts, and the read goes straight there: one entry header unpacked
+    per read.  With the offsets forgotten, as on rows a mapping restart
+    brings back, the same reads walk the entries in front as well."""
+    driver = _aged_driver(MemoryBackend(spec_for_database(PAGES, 0.25)))
+    placed = {pid: entry for pid, entry in driver.ppmt.items() if entry.diff_addr is not None}
+    assert all(entry.diff_at is not None for entry in placed.values())
+    header = CountingHeader(differential._ENTRY_HEADER)
+    monkeypatch.setattr(differential, "_ENTRY_HEADER", header)
+
+    images = [driver.read_page(pid) for pid in placed]
+    assert header.unpacks == len(placed)
+
+    for entry in placed.values():
+        entry.diff_at = None
+    header.unpacks = 0
+    assert [driver.read_page(pid) for pid in placed] == images
+    assert header.unpacks > 2 * len(placed)
 
 
 @pytest.mark.parametrize("kind", ["memory", "file"])

@@ -154,7 +154,7 @@ class TestWriteStalls:
         stats.reset()
         assert stats.gc_steps == 0
         assert stats.gc_step_pages == 0
-        assert stats.write_stall_us == []
+        assert list(stats.write_stall_us) == []
 
 
 class TestPhasePartition:

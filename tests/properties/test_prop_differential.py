@@ -231,6 +231,121 @@ class TestFusedReadMatchesReference:
 
 
 # ----------------------------------------------------------------------
+# The read path's hinted merge == the walked one
+# ----------------------------------------------------------------------
+#: The errors a merge raises for damage inside the entry it merges.
+ENTRY_ERRORS = (
+    "truncated differential run header",
+    "truncated differential run data",
+    "declares",
+    "outside page of",
+)
+
+
+def reference_starts(diffs):
+    """Where each of ``diffs`` starts on the page they are encoded on."""
+    return [4 + sum(d.size for d in diffs[:k]) for k in range(len(diffs))]
+
+
+def assert_hint_agrees(data, pid, base, at, timestamp):
+    """The merge with the hint ``(at, timestamp)`` does what the walk
+    from the first entry does: the same image, or the same error."""
+    hinted = outcome(lambda: merge_from_page(data, pid, base, at, timestamp))
+    assert hinted == outcome(lambda: merge_from_page(data, pid, base))
+    return hinted
+
+
+class TestHintedMergeMatchesWalk:
+    #: Pages as the writer lays them out: entries of distinct pids and
+    #: distinct stamps, made from real page pairs.
+    laid_out = st.tuples(
+        st.lists(page_pairs(), min_size=1, max_size=5),
+        st.sampled_from([1, 3, 8, 16, 24, None]),
+        st.integers(0, 2**32 - 16),
+        st.integers(0, 2**63),
+    ).map(
+        lambda drawn: (
+            [
+                Differential.from_pages(drawn[2] + 2 * i, drawn[3] + i, base, new, unit=drawn[1])
+                for i, (base, new) in enumerate(drawn[0])
+            ],
+            drawn[0],
+        )
+    )
+
+    @given(laid_out=laid_out, padding=st.integers(0, 40))
+    @settings(max_examples=300)
+    def test_true_hints(self, laid_out, padding):
+        diffs, pairs = laid_out
+        page = encode_differential_page(diffs, 4 + sum(d.size for d in diffs))
+        page += b"\xff" * padding  # a real page's erased tail
+        for diff, (base, new), at in zip(diffs, pairs, reference_starts(diffs)):
+            hinted = assert_hint_agrees(page, diff.pid, base, at, diff.timestamp)
+            assert hinted == ("ok", new)
+            assert hinted == outcome(lambda: reference_merge(page, diff.pid, base))
+
+    @given(laid_out=laid_out, inside=st.integers(min_value=0), past=st.integers(0, 64))
+    @settings(max_examples=300)
+    def test_wrong_hints_walk(self, laid_out, inside, past):
+        diffs, pairs = laid_out
+        page = encode_differential_page(diffs, 4 + sum(d.size for d in diffs))
+        starts = reference_starts(diffs)
+        for k, (diff, (base, new)) in enumerate(zip(diffs, pairs)):
+            pid, ts, at = diff.pid, diff.timestamp, starts[k]
+            hints = [
+                (at, ts + 1),  # a wrong stamp
+                (at, None),  # no stamp
+                (len(page) + past, ts),  # past the end
+                (len(page) - 15, ts),  # a header would run off the page
+                (-1, ts),
+                (0, ts),  # the page header
+            ]
+            for j, other in enumerate(diffs):
+                if j != k:
+                    hints.append((starts[j], ts))  # another pid's entry
+                    # Somewhere inside another entry, past its first byte.
+                    hints.append((starts[j] + 1 + inside % (other.size - 1), ts))
+            hints.append((at + 1 + inside % (diff.size - 1), ts))  # inside its own
+            for hint_at, hint_ts in hints:
+                if 0 <= hint_at <= len(page) - 16 and hint_at != at:
+                    if struct.unpack_from("<IQ", page, hint_at) == (pid, hint_ts):
+                        continue  # bytes that read as this very differential's header
+                assert assert_hint_agrees(page, pid, base, hint_at, hint_ts) == ("ok", new)
+            # A pid the page does not hold, hinted at a real entry.
+            assert assert_hint_agrees(page, pid + 1, base, at, ts) == ("ok", None)
+
+    @given(
+        laid_out=laid_out,
+        index=st.integers(min_value=0),
+        field=st.sampled_from(["n_runs", "data_len", "run_offset", "run_length", "cut"]),
+        value=st.integers(0, 0xFFFF),
+    )
+    @settings(max_examples=300)
+    def test_damage_to_the_hinted_entry(self, laid_out, index, field, value):
+        diffs, pairs = laid_out
+        index %= len(diffs)
+        diff, (base, _new) = diffs[index], pairs[index]
+        at = reference_starts(diffs)[index]
+        page = bytearray(encode_differential_page(diffs, 4 + sum(d.size for d in diffs)))
+        n_runs = struct.unpack_from("<H", page, at + 12)[0]
+        if field == "n_runs":
+            struct.pack_into("<H", page, at + 12, value)
+        elif field == "data_len":
+            struct.pack_into("<H", page, at + 14, value)
+        elif field == "cut":
+            # The header stays whole; the runs are cut short anywhere.
+            del page[at + 16 + value % (diff.size - 15) :]
+        elif n_runs:
+            run = at + 16 + 4 * (value % n_runs)
+            struct.pack_into("<H", page, run + (0 if field == "run_offset" else 2), value)
+        data = bytes(page)
+        hinted = assert_hint_agrees(data, diff.pid, base, at, diff.timestamp)
+        assert hinted == outcome(lambda: reference_merge(data, diff.pid, base))
+        if hinted[0] == "DifferentialError":
+            assert any(error in hinted[1] for error in ENTRY_ERRORS), hinted
+
+
+# ----------------------------------------------------------------------
 # The recovery scan's stamps view == a full decode
 # ----------------------------------------------------------------------
 def reference_stamps(data):
@@ -389,10 +504,14 @@ def damaged_page(diffs, damage, index):
 
 
 def scalar_stamps(page):
+    """The scalar walk's stamps, each with where its entry starts (the
+    sizes of the entries before it); ``None`` where the walk raises."""
     try:
-        return differential_page_stamps(page)
+        stamps = differential_page_stamps(page)
     except DifferentialError:
         return None
+    starts = reference_starts(decode_differential_page(page))
+    return [(pid, ts, at) for (pid, ts), at in zip(stamps, starts)]
 
 
 class TestBatchedStampsMatchScalar:
@@ -436,7 +555,7 @@ class TestBatchedStampsMatchScalar:
             page = damaged_page(diffs, damage, 1)
             (stamps,) = differential_page_stamps_batch(page, BATCH_PAGE)
             if reason is None:
-                assert stamps == differential_page_stamps(page) != [], damage
+                assert stamps == scalar_stamps(page) != [], damage
                 continue
             assert stamps is None, damage
             with pytest.raises(DifferentialError, match=reason):
