@@ -73,7 +73,6 @@ from .ftl import (
     UnknownPageError,
     apply_runs,
     make_victim_policy,
-    register_victim_policy,
     victim_policy_names,
 )
 from .ftl.errors import ConcurrencyError, UnallocatedPageError
@@ -86,11 +85,8 @@ from .methods import (
 )
 from .sharding import (
     HashRouter,
-    RangeRouter,
     ShardExecutor,
-    ShardRouter,
     ShardedDriver,
-    make_router,
     recover_all,
 )
 
@@ -122,11 +118,9 @@ __all__ = [
     "PageUpdateMethod",
     "PdlDriver",
     "PhysicalPageMappingTable",
-    "RangeRouter",
     "RecoveryReport",
     "SAMSUNG_K9L8G08U0M",
     "ShardExecutor",
-    "ShardRouter",
     "ShardedDriver",
     "SimulatedPowerLoss",
     "SpareArea",
@@ -137,12 +131,10 @@ __all__ = [
     "apply_runs",
     "compute_runs",
     "make_method",
-    "make_router",
     "make_victim_policy",
     "method_labels",
     "recover_all",
     "recover_driver",
-    "register_victim_policy",
     "spec_for_database",
     "victim_policy_names",
     "__version__",

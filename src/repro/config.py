@@ -43,7 +43,6 @@ from .ftl.ipl import IplDriver
 from .ftl.ipu import IpuDriver
 from .ftl.opu import OpuDriver
 from .sharding.driver import ShardedDriver
-from .sharding.router import ShardRouter
 from .storage.bufferpool.policy import make_eviction_policy
 
 #: The page-update methods a config can name.
@@ -158,7 +157,7 @@ class EngineConfig:
             raise ConfigurationError("IPL needs log_region_bytes (the '(18KB)' of its label)")
         if not isinstance(self.gc, GcConfig):
             raise ConfigurationError(f"gc must be a GcConfig, got {self.gc!r}")
-        make_victim_policy(self.gc.policy)  # raises on an unregistered name
+        make_victim_policy(self.gc.policy)  # raises on an unknown name
         if self.spec is not None and not isinstance(self.spec, FlashSpec):
             raise ConfigurationError(f"spec must be a FlashSpec, got {self.spec!r}")
         make_eviction_policy(self.buffer_policy, 1)  # likewise
@@ -285,7 +284,7 @@ class EngineConfig:
         """The durable half, as ``manifest.json`` records it."""
         full = self._as_dict()
         kept = {key: full[key] for key in ("max_differential_size", "spec", "mapping")}
-        kept.update(n_shards=self.n_chips, router={"kind": "hash"})
+        kept.update({"n_shards": self.n_chips, "router": {"kind": "hash"}})
         return {key: value for key, value in kept.items() if value is not None}
 
     @classmethod
@@ -337,43 +336,33 @@ class EngineConfig:
     # ------------------------------------------------------------------
     # The one assembler
     # ------------------------------------------------------------------
-    def build(self, chips: Chips, router: Optional[ShardRouter] = None) -> PageUpdateMethod:
+    def build(self, chips: Chips) -> PageUpdateMethod:
         """A fresh engine over empty ``chips`` (one chip, or ``n_shards``
-        of them in shard order); ``router`` overrides the array's
-        default hash partition."""
-        shards = [self._driver(chip) for chip in self._chips(chips, router)]
-        return self._stack(shards, router)
+        of them in shard order, hash-partitioned)."""
+        return self._stack([self._driver(chip) for chip in self._chips(chips)])
 
-    def recover(
-        self, chips: Chips, router: Optional[ShardRouter] = None
-    ) -> Tuple[PageUpdateMethod, List[RecoveryReport]]:
+    def recover(self, chips: Chips) -> Tuple[PageUpdateMethod, List[RecoveryReport]]:
         """The engine rebuilt from what ``chips`` hold after a crash or a
         shutdown, plus one report per chip in shard order.
 
         Each chip is recovered on its own (:func:`recover_driver`: the
         journal fast path when the mapping tier is on, else the
-        Figure-11 scan); ``router`` must be the partition in use before.
+        Figure-11 scan); the array routes by the same hash as before.
         """
         if self.method != "PDL":
             raise ConfigurationError(f"only PDL engines recover from flash, not {self.method}")
         recovered = [
-            recover_driver(chip, **self._pdl_options(chip.spec))
-            for chip in self._chips(chips, router)
+            recover_driver(chip, **self._pdl_options(chip.spec)) for chip in self._chips(chips)
         ]
         shards, reports = zip(*recovered)
-        return self._stack(list(shards), router), list(reports)
+        return self._stack(list(shards)), list(reports)
 
-    def _chips(self, chips: Chips, router: Optional[ShardRouter]) -> List[FlashChip]:
+    def _chips(self, chips: Chips) -> List[FlashChip]:
         fleet = [chips] if isinstance(chips, FlashChip) else list(chips)
         if len(fleet) != self.n_chips:
             hint = f"; did you mean '{self.label} x{len(fleet)}'?" if self.n_shards is None else ""
             raise ConfigurationError(
                 f"{self.label!r} takes {self.n_chips} chip(s), got {len(fleet)}{hint}"
-            )
-        if router is not None and router.n_shards != self.n_shards:
-            raise ConfigurationError(
-                f"router partitions {router.n_shards} shards but {self.label!r} has "
-                f"{self.n_shards or 'no'}; a router only applies to an 'xN' array of its size"
             )
         return fleet
 
@@ -403,12 +392,10 @@ class EngineConfig:
             return OpuDriver(chip, gc_config=self.gc)
         return IpuDriver(chip)
 
-    def _stack(
-        self, shards: List[PageUpdateMethod], router: Optional[ShardRouter]
-    ) -> PageUpdateMethod:
+    def _stack(self, shards: List[PageUpdateMethod]) -> PageUpdateMethod:
         if self.n_shards is None:
             return shards[0]
-        return ShardedDriver(shards, router)
+        return ShardedDriver(shards)
 
 
 #: The durable fields — the manifest's keys (``mapping_region`` as ``mapping``).
@@ -443,6 +430,6 @@ def _durable_fields(stored: Mapping[str, Any], where: str) -> Dict[str, Any]:
         # defaulting would send pids to the wrong shards.
         raise ConfigurationError(
             f"database at {where!r} uses router kind {kind!r}; Database.open only "
-            "supports 'hash' (use recover_all with an explicit router for custom partitions)"
+            "supports 'hash', the one partition an array routes by"
         )
     return durable

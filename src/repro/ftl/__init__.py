@@ -24,7 +24,6 @@ from .gc import (
     cost_benefit_policy,
     greedy_policy,
     make_victim_policy,
-    register_victim_policy,
     victim_policy_names,
     wear_aware_policy,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "encode_slot",
     "greedy_policy",
     "make_victim_policy",
-    "register_victim_policy",
     "victim_policy_names",
     "wear_aware_policy",
 ]

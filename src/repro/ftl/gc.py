@@ -67,42 +67,6 @@ VictimPolicy = Callable[[BlockManager], Optional[int]]
 GC_TRIGGER_HEADROOM = 0
 
 
-# ----------------------------------------------------------------------
-# Victim-policy registry
-# ----------------------------------------------------------------------
-#: name -> zero-argument factory returning a fresh policy instance, so
-#: stateful policies never share state between drivers.
-_POLICY_FACTORIES: Dict[str, Callable[[], VictimPolicy]] = {}
-
-
-def register_victim_policy(
-    name: str, factory: Callable[[], VictimPolicy]
-) -> None:
-    """Register a victim-policy factory under ``name`` (case-insensitive).
-
-    A registered name is the one way to select a policy: through
-    :class:`GcConfig` (``Database.open(..., gc=GcConfig(policy="cb"))``)
-    or a method label (``"PDL (256B) x4 gc=cb"``).
-    """
-    _POLICY_FACTORIES[name.lower()] = factory
-
-
-def make_victim_policy(name: str) -> VictimPolicy:
-    """Build a fresh policy instance from its registered name."""
-    factory = _POLICY_FACTORIES.get(name.lower())
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown victim policy {name!r}; registered policies: "
-            f"{', '.join(sorted(_POLICY_FACTORIES))}"
-        )
-    return factory()
-
-
-def victim_policy_names() -> tuple:
-    """Registered policy names, sorted (for error messages and docs)."""
-    return tuple(sorted(_POLICY_FACTORIES))
-
-
 def _tie_break(blocks: BlockManager, block: int) -> tuple:
     """Deterministic preference among equal-score candidates.
 
@@ -209,10 +173,36 @@ def round_robin_policy() -> VictimPolicy:
     return policy
 
 
-register_victim_policy("greedy", lambda: greedy_policy)
-register_victim_policy("cb", lambda: cost_benefit_policy)
-register_victim_policy("wear", wear_aware_policy)
-register_victim_policy("rr", round_robin_policy)
+# ----------------------------------------------------------------------
+# Victim-policy table
+# ----------------------------------------------------------------------
+#: name -> zero-argument factory returning a fresh policy instance, so
+#: stateful policies never share state between drivers.  A name here is
+#: the one way to select a policy: through :class:`GcConfig`
+#: (``Database.open(..., gc=GcConfig(policy="cb"))``) or a method label
+#: (``"PDL (256B) x4 gc=cb"``).
+_POLICY_FACTORIES: Dict[str, Callable[[], VictimPolicy]] = {
+    "greedy": lambda: greedy_policy,
+    "cb": lambda: cost_benefit_policy,
+    "wear": wear_aware_policy,
+    "rr": round_robin_policy,
+}
+
+
+def make_victim_policy(name: str) -> VictimPolicy:
+    """Build a fresh policy instance from its name (case-insensitive)."""
+    factory = _POLICY_FACTORIES.get(name.lower())
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown victim policy {name!r}; registered policies: "
+            f"{', '.join(sorted(_POLICY_FACTORIES))}"
+        )
+    return factory()
+
+
+def victim_policy_names() -> tuple:
+    """The policy names, sorted (for error messages and docs)."""
+    return tuple(sorted(_POLICY_FACTORIES))
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +212,10 @@ register_victim_policy("rr", round_robin_policy)
 class GcConfig:
     """Tuning knobs of the space-management subsystem.
 
-    ``policy`` names a registered victim policy.  ``incremental_steps``
-    bounds the relocations a single write performs (0 keeps the paper's
-    stop-the-world collector); incremental work starts when the free
-    pool falls to the allocator's reserve plus
+    ``policy`` names a victim policy (:func:`victim_policy_names`).
+    ``incremental_steps`` bounds the relocations a single write performs
+    (0 keeps the paper's stop-the-world collector); incremental work
+    starts when the free pool falls to the allocator's reserve plus
     :data:`GC_TRIGGER_HEADROOM`.  ``hot_cold`` splits the
     append point into separate hot and cold active blocks — drivers
     route short-lived pages (PDL differential pages, OPU fresh writes)
@@ -274,7 +264,7 @@ class GarbageCollector:
         #: driver is freed by reference counting (:meth:`_live_handler`).
         self._handler = weakref.ref(handler)
         self.config = config if config is not None else GcConfig()
-        #: A fresh instance of the registered policy ``config.policy`` names.
+        #: A fresh instance of the policy ``config.policy`` names.
         self.policy: VictimPolicy = make_victim_policy(self.config.policy)
         #: Incremental work starts when the free pool is at or below this.
         self.trigger_blocks = blocks.reserve_blocks + GC_TRIGGER_HEADROOM

@@ -16,11 +16,10 @@ the one tokenizer and states the grammar (method, ``xN`` shard count,
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List
 
 from .config import Chips, EngineConfig
 from .ftl.base import PageUpdateMethod
-from .sharding.router import ShardRouter
 
 #: The six configurations of the paper's evaluation (Figure 12's legend).
 PAPER_METHODS = (
@@ -36,18 +35,15 @@ PAPER_METHODS = (
 PAPER_METHODS_NO_IPU = tuple(m for m in PAPER_METHODS if m != "IPU")
 
 
-def make_method(
-    label: str, chip: Chips, *, router: Optional[ShardRouter] = None, **fields: Any
-) -> PageUpdateMethod:
+def make_method(label: str, chip: Chips, **fields: Any) -> PageUpdateMethod:
     """Construct the driver named by a paper-style label.
 
     ``fields`` are further :class:`~repro.config.EngineConfig` fields
     (e.g. ``diff_unit`` or ``gc=GcConfig(incremental_steps=4)`` for the
     ablations); one the label already sets may not be passed again.
-    Sharded labels (``xN``) take exactly N chips; ``router`` overrides
-    the default :class:`HashRouter` partition.
+    Sharded labels (``xN``) take exactly N chips, hash-partitioned.
     """
-    return EngineConfig.parse(label, **fields).build(chip, router)
+    return EngineConfig.parse(label, **fields).build(chip)
 
 
 def method_labels(include_ipu: bool = True) -> List[str]:

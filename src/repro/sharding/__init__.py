@@ -4,11 +4,11 @@ The paper's driver is DBMS-independent so it can sit below any
 page-oriented engine; this package makes it *device-count independent*
 too.  A :class:`ShardedDriver` presents N per-shard drivers (each with
 its own chip, allocator, GC and write buffer) as one
-:class:`~repro.ftl.base.PageUpdateMethod`; a :class:`ShardRouter`
+:class:`~repro.ftl.base.PageUpdateMethod`; one :class:`HashRouter`
 partitions the logical page space; :func:`recover_all` rebuilds every
 shard's mapping tables after a crash.
 
-* :mod:`repro.sharding.router` — hash and range partitioning, pluggable.
+* :mod:`repro.sharding.router` — the splitmix64 hash partition.
 * :mod:`repro.sharding.driver` — the façade: every array operation
   (routing, batched group flush, fsck, aggregated wear reporting)
   stated once, each shard owned through its gate
@@ -31,15 +31,12 @@ Build sharded configurations from paper-style labels::
 from ..flash.stats import AggregateStats
 from .driver import ShardedDriver, ShardExecutor
 from .recovery import recover_all
-from .router import HashRouter, RangeRouter, ShardRouter, make_router
+from .router import HashRouter
 
 __all__ = [
     "AggregateStats",
     "HashRouter",
-    "RangeRouter",
     "ShardExecutor",
-    "ShardRouter",
     "ShardedDriver",
-    "make_router",
     "recover_all",
 ]

@@ -3,11 +3,11 @@
 :class:`ShardedDriver` implements the :class:`PageUpdateMethod` contract
 over a fleet of per-shard drivers, each owning its own chip, allocator,
 GC engine and (for PDL) differential write buffer.  A
-:class:`~repro.sharding.router.ShardRouter` decides which shard owns
+:class:`~repro.sharding.router.HashRouter` decides which shard owns
 each logical page; shard drivers index their tables by the *global* pid,
-so no id translation happens anywhere — the router is the only routing
-state, which is what keeps recovery trivial (rebuild each shard, reuse
-the router).
+so no id translation happens anywhere — the hash partition is the only
+routing state, which is what keeps recovery trivial (rebuild each shard,
+route by the same hash).
 
 Because every shard is an independent device with its own free-space
 pool, sharding multiplies the paper's mechanisms for free:
@@ -48,7 +48,7 @@ from ..flash.spec import FlashSpec
 from ..flash.stats import AggregateStats
 from ..ftl.base import ChangeRun, PageUpdateMethod
 from ..ftl.errors import ConcurrencyError, ConfigurationError
-from .router import HashRouter, ShardRouter
+from .router import HashRouter
 
 
 def _join(calls: Sequence[Callable[[], object]]) -> List[object]:
@@ -188,8 +188,9 @@ def _fsck_shard(shard: PageUpdateMethod, repair: bool):
 class ShardedDriver(PageUpdateMethod):
     """A :class:`PageUpdateMethod` routing pages across shard drivers.
 
-    A single-page operation is one route (``router.shard_of``, its
-    answer checked inline) and one gate (:meth:`ShardExecutor.run`);
+    A single-page operation is one route (``router.shard_of``, the
+    array's hash partition) and one gate (:meth:`ShardExecutor.run`,
+    which bounds-checks the index);
     every batched operation is stated once, here, over
     :meth:`_fan_out` (one thunk per shard, each as its shard's owner, in
     shard order).  Each shard must own its chip: two shards over one
@@ -202,22 +203,13 @@ class ShardedDriver(PageUpdateMethod):
     :class:`ConcurrencyError` afterwards.
     """
 
-    def __init__(
-        self,
-        shards: Sequence[PageUpdateMethod],
-        router: Optional[ShardRouter] = None,
-    ):
+    def __init__(self, shards: Sequence[PageUpdateMethod]):
         # No super().__init__: there is no single chip; spec/stats/page_size
         # are overridden below instead.
         if not shards:
             raise ConfigurationError("ShardedDriver needs at least one shard")
         self.shards: List[PageUpdateMethod] = list(shards)
-        self.router = router if router is not None else HashRouter(len(self.shards))
-        if self.router.n_shards != len(self.shards):
-            raise ConfigurationError(
-                f"router partitions {self.router.n_shards} shards but "
-                f"{len(self.shards)} shard drivers were supplied"
-            )
+        self.router = HashRouter(len(self.shards))
         sizes = {shard.page_size for shard in self.shards}
         if len(sizes) != 1:
             raise ConfigurationError(
@@ -245,17 +237,9 @@ class ShardedDriver(PageUpdateMethod):
     # ------------------------------------------------------------------
     # Routing and execution primitives
     # ------------------------------------------------------------------
-    def _misrouted(self, pid: int, index: int) -> ConfigurationError:
-        return ConfigurationError(
-            f"router sent pid {pid} to shard {index} of {len(self.shards)}"
-        )
-
     def shard_index(self, pid: int) -> int:
-        """The shard index owning ``pid`` (validated against the fleet)."""
-        index = self.router.shard_of(pid)
-        if not 0 <= index < len(self.shards):
-            raise self._misrouted(pid, index)
-        return index
+        """The shard index owning ``pid``."""
+        return self.router.shard_of(pid)
 
     def shard_for(self, pid: int) -> PageUpdateMethod:
         return self.shards[self.shard_index(pid)]
@@ -290,22 +274,16 @@ class ShardedDriver(PageUpdateMethod):
     # and one gate frame per page is all the façade costs.
     def load_page(self, pid: int, data: bytes) -> None:
         index = self.router.shard_of(pid)
-        if not 0 <= index < len(self.shards):
-            raise self._misrouted(pid, index)
         self.executor.run(index, self.shards[index].load_page, pid, data)
 
     def read_page(self, pid: int) -> bytes:
         index = self.router.shard_of(pid)
-        if not 0 <= index < len(self.shards):
-            raise self._misrouted(pid, index)
         return self.executor.run(index, self.shards[index].read_page, pid)
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
     ) -> None:
         index = self.router.shard_of(pid)
-        if not 0 <= index < len(self.shards):
-            raise self._misrouted(pid, index)
         self.executor.run(index, self.shards[index].write_page, pid, data, update_logs)
 
     def end_of_load(self) -> None:
@@ -476,7 +454,4 @@ class ShardedDriver(PageUpdateMethod):
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<{type(self).__name__} {self.name!r} "
-            f"router={type(self.router).__name__} shards={len(self.shards)}>"
-        )
+        return f"<{type(self).__name__} {self.name!r} shards={len(self.shards)}>"

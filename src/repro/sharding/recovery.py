@@ -1,4 +1,4 @@
-"""Sharded crash recovery: rebuild every shard's tables, reuse the router.
+"""Sharded crash recovery: rebuild every shard's tables, route by the same hash.
 
 After a power failure the array's volatile state — every shard's
 physical page mapping table, valid differential count table, allocator
@@ -10,12 +10,11 @@ over each chip independently and reassembles a working
 Two properties make this composition sound:
 
 * shard drivers index their tables by *global* pid, so a shard's scan
-  rebuilds exactly the entries the router will route back to it — no
+  rebuilds exactly the entries the hash will route back to it — no
   cross-shard reconciliation is needed;
-* the router must be the **same stable partition** used before the
-  crash (same kind, same shard count, same parameters).  Routing is
-  pure configuration, not state, so callers persist it as part of
-  deployment config rather than on flash.
+* the partition is the **same stable hash** before and after the crash:
+  it depends on nothing but the shard count, so there is no routing
+  state to persist on flash.
 
 The per-chip scans are independent (each reads only its own chip) and
 run one after another on the calling thread (``docs/concurrency.md``
@@ -24,25 +23,23 @@ says why there are no worker threads).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ..core.recovery import RecoveryReport, recover_driver
 from ..flash.chip import FlashChip
 from .driver import ShardedDriver
-from .router import ShardRouter
 
 __all__ = ["RecoveryReport", "recover_all", "recover_driver"]
 
 
 def recover_all(
-    chips: Sequence[FlashChip], router: Optional[ShardRouter] = None, **fields: Any
+    chips: Sequence[FlashChip], **fields: Any
 ) -> Tuple[ShardedDriver, List[RecoveryReport]]:
     """Rebuild a sharded PDL array from post-crash flash contents.
 
-    ``chips`` are the shard chips in shard order; ``router`` must match
-    the pre-crash partition (defaults to :class:`HashRouter` over
-    ``len(chips)`` shards, the :func:`repro.methods.make_method`
-    default).  ``fields`` are :class:`~repro.config.EngineConfig`
+    ``chips`` are the shard chips in shard order; the array routes by
+    the hash partition over ``len(chips)`` shards, as it did before the
+    crash.  ``fields`` are :class:`~repro.config.EngineConfig`
     fields (``max_differential_size``, ``gc``, ``mapping_cache``, …);
     :meth:`~repro.config.EngineConfig.recover`
     does the work.  Returns the operational driver plus one
@@ -51,4 +48,4 @@ def recover_all(
     from ..config import EngineConfig  # config.py builds on this package's drivers
 
     chips = list(chips)
-    return EngineConfig.of(**{"n_shards": len(chips), **fields}).recover(chips, router)
+    return EngineConfig.of(**{"n_shards": len(chips), **fields}).recover(chips)

@@ -15,7 +15,6 @@ from .bufferpool import (
     EvictionPolicy,
     eviction_policy_names,
     make_eviction_policy,
-    register_eviction_policy,
 )
 from .db import Database
 from .heap import RID, HeapFile
@@ -37,5 +36,4 @@ __all__ = [
     "SlottedPageError",
     "eviction_policy_names",
     "make_eviction_policy",
-    "register_eviction_policy",
 ]

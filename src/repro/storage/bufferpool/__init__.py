@@ -1,7 +1,7 @@
-"""The buffer-pool subsystem: pluggable eviction, pinning, write-back.
+"""The buffer-pool subsystem: eviction policies, pinning, write-back.
 
 Grown out of the original single-file LRU pool: an eviction-policy
-registry mirroring the GC victim-policy registry (``lru``,
+table mirroring the GC victim-policy table (``lru``,
 scan-resistant ``2q``) and thread-safe frame pinning for many client
 threads over one driver.  A dirty frame is written back only when it
 has to be: on eviction, ``flush_page`` or ``flush_all``.  See
@@ -15,7 +15,6 @@ from .policy import (
     TwoQPolicy,
     eviction_policy_names,
     make_eviction_policy,
-    register_eviction_policy,
 )
 from .stats import BufferStats
 
@@ -28,5 +27,4 @@ __all__ = [
     "TwoQPolicy",
     "eviction_policy_names",
     "make_eviction_policy",
-    "register_eviction_policy",
 ]

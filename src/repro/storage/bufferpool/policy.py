@@ -1,8 +1,7 @@
-"""Pluggable buffer-pool eviction policies and their registry.
+"""Buffer-pool eviction policies and their name table.
 
-Mirrors the GC victim-policy registry of :mod:`repro.ftl.gc`: policies
-are registered under a name, selected by
-``Database.open(..., buffer_policy="2q")`` or
+Mirrors the GC victim-policy table of :mod:`repro.ftl.gc`: each policy
+has a name, selected by ``Database.open(..., buffer_policy="2q")`` or
 ``BufferManager(..., policy="2q")``, and each pool gets a fresh
 instance so stateful policies never share bookkeeping.
 
@@ -83,41 +82,6 @@ class EvictionPolicy:
 
     def _count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
-
-
-# ----------------------------------------------------------------------
-# Registry (mirrors repro.ftl.gc's victim-policy registry)
-# ----------------------------------------------------------------------
-#: name -> factory taking the pool capacity, returning a fresh instance.
-_POLICY_FACTORIES: Dict[str, Callable[[int], EvictionPolicy]] = {}
-
-
-def register_eviction_policy(
-    name: str, factory: Callable[[int], EvictionPolicy]
-) -> None:
-    """Register an eviction-policy factory under ``name`` (case-insensitive).
-
-    Registered names are selectable through
-    ``BufferManager(..., policy=name)`` and
-    :meth:`repro.storage.db.Database.open`'s ``buffer_policy`` keyword.
-    """
-    _POLICY_FACTORIES[name.lower()] = factory
-
-
-def make_eviction_policy(name: str, capacity: int) -> EvictionPolicy:
-    """Build a fresh policy instance from its registered name."""
-    factory = _POLICY_FACTORIES.get(name.lower())
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown eviction policy {name!r}; registered policies: "
-            f"{', '.join(sorted(_POLICY_FACTORIES))}"
-        )
-    return factory(capacity)
-
-
-def eviction_policy_names() -> tuple:
-    """Registered policy names, sorted (for error messages and docs)."""
-    return tuple(sorted(_POLICY_FACTORIES))
 
 
 # ----------------------------------------------------------------------
@@ -253,5 +217,31 @@ class TwoQPolicy(EvictionPolicy):
             yield from list(queue)
 
 
-register_eviction_policy("lru", LruPolicy)
-register_eviction_policy("2q", TwoQPolicy)
+# ----------------------------------------------------------------------
+# Policy table (mirrors repro.ftl.gc's victim-policy table)
+# ----------------------------------------------------------------------
+#: name -> factory taking the pool capacity, returning a fresh instance.
+#: The names are selectable through ``BufferManager(..., policy=name)``
+#: and :meth:`repro.storage.db.Database.open`'s ``buffer_policy``
+#: keyword; a policy object outside the table is passed as an instance,
+#: ``BufferManager(..., policy=MyPolicy(capacity))``.
+_POLICY_FACTORIES: Dict[str, Callable[[int], EvictionPolicy]] = {
+    "lru": LruPolicy,
+    "2q": TwoQPolicy,
+}
+
+
+def make_eviction_policy(name: str, capacity: int) -> EvictionPolicy:
+    """Build a fresh policy instance from its name (case-insensitive)."""
+    factory = _POLICY_FACTORIES.get(name.lower())
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown eviction policy {name!r}; registered policies: "
+            f"{', '.join(sorted(_POLICY_FACTORIES))}"
+        )
+    return factory(capacity)
+
+
+def eviction_policy_names() -> tuple:
+    """The policy names, sorted (for error messages and docs)."""
+    return tuple(sorted(_POLICY_FACTORIES))

@@ -139,7 +139,7 @@ class Database:
         ones are this process's to pass again.  Everything is validated
         before anything is created or opened.
         """
-        from ..config import EngineConfig  # config.py builds on this package's pool registry
+        from ..config import EngineConfig  # config.py builds on this package's pool table
 
         path = os.fspath(path)
         manifest_path = os.path.join(path, MANIFEST_NAME)

@@ -1,5 +1,5 @@
 """Workload generators (S8–S9): the paper's synthetic update operations,
-read/update mixes, scaled TPC-C, and the named access-pattern registry
+read/update mixes, scaled TPC-C, and the named access-pattern table
 behind the scenario suite (see ``docs/workloads.md``)."""
 
 from .patterns import (
@@ -12,7 +12,6 @@ from .patterns import (
     make_pattern,
     pattern_names,
     record_pattern,
-    register_pattern,
 )
 from .runner import (
     MethodMeasurement,
@@ -48,6 +47,5 @@ __all__ = [
     "measure_updates",
     "pattern_names",
     "record_pattern",
-    "register_pattern",
     "warm_to_steady_state",
 ]

@@ -7,7 +7,7 @@ workload" by a string instead of re-rolling its own loop:
 
 * ``sequential`` — ascending pid order, wrapping (pure update churn);
 * ``strided`` — a fixed prime stride, the classic index-walk shape;
-* ``zipf-<theta>`` — Zipfian-skewed updates at several pre-registered
+* ``zipf-<theta>`` — Zipfian-skewed updates at several pre-named
   thetas (``zipf-0.6`` mild … ``zipf-1.2`` heavy), ranks scattered over
   pids so hot pages are not physically clustered;
 * ``scan-hot`` — full sequential read scans interleaved with a hot-set
@@ -32,6 +32,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -64,7 +65,7 @@ class AccessPattern:
     is built on.
     """
 
-    #: Registry name; parameterized instances refine it (``zipf-0.9``).
+    #: Table name; parameterized instances refine it (``zipf-0.9``).
     name: str = "abstract"
 
     def ops(self, n_pages: int, n_ops: int, rng: random.Random) -> Iterator[Op]:
@@ -72,41 +73,6 @@ class AccessPattern:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-
-_REGISTRY: Dict[str, Callable[[], AccessPattern]] = {}
-
-
-def register_pattern(name: str, factory: Callable[[], AccessPattern]) -> None:
-    """Register a named zero-argument pattern factory.
-
-    Mirrors the GC victim-policy and buffer eviction-policy registries:
-    re-registering a taken name is an error, so two subsystems cannot
-    silently fight over what a scenario name means.
-    """
-    key = name.lower()
-    if key in _REGISTRY:
-        raise ValueError(f"pattern {name!r} is already registered")
-    _REGISTRY[key] = factory
-
-
-def make_pattern(name: str) -> AccessPattern:
-    """Instantiate a registered pattern by name (case-insensitive)."""
-    key = name.lower()
-    factory = _REGISTRY.get(key)
-    if factory is None:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ValueError(f"unknown pattern {name!r}; registered: {known}")
-    return factory()
-
-
-def pattern_names() -> List[str]:
-    """All registered pattern names, sorted."""
-    return sorted(_REGISTRY)
 
 
 # ----------------------------------------------------------------------
@@ -451,22 +417,42 @@ def record_pattern(
 
 
 # ----------------------------------------------------------------------
-# Default registrations
+# Pattern table
 # ----------------------------------------------------------------------
 
-register_pattern("sequential", SequentialPattern)
-register_pattern("strided", StridedPattern)
-for _theta in (0.6, 0.9, 0.99, 1.2):
-    register_pattern(
-        f"zipf-{_theta:g}", lambda theta=_theta: ZipfPattern(theta)
-    )
-register_pattern("scan-hot", ScanHotPattern)
-for _letter in YcsbPattern.MIXES:
-    register_pattern(
-        f"ycsb-{_letter}", lambda letter=_letter: YcsbPattern(letter)
-    )
+#: name -> zero-argument factory; adding a pattern is one entry here.
+_PATTERNS: Dict[str, Callable[[], AccessPattern]] = {
+    "sequential": SequentialPattern,
+    "strided": StridedPattern,
+    "zipf-0.6": partial(ZipfPattern, 0.6),
+    "zipf-0.9": partial(ZipfPattern, 0.9),
+    "zipf-0.99": partial(ZipfPattern, 0.99),
+    "zipf-1.2": partial(ZipfPattern, 1.2),
+    "scan-hot": ScanHotPattern,
+    "ycsb-a": partial(YcsbPattern, "a"),
+    "ycsb-b": partial(YcsbPattern, "b"),
+    "ycsb-c": partial(YcsbPattern, "c"),
+    "ycsb-d": partial(YcsbPattern, "d"),
+    "ycsb-e": partial(YcsbPattern, "e"),
+    "ycsb-f": partial(YcsbPattern, "f"),
+}
+
+
+def make_pattern(name: str) -> AccessPattern:
+    """Instantiate a pattern by name (case-insensitive)."""
+    key = name.lower()
+    factory = _PATTERNS.get(key)
+    if factory is None:
+        known = ", ".join(sorted(_PATTERNS))
+        raise ValueError(f"unknown pattern {name!r}; registered: {known}")
+    return factory()
+
+
+def pattern_names() -> List[str]:
+    """All pattern names, sorted."""
+    return sorted(_PATTERNS)
 
 
 def default_pattern_set(names: Optional[Sequence[str]] = None) -> List[AccessPattern]:
-    """Instantiate a pattern list by names (defaults to the full registry)."""
+    """Instantiate a pattern list by names (defaults to the full table)."""
     return [make_pattern(name) for name in (names or pattern_names())]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.pdl import PdlDriver
 from repro.flash.chip import FlashChip
-from repro.ftl.gc import GcConfig, register_victim_policy, wear_aware_policy
+from repro.ftl.gc import GcConfig, wear_aware_policy
 from repro.ftl.opu import OpuDriver
 
 
@@ -63,9 +63,9 @@ class TestWearBehaviour:
         assert rr_max <= greedy_max + 2
 
     def test_wear_aware_avoids_hot_blocks(self, tiny_spec):
-        register_victim_policy("test-wear-5", lambda: wear_aware_policy(wear_weight=5.0))
         chip = FlashChip(tiny_spec)
-        driver = OpuDriver(chip, gc_config=GcConfig(policy="test-wear-5"))
+        driver = OpuDriver(chip)
+        driver.gc.policy = wear_aware_policy(wear_weight=5.0)
         _soak(driver, random.Random(4), steps=800)
         counts = [chip.erase_count(b) for b in range(tiny_spec.n_blocks)]
         # no block should be erased wildly more than the mean

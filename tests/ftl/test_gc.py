@@ -17,7 +17,6 @@ from repro.ftl.gc import (
     cost_benefit_policy,
     greedy_policy,
     make_victim_policy,
-    register_victim_policy,
     victim_policy_names,
     wear_aware_policy,
 )
@@ -377,10 +376,8 @@ class TestBackendDeterminism:
             victims.append(victim)
             return victim
 
-        register_victim_policy("test-recording", lambda: recording_policy)
-        driver = PdlDriver(
-            chip, max_differential_size=64, gc_config=GcConfig(policy="test-recording")
-        )
+        driver = PdlDriver(chip, max_differential_size=64)
+        driver.gc.policy = recording_policy
         rng = random.Random(99)
         images = {pid: rng.randbytes(256) for pid in range(10)}
         for pid, data in images.items():

@@ -1,15 +1,14 @@
-"""Property tests for the sharded driver and its routers.
+"""Property tests for the sharded driver and its hash partition.
 
 Two families of guarantees:
 
 * **Read equivalence** — random operation sequences applied to a
   :class:`ShardedDriver` and to a single-chip oracle (a plain PDL driver
   plus an in-memory model) must be indistinguishable through
-  ``read_page``, for hash and range routing alike.
+  ``read_page``.
 * **Routing is a total, stable partition** — every non-negative pid maps
   to exactly one shard in range, the mapping never changes between
-  calls, and sequential id spaces spread across all shards (hash) or
-  split into contiguous runs (range).
+  calls, and sequential id spaces spread across all shards.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +19,7 @@ from repro.flash.chip import FlashChip
 from repro.flash.spec import FlashSpec
 from repro.methods import make_method
 from repro.sharding.recovery import recover_all
-from repro.sharding.router import HashRouter, RangeRouter, make_router
+from repro.sharding.router import HashRouter
 
 SHARD_SPEC = FlashSpec(
     n_blocks=8, pages_per_block=8, page_data_size=256, page_spare_size=16
@@ -43,21 +42,11 @@ ops = st.lists(
 )
 
 
-def _routers(n_shards):
-    return st.sampled_from(
-        [
-            HashRouter(n_shards),
-            RangeRouter.for_database(n_shards, N_PIDS),
-        ]
-    )
-
-
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(seq=ops, n_shards=st.integers(2, 4), data=st.data())
-def test_sharded_matches_single_chip_oracle(seq, n_shards, data):
-    router = data.draw(_routers(n_shards))
+@given(seq=ops, n_shards=st.integers(2, 4))
+def test_sharded_matches_single_chip_oracle(seq, n_shards):
     chips = [FlashChip(SHARD_SPEC) for _ in range(n_shards)]
-    sharded = make_method("PDL (48B) x%d" % n_shards, chips, router=router)
+    sharded = make_method("PDL (48B) x%d" % n_shards, chips)
     oracle = PdlDriver(FlashChip(ORACLE_SPEC), max_differential_size=48)
     model = {}
     for pid in range(N_PIDS):
@@ -110,14 +99,9 @@ def test_sharded_recovery_matches_flushed_state(seq, n_shards):
 
 class TestRouterPartitionProperties:
     @settings(max_examples=200, deadline=None)
-    @given(
-        pid=st.integers(0, 10**12),
-        n_shards=st.integers(1, 16),
-        kind=st.sampled_from(["hash", "range"]),
-    )
-    def test_total_and_stable(self, pid, n_shards, kind):
-        kwargs = {"pages_per_shard": 64} if kind == "range" else {}
-        router = make_router(kind, n_shards, **kwargs)
+    @given(pid=st.integers(0, 10**12), n_shards=st.integers(1, 16))
+    def test_total_and_stable(self, pid, n_shards):
+        router = HashRouter(n_shards)
         shard = router.shard_of(pid)
         assert 0 <= shard < n_shards  # total: every pid lands in range
         assert router.shard_of(pid) == shard  # stable: repeated calls agree
@@ -128,17 +112,6 @@ class TestRouterPartitionProperties:
         router = HashRouter(n_shards)
         hit = {router.shard_of(pid) for pid in range(64 * n_shards)}
         assert hit == set(range(n_shards))
-
-    @settings(max_examples=50, deadline=None)
-    @given(n_shards=st.integers(2, 8), width=st.integers(1, 64))
-    def test_range_is_monotone_and_clamped(self, n_shards, width):
-        router = RangeRouter(n_shards, width)
-        previous = 0
-        for pid in range(n_shards * width + 2 * width):
-            shard = router.shard_of(pid)
-            assert shard >= previous  # contiguous, non-decreasing runs
-            previous = shard
-        assert router.shard_of(10**9) == n_shards - 1  # tail clamps
 
     def test_partition_is_disjoint_by_construction(self):
         """shard_of is a function: one pid, one shard — across routers of
@@ -151,6 +124,5 @@ class TestRouterPartitionProperties:
     def test_negative_pid_rejected(self):
         import pytest
 
-        for router in (HashRouter(3), RangeRouter(3, 16)):
-            with pytest.raises(ValueError):
-                router.shard_of(-1)
+        with pytest.raises(ValueError):
+            HashRouter(3).shard_of(-1)

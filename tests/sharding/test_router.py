@@ -1,4 +1,4 @@
-"""Unit tests for shard routers (hash / range / factory)."""
+"""Unit tests for the array's hash partition (:class:`HashRouter`)."""
 
 import random
 import sys
@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.sharding.router import HashRouter, RangeRouter, ShardRouter, make_router
+from repro.sharding.router import HashRouter
 
 
 class TestHashRouter:
@@ -85,68 +85,13 @@ class TestHashRouter:
         assert wrong == []
 
 
-class TestRangeRouter:
-    def test_contiguous_ranges(self):
-        router = RangeRouter(3, pages_per_shard=10)
-        assert [router.shard_of(p) for p in (0, 9, 10, 19, 20, 29)] == [0, 0, 1, 1, 2, 2]
-
-    def test_tail_clamps_to_last_shard(self):
-        router = RangeRouter(3, pages_per_shard=10)
-        assert router.shard_of(30) == 2
-        assert router.shard_of(10**9) == 2
-
-    def test_for_database_splits_evenly(self):
-        router = RangeRouter.for_database(4, 100)
-        assert router.pages_per_shard == 25
-        counts = [0] * 4
-        for pid in range(100):
-            counts[router.shard_of(pid)] += 1
-        assert counts == [25, 25, 25, 25]
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            RangeRouter(2, pages_per_shard=0)
-        with pytest.raises(ValueError):
-            RangeRouter.for_database(2, 0)
-
-
 class TestRouterContract:
     def test_shard_count_validation(self):
         with pytest.raises(ValueError):
             HashRouter(0)
-        with pytest.raises(ValueError):
-            RangeRouter(-1, 10)
 
     def test_negative_pid_rejected(self):
-        for router in (HashRouter(2), RangeRouter(2, pages_per_shard=10)):
-            router.shard_of(7)  # a routed pid must not let a negative one wrap
-            with pytest.raises(ValueError, match="logical page id -5 must be non-negative"):
-                router.shard_of(-5)
-
-    def test_abstract_base(self):
-        with pytest.raises(TypeError):
-            ShardRouter(2)  # type: ignore[abstract]
-
-
-class TestMakeRouter:
-    def test_hash(self):
-        router = make_router("hash", 3)
-        assert isinstance(router, HashRouter)
-        assert router.n_shards == 3
-
-    def test_range_by_width(self):
-        router = make_router("range", 2, pages_per_shard=7)
-        assert isinstance(router, RangeRouter)
-        assert router.pages_per_shard == 7
-
-    def test_range_by_database(self):
-        router = make_router("range", 2, database_pages=11)
-        assert router.pages_per_shard == 6
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            make_router("consistent-hashing", 2)
-        with pytest.raises(ValueError):
-            make_router("range", 2)
-        with pytest.raises(ValueError):
-            make_router("hash", 2, pages_per_shard=5)
+        router = HashRouter(2)
+        router.shard_of(7)  # a routed pid must not let a negative one wrap
+        with pytest.raises(ValueError, match="logical page id -5 must be non-negative"):
+            router.shard_of(-5)

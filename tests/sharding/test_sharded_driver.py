@@ -14,7 +14,6 @@ from repro.config import EngineConfig
 from repro.methods import make_method
 from repro.sharding.driver import ShardedDriver
 from repro.sharding.recovery import recover_all
-from repro.sharding.router import HashRouter, RangeRouter
 
 SPEC = FlashSpec(n_blocks=8, pages_per_block=8, page_data_size=256, page_spare_size=16)
 PAGE = SPEC.page_data_size
@@ -60,14 +59,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             make_method("PDL (64B) x3", _chips(2))
 
-    def test_router_shard_count_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_method("PDL (64B) x2", _chips(2), router=HashRouter(3))
-
-    def test_router_on_unsharded_label_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_method("PDL (64B)", FlashChip(SPEC), router=HashRouter(1))
-
     def test_page_size_mismatch_rejected(self):
         other = FlashSpec(
             n_blocks=8, pages_per_block=8, page_data_size=512, page_spare_size=16
@@ -112,21 +103,11 @@ class TestRoutingBehaviour:
         for pid in range(24):
             driver.load_page(pid, bytes([pid]) * PAGE)
         for pid in range(24):
-            owner = driver.router.shard_of(pid)
+            owner = driver.shard_index(pid)
             assert pid in driver.shards[owner].ppmt
             for i, shard in enumerate(driver.shards):
                 if i != owner:
                     assert pid not in shard.ppmt
-
-    def test_range_router_keeps_ranges_together(self):
-        chips = _chips(2)
-        driver = make_method(
-            "PDL (64B) x2", chips, router=RangeRouter.for_database(2, 16)
-        )
-        for pid in range(16):
-            driver.load_page(pid, bytes([pid]) * PAGE)
-        assert sorted(list(driver.shards[0].ppmt.pids())) == list(range(8))
-        assert sorted(list(driver.shards[1].ppmt.pids())) == list(range(8, 16))
 
     def test_read_write_round_trip(self):
         _, driver = _sharded(3)
@@ -187,9 +168,6 @@ class TestGroupFlush:
         assert recovered.read_page(0) == bytes(PAGE)
 
     def test_recover_all_validates_router(self):
-        chips, driver = _sharded(2)
-        with pytest.raises(ConfigurationError):
-            recover_all(chips, router=HashRouter(3))
         with pytest.raises(ConfigurationError):
             recover_all([])
 
@@ -236,7 +214,7 @@ class TestAggregateStats:
     def test_chip_clocks_advance_independently(self):
         chips, driver = _sharded(2)
         pid = 0
-        while driver.router.shard_of(pid) != 0:
+        while driver.shard_index(pid) != 0:
             pid += 1
         driver.load_page(pid, bytes(PAGE))
         clocks = driver.chip_clocks()

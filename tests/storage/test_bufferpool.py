@@ -22,7 +22,6 @@ from repro.storage.bufferpool import (
     BufferManager,
     eviction_policy_names,
     make_eviction_policy,
-    register_eviction_policy,
 )
 from repro.storage.bufferpool.policy import (
     EvictionPolicy,
@@ -61,15 +60,14 @@ class TestRegistry:
         assert isinstance(make_eviction_policy("2Q", 4), TwoQPolicy)
 
     def test_custom_registration(self, driver):
+        """A policy outside the name table plugs in as an instance."""
         class Fifo(LruPolicy):
             name = "fifo-test"
 
             def touch(self, pid):
                 pass  # no recency: admission order only
 
-        register_eviction_policy("fifo-test", Fifo)
-        assert "fifo-test" in eviction_policy_names()
-        pool = BufferManager(driver, 2, policy="fifo-test")
+        pool = BufferManager(driver, 2, policy=Fifo(2))
         _load(driver, 3)
         pool.get_page(0)
         pool.get_page(1)

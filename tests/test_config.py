@@ -19,15 +19,17 @@ from hypothesis import strategies as st
 
 from repro.bench.figures import SCALES
 from repro.config import DURABLE, EngineConfig
-from repro.flash.backend import FileBackend
+from repro.flash.backend import BackendError, FileBackend
 from repro.flash.chip import FlashChip
 from repro.flash.spec import SAMSUNG_K9L8G08U0M, TINY_SPEC, FlashSpec
 from repro.ftl.errors import ConfigurationError
-from repro.ftl.gc import GcConfig
+from repro.ftl.gc import GcConfig, victim_policy_names
 from repro.methods import PAPER_METHODS, make_method
 from repro.sharding.driver import ShardedDriver
 from repro.sharding.recovery import recover_all
+from repro.storage.bufferpool import eviction_policy_names
 from repro.storage.db import Database
+from repro.workloads.patterns import pattern_names
 from repro.workloads.runner import RunnerConfig
 
 SPEC = FlashSpec(n_blocks=24, pages_per_block=8, page_data_size=256, page_spare_size=32)
@@ -144,22 +146,40 @@ def test_rejected_when_the_config_is_made(make):
         make()
 
 
-def test_chip_count_and_router_are_checked_before_anything_is_built():
-    from repro.sharding.router import HashRouter
-
+def test_chip_count_and_router_are_checked_before_anything_is_built(tmp_path, monkeypatch):
     chips = [FlashChip(TINY_SPEC) for _ in range(3)]
     with pytest.raises(ConfigurationError, match="takes 2 chip"):
         EngineConfig.parse("PDL (64B) x2").build(chips)
     with pytest.raises(ConfigurationError, match="did you mean 'PDL \\(64B\\) x3'"):
         EngineConfig.parse("PDL (64B)").build(chips)
-    with pytest.raises(ConfigurationError, match="router"):
-        EngineConfig.parse("PDL (64B) x3").build(chips, HashRouter(2))
-    with pytest.raises(ConfigurationError, match="router"):
-        EngineConfig.parse("PDL (64B)").build(chips[0], HashRouter(1))
     with pytest.raises(ConfigurationError, match="only PDL"):
         EngineConfig.parse("OPU x3").recover(chips)
     for chip in chips:  # nothing was programmed on the way to the error
         assert chip.stats.totals().writes == 0
+
+    # A manifest whose router is not the hash partition (another kind, or
+    # none) is refused, naming the directory and the kind, and a
+    # malformed one is a BackendError: both before any image is opened.
+    _create(tmp_path)
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+
+    def no_image(*args, **kwargs):
+        raise AssertionError("a shard image was opened before the manifest check")
+
+    monkeypatch.setattr(FileBackend, "open", no_image)
+    for router, error, named in [
+        ({"kind": "range"}, ConfigurationError, "router kind 'range'"),
+        (None, ConfigurationError, "router kind None"),
+        ("hash", BackendError, "malformed"),
+    ]:
+        stored = {key: value for key, value in manifest.items() if key != "router"}
+        if router is not None:
+            stored["router"] = router
+        manifest_path.write_text(json.dumps(stored), encoding="utf-8")
+        with pytest.raises(error, match=named) as raised:
+            Database.open(tmp_path)
+        assert str(tmp_path) in str(raised.value)
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +252,28 @@ def test_durable_fields_not_passed_come_from_the_manifest(tmp_path):
     # Passing the stored values again is not a contradiction either.
     with Database.open(tmp_path, spec=SPEC, n_shards=2, max_differential_size=64):
         pass
+
+
+def test_the_name_tables_are_closed():
+    """Every name a config, label or scenario may use; a new one is a
+    reviewed entry in its table, never a runtime registration."""
+    assert set(victim_policy_names()) == {"greedy", "cb", "wear", "rr"}
+    assert set(eviction_policy_names()) == {"lru", "2q"}
+    assert pattern_names() == [
+        "scan-hot",
+        "sequential",
+        "strided",
+        "ycsb-a",
+        "ycsb-b",
+        "ycsb-c",
+        "ycsb-d",
+        "ycsb-e",
+        "ycsb-f",
+        "zipf-0.6",
+        "zipf-0.9",
+        "zipf-0.99",
+        "zipf-1.2",
+    ]
 
 
 # ----------------------------------------------------------------------

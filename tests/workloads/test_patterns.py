@@ -22,7 +22,6 @@ from repro.workloads.patterns import (
     make_pattern,
     pattern_names,
     record_pattern,
-    register_pattern,
 )
 
 N_PAGES = 32
@@ -67,10 +66,6 @@ class TestRegistry:
     def test_unknown_name_lists_registry(self):
         with pytest.raises(ValueError, match="registered:"):
             make_pattern("nope")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_pattern("sequential", SequentialPattern)
 
     def test_default_pattern_set_instantiates_everything(self):
         patterns = default_pattern_set()
