@@ -27,15 +27,19 @@ unchanged bytes than a run header costs are coalesced (configurable
 The encoded entry is the one representation of a differential:
 :meth:`Differential.from_pages` goes from two page images to entry bytes
 in one pass, :meth:`Differential.apply` patches a page straight from them,
-and everything between moves those bytes (docs/architecture.md).  The
-read path does not even lift the entry out: :func:`merge_from_page`
-patches the base page straight from the differential page's bytes.
+and everything between moves those bytes (docs/architecture.md).  Pages
+are read through one entry walk (:func:`_walk_entries`), one per-entry
+validator (:func:`_entry_runs`) and one run copy (:func:`_copy_runs`):
+the decoders validate every entry the walk passes, and
+:func:`merge_from_page` — the read path, which patches the base page
+straight from the differential page's bytes — validates and copies only
+the entry stamped with the mapping row's ``(pid, timestamp)``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -283,21 +287,8 @@ class Differential:
     # ------------------------------------------------------------------
     def apply(self, base: bytes) -> bytes:
         """Merge this differential with its base page (PDL_Reading Step 3)."""
-        if self.size == ENTRY_HEADER_SIZE:
-            return base
         flat, pos = self._run_headers()
-        wire = self.wire
-        image = bytearray(base)
-        size = len(image)
-        for offset, length in zip(flat[::2], flat[1::2]):
-            end = offset + length
-            if end > size:
-                raise DifferentialError(
-                    f"run [{offset}, {end}) outside page of {size} bytes"
-                )
-            image[offset:end] = wire[pos : pos + length]
-            pos += length
-        return bytes(image)
+        return _copy_runs(base, flat, self.wire, pos)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -308,7 +299,7 @@ class Differential:
     @classmethod
     def decode_from(cls, buf: bytes, pos: int) -> Tuple["Differential", int]:
         """Decode one entry starting at ``pos``; returns it and the new pos."""
-        ((pid, timestamp, end),) = _walk_entries(buf, pos, 1)
+        ((pid, timestamp, _at, end, _n, _len),) = _walk_entries(buf, pos, 1)
         return cls.__new__(cls)._set(pid, timestamp, bytes(buf[pos:end])), end
 
 
@@ -353,53 +344,91 @@ def _entry_count(data: bytes) -> int:
     return count
 
 
-def _walk_entries(buf: bytes, pos: int, count: int) -> List[Tuple[int, int, int]]:
-    """Validate ``count`` consecutive entries starting at ``pos``; returns
-    each one's ``(pid, timestamp, end)``, where ``end`` is the next entry's
-    start.
-
-    The one place an entry is validated in full: its header, its run
-    headers and its run data must fit in ``buf``, and the run lengths must
-    sum to the declared ``data_len`` — checked in that order, so every
-    decoder built on this walk fails with the same error on the same
-    bytes.  Nothing is sliced; the run headers are unpacked by one struct
-    call per entry only to sum their lengths.
+def _walk_entries(
+    buf: bytes,
+    pos: int,
+    count: int,
+    pid: Optional[int] = None,
+    timestamp: Optional[int] = None,
+) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """The one walk over an entry chain: ``count`` entries from ``pos``,
+    each yielded as ``(pid, timestamp, at, end, n_runs, data_len)`` (``at``
+    its start, ``end`` the next one's).  Each header must fit in ``buf``;
+    the walk advances by the lengths it declares.  Without ``pid`` every
+    entry is validated (:func:`_entry_runs`) and yielded; with ``pid``,
+    only the entries stamped ``(pid, timestamp)`` (any stamp when
+    ``timestamp`` is ``None``), unvalidated, so a passed entry costs one
+    header unpack.  Either way an entry a caller sees is checked before
+    the walk steps past it: every caller fails alike on the same bytes.
     """
     size = len(buf)
-    headers = _RUN_HEADER_STRUCTS
-    walked: List[Tuple[int, int, int]] = []
+    unpack = _ENTRY_HEADER.unpack_from
     for _ in range(count):
-        runs_at = pos + ENTRY_HEADER_SIZE
-        if runs_at > size:
+        if pos + ENTRY_HEADER_SIZE > size:
             raise DifferentialError("truncated differential entry header")
-        pid, timestamp, n_runs, data_len = _ENTRY_HEADER.unpack_from(buf, pos)
-        data_at = runs_at + RUN_HEADER_SIZE * n_runs
-        if data_at > size:
-            raise DifferentialError("truncated differential run header")
-        # All run headers in one struct call; every second field is a length.
-        run_header = headers.get(n_runs) or _run_header_struct(n_runs)
-        carried = sum(run_header.unpack_from(buf, runs_at)[1::2])
-        pos = data_at + carried
-        if pos > size:
+        entry_pid, entry_ts, n_runs, data_len = unpack(buf, pos)
+        end = pos + ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * n_runs + data_len
+        if pid is None:
+            _entry_runs(buf, pos, entry_pid, n_runs, data_len)
+            yield entry_pid, entry_ts, pos, end, n_runs, data_len
+        elif entry_pid == pid and (timestamp is None or entry_ts == timestamp):
+            yield entry_pid, entry_ts, pos, end, n_runs, data_len
+        if end > size:
             raise DifferentialError("truncated differential run data")
-        if carried != data_len:
-            raise DifferentialError(
-                f"differential for pid {pid} declares {data_len} data bytes "
-                f"but carries {carried}"
-            )
-        walked.append((pid, timestamp, pos))
-    return walked
+        pos = end
+
+
+def _entry_runs(
+    buf: bytes, at: int, pid: int, n_runs: int, data_len: int
+) -> Tuple[Tuple[int, ...], int]:
+    """Validate the entry at ``at`` whose header reads ``(pid, _, n_runs,
+    data_len)``: its run headers and its run data must fit in ``buf``,
+    and the run lengths must sum to ``data_len``, checked in that order.
+    Returns its flat ``(offset, length, …)`` run headers, unpacked by one
+    struct call, and where its run data starts."""
+    runs_at = at + ENTRY_HEADER_SIZE
+    data_at = runs_at + RUN_HEADER_SIZE * n_runs
+    size = len(buf)
+    if data_at > size:
+        raise DifferentialError("truncated differential run header")
+    flat = (_RUN_HEADER_STRUCTS.get(n_runs) or _run_header_struct(n_runs)).unpack_from(buf, runs_at)
+    carried = sum(flat[1::2])
+    if data_at + carried > size:
+        raise DifferentialError("truncated differential run data")
+    if carried != data_len:
+        raise DifferentialError(
+            f"differential for pid {pid} declares {data_len} data bytes "
+            f"but carries {carried}"
+        )
+    return flat, data_at
+
+
+def _copy_runs(base: bytes, flat: Sequence[int], src: bytes, pos: int) -> bytes:
+    """``base`` with the runs of the flat ``(offset, length, …)`` headers
+    copied in from ``src``, whose run data starts at ``pos``; ``base``
+    itself when there are none.  Every run is checked against the page
+    bounds."""
+    if not flat:
+        return base
+    image = bytearray(base)
+    size = len(image)
+    for offset, length in zip(flat[::2], flat[1::2]):
+        end = offset + length
+        if end > size:
+            raise DifferentialError(f"run [{offset}, {end}) outside page of {size} bytes")
+        image[offset:end] = src[pos : pos + length]
+        pos += length
+    return bytes(image)
 
 
 def decode_differential_page(data: bytes) -> List[Differential]:
     """Parse a differential page's data area into its entries."""
-    diffs: List[Differential] = []
-    pos = PAGE_HEADER_SIZE
-    for pid, timestamp, end in _walk_entries(data, pos, _entry_count(data)):
-        diff = Differential.__new__(Differential)._set(pid, timestamp, bytes(data[pos:end]))
-        diffs.append(diff)
-        pos = end
-    return diffs
+    return [
+        Differential.__new__(Differential)._set(pid, timestamp, bytes(data[at:end]))
+        for pid, timestamp, at, end, _n, _len in _walk_entries(
+            data, PAGE_HEADER_SIZE, _entry_count(data)
+        )
+    ]
 
 
 def differential_page_stamps(data: bytes) -> List[Tuple[int, int]]:
@@ -412,14 +441,27 @@ def differential_page_stamps(data: bytes) -> List[Tuple[int, int]]:
     """
     return [
         (pid, timestamp)
-        for pid, timestamp, _end in _walk_entries(data, PAGE_HEADER_SIZE, _entry_count(data))
+        for pid, timestamp, _at, _end, _n, _len in _walk_entries(
+            data, PAGE_HEADER_SIZE, _entry_count(data)
+        )
     ]
 
 
-_PAGE_HEADER_DTYPE = np.dtype([("magic", "<u2"), ("count", "<u2")])
-_U2, _U4, _U8 = np.dtype("<u2"), np.dtype("<u4"), np.dtype("<u8")
-#: Byte offsets inside an entry header (``<IQHH``).
-_TIMESTAMP_AT, _N_RUNS_AT, _DATA_LEN_AT = 4, 12, 14
+def _record_type(layout: struct.Struct, *names: str) -> np.dtype:
+    """The numpy record type ``layout`` packs: one field per format code,
+    at the byte offset the struct puts it."""
+    order = layout.format[0]
+    return np.dtype([(name, order + code) for name, code in zip(names, layout.format[1:])])
+
+
+_PAGE_HEADER_DTYPE = _record_type(_PAGE_HEADER, "magic", "count")
+_ENTRY_FIELDS = _record_type(_ENTRY_HEADER, "pid", "timestamp", "n_runs", "data_len").fields
+#: Each header field the batch walk reads, as ``(numpy type, byte offset)``.
+_PID, _PID_AT = _ENTRY_FIELDS["pid"]
+_TIMESTAMP, _TIMESTAMP_AT = _ENTRY_FIELDS["timestamp"]
+_N_RUNS, _N_RUNS_AT = _ENTRY_FIELDS["n_runs"]
+_DATA_LEN, _DATA_LEN_AT = _ENTRY_FIELDS["data_len"]
+_LENGTH, _LENGTH_AT = _record_type(_RUN_HEADER, "offset", "length").fields["length"]
 
 
 def _at_every_byte(data: bytes, dtype: np.dtype) -> np.ndarray:
@@ -487,7 +529,7 @@ def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
     ufuncs only: numpy's Python-level helpers would cost calls per step.)
     """
     n = len(data) // page_size
-    none = (np.zeros(0, _U4), np.zeros(0, _U8), np.zeros(0, np.int64))
+    none = (np.zeros(0, _PID), np.zeros(0, _TIMESTAMP), np.zeros(0, np.int64))
     if page_size < PAGE_HEADER_SIZE:
         return PageStamps([False] * n, [0] * (n + 1), *none)
     headers = np.ndarray((n,), _PAGE_HEADER_DTYPE, data, strides=(page_size,))
@@ -495,7 +537,8 @@ def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
     if page_size < PAGE_HEADER_SIZE + ENTRY_HEADER_SIZE:  # no entry fits a page
         valid &= headers["count"] == 0
         return PageStamps(valid.tolist(), [0] * (n + 1), *none)
-    u2_at = _at_every_byte(data, _U2)
+    n_runs_of = _at_every_byte(data, _N_RUNS)
+    data_len_of = _at_every_byte(data, _DATA_LEN)
     # The walk's state, one element per page (arrays keep their size, so
     # numpy's cache of small blocks sees few sizes): where the page's
     # next entry starts, where the page ends, how many entries are left.
@@ -513,8 +556,8 @@ def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
     while np.logical_or.reduce(walking):
         probe = np.minimum(at, last)
         nxt = at + ENTRY_HEADER_SIZE
-        nxt += RUN_HEADER_SIZE * u2_at[probe + _N_RUNS_AT].astype(np.int64)
-        nxt += u2_at[probe + _DATA_LEN_AT]
+        nxt += RUN_HEADER_SIZE * n_runs_of[probe + _N_RUNS_AT].astype(np.int64)
+        nxt += data_len_of[probe + _DATA_LEN_AT]
         cut = walking & (nxt > end)
         if np.logical_or.reduce(cut):
             valid[cut] = False
@@ -532,20 +575,21 @@ def differential_page_stamps_batch(data: bytes, page_size: int) -> PageStamps:
     # Every walked entry's run lengths come off its data_len one run
     # header at a time: what an entry still owes at the end is a
     # data_len its runs do not carry.
-    n_runs = u2_at[at + _N_RUNS_AT]
-    owing = u2_at[at + _DATA_LEN_AT].astype(np.int64)
-    length_at = at + (ENTRY_HEADER_SIZE + RUN_HEADER_SIZE // 2)
+    n_runs = n_runs_of[at + _N_RUNS_AT]
+    owing = data_len_of[at + _DATA_LEN_AT].astype(np.int64)
+    length_of = _at_every_byte(data, _LENGTH)
+    length_at = at + (ENTRY_HEADER_SIZE + _LENGTH_AT)
     for run in range(int(np.maximum.reduce(n_runs)) if len(n_runs) else 0):
         # An entry with no run left reads a stray length, weighted 0.
-        owing -= u2_at[np.minimum(length_at, len(u2_at) - 1)] * (n_runs > run)
+        owing -= length_of[np.minimum(length_at, len(length_of) - 1)] * (n_runs > run)
         length_at += RUN_HEADER_SIZE
     page_of = np.arange(n).repeat(bounds[1:] - bounds[:-1])
     valid[page_of[owing.nonzero()[0]]] = False
     return PageStamps(
         valid.tolist(),
         bounds.tolist(),
-        _at_every_byte(data, _U4)[at],
-        _at_every_byte(data, _U8)[at + _TIMESTAMP_AT],
+        _at_every_byte(data, _PID)[at + _PID_AT],
+        _at_every_byte(data, _TIMESTAMP)[at + _TIMESTAMP_AT],
         at - page_of * page_size,
     )
 
@@ -589,74 +633,36 @@ def merge_from_page(
     timestamp: Optional[int] = None,
 ) -> Optional[bytes]:
     """PDL_Reading Steps 2–3 in one pass over a differential page:
-    ``base`` with ``pid``'s entry merged in, or ``None`` when the page
-    holds no entry for ``pid``.
+    ``base`` with the entry stamped ``(pid, timestamp)`` — the mapping
+    row's ``diff_ts`` — merged in, or ``None`` when the page holds no such
+    entry; an entry of ``pid`` with another stamp (an older differential)
+    is never merged.  With ``timestamp=None`` any entry of ``pid`` is, and
+    the result equals — results and errors — ``find_differential(data,
+    pid).apply(base)``, without the entry slice, the :class:`Differential`
+    and the second unpack of the run headers.
 
-    Equal — results and errors — to
-    ``find_differential(data, pid).apply(base)``, without the entry
-    slice, the :class:`Differential` and the second unpack of the run
-    headers: the matching entry is validated as
-    :meth:`Differential.decode_from` validates it (same four errors,
-    same order) and its runs are copied from ``data`` into a copy of
-    ``base``, each bounds-checked as :meth:`apply` does.
-
-    ``at`` and ``timestamp`` are a hint: where the entry of the
-    differential stamped ``timestamp`` was laid out (the mapping row's
-    ``diff_at`` and ``diff_ts``).  When the entry header there reads
-    exactly ``(pid, timestamp)`` — stamps are unique, so that is the
-    differential — it is merged without looking at the entries in front
-    of it.  Any other hint, or none, walks from the first entry and
-    skips non-matching ones by their headers.  On a page as the writer
-    laid it out (a read that verified its checksum) both find the same
-    entry, so the hint changes neither the result nor the error.
+    ``at`` is a hint, the row's ``diff_at``: when the entry header there
+    reads exactly ``(pid, timestamp)`` it is merged without looking at
+    the entries in front of it; any other hint, or none, takes
+    :func:`_walk_entries` from the first entry, which applies the same
+    test.  On a page as the writer laid it out (a read that verified its
+    checksum) both find the same entry, so the hint changes neither the
+    result nor the error.
     """
-    size = len(data)
-    count = _entry_count(data)
-    unpack_header = _ENTRY_HEADER.unpack_from
     pos = -1
-    if at is not None and PAGE_HEADER_SIZE <= at <= size - ENTRY_HEADER_SIZE:
-        entry_pid, entry_ts, n_runs, data_len = unpack_header(data, at)
+    # A hint is taken only on a page whose header the walk would accept.
+    if (
+        at is not None
+        and PAGE_HEADER_SIZE <= at <= len(data) - ENTRY_HEADER_SIZE
+        and _PAGE_HEADER.unpack_from(data)[0] == DIFF_PAGE_MAGIC
+    ):
+        entry_pid, entry_ts, n_runs, data_len = _ENTRY_HEADER.unpack_from(data, at)
         if entry_pid == pid and entry_ts == timestamp:
             pos = at
     if pos < 0:
-        pos = PAGE_HEADER_SIZE
-        for _ in range(count):
-            if pos + ENTRY_HEADER_SIZE > size:
-                raise DifferentialError("truncated differential entry header")
-            entry_pid, _ts, n_runs, data_len = unpack_header(data, pos)
-            if entry_pid == pid:
-                break
-            pos += ENTRY_HEADER_SIZE + RUN_HEADER_SIZE * n_runs + data_len
-            if pos > size:
-                raise DifferentialError("truncated differential run data")
-        else:
+        match = next(_walk_entries(data, PAGE_HEADER_SIZE, _entry_count(data), pid, timestamp), None)
+        if match is None:
             return None
-    runs_at = pos + ENTRY_HEADER_SIZE
-    data_at = runs_at + RUN_HEADER_SIZE * n_runs
-    if data_at > size:
-        raise DifferentialError("truncated differential run header")
-    run_header = _RUN_HEADER_STRUCTS.get(n_runs) or _run_header_struct(n_runs)
-    flat = run_header.unpack_from(data, runs_at)
-    lengths = flat[1::2]
-    carried = sum(lengths)
-    if data_at + carried > size:
-        raise DifferentialError("truncated differential run data")
-    if carried != data_len:
-        raise DifferentialError(
-            f"differential for pid {pid} declares {data_len} data bytes "
-            f"but carries {carried}"
-        )
-    if not n_runs:
-        return base
-    image = bytearray(base)
-    page_size = len(image)
-    pos = data_at
-    for offset, length in zip(flat[::2], lengths):
-        end = offset + length
-        if end > page_size:
-            raise DifferentialError(
-                f"run [{offset}, {end}) outside page of {page_size} bytes"
-            )
-        image[offset:end] = data[pos : pos + length]
-        pos += length
-    return bytes(image)
+        _pid, _ts, pos, _end, n_runs, data_len = match
+    flat, data_at = _entry_runs(data, pos, pid, n_runs, data_len)
+    return _copy_runs(base, flat, data, data_at)

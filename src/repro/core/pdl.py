@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Tuple
 
 from ..flash.chip import FlashChip
+from ..flash.errors import WrongPageError
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import READ_STEP, WRITE_STEP
 from ..ftl.allocator import COLD_STREAM, HOT_STREAM, BlockManager
@@ -40,6 +41,7 @@ from .differential import (
     Differential,
     DifferentialError,
     decode_differential_page,
+    differential_page_stamps,
     encode_differential_page,
     entry_starts,
     merge_from_page,
@@ -49,6 +51,25 @@ from .mapping import REC_VDCT_DROP, JournaledVdct, MappingConfig, TieredMappingT
 from .mapping_store import MappingStore
 from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
 from .write_buffer import DifferentialWriteBuffer
+
+
+def _wrong_page(
+    pid: int,
+    kind: str,
+    addr: int,
+    expected_ts: Optional[int],
+    found: Iterable[Tuple[Optional[int], Optional[int]]],
+) -> WrongPageError:
+    """What a read raises when the ``kind`` page at ``addr`` does not
+    carry the stamp the mapping row expects.  ``found`` is what it
+    carries instead: the base spare's ``(pid, timestamp)``, or the
+    differential page's entries of ``pid``."""
+    held = ", ".join(f"(pid {p}, ts {ts})" for p, ts in found) or f"no entry for pid {pid}"
+    return WrongPageError(
+        f"read of pid {pid}: {kind} page {addr} holds {held}, "
+        f"the mapping row expects (pid {pid}, ts {expected_ts})",
+        addr,
+    )
 
 
 class PdlDriver(PageUpdateMethod):
@@ -168,7 +189,12 @@ class PdlDriver(PageUpdateMethod):
             raise UnknownPageError(f"logical page {pid} was never written")
         chip = self.chip
         with chip.stats.phase(READ_STEP):
-            base, _spare = chip.read_page(entry.base_addr)
+            base, spare = chip.read_page(entry.base_addr)
+            # A checksum proves the page whole, not that it is this
+            # pid's current base: its spare must carry the row's stamp.
+            if spare.pid != pid or spare.timestamp != entry.base_ts:
+                found = [(spare.pid, spare.timestamp)]
+                raise _wrong_page(pid, "base", entry.base_addr, entry.base_ts, found)
             # Step 2: the write buffer is consulted before flash.
             diff = self.buffer.get(pid)
             diff_addr = entry.diff_addr
@@ -185,15 +211,14 @@ class PdlDriver(PageUpdateMethod):
                 diff_page, spare = chip.read_page(diff_addr)
                 at = entry.diff_at if spare.checksum is not None else None
                 image = merge_from_page(diff_page, pid, base, at, entry.diff_ts)
+                if image is None:
+                    # No entry stamped (pid, diff_ts): name what is there.
+                    found = [stamp for stamp in differential_page_stamps(diff_page) if stamp[0] == pid]
+                    raise _wrong_page(pid, "differential", diff_addr, entry.diff_ts, found)
             except DifferentialError as exc:
                 raise DifferentialError(
                     f"read of pid {pid}: differential page {diff_addr}: {exc}"
                 ) from exc
-            if image is None:
-                raise UnknownPageError(
-                    f"differential page {diff_addr} lacks an entry "
-                    f"for pid {pid}: ppmt/vdct corruption"
-                )
             return image
 
     def write_page(

@@ -27,6 +27,7 @@ from .errors import (
     SimulatedPowerLoss,
     SpareProgramError,
     WearOutError,
+    WrongPageError,
 )
 from .spare import HEADER_SIZE as SPARE_HEADER_SIZE
 from .spare import (
@@ -84,6 +85,7 @@ __all__ = [
     "TINY_SPEC",
     "WRITE_STEP",
     "WearOutError",
+    "WrongPageError",
     "block_of",
     "data_checksum",
     "erased_spare",

@@ -74,3 +74,18 @@ class ChecksumError(FlashError):
     def __init__(self, message: str, addr: Optional[int] = None) -> None:
         super().__init__(message)
         self.addr = addr
+
+
+class WrongPageError(ChecksumError):
+    """A page read back intact is not the page its reference expects.
+
+    A checksum proves that a page is whole, not that it is the right
+    one: a misdirected write leaves another page's images, checksum
+    included, where this page should be, and a lost one leaves an older
+    version of it.  Graefe & Kuno's remedy is that the reference to a
+    page carries what the page must say and the read compares the two;
+    a PDL mapping row carries the ``(pid, timestamp)`` of its base page
+    and of its differential entry.  A :class:`ChecksumError`, so that
+    one ``except`` catches both kinds of single-page failure; ``addr``
+    is the flat address of the page that was read.
+    """

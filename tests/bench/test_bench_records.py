@@ -6,19 +6,36 @@ A record is what a later change is compared against, so a partial one
 missing) would let a regression through.  Which workloads and which
 end-to-end metrics a record must carry is read from ``BENCHMARK.json``,
 the benchmark's own declaration; nothing here imports the benchmark.
+
+The newest record must also equal its predecessor on every exact
+metric: the simulated flash time and the op counts (units ``sim_us``
+and ``count``) are deterministic, so a change that moves one moved
+flash behaviour.  Host timings are not compared here: one run against
+one run spreads wider than their bounds.
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
-RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _pr_number(path):
+    return int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
+
+
+#: The records in PR order (``BENCH_100`` after ``BENCH_41``).
+RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=_pr_number)
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = sorted(workload["name"] for workload in DECLARED["workloads"])
 METRICS = [metric["name"] for metric in DECLARED["end_to_end"]]
+EXACT_METRICS = [
+    metric["name"] for metric in DECLARED["end_to_end"] if metric["unit"] in ("sim_us", "count")
+]
 
 
 def test_the_series_has_started():
@@ -40,3 +57,45 @@ def test_record_is_whole(path):
         for metric in METRICS:
             value = metrics[metric]["value"]
             assert isinstance(value, (int, float)) and math.isfinite(value), (name, metric)
+
+
+def exact_differences(old, new):
+    """Every ``(workload, metric, old, new)`` on which two records'
+    exact metrics differ."""
+    rows = []
+    for name in WORKLOADS:
+        before = old["workloads"][name]["end_to_end"]["metrics"]
+        after = new["workloads"][name]["end_to_end"]["metrics"]
+        rows += [
+            (name, metric, before[metric]["value"], after[metric]["value"])
+            for metric in EXACT_METRICS
+            if before[metric]["value"] != after[metric]["value"]
+        ]
+    return rows
+
+
+def test_records_sort_by_pr_number():
+    names = [Path(f"BENCH_{n}.json") for n in (100, 41, 9, 45)]
+    assert [path.name for path in sorted(names, key=_pr_number)] == [
+        "BENCH_9.json", "BENCH_41.json", "BENCH_45.json", "BENCH_100.json"
+    ]
+
+
+def test_exact_differences_lists_every_row():
+    record = json.loads(RECORDS[-1].read_text())
+    moved = json.loads(RECORDS[-1].read_text())
+    for name in WORKLOADS:
+        moved["workloads"][name]["end_to_end"]["metrics"]["flash_programs_per_op"]["value"] += 1
+    rows = exact_differences(record, moved)
+    assert [(name, metric) for name, metric, _old, _new in rows] == [
+        (name, "flash_programs_per_op") for name in WORKLOADS
+    ]
+    assert exact_differences(record, record) == []
+
+
+def test_newest_record_keeps_every_exact_metric():
+    old, new = (json.loads(path.read_text()) for path in RECORDS[-2:])
+    rows = exact_differences(old, new)
+    assert not rows, f"{RECORDS[-1].name} moved against {RECORDS[-2].name}:\n" + "\n".join(
+        f"  {name} {metric}: {old_value} -> {new_value}" for name, metric, old_value, new_value in rows
+    )

@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.differential import DifferentialError
 from repro.core.pdl import PdlDriver, format_size
+from repro.flash.backend import FaultInjector
 from repro.flash.chip import FlashChip
+from repro.flash.errors import ChecksumError, WrongPageError
 from repro.flash.spare import PageType, data_checksum
 from repro.flash.stats import GC, READ_STEP, WRITE_STEP
 
@@ -309,3 +311,63 @@ class TestCodecErrorsNameThePage:
         assert isinstance(err.value.__cause__, DifferentialError)
         # Nothing was dropped on the way to the error.
         assert pdl.vdct.count(addr) == 3
+
+
+class TestReadChecksWhichPageItGot:
+    """A read compares what the pages say with what the mapping row
+    expects: a misdirected or stale page is intact (its checksum holds),
+    so only the stamps tell that it is the wrong one."""
+
+    @staticmethod
+    def _loaded(chip):
+        pdl = PdlDriver(chip, max_differential_size=128)
+        for pid in range(8):
+            pdl.load_page(pid, _page(pdl, fill=pid))
+        return pdl
+
+    def test_misdirected_base_is_refused(self, chip):
+        pdl = self._loaded(chip)
+        pdl.write_page(3, _patched(_page(pdl, fill=3), 10, b"\x99" * 8))
+        pdl.flush()
+        row, donor = pdl.ppmt.require(3), pdl.ppmt.require(5)
+        FaultInjector(chip.backend).inject("misdirected_write", row.base_addr, donor=donor.base_addr)
+        with pytest.raises(WrongPageError) as err:
+            pdl.read_page(3)
+        assert isinstance(err.value, ChecksumError)
+        assert err.value.addr == row.base_addr
+        assert str(err.value) == (
+            f"read of pid 3: base page {row.base_addr} holds (pid 5, ts {donor.base_ts}), "
+            f"the mapping row expects (pid 3, ts {row.base_ts})"
+        )
+        assert pdl.read_page(5) == _page(pdl, fill=5)
+
+    def test_stale_differential_page_is_refused(self, chip):
+        pdl = self._loaded(chip)
+        first = _patched(_page(pdl, fill=3), 10, b"\x99" * 8)
+        pdl.write_page(3, first)
+        pdl.flush()
+        old = pdl.ppmt.require(3)
+        old_addr, old_ts = old.diff_addr, old.diff_ts
+        pdl.write_page(3, _patched(first, 100, b"\x77" * 8))
+        pdl.flush()
+        row = pdl.ppmt.require(3)
+        assert row.diff_addr != old_addr and row.diff_ts != old_ts
+        FaultInjector(chip.backend).inject("misdirected_write", row.diff_addr, donor=old_addr)
+        with pytest.raises(WrongPageError) as err:
+            pdl.read_page(3)
+        assert err.value.addr == row.diff_addr
+        assert str(err.value) == (
+            f"read of pid 3: differential page {row.diff_addr} holds (pid 3, ts {old_ts}), "
+            f"the mapping row expects (pid 3, ts {row.diff_ts})"
+        )
+
+    def test_differential_page_without_the_entry_is_refused(self, chip):
+        pdl = self._loaded(chip)
+        for pid in (2, 3):
+            pdl.write_page(pid, _patched(_page(pdl, fill=pid), 10, b"\x99" * 8))
+            pdl.flush()
+        row, donor = pdl.ppmt.require(3), pdl.ppmt.require(2)
+        FaultInjector(chip.backend).inject("misdirected_write", row.diff_addr, donor=donor.diff_addr)
+        expected = f"differential page {row.diff_addr} holds no entry for pid 3"
+        with pytest.raises(WrongPageError, match=expected):
+            pdl.read_page(3)
