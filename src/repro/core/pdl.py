@@ -54,19 +54,20 @@ from .write_buffer import DifferentialWriteBuffer
 
 
 def _wrong_page(
+    verb: str,
     pid: int,
     kind: str,
     addr: int,
     expected_ts: Optional[int],
     found: Iterable[Tuple[Optional[int], Optional[int]]],
 ) -> WrongPageError:
-    """What a read raises when the ``kind`` page at ``addr`` does not
-    carry the stamp the mapping row expects.  ``found`` is what it
-    carries instead: the base spare's ``(pid, timestamp)``, or the
-    differential page's entries of ``pid``."""
+    """What a ``verb`` ("read" or "write") raises when the ``kind`` page
+    at ``addr`` does not carry the stamp the mapping row expects.
+    ``found`` is what it carries instead: the base spare's ``(pid,
+    timestamp)``, or the differential page's entries of ``pid``."""
     held = ", ".join(f"(pid {p}, ts {ts})" for p, ts in found) or f"no entry for pid {pid}"
     return WrongPageError(
-        f"read of pid {pid}: {kind} page {addr} holds {held}, "
+        f"{verb} of pid {pid}: {kind} page {addr} holds {held}, "
         f"the mapping row expects (pid {pid}, ts {expected_ts})",
         addr,
     )
@@ -194,7 +195,7 @@ class PdlDriver(PageUpdateMethod):
             # pid's current base: its spare must carry the row's stamp.
             if spare.pid != pid or spare.timestamp != entry.base_ts:
                 found = [(spare.pid, spare.timestamp)]
-                raise _wrong_page(pid, "base", entry.base_addr, entry.base_ts, found)
+                raise _wrong_page("read", pid, "base", entry.base_addr, entry.base_ts, found)
             # Step 2: the write buffer is consulted before flash.
             diff = self.buffer.get(pid)
             diff_addr = entry.diff_addr
@@ -214,7 +215,7 @@ class PdlDriver(PageUpdateMethod):
                 if image is None:
                     # No entry stamped (pid, diff_ts): name what is there.
                     found = [stamp for stamp in differential_page_stamps(diff_page) if stamp[0] == pid]
-                    raise _wrong_page(pid, "differential", diff_addr, entry.diff_ts, found)
+                    raise _wrong_page("read", pid, "differential", diff_addr, entry.diff_ts, found)
             except DifferentialError as exc:
                 raise DifferentialError(
                     f"read of pid {pid}: differential page {diff_addr}: {exc}"
@@ -241,8 +242,12 @@ class PdlDriver(PageUpdateMethod):
                     # First write of an unloaded page: a fresh base.
                     self._program_base(pid, data)
                     return
-                # Step 1: read the base page.
-                base, _spare = self.chip.read_page(entry.base_addr)
+                # Step 1: read the base page, and check it is this
+                # pid's current base before diffing against it.
+                base, spare = self.chip.read_page(entry.base_addr)
+                if spare.pid != pid or spare.timestamp != entry.base_ts:
+                    found = [(spare.pid, spare.timestamp)]
+                    raise _wrong_page("write", pid, "base", entry.base_addr, entry.base_ts, found)
                 self._reflect(pid, data, base, entry)
             finally:
                 self.gc.on_write_end()
@@ -380,15 +385,19 @@ class PdlDriver(PageUpdateMethod):
             self._check_page(pid, data)
         with self.chip.stats.phase(WRITE_STEP):
             entries = [(pid, self.ppmt.get(pid)) for pid, _ in pages]
-            mapped = [
-                (pid, entry.base_addr) for pid, entry in entries if entry is not None
-            ]
+            mapped = [(pid, entry) for pid, entry in entries if entry is not None]
             bases = {}
             if mapped:
-                images = self.chip.read_pages([addr for _, addr in mapped])
-                bases = {
-                    pid: data for (pid, _), (data, _spare) in zip(mapped, images)
-                }
+                images = self.chip.read_pages([entry.base_addr for _, entry in mapped])
+                # Every base is checked, as in write_page, before any
+                # page of the batch is reflected.
+                for (pid, entry), (base, spare) in zip(mapped, images):
+                    if spare.pid != pid or spare.timestamp != entry.base_ts:
+                        found = [(spare.pid, spare.timestamp)]
+                        raise _wrong_page(
+                            "write", pid, "base", entry.base_addr, entry.base_ts, found
+                        )
+                    bases[pid] = base
             for pid, data in pages:
                 self.gc.on_write_begin()
                 try:

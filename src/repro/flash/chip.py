@@ -27,7 +27,12 @@ spare) and keeps every check and charge — bounds, phase accounting,
 clock, spare decode, per-read CRC — inline around it, paying a Python
 call only for the ones that cannot be (docs/architecture.md, "Read
 path").  Nothing sits between the chip and the device: every page read
-charges its ``Tread``.
+charges its ``Tread``.  A page program (:meth:`FlashChip.program_page`,
+and each page of :meth:`FlashChip.program_pages`) and an obsolete mark
+(:meth:`FlashChip.mark_obsolete`) are straight lines too: the bounds
+check, the still-erased or spare-budget check and the observer test are
+inline, and a helper is entered only to raise or to pad a short payload
+(docs/architecture.md, "Write path").
 
 Batched entry points (:meth:`read_pages`, :meth:`read_spares`,
 :meth:`read_data_areas`, :meth:`read_spare_records`,
@@ -358,16 +363,27 @@ class FlashChip:
         identical copies keep their original, still-valid checksum.  The
         CRC goes straight into the spare's one encode call; no copy of the
         :class:`SpareArea` is made.
+
+        One straight line, as :meth:`read_page` is: the bounds check,
+        the still-erased check and the observer test are inline;
+        ``_check_addr`` and ``_validate_program`` are entered only to
+        raise or to pad a short payload.
         """
-        payload = self._validate_program(addr, data)
+        if not 0 <= addr < self._n_pages:
+            self._check_addr(addr)
+        spec = self.spec
+        backend = self.backend
+        if len(data) != spec.page_data_size or backend.data_programs(addr) != 0:
+            data = self._validate_program(addr, data)
         raw_spare = spare.encode(
-            self.spec.page_spare_size,
-            data_checksum(payload) if spare.checksum is None else None,
+            spec.page_spare_size,
+            data_checksum(data) if spare.checksum is None else None,
         )
-        self._pre_mutate("program_page")
+        if self._on_op is not None:
+            self._on_op("program_page")
         self.stats.record_write()
-        self._clock_us += self.spec.t_write_us
-        self.backend.program_page(addr, payload, raw_spare)
+        self._clock_us += spec.t_write_us
+        backend.program_page(addr, data, raw_spare)
 
     def program_pages(
         self, items: Sequence[Tuple[int, bytes, SpareArea]]
@@ -382,28 +398,36 @@ class FlashChip:
         state is the same prefix a sequence of single programs would
         have left.
         """
+        spec = self.spec
+        backend = self.backend
+        n_pages = self._n_pages
         staged: List[Tuple[int, bytes, bytes]] = []
         staged_addrs = set()
         try:
             for addr, data, spare in items:
                 if addr in staged_addrs:
                     raise ProgramError(
-                        f"page {split_address(addr, self.spec)} programmed "
+                        f"page {split_address(addr, spec)} programmed "
                         "twice in one batch"
                     )
-                payload = self._validate_program(addr, data)
+                # Each page is checked as program_page checks it, inline.
+                if not 0 <= addr < n_pages:
+                    self._check_addr(addr)
+                if len(data) != spec.page_data_size or backend.data_programs(addr) != 0:
+                    data = self._validate_program(addr, data)
                 raw_spare = spare.encode(
-                    self.spec.page_spare_size,
-                    data_checksum(payload) if spare.checksum is None else None,
+                    spec.page_spare_size,
+                    data_checksum(data) if spare.checksum is None else None,
                 )
-                self._pre_mutate("program_page")
+                if self._on_op is not None:
+                    self._on_op("program_page")
                 self.stats.record_write()
-                self._clock_us += self.spec.t_write_us
-                staged.append((addr, payload, raw_spare))
+                self._clock_us += spec.t_write_us
+                staged.append((addr, data, raw_spare))
                 staged_addrs.add(addr)
         finally:
             if staged:
-                self.backend.program_pages(staged)
+                backend.program_pages(staged)
 
     def _validate_program(self, addr: int, data: Buffer) -> Buffer:
         """Validate and normalize a program payload without copying it.
@@ -519,25 +543,32 @@ class FlashChip:
         paper counts OPU as *two* writes per update for exactly this
         reason).  Marking an erased page obsolete is rejected — it would
         hide an FTL bookkeeping bug.
+
+        A straight line like :meth:`program_page`: ``_check_addr`` is
+        entered only to raise, and the observer is tested inline.
         """
-        self._check_addr(addr)
-        current = self.backend.read_spare(addr)
+        if not 0 <= addr < self._n_pages:
+            self._check_addr(addr)
+        spec = self.spec
+        backend = self.backend
+        current = backend.read_spare(addr)
         if current is None:
             raise ProgramError(
-                f"cannot obsolete erased page {split_address(addr, self.spec)}"
+                f"cannot obsolete erased page {split_address(addr, spec)}"
             )
-        spare_programs = self.backend.spare_programs(addr)
-        if spare_programs >= self.spec.max_spare_programs:
+        spare_programs = backend.spare_programs(addr)
+        if spare_programs >= spec.max_spare_programs:
             raise SpareProgramError(
-                f"spare area at {split_address(addr, self.spec)} exhausted its "
-                f"{self.spec.max_spare_programs} programs"
+                f"spare area at {split_address(addr, spec)} exhausted its "
+                f"{spec.max_spare_programs} programs"
             )
-        self._pre_mutate("mark_obsolete")
+        if self._on_op is not None:
+            self._on_op("mark_obsolete")
         self.stats.record_write()
-        self._clock_us += self.spec.t_write_us
+        self._clock_us += spec.t_write_us
         patched = bytearray(current)
         patched[1] = 0x00
-        self.backend.write_spare(addr, patched, spare_programs + 1)
+        backend.write_spare(addr, patched, spare_programs + 1)
 
     # ------------------------------------------------------------------
     # Erase

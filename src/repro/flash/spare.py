@@ -37,8 +37,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -105,14 +104,28 @@ class PageType(enum.IntEnum):
     CORRUPT = 0x00
 
 
-#: Type byte -> page type for every byte a writer encodes (a dict
-#: lookup, not an enum call, on every memo miss in :meth:`SpareArea.decode`).
-_TYPE_OF_BYTE = {int(t): t for t in PageType if t is not PageType.CORRUPT}
+#: Builds a :class:`SpareArea` from its five field values in one C call
+#: (:meth:`SpareArea.decode`; the generated ``__new__`` is a Python frame).
+_new_tuple = tuple.__new__
+
+#: Type byte -> page type, indexed by all 256 byte values: every byte a
+#: writer encodes maps to its type, any other to CORRUPT (one index, not
+#: an enum call or an enum attribute lookup, on every memo miss in
+#: :meth:`SpareArea.decode`).
+_TYPE_OF_BYTE = tuple(
+    next((t for t in PageType if t == b), PageType.CORRUPT) for b in range(256)
+)
 
 
-@dataclass(frozen=True)
-class SpareArea:
-    """Decoded spare-area header of one physical page."""
+class SpareArea(NamedTuple):
+    """Decoded spare-area header of one physical page.
+
+    A named tuple, not a frozen dataclass: every program builds one and
+    every first read of a programmed page decodes one, and a tuple is
+    built in one step where a frozen dataclass pays an
+    ``object.__setattr__`` per field.  Immutable all the same — setting
+    a field raises :class:`AttributeError`.
+    """
 
     type: PageType = PageType.ERASED
     obsolete: bool = False
@@ -140,28 +153,27 @@ class SpareArea:
         """
         if spare_size < HEADER_SIZE:
             raise ValueError(f"spare area of {spare_size} bytes cannot hold header")
-        pid = self.pid
+        page_type, obsolete, pid, ts, own_checksum = self  # one unpack, no field lookups
         if pid is None:
             pid = NO_PID
         elif not 0 <= pid < NO_PID:
             raise ValueError(f"pid {pid} out of range [0, 0xFFFFFFFF)")
-        ts = self.timestamp
         if ts is None:
             ts = NO_TS
         elif not 0 <= ts < NO_TS:
             raise ValueError(f"timestamp {ts} out of range [0, 2**64 - 1)")
-        valid = 0x00 if self.obsolete else 0xFF
+        valid = 0x00 if obsolete else 0xFF
         if spare_size < CHECKSUM_HEADER_SIZE:
-            return _HEADER.pack(self.type, valid, pid, ts, b"\xff\xff") + b"\xff" * (
+            return _HEADER.pack(page_type, valid, pid, ts, b"\xff\xff") + b"\xff" * (
                 spare_size - HEADER_SIZE
             )
         if checksum is None:
-            checksum = self.checksum
+            checksum = own_checksum
         if checksum is None:
             checksum = NO_CHECKSUM
         elif not 0 <= checksum < NO_CHECKSUM:
             raise ValueError(f"checksum {checksum} out of range [0, 0xFFFFFFFF)")
-        return _HEADER_CRC.pack(self.type, valid, pid, ts, b"\xff\xff", checksum) + b"\xff" * (
+        return _HEADER_CRC.pack(page_type, valid, pid, ts, b"\xff\xff", checksum) + b"\xff" * (
             spare_size - CHECKSUM_HEADER_SIZE
         )
 
@@ -177,23 +189,26 @@ class SpareArea:
         cached = _DECODE_CACHE.get(key)
         if cached is not None:
             return cached
-        if len(raw) < HEADER_SIZE:
-            raise ValueError(f"spare area of {len(raw)} bytes too small to decode")
+        size = len(raw)
         checksum: Optional[int] = None
-        if len(raw) >= CHECKSUM_HEADER_SIZE:
+        if size >= CHECKSUM_HEADER_SIZE:
             type_byte, valid_byte, pid, ts, _reserved, crc = _HEADER_CRC.unpack_from(
                 raw, 0
             )
             checksum = None if crc == NO_CHECKSUM else crc
-        else:
+        elif size >= HEADER_SIZE:
             type_byte, valid_byte, pid, ts, _reserved = _HEADER.unpack_from(raw, 0)
-        page_type = _TYPE_OF_BYTE.get(type_byte, PageType.CORRUPT)
-        decoded = cls(
-            type=page_type,
-            obsolete=valid_byte != 0xFF,
-            pid=None if pid == NO_PID else pid,
-            timestamp=None if ts == NO_TS else ts,
-            checksum=checksum,
+        else:
+            raise ValueError(f"spare area of {size} bytes too small to decode")
+        decoded = _new_tuple(
+            cls,
+            (
+                _TYPE_OF_BYTE[type_byte],
+                valid_byte != 0xFF,
+                None if pid == NO_PID else pid,
+                None if ts == NO_TS else ts,
+                checksum,
+            ),
         )
         if len(_DECODE_CACHE) >= _DECODE_CACHE_CAP:
             _DECODE_CACHE.clear()
@@ -210,11 +225,11 @@ class SpareArea:
         preserved verbatim), so re-programming the spare area with the
         encoded result is always NAND-legal.
         """
-        return replace(self, obsolete=True)
+        return self._replace(obsolete=True)
 
     def with_checksum(self, checksum: Optional[int]) -> "SpareArea":
         """Return a copy carrying ``checksum`` (``None`` clears it)."""
-        return replace(self, checksum=checksum)
+        return self._replace(checksum=checksum)
 
     @property
     def is_erased(self) -> bool:
@@ -237,8 +252,7 @@ class SpareArea:
 
 #: Type byte -> page-type value, for a whole array of type bytes at once
 #: (:func:`spare_kinds`): unknown bytes map to CORRUPT, as in ``decode``.
-_KIND_OF_BYTE = np.full(256, PageType.CORRUPT, dtype=np.uint8)
-_KIND_OF_BYTE[list(_TYPE_OF_BYTE)] = list(_TYPE_OF_BYTE)
+_KIND_OF_BYTE = np.array(_TYPE_OF_BYTE, dtype=np.uint8)
 
 
 def spare_records(raw: bytes, spare_size: int) -> np.ndarray:

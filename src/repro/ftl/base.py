@@ -23,6 +23,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
+from ..flash.errors import WrongPageError
 from ..flash.spec import FlashSpec
 from ..flash.stats import StatsView
 
@@ -59,6 +60,17 @@ def apply_runs(page: bytes, runs: Sequence[ChangeRun]) -> bytes:
             )
         buf[run.offset : run.end] = run.data
     return bytes(buf)
+
+
+def wrong_pid(pid: int, addr: int, found: Optional[int]) -> WrongPageError:
+    """What a page-mapped baseline's read raises when the page at
+    ``addr`` is labelled pid ``found``, not ``pid``.  OPU, IPU and IPL
+    spares carry a pid and no timestamp, so the pid is all their read
+    can check: a stale copy of the same pid stays undetectable there."""
+    return WrongPageError(
+        f"read of pid {pid}: page {addr} holds pid {found}, the mapping expects pid {pid}",
+        addr,
+    )
 
 
 def format_size(n_bytes: int) -> str:

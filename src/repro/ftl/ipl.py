@@ -32,7 +32,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from ..flash.chip import FlashChip
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import GC, READ_STEP, WRITE_STEP
-from .base import ChangeRun, PageUpdateMethod, apply_runs, format_size
+from .base import ChangeRun, PageUpdateMethod, apply_runs, format_size, wrong_pid
 from .errors import ConfigurationError, OutOfSpaceError, UnknownPageError
 
 _SLOT_HEADER = struct.Struct("<IH")
@@ -228,9 +228,14 @@ class IplDriver(PageUpdateMethod):
 
     def _recreate(self, group: _Group, slot: int, pid: int) -> bytes:
         """Original page + replayed logs (charges one read per distinct
-        log page holding this pid's logs)."""
+        log page holding this pid's logs).  An original page whose spare
+        names another pid raises
+        :class:`~repro.flash.errors.WrongPageError`; the spare carries no
+        timestamp, so a stale copy of the same pid is not detected."""
         addr = group.block * self.spec.pages_per_block + slot
-        data, _spare = self.chip.read_page(addr)
+        data, spare = self.chip.read_page(addr)
+        if spare.pid != pid:
+            raise wrong_pid(pid, addr, spare.pid)
         slots = group.placements.get(pid)
         if not slots:
             return data

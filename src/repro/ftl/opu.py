@@ -16,7 +16,7 @@ from ..flash.chip import FlashChip
 from ..flash.spare import PageType, SpareArea
 from ..flash.stats import READ_STEP, WRITE_STEP
 from .allocator import COLD_STREAM, HOT_STREAM, BlockManager
-from .base import ChangeRun, PageUpdateMethod
+from .base import ChangeRun, PageUpdateMethod, wrong_pid
 from .errors import UnknownPageError
 from .gc import GarbageCollector, GcConfig
 
@@ -57,9 +57,14 @@ class OpuDriver(PageUpdateMethod):
             self._program(pid, data)
 
     def read_page(self, pid: int) -> bytes:
+        """One flash read; a page whose spare names another pid raises
+        :class:`~repro.flash.errors.WrongPageError`.  The spare carries
+        no timestamp, so a stale copy of the same pid is not detected."""
         addr = self._addr_of(pid)
         with self.chip.stats.phase(READ_STEP):
-            data, _spare = self.chip.read_page(addr)
+            data, spare = self.chip.read_page(addr)
+        if spare.pid != pid:
+            raise wrong_pid(pid, addr, spare.pid)
         return data
 
     def write_page(

@@ -19,7 +19,16 @@ changed unit and a ``SpareArea`` copy per program to stamp its CRC,
 44.3 / 49.9 without.  Its budgets sit less than one spare copy per
 program above those counts, so either coming back fails by name.  (One
 device backend, checking addresses inline, has since made them 38.4 /
-42.8.)
+42.8, and a chip program with its checks inline 37.1 / 41.5; the cycle
+is 56.0.)
+
+One chip program and one obsolete mark are counted on their own, on
+both backends: ``FlashChip.program_page`` made 12 / 16 calls (memory /
+file) and ``mark_obsolete`` 8 / 12 while each reached its checks through
+helper frames (``_validate_program`` → ``_check_addr``, and
+``_pre_mutate``); written as one straight line like ``read_page`` they
+make 9 / 13 and 6 / 10.  Their budgets are those counts, so any helper
+frame coming back on the happy path fails by name.
 
 The one-shard façade is counted against the bare driver on the same
 ops: a routed cycle (one read, one write) made 19.4 more calls with the
@@ -38,6 +47,7 @@ import pytest
 from repro.core.pdl import PdlDriver
 from repro.flash.backend import FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
+from repro.flash.spare import PageType, SpareArea
 from repro.flash.spec import spec_for_database
 from repro.methods import make_method
 
@@ -115,6 +125,31 @@ def test_write_stays_within_its_call_budget(kind, budget, tmp_path, count_python
         assert chip.stats.total_erases > erases_before, "GC never ran in the window"
         per_write = calls / WRITES
         assert per_write <= budget, per_write
+    finally:
+        chip.close()
+
+
+@pytest.mark.parametrize(
+    "kind, program_budget, obsolete_budget", [("memory", 9, 6), ("file", 13, 10)]
+)
+def test_program_and_obsolete_mark_are_straight_lines(
+    kind, program_budget, obsolete_budget, tmp_path, count_python_calls
+):
+    spec = spec_for_database(PAGES, 0.25)
+    if kind == "memory":
+        backend = MemoryBackend(spec)
+    else:
+        backend = FileBackend(tmp_path / "chip.flash", spec)
+    chip = FlashChip(spec, backend=backend)
+    try:
+        data = random.Random(20261019).randbytes(spec.page_data_size)
+        spare = SpareArea(type=PageType.BASE, pid=7, timestamp=9)
+        program = count_python_calls(partial(chip.program_page, 3, data, spare))
+        obsolete = count_python_calls(partial(chip.mark_obsolete, 3))
+        assert chip.peek_data(3) == data and chip.peek_spare(3).obsolete
+        assert chip.peek_spare(3).checksum is not None
+        assert program <= program_budget, program
+        assert obsolete <= obsolete_budget, obsolete
     finally:
         chip.close()
 

@@ -1,6 +1,7 @@
 """PDL driver tests: the three design principles, the three write cases,
 GC compaction, and bookkeeping invariants."""
 
+import dataclasses
 import random
 import struct
 import zlib
@@ -371,3 +372,49 @@ class TestReadChecksWhichPageItGot:
         expected = f"differential page {row.diff_addr} holds no entry for pid 3"
         with pytest.raises(WrongPageError, match=expected):
             pdl.read_page(3)
+
+
+class TestWriteChecksWhichBaseItReread:
+    """PDL_Writing's step 1 re-reads the base page to diff against it;
+    that re-read is checked like a read's, so a misdirected base raises
+    before a differential against another page's image exists.  The
+    write leaves the row, the write buffer and the case counts as they
+    were."""
+
+    @staticmethod
+    def _misdirected(chip):
+        pdl = TestReadChecksWhichPageItGot._loaded(chip)
+        pdl.write_page(2, _patched(_page(pdl, fill=2), 10, b"\x99" * 8))  # buffered
+        row, donor = pdl.ppmt.require(3), pdl.ppmt.require(5)
+        FaultInjector(chip.backend).inject("misdirected_write", row.base_addr, donor=donor.base_addr)
+        expected = (
+            f"write of pid 3: base page {row.base_addr} holds (pid 5, ts {donor.base_ts}), "
+            f"the mapping row expects (pid 3, ts {row.base_ts})"
+        )
+        return pdl, expected
+
+    @staticmethod
+    def _state(pdl):
+        rows = {pid: dataclasses.astuple(pdl.ppmt.require(pid)) for pid in (2, 3)}
+        buffered = {pid: pdl.buffer.get(pid) for pid in pdl.buffer.pids()}
+        return rows, buffered, pdl.buffer.used, dict(pdl.case_counts)
+
+    def test_write_page_refuses_a_misdirected_base(self, chip):
+        pdl, expected = self._misdirected(chip)
+        before = self._state(pdl)
+        with pytest.raises(WrongPageError) as err:
+            pdl.write_page(3, _patched(_page(pdl, fill=3), 40, b"\x77" * 8))
+        assert str(err.value) == expected
+        assert err.value.addr == pdl.ppmt.require(3).base_addr
+        assert self._state(pdl) == before
+
+    def test_write_pages_refuses_a_misdirected_base(self, chip):
+        pdl, expected = self._misdirected(chip)
+        before = self._state(pdl)
+        batch = [
+            (pid, _patched(_page(pdl, fill=pid), 40, b"\x77" * 8)) for pid in (2, 3)
+        ]
+        with pytest.raises(WrongPageError) as err:
+            pdl.write_pages(batch)
+        assert str(err.value) == expected
+        assert self._state(pdl) == before

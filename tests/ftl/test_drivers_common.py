@@ -9,9 +9,12 @@ import random
 
 import pytest
 
+from repro.flash.backend import FaultInjector
 from repro.flash.chip import FlashChip
+from repro.flash.errors import WrongPageError
 from repro.ftl.base import ChangeRun, apply_runs
 from repro.ftl.errors import UnknownPageError
+from repro.ftl.ipl import IplDriver
 from repro.methods import make_method
 
 LABELS = ["PDL (64B)", "PDL (256B)", "OPU", "IPU", "IPL (512B)"]
@@ -91,6 +94,34 @@ class TestContract:
         driver.write_page(0, new, update_logs=[ChangeRun(0, new)])
         driver.flush()
         assert driver.read_page(0) == new
+
+
+def _home(driver, pid):
+    """The physical page a page-mapped baseline reads ``pid`` from."""
+    if isinstance(driver, IplDriver):
+        group, slot = driver._locate(pid)
+        return group.block * driver.spec.pages_per_block + slot
+    return driver.mapping[pid]
+
+
+@pytest.mark.parametrize("label", ["OPU", "IPU", "IPL (512B)"])
+def test_baseline_read_refuses_a_page_labelled_another_pid(label, tiny_spec, rng):
+    """A misdirected write leaves an intact page (its checksum holds) of
+    another pid where this one should be; the spare's pid tells."""
+    chip = FlashChip(tiny_spec)
+    driver = make_method(label, chip)
+    images = {pid: _random_page(rng, driver.page_size) for pid in range(4)}
+    for pid, data in images.items():
+        driver.load_page(pid, data)
+    addr, donor = _home(driver, 1), _home(driver, 2)
+    FaultInjector(chip.backend).inject("misdirected_write", addr, donor=donor)
+    with pytest.raises(WrongPageError) as err:
+        driver.read_page(1)
+    assert err.value.addr == addr
+    assert str(err.value) == (
+        f"read of pid 1: page {addr} holds pid 2, the mapping expects pid 1"
+    )
+    assert driver.read_page(2) == images[2]
 
 
 class TestSustainedTraffic:

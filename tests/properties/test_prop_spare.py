@@ -6,9 +6,13 @@ the whole input space: every page type, every spare size from
 header-only up, the optional checksum slot and its reserved all-ones
 sentinel, and the decode-only CORRUPT path for damaged type bytes.  The
 record-array view the recovery scan triages with must read every raw
-spare exactly as ``SpareArea.decode`` does.
+spare exactly as ``SpareArea.decode`` does.  A ``SpareArea`` is a named
+tuple: what decode and the derived copies return must be one, not a
+bare tuple (which would compare equal field for field), and it must
+stay immutable.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +91,30 @@ class TestRoundTrip:
         raw = spare.encode(size)
         used = CHECKSUM_HEADER_SIZE if size >= CHECKSUM_HEADER_SIZE else HEADER_SIZE
         assert raw[used:] == b"\xff" * (size - used)
+
+
+class TestNamedTuple:
+    @given(spare=spares, size=checksum_sizes, crc=st.integers(0, NO_CHECKSUM - 1))
+    def test_decode_of_an_encoding_is_the_spare_with_its_crc(self, spare, size, crc):
+        decoded = SpareArea.decode(spare.encode(size, crc))
+        assert type(decoded) is SpareArea
+        assert decoded == SpareArea(spare.type, spare.obsolete, spare.pid, spare.timestamp, crc)
+
+    @given(spare=spares, crc=checksums)
+    def test_derived_copies_are_spare_areas_keeping_the_other_fields(self, spare, crc):
+        obsolete = spare.as_obsolete()
+        assert type(obsolete) is SpareArea
+        assert obsolete == SpareArea(
+            spare.type, True, spare.pid, spare.timestamp, spare.checksum
+        )
+        stamped = spare.with_checksum(crc)
+        assert type(stamped) is SpareArea
+        assert stamped == SpareArea(spare.type, spare.obsolete, spare.pid, spare.timestamp, crc)
+
+    @given(spare=spares, field=st.sampled_from(SpareArea._fields))
+    def test_fields_cannot_be_assigned(self, spare, field):
+        with pytest.raises(AttributeError):
+            setattr(spare, field, getattr(spare, field))
 
 
 class TestSentinels:
@@ -176,15 +204,11 @@ class TestNandLegality:
 class TestValidation:
     @given(size=st.integers(0, HEADER_SIZE - 1))
     def test_undersized_spare_rejected_on_encode(self, size):
-        import pytest
-
         with pytest.raises(ValueError):
             SpareArea().encode(size)
 
     @given(raw=st.binary(max_size=HEADER_SIZE - 1))
     def test_undersized_spare_rejected_on_decode(self, raw):
-        import pytest
-
         with pytest.raises(ValueError):
             SpareArea.decode(raw)
 
@@ -220,7 +244,5 @@ class TestRecordView:
 
     @given(size=st.integers(0, HEADER_SIZE - 1))
     def test_undersized_spare_rejected_by_the_view(self, size):
-        import pytest
-
         with pytest.raises(ValueError):
             spare_records(b"\xff" * size, size)
