@@ -36,7 +36,8 @@ The page codec here is shared by the snapshot writer and the demand
 reader; its wire format is documented in ``docs/recovery.md``.  The
 snapshot merge patches a page's dirty rows through the same probe, so a
 page costs one read per dirty row; the store reads the old half it
-merges in one batched chip call.
+merges in one batched chip call, and a restart the pages its journal
+tail names (:meth:`TieredMappingTable.staged`).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
@@ -414,6 +416,10 @@ class MappingBackend(Protocol):
     def load_data_page(self, index: int) -> MappingPage:
         """Demand-read and validate one snapshot mapping page (one Tread)."""
 
+    def read_data_pages(self, indexes: Sequence[int]) -> Iterator[MappingPage]:
+        """The snapshot pages ``indexes``, as :meth:`load_data_page` would
+        return them, read in one batch (one Tread each)."""
+
     def record(self, kind: int, a: int, b: int = 0, ts: int = 0) -> None:
         """Append one delta record to the journal (buffered, group-committed)."""
 
@@ -449,6 +455,9 @@ class TieredMappingTable:
         self._capacity_pages: Optional[int] = None
         if cache_entries > 0:
             self._capacity_pages = max(1, cache_entries // store.entries_per_page)
+        #: snapshot page index -> page read ahead in one batch
+        #: (:meth:`staged`): a page-in of one of them reads no flash.
+        self._staged: Dict[int, MappingPage] = {}
         #: The clean tier's last answer, ``(pid, what it held)``: the write
         #: of a read-change-write cycle asks for the row its read just got.
         #: A pid the overlay has is answered there first, so only a
@@ -512,10 +521,12 @@ class TieredMappingTable:
         index = bisect_right(directory, pid) - 1
         page = self._cache.get(index)
         if page is None:
-            try:
-                page = self._store.load_data_page(index)  # records the miss
-            except (ChecksumError, MappingFormatError) as exc:
-                raise type(exc)(f"translating pid {pid}: {exc}") from exc
+            page = self._staged.get(index)  # its miss was the batch's
+            if page is None:
+                try:
+                    page = self._store.load_data_page(index)  # records the miss
+                except (ChecksumError, MappingFormatError) as exc:
+                    raise type(exc)(f"translating pid {pid}: {exc}") from exc
             self._admit(index, page)
         else:
             self._stats.mapping_hits += 1
@@ -530,6 +541,26 @@ class TieredMappingTable:
         cache[index] = page
         if self._capacity_pages is not None and len(cache) > self._capacity_pages:
             cache.popitem(last=False)
+
+    @contextmanager
+    def staged(self, pids: Iterable[int]) -> Iterator[None]:
+        """Read every snapshot page that covers one of ``pids`` in one
+        batch, then serve the block's page-ins of those pages from it.
+
+        A staged page still goes through the clean cache the way a
+        page-in does (:meth:`_admit`, LRU order and all), so the cache
+        ends the block exactly as it would have; the batch only spares
+        the flash reads of pages that cache evicted and the block touched
+        again.  The staged pages stay in RAM until the block ends,
+        however it ends.  A damaged page fails the batch, before the
+        block runs, with the store's error naming it."""
+        directory = self._store.directory
+        indexes = sorted({bisect_right(directory, pid) - 1 for pid in pids} - {-1})
+        self._staged = dict(zip(indexes, self._store.read_data_pages(indexes)))
+        try:
+            yield
+        finally:
+            self._staged = {}
 
     def hold(self, pid: int, entry: MappingEntry) -> None:
         """Keep ``pid``'s row resident while work is pending on it.

@@ -207,20 +207,22 @@ class MappingStore:
                 f"snapshot {self.seq} page {index} at flash address {addr}: {exc}"
             ) from exc
 
-    def _read_data_pages(self) -> Iterator[MappingPage]:
-        """Every data page of the current snapshot, in order, as
-        :meth:`load_data_page` would return them — one miss and one
-        ``Tread`` each, checksum and header checked, a failure named the
-        same way — but read in one chip call.  A damaged page is found
-        after the whole batch is charged, as for any batched read."""
-        count = len(self.directory)
-        if not count:  # no snapshot yet
+    def read_data_pages(self, indexes: Optional[Sequence[int]] = None) -> Iterator[MappingPage]:
+        """The current snapshot's data pages ``indexes`` (every one by
+        default), in the order given, as :meth:`load_data_page` would
+        return them — one miss and one ``Tread`` each, checksum and header
+        checked, a failure named the same way — but read in one chip
+        call.  A damaged page is found after the whole batch is charged,
+        as for any batched read."""
+        if indexes is None:
+            indexes = range(len(self.directory))
+        if not indexes:  # no snapshot yet, or nothing asked for
             return
         start = self._half_starts[self.seq % 2]
-        self.stats.mapping_misses += count
+        self.stats.mapping_misses += len(indexes)
         try:
             with self.stats.phase(MAPPING_PHASE):
-                images = self.chip.read_pages(range(start, start + count))
+                images = self.chip.read_pages([start + index for index in indexes])
         except ChecksumError as exc:
             addr = exc.addr
             if addr is None:  # pragma: no cover - the chip names the page it read
@@ -230,7 +232,7 @@ class MappingStore:
                 addr,
             ) from exc
         images.reverse()  # popped in page order: each image goes once decoded
-        for index in range(count):
+        for index in indexes:
             data, _spare = images.pop()
             try:
                 page = decode_mapping_page(data, expect_seq=self.seq, expect_index=index)
@@ -379,7 +381,7 @@ class MappingStore:
         new_seq = self.seq + 1
 
         rows = merge_snapshot_rows(
-            self._read_data_pages(),
+            self.read_data_pages(),
             self.directory,
             table.overlay_items(),
         )

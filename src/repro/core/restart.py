@@ -6,7 +6,8 @@
 2. **plan** (:func:`~repro.core.restart_plan.plan_restart`) decides,
    purely, between the journal and the scan.
 3. **execute** (:func:`restart_driver`) is the only part that touches the
-   driver.  ``Fast``: adopt the snapshot, replay the journal prefix, run
+   driver.  ``Fast``: adopt the snapshot, read the snapshot pages the
+   journal prefix names in one batch, replay the prefix, run
    a *seeded* Figure-11 scan over only the snapshot-active and
    journaled-open blocks to recover mutations whose records were still
    pending at the crash.  ``Fallback``: the full Figure-11 scan, which is
@@ -79,6 +80,9 @@ from .restart_plan import (
 from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 
 log = logging.getLogger(__name__)
+
+#: Journal records that re-point a mapping row (``a`` is its pid).
+_ROW_RECORDS = frozenset((REC_SET_BASE, REC_MOVE_BASE, REC_SET_DIFF, REC_CLEAR_DIFF, REC_REMOVE))
 
 
 def restart_driver(
@@ -230,14 +234,18 @@ def _execute_fast(
         max_ts = seal.max_ts
     retire: Set[int] = set()
     try:
-        max_ts = max(
-            max_ts, _replay(driver, store, table, plan.records, valid, retire, report)
-        )
+        # Every snapshot page a row record names is read once, up front,
+        # in one batch: the clean cache is far smaller than the table, so
+        # paging them in record by record reads evicted pages again.
+        with table.staged(a for kind, a, _b, _ts in plan.records if kind in _ROW_RECORDS):
+            max_ts = max(
+                max_ts, _replay(driver, store, table, plan.records, valid, retire, report)
+            )
     except (KeyError, struct.error, ChecksumError, MappingFormatError):
-        # Replay and the tail scan demand-page the snapshot: a data page
-        # that is programmed but unreadable, or a record stream the
-        # tables reject — corrupt in a way the CRCs could not see.  What
-        # was adopted and replayed is void; the scan stays sound.
+        # Replay and the tail scan read the snapshot: a data page that is
+        # programmed but unreadable, or a record stream the tables reject
+        # — corrupt in a way the CRCs could not see.  What was adopted
+        # and replayed is void; the scan stays sound.
         store.abandon()
         table.on_snapshot()
         table.seed_counts(0, -1)

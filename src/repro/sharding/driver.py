@@ -44,6 +44,7 @@ from threading import get_ident
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..flash.chip import FlashChip
+from ..flash.errors import ChecksumError
 from ..flash.spec import FlashSpec
 from ..flash.stats import AggregateStats
 from ..ftl.base import ChangeRun, PageUpdateMethod
@@ -278,13 +279,25 @@ class ShardedDriver(PageUpdateMethod):
 
     def read_page(self, pid: int) -> bytes:
         index = self.router.shard_of(pid)
-        return self.executor.run(index, self.shards[index].read_page, pid)
+        try:
+            return self.executor.run(index, self.shards[index].read_page, pid)
+        except ChecksumError as exc:
+            raise self._on_shard(index, exc) from exc
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
     ) -> None:
         index = self.router.shard_of(pid)
-        self.executor.run(index, self.shards[index].write_page, pid, data, update_logs)
+        try:
+            self.executor.run(index, self.shards[index].write_page, pid, data, update_logs)
+        except ChecksumError as exc:
+            raise self._on_shard(index, exc) from exc
+
+    def _on_shard(self, index: int, exc: ChecksumError) -> ChecksumError:
+        """A shard's checksum or wrong-page failure as the array reports
+        it: the same type and ``addr``, the message naming the shard (a
+        shard's driver does not know its own index)."""
+        return type(exc)(f"shard {index} of {len(self.shards)}: {exc}", exc.addr)
 
     def end_of_load(self) -> None:
         self._fan_out({i: shard.end_of_load for i, shard in enumerate(self.shards)})

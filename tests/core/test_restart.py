@@ -23,19 +23,36 @@ ppmt/vdct state.  The boundaries under attack:
   snapshot, page and flash address it was translating;
 * a snapshot taken while the write buffer holds differentials — whose
   mapping rows the table keeps resident for the flush, and the snapshot
-  drops: power loss at every op of the window around it.
+  drops: power loss at every op of the window around it;
+* a journal tail naming more snapshot pages than the clean cache holds:
+  the replay reads each of them once, in one batch, leaves the cache as
+  page-ins would, demotes to the scan when one of them is damaged and
+  never reads a damaged page it does not need.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import logging
 import random
+from bisect import bisect_right
 from typing import Dict, Optional, Tuple
 
 import pytest
 
-from repro.core.mapping import MAPPING_PHASE, MappingConfig, MappingFormatError
+from repro.core.mapping import (
+    MAPPING_PHASE,
+    REC_CLEAR_DIFF,
+    REC_MOVE_BASE,
+    REC_REMOVE,
+    REC_SET_BASE,
+    REC_SET_DIFF,
+    MappingConfig,
+    MappingFormatError,
+    TieredMappingTable,
+)
+from repro.core.mapping_store import MappingStore
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_tables
 from repro.core.restart import restart_driver
@@ -87,12 +104,12 @@ def _workload(driver: PdlDriver, n_writes: int = N_WRITES) -> None:
 State = Tuple[Dict[int, Tuple[int, int, Optional[int], Optional[int]]], Dict[int, int]]
 
 
+def _row(entry) -> Tuple[int, int, Optional[int], Optional[int]]:
+    return (entry.base_addr, entry.base_ts, entry.diff_addr, entry.diff_ts)
+
+
 def _state_of(ppmt, vdct) -> State:
-    rows = {
-        pid: (e.base_addr, e.base_ts, e.diff_addr, e.diff_ts)
-        for pid, e in ppmt.items()
-    }
-    return rows, dict(vdct.items())
+    return {pid: _row(entry) for pid, entry in ppmt.items()}, dict(vdct.items())
 
 
 def _scan_oracle(chip: FlashChip, first_page: int = 0) -> State:
@@ -555,3 +572,187 @@ def test_live_page_in_of_a_damaged_snapshot_page_names_what_it_translated(fault,
     assert chip.stats.of_phase(MAPPING_PHASE).reads - reads == 1
     assert driver.read_page(9) == healthy
     assert driver.read_page(0)[:4] == b"tail"  # a dirty row needs no page-in
+
+
+# ----------------------------------------------------------------------
+# The replay reads each snapshot page its journal tail names once
+# ----------------------------------------------------------------------
+WIDE = FlashSpec(n_blocks=32, pages_per_block=8, page_data_size=256, page_spare_size=32)
+WIDE_PIDS = 48  # six snapshot pages of eight rows; the clean cache holds one
+
+
+def _wide_tail(pages: int):
+    """A snapshot of ``WIDE_PIDS`` pids, then a flushed journal tail that
+    updates pids of the first ``pages`` snapshot pages, page-interleaved
+    (pid 0, 8, 16, …, 1, 9, …): replayed record by record through a
+    one-page cache, every record evicts the page the next one needs."""
+    backend = MemoryBackend(WIDE)
+    injector = FaultInjector(backend, seed=5)
+    cfg = MappingConfig.auto(WIDE, cache_entries=8, snapshot_interval=200)
+    chip = FlashChip(WIDE, backend=backend)
+    driver = PdlDriver(chip, max_differential_size=MAX_DIFF, mapping=cfg)
+    rng = random.Random(SEED)
+    for pid in range(WIDE_PIDS):
+        driver.load_page(pid, rng.randbytes(WIDE.page_data_size))
+    driver.end_of_load()
+    driver.mapping.snapshot()
+    per_page = driver.mapping.entries_per_page
+    for row in range(4):
+        for page in range(pages):
+            pid = page * per_page + row
+            image = bytearray(driver.read_page(pid))
+            image[0:4] = b"tail"
+            driver.write_page(pid, bytes(image))
+    driver.flush()
+    return injector, chip, driver, cfg
+
+
+def _traced_restart(chip: FlashChip, cfg: MappingConfig):
+    """Restart a private copy; returns the driver, the report, every
+    flash address read (single and batched) and the mapping misses."""
+    replica = copy.deepcopy(chip)
+    reads: list = []
+    read_page, read_pages = replica.read_page, replica.read_pages
+    replica.read_page = lambda addr, **kw: reads.append(addr) or read_page(addr, **kw)
+    replica.read_pages = lambda addrs, **kw: reads.extend(addrs) or read_pages(addrs, **kw)
+    misses = replica.stats.mapping_misses
+    driver, report = restart_driver(replica, max_differential_size=MAX_DIFF, mapping=cfg)
+    del replica.read_page, replica.read_pages
+    return driver, report, reads, replica.stats.mapping_misses - misses
+
+
+def _snapshot_page_reads(driver: PdlDriver, reads) -> Dict[int, int]:
+    """How often each current snapshot data page was read."""
+    store = driver.mapping
+    start = store.half_start_page(store.seq % 2)
+    pages = range(start, start + store.data_page_count)
+    return {addr - start: reads.count(addr) for addr in sorted(set(reads)) if addr in pages}
+
+
+def _named_pages(driver: PdlDriver, records) -> set:
+    """The snapshot pages covering the pids of the row records."""
+    directory = driver.mapping.directory
+    return {
+        bisect_right(directory, a) - 1
+        for kind, a, _b, _ts in records
+        if kind in (REC_SET_BASE, REC_MOVE_BASE, REC_SET_DIFF, REC_CLEAR_DIFF, REC_REMOVE)
+    }
+
+
+def test_replay_reads_each_snapshot_page_its_tail_names_once():
+    """Six snapshot pages named by the tail, a one-page clean cache: one
+    read of each page, in one batch — not one per eviction — every read
+    a counted miss, and the tables equal to the scan oracle's."""
+    _injector, chip, _driver, cfg = _wide_tail(pages=6)
+    expected = _scan_oracle(chip)
+    recovered, report, reads, misses = _traced_restart(chip, cfg)
+    assert report.fast_path and not report.repaired
+    named = _named_pages(recovered, report.plan.records)
+    assert len(named) == 6 > recovered.ppmt.cache_capacity_pages
+    assert _snapshot_page_reads(recovered, reads) == dict.fromkeys(named, 1)
+    assert misses == len(named)
+    assert _state_of(recovered.ppmt, recovered.vdct) == expected
+
+
+def test_batched_replay_leaves_the_clean_cache_as_page_ins_would(monkeypatch):
+    """The staged pages go through the cache's own admit path, so the
+    restart ends with the same pages, in the same LRU order, as a replay
+    that pages each one in when it first needs it."""
+    _injector, chip, _driver, cfg = _wide_tail(pages=6)
+    batched, _report, _reads, _misses = _traced_restart(chip, cfg)
+    monkeypatch.setattr(
+        TieredMappingTable, "staged", lambda _self, _pids: contextlib.nullcontext()
+    )
+    paged, _report, reads, _misses = _traced_restart(chip, cfg)
+    assert max(_snapshot_page_reads(paged, reads).values()) > 1  # what the batch spares
+    assert list(batched.ppmt._cache) == list(paged.ppmt._cache)
+    assert _state_of(batched.ppmt, batched.vdct) == _state_of(paged.ppmt, paged.vdct)
+
+
+def test_the_staged_pages_end_with_the_restart():
+    """The batch lives only as long as the restart: once a later snapshot
+    replaces the pages it staged, every lookup pages the new ones in and
+    every page reads back its newest image."""
+    _injector, chip, _driver, cfg = _wide_tail(pages=6)
+    recovered, _report, _reads, _misses = _traced_restart(chip, cfg)
+    images = {}
+    for pid in range(WIDE_PIDS):
+        image = bytearray(recovered.read_page(pid))
+        image[4:8] = b"next"
+        images[pid] = bytes(image)
+        recovered.write_page(pid, images[pid])
+    recovered.flush()
+    recovered.mapping.snapshot()
+    misses = recovered.chip.stats.mapping_misses
+    assert {pid: recovered.read_page(pid) for pid in range(WIDE_PIDS)} == images
+    assert recovered.chip.stats.mapping_misses - misses >= recovered.mapping.data_page_count
+
+
+@pytest.mark.parametrize(
+    "fault, error",
+    [("bit_rot", ChecksumError), ("misdirected_write", MappingFormatError)],
+)
+def test_a_damaged_page_the_tail_names_rejects_the_replay(monkeypatch, fault, error):
+    """The batch reads the damaged page before any record is applied: the
+    restart demotes to the scan (``REPLAY_REJECTED``) and equals its
+    oracle, and the error the replay caught names snapshot, page and
+    flash address the way a page-in does."""
+    injector, chip, driver, cfg = _wide_tail(pages=6)
+    store = driver.mapping
+    addr = store.half_start_page(store.seq % 2) + 2
+    if fault == "bit_rot":
+        injector.inject(fault, addr)
+    else:  # a page that reads clean but is no mapping page: a live base
+        injector.inject(fault, addr, donor=driver.ppmt.require(0).base_addr)
+    caught: list = []
+    batch = MappingStore.read_data_pages
+
+    def spied(self, indexes=None):
+        try:
+            yield from batch(self, indexes)
+        except (ChecksumError, MappingFormatError) as exc:
+            caught.append(exc)
+            raise
+
+    monkeypatch.setattr(MappingStore, "read_data_pages", spied)
+    expected = _scan_oracle(chip, cfg.region_blocks * WIDE.pages_per_block)
+    recovered, report, reads, _misses = _traced_restart(chip, cfg)
+    assert report.plan.reason is FallbackReason.REPLAY_REJECTED
+    assert _state_of(recovered.ppmt, recovered.vdct) == expected
+    assert reads.count(addr) == 1
+    (exc,) = caught
+    assert type(exc) is error and exc.__cause__ is not None
+    message = str(exc)
+    for part in (f"snapshot {store.seq}", "page 2", f"flash address {addr}"):
+        assert part in message, message
+
+
+def test_a_damaged_page_the_restart_does_not_need_is_never_read():
+    """Only the pages the tail names are batched: a rotted page that
+    neither the tail names nor the tail scan looks up costs the restart
+    nothing, and the restart stays fast with every other row as a
+    healthy restart has it."""
+    injector, chip, driver, cfg = _wide_tail(pages=3)
+    expected = _scan_oracle(chip)
+    healthy, report, reads, _misses = _traced_restart(chip, cfg)
+    assert _state_of(healthy.ppmt, healthy.vdct) == expected
+    assert _named_pages(healthy, report.plan.records) == {0, 1, 2}
+    # The tail scan also looks up the bases in the snapshot's open block.
+    needed = set(_snapshot_page_reads(healthy, reads))
+    store = driver.mapping
+    page = min(set(range(store.data_page_count)) - needed)
+    assert page > 2
+    addr = store.half_start_page(store.seq % 2) + page
+    injector.inject("bit_rot", addr)
+    recovered, report, reads, _misses = _traced_restart(chip, cfg)
+    assert report.fast_path and not report.repaired
+    assert addr not in reads
+    # A walk of the whole table would read the rotted page: ask per pid.
+    directory = store.directory
+    elsewhere = set(range(WIDE_PIDS)) - set(range(directory[page], directory[page + 1]))
+    rows, vdct = expected
+    assert {pid: _row(recovered.ppmt.get(pid)) for pid in elsewhere} == {
+        pid: rows[pid] for pid in elsewhere
+    }
+    assert dict(recovered.vdct.items()) == vdct
+

@@ -1,7 +1,7 @@
 """The restart decision tree, branch for branch, from hand-written surveys.
 
-No chip, store or driver.  The end-to-end matrices (``tests/ext/
-test_journal.py``, ``tests/integration/test_fault_matrix.py``) check that
+No chip, store or driver.  The end-to-end matrices (``tests/core/
+test_restart.py``, ``tests/integration/test_fault_matrix.py``) check that
 executing a plan converges to the scan oracle; this table checks which
 plan is chosen, including the leaves no crash or injected fault reaches.
 """

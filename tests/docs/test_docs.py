@@ -89,6 +89,18 @@ def test_substitutions_cite_their_definitions():
         assert re.match(rf"\s*(def |class )?{name}\b", source), f"{path}:{line} is not {name}"
 
 
+def test_recovery_cites_its_definitions():
+    """docs/recovery.md, "Restart decision tree": each ``file:line`` with
+    the name it cites (in parentheses, or after a comma) lands on the
+    line that defines that name."""
+    text = (ROOT / "docs" / "recovery.md").read_text(encoding="utf-8")
+    cited = re.findall(r"`(src/[\w./]+\.py):(\d+)`(?:\s*\(|, )`(\w+)`", text)
+    assert len(cited) >= 7
+    for path, line, name in cited:
+        source = (ROOT / path).read_text(encoding="utf-8").splitlines()[int(line) - 1]
+        assert re.match(rf"\s*(def |class )?{name}\b", source), f"{path}:{line} is not {name}"
+
+
 def test_ci_states_each_dependency_once():
     """``src/repro`` imports numpy unconditionally, so every CI job that
     runs project code installs ``requirements-dev.txt`` — and none names

@@ -133,7 +133,7 @@ def test_restart_reads_follow_the_dirty_tail_while_the_scan_follows_the_device()
     small, _ = _journaled_device(128, 24)
     large, peak = _journaled_device(512, 24)
     assert [_recovery_cost(d, journaled=False)[1] for d in (small, large)] == [513, 2049]
-    assert [_recovery_cost(d, journaled=True)[1] for d in (small, large)] == [211, 219]
+    assert [_recovery_cost(d, journaled=True)[1] for d in (small, large)] == [199, 205]
     tails = [_journaled_device(128, n)[0] for n in (6, 12, 24)]
     assert [_recovery_cost(d, journaled=True)[0].journal_records for d in tails] == [13, 25, 49]
     # The large table is 16x its cache: demand-paged, never over budget.

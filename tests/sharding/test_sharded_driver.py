@@ -5,7 +5,9 @@ import random
 import pytest
 
 from repro.core.pdl import PdlDriver
+from repro.flash.backend import FaultInjector
 from repro.flash.chip import FlashChip
+from repro.flash.errors import WrongPageError
 from repro.flash.spec import FlashSpec
 from repro.flash.stats import WRITE_STEP
 from repro.ftl.errors import ConfigurationError
@@ -270,3 +272,47 @@ class TestGcReport:
         report = driver.gc_report()
         assert report["per_shard"] == [None]
         assert report["total_collections"] == 0
+
+
+class TestShardNamesItsFailures:
+    """A shard's driver does not know its index, so the array names it: a
+    checksum or wrong-page failure comes out of the façade as the same
+    type, with the same ``addr``, prefixed ``shard i of N:`` and chained
+    to the shard's own error."""
+
+    @staticmethod
+    def _misdirected():
+        _, driver = _sharded(4)
+        for pid in range(16):
+            driver.load_page(pid, bytes([pid + 1]) * PAGE)
+        pid = 3
+        index = driver.shard_index(pid)
+        shard = driver.shards[index]
+        donor = next(q for q in range(16) if q != pid and driver.shard_index(q) == index)
+        row, other = shard.ppmt.require(pid), shard.ppmt.require(donor)
+        FaultInjector(shard.chip.backend).inject(
+            "misdirected_write", row.base_addr, donor=other.base_addr
+        )
+        expected = (
+            f"base page {row.base_addr} holds (pid {donor}, ts {other.base_ts}), "
+            f"the mapping row expects (pid {pid}, ts {row.base_ts})"
+        )
+        return driver, pid, index, row.base_addr, expected
+
+    def test_read_names_the_shard(self):
+        driver, pid, index, addr, expected = self._misdirected()
+        with pytest.raises(WrongPageError) as err:
+            driver.read_page(pid)
+        assert str(err.value) == f"shard {index} of 4: read of pid {pid}: {expected}"
+        assert err.value.addr == addr
+        cause = err.value.__cause__
+        assert type(cause) is WrongPageError and str(cause) == f"read of pid {pid}: {expected}"
+        assert driver.read_page(pid + 1) == bytes([pid + 2]) * PAGE
+
+    def test_write_names_the_shard(self):
+        driver, pid, index, addr, expected = self._misdirected()
+        with pytest.raises(WrongPageError) as err:
+            driver.write_page(pid, b"\x77" * PAGE)
+        assert str(err.value) == f"shard {index} of 4: write of pid {pid}: {expected}"
+        assert err.value.addr == addr
+        assert isinstance(err.value.__cause__, WrongPageError)
