@@ -1,4 +1,4 @@
-"""Consistency checking (fsck) for PDL state.
+"""Consistency checking for PDL state.
 
 Cross-validates the four representations of truth a running PDL driver
 maintains — the physical page mapping table, the valid differential
@@ -10,10 +10,11 @@ after crash recovery.
 
 Checked invariants:
 
-1. every ppmt base address holds a valid BASE page whose spare pid and
-   timestamp match the table;
-2. every ppmt differential address holds a valid DIFFERENTIAL page that
-   actually contains an entry for that pid, newer than the base page;
+1. every ppmt base address holds a valid BASE page whose spare reads
+   ``(pid, base_ts)``;
+2. every ppmt differential address holds a valid DIFFERENTIAL page with
+   an entry stamped ``(pid, diff_ts)``, newer than the base page (both
+   stamps are tested by :func:`~repro.core.tables.stamp_mismatch`);
 3. vdct counts equal the number of ppmt rows referencing each page;
 4. the allocator's validity bitmap marks exactly the referenced pages;
 5. no two ppmt rows share a base address;
@@ -28,10 +29,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Sequence
 
 from ..flash.spare import PageType, data_checksum
-from .differential import DifferentialError, decode_differential_page
+from .differential import DifferentialError, differential_page_stamps
+from .tables import Stamp, stamp_mismatch
 
 if TYPE_CHECKING:
     from .pdl import PdlDriver  # pdl imports fsck, which imports this module
@@ -70,69 +72,38 @@ def check_driver(driver: PdlDriver) -> CheckReport:
     for pid, entry in driver.ppmt.items():
         report.pages_checked += 1
         base_addrs[entry.base_addr] += 1
-        # (1) base page integrity
-        spare = chip.peek_spare(entry.base_addr)
-        if spare.type is not PageType.BASE:
-            report.add(f"pid {pid}: base addr {entry.base_addr} holds {spare.type!r}")
-            continue
-        if spare.obsolete:
-            report.add(f"pid {pid}: base page {entry.base_addr} is obsolete")
-        if spare.pid != pid:
-            report.add(
-                f"pid {pid}: base page {entry.base_addr} labelled pid {spare.pid}"
-            )
-        if spare.timestamp != entry.base_ts:
-            report.add(
-                f"pid {pid}: base ts {entry.base_ts} != spare ts {spare.timestamp}"
-            )
-        if not driver.blocks.is_valid(entry.base_addr):
-            report.add(f"pid {pid}: base page {entry.base_addr} not in bitmap")
-        # (7) base data matches its stored checksum
-        if (
-            spare.checksum is not None
-            and data_checksum(chip.peek_data(entry.base_addr)) != spare.checksum
-        ):
-            report.add(
-                f"pid {pid}: base page {entry.base_addr} fails its data checksum"
-            )
-
-        # (2) differential page integrity
+        pages = [("base", entry.base_addr, PageType.BASE)]
         if entry.diff_addr is not None:
             diff_refs[entry.diff_addr] += 1
-            dspare = chip.peek_spare(entry.diff_addr)
-            if dspare.type is not PageType.DIFFERENTIAL:
-                report.add(
-                    f"pid {pid}: diff addr {entry.diff_addr} holds {dspare.type!r}"
-                )
-                continue
-            if dspare.obsolete:
-                report.add(f"pid {pid}: diff page {entry.diff_addr} is obsolete")
-            # (7) differential data matches its stored checksum
-            diff_data = chip.peek_data(entry.diff_addr)
-            if (
-                dspare.checksum is not None
-                and data_checksum(diff_data) != dspare.checksum
-            ):
-                report.add(
-                    f"pid {pid}: diff page {entry.diff_addr} fails its data checksum"
-                )
-            try:
-                diffs = decode_differential_page(diff_data)
-            except DifferentialError as exc:
-                report.add(f"pid {pid}: diff page {entry.diff_addr} corrupt: {exc}")
-                continue
-            match = [d for d in diffs if d.pid == pid]
-            if not match:
-                report.add(
-                    f"pid {pid}: diff page {entry.diff_addr} has no entry for it"
-                )
-            elif match[0].timestamp <= entry.base_ts:
-                report.add(
-                    f"pid {pid}: flash differential ts {match[0].timestamp} "
-                    f"not newer than base ts {entry.base_ts}"
-                )
-            if not driver.blocks.is_valid(entry.diff_addr):
-                report.add(f"pid {pid}: diff page {entry.diff_addr} not in bitmap")
+            pages.append(("differential", entry.diff_addr, PageType.DIFFERENTIAL))
+        # (1), (2) and (7): each page the row points at, the same way
+        for role, addr, page_type in pages:
+            spare = chip.peek_spare(addr)
+            if spare.type is not page_type:
+                report.add(f"pid {pid}: {role} addr {addr} holds {spare.type!r}")
+                break
+            if spare.obsolete:
+                report.add(f"pid {pid}: {role} page {addr} is obsolete")
+            if not driver.blocks.is_valid(addr):
+                report.add(f"pid {pid}: {role} page {addr} not in bitmap")
+            data = chip.peek_data(addr)
+            if spare.checksum is not None and data_checksum(data) != spare.checksum:
+                report.add(f"pid {pid}: {role} page {addr} fails its data checksum")
+            found: Sequence[Stamp] = [(spare.pid, spare.timestamp)]
+            if page_type is PageType.DIFFERENTIAL:
+                try:
+                    found = differential_page_stamps(data)
+                except DifferentialError as exc:
+                    report.add(f"pid {pid}: {role} page {addr} corrupt: {exc}")
+                    break
+            wrong = stamp_mismatch(pid, entry, role, found)
+            if wrong is not None:
+                report.add(f"pid {pid}: {wrong}")
+        if entry.diff_ts is not None and entry.diff_ts <= entry.base_ts:
+            report.add(
+                f"pid {pid}: flash differential ts {entry.diff_ts} "
+                f"not newer than base ts {entry.base_ts}"
+            )
 
         # (6) buffered differential freshness
         buffered = driver.buffer.get(pid)

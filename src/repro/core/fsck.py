@@ -12,9 +12,10 @@ restore, using the redundancy PDL leaves lying around:
 * a stale or relocated **copy** of a base page (GC crash residue, Case-3
   predecessors) can be re-adopted, relocated to a fresh page, and the
   surviving differential chain replays onto it at read time;
-* an **older differential** (obsoleted by a newer flush but still
-  physically present) can substitute for a corrupted differential page,
-  rolling the page back to its most recent surviving version;
+* an **older differential** of the pid on another page (obsoleted by a
+  newer flush, or still live for other pids) can substitute for a
+  corrupted differential page, rolling the page back to its most recent
+  surviving version;
 * a page with no surviving copy anywhere is **declared lost** with a
   precise report, and its mapping is removed so reads fail loudly
   instead of serving garbage.
@@ -40,7 +41,7 @@ from ..flash.spare import CHECKSUM_HEADER_SIZE, PageType, SpareArea, data_checks
 from ..ftl.errors import OutOfSpaceError
 from .check import CheckReport, check_driver
 from .differential import Differential, DifferentialError, decode_differential_page
-from .tables import MappingEntry
+from .tables import MappingEntry, stamp_mismatch
 
 if TYPE_CHECKING:
     from .pdl import PdlDriver  # pdl imports this module
@@ -180,11 +181,12 @@ def fsck_driver(driver: PdlDriver, repair: bool = True) -> FsckReport:
         referenced = {entry.base_addr for _pid, entry in rows}
         dropped: Set[int] = set()
         for pid, entry in rows:
-            kind = _fault_kind(state, entry.base_addr, PageType.BASE, (pid, entry.base_ts))
-            if kind is None:
+            fault = _fault_kind(state, entry.base_addr, PageType.BASE, [(pid, entry)])
+            if fault is None:
                 continue
+            kind, detail = fault
             if not repair:
-                faults.append(PageFault(entry.base_addr, "base", kind, pid, "reported"))
+                faults.append(PageFault(entry.base_addr, "base", kind, pid, "reported", detail))
                 continue
             fixed = _repair_base(driver, state, pid, entry, kind)
             if any(f.action in ("repaired_stale", "lost") for f in fixed):
@@ -199,12 +201,14 @@ def fsck_driver(driver: PdlDriver, repair: bool = True) -> FsckReport:
                 diff_refs.setdefault(entry.diff_addr, []).append((pid, entry))
         referenced.update(diff_refs)
         for addr, refs in sorted(diff_refs.items()):
-            kind = _fault_kind(state, addr, PageType.DIFFERENTIAL, pids=[p for p, _e in refs])
-            if kind is None:
+            fault = _fault_kind(state, addr, PageType.DIFFERENTIAL, refs)
+            if fault is None:
                 continue
+            kind, detail = fault
             if not repair:
                 faults.extend(
-                    PageFault(addr, "differential", kind, pid, "reported") for pid, _e in refs
+                    PageFault(addr, "differential", kind, pid, "reported", detail)
+                    for pid, _e in refs
                 )
                 continue
             faults.extend(_repair_differential_page(driver, state, addr, refs, kind))
@@ -298,31 +302,39 @@ def _fault_kind(
     state: _SweepState,
     addr: int,
     page_type: PageType,
-    stamp: Optional[Tuple[int, int]] = None,
-    pids: Sequence[int] = (),
-) -> Optional[str]:
+    rows: Sequence[Tuple[int, MappingEntry]] = (),
+) -> Optional[Tuple[str, str]]:
     """Why the page at ``addr`` cannot serve as a live ``page_type`` page,
-    or ``None`` when it can.  A base also checks ``stamp``, the (pid,
-    timestamp) its mapping row expects — the only way to catch a
-    misdirected write, whose CRC still matches; a differential page
-    also checks that it decodes an entry for each of ``pids``."""
+    as ``(kind, detail)``, or ``None`` when it can.  The page must carry
+    the stamp of each ``(pid, row)`` pointing here (``detail`` is
+    :func:`~repro.core.tables.stamp_mismatch`'s description otherwise):
+    a base's is in its spare (kind ``spare``), a differential's among
+    its entries (kind ``decode``)."""
     spare = state.spares.get(addr)
     if spare is None:
-        return "missing"
+        return "missing", ""
     if spare.is_corrupt or spare.type is not page_type or spare.obsolete:
-        return "spare"
-    if stamp is not None and (spare.pid, spare.timestamp or 0) != stamp:
-        return "spare"
+        return "spare", ""
+    if page_type is PageType.BASE:
+        for pid, row in rows:
+            wrong = stamp_mismatch(pid, row, "base", [(spare.pid, spare.timestamp)])
+            if wrong is not None:
+                return "spare", wrong
     if addr in state.bad_data:
-        return "checksum"
+        return "checksum", ""
     if spare.checksum is None and state.expect_checksum:
         # Torn away: every program on this image stamps one.  The bytes
         # may still decode, but nothing vouches for them.
-        return "spare"
-    if pids:
+        return "spare", ""
+    if page_type is PageType.DIFFERENTIAL:
         diffs = state.decoded_diffs(addr)
-        if diffs is None or not set(pids) <= {diff.pid for diff in diffs}:
-            return "decode"
+        if diffs is None:
+            return "decode", ""
+        stamps = [(diff.pid, diff.timestamp) for diff in diffs]
+        for pid, row in rows:
+            wrong = stamp_mismatch(pid, row, "differential", stamps)
+            if wrong is not None:
+                return "decode", wrong
     return None
 
 
@@ -556,6 +568,7 @@ def _unreferenced_faults(
         kind = "spare" if spare.is_corrupt else "checksum"
         if repair:
             mark_obsolete_quietly(driver.chip, addr)
-        action = "quarantined" if repair else "reported"
-        faults.append(PageFault(addr, "unreferenced", kind, None, action))
+        faults.append(
+            PageFault(addr, "unreferenced", kind, None, "quarantined" if repair else "reported")
+        )
     return faults

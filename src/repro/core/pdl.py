@@ -49,28 +49,10 @@ from .differential import (
 from .fsck import FsckReport, fsck_driver
 from .mapping import REC_VDCT_DROP, JournaledVdct, MappingConfig, TieredMappingTable
 from .mapping_store import MappingStore
-from .tables import MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable
+from .tables import (
+    MappingEntry, PhysicalPageMappingTable, ValidDifferentialCountTable, stamp_mismatch
+)
 from .write_buffer import DifferentialWriteBuffer
-
-
-def _wrong_page(
-    verb: str,
-    pid: int,
-    kind: str,
-    addr: int,
-    expected_ts: Optional[int],
-    found: Iterable[Tuple[Optional[int], Optional[int]]],
-) -> WrongPageError:
-    """What a ``verb`` ("read" or "write") raises when the ``kind`` page
-    at ``addr`` does not carry the stamp the mapping row expects.
-    ``found`` is what it carries instead: the base spare's ``(pid,
-    timestamp)``, or the differential page's entries of ``pid``."""
-    held = ", ".join(f"(pid {p}, ts {ts})" for p, ts in found) or f"no entry for pid {pid}"
-    return WrongPageError(
-        f"{verb} of pid {pid}: {kind} page {addr} holds {held}, "
-        f"the mapping row expects (pid {pid}, ts {expected_ts})",
-        addr,
-    )
 
 
 class PdlDriver(PageUpdateMethod):
@@ -193,9 +175,9 @@ class PdlDriver(PageUpdateMethod):
             base, spare = chip.read_page(entry.base_addr)
             # A checksum proves the page whole, not that it is this
             # pid's current base: its spare must carry the row's stamp.
-            if spare.pid != pid or spare.timestamp != entry.base_ts:
-                found = [(spare.pid, spare.timestamp)]
-                raise _wrong_page("read", pid, "base", entry.base_addr, entry.base_ts, found)
+            wrong = stamp_mismatch(pid, entry, "base", [(spare.pid, spare.timestamp)])
+            if wrong is not None:
+                raise WrongPageError(f"read of pid {pid}: {wrong}", entry.base_addr)
             # Step 2: the write buffer is consulted before flash.
             diff = self.buffer.get(pid)
             diff_addr = entry.diff_addr
@@ -210,17 +192,20 @@ class PdlDriver(PageUpdateMethod):
                 # place to start; any other page is walked from its first
                 # entry, which names damage in front of the entry too.
                 diff_page, spare = chip.read_page(diff_addr)
-                at = entry.diff_at if spare.checksum is not None else None
-                image = merge_from_page(diff_page, pid, base, at, entry.diff_ts)
-                if image is None:
-                    # No entry stamped (pid, diff_ts): name what is there.
-                    found = [stamp for stamp in differential_page_stamps(diff_page) if stamp[0] == pid]
-                    raise _wrong_page("read", pid, "differential", diff_addr, entry.diff_ts, found)
+                if spare.type is PageType.DIFFERENTIAL:
+                    at = entry.diff_at if spare.checksum is not None else None
+                    image = merge_from_page(diff_page, pid, base, at, entry.diff_ts)
+                    if image is not None:
+                        return image
+                    found = differential_page_stamps(diff_page)
+                else:
+                    found = []  # a page of another type holds no entry
             except DifferentialError as exc:
                 raise DifferentialError(
                     f"read of pid {pid}: differential page {diff_addr}: {exc}"
                 ) from exc
-            return image
+            wrong = stamp_mismatch(pid, entry, "differential", found)
+            raise WrongPageError(f"read of pid {pid}: {wrong}", diff_addr)
 
     def write_page(
         self, pid: int, data: bytes, update_logs: Optional[List[ChangeRun]] = None
@@ -245,9 +230,9 @@ class PdlDriver(PageUpdateMethod):
                 # Step 1: read the base page, and check it is this
                 # pid's current base before diffing against it.
                 base, spare = self.chip.read_page(entry.base_addr)
-                if spare.pid != pid or spare.timestamp != entry.base_ts:
-                    found = [(spare.pid, spare.timestamp)]
-                    raise _wrong_page("write", pid, "base", entry.base_addr, entry.base_ts, found)
+                wrong = stamp_mismatch(pid, entry, "base", [(spare.pid, spare.timestamp)])
+                if wrong is not None:
+                    raise WrongPageError(f"write of pid {pid}: {wrong}", entry.base_addr)
                 self._reflect(pid, data, base, entry)
             finally:
                 self.gc.on_write_end()
@@ -392,11 +377,9 @@ class PdlDriver(PageUpdateMethod):
                 # Every base is checked, as in write_page, before any
                 # page of the batch is reflected.
                 for (pid, entry), (base, spare) in zip(mapped, images):
-                    if spare.pid != pid or spare.timestamp != entry.base_ts:
-                        found = [(spare.pid, spare.timestamp)]
-                        raise _wrong_page(
-                            "write", pid, "base", entry.base_addr, entry.base_ts, found
-                        )
+                    wrong = stamp_mismatch(pid, entry, "base", [(spare.pid, spare.timestamp)])
+                    if wrong is not None:
+                        raise WrongPageError(f"write of pid {pid}: {wrong}", entry.base_addr)
                     bases[pid] = base
             for pid, data in pages:
                 self.gc.on_write_begin()

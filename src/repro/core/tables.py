@@ -17,7 +17,7 @@ the one way a table survives a restart without that scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 
 @dataclass(slots=True)
@@ -44,6 +44,29 @@ class MappingEntry:
     diff_addr: Optional[int] = None
     diff_ts: Optional[int] = None
     diff_at: Optional[int] = field(default=None, compare=False)
+
+
+#: ``(pid, timestamp)`` as a base spare or a differential entry records it.
+Stamp = Tuple[Optional[int], Optional[int]]
+
+
+def stamp_mismatch(pid: int, row: MappingEntry, role: str, found: Sequence[Stamp]) -> Optional[str]:
+    """Whether the ``role`` page (``"base"`` or ``"differential"``) that
+    ``pid``'s ``row`` points at carries the row's stamp: ``None`` when it
+    does, else ``"<role> page A holds (pid Q, ts T), the mapping row
+    expects (pid P, ts E)"``.  ``found`` is every ``(pid, timestamp)`` on
+    the page: the base spare's one, or a differential page's entry stamps,
+    of which only ``pid``'s are named.  A checksum proves a page whole,
+    not that it is the row's.  The read, the write's base re-read, fsck
+    and :func:`~repro.core.check.check_driver` all ask this one test."""
+    expected = row.base_ts if role == "base" else row.diff_ts
+    if (pid, expected) in found:
+        return None
+    addr = row.base_addr if role == "base" else row.diff_addr
+    if role != "base":  # a differential page: name only pid's own entries
+        found = [stamp for stamp in found if stamp[0] == pid]
+    held = ", ".join(f"(pid {p}, ts {ts})" for p, ts in found) or f"no entry for pid {pid}"
+    return f"{role} page {addr} holds {held}, the mapping row expects (pid {pid}, ts {expected})"
 
 
 class PhysicalPageMappingTable:

@@ -265,8 +265,17 @@ class ShardedDriver(PageUpdateMethod):
 
     def _fan_out(self, tasks: Dict[int, Callable[[], object]]) -> List[object]:
         """Run one thunk per shard index under its gate; results in
-        shard order, the first failure re-raised after all have run."""
-        return self.executor.map(sorted(tasks.items()))
+        shard order, the first failure re-raised after all have run, a
+        checksum or wrong-page failure naming its shard (:meth:`_on_shard`)."""
+        return self.executor.map(
+            [(index, partial(self._named, index, fn)) for index, fn in sorted(tasks.items())]
+        )
+
+    def _named(self, index: int, fn: Callable[[], object]) -> object:
+        try:
+            return fn()
+        except ChecksumError as exc:
+            raise self._on_shard(index, exc) from exc
 
     # ------------------------------------------------------------------
     # PageUpdateMethod contract

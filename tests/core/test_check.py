@@ -1,4 +1,4 @@
-"""Tests for the PDL consistency checker (fsck)."""
+"""Tests for the PDL consistency checker, `check_driver` (it flags; fsck repairs)."""
 
 import random
 
@@ -65,9 +65,16 @@ class TestDetectsCorruption:
         driver.load_page(0, bytes(driver.page_size))
         driver.load_page(1, bytes(driver.page_size))
         # corrupt the table: point pid 0's base at pid 1's page
-        driver.ppmt.require(0).base_addr = driver.ppmt.require(1).base_addr
+        row, other = driver.ppmt.require(0), driver.ppmt.require(1)
+        own, row.base_addr = row.base_addr, other.base_addr
         report = check_driver(driver)
-        assert not report.consistent
+        # A wrong stamp is one violation, worded as the read words it.
+        assert report.violations == [
+            f"pid 0: base page {other.base_addr} holds (pid 1, ts {other.base_ts}), "
+            f"the mapping row expects (pid 0, ts {row.base_ts})",
+            f"base address {other.base_addr} referenced by 2 pids",
+            f"bitmap marks unreferenced page {own} valid",
+        ]
 
     def test_detects_vdct_drift(self, tiny_spec):
         chip = FlashChip(tiny_spec)

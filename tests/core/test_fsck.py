@@ -7,6 +7,7 @@ from repro.core.pdl import PdlDriver
 from repro.core.recovery import recover_driver
 from repro.flash.backend import FaultInjector, MemoryBackend
 from repro.flash.chip import FlashChip
+from repro.flash.errors import WrongPageError
 from repro.ftl.errors import UnknownPageError
 from repro.flash.spare import PageType, SpareArea
 
@@ -213,6 +214,47 @@ class TestDifferentialRepair:
         assert report.repaired_differentials == 1
         assert report.check.consistent
         assert driver.read_page(0) == v2  # newest version intact
+
+    def test_live_older_page_misdirected_onto_the_current_one(self, tiny_spec):
+        """D1 holds an older entry of pid 3 and stays live for pid 5; D2
+        holds pid 3's current entry.  Misdirected onto D2, D1's images
+        carry pid 3 at the wrong stamp: the read, fsck and check_driver
+        all refuse the page alike, and the repair salvages D1's entry."""
+        backend = MemoryBackend(tiny_spec)
+        driver = PdlDriver(FlashChip(tiny_spec, backend=backend), max_differential_size=128)
+        images = {pid: _page(driver, pid) for pid in (3, 5)}
+        for pid, image in images.items():
+            driver.load_page(pid, image)
+        for pid in (3, 5):
+            images[pid] = _patched(images[pid], 10, b"\x99" * 8)
+            driver.write_page(pid, images[pid])
+        driver.flush()
+        d1, old_ts = driver.ppmt.require(3).diff_addr, driver.ppmt.require(3).diff_ts
+        driver.write_page(3, _patched(images[3], 100, b"\x77" * 8))
+        driver.flush()
+        d2, ts = driver.ppmt.require(3).diff_addr, driver.ppmt.require(3).diff_ts
+        assert d1 != d2 and driver.ppmt.require(5).diff_addr == d1
+        FaultInjector(backend).inject_misdirected_write(d2, donor=d1)
+        wrong = (
+            f"differential page {d2} holds (pid 3, ts {old_ts}), "
+            f"the mapping row expects (pid 3, ts {ts})"
+        )
+
+        with pytest.raises(WrongPageError) as err:
+            driver.read_page(3)
+        assert str(err.value) == f"read of pid 3: {wrong}" and err.value.addr == d2
+        dry = fsck_driver(driver, repair=False)
+        assert [(f.addr, f.role, f.kind, f.pid, f.detail) for f in dry.faults] == [
+            (d2, "differential", "decode", 3, wrong)
+        ]
+        assert check_driver(driver).violations == [f"pid 3: {wrong}"]
+
+        report = fsck_driver(driver)
+        assert [(f.addr, f.pid, f.action) for f in report.faults] == [(d2, 3, "repaired_chain")]
+        assert driver.ppmt.require(3).diff_ts == old_ts  # D1's entry, one version back
+        assert driver.read_page(3) == images[3]
+        assert driver.read_page(5) == images[5]
+        assert report.check.consistent
 
 
 class TestQuarantine:

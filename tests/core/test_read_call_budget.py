@@ -8,7 +8,9 @@ a method call per check, and the codec found the entry, sliced it out
 and unpacked its run headers a second time to apply it; one backend call
 per page, positional file I/O and the fused ``merge_from_page`` make it
 17 and 21 (docs/architecture.md, "Read path"), and 14 and 18 once the
-merge took its run-header struct from the cache without a call.  The
+merge took its run-header struct from the cache without a call; 16 and
+20 since the base spare's stamp is tested by the one shared predicate,
+``stamp_mismatch``, and the merge calls the shared validator.  The
 budget sits between, so a per-check method call or a second backend
 call per page fails tier-1.  ``test_call_budget.py`` holds the whole
 read-change-write cycle.  A read through a row that records where its

@@ -4,6 +4,7 @@ The same checker runs in the CI docs job; having it in tier-1 means a
 renamed module or deleted doc fails fast, locally.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -153,3 +154,26 @@ def test_restart_decision_tree_names_exactly_the_plan_enums():
     for path, line, name in cited:
         source = (ROOT / path).read_text(encoding="utf-8").splitlines()[int(line) - 1]
         assert re.match(rf"(def|class) {name}\b", source), f"{path}:{line} is not {name}"
+
+
+def test_fsck_decision_table_names_exactly_the_recorded_actions():
+    """docs/integrity.md, "fsck: scan, diagnose, repair": the actions its
+    decision table names are exactly the ones ``fsck.py`` can record,
+    read as the string literals it passes as ``PageFault``'s action, so
+    the table stays the one statement of the decision tree."""
+    tree = ast.parse((ROOT / "src" / "repro" / "core" / "fsck.py").read_text(encoding="utf-8"))
+    recorded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "PageFault":
+            action = node.args[4] if len(node.args) > 4 else next(
+                keyword.value for keyword in node.keywords if keyword.arg == "action"
+            )
+            choices = [action.body, action.orelse] if isinstance(action, ast.IfExp) else [action]
+            for choice in choices:
+                assert isinstance(choice, ast.Constant), ast.unparse(action)
+                recorded.add(choice.value)
+    text = (ROOT / "docs" / "integrity.md").read_text(encoding="utf-8")
+    section = text.split("\n## fsck: scan, diagnose, repair\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?m)^\|[^|\n]*\|[^|\n]*\| `(\w+)`", section))
+    assert len(recorded) >= 5
+    assert named == recorded

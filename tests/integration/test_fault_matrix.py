@@ -27,6 +27,7 @@ from repro.core.restart import restart_driver
 from repro.core.restart_plan import FallbackReason
 from repro.flash.backend import FaultInjector, FileBackend, MemoryBackend
 from repro.flash.chip import FlashChip
+from repro.flash.errors import ChecksumError, WrongPageError
 from repro.flash.spare import (
     CHECKSUM_OFFSET,
     CHECKSUM_SIZE,
@@ -130,6 +131,15 @@ def test_fault_matrix_cell(build, backend_kind, role, fault):
         addr = _target_addr(driver, kind, pid)
         injector.inject(fault, addr)
         damaged = injector.backend.read_data(addr)
+
+        # 0. A plain read refuses a damaged page of its own before any
+        #    fsck: a CRC catches rot, the mapping row's stamps a page
+        #    that is whole but not the row's.
+        if role != "checkpoint" and fault != "torn_spare":
+            error = WrongPageError if fault == "misdirected_write" else ChecksumError
+            with pytest.raises(ChecksumError) as err:
+                driver.read_page(pid)
+            assert type(err.value) is error and err.value.addr == addr
 
         report = fsck_driver(driver)
 

@@ -316,3 +316,14 @@ class TestShardNamesItsFailures:
         assert str(err.value) == f"shard {index} of 4: write of pid {pid}: {expected}"
         assert err.value.addr == addr
         assert isinstance(err.value.__cause__, WrongPageError)
+
+    def test_batched_write_names_the_shard_and_still_writes_the_others(self):
+        driver, pid, index, addr, expected = self._misdirected()
+        other = next(q for q in range(16) if driver.shard_index(q) != index)
+        with pytest.raises(WrongPageError) as err:
+            driver.write_pages([(pid, b"\x77" * PAGE), (other, b"\x66" * PAGE)])
+        assert str(err.value) == f"shard {index} of 4: write of pid {pid}: {expected}"
+        assert err.value.addr == addr
+        cause = err.value.__cause__
+        assert type(cause) is WrongPageError and str(cause) == f"write of pid {pid}: {expected}"
+        assert driver.read_page(other) == b"\x66" * PAGE
