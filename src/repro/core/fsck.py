@@ -204,12 +204,12 @@ def fsck_driver(driver: PdlDriver, repair: bool = True) -> FsckReport:
             fault = _fault_kind(state, addr, PageType.DIFFERENTIAL, refs)
             if fault is None:
                 continue
-            kind, detail = fault
+            kind = fault[0]
             if not repair:
-                faults.extend(
-                    PageFault(addr, "differential", kind, pid, "reported", detail)
-                    for pid, _e in refs
-                )
+                for pid, row in refs:  # each pid's detail is its own row's mismatch
+                    own = _fault_kind(state, addr, PageType.DIFFERENTIAL, [(pid, row)])
+                    detail = own[1] if own else ""
+                    faults.append(PageFault(addr, "differential", kind, pid, "reported", detail))
                 continue
             faults.extend(_repair_differential_page(driver, state, addr, refs, kind))
 
@@ -552,11 +552,11 @@ def _unreferenced_faults(
     region_end = _checkpoint_region_pages(driver)
     faults: List[PageFault] = []
     for addr in sorted(a for a in state.spares if a < region_end):
-        kind = _fault_kind(state, addr, PageType.CHECKPOINT)
-        if kind is not None:
+        fault = _fault_kind(state, addr, PageType.CHECKPOINT)
+        if fault is not None:
             faults.append(
                 PageFault(
-                    addr, "checkpoint", kind, None, "reported",
+                    addr, "checkpoint", fault[0], None, "reported",
                     "snapshot protocol falls back to the full scan",
                 )
             )
@@ -568,7 +568,6 @@ def _unreferenced_faults(
         kind = "spare" if spare.is_corrupt else "checksum"
         if repair:
             mark_obsolete_quietly(driver.chip, addr)
-        faults.append(
-            PageFault(addr, "unreferenced", kind, None, "quarantined" if repair else "reported")
-        )
+        action = "quarantined" if repair else "reported"
+        faults.append(PageFault(addr, "unreferenced", kind, None, action))
     return faults

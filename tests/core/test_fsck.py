@@ -256,6 +256,29 @@ class TestDifferentialRepair:
         assert driver.read_page(5) == images[5]
         assert report.check.consistent
 
+    def test_dry_run_names_each_pids_own_mismatch(self, tiny_spec):
+        """Two rows point at one differential page and only pid 5's stamp
+        is wrong: the dry run reports the page under both pids, and only
+        pid 5's fault carries a mismatch, its own."""
+        driver = PdlDriver(FlashChip(tiny_spec), max_differential_size=128)
+        for pid in (3, 5):
+            driver.load_page(pid, _page(driver, pid))
+            driver.write_page(pid, _patched(_page(driver, pid), 10, b"\x99" * 8))
+        driver.flush()
+        row = driver.ppmt.require(5)
+        addr, ts = row.diff_addr, row.diff_ts
+        assert driver.ppmt.require(3).diff_addr == addr
+        driver.ppmt.set_diff(5, addr, ts + 1, row.diff_at)
+        dry = fsck_driver(driver, repair=False)
+        assert [(f.addr, f.kind, f.pid, f.detail) for f in dry.faults] == [
+            (addr, "decode", 3, ""),
+            (
+                addr, "decode", 5,
+                f"differential page {addr} holds (pid 5, ts {ts}), "
+                f"the mapping row expects (pid 5, ts {ts + 1})",
+            ),
+        ]
+
 
 class TestQuarantine:
     def test_unreferenced_rot_is_quarantined(self, rig):
@@ -292,8 +315,8 @@ class TestQuarantine:
         injector.inject("bit_rot", snapshot_addr)
         before = injector.backend.read_data(snapshot_addr)
         report = fsck_driver(driver)
-        assert [(f.role, f.action) for f in report.faults] == [
-            ("checkpoint", "reported")
+        assert [(f.role, f.kind, f.action) for f in report.faults] == [
+            ("checkpoint", "checksum", "reported")
         ]
         assert injector.backend.read_data(snapshot_addr) == before  # untouched
         assert report.check.consistent
