@@ -348,6 +348,13 @@ def _adopt_diff_page(
             row.diff_at = at
         elif timestamp <= row.diff_ts:
             continue  # an at-least-as-recent differential was adopted
+        elif row.diff_addr == addr:
+            # A newer entry of the pid on this same page: the page already
+            # counts the row once, and a drop would take it to 0 and mark
+            # obsolete the page the row is adopting from.
+            row.diff_ts = timestamp
+            row.diff_at = at
+            counts[addr] -= 1  # counted again below
         else:
             drop_diff(row)
             row.diff_addr = addr
@@ -396,7 +403,10 @@ def recover_driver(
     # recover_tables resumes the timestamp counter itself (from the
     # global maximum over all programmed stamps, stale copies included).
     report = recover_tables(chip, driver.ppmt, driver.vdct, driver=driver)
-    valid = {entry.base_addr for _pid, entry in driver.ppmt.items()}
-    valid.update(driver.vdct.pages())
+    valid = bytearray(chip.spec.n_pages)
+    for _pid, entry in driver.ppmt.items():
+        valid[entry.base_addr] = 1
+    for addr in driver.vdct.pages():
+        valid[addr] = 1
     driver.blocks.rebuild(valid)
     return driver, report

@@ -81,6 +81,14 @@ from .tables import PhysicalPageMappingTable, ValidDifferentialCountTable
 
 log = logging.getLogger(__name__)
 
+#: The page types the per-page loops test, as module constants: a global
+#: load, not the enum's member lookup, on every scanned spare.
+_ERASED_PAGE = PageType.ERASED
+_BASE = PageType.BASE
+_DIFFERENTIAL = PageType.DIFFERENTIAL
+_CHECKPOINT = PageType.CHECKPOINT
+_CORRUPT = PageType.CORRUPT
+
 #: Journal records that re-point a mapping row (``a`` is its pid).
 _ROW_RECORDS = frozenset((REC_SET_BASE, REC_MOVE_BASE, REC_SET_DIFF, REC_CLEAR_DIFF, REC_REMOVE))
 
@@ -157,7 +165,7 @@ def _read_seal(store: MappingStore, half: int) -> Union[Seal, Unread]:
     magic, *fields = SEAL.unpack_from(data, 0)
     seal = Seal(*fields)
     if (
-        spare.type is not PageType.CHECKPOINT
+        spare.type is not _CHECKPOINT
         or magic != SEAL_MAGIC
         or seal.seq % 2 != half
         or seal.n_data + seal.n_meta + 1 > store.half_pages
@@ -220,7 +228,9 @@ def _execute_fast(
     """Carry out ``plan``; returns it, or the fallback it is demoted to."""
     table = driver.ppmt
     assert isinstance(table, TieredMappingTable)
-    valid: Set[int] = set()
+    # Page validity in the allocator's own form from here to the rebuild:
+    # one byte per physical page, 1 when live.
+    valid = bytearray(store.spec.n_pages)
     max_ts = 0
     seal, meta = newest_seal(survey.seals), survey.meta
     if seal is not None:  # else the implicit empty snapshot of epoch 0
@@ -229,8 +239,8 @@ def _execute_fast(
         report.snapshot_seq = seal.seq
         table.seed_counts(seal.count, seal.max_pid1 - 1)
         driver.vdct.seed(meta.vdct_rows)
-        bits = np.unpackbits(np.frombuffer(meta.bitmap, dtype=np.uint8), bitorder="little")
-        valid.update(np.flatnonzero(bits[: store.spec.n_pages]).tolist())
+        bits = np.frombuffer(meta.bitmap, dtype=np.uint8)
+        valid = bytearray(np.unpackbits(bits, count=len(valid), bitorder="little"))
         max_ts = seal.max_ts
     retire: Set[int] = set()
     try:
@@ -264,7 +274,7 @@ def _replay(
     store: MappingStore,
     table: TieredMappingTable,
     records: Iterable[Record],
-    valid: Set[int],
+    valid: bytearray,
     retire: Set[int],
     report: RecoveryReport,
 ) -> int:
@@ -276,18 +286,18 @@ def _replay(
         max_ts = max(max_ts, ts)
         if kind == REC_SET_BASE:
             old = table.set_base(a, b, ts)
-            valid.add(b)
+            valid[b] = 1
             if old is not None and old.base_addr >= 0 and old.base_addr != b:
-                valid.discard(old.base_addr)
+                valid[old.base_addr] = 0
                 retire.add(old.base_addr)
         elif kind == REC_MOVE_BASE:
             old = table.require(a)
-            if old.base_addr != b:
-                valid.discard(old.base_addr)
+            if old.base_addr >= 0 and old.base_addr != b:
+                valid[old.base_addr] = 0
                 retire.add(old.base_addr)
             table.hold(a, old)  # the row move_base re-points
             table.move_base(a, b)
-            valid.add(b)
+            valid[b] = 1
         elif kind == REC_SET_DIFF:
             table.set_diff(a, b, ts)
         elif kind == REC_CLEAR_DIFF:
@@ -295,19 +305,19 @@ def _replay(
         elif kind == REC_REMOVE:
             old = table.remove(a)
             if old is not None and old.base_addr >= 0:
-                valid.discard(old.base_addr)
+                valid[old.base_addr] = 0
                 retire.add(old.base_addr)
         elif kind == REC_VDCT_INC:
             if vdct.count(a) == 0:
-                valid.add(a)
+                valid[a] = 1
             vdct.increment(a)
         elif kind == REC_VDCT_DEC:
             if vdct.decrement(a):
-                valid.discard(a)
+                valid[a] = 0
                 retire.add(a)
         elif kind == REC_VDCT_DROP:
             vdct.remove(a)
-            valid.discard(a)
+            valid[a] = 0
             retire.add(a)
         elif kind == REC_OPEN_BLOCK:
             scan_blocks.add(a)
@@ -318,7 +328,7 @@ def _replay(
 
 def _tail_scan(
     driver: PdlDriver,
-    valid: Set[int],
+    valid: bytearray,
     retire: Set[int],
     scan_blocks: Set[int],
     report: RecoveryReport,
@@ -336,7 +346,7 @@ def _tail_scan(
 
     def drop_ref(addr: int) -> None:
         if vdct.decrement(addr):
-            valid.discard(addr)
+            valid[addr] = 0
             retire.add(addr)
 
     with chip.stats.phase(RECOVERY_PHASE):
@@ -350,21 +360,21 @@ def _tail_scan(
             report.pages_scanned += len(addrs)
             for addr, spare in zip(addrs, spares):
                 kind = spare.type
-                if kind is PageType.ERASED:
+                if kind is _ERASED_PAGE:
                     continue
                 max_ts = max(max_ts, spare.timestamp or 0)
-                if spare.obsolete or kind is PageType.CHECKPOINT:
+                if spare.obsolete or kind is _CHECKPOINT:
                     continue
-                if kind is PageType.CORRUPT or (kind is PageType.BASE and spare.pid is None):
+                if kind is _CORRUPT or (kind is _BASE and spare.pid is None):
                     retire.add(addr)
-                    valid.discard(addr)
+                    valid[addr] = 0
                     continue
-                if kind is PageType.BASE:
+                if kind is _BASE:
                     _tail_scan_base(
                         table, addr, spare.pid, spare.timestamp or 0,
                         valid, retire, drop_ref, report,
                     )
-                elif kind is PageType.DIFFERENTIAL:
+                elif kind is _DIFFERENTIAL:
                     if vdct.count(addr) > 0:
                         continue  # fully described by replayed records
                     try:
@@ -372,7 +382,7 @@ def _tail_scan(
                         stamps = differential_page_stamps(data)
                     except (ChecksumError, DifferentialError):
                         retire.add(addr)
-                        valid.discard(addr)
+                        valid[addr] = 0
                         continue
                     report.pages_scanned += 1
                     adopted = 0
@@ -403,7 +413,7 @@ def _tail_scan(
                         max_ts = max(max_ts, timestamp)
                     report.differentials_adopted += adopted
                     if vdct.count(addr) > 0:
-                        valid.add(addr)
+                        valid[addr] = 1
                     else:
                         retire.add(addr)
         # Differentials whose base never materialized (torn load).
@@ -422,7 +432,7 @@ def _tail_scan_base(
     addr: int,
     pid: int,
     ts: int,
-    valid: Set[int],
+    valid: bytearray,
     retire: Set[int],
     drop_ref: Callable[[int], None],
     report: RecoveryReport,
@@ -435,10 +445,10 @@ def _tail_scan_base(
         old_diff = entry.diff_addr if entry is not None else None
         old_diff_ts = entry.diff_ts if entry is not None else None
         table.set_base(pid, addr, ts)
-        valid.add(addr)
+        valid[addr] = 1
         report.base_pages_adopted += 1
         if old_addr is not None and old_addr >= 0:
-            valid.discard(old_addr)
+            valid[old_addr] = 0
             retire.add(old_addr)
         if old_diff is not None:
             if ts > (old_diff_ts if old_diff_ts is not None else -1):
@@ -447,12 +457,12 @@ def _tail_scan_base(
                 table.set_diff(pid, old_diff, old_diff_ts)
         return
     # Stale or tie (identical GC copy): the adopted mapping wins.
-    valid.discard(addr)
+    valid[addr] = 0
     retire.add(addr)
 
 
 def _retire_sweep(
-    driver: PdlDriver, retire: Set[int], valid: Set[int], report: RecoveryReport
+    driver: PdlDriver, retire: Set[int], valid: bytearray, report: RecoveryReport
 ) -> None:
     """Obsolete pages that lost their last reference during replay/scan.
 
@@ -467,19 +477,18 @@ def _retire_sweep(
     vdct = driver.vdct
     with chip.stats.phase(RECOVERY_PHASE):
         for addr in sorted(retire):
-            if addr < 0 or addr in valid:
+            if valid[addr]:
                 continue
             spare = chip.peek_spare(addr)
-            if spare.is_erased or spare.obsolete:
+            kind = spare.type
+            if kind is _ERASED_PAGE or spare.obsolete or kind is _CHECKPOINT:
                 continue
-            if spare.type is PageType.BASE and spare.pid is not None:
+            if kind is _BASE and spare.pid is not None:
                 entry = table.get(spare.pid)
                 if entry is not None and entry.base_addr == addr:
                     continue  # pragma: no cover - defensive
-            if spare.type is PageType.DIFFERENTIAL and vdct.count(addr) > 0:
+            if kind is _DIFFERENTIAL and vdct.count(addr) > 0:
                 continue  # pragma: no cover - defensive
-            if spare.type is PageType.CHECKPOINT:
-                continue
             try:
                 chip.mark_obsolete(addr)
             except (ProgramError, SpareProgramError):
@@ -511,15 +520,15 @@ def _execute_fallback(
     report = recover_tables(store.chip, plain_ppmt, plain_vdct, first_page=region_pages)
     report.pages_scanned += pages_read
     store.seq = plan.repair_seq - 1  # snapshot() seals seq + 1
-    valid: Set[int] = set()
+    valid = bytearray(store.spec.n_pages)
     for pid, entry in plain_ppmt.items():
         table.set_base(pid, entry.base_addr, entry.base_ts)
-        valid.add(entry.base_addr)
+        valid[entry.base_addr] = 1
         if entry.diff_addr is not None:
             table.set_diff(pid, entry.diff_addr, entry.diff_ts)
     driver.vdct.seed(list(plain_vdct.items()))
     for diff_page in plain_vdct.pages():
-        valid.add(diff_page)
+        valid[diff_page] = 1
     driver.blocks.rebuild(valid)
     driver.resume_ts(report.max_timestamp)
     return report

@@ -104,6 +104,11 @@ class PageType(enum.IntEnum):
     CORRUPT = 0x00
 
 
+#: The members the per-page predicates below test, as module constants:
+#: a global load, where ``PageType.X`` is the enum's member lookup.
+_ERASED = PageType.ERASED
+_CORRUPT = PageType.CORRUPT
+
 #: Builds a :class:`SpareArea` from its five field values in one C call
 #: (:meth:`SpareArea.decode`; the generated ``__new__`` is a Python frame).
 _new_tuple = tuple.__new__
@@ -233,21 +238,18 @@ class SpareArea(NamedTuple):
 
     @property
     def is_erased(self) -> bool:
-        return self.type is PageType.ERASED
+        return self.type is _ERASED
 
     @property
     def is_corrupt(self) -> bool:
         """True when the type byte decoded to no known page type."""
-        return self.type is PageType.CORRUPT
+        return self.type is _CORRUPT
 
     @property
     def is_valid(self) -> bool:
         """True for a programmed page that has not been obsoleted."""
-        return (
-            self.type is not PageType.ERASED
-            and self.type is not PageType.CORRUPT
-            and not self.obsolete
-        )
+        kind = self.type
+        return kind is not _ERASED and kind is not _CORRUPT and not self.obsolete
 
 
 #: Type byte -> page-type value, for a whole array of type bytes at once

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -266,23 +266,24 @@ class BlockManager:
     # ------------------------------------------------------------------
     # Recovery support
     # ------------------------------------------------------------------
-    def rebuild(self, valid_addrs: Set[int]) -> None:
+    def rebuild(self, valid: bytearray) -> None:
         """Reconstruct allocator state after a crash.
 
-        ``valid_addrs`` is the set of live physical pages determined by the
-        recovery scan.  Fully-erased blocks return to the free pool; every
+        ``valid`` is the validity bitmap the recovery scan or the restart
+        determined, in this manager's own form: one byte per physical
+        page, 1 for a live page and 0 otherwise.  The manager takes it
+        over as its bitmap and counts each block's live pages in one
+        numpy pass.  Fully-erased blocks return to the free pool; every
         other block is sealed (its unprogrammed tail is treated as garbage
         until GC reclaims it), and allocation resumes from a fresh block.
         """
         self._free.clear()
         self._active.clear()
         self._next_page.clear()
-        # One numpy pass builds the bitmap and the per-block counts.
-        valid = np.zeros(self.spec.n_pages, dtype=np.uint8)
-        valid[np.fromiter(valid_addrs, dtype=np.int64, count=len(valid_addrs))] = 1
-        self._valid = bytearray(valid)
+        self._valid = valid
+        flags = np.frombuffer(valid, dtype=np.uint8)
         self._valid_per_block = (
-            valid.reshape(self.spec.n_blocks, -1).sum(axis=1, dtype=np.int64).tolist()
+            flags.reshape(self.spec.n_blocks, -1).sum(axis=1, dtype=np.int64).tolist()
         )
         # Pre-crash write times are unknowable; restart every block's age
         # clock at "now" so cost-benefit scores stay well-defined.

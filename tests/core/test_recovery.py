@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from repro.core.differential import Differential, encode_differential_page
 from repro.core.pdl import PdlDriver
 from repro.core.recovery import RECOVERY_PHASE, recover_driver
 from repro.flash.chip import FlashChip
 from repro.flash.errors import SimulatedPowerLoss
-from repro.flash.spare import PageType
+from repro.flash.spare import PageType, SpareArea
 
 
 def _page(driver, fill=0x11):
@@ -227,6 +228,37 @@ class TestRecoveryEdgeCases:
         stale = copy_addr if kept == diff_addr else diff_addr
         assert chip.peek_spare(stale).obsolete
 
+
+    def test_newer_entry_on_the_same_page_keeps_the_page(self, tiny_spec):
+        """A differential page holding two entries of one pid: the scan
+        adopts the older, then the newer from the same page.  That
+        supersession must not drop the page's count, which would mark
+        obsolete the page the row now points into, and the next restart
+        would skip it and serve the bare base."""
+        chip, pdl = _fresh(tiny_spec)
+        base = _page(pdl)
+        pdl.load_page(5, base)
+        ts = chip.peek_spare(pdl.ppmt.require(5).base_addr).timestamp
+        older = _patched(base, 0, b"\x01")
+        newer = _patched(base, 8, b"\x02\x03")
+        page = encode_differential_page(
+            [
+                Differential.from_pages(5, ts + 10, base, older),
+                Differential.from_pages(5, ts + 12, base, newer),
+            ],
+            pdl.page_size,
+        )
+        addr = (tiny_spec.n_blocks - 1) * tiny_spec.pages_per_block
+        chip.program_page(addr, page, SpareArea(type=PageType.DIFFERENTIAL, timestamp=ts + 13))
+
+        recovered, report = recover_driver(chip, max_differential_size=64)
+        assert recovered.ppmt.require(5).diff_addr == addr
+        assert recovered.vdct.count(addr) == 1
+        assert not chip.peek_spare(addr).obsolete
+        assert report.stale_pages_obsoleted == 0
+        assert recovered.read_page(5) == newer
+        again, _ = recover_driver(chip, max_differential_size=64)
+        assert again.read_page(5) == newer
 
 class TestRandomizedCrashRecovery:
     """The strongest invariant: after a crash at an arbitrary point,

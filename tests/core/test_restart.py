@@ -21,6 +21,9 @@ ppmt/vdct state.  The boundaries under attack:
   must notice and take the scan fallback, never serve an older table;
   a *live* table that demand-pages the damaged page says which pid,
   snapshot, page and flash address it was translating;
+* a journal page whose spare tore back to all ``0xFF`` inside the
+  programmed prefix: it looks erased, and the valid pages after it must
+  still send the restart to the scan;
 * a snapshot taken while the write buffer holds differentials — whose
   mapping rows the table keeps resident for the flush, and the snapshot
   drops: power loss at every op of the window around it;
@@ -501,6 +504,42 @@ def test_rotted_snapshot_page_forces_fallback():
     assert _state_of(recovered.ppmt, recovered.vdct) == expected
     assert len(recovered.ppmt) == N_PIDS
 
+
+def test_an_erased_looking_slot_inside_the_journal_prefix_forces_fallback():
+    """A spare program torn at byte 0 leaves an all-``0xFF`` spare: the
+    journal page looks erased in the middle of the programmed prefix.
+    The survey reads every slot's spare, so it sees the valid page after
+    the gap and plans the scan.  A survey that stopped at the first
+    erased slot would trust that spare: it plans a fast restart over the
+    page in front of it and resumes the journal at the torn slot, whose
+    data area is programmed, so the next commit fails."""
+    backend = MemoryBackend(SPEC)
+    injector = FaultInjector(backend, seed=3)
+    chip, driver, cfg = _build(interval=100, backend=backend)
+    _workload(driver, n_writes=N_PIDS)
+    store = driver.mapping
+    store.snapshot()
+    for round in range(3):
+        for pid in range(3):
+            image = bytearray(driver.read_page(pid))
+            image[0:4] = bytes([round + 1]) * 4
+            driver.write_page(pid, bytes(image))
+        driver.flush()  # commits one journal page
+    acked = {pid: driver.read_page(pid) for pid in range(N_PIDS)}
+    journal = [store.journal_page_addr(i) for i in range(store.journal_pages)]
+    assert [i for i, addr in enumerate(journal) if not chip.peek_spare(addr).is_erased] == [0, 1, 2]
+    injector.inject_torn_spare(journal[1], tear_at=0)
+    assert chip.peek_spare(journal[1]).is_erased
+    expected = _scan_oracle(chip)
+    recovered, report = _restart(chip, cfg)
+    assert report.plan.reason is FallbackReason.VALID_PAGE_AFTER_DAMAGE
+    assert _state_of(recovered.ppmt, recovered.vdct) == expected
+    assert {pid: recovered.read_page(pid) for pid in range(N_PIDS)} == acked
+    image = bytearray(acked[0])
+    image[0:4] = b"next"
+    recovered.write_page(0, bytes(image))
+    recovered.flush()
+    assert recovered.read_page(0) == bytes(image)
 
 @pytest.mark.parametrize(
     "fault, error",

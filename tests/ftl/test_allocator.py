@@ -162,7 +162,7 @@ class TestExcludedRegion:
 
     def test_rebuild_keeps_exclusion(self, chip):
         blocks = BlockManager(chip, reserve_blocks=2, exclude_blocks=2)
-        blocks.rebuild(set())
+        blocks.rebuild(bytearray(chip.spec.n_pages))
         assert not blocks.is_free(0)
         assert not blocks.is_free(1)
         assert blocks.free_block_count == chip.spec.n_blocks - 2
@@ -175,7 +175,9 @@ class TestRebuild:
         chip.program_page(
             3 * tiny_spec.pages_per_block, b"\x00", SpareArea(type=PageType.DATA)
         )
-        blocks.rebuild({3 * tiny_spec.pages_per_block})
+        valid = bytearray(tiny_spec.n_pages)
+        valid[3 * tiny_spec.pages_per_block] = 1
+        blocks.rebuild(valid)
         assert not blocks.is_free(3)
         assert blocks.free_block_count == tiny_spec.n_blocks - 1
         assert blocks.valid_count(3) == 1
@@ -183,7 +185,7 @@ class TestRebuild:
     def test_rebuild_resets_allocation_point(self, chip):
         blocks = BlockManager(chip, reserve_blocks=2)
         blocks.allocate()
-        blocks.rebuild(set())
+        blocks.rebuild(bytearray(chip.spec.n_pages))
         assert blocks.active_block is None
 
 
@@ -241,7 +243,7 @@ class TestStreams:
 
         blocks.allocate()
         blocks.allocate(stream=HOT_STREAM)
-        blocks.rebuild(set())
+        blocks.rebuild(bytearray(chip.spec.n_pages))
         assert blocks.active_block is None
         assert blocks.active_blocks() == []
 
